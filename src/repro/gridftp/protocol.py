@@ -87,7 +87,8 @@ class BlockReader:
         total = BLOCK_HEADER.size + length
         if len(self._buffer) < total:
             return None
-        payload = bytes(self._buffer[BLOCK_HEADER.size : total])
+        with memoryview(self._buffer) as view:
+            payload = bytes(view[BLOCK_HEADER.size : total])
         del self._buffer[:total]
         return DataBlock(flags, offset, payload)
 

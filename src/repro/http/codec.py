@@ -93,6 +93,9 @@ class HttpParser:
             raise ValueError(f"bad role {role!r}")
         self.role = role
         self._buffer = bytearray()
+        #: Body pieces that arrived whole and bypass ``_buffer``; they
+        #: precede whatever the buffer holds.
+        self._pieces: Deque[bytes] = deque()
         self._eof = False
         self._state = _IDLE
         self._remaining = 0
@@ -103,12 +106,23 @@ class HttpParser:
 
     def receive_data(self, data: bytes) -> None:
         """Feed bytes from the transport; ``b""`` means EOF."""
-        if data:
-            if self._eof:
-                raise HttpParseError("data received after EOF")
-            self._buffer.extend(data)
-        else:
+        if not data:
             self._eof = True
+            return
+        if self._eof:
+            raise HttpParseError("data received after EOF")
+        if (
+            len(data) <= self._remaining
+            and not self._buffer
+            and self._state in (_BODY_LENGTH, _BODY_CHUNK_DATA)
+        ):
+            # Nothing but body bytes: hand the piece over unstaged.
+            self._remaining -= len(data)
+            self._pieces.append(
+                data if type(data) is bytes else bytes(data)
+            )
+        else:
+            self._buffer.extend(data)
 
     def expect_response_to(self, method: str) -> None:
         """Register an outgoing request's method (client role only)."""
@@ -120,6 +134,8 @@ class HttpParser:
 
     def next_event(self) -> Event:
         """Return the next protocol event or :data:`NEED_DATA`."""
+        if self._pieces:
+            return Data(self._pieces.popleft())
         if self._state == _IDLE:
             return self._parse_head()
         if self._state == _BODY_LENGTH:
@@ -254,6 +270,15 @@ class HttpParser:
 
     # -- body parsing ---------------------------------------------------------
 
+    def _take_body(self) -> bytes:
+        """Up to ``_remaining`` buffered body bytes, copied once."""
+        take = min(self._remaining, len(self._buffer))
+        self._remaining -= take
+        with memoryview(self._buffer) as view:
+            data = bytes(view[:take])
+        del self._buffer[:take]
+        return data
+
     def _parse_length_body(self) -> Event:
         if self._remaining == 0:
             self._state = _IDLE
@@ -264,11 +289,7 @@ class HttpParser:
                     f"EOF with {self._remaining} body bytes missing"
                 )
             return NEED_DATA
-        take = min(self._remaining, len(self._buffer))
-        data = bytes(self._buffer[:take])
-        del self._buffer[:take]
-        self._remaining -= take
-        return Data(data)
+        return Data(self._take_body())
 
     def _parse_eof_body(self) -> Event:
         if self._buffer:
@@ -305,11 +326,7 @@ class HttpParser:
                 if self._eof:
                     raise HttpParseError("EOF inside chunk data")
                 return NEED_DATA
-            take = min(self._remaining, len(self._buffer))
-            data = bytes(self._buffer[:take])
-            del self._buffer[:take]
-            self._remaining -= take
-            return Data(data)
+            return Data(self._take_body())
         # Consume the CRLF after the chunk payload.
         if len(self._buffer) < 2:
             if self._eof:

@@ -244,7 +244,8 @@ class MultipartStream:
                 header_end = buf.find(_CRLF + _CRLF)
                 if header_end < 0:
                     return
-                headers = _parse_part_headers(bytes(buf[:header_end]))
+                with memoryview(buf) as view:
+                    headers = _parse_part_headers(bytes(view[:header_end]))
                 del buf[: header_end + 4]
                 content_range = headers.get("Content-Range")
                 if content_range is None:
@@ -260,7 +261,8 @@ class MultipartStream:
                 offset, length, total = self._pending
                 if len(buf) < length + 2:
                     return
-                data = bytes(buf[:length])
+                with memoryview(buf) as view:
+                    data = bytes(view[:length])
                 if not buf.startswith(_CRLF, length):
                     raise HttpParseError("part data not followed by CRLF")
                 del buf[: length + 2]

@@ -9,6 +9,7 @@ paper's vectored I/O.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
@@ -44,18 +45,24 @@ class BranchMeta:
     name: str
     event_size: int  # bytes per entry, uncompressed
     baskets: List[BasketInfo] = field(default_factory=list)
+    #: ``first_entry`` of every basket, the array the lookups bisect.
+    #: Baskets are only ever appended in entry order; the array is
+    #: rebuilt when their count has changed.
+    _firsts: List[int] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    def _first_entries(self) -> List[int]:
+        if len(self._firsts) != len(self.baskets):
+            self._firsts = [basket.first_entry for basket in self.baskets]
+        return self._firsts
 
     def basket_for_entry(self, entry: int) -> BasketInfo:
         """The basket holding ``entry`` (binary search)."""
-        low, high = 0, len(self.baskets)
-        while low < high:
-            mid = (low + high) // 2
-            basket = self.baskets[mid]
-            if entry < basket.first_entry:
-                high = mid
-            elif entry >= basket.end_entry:
-                low = mid + 1
-            else:
+        index = bisect_right(self._first_entries(), entry) - 1
+        if index >= 0:
+            basket = self.baskets[index]
+            if entry < basket.first_entry + basket.n_entries:
                 return basket
         raise RootIOError(
             f"branch {self.name}: no basket for entry {entry}"
@@ -65,10 +72,14 @@ class BranchMeta:
         """Baskets covering entries [start, stop)."""
         if start >= stop:
             return []
+        firsts = self._first_entries()
+        # Only the last basket starting at or before ``start`` can reach
+        # into the window from the left; it may also end short of it.
+        low = max(bisect_right(firsts, start) - 1, 0)
         return [
             basket
-            for basket in self.baskets
-            if basket.end_entry > start and basket.first_entry < stop
+            for basket in self.baskets[low : bisect_left(firsts, stop)]
+            if basket.first_entry + basket.n_entries > start
         ]
 
     @property

@@ -20,7 +20,8 @@ This implementation mirrors the behaviourally relevant parts:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency import Sleep
 from repro.errors import RootIOError
@@ -61,7 +62,9 @@ class TTreeCache:
         self.decompress_bandwidth = decompress_bandwidth
 
         self._window: Tuple[int, int] = (0, 0)
-        self._baskets: Dict[Tuple[str, int], bytes] = {}
+        #: Per branch of the window: (event_size, first entry of each
+        #: basket, each basket's payload — ``None`` when not decoding).
+        self._index: Dict[str, Tuple[int, List[int], list]] = {}
         self.stats = {
             "refills": 0,
             "vector_reads": 0,
@@ -82,18 +85,14 @@ class TTreeCache:
         if not self._window[0] <= entry < self._window[1]:
             yield from self._refill(entry)
         out = {}
-        for name in self.branch_names:
-            branch = self.meta.branch(name)
-            basket = branch.basket_for_entry(entry)
-            payload = self._baskets[(name, basket.first_entry)]
+        for name, (size, firsts, payloads) in self._index.items():
+            at = bisect_right(firsts, entry) - 1
+            payload = payloads[at]
             if payload is None:
                 out[name] = None
             else:
-                index = entry - basket.first_entry
-                out[name] = payload[
-                    index * branch.event_size : (index + 1)
-                    * branch.event_size
-                ]
+                index = entry - firsts[at]
+                out[name] = payload[index * size : (index + 1) * size]
         return out
 
     # -- refill machinery ----------------------------------------------------------
@@ -117,17 +116,28 @@ class TTreeCache:
                 yield Sleep(cost)
 
     def _needed_baskets(self, start: int, stop: int):
+        """[(branch, its baskets tiling [start, stop))], gaps refused."""
         needed = []
         for name in self.branch_names:
-            for basket in self.meta.branch(name).baskets_for_entries(
-                start, stop
-            ):
-                needed.append((name, basket))
+            branch = self.meta.branch(name)
+            baskets = branch.baskets_for_entries(start, stop)
+            covered = start
+            for basket in baskets:
+                if basket.first_entry > covered:
+                    break
+                covered = basket.end_entry
+            if covered < stop:
+                raise RootIOError(
+                    f"branch {name}: no basket for entry {covered}"
+                )
+            needed.append((branch, baskets))
         return needed
 
     def _refill_vectored(self, start: int, stop: int):
         needed = self._needed_baskets(start, stop)
-        spans = sorted({basket.span for _, basket in needed})
+        spans = sorted(
+            {basket.span for _, baskets in needed for basket in baskets}
+        )
         blobs = yield from self.reader.fetcher.fetch_vec(spans)
         blob_by_span = dict(zip(spans, blobs))
         self.stats["vector_reads"] += 1
@@ -136,26 +146,31 @@ class TTreeCache:
     def _refill_single(self, start: int, stop: int):
         needed = self._needed_baskets(start, stop)
         blob_by_span = {}
-        for _, basket in needed:
-            if basket.span in blob_by_span:
-                continue
-            blob = yield from self.reader.fetcher.fetch(*basket.span)
-            blob_by_span[basket.span] = blob
-            self.stats["single_reads"] += 1
+        for _, baskets in needed:
+            for basket in baskets:
+                if basket.span in blob_by_span:
+                    continue
+                blob = yield from self.reader.fetcher.fetch(*basket.span)
+                blob_by_span[basket.span] = blob
+                self.stats["single_reads"] += 1
         self._install(needed, blob_by_span)
 
     def _install(self, needed, blob_by_span) -> None:
-        self._baskets.clear()
+        self._index.clear()
         uncompressed = 0
-        for name, basket in needed:
-            blob = blob_by_span[basket.span]
-            self.stats["bytes_fetched"] += len(blob)
-            uncompressed += basket.uncompressed
-            if self.decode:
-                self._baskets[(name, basket.first_entry)] = (
-                    decompress_basket(blob)
+        for branch, baskets in needed:
+            payloads = []
+            for basket in baskets:
+                blob = blob_by_span[basket.span]
+                self.stats["bytes_fetched"] += len(blob)
+                uncompressed += basket.uncompressed
+                payloads.append(
+                    decompress_basket(blob) if self.decode else None
                 )
-            else:
-                self._baskets[(name, basket.first_entry)] = None
+            self._index[branch.name] = (
+                branch.event_size,
+                [basket.first_entry for basket in baskets],
+                payloads,
+            )
         self._last_uncompressed = uncompressed
         self.stats["bytes_decompressed"] += uncompressed

@@ -219,7 +219,8 @@ def handle_connection(channel, app: StorageApp):
 def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
     """Read one full request (head + body); None on clean close."""
     head: Optional[Request] = None
-    body = bytearray()
+    # Joined once at the end, as Session.request does: one copy.
+    chunks = []
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
@@ -231,10 +232,10 @@ def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
         if isinstance(event, Request):
             head = event
         elif isinstance(event, Data):
-            body.extend(event.data)
+            chunks.append(event.data)
         elif isinstance(event, EndOfMessage):
             assert head is not None
-            head.body = bytes(body)
+            head.body = chunks[0] if len(chunks) == 1 else b"".join(chunks)
             return head
 
 

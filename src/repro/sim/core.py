@@ -13,7 +13,7 @@ produces identical timings.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ProcessInterrupt, SimulationError, StopSimulation
@@ -40,15 +40,19 @@ class Event:
     simulation time. Processes wait on events by yielding them.
     """
 
+    # ``_scheduled`` is True once the event's callbacks have been
+    # scheduled; ``_defused`` once a failure value was retrieved
+    # (suppresses the "unhandled failure" check).
+    __slots__ = (
+        "env", "callbacks", "_value", "_ok", "_scheduled", "_defused",
+    )
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[list] = []
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
-        #: True once the event's callbacks have been scheduled.
         self._scheduled = False
-        #: Set when a failure value was retrieved (suppresses the
-        #: "unhandled failure" check).
         self._defused = False
 
     # -- state -------------------------------------------------------------
@@ -81,11 +85,16 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        if self._scheduled:
+            raise SimulationError(f"{self!r} scheduled twice")
+        self._scheduled = True
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -122,14 +131,20 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, env._eid, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -137,6 +152,8 @@ class Timeout(Event):
 
 class Initialize(Event):
     """Immediate event used to start a freshly created process."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
@@ -153,6 +170,8 @@ class Process(Event):
     with the event's value (``event.value`` is sent into the generator,
     or raised into it if the event failed).
     """
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
@@ -236,6 +255,8 @@ class Condition(Event):
     their values, preserving the order events were passed in.
     """
 
+    __slots__ = ("_evaluate", "_events", "_count")
+
     def __init__(
         self,
         env: "Environment",
@@ -284,12 +305,16 @@ class Condition(Event):
 class AllOf(Condition):
     """Fires once every event in the set has fired."""
 
+    __slots__ = ()
+
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, lambda events, count: count == len(events), events)
 
 
 class AnyOf(Condition):
     """Fires as soon as any event in the set fires."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, lambda events, count: count >= 1, events)
@@ -341,20 +366,7 @@ class Environment:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
-
-    def step(self) -> None:
-        """Process the next scheduled event."""
-        try:
-            when, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise SimulationError("no more events") from None
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            raise event._value
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
@@ -387,12 +399,19 @@ class Environment:
                     f"until ({stop_at}) must not be before now ({self._now})"
                 )
 
+        queue = self._queue
+        horizon = float("inf") if stop_at is None else stop_at
         try:
-            while self._queue:
-                if stop_at is not None and self.peek() > stop_at:
+            while queue:
+                if queue[0][0] > horizon:
                     self._now = stop_at
                     return None
-                self.step()
+                self._now, _, event = heappop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             return stop.args[0] if stop.args else None
 

@@ -30,6 +30,8 @@ class Request(Event):
             ...  # holding one slot
     """
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource

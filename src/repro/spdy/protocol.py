@@ -91,7 +91,8 @@ class FrameReader:
         total = HEADER.size + length
         if len(self._buffer) < total:
             return None
-        payload = bytes(self._buffer[HEADER.size : total])
+        with memoryview(self._buffer) as view:
+            payload = bytes(view[HEADER.size : total])
         del self._buffer[:total]
         return Frame(streamid, frame_type, flags, payload)
 

@@ -128,7 +128,8 @@ class FrameReader:
         total = HEADER.size + dlen
         if len(self._buffer) < total:
             return None
-        payload = bytes(self._buffer[HEADER.size : total])
+        with memoryview(self._buffer) as view:
+            payload = bytes(view[HEADER.size : total])
         del self._buffer[:total]
         return (streamid, code, payload)
 

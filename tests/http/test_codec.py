@@ -384,3 +384,169 @@ def test_chunked_roundtrip_any_split(chunks, step):
     _, body, done = collect_message(events)
     assert body == b"".join(chunks)
     assert done
+
+
+# -- responses, any split, any buffer type ------------------------------------
+#
+# Body bytes bypass the parser's buffer when a piece is nothing but
+# body, so the framing has to hold for every way of cutting the wire.
+
+_FEED_AS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda piece: memoryview(bytes(piece)),
+}
+
+
+def response_wire(framing, body):
+    """One serialised response with the given body framing."""
+    if framing == "length":
+        return serialize_response(Response(200, Headers(), body=body))
+    if framing == "chunked":
+        wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        for i in range(0, len(body), 300):
+            wire += encode_chunk(body[i : i + 300])
+        return wire + encode_last_chunk()
+    return b"HTTP/1.0 200 OK\r\n\r\n" + body  # delimited by EOF
+
+
+def canonical(events):
+    """Event sequence with adjacent Data merged (splits move those)."""
+    out = []
+    for event in events:
+        if isinstance(event, Data):
+            assert type(event.data) is bytes and event.data
+            if out and out[-1][0] == "data":
+                out[-1] = ("data", out[-1][1] + event.data)
+            else:
+                out.append(("data", event.data))
+        elif isinstance(event, EndOfMessage):
+            out.append(("end",))
+        else:
+            out.append(("head", event.status, list(event.headers.items())))
+    return out
+
+
+def parse_split(wire, cuts, feed_as, pulls, n_responses=1, eof=True):
+    """Events of ``wire`` cut at ``cuts``.
+
+    After piece ``i`` at most ``pulls[i % len(pulls)]`` events are
+    taken, so pieces also arrive while earlier ones are still queued.
+    """
+    parser = HttpParser("client")
+    for _ in range(n_responses):
+        parser.expect_response_to("GET")
+    events = []
+    bounds = [0] + sorted(cuts) + [len(wire)]
+    for i, (low, high) in enumerate(zip(bounds, bounds[1:])):
+        if low == high:
+            continue
+        piece = _FEED_AS[feed_as](wire[low:high])
+        parser.receive_data(piece)
+        if isinstance(piece, bytearray):
+            piece[:] = bytes(len(piece))  # Data must not alias it
+        for _ in range(pulls[i % len(pulls)]):
+            event = parser.next_event()
+            if event == NEED_DATA:
+                break
+            events.append(event)
+    if eof:
+        parser.receive_data(b"")
+    events.extend(drain(parser)[0])
+    return parser, events
+
+
+_bodies = st.binary(min_size=0, max_size=2000)
+_framings = st.sampled_from(["length", "chunked", "eof"])
+_cuts = st.lists(st.integers(0, 5000), max_size=12)
+_feeds = st.sampled_from(sorted(_FEED_AS))
+_pulls = st.lists(st.integers(0, 4), min_size=1, max_size=6)
+_ALL = [10**6]  # drain after every piece
+
+
+@given(_framings, _bodies, _cuts, _feeds, _pulls)
+def test_response_any_split_equals_unsplit(framing, body, cuts, feed, pulls):
+    wire = response_wire(framing, body)
+    cuts = [cut % (len(wire) + 1) for cut in cuts]
+    _, whole = parse_split(wire, [], "bytes", _ALL)
+    _, events = parse_split(wire, cuts, feed, pulls)
+    assert canonical(events) == canonical(whole)
+    head, parsed, done = collect_message(events)
+    assert (head.status, parsed, done) == (200, body, True)
+
+
+@given(
+    st.sampled_from(["length", "chunked"]),
+    _framings,
+    st.binary(min_size=1, max_size=1500),
+    _bodies,
+    st.integers(1, 1500),
+    _cuts,
+    _feeds,
+    _pulls,
+)
+def test_pipelined_responses_any_split(
+    first, second, body1, body2, tail, cuts, feed, pulls
+):
+    wire1 = response_wire(first, body1)
+    wire = wire1 + response_wire(second, body2)
+    # One piece always carries the first body's tail (the last CRLF of
+    # a chunked one included) together with the second head.
+    straddle = [len(wire1) - min(tail, len(body1)), len(wire1) + 9]
+    cuts = [cut % (len(wire) + 1) for cut in cuts]
+    cuts = [c for c in cuts if not straddle[0] < c < straddle[1]]
+    _, whole = parse_split(wire, [], "bytes", _ALL, n_responses=2)
+    _, events = parse_split(
+        wire, cuts + straddle, feed, pulls, n_responses=2
+    )
+    assert canonical(events) == canonical(whole)
+    heads = [e for e in canonical(events) if e[0] == "head"]
+    datas = [e[1] for e in canonical(events) if e[0] == "data"]
+    assert len(heads) == 2
+    assert datas == [body for body in (body1, body2) if body]
+    assert canonical(events)[-1] == ("end",)
+
+
+@given(
+    st.sampled_from(["length", "chunked"]),
+    st.binary(min_size=1, max_size=2000),
+    st.integers(1, 2000),
+    _cuts,
+    _feeds,
+    _pulls,
+)
+def test_eof_mid_body_raises_any_split(
+    framing, body, missing, cuts, feed, pulls
+):
+    wire = response_wire(framing, body)
+    head_len = wire.index(b"\r\n\r\n") + 4
+    trailer = len(encode_last_chunk()) if framing == "chunked" else 0
+    # Cut the wire short somewhere inside the body.
+    keep = len(wire) - trailer - 1 - (missing - 1) % len(body)
+    assert head_len <= keep < len(wire)
+    cuts = [cut % (keep + 1) for cut in cuts]
+    parser, events = parse_split(wire[:keep], cuts, feed, pulls, eof=False)
+    parser.receive_data(b"")
+    with pytest.raises(HttpParseError):
+        events.extend(drain(parser)[0])
+    _, parsed, done = collect_message(events)
+    assert body.startswith(parsed) and not done
+    with pytest.raises(HttpParseError):
+        parser.receive_data(b"late")
+
+
+def test_receive_data_after_eof_raises_in_every_state():
+    for wire in (
+        b"",
+        b"HTTP/1.1 200 OK\r\nContent-Len",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nab",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab",
+        b"HTTP/1.0 200 OK\r\n\r\nab",
+    ):
+        parser = HttpParser("client")
+        parser.expect_response_to("GET")
+        if wire:
+            parser.receive_data(wire)
+        parser.receive_data(b"")
+        with pytest.raises(HttpParseError):
+            parser.receive_data(b"x")

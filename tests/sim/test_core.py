@@ -299,3 +299,140 @@ def test_determinism_two_identical_runs():
         return log
 
     assert build() == build()
+
+
+# -- ordering the scheduling fast paths must keep -----------------------------
+#
+# Timeout() and succeed() push onto the heap themselves and run()
+# dispatches inline; the order below is what every simulated number
+# rests on.
+
+
+def test_same_time_timeout_succeed_and_start_fire_in_scheduling_order():
+    env = Environment()
+    log = []
+
+    def note(tag):
+        return lambda _event: log.append((env.now, tag))
+
+    def starter(tag):
+        log.append((env.now, tag))
+        yield env.timeout(0)
+        log.append((env.now, tag + "+"))
+
+    env.timeout(0).callbacks.append(note("t0"))
+    first = env.event()
+    first.callbacks.append(note("e0"))
+    first.succeed()
+    env.process(starter("p0"))
+    env.timeout(0).callbacks.append(note("t1"))
+    late = env.event()  # created early, scheduled last
+    env.process(starter("p1"))
+    second = env.event()
+    second.callbacks.append(note("e1"))
+    second.succeed()
+    late.callbacks.append(note("late"))
+    late.succeed()
+    env.timeout(1).callbacks.append(note("t@1"))
+    env.timeout(0).callbacks.append(note("t2"))
+    env.run()
+    assert log == [
+        (0, "t0"), (0, "e0"), (0, "p0"), (0, "t1"), (0, "p1"),
+        (0, "e1"), (0, "late"), (0, "t2"), (0, "p0+"), (0, "p1+"),
+        (1, "t@1"),
+    ]
+
+
+def test_succeed_inside_callback_runs_after_already_scheduled_peers():
+    env = Environment()
+    log = []
+    inner = env.event()
+    inner.callbacks.append(lambda _e: log.append("inner"))
+
+    def outer(_event):
+        log.append("outer")
+        inner.succeed()
+
+    env.timeout(2).callbacks.append(outer)
+    env.timeout(2).callbacks.append(lambda _e: log.append("peer"))
+    env.run()
+    assert log == ["outer", "peer", "inner"]
+    assert env.now == 2
+
+
+def test_run_until_number_stops_on_the_boundary():
+    env = Environment()
+    fired = []
+    for when in (1, 2, 2, 2.5, 3):
+        env.timeout(when).callbacks.append(
+            lambda _e, when=when: fired.append(when)
+        )
+    env.run(until=2)
+    # Events *at* the boundary fire, later ones stay queued.
+    assert fired == [1, 2, 2]
+    assert env.now == 2
+    assert env.peek() == 2.5
+    env.run(until=2)  # nothing left at 2: a no-op
+    assert fired == [1, 2, 2]
+    env.run(until=2.75)
+    assert fired == [1, 2, 2, 2.5]
+    assert env.now == 2.75
+    env.run(until=10)  # the queue runs dry before the horizon
+    assert fired == [1, 2, 2, 2.5, 3]
+    assert env.now == 10
+
+
+def test_undefused_failed_event_raises_out_of_run():
+    env = Environment()
+    env.timeout(1).callbacks.append(lambda _e: None)
+    env.event().fail(RuntimeError("nobody waited"))
+    after = []
+    env.timeout(0).callbacks.append(lambda _e: after.append(env.now))
+    with pytest.raises(RuntimeError, match="nobody waited"):
+        env.run()
+    # The failure surfaced at its own turn; the queue is intact.
+    assert after == [] and env.now == 0
+    env.run()
+    assert after == [0] and env.now == 1
+
+
+def test_defused_failed_event_does_not_raise():
+    env = Environment()
+    failed = env.event().fail(RuntimeError("handled elsewhere"))
+    failed._defused = True
+    env.run()
+    assert failed.processed and not failed.ok
+
+
+def test_doubly_scheduled_event_raises():
+    env = Environment()
+    timer = env.timeout(1)
+    with pytest.raises(SimulationError):
+        timer.succeed()
+    with pytest.raises(SimulationError):
+        env._schedule(timer)
+    done = env.event().succeed(1)
+    for again in (lambda: done.succeed(2), lambda: env._schedule(done)):
+        with pytest.raises(SimulationError):
+            again()
+    with pytest.raises(SimulationError):
+        done.fail(RuntimeError("late"))
+    pending = env.event()
+    env._schedule(pending)
+    with pytest.raises(SimulationError, match="scheduled twice"):
+        pending.succeed()
+    # None of the refused attempts left a second heap entry behind.
+    assert len(env._queue) == 3
+
+
+def test_events_carry_no_instance_dict():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(0)
+
+    for event in (
+        env.event(), env.timeout(0), env.process(proc()),
+        env.all_of([]), env.any_of([]),
+    ):
+        assert not hasattr(event, "__dict__")
