@@ -19,7 +19,7 @@ compose with ``result = yield from sub_op(...)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Effect",
@@ -73,10 +73,15 @@ class Connect(Effect):
 
 @dataclass(frozen=True)
 class Send(Effect):
-    """Write ``data`` to ``channel``; resolves once on the wire."""
+    """Write ``data`` to ``channel``; resolves once on the wire.
+
+    ``data`` is one buffer or a sequence of buffers — a gather write:
+    the pieces reach the peer back to back, as their join would, and
+    are never joined on the way.
+    """
 
     channel: Any
-    data: bytes
+    data: Union[bytes, Sequence[bytes]]
 
 
 @dataclass(frozen=True)

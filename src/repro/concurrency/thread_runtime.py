@@ -8,6 +8,7 @@ example. ``TCP_NODELAY`` is set on every connection, matching davix.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -83,6 +84,29 @@ class SocketListener:
             self.sock.close()
         except OSError:
             pass
+
+
+try:
+    _IOV_MAX = os.sysconf("SC_IOV_MAX")
+except (AttributeError, ValueError, OSError):
+    _IOV_MAX = -1
+if _IOV_MAX < 1:
+    _IOV_MAX = 16  # the POSIX minimum, where the host will not say
+
+
+def _send_gather(sock: socket.socket, pieces) -> None:
+    """``sendall`` for a sequence of buffers, without joining them."""
+    views = [memoryview(piece) for piece in pieces if len(piece)]
+    index = 0
+    while index < len(views):
+        sent = sock.sendmsg(views[index : index + _IOV_MAX])
+        # A short write stops inside some buffer: skip the buffers
+        # that went out whole, keep the tail of the one that did not.
+        while sent and sent >= len(views[index]):
+            sent -= len(views[index])
+            index += 1
+        if sent:
+            views[index] = views[index][sent:]
 
 
 class _Task:
@@ -164,7 +188,10 @@ class ThreadRuntime(Runtime):
             return self._connect(step.endpoint)
         if isinstance(step, fx.Send):
             try:
-                step.channel.sock.sendall(step.data)
+                if isinstance(step.data, (bytes, bytearray, memoryview)):
+                    step.channel.sock.sendall(step.data)
+                else:
+                    _send_gather(step.channel.sock, step.data)
             except OSError as exc:
                 raise ConnectionClosed(f"send failed: {exc}") from exc
             return None

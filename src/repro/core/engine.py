@@ -244,9 +244,7 @@ class TransferEngine:
         would otherwise crash the whole simulation."""
         try:
             parts = yield from self.file._fetch_batch_covered(
-                batch.ranges,
-                batch.span,
-                stream=self.config.stream_decode,
+                batch.ranges, batch.span
             )
         except Exception as exc:  # trapped: surfaces via _resolve
             batch.span.end(error=repr(exc))
@@ -345,7 +343,7 @@ class TransferEngine:
             yield from self._resolve(batch)
             offset, length = segment
             if batch.error is None and batch.parts.covers(offset, length):
-                results[index] = bytes(batch.parts.find(offset, length))
+                results[index] = batch.parts.read(offset, length)
                 self.stats["hits"] += 1
                 metrics.counter("engine.hits_total").inc()
             else:
@@ -394,7 +392,7 @@ class TransferEngine:
         yield from self._resolve(batch)
         data = None
         if batch.error is None and batch.parts.covers(*segment):
-            data = bytes(batch.parts.find(*segment))
+            data = batch.parts.read(*segment)
             self.stats["hits"] += 1
             self.context.metrics.counter("engine.hits_total").inc()
             self._grow()

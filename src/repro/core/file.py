@@ -40,7 +40,6 @@ from repro.http import (
     Request,
     Response,
     Url,
-    decode_byteranges,
     format_range_header,
 )
 from repro.http.headers import parse_cache_control
@@ -116,6 +115,69 @@ def _cache_ttl(response: Response) -> Optional[float]:
         return max(0.0, float(max_age))
     except (TypeError, ValueError):
         return None
+
+
+class _RangeSink:
+    """The ``sink_factory`` of every ranged GET, and its decoded result.
+
+    A ``multipart/byteranges`` 206 streams through a fresh
+    :class:`~repro.http.multipart.MultipartStream` per attempt, so
+    decode overlaps the transfer and the body is never joined; any
+    other response is buffered by the session as usual.
+    """
+
+    def __init__(self, clock: Callable[[], float]):
+        self._clock = clock
+        self._decoder: Optional[MultipartStream] = None
+        #: Seconds spent in multipart decode; None = nothing decoded.
+        self.seconds: Optional[float] = None
+
+    def __call__(self, head: Response):
+        self._decoder = None
+        self.seconds = None
+        if head.status != 206 or not _is_multipart(head):
+            return None
+        try:
+            boundary = content_type_boundary(head.content_type)
+        except HttpParseError:
+            return None  # pieces() reports it
+        self._decoder = MultipartStream(boundary)
+        self.seconds = 0.0
+        return self._feed
+
+    def _feed(self, chunk: bytes) -> None:
+        started = self._clock()
+        self._decoder.feed(chunk)
+        self.seconds += self._clock() - started
+
+    def pieces(
+        self, response: Response
+    ) -> List[Tuple[int, bytes, Optional[int]]]:
+        """``(offset, data, total)`` of each stretch of the object a
+        200/206 ``response`` carried."""
+        if response.status != 206:
+            # 200: no range support — the whole object came back.
+            return [(0, response.body, len(response.body))]
+        if _is_multipart(response):
+            try:
+                if self._decoder is None:
+                    # Not streamed: the head's boundary was unreadable.
+                    content_type_boundary(response.content_type)
+                parts = self._decoder.close()
+            except HttpParseError as exc:
+                raise RequestError(
+                    f"bad multipart response: {exc}"
+                ) from exc
+            return [(p.offset, p.data, p.total) for p in parts]
+        content_range = response.headers.get("Content-Range")
+        if content_range is None:
+            raise RequestError("206 without Content-Range")
+        offset, _length, total = parse_content_range(content_range)
+        return [(offset, response.body, total)]
+
+
+def _is_multipart(response: Response) -> bool:
+    return response.content_type.lower().startswith("multipart/byteranges")
 
 
 def raise_for_status(response: Response, path: str) -> None:
@@ -450,19 +512,8 @@ class DavFile:
         total = None
         max_ranges = max(1, self.params.max_vector_ranges)
         for start in range(0, len(spans), max_ranges):
-            batch = spans[start : start + max_ranges]
-            specs = [
-                RangeSpec.from_offset_length(o, n) for o, n in batch
-            ]
-            request = Request(
-                "GET",
-                self.url.target,
-                Headers([("Range", format_range_header(specs))]),
-            )
-            response, _ = yield from execute_request(
-                self.context, self.url, request, self.params,
-                idempotent=True,
-                parent_span=parent_span,
+            response, sink = yield from self._get_ranges(
+                spans[start : start + max_ranges], parent_span
             )
             if response.status == 416:
                 # Past EOF: the unsatisfied Content-Range still
@@ -477,47 +528,31 @@ class DavFile:
                 continue
             raise_for_status(response, self.url.path)
             etag = response.headers.get("ETag")
-            if response.status == 206:
-                content_type = response.content_type
-                if content_type.lower().startswith("multipart/byteranges"):
-                    try:
-                        boundary = content_type_boundary(content_type)
-                        parts = decode_byteranges(
-                            response.body, boundary, copy=False
-                        )
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    for part in parts:
-                        if part.total is not None:
-                            total = part.total
-                    self._cache_insert(
-                        etag,
-                        [(p.offset, p.data, p.total) for p in parts],
-                        response=response,
-                    )
-                else:
-                    content_range = response.headers.get("Content-Range")
-                    if content_range is None:
-                        raise RequestError("206 without Content-Range")
-                    offset, _length, part_total = parse_content_range(
-                        content_range
-                    )
-                    if part_total is not None:
-                        total = part_total
-                    self._cache_insert(
-                        etag,
-                        [(offset, response.body, part_total)],
-                        response=response,
-                    )
-            else:
-                # 200: no range support — the whole object came back.
-                total = len(response.body)
-                self._cache_insert(
-                    etag, [(0, response.body, total)], response=response
-                )
+            pieces = sink.pieces(response)
+            self._cache_insert(etag, pieces, response=response)
+            for _offset, _data, piece_total in pieces:
+                if piece_total is not None:
+                    total = piece_total
         return etag, total
+
+    def _get_ranges(self, ranges, parent_span=None):
+        """Effect sub-op: one (multi-)range GET for ``(offset, length)``
+        ``ranges`` -> ``(response, sink)``; ``sink.pieces(response)``
+        holds what a 200/206 carried."""
+        specs = [RangeSpec.from_offset_length(o, n) for o, n in ranges]
+        request = Request(
+            "GET",
+            self.url.target,
+            Headers([("Range", format_range_header(specs))]),
+        )
+        sink = _RangeSink(self.context.clock)
+        response, _ = yield from execute_request(
+            self.context, self.url, request, self.params,
+            sink_factory=sink,
+            idempotent=True,
+            parent_span=parent_span,
+        )
+        return response, sink
 
     def _pread_demand(self, offset: int, length: int):
         """The demanded single-range read (no speculation)."""
@@ -578,10 +613,11 @@ class DavFile:
         retry/deadline/breaker envelope; partial responses refetch only
         their ``missing_ranges``. With the transfer engine armed
         (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
-        through the speculative window instead. The decode → scatter
-        path is zero-copy (``memoryview`` slices over each response
-        buffer) until the per-fragment ``bytes`` materialise — the
-        only copy, accounted in ``vector.copy_bytes_total``.
+        through the speculative window instead. Multipart bodies
+        decode as they arrive, one ``bytes`` per part; a fragment that
+        is a whole part is handed that object, any other is cut out as
+        one copy. ``vector.copy_bytes_total`` counts the fragment
+        bytes produced — an upper bound on the bytes copied.
         """
         reads = [(int(offset), int(length)) for offset, length in reads]
         if any(length == 0 for _, length in reads):
@@ -774,9 +810,9 @@ class DavFile:
 
         The per-batch child span is explicitly parented (concurrent
         batches interleave, so implicit stack parenting would
-        cross-nest); the materialised fragment bytes land in
-        ``vector.copy_bytes_total`` — exactly one copy per fragment on
-        the zero-copy path.
+        cross-nest); the fragment bytes produced land in
+        ``vector.copy_bytes_total`` — at most one copy per fragment,
+        none for a fragment that is a whole part.
         """
         batch_span = parent_span.child(
             "vec-batch", batch=index, ranges=len(batch)
@@ -791,14 +827,14 @@ class DavFile:
         )
         return scattered
 
-    def _fetch_batch_covered(self, batch, parent_span=None, stream=False):
+    def _fetch_batch_covered(self, batch, parent_span=None):
         """Fetch one batch, re-requesting any ranges the response left
         uncovered (a reset mid-multipart-body, a server honouring only
         some ranges). Multi-range GETs are idempotent, so the refetch
         is always retry-safe; rounds are bounded by the retry policy's
         attempt budget.
         """
-        parts = yield from self._fetch_batch(batch, parent_span, stream)
+        parts = yield from self._fetch_batch(batch, parent_span)
         rounds = self.params.effective_retry_policy().max_attempts - 1
         missing = missing_ranges(batch, parts)
         while missing and rounds > 0:
@@ -809,124 +845,34 @@ class DavFile:
             self.context.metrics.counter(
                 "vector.refetch_ranges_total"
             ).inc(len(missing))
-            more = yield from self._fetch_batch(missing, parent_span, stream)
+            more = yield from self._fetch_batch(missing, parent_span)
             parts.merge(more)
             missing = missing_ranges(batch, parts)
         # Still-missing ranges surface through scatter_parts, which
         # raises the caller-facing RequestError.
         return parts
 
-    def _fetch_batch(self, batch, parent_span=None, stream=False):
-        """One multi-range request -> :class:`PartTable` of views.
-
-        With ``stream=True`` a multipart body decodes incrementally as
-        chunks arrive (:class:`~repro.http.multipart.MultipartStream`
-        behind a streaming sink), overlapping decode with the transfer
-        — the engine's speculative path. Each retry attempt gets a
-        fresh decoder; non-multipart responses fall back to buffering.
-        """
-        specs = [
-            RangeSpec.from_offset_length(rng.offset, rng.length)
-            for rng in batch
-        ]
-        headers = Headers([("Range", format_range_header(specs))])
-        request = Request("GET", self.url.target, headers)
-
-        streamed: Dict[str, object] = {}
-        sink_factory = None
-        if stream:
-            def sink_factory(head: Response):
-                content_type = head.content_type
-                if head.status != 206 or not content_type.lower().startswith(
-                    "multipart/byteranges"
-                ):
-                    return None
-                try:
-                    boundary = content_type_boundary(content_type)
-                except HttpParseError:
-                    return None  # buffered decode reports the error
-                decoder = MultipartStream(boundary)
-                streamed["decoder"] = decoder
-                streamed["seconds"] = 0.0
-
-                def sink(chunk: bytes) -> None:
-                    started = self.context.clock()
-                    decoder.feed(chunk)
-                    streamed["seconds"] += (
-                        self.context.clock() - started
-                    )
-
-                return sink
-
-        response, _ = yield from execute_request(
-            self.context, self.url, request, self.params,
-            sink_factory=sink_factory,
-            idempotent=True,
-            parent_span=parent_span,
+    def _fetch_batch(self, batch, parent_span=None):
+        """One multi-range request -> :class:`PartTable` of its parts,
+        which also land in the page cache."""
+        response, sink = yield from self._get_ranges(
+            [(rng.offset, rng.length) for rng in batch], parent_span
         )
         raise_for_status(response, self.url.path)
-
-        if response.status == 206:
-            content_type = response.content_type
-            if content_type.lower().startswith("multipart/byteranges"):
-                if streamed.get("decoder") is not None and not response.body:
-                    try:
-                        parts = streamed["decoder"].close()
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    decode_seconds = streamed["seconds"]
-                else:
-                    decode_started = self.context.clock()
-                    try:
-                        boundary = content_type_boundary(content_type)
-                        parts = decode_byteranges(
-                            response.body, boundary, copy=False
-                        )
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    decode_seconds = self.context.clock() - decode_started
-                self.context.metrics.histogram(
-                    "request.phase_seconds", phase="multipart-decode"
-                ).observe(decode_seconds)
-                if parent_span is not None:
-                    parent_span.set(multipart_decode=decode_seconds)
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(part.offset, part.data, part.total) for part in parts],
-                    response=response,
-                )
-                totals = [
-                    part.total for part in parts if part.total is not None
-                ]
-                return PartTable.from_parts(
-                    ((part.offset, part.data) for part in parts),
-                    total=totals[0] if totals else None,
-                )
-            content_range = response.headers.get("Content-Range")
-            if content_range is None:
-                raise RequestError("206 without Content-Range")
-            offset, _length, total = parse_content_range(content_range)
-            self._cache_insert(
-                response.headers.get("ETag"),
-                [(offset, response.body, total)],
-                response=response,
-            )
-            return PartTable.from_parts(
-                [(offset, response.body)], total=total
-            )
-        # 200: the server does not support (multi-)ranges — the whole
-        # object came back; slice everything from it.
+        pieces = sink.pieces(response)
+        if sink.seconds is not None:
+            self.context.metrics.histogram(
+                "request.phase_seconds", phase="multipart-decode"
+            ).observe(sink.seconds)
+            if parent_span is not None:
+                parent_span.set(multipart_decode=sink.seconds)
         self._cache_insert(
-            response.headers.get("ETag"),
-            [(0, response.body, len(response.body))],
-            response=response,
+            response.headers.get("ETag"), pieces, response=response
         )
+        totals = [total for _, _, total in pieces if total is not None]
         return PartTable.from_parts(
-            [(0, response.body)], total=len(response.body)
+            ((offset, data) for offset, data, _ in pieces),
+            total=totals[0] if totals else None,
         )
 
     # -- metalink -----------------------------------------------------------------

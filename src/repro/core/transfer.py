@@ -44,9 +44,6 @@ class TransferConfig:
     max_window_batches: int = 16
     #: Cap on speculative bytes outstanding at once.
     window_bytes: int = 32 * 1024 * 1024
-    #: Decode multipart bodies incrementally as chunks arrive
-    #: (speculative fetches only), overlapping decode with transfer.
-    stream_decode: bool = True
     #: Byte budget of the client page cache
     #: (:class:`~repro.core.pagecache.PageCache`); 0 disables it. The
     #: cache lives on the :class:`~repro.core.context.Context`, shared

@@ -12,9 +12,10 @@ into few HTTP multi-range requests:
    parts, whatever the coalescing did.
 
 The scatter side runs on a :class:`PartTable`: a bisect-indexed table
-of ``memoryview`` slices over the response buffer, so the decode →
-scatter path performs no byte copies until the user-facing boundary
-(``scatter_parts`` materialises exactly one ``bytes`` per fragment).
+of ``memoryview`` s over the decoded parts, so the decode → scatter
+path copies nothing until the user-facing boundary, where
+``scatter_parts`` produces one ``bytes`` per fragment: at most one
+copy, and none for a fragment that is a whole part.
 
 All pure functions; the planning invariants are property-tested.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import RequestError
 
@@ -155,7 +156,7 @@ class PartTable:
     """Bisect-indexed table of the parts of one multi-range response.
 
     Each entry is ``(offset, view)`` where ``view`` is a ``memoryview``
-    over the response buffer — adding parts never copies bytes, and
+    over a decoded part — adding parts never copies bytes, and
     :meth:`find` returns zero-copy slices. Entries are kept sorted by
     offset so a lookup is O(log n) instead of the linear scan a plain
     ``{offset: bytes}`` dict forces (O(n²) over a whole batch).
@@ -187,11 +188,6 @@ class PartTable:
         for offset, data in parts:
             table.add(offset, data)
         return table
-
-    @classmethod
-    def from_mapping(cls, parts: Dict[int, bytes]) -> "PartTable":
-        """Build a table from a legacy ``{offset: bytes}`` mapping."""
-        return cls.from_parts(parts.items())
 
     def add(self, offset: int, data) -> None:
         """Insert one part (``bytes`` or ``memoryview``) at ``offset``."""
@@ -242,6 +238,11 @@ class PartTable:
             f"server response does not cover range [{offset}, {end})"
         )
 
+    def read(self, offset: int, length: int) -> bytes:
+        """``[offset, offset+length)`` as ``bytes`` (see :meth:`find`):
+        the covering part itself when the span is all of it."""
+        return _as_bytes(self.find(offset, length))
+
     def covers(self, offset: int, length: int) -> bool:
         """Does some part fully cover ``[offset, offset+length)``?"""
         try:
@@ -258,30 +259,29 @@ class PartTable:
         return f"<PartTable {spans}>"
 
 
-#: What the scatter side accepts: a table or the legacy mapping.
-Parts = Union[PartTable, Dict[int, bytes]]
-
-
-def _as_table(parts: Parts) -> PartTable:
-    if isinstance(parts, PartTable):
-        return parts
-    return PartTable.from_mapping(parts)
+def _as_bytes(view: memoryview) -> bytes:
+    """``view`` as ``bytes``: the object it views when it spans all of
+    it (immutable, so it may be shared), a copy otherwise."""
+    whole = view.obj
+    if type(whole) is bytes and len(whole) == view.nbytes:
+        return whole
+    return bytes(view)
 
 
 def scatter_parts(
     plan_batch: List[CoalescedRange],
-    parts: Parts,
+    table: PartTable,
 ) -> Dict[int, bytes]:
     """Slice fragments out of returned parts for one batch.
 
-    ``parts`` is a :class:`PartTable` (or a legacy ``{offset: bytes}``
-    mapping) over a multipart/byteranges body (or synthesised from a
-    200/206 response). Returns fragment ``index -> bytes`` — the
-    ``bytes(...)`` here is the *only* materialising copy on the decode →
-    scatter path. Raises :class:`~repro.errors.RequestError` if the
-    server's parts do not cover a planned range.
+    ``table`` holds the parts of a multipart/byteranges body (or is
+    synthesised from a 200/206 response). Returns fragment
+    ``index -> bytes``: a fragment that is all of its covering part is
+    that part's ``bytes`` object itself, any other is the one copy on
+    the decode → scatter path. Raises
+    :class:`~repro.errors.RequestError` if the server's parts do not
+    cover a planned range.
     """
-    table = _as_table(parts)
     out: Dict[int, bytes] = {}
     for rng in plan_batch:
         data = table.find(rng.offset, rng.length)
@@ -299,15 +299,15 @@ def scatter_parts(
                     f"server returned {len(piece)} bytes for fragment "
                     f"at {fragment.offset} (wanted {wanted})"
                 )
-            out[fragment.index] = bytes(piece)
+            out[fragment.index] = _as_bytes(piece)
     return out
 
 
 def missing_ranges(
     plan_batch: List[CoalescedRange],
-    parts: Parts,
+    table: PartTable,
 ) -> List[CoalescedRange]:
-    """The planned ranges ``parts`` does not fully cover.
+    """The planned ranges ``table`` does not fully cover.
 
     Used by the retry path of a vectored read: when a server reset cut
     a multipart response short (or a weak server only answered some
@@ -315,18 +315,8 @@ def missing_ranges(
     instead of re-reading everything — multi-range GETs are idempotent,
     so the refetch is always safe.
     """
-    table = _as_table(parts)
     return [
         rng
         for rng in plan_batch
         if not table.covers(rng.offset, rng.length)
     ]
-
-
-def _find_part(parts: Parts, offset: int, length: int) -> bytes:
-    """The bytes of [offset, offset+length) from the returned parts.
-
-    Compatibility wrapper over :meth:`PartTable.find`; prefer building
-    one table per batch so lookups share the sorted index.
-    """
-    return bytes(_as_table(parts).find(offset, length))

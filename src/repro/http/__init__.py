@@ -6,6 +6,7 @@ from repro.http.codec import (
     Data,
     EndOfMessage,
     HttpParser,
+    gather_response,
     serialize_request,
     serialize_response,
     serialize_response_head,
@@ -16,6 +17,7 @@ from repro.http.multipart import (
     RangePart,
     decode_byteranges,
     encode_byteranges,
+    gather_byteranges,
     make_boundary,
 )
 from repro.http.ranges import (
@@ -34,6 +36,7 @@ __all__ = [
     "Data",
     "EndOfMessage",
     "HttpParser",
+    "gather_response",
     "serialize_request",
     "serialize_response",
     "serialize_response_head",
@@ -44,6 +47,7 @@ __all__ = [
     "RangePart",
     "decode_byteranges",
     "encode_byteranges",
+    "gather_byteranges",
     "make_boundary",
     "RangeSpec",
     "format_content_range",

@@ -38,6 +38,7 @@ __all__ = [
     "EndOfMessage",
     "HttpParser",
     "serialize_request",
+    "gather_response",
     "serialize_response",
     "serialize_response_head",
     "encode_chunk",
@@ -398,7 +399,7 @@ def serialize_response_head(
     )
     if not framed and allows_body(response.status):
         length = (
-            len(response.body) if content_length is None else content_length
+            response.body_length if content_length is None else content_length
         )
         headers.set("Content-Length", length)
     head = (
@@ -409,9 +410,21 @@ def serialize_response_head(
     return head + _serialize_headers(headers) + CRLF
 
 
+def gather_response(response: Response) -> List[bytes]:
+    """A complete response as a list of buffers to gather-write.
+
+    The join of the list is :func:`serialize_response`; the pieces of
+    ``response.pieces`` are passed through as they are.
+    """
+    head = serialize_response_head(response)
+    if response.pieces is None:
+        return [head + response.body]
+    return [head, *response.pieces]
+
+
 def serialize_response(response: Response) -> bytes:
     """Serialise a complete response with its body."""
-    return serialize_response_head(response) + response.body
+    return b"".join(gather_response(response))
 
 
 def encode_chunk(data: bytes) -> bytes:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.http.headers import Headers
 from repro.http.status import allows_body, reason_phrase
@@ -64,21 +64,35 @@ class Request:
 
 @dataclass
 class Response:
-    """An HTTP response."""
+    """An HTTP response.
+
+    A server may give the body as ``pieces`` instead of ``body``: a
+    sequence of buffers that goes out in one gather write, so a large
+    payload (a multi-range 206) is never joined into a body buffer.
+    Responses parsed off the wire always carry ``body``.
+    """
 
     status: int
     headers: Headers = field(default_factory=Headers)
     body: bytes = b""
     reason: Optional[str] = None
     version: str = "HTTP/1.1"
+    pieces: Optional[Sequence[bytes]] = None
 
     def __post_init__(self):
         if not isinstance(self.headers, Headers):
             self.headers = Headers(self.headers)
         if self.reason is None:
             self.reason = reason_phrase(self.status)
-        if self.body and not allows_body(self.status):
+        if (self.body or self.pieces) and not allows_body(self.status):
             raise ValueError(f"status {self.status} must not carry a body")
+
+    @property
+    def body_length(self) -> int:
+        """Body size in bytes, however the body is held."""
+        if self.pieces is None:
+            return len(self.body)
+        return sum(len(piece) for piece in self.pieces)
 
     @property
     def ok(self) -> bool:

@@ -20,6 +20,7 @@ __all__ = [
     "RangePart",
     "MultipartStream",
     "make_boundary",
+    "gather_byteranges",
     "encode_byteranges",
     "decode_byteranges",
     "content_type_boundary",
@@ -27,13 +28,19 @@ __all__ = [
 
 _CRLF = b"\r\n"
 
+#: Smallest part payload :func:`gather_byteranges` leaves as a buffer of
+#: its own. Below it, the copy into a joined buffer costs less than
+#: carrying one more buffer through the send path.
+GATHER_MIN = 16 * 1024
+
 
 @dataclass(frozen=True)
 class RangePart:
     """One part of a multipart/byteranges payload.
 
-    ``data`` is ``bytes`` from the default decode path and a zero-copy
-    ``memoryview`` from ``decode_byteranges(..., copy=False)``.
+    ``data`` is ``bytes`` from :class:`MultipartStream` and the default
+    ``decode_byteranges``, and a zero-copy ``memoryview`` from
+    ``decode_byteranges(..., copy=False)``.
     """
 
     offset: int
@@ -51,31 +58,48 @@ def make_boundary() -> str:
     return "byterange_" + secrets.token_hex(12)
 
 
+def gather_byteranges(
+    parts: Sequence[RangePart],
+    boundary: str,
+    content_type: str = "application/octet-stream",
+) -> List[bytes]:
+    """A multipart/byteranges body as a list of buffers to gather-write.
+
+    The join of the list is the body. A part's data of at least
+    ``GATHER_MIN`` bytes stands alone, as the object it came in, so a
+    large payload is never copied into a body buffer; everything
+    smaller (delimiters, part headers, small parts) is joined with its
+    neighbours, so a response of many small parts is one buffer.
+    """
+    if not parts:
+        raise ValueError("multipart body needs at least one part")
+    head = f"--{boundary}\r\nContent-Type: {content_type}\r\nContent-Range: "
+    pieces: List[bytes] = []
+    run: List[bytes] = []  # small neighbours awaiting their join
+    for part in parts:
+        content_range = format_content_range(
+            part.offset, part.length, part.total
+        )
+        run.append(f"{head}{content_range}\r\n\r\n".encode("ascii"))
+        if part.length >= GATHER_MIN:
+            pieces.append(b"".join(run))
+            pieces.append(part.data)
+            run = []
+        else:
+            run.append(part.data)
+        run.append(_CRLF)
+    run.append(f"--{boundary}--\r\n".encode("ascii"))
+    pieces.append(b"".join(run))
+    return pieces
+
+
 def encode_byteranges(
     parts: Sequence[RangePart],
     boundary: str,
     content_type: str = "application/octet-stream",
 ) -> bytes:
     """Serialise parts into a multipart/byteranges body."""
-    if not parts:
-        raise ValueError("multipart body needs at least one part")
-    delim = f"--{boundary}".encode("ascii")
-    chunks: List[bytes] = []
-    for part in parts:
-        chunks.append(delim)
-        chunks.append(_CRLF)
-        chunks.append(f"Content-Type: {content_type}".encode("ascii"))
-        chunks.append(_CRLF)
-        content_range = format_content_range(
-            part.offset, part.length, part.total
-        )
-        chunks.append(f"Content-Range: {content_range}".encode("ascii"))
-        chunks.append(_CRLF)
-        chunks.append(_CRLF)
-        chunks.append(part.data)
-        chunks.append(_CRLF)
-    chunks.append(delim + b"--" + _CRLF)
-    return b"".join(chunks)
+    return b"".join(gather_byteranges(parts, boundary, content_type))
 
 
 def content_type_boundary(content_type: str) -> str:
@@ -102,11 +126,11 @@ def decode_byteranges(
 ) -> List[RangePart]:
     """Parse a multipart/byteranges body into its parts.
 
-    With ``copy=False`` each part's ``data`` is a zero-copy
-    ``memoryview`` slice over ``body`` (the vectored-read hot path:
-    parts feed a :class:`~repro.core.vectored.PartTable` and no byte is
-    copied until scatter materialises the user-facing fragments). The
-    default materialises ``bytes`` per part, the historical behaviour.
+    The buffered counterpart of :class:`MultipartStream`, for a body
+    already in hand (the proxy's ingest) and the reference the streamed
+    decoder is tested against. With ``copy=False`` each part's ``data``
+    is a zero-copy ``memoryview`` slice over ``body``; the default
+    materialises ``bytes`` per part.
 
     Raises :class:`HttpParseError` on structural violations (missing
     terminator, missing Content-Range, truncated part).
@@ -167,10 +191,11 @@ class MultipartStream:
 
     Feed body chunks as they arrive off the wire; completed
     :class:`RangePart` objects accumulate in :attr:`parts` as soon as
-    their bytes are in hand. This lets the transfer engine overlap
-    multipart decode with the transfer itself — by the time the last
-    chunk lands, every earlier part is already decoded — instead of
-    parsing the fully buffered body afterwards.
+    their bytes are in hand, so decode overlaps the transfer and the
+    body is never joined. Each part's ``data`` is a ``bytes`` of its
+    own, written once: a part that lies wholly inside one chunk is
+    sliced out of it, and the chunks of a part that spans several are
+    kept as they arrive and joined when the part completes.
 
     Grammar and error behaviour match :func:`decode_byteranges`
     exactly; :meth:`close` raises :class:`HttpParseError` when the
@@ -182,9 +207,13 @@ class MultipartStream:
     def __init__(self, boundary: str):
         self._delim = f"--{boundary}".encode("ascii")
         self._closing = self._delim + b"--"
-        self._buffer = bytearray()
+        #: Fed bytes not yet consumed; never holds part data between
+        #: feeds, only a split delimiter, header block or CRLF.
+        self._buffer = b""
         self._state = self._SEEK
-        self._pending = None  # (offset, length, total) of the open part
+        self._pending = None  # (offset, total) of the open part
+        self._need = 0  # data bytes the open part still lacks
+        self._chunks: List[bytes] = []  # data of the open part so far
         self.parts: List[RangePart] = []
 
     @property
@@ -196,8 +225,16 @@ class MultipartStream:
         """Consume one body chunk, emitting any parts it completes."""
         if self._state == self._DONE:
             return  # epilogue after the closing delimiter is ignored
-        self._buffer.extend(chunk)
-        self._advance()
+        if type(chunk) is not bytes:
+            chunk = bytes(chunk)  # parts must not alias a caller's buffer
+        if self._buffer:
+            chunk = self._buffer + chunk
+        elif 0 < len(chunk) <= self._need:
+            # Nothing but data of the open part: keep the chunk as is.
+            self._chunks.append(chunk)
+            self._need -= len(chunk)
+            return
+        self._buffer = chunk[self._advance(chunk) :]
 
     def close(self) -> List[RangePart]:
         """Signal end-of-body; returns the decoded parts.
@@ -214,39 +251,41 @@ class MultipartStream:
             raise HttpParseError("multipart body without terminator")
         return self.parts
 
-    def _advance(self) -> None:
-        buf = self._buffer
+    def _advance(self, buf: bytes) -> int:
+        """Parse as far as ``buf`` allows; returns the bytes consumed."""
+        delim = self._delim
+        size = len(buf)
+        pos = 0
+        state = self._state
+        if state == self._SEEK:
+            # A preamble is legal and ignored; keep only enough tail
+            # to recognise a delimiter split across chunks.
+            pos = buf.find(delim)
+            if pos < 0:
+                return max(0, size - len(delim))
+            state = self._DELIM
+        # One turn of the loop is one part; a state that lacks bytes
+        # breaks out and is resumed by the next feed.
         while True:
-            if self._state == self._SEEK:
-                # A preamble is legal and ignored; keep only enough
-                # tail to recognise a delimiter split across chunks.
-                start = buf.find(self._delim)
-                if start < 0:
-                    if len(buf) > len(self._delim):
-                        del buf[: len(buf) - len(self._delim)]
-                    return
-                del buf[:start]
-                self._state = self._DELIM
-            elif self._state == self._DELIM:
+            if state == self._DELIM:
                 # Need delim + 2 bytes to tell "--boundary\r\n" (next
                 # part) apart from "--boundary--" (closing).
-                if len(buf) < len(self._delim) + 2:
-                    return
-                if buf.startswith(self._closing):
-                    self._state = self._DONE
-                    del buf[:]
-                    return
-                if not buf.startswith(self._delim + _CRLF):
+                if size - pos < len(delim) + 2:
+                    break
+                if buf.startswith(self._closing, pos):
+                    state = self._DONE
+                    pos = size
+                    break
+                if not buf.startswith(_CRLF, pos + len(delim)):
                     raise HttpParseError("delimiter not followed by CRLF")
-                del buf[: len(self._delim) + 2]
-                self._state = self._HEADERS
-            elif self._state == self._HEADERS:
-                header_end = buf.find(_CRLF + _CRLF)
+                pos += len(delim) + 2
+                state = self._HEADERS
+            if state == self._HEADERS:
+                header_end = buf.find(_CRLF + _CRLF, pos)
                 if header_end < 0:
-                    return
-                with memoryview(buf) as view:
-                    headers = _parse_part_headers(bytes(view[:header_end]))
-                del buf[: header_end + 4]
+                    break
+                headers = _parse_part_headers(buf[pos:header_end])
+                pos = header_end + 4
                 content_range = headers.get("Content-Range")
                 if content_range is None:
                     raise HttpParseError("part without Content-Range")
@@ -255,24 +294,37 @@ class MultipartStream:
                     raise HttpParseError(
                         "part Content-Range without total size"
                     )
-                self._pending = (offset, length, total)
-                self._state = self._DATA
-            elif self._state == self._DATA:
-                offset, length, total = self._pending
-                if len(buf) < length + 2:
-                    return
-                with memoryview(buf) as view:
-                    data = bytes(view[:length])
-                if not buf.startswith(_CRLF, length):
-                    raise HttpParseError("part data not followed by CRLF")
-                del buf[: length + 2]
-                self.parts.append(
-                    RangePart(offset=offset, data=data, total=total)
-                )
-                self._pending = None
-                self._state = self._DELIM
-            else:  # _DONE
-                return
+                self._pending = (offset, total)
+                self._need = length
+                state = self._DATA
+            need = self._need
+            if size - pos < need + 2:
+                # Hand over the data that is here (as a view: the
+                # part's join is its one copy); a lone CR stays.
+                have = min(size - pos, need)
+                if have:
+                    self._chunks.append(memoryview(buf)[pos : pos + have])
+                    self._need = need - have
+                    pos += have
+                break
+            if not buf.startswith(_CRLF, pos + need):
+                raise HttpParseError("part data not followed by CRLF")
+            if self._chunks:
+                if need:
+                    self._chunks.append(memoryview(buf)[pos : pos + need])
+                data = b"".join(self._chunks)
+                self._chunks = []
+            else:
+                data = buf[pos : pos + need]
+            pos += need + 2
+            offset, total = self._pending
+            self.parts.append(
+                RangePart(offset=offset, data=data, total=total)
+            )
+            self._need = 0
+            state = self._DELIM
+        self._state = state
+        return pos
 
 
 def _parse_part_headers(blob: bytes) -> Headers:

@@ -59,21 +59,6 @@ class TcpOptions:
         return self.max_window if self.ssthresh is None else self.ssthresh
 
 
-class _Write:
-    """One application write queued for transmission."""
-
-    __slots__ = ("data", "offset", "event")
-
-    def __init__(self, data: bytes, event: Event):
-        self.data = data
-        self.offset = 0
-        self.event = event
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
-
-
 class _HalfStream:
     """One direction of a TCP connection (sender + peer's receive side)."""
 
@@ -106,7 +91,10 @@ class _HalfStream:
         self.loss_episodes = 0
         self.last_activity = env.now
 
-        self._queue: Deque[_Write] = deque()
+        #: Application writes awaiting transmission; ``_offset`` bytes
+        #: of the head one are already sent.
+        self._queue: Deque[bytes] = deque()
+        self._offset = 0
         self._pending_bytes = 0
         self._closing = False
         self.aborted = False
@@ -124,30 +112,34 @@ class _HalfStream:
 
     # -- application-facing ------------------------------------------------
 
-    def send(self, data: bytes) -> Event:
+    def send(self, data) -> Event:
         """Queue ``data``; fires once accepted into the send buffer.
 
-        Mirrors ``socket.sendall`` semantics: acceptance, not delivery.
-        Actual transmission is paced by the congestion window; the send
-        buffer is unbounded in the model (the application cannot
-        out-run simulated time).
+        ``data`` is one buffer or a sequence of buffers (a gather
+        write). A sequence is queued whole before the sender process
+        can wake, so it is cut into exactly the bursts its join would
+        be. Mirrors ``socket.sendall`` semantics: acceptance, not
+        delivery. Actual transmission is paced by the congestion
+        window; the send buffer is unbounded in the model (the
+        application cannot out-run simulated time).
         """
         event = Event(self.env)
-        if self.aborted:
-            event.fail(ConnectionClosed(f"{self.name}: connection reset"))
+        if self.aborted or self._closing:
+            reason = "connection reset" if self.aborted else "already closed"
+            event.fail(ConnectionClosed(f"{self.name}: {reason}"))
             event._defused = True
             return event
-        if self._closing:
-            event.fail(ConnectionClosed(f"{self.name}: already closed"))
-            event._defused = True
-            return event
-        if not data:
-            event.succeed(0)
-            return event
-        self._queue.append(_Write(bytes(data), event))
-        self._pending_bytes += len(data)
-        self._wake.fire()
-        event.succeed(len(data))
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            data = (data,)
+        size = 0
+        for piece in data:
+            if len(piece):
+                self._queue.append(bytes(piece))
+                size += len(piece)
+        if size:
+            self._pending_bytes += size
+            self._wake.fire()
+        event.succeed(size)
         return event
 
     def close(self) -> None:
@@ -163,13 +155,8 @@ class _HalfStream:
             return
         self.aborted = True
         self.reset = True
-        for write in self._queue:
-            if not write.event.triggered:
-                write.event.fail(
-                    ConnectionClosed(f"{self.name}: connection reset")
-                )
-                write.event._defused = True
         self._queue.clear()
+        self._offset = 0
         self._pending_bytes = 0
         if not self.rx.closed:
             self.rx.close()
@@ -178,21 +165,34 @@ class _HalfStream:
 
     # -- sender process ------------------------------------------------------
 
-    def _take(self, limit: int) -> Tuple[bytes, list]:
-        """Dequeue up to ``limit`` bytes; returns (chunk, completed writes)."""
-        parts = []
-        completed = []
-        taken = 0
-        while taken < limit and self._queue:
-            write = self._queue[0]
-            n = min(limit - taken, write.remaining)
-            parts.append(write.data[write.offset : write.offset + n])
-            write.offset += n
-            taken += n
-            if write.remaining == 0:
-                completed.append(self._queue.popleft().event)
-        self._pending_bytes -= taken
-        return b"".join(parts), completed
+    def _take(self, limit: int) -> bytes:
+        """Dequeue one burst of ``limit`` (<= pending) bytes."""
+        queue = self._queue
+        start = self._offset
+        end = start + limit
+        if end <= len(queue[0]):
+            # The burst lies inside one write: a single slice.
+            chunk = queue[0][start:end]
+        else:
+            # It spans several writes: cut views, so that the join is
+            # the only copy.
+            views = []
+            remaining = limit
+            while remaining:
+                view = memoryview(queue[0])[start : start + remaining]
+                views.append(view)
+                remaining -= len(view)
+                if remaining:
+                    queue.popleft()
+                    start = 0
+            end = start + len(view)
+            chunk = b"".join(views)
+        if end == len(queue[0]):
+            queue.popleft()
+            end = 0
+        self._offset = end
+        self._pending_bytes -= limit
+        return chunk
 
     def _sender(self):
         env = self.env
@@ -238,7 +238,7 @@ class _HalfStream:
                 # Nagle: hold sub-MSS data while anything is unacked.
                 yield self._acked.wait()
                 continue
-            chunk, completed = self._take(limit)
+            chunk = self._take(limit)
             size = len(chunk)
             self.inflight += size
             self.last_activity = env.now
@@ -251,12 +251,12 @@ class _HalfStream:
             # occupies the uplink while burst n crosses the backbone).
             # Per-wire FIFO keeps deliveries in order.
             self._transit += 1
-            env.process(self._transmit(chunk, completed, lost))
+            env.process(self._transmit(chunk, lost))
             # Yield so the transmit process reaches the first wire (and
             # its queue slot) before the next burst is cut.
             yield env.timeout(0)
 
-    def _transmit(self, chunk: bytes, completed, lost: bool):
+    def _transmit(self, chunk: bytes, lost: bool):
         """One burst's journey: wires, propagation, delivery, ack."""
         env = self.env
         opts = self.options
@@ -377,8 +377,9 @@ class ConnectionSide:
 
     # -- I/O -------------------------------------------------------------------
 
-    def send(self, data: bytes) -> Event:
-        """Queue bytes; fires when the data has been put on the wire."""
+    def send(self, data) -> Event:
+        """Queue one buffer, or a sequence of buffers as one gather
+        write; fires when the data has been put on the wire."""
         return self._out.send(data)
 
     def recv(self, max_bytes: int = 65536) -> Event:

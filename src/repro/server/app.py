@@ -35,7 +35,7 @@ from repro.http import (
     EndOfMessage,
     HttpParser,
     Request,
-    serialize_response,
+    gather_response,
     serialize_response_head,
 )
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
@@ -239,13 +239,27 @@ def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
             return head
 
 
+def _cut(pieces, limit: int):
+    """The buffers that make up the first ``limit`` bytes of ``pieces``."""
+    out = []
+    for piece in pieces:
+        if limit <= 0:
+            break
+        out.append(piece if len(piece) <= limit else piece[:limit])
+        limit -= len(piece)
+    return out
+
+
 def _send_result(channel, result: ServedResponse):
     """Send a ServedResponse; returns True if the connection was reset."""
     response = result.response
     if result.stream is None:
-        wire = serialize_response(response)
+        # One gather write: a multi-range body goes out piece by piece,
+        # cut into the bursts its join would be.
+        wire = gather_response(response)
         if result.reset_midway:
-            yield Send(channel, wire[: max(1, len(wire) // 2)])
+            size = sum(len(piece) for piece in wire)
+            yield Send(channel, _cut(wire, max(1, size // 2)))
             yield Abort(channel)
             return True
         yield Send(channel, wire)

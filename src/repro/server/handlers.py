@@ -108,7 +108,7 @@ class ServedResponse:
         return (
             self.stream_length
             if self.stream is not None
-            else len(self.response.body)
+            else self.response.body_length
         )
 
 
@@ -334,10 +334,11 @@ class StorageApp:
             # whole object), even on a partial response.
             plan.headers.set("Digest", digest)
         if plan.multipart_boundary is not None:
-            body = plan.build_multipart_body(obj)
             self.store.bytes_read += plan.body_bytes
             return ServedResponse(
-                Response(206, plan.headers, body)
+                Response(
+                    206, plan.headers, pieces=plan.multipart_pieces(obj)
+                )
             )
         offset, length = plan.segments[0]
         stream = self._stream_object(obj, offset, length)

@@ -41,7 +41,7 @@ from repro.http import (
     Request,
     Response,
     Url,
-    encode_byteranges,
+    gather_byteranges,
     make_boundary,
     parse_cache_control,
     parse_range_header,
@@ -765,12 +765,12 @@ class ProxyApp:
                 return None
             parts.append(RangePart(offset=offset, data=data, total=size))
         boundary = make_boundary()
-        body = encode_byteranges(parts, boundary, meta.content_type)
+        pieces = gather_byteranges(parts, boundary, meta.content_type)
         headers = base.copy()
         headers.set(
             "Content-Type", f"multipart/byteranges; boundary={boundary}"
         )
-        return _mark(Response(206, headers, body), state)
+        return _mark(Response(206, headers, pieces=pieces), state)
 
     # -- introspection ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from repro.errors import HttpProtocolError
 from repro.http import (
     Headers,
     RangePart,
-    encode_byteranges,
+    gather_byteranges,
     make_boundary,
     parse_range_header,
     resolve_ranges,
@@ -31,7 +31,8 @@ class RangePlan:
 
     ``status`` is 200, 206 or 416. ``segments`` lists the
     ``(offset, length)`` object reads backing the body. For multi-range
-    plans the body must be assembled with :meth:`build_multipart_body`.
+    plans the body comes from :meth:`multipart_pieces` (a gather list)
+    or its join, :meth:`build_multipart_body`.
     """
 
     def __init__(
@@ -51,7 +52,8 @@ class RangePlan:
         """Payload size before multipart framing."""
         return sum(length for _, length in self.segments)
 
-    def build_multipart_body(self, obj: StoredObject) -> bytes:
+    def multipart_pieces(self, obj: StoredObject) -> List[bytes]:
+        """The multipart body as buffers for one gather write."""
         parts = [
             RangePart(
                 offset=offset,
@@ -60,9 +62,12 @@ class RangePlan:
             )
             for offset, length in self.segments
         ]
-        return encode_byteranges(
+        return gather_byteranges(
             parts, self.multipart_boundary, obj.content_type
         )
+
+    def build_multipart_body(self, obj: StoredObject) -> bytes:
+        return b"".join(self.multipart_pieces(obj))
 
 
 def plan_range_response(

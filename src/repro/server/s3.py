@@ -158,8 +158,11 @@ class S3App:
         if plan.status == 416:
             return ServedResponse(Response(416, plan.headers))
         if plan.multipart_boundary is not None:
-            body = plan.build_multipart_body(obj)
-            return ServedResponse(Response(206, plan.headers, body))
+            return ServedResponse(
+                Response(
+                    206, plan.headers, pieces=plan.multipart_pieces(obj)
+                )
+            )
         offset, length = plan.segments[0]
         body = obj.content.read(offset, length)
         self.store.bytes_read += length

@@ -122,6 +122,8 @@ class SpdyServer:
         head = sp.encode_response_head(response.status, response.headers)
         if result.stream is not None:
             chunks = result.stream
+        elif response.pieces is not None:
+            chunks = iter(response.pieces)
         elif response.body:
             chunks = iter([response.body])
         else:

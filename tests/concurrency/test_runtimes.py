@@ -1,6 +1,10 @@
 """The same effect-generator protocol must behave identically on the
 simulated runtime and on the real-socket runtime."""
 
+import random
+import socket
+import threading
+
 import pytest
 
 from repro.concurrency import (
@@ -235,3 +239,73 @@ def test_sim_runtime_validates_host():
 
     with pytest.raises(NetworkError):
         SimRuntime(net, "nope")
+
+
+# -- gather writes on real sockets --------------------------------------------
+
+
+def _gather_pieces(count):
+    """``count`` buffers mixing bytes, memoryview and empty items."""
+    rng = random.Random(5)
+    pieces = []
+    for index in range(count):
+        data = rng.randbytes(rng.choice([0, 1, 7, 300, 1500, 4000]))
+        pieces.append(memoryview(data) if index % 3 == 0 else data)
+    return pieces
+
+
+def test_gather_send_on_thread_runtime_delivers_the_join():
+    """3 000 pieces through a 4 KiB send buffer: more buffers than one
+    sendmsg takes (IOV_MAX) and far more bytes than the kernel holds,
+    so the loop must resume mid-list; the peer reads exactly the join."""
+    from repro.concurrency.thread_runtime import SocketChannel
+
+    pieces = _gather_pieces(3000)
+    expected = b"".join(pieces)
+    left, right = socket.socketpair()
+    left.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    received = bytearray()
+
+    def drain():
+        while True:
+            data = right.recv(65536)
+            if not data:
+                return
+            received.extend(data)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    channel = SocketChannel(left, "left", ("right", 0))
+
+    def op():
+        yield Send(channel, pieces)
+        yield Close(channel)
+
+    ThreadRuntime().run(op())
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    right.close()
+    assert bytes(received) == expected
+
+
+def test_gather_send_resumes_after_short_writes():
+    """A sendmsg that stops mid-buffer (a socket with a timeout, a
+    signal) must resume at that byte: never resend, never skip."""
+    from repro.concurrency.thread_runtime import _send_gather
+
+    class ShortSocket:
+        def __init__(self):
+            self.sent = bytearray()
+            self.calls = 0
+
+        def sendmsg(self, buffers):
+            self.calls += 1
+            data = b"".join(buffers)[: 1 + self.calls % 5000]
+            self.sent.extend(data)
+            return len(data)
+
+    pieces = _gather_pieces(400)
+    sock = ShortSocket()
+    _send_gather(sock, pieces)
+    assert bytes(sock.sent) == b"".join(pieces)
+    assert sock.calls > 100

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import plan_vector, scatter_parts
+from repro.core import PartTable, plan_vector, scatter_parts
 from repro.core.vectored import Fragment
 from repro.errors import RequestError
 
@@ -74,7 +74,7 @@ def test_validation():
 
 def test_scatter_exact_parts():
     plan = plan_vector([(0, 5), (20, 5)], gap=0)
-    parts = {0: b"AAAAA", 20: b"BBBBB"}
+    parts = PartTable.from_parts([(0, b"AAAAA"), (20, b"BBBBB")])
     result = scatter_parts(plan.batches[0], parts)
     assert result == {0: b"AAAAA", 1: b"BBBBB"}
 
@@ -82,14 +82,15 @@ def test_scatter_exact_parts():
 def test_scatter_from_coalesced_part():
     plan = plan_vector([(0, 5), (8, 5)], gap=10)
     assert plan.total_ranges == 1
-    parts = {0: b"0123456789ABC"}
+    parts = PartTable.from_parts([(0, b"0123456789ABC")])
     result = scatter_parts(plan.batches[0], parts)
     assert result == {0: b"01234", 1: b"89ABC"}
 
 
 def test_scatter_from_larger_enclosing_part():
     plan = plan_vector([(10, 5)], gap=0)
-    parts = {0: b"0123456789ABCDEFGH"}  # server sent the whole object
+    # The server sent the whole object.
+    parts = PartTable.from_parts([(0, b"0123456789ABCDEFGH")])
     result = scatter_parts(plan.batches[0], parts)
     assert result == {0: b"ABCDE"}
 
@@ -97,7 +98,9 @@ def test_scatter_from_larger_enclosing_part():
 def test_scatter_missing_coverage_raises():
     plan = plan_vector([(100, 5)], gap=0)
     with pytest.raises(RequestError):
-        scatter_parts(plan.batches[0], {0: b"short"})
+        scatter_parts(
+            plan.batches[0], PartTable.from_parts([(0, b"short")])
+        )
 
 
 # -- PartTable: the bisect-indexed zero-copy part lookup ---------------------
@@ -169,15 +172,28 @@ def test_part_table_merge_refetch_path():
     assert bytes(table.find(100, 8)) == b"b" * 8
 
 
-def test_part_table_from_mapping_and_legacy_scatter():
-    from repro.core import PartTable
-
-    plan = plan_vector([(0, 5), (20, 5)], gap=0)
-    table = PartTable.from_mapping({0: b"AAAAA", 20: b"BBBBB"})
-    assert scatter_parts(plan.batches[0], table) == {
-        0: b"AAAAA",
-        1: b"BBBBB",
-    }
+def test_scatter_hands_over_a_whole_part_and_copies_a_sub_range():
+    """A fragment that is all of its covering part is that part's
+    ``bytes`` object itself (immutable, so sharing is safe); anything
+    less is cut out as a copy."""
+    whole = b"W" * 64
+    shared = b"0123456789"
+    table = PartTable.from_parts([(0, whole), (100, shared)])
+    plan = plan_vector([(0, 64), (100, 4), (104, 6)], gap=0)
+    out = scatter_parts(plan.batches[0], table)
+    assert out[0] is whole
+    assert out[1] == b"0123" and out[2] == b"456789"
+    assert type(out[1]) is bytes and type(out[2]) is bytes
+    assert table.read(0, 64) is whole
+    assert table.read(100, 10) is shared
+    assert table.read(101, 9) == shared[1:]
+    # A mutable part is never handed over.
+    mutable = bytearray(b"M" * 8)
+    out = scatter_parts(
+        plan_vector([(0, 8)]).batches[0],
+        PartTable.from_parts([(0, mutable)]),
+    )
+    assert type(out[0]) is bytes and out[0] == bytes(mutable)
 
 
 def test_missing_ranges_with_table():
@@ -189,14 +205,6 @@ def test_missing_ranges_with_table():
     assert [rng.offset for rng in missing] == [100]
     table.add(100, b"z" * 10)
     assert missing_ranges(plan.batches[0], table) == []
-
-
-def test_find_part_compat_wrapper():
-    from repro.core.vectored import _find_part
-
-    assert _find_part({0: b"0123456789"}, 2, 4) == b"2345"
-    with pytest.raises(RequestError):
-        _find_part({0: b"0123"}, 2, 4)
 
 
 @given(
@@ -281,9 +289,9 @@ def test_scatter_recovers_fragment_bytes(reads, gap):
     plan = plan_vector(reads, max_ranges=64, gap=gap)
     out = {}
     for batch in plan.batches:
-        parts = {
-            rng.offset: content[rng.offset : rng.end] for rng in batch
-        }
+        parts = PartTable.from_parts(
+            (rng.offset, content[rng.offset : rng.end]) for rng in batch
+        )
         out.update(scatter_parts(batch, parts))
     for index, (offset, length) in enumerate(reads):
         assert out[index] == content[offset : offset + length]

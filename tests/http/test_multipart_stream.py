@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import HttpParseError
+from repro.errors import HttpError, HttpParseError
 from repro.http import (
     RangePart,
     decode_byteranges,
@@ -120,3 +120,91 @@ def test_property_any_chunking_matches_buffered(parts, chunk_size):
     assert stream_decode(
         body, boundary, chunk_size
     ) == decode_byteranges(body, boundary)
+
+
+# -- equivalence with the buffered decoder, for any chunking ------------------
+
+
+def outcome(decode):
+    """The ``(offset, data, total)`` list, or the error type raised."""
+    try:
+        parts = decode()
+    except HttpError as exc:
+        return type(exc)
+    assert all(type(part.data) is bytes for part in parts)
+    return [(part.offset, part.data, part.total) for part in parts]
+
+
+def feed_all(boundary, chunks):
+    decoder = MultipartStream(boundary)
+    for chunk in chunks:
+        decoder.feed(chunk)
+    return decoder.close()
+
+
+def test_every_split_and_every_truncation_matches_buffered():
+    """Two-chunk splits at every offset put a chunk edge inside the
+    preamble, the delimiter, the header block, the data and the CRLF
+    after it; every prefix of the body is a truncation."""
+    body = b"preamble\r\n" + encode_byteranges(PARTS, "B")
+    whole = outcome(lambda: decode_byteranges(body, "B"))
+    assert whole == [(p.offset, p.data, p.total) for p in PARTS]
+    for cut in range(len(body) + 1):
+        assert (
+            outcome(lambda: feed_all("B", [body[:cut], body[cut:]]))
+            == whole
+        )
+        prefix = body[:cut]
+        expected = outcome(lambda: decode_byteranges(prefix, "B"))
+        assert outcome(lambda: feed_all("B", [prefix])) == expected
+        assert (
+            outcome(
+                lambda: feed_all(
+                    "B", [prefix[i : i + 1] for i in range(cut)]
+                )
+            )
+            == expected
+        )
+
+
+@given(
+    parts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10_000),
+            # Zero-length parts have no valid Content-Range: both
+            # decoders must refuse them alike.
+            st.binary(min_size=0, max_size=300),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    preamble=st.binary(max_size=40),
+    cuts=st.lists(st.integers(min_value=0, max_value=4000), max_size=12),
+    keep=st.none() | st.integers(min_value=0, max_value=4000),
+    wrap=st.sampled_from([bytes, bytearray, memoryview]),
+)
+def test_property_any_chunking_of_any_body_matches_buffered(
+    parts, preamble, cuts, keep, wrap
+):
+    range_parts = [
+        RangePart(offset=offset, data=data, total=20_000)
+        for offset, data in parts
+    ]
+    body = preamble + encode_byteranges(range_parts, "B7")
+    if keep is not None:
+        body = body[: keep % (len(body) + 1)]
+    edges = sorted({cut % (len(body) + 1) for cut in cuts} | {len(body)})
+    chunks = [
+        wrap(body[start:end]) for start, end in zip([0] + edges, edges)
+    ]
+    assert outcome(lambda: feed_all("B7", chunks)) == outcome(
+        lambda: decode_byteranges(body, "B7")
+    )
+
+
+def test_parts_do_not_alias_a_mutable_chunk():
+    body = bytearray(encode_byteranges(PARTS[:1], "B"))
+    decoder = MultipartStream("B")
+    decoder.feed(body)
+    body[:] = bytes(len(body))
+    assert decoder.close() == PARTS[:1]

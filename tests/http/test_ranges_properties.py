@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core.vectored import plan_vector, scatter_parts
+from repro.core.vectored import PartTable, plan_vector, scatter_parts
 from repro.http.ranges import (
     RangeSpec,
     format_range_header,
@@ -94,10 +94,10 @@ def test_scatter_reconstructs_exact_bytes():
         plan = plan_vector(reads, max_ranges=5, gap=256)
         out = {}
         for batch in plan.batches:
-            parts = {
-                rng_.offset: blob[rng_.offset : rng_.end]
+            parts = PartTable.from_parts(
+                (rng_.offset, blob[rng_.offset : rng_.end])
                 for rng_ in batch
-            }
+            )
             out.update(scatter_parts(batch, parts))
         assert [out[i] for i in range(len(reads))] == [
             blob[o : o + n] for o, n in reads
@@ -113,7 +113,7 @@ def test_plan_preserves_duplicate_and_overlapping_reads():
     assert merged.offset == 0
     assert merged.length == 150
     blob = bytes(i % 256 for i in range(150))
-    out = scatter_parts(batch, {0: blob})
+    out = scatter_parts(batch, PartTable.from_parts([(0, blob)]))
     assert [out[i] for i in range(4)] == [
         blob[o : o + n] for o, n in reads
     ]

@@ -415,3 +415,55 @@ def test_jitter_is_deterministic_per_seed():
 
     assert run(3) == run(3)
     assert run(3) != run(4)
+
+
+@pytest.mark.parametrize("nagle", [False, True])
+def test_gather_send_cuts_the_same_bursts_as_its_join(nagle):
+    """A sequence handed to one send() is queued whole before the
+    sender wakes, so it leaves in exactly the bursts — same sizes, same
+    simulated times — that one send() of the joined bytes leaves in,
+    from the initial window up through slow start."""
+    pieces = [
+        b"H" * 300,
+        b"a" * 80,
+        bytes(range(256)) * 2000,  # 512 000 B: many bursts
+        b"",
+        memoryview(b"b" * 70),
+        b"c" * 3,
+        bytearray(b"d" * 200_000),
+        b"e" * 40,
+    ]
+    joined = b"".join(pieces)
+
+    def run(payload):
+        env, net = make_pair(latency=0.05, bandwidth=1e8)
+        listener = net.listen("server", 80)
+        bursts = []
+
+        def server():
+            side = yield listener.accept()
+            yield side.send(payload)
+            side.close()
+
+        def client():
+            opts = TcpOptions(nagle=nagle)
+            side = yield net.connect("client", ("server", 80), opts)
+            received = bytearray()
+            while True:
+                data = yield side.recv()
+                if not data:
+                    return bytes(received)
+                bursts.append((env.now, len(data)))
+                received.extend(data)
+
+        env.process(server())
+        received = env.run(env.process(client()))
+        return received, bursts
+
+    gathered, gathered_bursts = run(pieces)
+    single, single_bursts = run(joined)
+    assert gathered == single == joined
+    assert gathered_bursts == single_bursts
+    sizes = [size for _, size in single_bursts]
+    assert sizes[0] == TcpOptions().initial_window  # starts cold
+    assert max(sizes) == TcpOptions().chunk_cap  # and opens fully
