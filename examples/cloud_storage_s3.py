@@ -3,22 +3,22 @@ motivation + Section 2.2 TLS analysis).
 
 The paper's opening argument is that HTTP unlocks the cloud-storage
 ecosystem ("Amazon Simple Storage Service ... REST API like S3") for
-HPC data access. This example runs the davix client against the
-S3-compatible endpoint — signed requests, bucket listing, ranged and
-vectored reads — over real localhost sockets, then quantifies the TLS
-surcharge the paper cites, on the simulator.
+HPC data access. This example runs the davix client against a private
+flat-object endpoint — S3-style signed requests, key listing, ranged
+and vectored reads — over real localhost sockets, then quantifies the
+TLS surcharge the paper cites, on the simulator.
 
 Run: ``python examples/cloud_storage_s3.py``
 """
 
 from repro.concurrency import SimRuntime, ThreadRuntime
 from repro.concurrency.tlsmodel import TlsPolicy
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient, ObjectStoreClient, RequestParams
 from repro.net import LinkSpec, Network
 from repro.server import (
+    FlatObjectApp,
     HttpServer,
     ObjectStore,
-    S3App,
     S3Credentials,
     ServerConfig,
     StorageApp,
@@ -30,9 +30,7 @@ CREDS = S3Credentials(access_key="AKIAEXAMPLE", secret_key="hunter2")
 
 
 def s3_over_real_sockets() -> None:
-    store = ObjectStore()
-    store.mkcol("/physics")
-    app = S3App(store, credentials=CREDS)
+    app = FlatObjectApp(ObjectStore(), credentials=CREDS)
     with real_server(app) as server:
         base = f"http://127.0.0.1:{server.port}"
         signed = DavixClient(
@@ -64,6 +62,12 @@ def s3_over_real_sockets() -> None:
             "signed GET / range / vectored reads ok "
             f"({len(data)} B, {len(fragment)} B, {len(chunks)} fragments)"
         )
+        keys = signed.runtime.run(
+            ObjectStoreClient(signed.context, base).list_keys(
+                prefix="/physics/run42/"
+            )
+        )
+        print(f"signed key listing: {keys}")
         print(f"auth failures recorded by the endpoint: {app.auth_failures}")
 
 

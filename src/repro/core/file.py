@@ -44,7 +44,7 @@ from repro.http import (
 )
 from repro.http.headers import parse_cache_control
 from repro.http.multipart import MultipartStream, content_type_boundary
-from repro.http.ranges import parse_content_range
+from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import METALINK_MEDIA_TYPE, Metalink, parse_metalink
 
 __all__ = ["FileStat", "DavFile"]
@@ -58,18 +58,6 @@ class FileStat:
     mtime: Optional[float]
     is_directory: bool
     etag: Optional[str] = None
-
-
-def _merge_spans(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort and merge overlapping/adjacent ``(offset, length)`` spans."""
-    merged: List[Tuple[int, int]] = []
-    for offset, length in sorted(spans):
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            end = max(merged[-1][0] + merged[-1][1], offset + length)
-            merged[-1] = (merged[-1][0], end - merged[-1][0])
-        else:
-            merged.append((offset, length))
-    return merged
 
 
 def _content_range_total(response: Response) -> Optional[int]:
@@ -694,7 +682,7 @@ class DavFile:
                 results[index] = piece
                 self._charge_delivery(0, len(piece))
             return results
-        spans = _merge_spans(spans)
+        spans = merge_spans(spans)
         for _ in range(3):
             if spans:
                 yield from self._fetch_spans(spans)
@@ -712,7 +700,7 @@ class DavFile:
             pending = unresolved
             if not pending:
                 return results
-            again = _merge_spans(
+            again = merge_spans(
                 [
                     span
                     for index in pending

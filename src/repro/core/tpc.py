@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from repro.concurrency import Now, bounded_gather
 from repro.errors import DavixError, NetworkError, RequestError
-from repro.http import Headers, Request, Response, Url
+from repro.http import Headers, Request, Response, Url, text_response
 
 __all__ = [
     "PERF_MARKER_MEDIA_TYPE",
@@ -235,10 +235,7 @@ def _setup_failure(metrics, span, reason) -> Response:
     if metrics is not None:
         metrics.counter("tpc.failures_total", stage="setup").inc()
     span.end(error=str(reason))
-    body = f"third-party copy failed: {reason}\n".encode()
-    return Response(
-        502, Headers([("Content-Type", "text/plain")]), body
-    )
+    return text_response(502, f"third-party copy failed: {reason}")
 
 
 def _transfer_failure(metrics, span, progress, reason) -> Response:

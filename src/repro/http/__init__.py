@@ -12,7 +12,7 @@ from repro.http.codec import (
     serialize_response_head,
 )
 from repro.http.headers import Headers, parse_cache_control
-from repro.http.messages import Request, Response
+from repro.http.messages import Request, Response, text_response
 from repro.http.multipart import (
     RangePart,
     decode_byteranges,
@@ -24,6 +24,7 @@ from repro.http.ranges import (
     RangeSpec,
     format_content_range,
     format_range_header,
+    merge_spans,
     parse_content_range,
     parse_range_header,
     resolve_ranges,
@@ -44,6 +45,7 @@ __all__ = [
     "parse_cache_control",
     "Request",
     "Response",
+    "text_response",
     "RangePart",
     "decode_byteranges",
     "encode_byteranges",
@@ -52,6 +54,7 @@ __all__ = [
     "RangeSpec",
     "format_content_range",
     "format_range_header",
+    "merge_spans",
     "parse_content_range",
     "parse_range_header",
     "resolve_ranges",

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 from repro.http.headers import Headers
 from repro.http.status import allows_body, reason_phrase
 
-__all__ = ["Request", "Response"]
+__all__ = ["Request", "Response", "text_response"]
 
 #: Methods whose requests never carry a body.
 BODYLESS_METHODS = frozenset(
@@ -113,3 +113,16 @@ class Response:
 
     def __repr__(self) -> str:
         return f"<Response {self.status} {self.reason}>"
+
+
+def text_response(status: int, message: str) -> Response:
+    """A ``text/plain`` response whose body is ``message`` plus a
+    newline — the error format of every server tier that does not
+    define its own (bodyless when ``status`` forbids a body)."""
+    if not allows_body(status):
+        return Response(status)
+    return Response(
+        status,
+        Headers([("Content-Type", "text/plain")]),
+        (message + "\n").encode(),
+    )

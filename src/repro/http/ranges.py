@@ -22,6 +22,7 @@ __all__ = [
     "parse_range_header",
     "format_range_header",
     "resolve_ranges",
+    "merge_spans",
     "parse_content_range",
     "format_content_range",
 ]
@@ -136,6 +137,20 @@ def resolve_ranges(
         if pair is not None:
             resolved.append(pair)
     return resolved
+
+
+def merge_spans(
+    spans: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """Sort and merge overlapping/adjacent ``(offset, length)`` spans."""
+    merged: List[Tuple[int, int]] = []
+    for offset, length in sorted(spans):
+        if merged and offset <= merged[-1][0] + merged[-1][1]:
+            end = max(merged[-1][0] + merged[-1][1], offset + length)
+            merged[-1] = (merged[-1][0], end - merged[-1][0])
+        else:
+            merged.append((offset, length))
+    return merged
 
 
 def format_content_range(offset: int, length: int, total: int) -> str:

@@ -2,11 +2,12 @@
 
 from repro.server.app import HttpServer, handle_connection, serve_forever
 from repro.server.collectorapp import CollectorApp
+from repro.server.envelope import Envelope, ServedResponse, ServerConfig
 from repro.server.faults import FaultAction, FaultPolicy
 from repro.server.accesslog import AccessEntry, AccessLog
 from repro.server.federation import FederationApp, ReplicaEntry
 from repro.server.flatobject import FlatObjectApp
-from repro.server.handlers import ServedResponse, ServerConfig, StorageApp
+from repro.server.handlers import StorageApp
 from repro.server.objectstore import (
     BytesContent,
     Content,
@@ -18,7 +19,7 @@ from repro.server.objectstore import (
 )
 from repro.server.proxy import ProxyApp
 from repro.server.realserver import real_server
-from repro.server.s3 import S3App, S3Credentials, sign_request
+from repro.server.s3 import S3Credentials, sign_request
 from repro.server.webdav import DavResource, build_multistatus, parse_multistatus
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "handle_connection",
     "serve_forever",
     "CollectorApp",
+    "Envelope",
     "FaultAction",
     "FaultPolicy",
     "FederationApp",
@@ -45,7 +47,6 @@ __all__ = [
     "ZeroContent",
     "real_server",
     "ProxyApp",
-    "S3App",
     "S3Credentials",
     "sign_request",
     "DavResource",

@@ -39,7 +39,7 @@ from repro.http import (
     serialize_response_head,
 )
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
-from repro.server.handlers import ServedResponse, StorageApp
+from repro.server.envelope import Envelope, ServedResponse
 
 __all__ = ["serve_forever", "handle_connection", "HttpServer"]
 
@@ -47,27 +47,7 @@ __all__ = ["serve_forever", "handle_connection", "HttpServer"]
 KEEPALIVE_IDLE = 30.0
 
 
-def _ingest_telemetry(collector, request: Request) -> ServedResponse:
-    """Store one ``POST /v1/telemetry`` JSONL batch in the mounted
-    collector; malformed lines fail the whole batch (400) so a sink
-    bug is loud instead of silently thinning the trace."""
-    from repro.http import Headers, Response
-
-    try:
-        accepted = collector.ingest_lines(
-            request.body.decode("utf-8", "strict")
-        )
-    except (ValueError, UnicodeDecodeError):
-        return ServedResponse(Response(400, reason="Bad Request"))
-    return ServedResponse(
-        Response(
-            204,
-            Headers([("X-Telemetry-Accepted", str(accepted))]),
-        )
-    )
-
-
-def serve_forever(listener, app: StorageApp):
+def serve_forever(listener, app: Envelope):
     """Accept loop: one spawned handler per connection."""
     while True:
         try:
@@ -77,7 +57,7 @@ def serve_forever(listener, app: StorageApp):
         yield Spawn(handle_connection(channel, app), name="http-conn")
 
 
-def handle_connection(channel, app: StorageApp):
+def handle_connection(channel, app: Envelope):
     """Serve HTTP/1.x requests on one connection until close."""
     parser = HttpParser("server")
     config = app.config
@@ -113,40 +93,24 @@ def handle_connection(channel, app: StorageApp):
                 )
             )
             started = yield Now()
-            # Metrics scrapes and telemetry pushes are pure observers:
-            # they get no span, no wide event and no access-log entry,
-            # so the series and traces they carry are never perturbed
-            # by the act of reading or shipping them.
-            scrape = (
-                request.method == "GET"
-                and config.metrics_path is not None
-                and request.path == config.metrics_path
-            )
-            telemetry = (
-                request.method == "POST"
-                and config.collector is not None
-                and request.path == config.telemetry_path
-            )
-            observer = scrape or telemetry
+            # Observers (metrics scrapes, telemetry pushes) get no
+            # span, no wide event and no access-log entry.
+            observer = app.is_observer(request)
             trace_ctx = parse_traceparent(
                 request.headers.get(TRACEPARENT_HEADER)
             )
-            tracer = getattr(app, "tracer", None)
             span = None
-            if tracer is not None and not observer:
+            if app.tracer is not None and not observer:
                 # Joined to the client's trace when a Traceparent
                 # header arrived; a fresh root trace otherwise.
-                span = tracer.start(
+                span = app.tracer.start(
                     "server-request",
                     root=trace_ctx is None,
                     remote=trace_ctx,
                     method=request.method,
                     path=request.path,
                 )
-            if telemetry:
-                result = _ingest_telemetry(config.collector, request)
-            else:
-                result = app.handle(request)
+            result = app.handle(request)
             if result.deferred is not None:
                 # Deferred operations (e.g. third-party copy, proxy
                 # gap fetches) do their own remote I/O before the
@@ -154,11 +118,9 @@ def handle_connection(channel, app: StorageApp):
                 # proxy) read ``serving_span`` at the top of their
                 # deferred — before its first effect yield — so the
                 # hand-off is race-free on the cooperative runtime.
-                if hasattr(app, "serving_span"):
-                    app.serving_span = span
+                app.serving_span = span
                 result.response = yield from result.deferred()
-                if hasattr(app, "serving_span"):
-                    app.serving_span = None
+                app.serving_span = None
             if config.tls is not None:
                 # Record-layer crypto on the server's side.
                 result.service_time += config.tls.record_cost(
@@ -175,9 +137,8 @@ def handle_connection(channel, app: StorageApp):
             parent_hex = trace_ctx.span_id_hex if trace_ctx else ""
             if span is not None:
                 span.end(status=status)
-            events = getattr(app, "events", None)
-            if events is not None and not observer:
-                events.emit(
+            if app.events is not None and not observer:
+                app.events.emit(
                     "request",
                     side="server",
                     ts=started,
@@ -189,11 +150,10 @@ def handle_connection(channel, app: StorageApp):
                     trace_id=trace_hex,
                     parent_span_id=parent_hex,
                 )
-            access_log = getattr(app, "access_log", None)
-            if access_log is not None and not observer:
+            if app.access_log is not None and not observer:
                 from repro.server.accesslog import AccessEntry
 
-                access_log.record(
+                app.access_log.record(
                     AccessEntry(
                         timestamp=started,
                         client=str(
@@ -291,12 +251,12 @@ def _send_result(channel, result: ServedResponse):
 
 
 class HttpServer:
-    """Bind a :class:`StorageApp` to a runtime and port."""
+    """Bind a server app to a runtime and port."""
 
     def __init__(
         self,
         runtime: Runtime,
-        app: StorageApp,
+        app: Envelope,
         port: int = 80,
         host: Optional[str] = None,
     ):

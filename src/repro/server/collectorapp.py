@@ -3,7 +3,7 @@
 The cluster's telemetry plane needs somewhere to aggregate when no
 storage app is convenient — a dedicated node every client Context and
 server app POSTs its batches to. :class:`CollectorApp` is that node:
-the connection loop (:mod:`repro.server.app`) already ingests
+the request envelope (:mod:`repro.server.envelope`) already ingests
 ``POST <telemetry_path>`` for any app whose config mounts a collector,
 so this app only adds the read side — ``GET <telemetry_path>`` serves
 the collected records back as canonical JSONL (the artefact
@@ -21,17 +21,17 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.http import Headers, Request, Response
+from repro.http import Headers, Request, Response, text_response
 from repro.obs.collector import (
     TELEMETRY_CONTENT_TYPE,
     TelemetryCollector,
 )
-from repro.server.handlers import ServedResponse, ServerConfig
+from repro.server.envelope import Envelope, ServerConfig
 
 __all__ = ["CollectorApp"]
 
 
-class CollectorApp:
+class CollectorApp(Envelope):
     """Serve one :class:`TelemetryCollector` over HTTP."""
 
     def __init__(
@@ -45,41 +45,25 @@ class CollectorApp:
         config = config or ServerConfig()
         if config.collector is None:
             config = replace(config, collector=self.collector)
-        self.config = config
-        # Observability attributes the connection loop looks for; a
-        # collector node is itself observable like any other app.
-        self.metrics = None
-        self.tracer = None
-        self.events = None
-        self.access_log = None
+        super().__init__(config)
 
-    def handle(self, request: Request) -> ServedResponse:
+    def route(self, request: Request):
         path = self.config.telemetry_path
         if request.method == "GET" and request.path == path:
             body = self.collector.to_json_lines()
             payload = (body + "\n").encode("utf-8") if body else b""
-            return ServedResponse(
-                Response(
-                    200,
-                    Headers(
-                        [("Content-Type", TELEMETRY_CONTENT_TYPE)]
-                    ),
-                    payload,
-                )
+            return Response(
+                200,
+                Headers([("Content-Type", TELEMETRY_CONTENT_TYPE)]),
+                payload,
             )
         if request.method == "GET" and request.path == f"{path}/stats":
-            stats = (
+            return text_response(
+                200,
                 f"records={len(self.collector)}"
                 f" batches={self.collector.batches}"
-                f" dropped={self.collector.dropped}\n"
+                f" dropped={self.collector.dropped}",
             )
-            return ServedResponse(
-                Response(
-                    200,
-                    Headers([("Content-Type", "text/plain")]),
-                    stats.encode("utf-8"),
-                )
-            )
-        # POSTs to the telemetry path never reach handle() — the
-        # connection loop ingests them first.
-        return ServedResponse(Response(404, reason="Not Found"))
+        # POSTs to the telemetry path never reach route() — the
+        # envelope ingests them first.
+        return Response(404, reason="Not Found")

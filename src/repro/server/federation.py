@@ -20,7 +20,7 @@ from repro.metalink import (
     MetalinkUrl,
     write_metalink,
 )
-from repro.server.handlers import ServedResponse
+from repro.server.envelope import Envelope, ServerConfig
 
 __all__ = ["ReplicaEntry", "FederationApp"]
 
@@ -34,21 +34,15 @@ class ReplicaEntry:
     adler32: Optional[str] = None
 
 
-class FederationApp:
-    """A data-less federator: redirects and Metalink generation.
-
-    Implements the subset of :class:`~repro.server.handlers.StorageApp`'s
-    contract that the serve loop needs (a ``handle`` method and a
-    ``config``), so it plugs into the same :class:`HttpServer`.
-    """
+class FederationApp(Envelope):
+    """A data-less federator: redirects and Metalink generation."""
 
     def __init__(self, config=None):
-        from repro.server.handlers import ServerConfig
-
-        self.config = config or ServerConfig(server_name="repro-dynafed/1.0")
+        super().__init__(
+            config or ServerConfig(server_name="repro-dynafed/1.0")
+        )
         self.catalogue: Dict[str, ReplicaEntry] = {}
         self._round_robin: Dict[str, int] = {}
-        self.requests_handled = 0
 
     def register(
         self,
@@ -64,22 +58,18 @@ class FederationApp:
             urls=list(urls), size=size, adler32=adler32
         )
 
-    def handle(self, request: Request) -> ServedResponse:
-        self.requests_handled += 1
+    def route(self, request: Request):
         if request.method not in ("GET", "HEAD"):
-            return ServedResponse(
-                Response(405, Headers([("Allow", "GET, HEAD")]))
-            )
+            return Response(405, Headers([("Allow", "GET, HEAD")]))
         entry = self.catalogue.get(request.path)
         if entry is None:
-            return ServedResponse(Response(404))
+            return Response(404)
         if self._wants_metalink(request):
-            return ServedResponse(self._metalink(request.path, entry))
+            return self._metalink(request.path, entry)
         index = self._round_robin.get(request.path, 0)
         self._round_robin[request.path] = (index + 1) % len(entry.urls)
         target = entry.urls[index % len(entry.urls)]
-        headers = Headers([("Location", target)])
-        return ServedResponse(Response(302, headers))
+        return Response(302, Headers([("Location", target)]))
 
     @staticmethod
     def _wants_metalink(request: Request) -> bool:

@@ -14,7 +14,9 @@ page cache run unchanged against this dialect
 pairing).
 
 Listing is one JSON endpoint (``GET /?list=1&prefix=...``) so tooling
-can enumerate keys without PROPFIND.
+can enumerate keys without PROPFIND. An endpoint deployed with
+``credentials=`` is private: every request must carry the S3-style
+signature of :mod:`repro.server.s3` or is answered 403.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import json
 from typing import Optional
 
 from repro.http import Headers, Request, Response
+from repro.server.envelope import Envelope, ServerConfig
 from repro.server.faults import FaultPolicy
-from repro.server.handlers import ServedResponse, ServerConfig
 from repro.server.objectstore import ObjectStore, StoreError
 from repro.server.rangeserver import plan_range_response
+from repro.server.s3 import S3Credentials, verify
 
 __all__ = ["FlatObjectApp"]
 
@@ -34,7 +37,7 @@ __all__ = ["FlatObjectApp"]
 FLAT_VERBS = ("GET", "HEAD", "PUT", "DELETE", "OPTIONS")
 
 
-class FlatObjectApp:
+class FlatObjectApp(Envelope):
     """Flat-object request handler over an :class:`ObjectStore`.
 
     Keys are opaque paths (slashes carry no collection semantics on
@@ -49,89 +52,52 @@ class FlatObjectApp:
         config: Optional[ServerConfig] = None,
         faults: Optional[FaultPolicy] = None,
         metrics=None,
+        credentials: Optional[S3Credentials] = None,
     ):
+        super().__init__(
+            config or ServerConfig(server_name="repro-flatstore/1.0"),
+            faults,
+            metrics,
+        )
         self.store = store
-        self.config = config or ServerConfig(
-            server_name="repro-flatstore/1.0"
-        )
-        self.faults = faults
-        self.requests_handled = 0
-        #: Optional :class:`~repro.obs.MetricsRegistry`; same
-        #: per-method/per-status series the WebDAV app records, so
-        #: object-backend runs are not observability blind spots.
-        self.metrics = metrics
-        #: Optional :class:`~repro.server.accesslog.AccessLog` — the
-        #: serve loop records one entry per served request.
-        self.access_log = None
-        #: Optional :class:`~repro.obs.Tracer`: the serve loop starts a
-        #: ``server-request`` span per request, joined to the client's
-        #: trace when a ``Traceparent`` header arrives.
-        self.tracer = None
-        #: Optional :class:`~repro.obs.EventLog` for server-side wide
-        #: events (one per served request).
-        self.events = None
+        #: Access-key pair requests must be signed with; None = a
+        #: public endpoint (no authentication).
+        self.credentials = credentials
+        self.auth_failures = 0
 
-    # -- entry point --------------------------------------------------------
-
-    def handle(self, request: Request) -> ServedResponse:
-        """Compute the response for ``request`` (no I/O, no blocking)."""
-        if (
-            self.config.metrics_path is not None
-            and request.method == "GET"
-            and request.path == self.config.metrics_path
+    def route(self, request: Request):
+        if self.credentials is not None and not verify(
+            request, self.credentials
         ):
-            return self._metrics_response()
-        self.requests_handled += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "server.requests_total", method=request.method
-            ).inc()
-        fault = (
-            self.faults.next_action(request.path) if self.faults else None
-        )
-        if fault is not None and fault.kind == "error":
-            return self._finish(
-                request,
-                ServedResponse(
-                    self._error(fault.status, "injected fault")
-                ),
-            )
-
+            self.auth_failures += 1
+            return self._error(403, "signature does not match")
         if request.method not in FLAT_VERBS:
             response = self._error(
                 405, f"{request.method} is not spoken here"
             )
             response.headers.set("Allow", ", ".join(FLAT_VERBS))
-            served = ServedResponse(response)
-        elif request.method == "OPTIONS":
-            served = ServedResponse(
-                Response(204, Headers([("Allow", ", ".join(FLAT_VERBS))]))
+            return response
+        if request.method == "OPTIONS":
+            return Response(
+                204, Headers([("Allow", ", ".join(FLAT_VERBS))])
             )
-        elif request.method == "GET" and self._is_listing(request):
-            served = ServedResponse(self._list_keys(request))
-        else:
-            handler = {
-                "GET": self._get_object,
-                "HEAD": self._head_object,
-                "PUT": self._put_object,
-                "DELETE": self._delete_object,
-            }[request.method]
-            served = handler(request)
-
-        if fault is not None:
-            if fault.kind == "slow":
-                served.service_time += fault.delay
-            elif fault.kind == "reset":
-                served.reset_midway = True
-        return self._finish(request, served)
+        if request.method == "GET" and self._is_listing(request):
+            return self._list_keys(request)
+        handler = {
+            "GET": self._get_object,
+            "HEAD": self._head_object,
+            "PUT": self._put_object,
+            "DELETE": self._delete_object,
+        }[request.method]
+        return handler(request)
 
     # -- object operations --------------------------------------------------
 
-    def _get_object(self, request: Request) -> ServedResponse:
+    def _get_object(self, request: Request) -> Response:
         try:
             obj = self.store.get(request.path)
         except StoreError:
-            return ServedResponse(self._error(404, "no such key"))
+            return self._error(404, "no such key")
         range_header = request.headers.get("Range")
         if range_header is not None:
             if_range = request.headers.get("If-Range")
@@ -144,24 +110,22 @@ class FlatObjectApp:
             max_ranges=self.config.max_ranges,
         )
         if plan.status == 416:
-            return ServedResponse(Response(416, plan.headers))
+            return Response(416, plan.headers)
         if plan.multipart_boundary is not None:
             self.store.bytes_read += plan.body_bytes
-            return ServedResponse(
-                Response(
-                    206, plan.headers, pieces=plan.multipart_pieces(obj)
-                )
+            return Response(
+                206, plan.headers, pieces=plan.multipart_pieces(obj)
             )
         offset, length = plan.segments[0]
         body = obj.content.read(offset, length)
         self.store.bytes_read += length
-        return ServedResponse(Response(plan.status, plan.headers, body))
+        return Response(plan.status, plan.headers, body)
 
-    def _head_object(self, request: Request) -> ServedResponse:
+    def _head_object(self, request: Request) -> Response:
         try:
             obj = self.store.get(request.path)
         except StoreError:
-            return ServedResponse(self._error(404, "no such key"))
+            return self._error(404, "no such key")
         headers = Headers(
             [
                 ("Content-Length", obj.size),
@@ -170,9 +134,9 @@ class FlatObjectApp:
                 ("Accept-Ranges", "bytes"),
             ]
         )
-        return ServedResponse(Response(200, headers))
+        return Response(200, headers)
 
-    def _put_object(self, request: Request) -> ServedResponse:
+    def _put_object(self, request: Request) -> Response:
         created = not self.store.exists(request.path)
         obj = self.store.put(
             request.path,
@@ -181,16 +145,16 @@ class FlatObjectApp:
                 "Content-Type", "binary/octet-stream"
             ),
         )
-        return ServedResponse(
-            Response(201 if created else 204, Headers([("ETag", obj.etag)]))
+        return Response(
+            201 if created else 204, Headers([("ETag", obj.etag)])
         )
 
-    def _delete_object(self, request: Request) -> ServedResponse:
+    def _delete_object(self, request: Request) -> Response:
         try:
             self.store.delete(request.path)
         except StoreError:
-            return ServedResponse(self._error(404, "no such key"))
-        return ServedResponse(Response(204))
+            return self._error(404, "no such key")
+        return Response(204)
 
     # -- listing ------------------------------------------------------------
 
@@ -220,51 +184,9 @@ class FlatObjectApp:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _metrics_response(self) -> ServedResponse:
-        """The Prometheus text exposition of this app's registry."""
-        from repro.obs.export import (
-            PROMETHEUS_CONTENT_TYPE,
-            prometheus_exposition,
-        )
-
-        text = (
-            prometheus_exposition(self.metrics)
-            if self.metrics is not None
-            else ""
-        )
-        body = text.encode("utf-8")
-        headers = Headers(
-            [
-                ("Content-Type", PROMETHEUS_CONTENT_TYPE),
-                ("Content-Length", len(body)),
-            ]
-        )
-        served = ServedResponse(Response(200, headers, body))
-        served.response.headers.setdefault(
-            "Server", self.config.server_name
-        )
-        return served
-
-    def _finish(self, request, served: ServedResponse) -> ServedResponse:
-        served.response.headers.setdefault(
-            "Server", self.config.server_name
-        )
-        if (
-            self.config.cache_control is not None
-            and request.method in ("GET", "HEAD")
-            and served.response.status in (200, 206, 304)
-        ):
-            served.response.headers.setdefault(
-                "Cache-Control", self.config.cache_control
-            )
-        served.service_time += self.config.service_overhead
-        served.service_time += (
-            served.body_length / self.config.disk_bandwidth
-        )
-        return served
-
     @staticmethod
     def _error(status: int, message: str) -> Response:
+        """Errors are JSON in this dialect, the envelope's included."""
         body = json.dumps({"error": message}).encode("utf-8")
         return Response(
             status,

@@ -1,8 +1,7 @@
 """Pure request handlers of the storage server (a DPM-like endpoint).
 
-:class:`StorageApp.handle` maps one :class:`~repro.http.Request` to a
-:class:`ServedResponse` without any I/O — the serve loops in
-:mod:`repro.server.app` drive it over simulated or real transports.
+:class:`StorageApp` is the route table behind the shared request
+envelope (:mod:`repro.server.envelope`).
 
 Supported surface: GET (full / single range / multi range / metalink
 negotiation / redirect mode), HEAD, PUT (whole-object with If-Match,
@@ -15,12 +14,11 @@ multi-stream site-to-site transfer (:mod:`repro.core.tpc`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HttpParseError, HttpProtocolError
 from repro.http import Headers, Request, Response, Url
-from repro.http.ranges import parse_content_range
+from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import (
     METALINK_MEDIA_TYPE,
     Metalink,
@@ -28,88 +26,13 @@ from repro.metalink import (
     MetalinkUrl,
     write_metalink,
 )
+from repro.server.envelope import Envelope, ServedResponse, ServerConfig
 from repro.server.faults import FaultPolicy
 from repro.server.objectstore import ObjectStore, StoreError
 from repro.server.rangeserver import plan_range_response
 from repro.server.webdav import DavResource, build_multistatus
 
-__all__ = ["ServerConfig", "ServedResponse", "StorageApp"]
-
-
-@dataclass
-class ServerConfig:
-    """Behavioural knobs of the storage server."""
-
-    server_name: str = "repro-dpm/1.0"
-    #: Honour HTTP keep-alive (off = HTTP/1.0-style close per request).
-    keepalive: bool = True
-    #: Close the connection after this many requests (None = unlimited).
-    max_requests_per_connection: Optional[int] = None
-    #: Close kept-alive connections idle for longer than this (seconds).
-    keepalive_idle: float = 30.0
-    #: Per-request fixed service overhead in seconds (CPU + queueing).
-    service_overhead: float = 0.0005
-    #: Storage backend streaming rate in bytes/second (disk array).
-    disk_bandwidth: float = 400e6
-    #: Advertise and honour multi-range requests.
-    multirange: bool = True
-    #: Ranges beyond this count are answered with the full object.
-    max_ranges: int = 256
-    #: DPM head-node mode: redirect data requests to this base URL.
-    redirect_base: Optional[str] = None
-    #: Bytes the server sends per write call when streaming.
-    send_chunk: int = 262144
-    #: TLS cost model; None = plain http (see concurrency.tlsmodel).
-    tls: Optional[object] = None
-    #: Serve the Prometheus text exposition of the app's registry on
-    #: GET of this path (e.g. ``"/metrics"``); None = disabled.
-    metrics_path: Optional[str] = None
-    #: ``Cache-Control`` header attached to 200/206/304 GET and HEAD
-    #: responses (e.g. ``"max-age=120"``); None = no header.
-    cache_control: Optional[str] = None
-    #: Mounted :class:`~repro.obs.collector.TelemetryCollector`: the
-    #: connection loop ingests ``POST <telemetry_path>`` JSONL batches
-    #: into it (works for every app served by this config — storage,
-    #: proxy, flat-object, or a standalone collector node); None =
-    #: telemetry ingest disabled.
-    collector: Optional[object] = None
-    #: Mount path of the telemetry ingest endpoint.
-    telemetry_path: str = "/v1/telemetry"
-    #: Default stream count for third-party copies (no
-    #: ``X-Number-Of-Streams`` header on the COPY).
-    tpc_streams: int = 4
-    #: Hard cap on client-requested TPC stream counts.
-    tpc_max_streams: int = 16
-    #: Chunk size of third-party-copy ranged transfers.
-    tpc_chunk: int = 8 * 1024 * 1024
-
-
-@dataclass
-class ServedResponse:
-    """A response plus serving directives for the connection loop."""
-
-    response: Response
-    #: Lazily generated body chunks (used instead of ``response.body``).
-    stream: Optional[Iterator[bytes]] = None
-    #: Total body size when streaming.
-    stream_length: int = 0
-    #: Simulated service time the loop must Sleep before replying.
-    service_time: float = 0.0
-    #: Reset the connection after sending ~half the body (fault).
-    reset_midway: bool = False
-    #: Deferred work: an effect sub-op the connection loop runs before
-    #: replying; its return value (a Response) replaces ``response``.
-    #: Used by operations that must do I/O of their own, e.g. HTTP
-    #: third-party copy pulling from a remote source.
-    deferred: Optional[Callable] = None
-
-    @property
-    def body_length(self) -> int:
-        return (
-            self.stream_length
-            if self.stream is not None
-            else self.response.body_length
-        )
+__all__ = ["StorageApp"]
 
 
 class _PartialUpload:
@@ -126,21 +49,14 @@ class _PartialUpload:
 
     def write(self, offset: int, data: bytes) -> None:
         self.buffer[offset:offset + len(data)] = data
-        merged: List[Tuple[int, int]] = []
-        for start, length in sorted(self.spans + [(offset, len(data))]):
-            if merged and start <= merged[-1][0] + merged[-1][1]:
-                end = max(merged[-1][0] + merged[-1][1], start + length)
-                merged[-1] = (merged[-1][0], end - merged[-1][0])
-            else:
-                merged.append((start, length))
-        self.spans = merged
+        self.spans = merge_spans(self.spans + [(offset, len(data))])
 
     @property
     def complete(self) -> bool:
         return self.spans == [(0, self.total)]
 
 
-class StorageApp:
+class StorageApp(Envelope):
     """The storage service: object store + HTTP semantics + faults."""
 
     def __init__(
@@ -151,17 +67,10 @@ class StorageApp:
         faults: Optional[FaultPolicy] = None,
         metrics=None,
     ):
+        super().__init__(config or ServerConfig(), faults, metrics)
         self.store = store
-        self.config = config or ServerConfig()
         #: path -> replica URLs advertised via Metalink.
         self.replicas = replicas if replicas is not None else {}
-        self.faults = faults
-        #: Optional :class:`~repro.obs.MetricsRegistry`: per-method and
-        #: per-status request counts land here alongside the legacy
-        #: ``requests_by_method`` dict.
-        self.metrics = metrics
-        self.requests_handled = 0
-        self.requests_by_method: Dict[str, int] = {}
         #: davix context for third-party-copy transfers (lazy).
         self._tpc_context = None
         #: Optional :class:`~repro.core.RequestParams` for the TPC
@@ -169,126 +78,19 @@ class StorageApp:
         self.tpc_params = None
         #: In-progress ranged uploads: path -> _PartialUpload.
         self._uploads: Dict[str, _PartialUpload] = {}
-        #: Optional :class:`~repro.server.accesslog.AccessLog`.
-        self.access_log = None
-        #: Optional :class:`~repro.obs.Tracer`: the serve loop starts a
-        #: ``server-request`` span per request, joined to the client's
-        #: trace when a ``Traceparent`` header arrives.
-        self.tracer = None
-        #: Optional :class:`~repro.obs.EventLog` for server-side wide
-        #: events (one per served request).
-        self.events = None
 
-    # -- entry point -----------------------------------------------------------
-
-    def handle(self, request: Request) -> ServedResponse:
-        """Compute the response for ``request`` (no I/O, no blocking)."""
-        if (
-            self.config.metrics_path is not None
-            and request.method == "GET"
-            and request.path == self.config.metrics_path
-        ):
-            # A scrape, not workload traffic: answered before the
-            # request counters and fault policy so it never perturbs
-            # the series it exposes.
-            return self._metrics_response(request)
-        self.requests_handled += 1
-        self.requests_by_method[request.method] = (
-            self.requests_by_method.get(request.method, 0) + 1
-        )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "server.requests_total", method=request.method
-            ).inc()
-
-        fault = (
-            self.faults.next_action(request.path) if self.faults else None
-        )
-        if fault is not None and fault.kind == "error":
-            return self._finish(
-                request, self._error(fault.status, "injected fault")
-            )
-
+    def route(self, request: Request):
         handler = getattr(
             self, f"_handle_{request.method.lower()}", None
         )
-        if handler is None:
-            # RFC 7231 §6.5.5: a 405 must advertise what *would* work.
-            response = self._error(
-                405, f"method {request.method} not allowed"
-            )
-            response.headers.set(
-                "Allow", self._allowed_methods(request.path)
-            )
-            served = ServedResponse(response)
-        else:
-            try:
-                served = handler(request)
-            except StoreError as exc:
-                served = ServedResponse(self._error(409, str(exc)))
-        if not isinstance(served, ServedResponse):
-            served = ServedResponse(served)
-
-        if fault is not None:
-            if fault.kind == "slow":
-                served.service_time += fault.delay
-            elif fault.kind == "reset":
-                served.reset_midway = True
-        return self._finish(request, served)
-
-    def _finish(self, request, served) -> ServedResponse:
-        if not isinstance(served, ServedResponse):
-            served = ServedResponse(served)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "server.responses_total",
-                status=str(served.response.status),
-            ).inc()
-        served.response.headers.setdefault(
-            "Server", self.config.server_name
+        if handler is not None:
+            return handler(request)
+        # RFC 7231 §6.5.5: a 405 must advertise what *would* work.
+        response = self._error(
+            405, f"method {request.method} not allowed"
         )
-        if (
-            self.config.cache_control is not None
-            and request.method in ("GET", "HEAD")
-            and served.response.status in (200, 206, 304)
-        ):
-            served.response.headers.setdefault(
-                "Cache-Control", self.config.cache_control
-            )
-        served.service_time += self.config.service_overhead
-        served.service_time += (
-            served.body_length / self.config.disk_bandwidth
-        )
-        return served
-
-    def _metrics_response(self, request: Request) -> ServedResponse:
-        """The Prometheus text exposition of this app's registry."""
-        from repro.obs.export import (
-            PROMETHEUS_CONTENT_TYPE,
-            prometheus_exposition,
-            window_to_prometheus,
-        )
-
-        text = (
-            prometheus_exposition(self.metrics)
-            if self.metrics is not None
-            else ""
-        )
-        window = getattr(self.access_log, "window", None)
-        if window is not None:
-            text += window_to_prometheus(
-                "server_request_seconds_window", window.snapshot()
-            )
-        body = text.encode("utf-8")
-        headers = Headers(
-            [
-                ("Content-Type", PROMETHEUS_CONTENT_TYPE),
-                ("Content-Length", len(body)),
-            ]
-        )
-        return self._finish(
-            request, ServedResponse(Response(200, headers, body))
-        )
+        response.headers.set("Allow", self._allowed_methods(request.path))
+        return response
 
     # -- method handlers ---------------------------------------------------------
 
@@ -742,17 +544,4 @@ class StorageApp:
         return False
 
     def _not_found(self, path: str) -> Response:
-        body = f"resource not found: {path}\n".encode()
-        return Response(
-            404, Headers([("Content-Type", "text/plain")]), body
-        )
-
-    def _error(self, status: int, message: str) -> Response:
-        from repro.http.status import allows_body
-
-        if not allows_body(status):
-            return Response(status)
-        body = (message + "\n").encode()
-        return Response(
-            status, Headers([("Content-Type", "text/plain")]), body
-        )
+        return self._error(404, f"resource not found: {path}")

@@ -52,6 +52,7 @@ from repro.http.ranges import (
     RangeSpec,
     format_content_range,
     format_range_header,
+    merge_spans,
     parse_content_range,
 )
 from repro.obs.propagation import (
@@ -59,7 +60,7 @@ from repro.obs.propagation import (
     format_trace_id,
     parse_traceparent,
 )
-from repro.server.handlers import ServedResponse, ServerConfig
+from repro.server.envelope import Envelope, ServedResponse, ServerConfig
 
 __all__ = ["ProxyApp"]
 
@@ -91,18 +92,7 @@ class _ObjectMeta:
         self.fresh_until = 0.0
 
 
-def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    merged: List[Tuple[int, int]] = []
-    for offset, length in sorted(spans):
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            end = max(merged[-1][0] + merged[-1][1], offset + length)
-            merged[-1] = (merged[-1][0], end - merged[-1][0])
-        else:
-            merged.append((offset, length))
-    return merged
-
-
-class ProxyApp:
+class ProxyApp(Envelope):
     """Range-aware caching forward proxy; plugs into HttpServer.
 
     GET responses land in a shared page store: whole-object entries
@@ -124,7 +114,10 @@ class ProxyApp:
             raise ValueError("cache_bytes must be >= 0")
         if default_ttl < 0:
             raise ValueError("default_ttl must be >= 0")
-        self.config = config or ServerConfig(server_name="repro-proxy/1.0")
+        super().__init__(
+            config or ServerConfig(server_name="repro-proxy/1.0"),
+            metrics=metrics,
+        )
         self.cache_bytes = cache_bytes
         #: Seconds an entry is served without revalidation.
         self.default_ttl = default_ttl
@@ -142,17 +135,9 @@ class ProxyApp:
         #: node-namespaced tracer and a telemetry sink; created lazily
         #: (bare) otherwise.
         self._context = context
-        #: Observability hooks the connection loop looks for, mirroring
-        #: :class:`~repro.server.handlers.StorageApp`.
-        self.tracer = context.tracer if context is not None else None
-        self.events = context.events if context is not None else None
-        self.access_log = None
-        #: The in-flight ``server-request`` span of the connection the
-        #: current deferred belongs to (set by the connection loop just
-        #: before it runs the deferred) — upstream fetch spans parent
-        #: to it so gap fetches sit *inside* the proxy hop in the
-        #: assembled trace.
-        self.serving_span = None
+        if context is not None:
+            self.tracer = context.tracer
+            self.events = context.events
         self.stats = {
             "requests": 0,
             "hits": 0,
@@ -166,13 +151,13 @@ class ProxyApp:
 
     # -- entry point ----------------------------------------------------------
 
-    def handle(self, request: Request) -> ServedResponse:
+    def route(self, request: Request):
         self.stats["requests"] += 1
         try:
             target = Url.parse(request.target)
         except Exception:
-            return ServedResponse(
-                _error(400, "proxy requires an absolute request URI")
+            return self._error(
+                400, "proxy requires an absolute request URI"
             )
 
         # The client's Traceparent: upstream fetches join this trace,
@@ -284,7 +269,7 @@ class ProxyApp:
         except (DavixError, NetworkError) as exc:
             if span is not None:
                 span.end(error=str(exc))
-            return _error(502, f"upstream failed: {exc}")
+            return self._error(502, f"upstream failed: {exc}")
         if span is not None:
             span.end(status=response.status)
         self._emit_proxy_event(
@@ -340,7 +325,7 @@ class ProxyApp:
                         target, url, aligned, None, now, trace_ctx, serving
                     )
                 except (DavixError, NetworkError) as exc:
-                    return _error(502, f"upstream failed: {exc}")
+                    return self._error(502, f"upstream failed: {exc}")
                 if response is not None:
                     if response.status == 206:
                         # Undecodable 206 for the *expanded* ranges:
@@ -356,7 +341,7 @@ class ProxyApp:
             missing: List[Tuple[int, int]] = []
             for offset, length in need:
                 missing.extend(self.pages.missing_spans(url, offset, length))
-            missing = _merge_spans(missing)
+            missing = merge_spans(missing)
             fresh = now < meta.fresh_until
 
             if not missing and (fresh or outcome is not None):
@@ -410,7 +395,9 @@ class ProxyApp:
                             trace_ctx,
                         )
                         return served
-                    return _error(502, "upstream failed and cache incomplete")
+                    return self._error(
+                        502, "upstream failed and cache incomplete"
+                    )
                 if span is not None:
                     span.end(status=response.status)
                 if response.status == 304:
@@ -437,7 +424,9 @@ class ProxyApp:
                     target, url, missing, etag, now, trace_ctx, serving
                 )
             except (DavixError, NetworkError):
-                return _error(502, "upstream failed and cache incomplete")
+                return self._error(
+                    502, "upstream failed and cache incomplete"
+                )
             if response is not None:
                 if response.status == 206:
                     # Undecodable 206 for the gap ranges: relay the
@@ -476,7 +465,7 @@ class ProxyApp:
         except (DavixError, NetworkError) as exc:
             if span is not None:
                 span.end(error=str(exc))
-            return _error(502, f"upstream failed: {exc}")
+            return self._error(502, f"upstream failed: {exc}")
         if span is not None:
             span.end(status=response.status)
         if response.status in (200, 206):
@@ -675,7 +664,7 @@ class ProxyApp:
             start = (spec.first // page) * page
             end = (spec.last // page + 1) * page
             spans.append((start, end - start))
-        return _merge_spans(spans)
+        return merge_spans(spans)
 
     def _requested_ranges(self, request: Request, etag: Optional[str]):
         """The client's Range specs, with If-Range applied.
@@ -831,10 +820,3 @@ def _mark(response: Response, state: str) -> Response:
     response.headers.set("Via", "1.1 repro-proxy")
     return response
 
-
-def _error(status: int, message: str) -> Response:
-    return Response(
-        status,
-        Headers([("Content-Type", "text/plain")]),
-        (message + "\n").encode(),
-    )

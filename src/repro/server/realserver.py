@@ -7,7 +7,8 @@ from typing import Iterator, Optional
 
 from repro.concurrency import ThreadRuntime
 from repro.server.app import HttpServer
-from repro.server.handlers import ServerConfig, StorageApp
+from repro.server.envelope import ServerConfig
+from repro.server.handlers import StorageApp
 from repro.server.objectstore import ObjectStore
 
 __all__ = ["real_server"]

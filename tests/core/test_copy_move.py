@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFound, RequestError
+from repro.obs import MetricsRegistry
 
 from tests.helpers import davix_world
 
@@ -17,12 +18,14 @@ def test_rename_moves_object():
 
 def test_copy_duplicates_without_client_traffic():
     client, app, store, _ = davix_world()
+    app.metrics = MetricsRegistry()
     store.put("/src.bin", b"payload" * 1000)
     before = client.context.pool.stats().misses
     client.copy("http://server/src.bin", "http://server/dup.bin")
     assert store.read("/src.bin") == store.read("/dup.bin")
     # One COPY request; the 7 kB never crossed the wire as a body.
-    assert app.requests_by_method["COPY"] == 1
+    copies = app.metrics.counter("server.requests_total", method="COPY")
+    assert copies.value == 1
 
 
 def test_move_missing_source_404():

@@ -6,6 +6,7 @@ from repro.concurrency import SimRuntime
 from repro.core import Context, DavixClient, MetalinkMode, RequestParams
 from repro.errors import AllReplicasFailed, FileNotFound
 from repro.net import LinkSpec, Network
+from repro.obs import MetricsRegistry
 from repro.server import HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
@@ -29,7 +30,9 @@ def replica_world(n_replicas=3, latency=0.001):
         runtime = SimRuntime(net, name)
         store = ObjectStore()
         store.put(path, b"replicated-content")
-        app = StorageApp(store, replicas={path: urls})
+        app = StorageApp(
+            store, replicas={path: urls}, metrics=MetricsRegistry()
+        )
         HttpServer(runtime, app, port=80).start()
         apps.append(app)
 
@@ -137,8 +140,12 @@ def test_blacklisted_replica_is_skipped():
     client.context.blacklist(Url.parse(urls[1]).origin)
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
-    assert apps[1].requests_by_method.get("GET", 0) == 0
-    assert apps[2].requests_by_method.get("GET", 0) >= 1
+    gets = [
+        app.metrics.counter("server.requests_total", method="GET").value
+        for app in apps
+    ]
+    assert gets[1] == 0
+    assert gets[2] >= 1
 
 
 def test_blacklist_expires_with_ttl():

@@ -13,6 +13,7 @@ from repro.core.vectored import PartTable, plan_vector, scatter_parts
 from repro.http.ranges import (
     RangeSpec,
     format_range_header,
+    merge_spans,
     parse_range_header,
     resolve_ranges,
 )
@@ -53,6 +54,29 @@ def random_reads(rng, max_offset=100_000):
         (rng.randrange(0, max_offset), rng.randrange(1, 4000))
         for _ in range(rng.randrange(1, 40))
     ]
+
+
+def byte_set(spans):
+    return {
+        position
+        for offset, length in spans
+        for position in range(offset, offset + length)
+    }
+
+
+def test_merge_spans_invariants():
+    rng = random.Random(7)
+    for _ in range(N_CASES):
+        spans = random_reads(rng, max_offset=20_000)
+        merged = merge_spans(spans)
+        # Sorted, and neither overlapping nor adjacent.
+        for (a, n), (b, _) in zip(merged, merged[1:]):
+            assert a + n < b
+        # The same byte set, no more and no less.
+        assert byte_set(merged) == byte_set(spans)
+        assert merge_spans(merged) == merged
+    assert merge_spans([]) == []
+    assert merge_spans([(5, 5), (0, 5)]) == [(0, 10)]
 
 
 def test_plan_vector_invariants():

@@ -27,11 +27,10 @@ from repro.server import (
     FlatObjectApp,
     HttpServer,
     ObjectStore,
-    S3App,
+    ServedResponse,
     StorageApp,
 )
 from repro.server.app import _send_result
-from repro.server.handlers import ServedResponse
 
 from tests.helpers import sim_world
 from tests.server.test_proxy import proxy_world
@@ -48,8 +47,6 @@ EXPECTED = [
 
 def handled(app_class, path):
     store = ObjectStore()
-    if app_class is S3App:
-        store.mkcol("/bucket")
     store.put(path, CONTENT)
     app = app_class(store)
     request = Request("GET", path, Headers([("Range", RANGE)]))
@@ -61,7 +58,6 @@ def handled(app_class, path):
     [
         (StorageApp, "/data/blob"),
         (FlatObjectApp, "/data/blob"),
-        (S3App, "/bucket/blob"),
     ],
 )
 def test_multirange_206_is_a_gather_list_with_the_same_wire_bytes(
@@ -94,14 +90,12 @@ def test_many_small_parts_are_one_buffer():
     assert len(gather_byteranges(parts, "B")) == 1
 
 
-def test_all_four_apps_serve_the_same_fragments_end_to_end():
+def test_all_three_apps_serve_the_same_fragments_end_to_end():
     want = [CONTENT[o : o + n] for o, n in READS]
 
     def served_by(app_class, path, params=None):
         client_rt, server_rt = sim_world()
         store = ObjectStore()
-        if app_class is S3App:
-            store.mkcol("/bucket")
         store.put(path, CONTENT)
         HttpServer(server_rt, app_class(store), port=80).start()
         client = DavixClient(client_rt, params=params or RequestParams())
@@ -109,7 +103,6 @@ def test_all_four_apps_serve_the_same_fragments_end_to_end():
 
     assert served_by(StorageApp, "/data/blob") == want
     assert served_by(FlatObjectApp, "/data/blob") == want
-    assert served_by(S3App, "/bucket/blob") == want
 
     client, proxy, _origin, store, _net = proxy_world()
     store.put("/blob", CONTENT)

@@ -9,6 +9,7 @@ from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
 from repro.http import parse_cache_control
 from repro.net import LinkSpec, Network
+from repro.obs import MetricsRegistry
 from repro.server import (
     HttpServer,
     ObjectStore,
@@ -32,7 +33,9 @@ def world(cache_control=None, default_ttl=60.0):
     )
     store = ObjectStore()
     origin = StorageApp(
-        store, config=ServerConfig(cache_control=cache_control)
+        store,
+        config=ServerConfig(cache_control=cache_control),
+        metrics=MetricsRegistry(),
     )
     HttpServer(SimRuntime(net, "origin"), origin, port=80).start()
     proxy = ProxyApp(default_ttl=default_ttl)
@@ -95,7 +98,8 @@ def test_no_store_bypasses_the_cache():
     for _ in range(3):
         assert client.get("http://origin/secret") == b"never cached"
     # Every request reached the origin; nothing landed in the store.
-    assert origin.requests_by_method.get("GET", 0) == 3
+    gets = origin.metrics.counter("server.requests_total", method="GET")
+    assert gets.value == 3
     assert proxy.cached_objects == 0
     assert proxy.stats["bypassed"] >= 2
 

@@ -1,23 +1,21 @@
-"""Tests for the S3-compatible interface and signed client requests."""
-
-import xml.etree.ElementTree as ET
+"""Tests for signed (S3-style) access to the flat-object dialect."""
 
 import pytest
 
-from repro.core import DavixClient, RequestParams
-from repro.errors import PermissionDenied, RequestError
-from repro.http import Headers, Request, decode_byteranges
-from repro.http.multipart import content_type_boundary
+from repro.core import Context, DavixClient, ObjectStoreClient, RequestParams
+from repro.errors import PermissionDenied
+from repro.http import Request
+from repro.obs import MetricsRegistry
 from repro.server import (
+    FlatObjectApp,
     HttpServer,
     ObjectStore,
-    S3App,
     S3Credentials,
-    StorageApp,
+    sign_request,
 )
-from repro.server.s3 import compute_signature
+from repro.server.s3 import compute_signature, verify
 
-from tests.helpers import get, one_request, put, sim_world
+from tests.helpers import one_request, sim_world
 
 CREDS = S3Credentials(access_key="AKIATEST", secret_key="sekrit")
 
@@ -25,8 +23,9 @@ CREDS = S3Credentials(access_key="AKIATEST", secret_key="sekrit")
 def s3_world(credentials=CREDS):
     client_rt, server_rt = sim_world()
     store = ObjectStore()
-    store.mkcol("/bucket")
-    app = S3App(store, credentials=credentials)
+    app = FlatObjectApp(
+        store, credentials=credentials, metrics=MetricsRegistry()
+    )
     HttpServer(server_rt, app, port=80).start()
     params = RequestParams(s3_credentials=credentials)
     client = DavixClient(client_rt, params=params)
@@ -42,6 +41,7 @@ def test_signed_put_get_delete_cycle():
     assert client.stat(url).size == 10
     client.delete(url)
     assert not store.exists("/bucket/data/obj.bin")
+    assert app.auth_failures == 0
 
 
 def test_unsigned_request_rejected_403():
@@ -51,6 +51,9 @@ def test_unsigned_request_rejected_403():
     with pytest.raises(PermissionDenied):
         anon.get("http://server/bucket/x")
     assert app.auth_failures >= 1
+    # A refused request is still a counted request, like any other.
+    refused = app.metrics.counter("server.responses_total", status="403")
+    assert refused.value == app.auth_failures == app.requests_handled
 
 
 def test_wrong_secret_rejected():
@@ -85,65 +88,38 @@ def test_range_and_vectored_reads_work_on_s3():
     ]
 
 
-def test_list_objects_xml():
+def test_list_keys_over_a_signed_endpoint():
     client, app, store = s3_world()
     store.put("/bucket/a/one.bin", b"1")
     store.put("/bucket/a/two.bin", b"22")
-    store.put("/bucket/b/three.bin", b"333")
+    store.put("/logs/x.log", b"333")
+    objects = ObjectStoreClient(
+        Context(params=RequestParams(s3_credentials=CREDS)),
+        "http://server/",
+    )
+    assert client.runtime.run(objects.list_keys()) == [
+        "/bucket/a/one.bin",
+        "/bucket/a/two.bin",
+        "/logs/x.log",
+    ]
+    assert client.runtime.run(objects.list_keys(prefix="/logs/")) == [
+        "/logs/x.log"
+    ]
+    assert app.auth_failures == 0
 
-    from tests.helpers import http_exchange
-    from repro.server.s3 import sign_request
-
-    def op():
-        request = Request("GET", "/bucket?list-type=2")
-        sign_request(request, CREDS, date="0.000000")
-        responses = yield from http_exchange(("server", 80), [request])
-        return responses[0]
-
-    response = client.runtime.run(op())
-    assert response.status == 200
-    root = ET.fromstring(response.body)
-    keys = [el.findtext("Key") for el in root.findall("Contents")]
-    assert keys == ["a/one.bin", "a/two.bin", "b/three.bin"]
-    assert root.findtext("KeyCount") == "3"
-
-
-def test_list_objects_prefix_filter():
-    client, app, store = s3_world()
-    store.put("/bucket/logs/x.log", b"1")
-    store.put("/bucket/data/y.bin", b"2")
-
-    from repro.server.s3 import sign_request
-    from tests.helpers import http_exchange
-
-    def op():
-        request = Request("GET", "/bucket?list-type=2&prefix=logs/")
-        sign_request(request, CREDS, date="0.000000")
-        responses = yield from http_exchange(("server", 80), [request])
-        return responses[0]
-
-    response = client.runtime.run(op())
-    root = ET.fromstring(response.body)
-    keys = [el.findtext("Key") for el in root.findall("Contents")]
-    assert keys == ["logs/x.log"]
+    # The listing is as private as the objects.
+    response = client.runtime.run(
+        one_request(("server", 80), Request("GET", "/?list=1"))
+    )
+    assert response.status == 403
+    assert app.auth_failures == 1
 
 
-def test_missing_key_is_404_with_xml_code():
+def test_missing_key_is_404():
     client, app, store = s3_world()
     with pytest.raises(Exception) as info:
         client.get("http://server/bucket/nope")
     assert getattr(info.value, "status", None) == 404
-
-
-def test_missing_bucket_listing_404():
-    client, app, store = s3_world(credentials=None)
-    from tests.helpers import one_request
-
-    response = client.runtime.run(
-        one_request(("server", 80), get("/nobucket"))
-    )
-    assert response.status == 404
-    assert b"NoSuchBucket" in response.body
 
 
 def test_signature_is_method_and_path_bound():
@@ -153,3 +129,17 @@ def test_signature_is_method_and_path_bound():
     assert sig_get != sig_put
     assert sig_get != sig_other
     assert sig_get == compute_signature(CREDS, "GET", "/bucket/x", "123")
+
+
+def test_verify_accepts_only_the_signed_request():
+    request = Request("GET", "/bucket/x?list=1")
+    assert not verify(request, CREDS)
+    sign_request(request, CREDS, date="123")
+    assert verify(request, CREDS)
+    assert not verify(request, S3Credentials("AKIATEST", "wrong"))
+    assert not verify(request, S3Credentials("OTHER", "sekrit"))
+    request.headers.set("Authorization", "AWS AKIATEST")
+    assert not verify(request, CREDS)
+    # Whatever the peer sends is compared, never raised on.
+    request.headers.set("Authorization", "AWS AKIATEST:café")
+    assert not verify(request, CREDS)
