@@ -11,9 +11,9 @@ from typing import Any, Generator, Optional
 
 from repro.concurrency import effects as fx
 from repro.concurrency.runtime import Runtime, TaskHandle
-from repro.errors import TransferTimeout
+from repro.errors import ProcessInterrupt, TransferTimeout
 from repro.net.network import Network
-from repro.sim import Environment
+from repro.sim import Environment, Event
 
 __all__ = ["SimRuntime"]
 
@@ -91,18 +91,11 @@ class SimRuntime(Runtime):
             yield step.channel.send(step.data)
             return None
         if isinstance(step, fx.Recv):
-            recv_event = step.channel.recv(step.max_bytes)
-            if step.timeout is None:
-                data = yield recv_event
-                return data
-            timer = env.timeout(step.timeout)
-            yield recv_event | timer
-            if recv_event.processed:
-                return recv_event.value
-            raise TransferTimeout(
-                f"recv on {step.channel.local} timed out "
-                f"after {step.timeout}s"
+            channel = step.channel
+            data = yield from self._wait(
+                channel.recv(step.max_bytes), step.timeout, channel
             )
+            return data
         if isinstance(step, fx.Close):
             step.channel.close()
             return None
@@ -124,15 +117,42 @@ class SimRuntime(Runtime):
 
             return SimPromise(env)
         if isinstance(step, fx.Await):
-            wait_event = step.promise._wait_event()
-            if step.timeout is None:
-                value = yield wait_event
-                return value
-            timer = env.timeout(step.timeout)
-            yield wait_event | timer
-            if wait_event.processed:
-                return wait_event.value
-            raise TransferTimeout(
-                f"promise await timed out after {step.timeout}s"
+            value = yield from self._wait(
+                step.promise._wait_event(), step.timeout
             )
+            return value
         raise TypeError(f"unknown effect {step!r}")
+
+    def _wait(self, event: Event, timeout: Optional[float], channel=None):
+        """Wait on ``event`` itself, for at most ``timeout`` seconds.
+
+        The deadline is a timer whose only callback interrupts this
+        process; it is cancelled the moment the wait ends, so a stale
+        timer pins nothing (above all not the received burst) until its
+        deadline. ``channel`` is given for a receive: the getter an
+        expired wait leaves behind is withdrawn from it.
+        """
+        if timeout is None:
+            value = yield event
+            return value
+        process = self.env.active_process
+        timer = self.env.timeout(timeout)
+        # An event that has its value is about to resume the process.
+        timer.callbacks.append(
+            lambda _t: event.triggered or process.interrupt(timer)
+        )
+        try:
+            value = yield event
+            return value
+        except ProcessInterrupt as interrupt:
+            if interrupt.cause is not timer:
+                raise
+            what = "promise await"
+            if channel is not None:
+                channel.cancel_recv(event)
+                what = f"recv on {channel.local}"
+            raise TransferTimeout(
+                f"{what} timed out after {timeout}s"
+            ) from None
+        finally:
+            timer.cancel()

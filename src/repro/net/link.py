@@ -81,9 +81,9 @@ class Wire:
     def acquire(self):
         """Claim the wire; returns a :class:`~repro.sim.resources.Request`.
 
-        The TCP sender acquires the source uplink and destination
-        downlink together so a burst occupies both for its serialisation
-        time (see :mod:`repro.net.tcp`).
+        A burst claims each wire of its path in turn and holds it for
+        its serialisation time at that wire's rate (see
+        :mod:`repro.net.tcp`).
         """
         return self._resource.request()
 
@@ -91,19 +91,6 @@ class Wire:
         """Account a completed transmission for utilisation statistics."""
         self.bytes_carried += size
         self.busy_time += duration
-
-    def transmit(self, size: int, rate_cap: float):
-        """Process generator: occupy the wire while ``size`` bytes pass.
-
-        ``rate_cap`` is the path bottleneck; the effective rate is
-        ``min(rate_cap, self.bandwidth)``.
-        """
-        rate = min(rate_cap, self.bandwidth)
-        duration = size / rate
-        with self._resource.request() as req:
-            yield req
-            yield self.env.timeout(duration)
-        self.record(size, duration)
 
     @property
     def queue_length(self) -> int:

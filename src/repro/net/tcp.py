@@ -246,57 +246,15 @@ class _HalfStream:
                 self.spec.loss_rate > 0
                 and self.rng.random() < self.spec.loss_rate
             )
-            # Each burst traverses the path in its own process so
-            # consecutive bursts pipeline across the wires (burst n+1
-            # occupies the uplink while burst n crosses the backbone).
-            # Per-wire FIFO keeps deliveries in order.
-            self._transit += 1
-            env.process(self._transmit(chunk, lost))
-            # Yield so the transmit process reaches the first wire (and
-            # its queue slot) before the next burst is cut.
+            _Burst(self, chunk, lost)
+            # Yield so the application can queue its next write before
+            # the next burst is cut.
             yield env.timeout(0)
 
-    def _transmit(self, chunk: bytes, lost: bool):
-        """One burst's journey: wires, propagation, delivery, ack."""
-        env = self.env
-        opts = self.options
-        size = len(chunk)
-        duration = 0.0
-        # Store-and-forward across the path: each wire is occupied for
-        # the burst's serialisation time at *its own* rate, so a slow
-        # path does not block a fast receiver's other flows.
-        for wire in self.path_wires:
-            claim = wire.acquire()
-            yield claim
-            duration = size / wire.bandwidth
-            yield env.timeout(duration)
-            claim.release()
-            wire.record(size, duration)
-        self.bytes_sent += size
-
-        delay = self.spec.latency + self.jitter_offset
-        if lost:
-            # Loss episode: the burst is retransmitted after an RTO.
-            delay += opts.rto + duration
-            self.loss_episodes += 1
-
-        deliver_at = max(env.now + delay, self._last_delivery_at + 1e-12)
-        self._last_delivery_at = deliver_at
-        delivery = env.timeout(deliver_at - env.now)
-        delivery.callbacks.append(
-            lambda _evt, data=chunk: self._deliver(data)
-        )
-        ack = env.timeout(deliver_at - env.now + self.spec.latency)
-        ack.callbacks.append(
-            lambda _evt, n=size, was_lost=lost: self._on_ack(n, was_lost)
-        )
-        self._transit -= 1
-        self._transit_done.fire()
-
-    def _deliver(self, data: bytes) -> None:
+    def _deliver(self, delivery: Event) -> None:
         if self.aborted or self.rx.closed:
             return
-        self.rx.put(data)
+        self.rx.put(delivery._value)
 
     def _schedule_eof(self) -> None:
         delay = self.spec.latency + self.jitter_offset
@@ -323,6 +281,73 @@ class _HalfStream:
         self.cwnd = min(self.cwnd, float(self.options.max_window))
         self.last_activity = self.env.now
         self._acked.fire()
+
+
+class _Burst:
+    """One burst's journey: wires, propagation, delivery, ack.
+
+    A chain of callbacks on the wire claims and timeouts themselves,
+    not a kernel process: consecutive bursts pipeline across the wires
+    (burst n+1 occupies the uplink while burst n crosses the backbone)
+    and per-wire FIFO keeps deliveries in order. The first wire is
+    claimed when the burst is cut.
+    """
+
+    __slots__ = ("half", "chunk", "lost", "hop", "claim", "duration")
+
+    def __init__(self, half: "_HalfStream", chunk: bytes, lost: bool):
+        self.half = half
+        self.chunk = chunk
+        self.lost = lost
+        self.hop = 0
+        self.duration = 0.0
+        half._transit += 1
+        self._enter_wire()
+
+    def _enter_wire(self) -> None:
+        wires = self.half.path_wires
+        if self.hop == len(wires):
+            self._arrive()
+            return
+        self.claim = wires[self.hop].acquire()
+        self.claim.callbacks.append(self._hold_wire)
+
+    def _hold_wire(self, _claim: Event) -> None:
+        # Store-and-forward across the path: each wire is occupied for
+        # the burst's serialisation time at *its own* rate, so a slow
+        # path does not block a fast receiver's other flows.
+        half = self.half
+        self.duration = len(self.chunk) / half.path_wires[self.hop].bandwidth
+        half.env.timeout(self.duration).callbacks.append(self._leave_wire)
+
+    def _leave_wire(self, _held: Event) -> None:
+        self.claim.release()
+        self.half.path_wires[self.hop].record(len(self.chunk), self.duration)
+        self.hop += 1
+        self._enter_wire()
+
+    def _arrive(self) -> None:
+        half = self.half
+        env = half.env
+        size = len(self.chunk)
+        half.bytes_sent += size
+
+        delay = half.spec.latency + half.jitter_offset
+        if self.lost:
+            # Loss episode: the burst is retransmitted after an RTO.
+            delay += half.options.rto + self.duration
+            half.loss_episodes += 1
+
+        deliver_at = max(env.now + delay, half._last_delivery_at + 1e-12)
+        half._last_delivery_at = deliver_at
+        delivery = env.timeout(deliver_at - env.now, self.chunk)
+        delivery.callbacks.append(half._deliver)
+        ack = env.timeout(deliver_at - env.now + half.spec.latency)
+        ack.callbacks.append(
+            lambda _evt, n=size, was_lost=self.lost: half._on_ack(n, was_lost)
+        )
+        half._transit -= 1
+        half._transit_done.fire()
 
 
 class ConnectionSide:
@@ -389,29 +414,35 @@ class ConnectionSide:
         """
         if max_bytes <= 0:
             raise ValueError("max_bytes must be > 0")
-        event = Event(self._out.env)
         if self._leftover:
             take = bytes(self._leftover[:max_bytes])
             del self._leftover[:max_bytes]
-            event.succeed(take)
-            return event
-        inner = self._in.rx.get()
-        inner.callbacks.append(
-            lambda evt: self._on_rx(event, evt.value, max_bytes)
-        )
+            return Event(self._out.env).succeed(take)
+        # The mailbox's own event, one hop from burst to waiter: its
+        # first callback turns the mailbox item into what recv promises
+        # before any waiter's callback sees the value.
+        event = self._in.rx.get()
+        event.callbacks.append(lambda evt: self._on_rx(evt, max_bytes))
         return event
 
-    def _on_rx(self, event: Event, item, max_bytes: int) -> None:
+    def _on_rx(self, event: Event, max_bytes: int) -> None:
+        item = event._value
         if item is EOF:
             if self._in.reset:
-                event.fail(ConnectionClosed(f"{self.local}: reset by peer"))
+                event._ok = False
+                event._value = ConnectionClosed(f"{self.local}: reset by peer")
             else:
-                event.succeed(b"")
+                event._value = b""
             return
         if len(item) > max_bytes:
             self._leftover.extend(item[max_bytes:])
             item = item[:max_bytes]
-        event.succeed(bytes(item))
+        event._value = bytes(item)
+
+    def cancel_recv(self, event: Event) -> None:
+        """Withdraw a :meth:`recv` nobody waits on any more, so that it
+        cannot swallow the next burst."""
+        self._in.rx.withdraw(event)
 
     def close(self) -> None:
         """Graceful close of our sending half (FIN after queued data)."""

@@ -9,7 +9,7 @@ from repro.sim.core import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.sync import EOF, Gate, Mailbox, Signal
 
 __all__ = [
@@ -20,9 +20,7 @@ __all__ = [
     "Event",
     "Process",
     "Timeout",
-    "Container",
     "Resource",
-    "Store",
     "EOF",
     "Gate",
     "Mailbox",

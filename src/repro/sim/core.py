@@ -13,7 +13,7 @@ produces identical timings.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ProcessInterrupt, SimulationError, StopSimulation
@@ -146,6 +146,27 @@ class Timeout(Event):
         env._eid += 1
         heappush(env._queue, (env._now + delay, env._eid, self))
 
+    def cancel(self) -> None:
+        """Disarm a timer nobody waits on: it will not fire, and from
+        now on it reaches nothing. A no-op once it has fired.
+
+        The heap entry stays until cancelled entries outnumber live
+        ones, then the heap is rebuilt without them; pop order is a
+        total order on ``(time, seq)``, so that cannot reorder anything.
+        """
+        if self.callbacks is None:
+            return
+        self.callbacks = None
+        env = self.env
+        queue = env._queue
+        env._cancelled += 1
+        if env._cancelled * 2 > len(queue):
+            queue[:] = [
+                entry for entry in queue if entry[2].callbacks is not None
+            ]
+            heapify(queue)
+            env._cancelled = 0
+
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
 
@@ -277,6 +298,8 @@ class Condition(Event):
             return
 
         for event in self._events:
+            if self._value is not _PENDING:
+                break  # decided by an already-processed event
             if event.callbacks is None:
                 self._check(event)
             else:
@@ -300,6 +323,14 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             self.succeed(self._collect())
+        else:
+            return
+        # Decided: let go of the events still pending, or each of them
+        # keeps this condition, and with it every collected value,
+        # alive until it fires.
+        for other in self._events:
+            if other.callbacks is not None and self._check in other.callbacks:
+                other.callbacks.remove(self._check)
 
 
 class AllOf(Condition):
@@ -327,6 +358,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list = []
         self._eid = 0
+        #: Cancelled timers still in the heap.
+        self._cancelled = 0
         self._active_process: Optional[Process] = None
 
     @property
@@ -406,8 +439,14 @@ class Environment:
                 if queue[0][0] > horizon:
                     self._now = stop_at
                     return None
-                self._now, _, event = heappop(queue)
-                callbacks, event.callbacks = event.callbacks, None
+                when, _, event = heappop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    # A cancelled timer: not even the clock moves.
+                    self._cancelled -= 1
+                    continue
+                self._now = when
+                event.callbacks = None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:

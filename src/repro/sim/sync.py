@@ -2,7 +2,7 @@
 
 These are the coordination primitives the protocol clients use inside
 the simulator: a broadcast :class:`Signal`, a one-shot :class:`Gate`,
-and a :class:`Mailbox` with close semantics (an EOF-aware Store).
+and a :class:`Mailbox` with close semantics (an EOF-aware FIFO).
 """
 
 from __future__ import annotations
@@ -124,6 +124,14 @@ class Mailbox:
         else:
             self._getters.append(event)
         return event
+
+    def withdraw(self, event: Event) -> None:
+        """Forget a pending :meth:`get` nobody waits on any more, so
+        that it cannot swallow the next item."""
+        try:
+            self._getters.remove(event)
+        except ValueError:
+            pass  # already served
 
     def close(self) -> None:
         """Close the mailbox; pending getters receive :data:`EOF`."""

@@ -26,13 +26,23 @@ def test_linkspec_validation(kwargs):
         LinkSpec(**kwargs)
 
 
+def _occupy(env, wire, size):
+    """Hold ``wire`` for ``size`` bytes' serialisation time, as a TCP
+    burst does."""
+    duration = size / wire.bandwidth
+    with wire.acquire() as claim:
+        yield claim
+        yield env.timeout(duration)
+    wire.record(size, duration)
+
+
 def test_wire_serialises_transmissions():
     env = Environment()
     wire = Wire(env, bandwidth=1000.0)
     done = []
 
     def sender(tag, size):
-        yield env.process(wire.transmit(size, rate_cap=1e9))
+        yield from _occupy(env, wire, size)
         done.append((tag, env.now))
 
     env.process(sender("a", 500))
@@ -44,18 +54,13 @@ def test_wire_serialises_transmissions():
     assert wire.utilisation(1.0) == pytest.approx(1.0)
 
 
-def test_wire_rate_cap_applies():
+def test_wire_queue_length_under_contention():
     env = Environment()
-    wire = Wire(env, bandwidth=1e9)
-    done = []
-
-    def sender():
-        yield env.process(wire.transmit(1000, rate_cap=1000.0))
-        done.append(env.now)
-
-    env.process(sender())
-    env.run()
-    assert done == [pytest.approx(1.0)]
+    wire = Wire(env, bandwidth=1000.0)
+    for _ in range(3):
+        env.process(_occupy(env, wire, 1000))
+    env.run(until=0.5)
+    assert wire.queue_length == 2  # one transmitting, two queued
 
 
 def test_wire_rejects_bad_bandwidth():

@@ -363,6 +363,58 @@ def test_recv_max_bytes_partial_delivery():
     assert env.run(env.process(client())) == (b"abc", b"def", b"gh")
 
 
+def test_cancelled_recv_does_not_swallow_the_next_burst():
+    env, net = make_pair()
+    listener = net.listen("server", 80)
+
+    def server():
+        side = yield listener.accept()
+        yield env.timeout(1.0)
+        yield side.send(b"payload")
+        side.close()
+
+    def client():
+        side = yield net.connect("client", ("server", 80))
+        abandoned = side.recv()
+        yield env.timeout(0.5)
+        side.cancel_recv(abandoned)
+        data = yield side.recv()
+        rest = yield side.recv()
+        return data, rest, abandoned.triggered
+
+    env.process(server())
+    assert env.run(env.process(client())) == (b"payload", b"", False)
+
+
+def test_recv_resumes_its_waiter_in_the_step_the_burst_arrives():
+    """One hop from mailbox to waiter: nothing else scheduled for the
+    same instant, however early, gets in between."""
+    env, net = make_pair()
+    listener = net.listen("server", 80)
+    order = []
+
+    def server():
+        side = yield listener.accept()
+        yield side.send(b"x" * 100)
+
+    def client():
+        side = yield net.connect("client", ("server", 80))
+        pending = side.recv(10)
+        pending.callbacks.append(
+            lambda _evt: env.event().succeed().callbacks.append(
+                lambda _e: order.append("scheduled on arrival")
+            )
+        )
+        data = yield pending
+        order.append("waiter resumed")
+        return data
+
+    env.process(server())
+    assert env.run(env.process(client())) == b"x" * 10
+    env.run()
+    assert order == ["waiter resumed", "scheduled on arrival"]
+
+
 def test_bandwidth_shared_between_connections():
     # Two simultaneous 1 MB downloads through one 1 MB/s server uplink
     # finish in ~2 s (vs ~1 s for a single download).

@@ -196,6 +196,45 @@ def test_condition_operators():
     assert env.run(env.process(proc())) == (1, 4)
 
 
+def test_fired_condition_lets_go_of_the_losers():
+    """A decided ``a | b`` must not stay hooked on the loser: through
+    that hook a pending 120 s timer would keep the condition, and with
+    it the winner's value, alive until its deadline."""
+    env = Environment()
+    seen = []
+
+    def proc():
+        data_event = env.event()
+        timer = env.timeout(120)
+        env.timeout(1).callbacks.append(
+            lambda _evt: data_event.succeed(b"burst")
+        )
+        condition = data_event | timer
+        results = yield condition
+        seen.append((env.now, dict(results), condition, timer))
+
+    env.process(proc())
+    env.run(until=2)
+    (when, results, condition, timer), = seen
+    assert when == 1
+    assert list(results.values()) == [b"burst"]
+    assert timer.callbacks == []
+    # The late timer changes nothing about the decided condition.
+    env.run()
+    assert env.now == 120
+    assert list(condition.value.values()) == [b"burst"]
+
+
+def test_condition_decided_at_construction_hooks_nothing():
+    env = Environment()
+    done = env.event().succeed("early")
+    env.run()
+    timer = env.timeout(120)
+    condition = AnyOf(env, [done, timer])
+    assert condition.triggered
+    assert timer.callbacks == []
+
+
 def test_interrupt_delivers_cause():
     env = Environment()
 
@@ -423,6 +462,47 @@ def test_doubly_scheduled_event_raises():
         pending.succeed()
     # None of the refused attempts left a second heap entry behind.
     assert len(env._queue) == 3
+
+
+def test_cancelled_timer_never_fires_and_does_not_move_the_clock():
+    env = Environment()
+    fired = []
+    keeper = env.timeout(1)
+    keeper.callbacks.append(lambda _evt: fired.append("keeper"))
+    stale = env.timeout(120)
+    stale.callbacks.append(lambda _evt: fired.append("stale"))
+    keeper2 = env.timeout(2)  # keeps live entries in the majority
+    stale.cancel()
+    stale.cancel()
+    assert stale.callbacks is None
+    env.run()
+    assert fired == ["keeper"]
+    assert env.now == 2
+    keeper2.cancel()  # fired already: a no-op
+    assert env._cancelled == 0
+
+
+def test_cancelled_timers_leave_the_heap_without_reordering_the_rest():
+    def run(cancel):
+        env = Environment()
+        log = []
+
+        def ticker(tag, period):
+            for _ in range(50):
+                deadline = env.timeout(120)
+                yield env.timeout(period)
+                log.append((env.now, tag))
+                if cancel:
+                    deadline.cancel()
+                    assert len(env._queue) <= 8
+
+        env.process(ticker("a", 0.5))
+        env.process(ticker("b", 0.25))
+        env.process(ticker("c", 0.5))
+        env.run(until=100)
+        return log
+
+    assert run(cancel=True) == run(cancel=False)
 
 
 def test_events_carry_no_instance_dict():

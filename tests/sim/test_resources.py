@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Container."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -93,89 +93,3 @@ def test_resource_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):
         Resource(env, capacity=0)
-
-
-def test_store_fifo_and_blocking():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            received.append((env.now, item))
-
-    def producer():
-        store.put("x")
-        yield env.timeout(2)
-        store.put("y")
-        yield env.timeout(2)
-        store.put("z")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert received == [(0, "x"), (2, "y"), (4, "z")]
-
-
-def test_store_try_get():
-    env = Environment()
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(1)
-    assert len(store) == 1
-    assert store.try_get() == 1
-    assert store.try_get() is None
-
-
-def test_container_blocks_until_level():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    log = []
-
-    def consumer():
-        yield tank.get(30)
-        log.append(("got", env.now))
-
-    def producer():
-        yield env.timeout(1)
-        yield tank.put(10)
-        yield env.timeout(1)
-        yield tank.put(25)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert log == [("got", 2)]
-    assert tank.level == 5
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    log = []
-
-    def producer():
-        yield tank.put(5)
-        log.append(("put", env.now))
-
-    def consumer():
-        yield env.timeout(3)
-        yield tank.get(8)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [("put", 3)]
-    assert tank.level == 7
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        tank.put(-1)

@@ -151,6 +151,20 @@ def test_mailbox_close_wakes_blocked_getter():
     assert env.run(task) is True
 
 
+def test_mailbox_withdrawn_getter_is_skipped():
+    env = Environment()
+    box = Mailbox(env)
+    abandoned = box.get()
+    waiting = box.get()
+    box.withdraw(abandoned)
+    box.withdraw(abandoned)  # twice, or once served: harmless
+    box.put("item")
+    env.run()
+    assert not abandoned.triggered
+    assert waiting.value == "item"
+    box.withdraw(waiting)
+
+
 def test_mailbox_put_after_close_rejected():
     env = Environment()
     box = Mailbox(env)

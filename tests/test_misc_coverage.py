@@ -80,23 +80,6 @@ def test_listener_backlog_counts_unaccepted():
     assert listener.backlog == 2
 
 
-def test_wire_queue_length_under_contention():
-    from repro.net.link import Wire
-    from repro.sim import Environment
-
-    env = Environment()
-    wire = Wire(env, bandwidth=1000.0)
-
-    def sender():
-        yield env.process(wire.transmit(1000, 1e9))
-
-    env.process(sender())
-    env.process(sender())
-    env.process(sender())
-    env.run(until=0.5)
-    assert wire.queue_length == 2  # one transmitting, two queued
-
-
 # -- runner: xrootd with materialised data ------------------------------------------
 
 
@@ -159,16 +142,6 @@ def test_empty_condition_fires_immediately():
         return env.now
 
     assert env.run(env.process(waiter())) == 0
-
-
-def test_store_items_snapshot():
-    from repro.sim import Environment, Store
-
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    assert store.items == ("a", "b")
 
 
 # -- synthetic content checksum helpers ----------------------------------------------
