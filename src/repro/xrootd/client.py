@@ -16,6 +16,7 @@ from repro.concurrency import (
     Close,
     Connect,
     MakePromise,
+    Recv,
     Send,
     Spawn,
 )
@@ -53,9 +54,9 @@ class XrdClient:
         self.endpoint = endpoint
         self._next_streamid = 1
         self._pending: Dict[int, object] = {}
-        self._partials: Dict[int, bytearray] = {}
+        #: oksofar payloads of pending streams, as the buffers received.
+        self._partials: Dict[int, list] = {}
         self._closed = False
-        self._reader_task = None
         self.requests_sent = 0
         self.bytes_read = 0
 
@@ -64,20 +65,16 @@ class XrdClient:
         """Effect sub-op: connect and start the demultiplexer."""
         channel = yield Connect(endpoint, tcp_options)
         client = cls(channel, endpoint)
-        client._reader_task = yield Spawn(
-            client._reader(), name=f"xrootd-demux-{endpoint[0]}"
-        )
+        yield Spawn(client._reader(), name=f"xrootd-demux-{endpoint[0]}")
         return client
 
     # -- demultiplexer -----------------------------------------------------------
 
     def _reader(self):
-        from repro.concurrency import Recv
-
         reader = proto.FrameReader()
         try:
             while True:
-                frame = reader.next_frame()
+                frame = reader.next_pieces()
                 if frame is None:
                     data = yield Recv(self.channel)
                     if not data:
@@ -86,23 +83,24 @@ class XrdClient:
                         )
                     reader.feed(data)
                     continue
-                streamid, status, payload = frame
+                streamid, status, pieces = frame
                 if status == proto.STATUS_OKSOFAR:
-                    # Partial response: accumulate until the final OK.
-                    self._partials.setdefault(
-                        streamid, bytearray()
-                    ).extend(payload)
+                    # Partial response: accumulate until the final OK,
+                    # unless nobody awaits this stream.
+                    if streamid in self._pending:
+                        self._partials.setdefault(streamid, []).extend(pieces)
                     continue
                 promise = self._pending.pop(streamid, None)
-                buffered = self._partials.pop(streamid, None)
+                partial = self._partials.pop(streamid, None)
                 if promise is None:
                     continue  # response to an abandoned request
-                if buffered is not None:
-                    buffered.extend(payload)
-                    payload = bytes(buffered)
-                promise.resolve(proto.ResponseFrame(streamid, status, payload))
+                if partial is not None:
+                    partial.extend(pieces)
+                    pieces = partial
+                promise.resolve(proto.ResponseFrame(streamid, status, pieces))
         except (ConnectionClosed, XrootdError) as exc:
             self._closed = True
+            self._partials.clear()
             for promise in list(self._pending.values()):
                 promise.reject(
                     ConnectionClosed(f"xrootd connection lost: {exc}")
@@ -175,8 +173,9 @@ class XrdClient:
         if not frame.ok:
             code, message = proto.decode_error(frame.payload)
             raise XrootdError(message, code=code)
-        self.bytes_read += len(frame.payload)
-        return frame.payload
+        data = frame.payload
+        self.bytes_read += len(data)
+        return data
 
     def readv(self, file: XrdFile, chunks: List[Tuple[int, int]]):
         """Effect sub-op: vectored read -> list of bytes, input order."""
@@ -186,7 +185,7 @@ class XrdClient:
         frame = yield from self.request(
             proto.KXR_READV, proto.encode_readv(entries)
         )
-        pieces = proto.decode_readv_reply(frame.payload)
+        pieces = proto.decode_readv_reply(frame.pieces)
         self.bytes_read += sum(len(piece) for piece in pieces)
         return pieces
 

@@ -15,8 +15,9 @@ Frame layout (big-endian):
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import XrootdError
 
@@ -30,9 +31,9 @@ __all__ = [
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_OKSOFAR",
-    "RequestFrame",
     "ResponseFrame",
     "FrameReader",
+    "gather_frame",
     "encode_request",
     "encode_response",
     "encode_open",
@@ -43,6 +44,7 @@ __all__ = [
     "decode_read",
     "encode_readv",
     "decode_readv",
+    "gather_readv_reply",
     "encode_readv_reply",
     "decode_readv_reply",
     "encode_close",
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 HEADER = struct.Struct(">HHI")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
 
 # Request ids (mirroring kXR_* numbering style).
 KXR_OPEN = 3010
@@ -75,35 +79,48 @@ MAX_DLEN = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
-class RequestFrame:
-    streamid: int
-    reqid: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
 class ResponseFrame:
+    """A complete response, every ``oksofar`` partial included.
+
+    The payload stays the buffers it arrived in (whole received bursts
+    and views of them) until :attr:`payload` is asked for.
+    """
+
     streamid: int
     status: int
-    payload: bytes
+    pieces: Sequence[bytes]
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
+    @property
+    def payload(self) -> bytes:
+        return b"".join(self.pieces)
+
+
+def gather_frame(
+    streamid: int, code: int, pieces: Sequence[bytes]
+) -> List[bytes]:
+    """A frame as ``[header, *pieces]``, for one gather ``Send``.
+
+    ``code`` is the request id or the response status; the join of the
+    list is the frame on the wire.
+    """
+    dlen = sum(map(len, pieces))
+    if dlen > MAX_DLEN:
+        raise XrootdError(f"payload too large: {dlen}")
+    return [HEADER.pack(streamid, code, dlen), *pieces]
+
 
 def encode_request(streamid: int, reqid: int, payload: bytes = b"") -> bytes:
     """Serialise a request frame."""
-    if len(payload) > MAX_DLEN:
-        raise XrootdError(f"payload too large: {len(payload)}")
-    return HEADER.pack(streamid, reqid, len(payload)) + payload
+    return b"".join(gather_frame(streamid, reqid, (payload,)))
 
 
 def encode_response(streamid: int, status: int, payload: bytes = b"") -> bytes:
     """Serialise a response frame."""
-    if len(payload) > MAX_DLEN:
-        raise XrootdError(f"payload too large: {len(payload)}")
-    return HEADER.pack(streamid, status, len(payload)) + payload
+    return b"".join(gather_frame(streamid, status, (payload,)))
 
 
 class FrameReader:
@@ -111,34 +128,84 @@ class FrameReader:
 
     Feed bytes, pop ``(streamid, code, payload)`` triples. ``code`` is
     the request id on the server side, the status on the client side.
+    What is fed is kept as the buffers it came in, never staged:
+    :meth:`next_pieces` cuts a payload out of them as whole buffers and
+    views, and :meth:`next_frame` is its join.
     """
 
     def __init__(self):
-        self._buffer = bytearray()
+        self._bursts = deque()
+        self._offset = 0  # consumed prefix of self._bursts[0]
+        self._size = 0  # unconsumed bytes over all of them
+        self._header = None  # of the frame whose payload is awaited
 
     def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
+        if type(data) is not bytes:
+            # Copied once, so that no payload aliases a caller's buffer.
+            data = bytes(data)
+        if data:
+            self._bursts.append(data)
+            self._size += len(data)
 
-    def next_frame(self) -> Optional[Tuple[int, int, bytes]]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        streamid, code, dlen = HEADER.unpack_from(self._buffer)
+    def _cut(self, count: int) -> List[bytes]:
+        """Consume ``count`` (<= ``_size``) bytes: a buffer used up whole
+        is handed over as it is, a part of one as a view."""
+        bursts = self._bursts
+        start = self._offset
+        self._size -= count
+        pieces = []
+        while count:
+            burst = bursts[0]
+            view = memoryview(burst)[start : start + count]
+            pieces.append(burst if len(view) == len(burst) else view)
+            count -= len(view)
+            start += len(view)
+            if start == len(burst):
+                bursts.popleft()
+                start = 0
+        self._offset = start
+        return pieces
+
+    def next_pieces(self) -> Optional[Tuple[int, int, List[bytes]]]:
+        """:meth:`next_frame` with the payload left as the list of
+        buffers it arrived in."""
+        if self._header is None:
+            if self._size < HEADER.size:
+                return None
+            first, start = self._bursts[0], self._offset
+            if len(first) - start > HEADER.size:
+                self._header = HEADER.unpack_from(first, start)
+                self._offset += HEADER.size
+                self._size -= HEADER.size
+            else:  # it straddles buffers, or uses the first one up
+                self._header = HEADER.unpack(
+                    b"".join(self._cut(HEADER.size))
+                )
+        streamid, code, dlen = self._header
         if dlen > MAX_DLEN:
             raise XrootdError(f"frame dlen {dlen} exceeds maximum")
-        total = HEADER.size + dlen
-        if len(self._buffer) < total:
+        if self._size < dlen:
             return None
-        with memoryview(self._buffer) as view:
-            payload = bytes(view[HEADER.size : total])
-        del self._buffer[:total]
-        return (streamid, code, payload)
+        self._header = None
+        return (streamid, code, self._cut(dlen))
 
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
+    def next_frame(self) -> Optional[Tuple[int, int, bytes]]:
+        frame = self.next_pieces()
+        if frame is None:
+            return None
+        streamid, code, pieces = frame
+        return (streamid, code, b"".join(pieces))
 
 
 # -- payload codecs --------------------------------------------------------------
+
+
+def _unpack(layout: str, payload: bytes, what: str) -> tuple:
+    """``struct.unpack`` of a whole payload, failing typed."""
+    try:
+        return struct.unpack(layout, payload)
+    except struct.error:
+        raise XrootdError(f"bad {what}") from None
 
 
 def encode_open(path: str) -> bytes:
@@ -149,11 +216,14 @@ def encode_open(path: str) -> bytes:
 
 def decode_open(payload: bytes) -> str:
     """Parse an open/stat request payload into the path."""
-    (length,) = struct.unpack_from(">H", payload)
+    length = int.from_bytes(payload[:2], "big")
     raw = payload[2 : 2 + length]
-    if len(raw) != length:
+    if len(payload) < 2 or len(raw) != length:
         raise XrootdError("truncated open payload")
-    return raw.decode("utf-8")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise XrootdError("open path is not UTF-8") from None
 
 
 def encode_open_reply(fhandle: int, size: int) -> bytes:
@@ -163,10 +233,7 @@ def encode_open_reply(fhandle: int, size: int) -> bytes:
 
 def decode_open_reply(payload: bytes) -> Tuple[int, int]:
     """Parse an open reply into (handle, size)."""
-    try:
-        return struct.unpack(">IQ", payload)
-    except struct.error:
-        raise XrootdError("bad open reply") from None
+    return _unpack(">IQ", payload, "open reply")
 
 
 def encode_read(fhandle: int, offset: int, length: int) -> bytes:
@@ -176,10 +243,7 @@ def encode_read(fhandle: int, offset: int, length: int) -> bytes:
 
 def decode_read(payload: bytes) -> Tuple[int, int, int]:
     """Parse a read request into (handle, offset, length)."""
-    try:
-        return struct.unpack(">IQI", payload)
-    except struct.error:
-        raise XrootdError("bad read request") from None
+    return _unpack(">IQI", payload, "read request")
 
 
 def encode_readv(chunks: List[Tuple[int, int, int]]) -> bytes:
@@ -192,10 +256,10 @@ def encode_readv(chunks: List[Tuple[int, int, int]]) -> bytes:
 
 def decode_readv(payload: bytes) -> List[Tuple[int, int, int]]:
     """Parse a readv request into (handle, offset, length) triples."""
-    (count,) = struct.unpack_from(">H", payload)
+    count = int.from_bytes(payload[:2], "big")
     entry = struct.Struct(">IQI")
     expected = 2 + count * entry.size
-    if len(payload) != expected:
+    if len(payload) != expected:  # a payload below two bytes included
         raise XrootdError(
             f"readv payload size {len(payload)} != expected {expected}"
         )
@@ -205,31 +269,75 @@ def decode_readv(payload: bytes) -> List[Tuple[int, int, int]]:
     ]
 
 
+def gather_readv_reply(lengths: Sequence[int], items: Sequence) -> list:
+    """The readv reply layout as a list: a u16 count, then for every
+    chunk its u32 length and ``items[i]`` as given — the chunk's bytes,
+    or what stands for them in a reply still to be read (the server
+    plans with spans)."""
+    out = [_U16.pack(len(lengths))]
+    for length, item in zip(lengths, items):
+        out.append(_U32.pack(length))
+        out.append(item)
+    return out
+
+
 def encode_readv_reply(pieces: List[bytes]) -> bytes:
     """Length-prefixed concatenation of the readv result chunks."""
-    out = [struct.pack(">H", len(pieces))]
-    for piece in pieces:
-        out.append(struct.pack(">I", len(piece)))
-        out.append(piece)
-    return b"".join(out)
+    return b"".join(gather_readv_reply(list(map(len, pieces)), pieces))
 
 
-def decode_readv_reply(payload: bytes) -> List[bytes]:
-    """Parse a readv reply into its data chunks."""
-    (count,) = struct.unpack_from(">H", payload)
-    pieces = []
-    cursor = 2
-    for _ in range(count):
-        if cursor + 4 > len(payload):
+def _across(buf, pos: int, rest, count: int):
+    """Cut ``count`` bytes that start at ``buf[pos]`` and may end in a
+    later buffer of the iterator ``rest``: one join of views. Returns
+    the bytes, and the buffer and position the cut ended at."""
+    views = []
+    while True:
+        view = memoryview(buf)[pos : pos + count]
+        views.append(view)
+        pos += len(view)
+        count -= len(view)
+        if not count:
+            return b"".join(views), buf, pos
+        buf = next(rest, None)
+        if buf is None:
             raise XrootdError("truncated readv reply")
-        (length,) = struct.unpack_from(">I", payload, cursor)
-        cursor += 4
-        piece = payload[cursor : cursor + length]
-        if len(piece) != length:
-            raise XrootdError("truncated readv reply chunk")
+        pos = 0
+
+
+def decode_readv_reply(payload) -> List[bytes]:
+    """Parse a readv reply into its data chunks.
+
+    ``payload`` is the reply as one buffer, or as the list of buffers
+    it arrived in (:attr:`ResponseFrame.pieces`), which is never
+    joined: a chunk that lies inside one buffer is one slice of it, a
+    chunk across several is one join of views.
+    """
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        payload = (payload,)
+    rest = iter(payload)
+    buf, pos = next(rest, b""), 2
+    if len(buf) >= 2:
+        (count,) = _U16.unpack_from(buf)
+    else:
+        raw, buf, pos = _across(buf, 0, rest, 2)
+        (count,) = _U16.unpack(raw)
+    pieces = []
+    for _ in range(count):
+        if pos + 4 <= len(buf):
+            (length,) = _U32.unpack_from(buf, pos)
+            end = pos + 4 + length
+            if end <= len(buf):  # the whole chunk lies inside this buffer
+                piece = buf[pos + 4 : end]
+                if type(piece) is not bytes:  # a slice of a view is a view
+                    piece = bytes(piece)
+                pieces.append(piece)
+                pos = end
+                continue
+        raw, buf, pos = _across(buf, pos, rest, 4)
+        (length,) = _U32.unpack(raw)
+        piece, buf, pos = _across(buf, pos, rest, length)
         pieces.append(piece)
-        cursor += length
-    if cursor != len(payload):
+    if pos != len(buf) or any(map(len, rest)):
         raise XrootdError("trailing bytes in readv reply")
     return pieces
 
@@ -241,11 +349,7 @@ def encode_close(fhandle: int) -> bytes:
 
 def decode_close(payload: bytes) -> int:
     """Parse a close request payload into the handle."""
-    try:
-        (fhandle,) = struct.unpack(">I", payload)
-    except struct.error:
-        raise XrootdError("bad close payload") from None
-    return fhandle
+    return _unpack(">I", payload, "close payload")[0]
 
 
 def encode_stat(path: str) -> bytes:
@@ -260,10 +364,7 @@ def encode_stat_reply(size: int, is_dir: bool) -> bytes:
 
 def decode_stat_reply(payload: bytes) -> Tuple[int, bool]:
     """Parse a stat reply into (size, is_directory)."""
-    try:
-        size, flag = struct.unpack(">QB", payload)
-    except struct.error:
-        raise XrootdError("bad stat reply") from None
+    size, flag = _unpack(">QB", payload, "stat reply")
     return size, bool(flag)
 
 

@@ -43,6 +43,10 @@ class XrdServerConfig:
     #: would otherwise defeat).
     response_chunk: int = 262_144
 
+    def __post_init__(self):
+        if not 1 <= self.response_chunk <= proto.MAX_DLEN:
+            raise ValueError("response_chunk must be 1..MAX_DLEN bytes")
+
 
 class _ConnState:
     """Per-connection open-file table and send serialisation."""
@@ -105,50 +109,42 @@ class XrdServer:
 
     def _process(self, channel, state, streamid, reqid, payload):
         self.requests_handled += 1
+        status = proto.STATUS_OK
         try:
-            status, reply, service = self._dispatch(state, reqid, payload)
+            plan, service = self._dispatch(state, reqid, payload)
+            frames = self._materialise(plan)
         except (XrootdError, StoreError) as exc:
             status = proto.STATUS_ERROR
-            reply = proto.encode_error(1, str(exc))
+            frames = [[proto.encode_error(1, str(exc))]]
             service = self.config.service_overhead
         if service > 0:
             yield Sleep(service)
-        chunk = self.config.response_chunk
+        # Every frame but the last is an oksofar partial; the send lock
+        # is released between frames so other responses interleave on
+        # the connection.
+        codes = [proto.STATUS_OKSOFAR] * (len(frames) - 1) + [status]
         try:
-            if status != proto.STATUS_OK or len(reply) <= chunk:
-                yield from self._send_frame(
-                    channel, state, streamid, status, reply
-                )
-            else:
-                # Stream the payload as oksofar partials; the send lock
-                # is released between frames so other responses
-                # interleave on the connection.
-                for position in range(0, len(reply), chunk):
-                    piece = reply[position : position + chunk]
-                    last = position + chunk >= len(reply)
-                    piece_status = (
-                        proto.STATUS_OK if last else proto.STATUS_OKSOFAR
+            for code, pieces in zip(codes, frames):
+                ticket = yield from state.send_lock.acquire()
+                try:
+                    yield Send(
+                        channel, proto.gather_frame(streamid, code, pieces)
                     )
-                    yield from self._send_frame(
-                        channel, state, streamid, piece_status, piece
-                    )
+                finally:
+                    state.send_lock.release(ticket)
         except ConnectionClosed:
             pass
 
-    def _send_frame(self, channel, state, streamid, status, payload):
-        ticket = yield from state.send_lock.acquire()
-        try:
-            yield Send(
-                channel, proto.encode_response(streamid, status, payload)
-            )
-        finally:
-            state.send_lock.release(ticket)
-
     def _dispatch(self, state, reqid, payload):
-        """(status, reply_payload, service_time) for one request."""
+        """(reply_plan, service_time) for one request.
+
+        The plan is the reply payload in order: ``bytes`` literals, and
+        ``(path, offset, length)`` spans of stored objects that
+        :meth:`_materialise` reads.
+        """
         overhead = self.config.service_overhead
         if reqid == proto.KXR_PING:
-            return proto.STATUS_OK, b"", overhead
+            return [], overhead
 
         if reqid == proto.KXR_OPEN:
             path = proto.decode_open(payload)
@@ -156,31 +152,21 @@ class XrdServer:
             handle = state.next_handle
             state.next_handle += 1
             state.files[handle] = path
-            return (
-                proto.STATUS_OK,
-                proto.encode_open_reply(handle, obj.size),
-                overhead,
-            )
+            return [proto.encode_open_reply(handle, obj.size)], overhead
 
         if reqid == proto.KXR_CLOSE:
             handle = proto.decode_close(payload)
             state.files.pop(handle, None)
-            return proto.STATUS_OK, b"", overhead
+            return [], overhead
 
         if reqid == proto.KXR_STAT:
             path = proto.decode_open(payload)
             size, _mtime, is_dir = self.store.stat(path)
-            return (
-                proto.STATUS_OK,
-                proto.encode_stat_reply(size, is_dir),
-                overhead,
-            )
+            return [proto.encode_stat_reply(size, is_dir)], overhead
 
         if reqid == proto.KXR_READ:
-            handle, offset, length = proto.decode_read(payload)
-            data = self._read(state, handle, offset, length)
-            service = overhead + len(data) / self.config.disk_bandwidth
-            return proto.STATUS_OK, data, service
+            span = self._span(state, *proto.decode_read(payload))
+            return [span], overhead + span[2] / self.config.disk_bandwidth
 
         if reqid == proto.KXR_READV:
             chunks = proto.decode_readv(payload)
@@ -188,24 +174,53 @@ class XrdServer:
                 raise XrootdError(
                     f"readv with {len(chunks)} chunks exceeds limit"
                 )
-            pieces = []
-            for handle, offset, length in chunks:
-                pieces.append(self._read(state, handle, offset, length))
-            blob = proto.encode_readv_reply(pieces)
-            service = overhead + sum(
-                len(piece) for piece in pieces
-            ) / self.config.disk_bandwidth
-            return proto.STATUS_OK, blob, service
+            spans = [self._span(state, *chunk) for chunk in chunks]
+            lengths = [length for _path, _offset, length in spans]
+            service = overhead + sum(lengths) / self.config.disk_bandwidth
+            return proto.gather_readv_reply(lengths, spans), service
 
         raise XrootdError(f"unknown request id {reqid}")
 
-    def _read(self, state, handle, offset, length) -> bytes:
+    def _span(self, state, handle, offset, length):
+        """``(path, offset, length)`` of a read, clamped to the object."""
         path = state.files.get(handle)
         if path is None:
             raise XrootdError(f"bad file handle {handle}")
-        data = self.store.read(path, offset, length)
-        self.bytes_served += len(data)
-        return data
+        size = self.store.get(path).size
+        return path, offset, max(0, min(length, size - offset))
+
+    def _materialise(self, plan):
+        """Read a reply plan into frames of at most ``response_chunk``
+        bytes, each a list of buffers for one gather ``Send``.
+
+        A span is read in pieces that end where a frame ends, so no
+        reply is ever joined and re-sliced: what ``store.read`` returns
+        is what goes on the wire. A reply that is an exact multiple of
+        the frame size gets no empty trailing frame.
+        """
+        chunk = self.config.response_chunk
+        frames = [[]]
+        room = chunk
+        for item in plan:
+            if isinstance(item, bytes):
+                path, offset, length = None, 0, len(item)
+            else:
+                path, offset, length = item
+            while length:
+                if not room:
+                    frames.append([])
+                    room = chunk
+                take = min(length, room)
+                if path is None:
+                    piece = item[offset : offset + take]
+                else:
+                    piece = self.store.read(path, offset, take)
+                    self.bytes_served += take
+                frames[-1].append(piece)
+                offset += take
+                length -= take
+                room -= take
+        return frames
 
 
 def serve_xrootd(

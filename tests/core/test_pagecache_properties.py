@@ -17,12 +17,11 @@ from tests.helpers import davix_world
 
 SLOW = settings(
     max_examples=25,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     data=st.data(),
     page_size=st.integers(min_value=1, max_value=300),

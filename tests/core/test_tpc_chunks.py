@@ -78,7 +78,6 @@ def tpc_world(chunk_size, streams):
 
 @settings(
     max_examples=15,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(

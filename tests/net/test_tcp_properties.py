@@ -40,7 +40,7 @@ def transfer(payloads, latency, bandwidth, chunk_cap, max_window, seed):
     return bytes(received), env.now
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.lists(st.binary(min_size=0, max_size=50_000), max_size=8),
     st.sampled_from([1e-5, 0.001, 0.05]),
@@ -59,7 +59,7 @@ def test_bytes_conserved_and_ordered(
     assert data == b"".join(payloads)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     st.integers(min_value=1, max_value=500_000),
     st.sampled_from([0.001, 0.02]),
@@ -75,7 +75,7 @@ def test_completion_time_bounded_below_by_physics(size, latency, bandwidth):
     assert finished >= physical_floor * 0.999
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(
     st.integers(min_value=1000, max_value=300_000),
     st.integers(min_value=2920, max_value=65536),

@@ -5,7 +5,7 @@ per-window index; the references here walk every basket instead.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.concurrency import ThreadRuntime
@@ -137,7 +137,6 @@ def test_gap_raises_and_windows_skip_it(tree, data):
 # -- TTreeCache ---------------------------------------------------------------
 
 
-@settings(deadline=None)
 @given(
     trees(),
     st.integers(1, 50),

@@ -28,7 +28,7 @@ payloads = st.binary(min_size=0, max_size=4096)
 levels = st.integers(min_value=0, max_value=9)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=payloads, level=levels)
 def test_round_trip_all_levels(data, level):
     blob = compress_basket(data, level=level)
@@ -36,7 +36,7 @@ def test_round_trip_all_levels(data, level):
     assert decompress_basket(blob) == data
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=payloads, level=levels)
 def test_store_level_is_verbatim(data, level):
     blob = compress_basket(data, level=0)
@@ -44,7 +44,7 @@ def test_store_level_is_verbatim(data, level):
     assert len(blob) == basket_overhead() + len(data)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(data=payloads, level=levels, cut=st.integers(min_value=1))
 def test_truncation_is_a_typed_error(data, level, cut):
     blob = compress_basket(data, level=level)
@@ -59,7 +59,7 @@ def test_truncation_is_a_typed_error(data, level, cut):
         pytest.fail("truncated frame decoded without error")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     data=payloads,
     level=levels,
@@ -87,7 +87,7 @@ def test_corruption_is_typed_or_harmless(data, level, position, flip):
         assert result == data
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(data=payloads)
 def test_garbage_header_is_typed(data):
     try:

@@ -31,7 +31,6 @@ from repro.sim import Environment
 
 SLOW = settings(
     max_examples=20,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 

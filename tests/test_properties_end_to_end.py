@@ -20,10 +20,9 @@ from repro.server import HttpServer, ObjectStore, StorageApp
 
 from tests.helpers import one_request, sim_world
 
-# Hypothesis drives whole simulations here: generous deadlines.
+# Hypothesis drives whole simulations here: few examples, no slowness check.
 SLOW = settings(
     max_examples=15,
-    deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.concurrency import SimRuntime
-from repro.errors import XrootdError
+from repro.concurrency import Accept, Close, Connect, Recv, Send
+from repro.errors import ConnectionClosed, XrootdError
 from repro.server import ObjectStore
-from repro.xrootd import ReadAheadWindow, XrdClient, XrdServer, serve_xrootd
+from repro.xrootd import (
+    ReadAheadWindow,
+    XrdClient,
+    XrdFile,
+    XrdServer,
+    serve_xrootd,
+)
+from repro.xrootd import protocol as proto
 
 from tests.helpers import sim_world
 
@@ -213,3 +220,139 @@ def test_server_counters():
     client_rt.run(op())
     assert server.requests_handled == 3  # open + 2 reads
     assert server.bytes_served == 15
+
+
+# -- malformed requests, rogue servers ----------------------------------------
+
+
+def raw_frames(endpoint, requests):
+    """Effect op: send raw request frames one at a time; the
+    ``(streamid, status, payload)`` each is answered with."""
+    channel = yield Connect(endpoint)
+    reader = proto.FrameReader()
+    replies = []
+    for request in requests:
+        yield Send(channel, request)
+        while True:
+            frame = reader.next_frame()
+            if frame is not None:
+                break
+            data = yield Recv(channel)
+            assert data, "server dropped the connection"
+            reader.feed(data)
+        replies.append(frame)
+    return replies
+
+
+def test_malformed_request_gets_an_error_frame_and_the_connection_survives():
+    """A payload shorter than its own length field used to raise
+    struct.error out of the whole simulated run."""
+    client_rt, store, server = xrd_world()
+    store.put("/x", b"0123456789")
+    requests = [
+        proto.encode_request(1, proto.KXR_OPEN, b"\x00"),
+        proto.encode_request(2, proto.KXR_OPEN, b"\x00\x02\xff\xfe"),
+        proto.encode_request(3, proto.KXR_STAT, b""),
+        proto.encode_request(4, proto.KXR_READV, b"\x01"),
+        proto.encode_request(5, proto.KXR_OPEN, proto.encode_open("/x")),
+        proto.encode_request(6, proto.KXR_READ, proto.encode_read(1, 2, 3)),
+    ]
+    replies = client_rt.run(raw_frames(("server", 1094), requests))
+    assert [(sid, status) for sid, status, _ in replies] == [
+        (1, proto.STATUS_ERROR),
+        (2, proto.STATUS_ERROR),
+        (3, proto.STATUS_ERROR),
+        (4, proto.STATUS_ERROR),
+        (5, proto.STATUS_OK),
+        (6, proto.STATUS_OK),
+    ]
+    assert replies[5][2] == b"234"
+    assert server.requests_handled == 6
+
+
+def rogue_server(listener, script):
+    """Effect op: accept one connection, wait for the first request,
+    then send what ``script(streamid)`` lists and close."""
+    channel = yield Accept(listener)
+    reader = proto.FrameReader()
+    while True:
+        frame = reader.next_frame()
+        if frame is not None:
+            break
+        reader.feed((yield Recv(channel)))
+    for wire in script(frame[0]):
+        yield Send(channel, wire)
+    yield Close(channel)
+
+
+def rogue_world(script):
+    client_rt, server_rt = sim_world(latency=0.005)
+    server_rt.spawn(rogue_server(server_rt.listen(1094), script))
+    return client_rt
+
+
+def test_partials_for_a_stream_nobody_awaits_are_dropped():
+    """A server streaming oksofar frames for an id the client never
+    issued used to grow ``_partials`` without limit."""
+
+    def script(streamid):
+        flood = proto.encode_response(999, proto.STATUS_OKSOFAR, b"x" * 1000)
+        return [
+            proto.encode_response(999, proto.STATUS_OK, b"unasked"),
+            *[flood] * 50,
+            proto.encode_response(streamid, proto.STATUS_OKSOFAR, b"he"),
+            flood,
+            proto.encode_response(streamid, proto.STATUS_OK, b"llo"),
+        ]
+
+    client_rt = rogue_world(script)
+
+    def op():
+        client = yield from XrdClient.connect(("server", 1094))
+        file = XrdFile(client, 1, 5, "/x")
+        promise = yield from client.read_nowait(file, 0, 5)
+        data = yield from client.read_result(promise)
+        return data, dict(client._partials), client.bytes_read
+
+    assert client_rt.run(op()) == (b"hello", {}, 5)
+
+
+def test_connection_loss_drops_buffered_partials():
+    def script(streamid):
+        return [proto.encode_response(streamid, proto.STATUS_OKSOFAR, b"half")]
+
+    client_rt = rogue_world(script)
+
+    def op():
+        client = yield from XrdClient.connect(("server", 1094))
+        file = XrdFile(client, 1, 8, "/x")
+        promise = yield from client.read_nowait(file, 0, 8)
+        try:
+            yield from client.read_result(promise)
+        except ConnectionClosed:
+            return dict(client._partials), dict(client._pending)
+
+    assert client_rt.run(op()) == ({}, {})
+
+
+def test_streamed_reply_reaches_the_caller_as_bytes():
+    """Reads and readv chunks larger than a frame and than a receive
+    burst come back as plain bytes, equal to the stored content."""
+    client_rt, store, server = xrd_world()
+    content = bytes(i % 241 for i in range(1_200_000))
+    store.put("/x", content)
+    chunks = [(0, 600_000), (599_000, 300_000), (1_199_990, 100), (5, 0)]
+
+    def op():
+        client = yield from XrdClient.connect(("server", 1094))
+        f = yield from client.open("/x")
+        whole = yield from client.read(f, 100, 1_000_000)
+        pieces = yield from client.readv(f, chunks)
+        return whole, pieces, client.bytes_read
+
+    whole, pieces, bytes_read = client_rt.run(op())
+    assert whole == content[100:1_000_100]
+    assert pieces == [content[o : o + n] for o, n in chunks]
+    assert all(type(piece) is bytes for piece in [whole, *pieces])
+    assert bytes_read == 1_000_000 + 600_000 + 300_000 + 10
+    assert server.bytes_served == store.bytes_read == bytes_read
