@@ -312,7 +312,6 @@ class TransferEngine:
         vectored path in one batch. With no plan armed the call's own
         reads become the plan — the pipelined-window dispatch mode.
         """
-        reads = [(int(offset), int(length)) for offset, length in reads]
         if not reads:
             return []
         if not self._plan and not self._by_segment:

@@ -31,6 +31,7 @@ from repro.core.vectored import (
 from repro.errors import (
     FileNotFound,
     HttpParseError,
+    HttpProtocolError,
     PermissionDenied,
     RequestError,
 )
@@ -47,7 +48,7 @@ from repro.http.multipart import MultipartStream, content_type_boundary
 from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import METALINK_MEDIA_TYPE, Metalink, parse_metalink
 
-__all__ = ["FileStat", "DavFile"]
+__all__ = ["FileStat", "DavFile", "RangeSink", "get_ranges"]
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,16 @@ class FileStat:
     etag: Optional[str] = None
 
 
-def _content_range_total(response: Response) -> Optional[int]:
-    """The object size a ``Content-Range`` header reveals, if any.
-
-    Handles both the satisfied form (``bytes a-b/N``) and the 416
-    unsatisfied form (``bytes */N``), which is how a past-EOF probe
-    still teaches the cache the object's length.
-    """
-    value = response.headers.get("Content-Range")
-    if value is None:
+def _total_of_416(response: Response) -> Optional[int]:
+    """The object size a 416's ``Content-Range: bytes */N`` reveals —
+    how a past-EOF request still teaches the caller the length."""
+    value = (response.headers.get("Content-Range") or "").strip()
+    if not value.lower().startswith("bytes */"):
         return None
-    value = value.strip()
-    if value.lower().startswith("bytes */"):
-        try:
-            return int(value[len("bytes */"):].strip())
-        except ValueError:
-            return None
     try:
-        _offset, _length, total = parse_content_range(value)
-    except HttpParseError:
+        return int(value[len("bytes */"):])
+    except ValueError:
         return None
-    return total
 
 
 def _cache_ttl(response: Response) -> Optional[float]:
@@ -105,7 +95,7 @@ def _cache_ttl(response: Response) -> Optional[float]:
         return None
 
 
-class _RangeSink:
+class RangeSink:
     """The ``sink_factory`` of every ranged GET, and its decoded result.
 
     A ``multipart/byteranges`` 206 streams through a fresh
@@ -142,30 +132,61 @@ class _RangeSink:
         self, response: Response
     ) -> List[Tuple[int, bytes, Optional[int]]]:
         """``(offset, data, total)`` of each stretch of the object a
-        200/206 ``response`` carried."""
+        200/206 ``response`` carried (a multipart body that was not
+        streamed through this sink is decoded here)."""
         if response.status != 206:
             # 200: no range support — the whole object came back.
             return [(0, response.body, len(response.body))]
-        if _is_multipart(response):
-            try:
+        try:
+            if _is_multipart(response):
                 if self._decoder is None:
-                    # Not streamed: the head's boundary was unreadable.
-                    content_type_boundary(response.content_type)
+                    self._decoder = MultipartStream(
+                        content_type_boundary(response.content_type)
+                    )
+                    self._decoder.feed(response.body)
                 parts = self._decoder.close()
-            except HttpParseError as exc:
-                raise RequestError(
-                    f"bad multipart response: {exc}"
-                ) from exc
-            return [(p.offset, p.data, p.total) for p in parts]
-        content_range = response.headers.get("Content-Range")
-        if content_range is None:
-            raise RequestError("206 without Content-Range")
-        offset, _length, total = parse_content_range(content_range)
+                return [(p.offset, p.data, p.total) for p in parts]
+            content_range = response.headers.get("Content-Range")
+            if content_range is None:
+                raise RequestError("206 without Content-Range")
+            offset, _length, total = parse_content_range(content_range)
+        except (HttpParseError, HttpProtocolError) as exc:
+            raise RequestError(f"bad ranged response: {exc}") from exc
         return [(offset, response.body, total)]
 
 
 def _is_multipart(response: Response) -> bool:
     return response.content_type.lower().startswith("multipart/byteranges")
+
+
+def get_ranges(
+    context: Context,
+    url: Url,
+    params: Optional[RequestParams],
+    ranges: Sequence[Tuple[int, int]],
+    parent_span=None,
+    if_range: Optional[str] = None,
+):
+    """Effect sub-op: one (multi-)range GET for ``(offset, length)``
+    ``ranges`` -> ``(response, sink)``.
+
+    The one builder of ranged GETs, for the client's read path and the
+    proxy's gap fill alike; ``sink.pieces(response)`` holds what a
+    200/206 carried. ``if_range`` (an ETag) makes an object that
+    changed since come back as a full 200 instead of a version mix.
+    """
+    specs = [RangeSpec.from_offset_length(o, n) for o, n in ranges]
+    headers = Headers([("Range", format_range_header(specs))])
+    if if_range is not None:
+        headers.set("If-Range", if_range)
+    sink = RangeSink(context.clock)
+    response, _ = yield from execute_request(
+        context, url, Request("GET", url.target, headers), params,
+        sink_factory=sink,
+        idempotent=True,
+        parent_span=parent_span,
+    )
+    return response, sink
 
 
 def raise_for_status(response: Response, path: str) -> None:
@@ -372,29 +393,149 @@ class DavFile:
     def pread(self, offset: int, length: int):
         """Effect sub-op: read ``length`` bytes at ``offset``.
 
-        With the page cache armed the cached pages are consulted
-        before anything leaves the process (a full hit costs no round
-        trip; a partial hit fetches only the missing page-aligned
-        spans). With the transfer engine armed the read is then
-        offered to the speculative window (a plan hit costs no round
-        trip); a miss falls through to the demanded single-range
-        request.
+        Resolved through the same ladder as :meth:`pread_vec`
+        (:meth:`_resolve`): cached pages first (a full hit costs no
+        round trip; a partial hit fetches only the missing
+        page-aligned spans), then the speculative window when the
+        transfer engine is armed (a plan hit costs no round trip), then
+        the demanded single-range request.
         """
         if length == 0:
             return b""
-        offset, length = int(offset), int(length)
-        if self._pagecache is not None and not self._pagecache.suppressed(
-            self._cache_key
-        ):
-            data = yield from self._pread_cached(offset, length)
-            return data
+        results = yield from self._resolve(
+            [(int(offset), int(length))], vector=False
+        )
+        return results[0]
+
+    def pread_vec(self, reads: Sequence[Tuple[int, int]]):
+        """Effect sub-op: vectored read -> list of bytes, input order.
+
+        This is the paper's flagship feature: the reads are coalesced
+        and packed into at most ``ceil(n_ranges/max_vector_ranges)``
+        multi-range requests, each answered by one
+        ``multipart/byteranges`` response. With
+        ``transfer.max_inflight > 1`` the batches dispatch
+        concurrently, each on its own pooled session with its own
+        retry/deadline/breaker envelope; partial responses refetch only
+        their ``missing_ranges``. With the transfer engine armed
+        (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
+        through the speculative window instead. Multipart bodies
+        decode as they arrive, one ``bytes`` per part; a fragment that
+        is a whole part is handed that object, any other is cut out as
+        one copy. ``vector.copy_bytes_total`` counts the fragment
+        bytes produced — an upper bound on the bytes copied.
+        """
+        reads = [(int(offset), int(length)) for offset, length in reads]
+        # Zero-length reads answer b"" here, once; only the real reads
+        # reach the cache, the engine or the planner (which rejects
+        # empty fragments).
+        kept = [index for index, read in enumerate(reads) if read[1] > 0]
+        results: List[bytes] = [b""] * len(reads)
+        if kept:
+            pieces = yield from self._resolve(
+                [reads[index] for index in kept], vector=True
+            )
+            for index, piece in zip(kept, pieces):
+                results[index] = piece
+        return results
+
+    def _resolve(self, reads: List[Tuple[int, int]], vector: bool):
+        """The one read ladder: probe -> engine -> gap fill -> demand.
+
+        ``reads`` are ``(offset, length)`` int pairs, none empty; the
+        result is their bytes in order. A stage the file does not have
+        (no page cache, or one the origin suppressed for this URL; no
+        engine) is skipped, not a separate path. ``vector`` only
+        selects the engine entry point and the demanded request shape
+        — a ``pread`` emits no ``pread-vec`` span or ``vector.*``
+        counter.
+        """
+        cache = self._pagecache
+        key = self._cache_key
+        if cache is not None and cache.suppressed(key):
+            cache = None
+        results: List[Optional[bytes]] = [None] * len(reads)
+        pending = list(range(len(reads)))
+
+        if cache is not None:
+            started = self.context.clock()
+            pending = []
+            spans: List[Tuple[int, int]] = []
+            #: Bytes of each pending read resident at probe time: they
+            #: stay "page-cache" even though the read completes after
+            #: the gap fill.
+            resident: Dict[int, int] = {}
+            for index, (offset, length) in enumerate(reads):
+                data, missing = cache.lookup(key, offset, length)
+                if data is not None:
+                    results[index] = data
+                    self._charge_delivery(len(data), 0)
+                else:
+                    pending.append(index)
+                    spans.extend(missing)
+                    resident[index] = length - sum(n for _, n in missing)
+            self.context.metrics.histogram(
+                "request.phase_seconds", phase="cache-lookup"
+            ).observe(self.context.clock() - started)
+            if not pending:
+                return results
+
+        pieces = None
         if self._engine is not None:
-            hit = yield from self._engine.read_single(offset, length)
-            if hit is not None:
-                self._charge_delivery(0, len(hit))
-                return hit
-        data = yield from self._pread_demand(offset, length)
-        return data
+            wanted = [reads[index] for index in pending]
+            if vector:
+                pieces = yield from self._engine.read_vec(wanted)
+            else:
+                # A window miss (None) falls through to the next stage.
+                hit = yield from self._engine.read_single(*wanted[0])
+                pieces = None if hit is None else [hit]
+
+        if pieces is None and cache is not None:
+            # Fill only the missing page-aligned spans, then re-read.
+            # The loop tolerates an ETag change mid-fill (the insert
+            # invalidates, widening the gaps) but gives up when filling
+            # stops making progress — a budget smaller than the read
+            # cannot converge.
+            spans = merge_spans(spans)
+            for _ in range(3):
+                if spans:
+                    yield from self._fetch_spans(spans)
+                unresolved: List[int] = []
+                for index in pending:
+                    data = cache.read(key, *reads[index])
+                    if data is None:
+                        unresolved.append(index)
+                        continue
+                    results[index] = data
+                    cached = min(len(data), max(0, resident[index]))
+                    self._charge_delivery(cached, len(data) - cached)
+                pending = unresolved
+                if not pending:
+                    return results
+                again = merge_spans(
+                    [
+                        span
+                        for index in pending
+                        for span in cache.missing_spans(key, *reads[index])
+                    ]
+                )
+                if again == spans:
+                    break  # filling stopped converging: demand the rest
+                spans = again
+
+        if pieces is None:
+            wanted = [reads[index] for index in pending]
+            if vector:
+                pieces = yield from self._pread_vec_demand(
+                    wanted, self.transfer.max_inflight
+                )
+            else:
+                piece = yield from self._pread_demand(*wanted[0])
+                pieces = [piece]
+        for index, piece in zip(pending, pieces):
+            results[index] = piece
+        self._charge_delivery(0, sum(len(p) for p in pieces))
+        return results
 
     # -- byte provenance ----------------------------------------------------
 
@@ -419,303 +560,70 @@ class DavFile:
                 "provenance.bytes_total", source="network"
             ).inc(network)
 
-    # -- page-cache plumbing ------------------------------------------------
+    # -- ranged requests ----------------------------------------------------
 
-    def _cache_insert(
-        self, etag: Optional[str], pieces, response: Optional[Response] = None
-    ) -> None:
-        """Feed response bytes into the page cache (no-op when off).
+    def _get_ranges(self, ranges, parent_span=None) -> PartTable:
+        """Effect sub-op: one (multi-)range GET -> :class:`PartTable`.
 
-        ``pieces`` yields ``(offset, data, total)``; only pages fully
-        covered by a piece are stored, and a stale ETag invalidates
-        before anything lands (see :meth:`PageCache.insert`). When
-        ``response`` is given its ``Cache-Control`` header becomes the
-        insert's TTL: ``no-store``/``no-cache``/``max-age=0`` keep the
-        bytes out of the cache; ``max-age=N`` bounds their freshness.
+        Everything a ranged response means to this file happens here,
+        once: a 416 whose ``Content-Range: bytes */N`` gives the total
+        is an empty table clipped at ``N`` (every read of it is a
+        POSIX-style short read), any other error status raises;
+        multipart decode time lands in the ``multipart-decode`` phase
+        (and on ``parent_span``); and the pieces enter the page cache
+        under the response's ETag — a stale ETag invalidates before
+        anything lands — with its ``Cache-Control`` as the TTL
+        (``no-store``/``no-cache``/``max-age=0`` keep the bytes out,
+        ``max-age=N`` bounds their freshness).
         """
-        cache = self._pagecache
-        if cache is None:
-            return
-        ttl = _cache_ttl(response) if response is not None else None
-        for offset, data, total in pieces:
-            cache.insert(
-                self._cache_key, etag, offset, data, total=total, ttl=ttl
-            )
-
-    def _cache_probe(self, offset: int, length: int):
-        """Accounting cache lookup, timed as the ``cache-lookup`` phase."""
-        started = self.context.clock()
-        data, missing = self._pagecache.lookup(
-            self._cache_key, offset, length
+        response, sink = yield from get_ranges(
+            self.context, self.url, self.params, ranges, parent_span
         )
-        self.context.metrics.histogram(
-            "request.phase_seconds", phase="cache-lookup"
-        ).observe(self.context.clock() - started)
-        return data, missing
-
-    def _pread_cached(self, offset: int, length: int):
-        """The cache-fronted positional read: probe, gap-fill, re-probe."""
+        total = _total_of_416(response) if response.status == 416 else None
+        if total is not None:
+            pieces = [(0, b"", total)]
+        else:
+            raise_for_status(response, self.url.path)
+            pieces = sink.pieces(response)
+            if sink.seconds is not None:
+                self.context.metrics.histogram(
+                    "request.phase_seconds", phase="multipart-decode"
+                ).observe(sink.seconds)
+                if parent_span is not None:
+                    parent_span.set(multipart_decode=sink.seconds)
         cache = self._pagecache
-        data, missing = self._cache_probe(offset, length)
-        if data is not None:
-            self._charge_delivery(len(data), 0)
-            return data
-        if self._engine is not None:
-            hit = yield from self._engine.read_single(offset, length)
-            if hit is not None:
-                self._charge_delivery(0, len(hit))
-                return hit
-        # Bytes already resident at probe time stay "page-cache" even
-        # though the read completes after the gap fill.
-        resident = length - sum(n for _, n in missing)
-        # Fill only the missing page-aligned spans. The re-probe loop
-        # tolerates an ETag change mid-fill (the insert invalidates,
-        # widening the gaps) but gives up when filling stops making
-        # progress — a budget smaller than the read cannot converge.
-        for _ in range(3):
-            if missing:
-                yield from self._fetch_spans(missing)
-            data = cache.read(self._cache_key, offset, length)
-            if data is not None:
-                cached = min(len(data), max(0, resident))
-                self._charge_delivery(cached, len(data) - cached)
-                return data
-            again = cache.missing_spans(self._cache_key, offset, length)
-            if again == missing:
-                break
-            missing = again
-        data = yield from self._pread_demand(offset, length)
-        return data
+        etag = response.headers.get("ETag")
+        ttl = _cache_ttl(response) if cache is not None else None
+        table = PartTable()
+        for offset, data, piece_total in pieces:
+            if cache is not None:
+                cache.insert(
+                    self._cache_key, etag, offset, data,
+                    total=piece_total, ttl=ttl,
+                )
+            if table.total is None:
+                table.total = piece_total
+            if data:
+                table.add(offset, data)
+        return table
 
-    def _fetch_spans(self, spans, parent_span=None):
+    def _fetch_spans(self, spans):
         """Effect sub-op: fetch ``(offset, length)`` spans into the cache.
 
         The spans (page-aligned gaps from ``missing_spans``) pack into
         coalesced multi-range GETs — at most ``max_vector_ranges`` per
-        request — and every response lands in the page cache under the
-        ETag it arrived with. Returns ``(etag, total)`` as learned
-        from the responses; the caller re-probes the cache for bytes.
+        request; the caller re-reads the cache for the bytes.
         """
-        etag = None
-        total = None
         max_ranges = max(1, self.params.max_vector_ranges)
         for start in range(0, len(spans), max_ranges):
-            response, sink = yield from self._get_ranges(
-                spans[start : start + max_ranges], parent_span
-            )
-            if response.status == 416:
-                # Past EOF: the unsatisfied Content-Range still
-                # teaches the cache the object's length.
-                total = _content_range_total(response)
-                if total is not None:
-                    self._cache_insert(
-                        response.headers.get("ETag"),
-                        [(0, b"", total)],
-                        response=response,
-                    )
-                continue
-            raise_for_status(response, self.url.path)
-            etag = response.headers.get("ETag")
-            pieces = sink.pieces(response)
-            self._cache_insert(etag, pieces, response=response)
-            for _offset, _data, piece_total in pieces:
-                if piece_total is not None:
-                    total = piece_total
-        return etag, total
-
-    def _get_ranges(self, ranges, parent_span=None):
-        """Effect sub-op: one (multi-)range GET for ``(offset, length)``
-        ``ranges`` -> ``(response, sink)``; ``sink.pieces(response)``
-        holds what a 200/206 carried."""
-        specs = [RangeSpec.from_offset_length(o, n) for o, n in ranges]
-        request = Request(
-            "GET",
-            self.url.target,
-            Headers([("Range", format_range_header(specs))]),
-        )
-        sink = _RangeSink(self.context.clock)
-        response, _ = yield from execute_request(
-            self.context, self.url, request, self.params,
-            sink_factory=sink,
-            idempotent=True,
-            parent_span=parent_span,
-        )
-        return response, sink
+            yield from self._get_ranges(spans[start : start + max_ranges])
 
     def _pread_demand(self, offset: int, length: int):
-        """The demanded single-range read (no speculation)."""
-        header = format_range_header(
-            [RangeSpec.from_offset_length(offset, length)]
-        )
-        request = Request(
-            "GET", self.url.target, Headers([("Range", header)])
-        )
-        response, _ = yield from execute_request(
-            self.context, self.url, request, self.params
-        )
-        if response.status == 416:
-            total = _content_range_total(response)
-            if total is not None:
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(0, b"", total)],
-                    response=response,
-                )
-            return b""  # read past EOF: POSIX-style short read
-        raise_for_status(response, self.url.path)
-        if response.status == 206:
-            content_range = response.headers.get("Content-Range")
-            if content_range is not None:
-                try:
-                    body_offset, _n, total = parse_content_range(
-                        content_range
-                    )
-                except HttpParseError:
-                    body_offset, total = offset, None
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(body_offset, response.body, total)],
-                    response=response,
-                )
-            self._charge_delivery(0, len(response.body))
-            return response.body
-        # Server ignored the Range header: slice the full body.
-        self._cache_insert(
-            response.headers.get("ETag"),
-            [(0, response.body, len(response.body))],
-            response=response,
-        )
-        piece = response.body[offset : offset + length]
-        self._charge_delivery(0, len(piece))
-        return piece
-
-    def pread_vec(self, reads: Sequence[Tuple[int, int]]):
-        """Effect sub-op: vectored read -> list of bytes, input order.
-
-        This is the paper's flagship feature: the reads are coalesced
-        and packed into at most ``ceil(n_ranges/max_vector_ranges)``
-        multi-range requests, each answered by one
-        ``multipart/byteranges`` response. With
-        ``transfer.max_inflight > 1`` the batches dispatch
-        concurrently, each on its own pooled session with its own
-        retry/deadline/breaker envelope; partial responses refetch only
-        their ``missing_ranges``. With the transfer engine armed
-        (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
-        through the speculative window instead. Multipart bodies
-        decode as they arrive, one ``bytes`` per part; a fragment that
-        is a whole part is handed that object, any other is cut out as
-        one copy. ``vector.copy_bytes_total`` counts the fragment
-        bytes produced — an upper bound on the bytes copied.
-        """
-        reads = [(int(offset), int(length)) for offset, length in reads]
-        if any(length == 0 for _, length in reads):
-            # Zero-length reads answer b"" locally on every path; only
-            # the real reads hit the planner (which rejects empty
-            # fragments) or the engine.
-            kept = [
-                (index, read)
-                for index, read in enumerate(reads)
-                if read[1] > 0
-            ]
-            results: List[bytes] = [b""] * len(reads)
-            if kept:
-                pieces = yield from self.pread_vec(
-                    [read for _, read in kept]
-                )
-                for (index, _), piece in zip(kept, pieces):
-                    results[index] = piece
-            return results
-        transfer = self.params.effective_transfer()
-        if self._pagecache is not None and not self._pagecache.suppressed(
-            self._cache_key
-        ):
-            results = yield from self._pread_vec_cached(reads, transfer)
-            return results
-        if self._engine is not None:
-            results = yield from self._engine.read_vec(reads)
-            self._charge_delivery(0, sum(len(r) for r in results))
-            return results
-        results = yield from self._pread_vec_demand(
-            reads, transfer.max_inflight
-        )
-        return results
-
-    def _pread_vec_cached(self, reads: Sequence[Tuple[int, int]], transfer):
-        """The cache-fronted vectored read.
-
-        Each fragment is probed individually (per-fragment hit/miss
-        accounting); the misses' missing spans merge into one gap list
-        fetched as coalesced multi-range requests — or, with the
-        engine armed, the misses route through the speculative window
-        unchanged.
-        """
-        cache = self._pagecache
-        key = self._cache_key
-        reads = [(int(offset), int(length)) for offset, length in reads]
-        results: List[Optional[bytes]] = [None] * len(reads)
-        started = self.context.clock()
-        pending: List[int] = []
-        spans: List[Tuple[int, int]] = []
-        resident: Dict[int, int] = {}
-        for index, (offset, length) in enumerate(reads):
-            if length == 0:
-                results[index] = b""
-                continue
-            data, missing = cache.lookup(key, offset, length)
-            if data is not None:
-                results[index] = data
-                self._charge_delivery(len(data), 0)
-            else:
-                pending.append(index)
-                spans.extend(missing)
-                resident[index] = length - sum(n for _, n in missing)
-        self.context.metrics.histogram(
-            "request.phase_seconds", phase="cache-lookup"
-        ).observe(self.context.clock() - started)
-        if not pending:
-            return results
-        if self._engine is not None:
-            pieces = yield from self._engine.read_vec(
-                [reads[index] for index in pending]
-            )
-            for index, piece in zip(pending, pieces):
-                results[index] = piece
-                self._charge_delivery(0, len(piece))
-            return results
-        spans = merge_spans(spans)
-        for _ in range(3):
-            if spans:
-                yield from self._fetch_spans(spans)
-            unresolved: List[int] = []
-            for index in pending:
-                data = cache.read(key, *reads[index])
-                if data is not None:
-                    results[index] = data
-                    cached = min(
-                        len(data), max(0, resident.get(index, 0))
-                    )
-                    self._charge_delivery(cached, len(data) - cached)
-                else:
-                    unresolved.append(index)
-            pending = unresolved
-            if not pending:
-                return results
-            again = merge_spans(
-                [
-                    span
-                    for index in pending
-                    for span in cache.missing_spans(key, *reads[index])
-                ]
-            )
-            if again == spans:
-                break  # filling stopped converging: demand the rest
-            spans = again
-        pieces = yield from self._pread_vec_demand(
-            [reads[index] for index in pending], transfer.max_inflight
-        )
-        for index, piece in zip(pending, pieces):
-            results[index] = piece
-        return results
+        """The demanded single-range read (no speculation). A server
+        that ignored the Range header sent the whole object: the table
+        slices it."""
+        parts = yield from self._get_ranges([(offset, length)])
+        return parts.read(offset, length)
 
     def _pread_vec_demand(
         self, reads: Sequence[Tuple[int, int]], max_inflight: int = 1
@@ -757,6 +665,8 @@ class DavFile:
         try:
             results: Dict[int, bytes] = {}
             if inflight <= 1:
+                # Inline: bounded_gather(limit=1) would spawn a task —
+                # a thread per pread_vec on the thread runtime.
                 for index, batch in enumerate(plan.batches):
                     scattered = yield from self._fetch_scatter(
                         batch, span, index
@@ -789,9 +699,7 @@ class DavFile:
                     results.update(outcome.unwrap())
         finally:
             span.end()
-        pieces = [results[i] for i in range(len(plan.fragments))]
-        self._charge_delivery(0, sum(len(p) for p in pieces))
-        return pieces
+        return [results[i] for i in range(len(plan.fragments))]
 
     def _fetch_scatter(self, batch, parent_span, index: int):
         """Fetch one batch and scatter its fragments.
@@ -816,13 +724,16 @@ class DavFile:
         return scattered
 
     def _fetch_batch_covered(self, batch, parent_span=None):
-        """Fetch one batch, re-requesting any ranges the response left
-        uncovered (a reset mid-multipart-body, a server honouring only
-        some ranges). Multi-range GETs are idempotent, so the refetch
-        is always retry-safe; rounds are bounded by the retry policy's
-        attempt budget.
+        """Fetch one batch of coalesced ranges -> :class:`PartTable`,
+        re-requesting any ranges the response left uncovered (a reset
+        mid-multipart-body, a server honouring only some ranges).
+        Multi-range GETs are idempotent, so the refetch is always
+        retry-safe; rounds are bounded by the retry policy's attempt
+        budget.
         """
-        parts = yield from self._fetch_batch(batch, parent_span)
+        parts = yield from self._get_ranges(
+            [(rng.offset, rng.length) for rng in batch], parent_span
+        )
         rounds = self.params.effective_retry_policy().max_attempts - 1
         missing = missing_ranges(batch, parts)
         while missing and rounds > 0:
@@ -833,35 +744,14 @@ class DavFile:
             self.context.metrics.counter(
                 "vector.refetch_ranges_total"
             ).inc(len(missing))
-            more = yield from self._fetch_batch(missing, parent_span)
+            more = yield from self._get_ranges(
+                [(rng.offset, rng.length) for rng in missing], parent_span
+            )
             parts.merge(more)
             missing = missing_ranges(batch, parts)
         # Still-missing ranges surface through scatter_parts, which
         # raises the caller-facing RequestError.
         return parts
-
-    def _fetch_batch(self, batch, parent_span=None):
-        """One multi-range request -> :class:`PartTable` of its parts,
-        which also land in the page cache."""
-        response, sink = yield from self._get_ranges(
-            [(rng.offset, rng.length) for rng in batch], parent_span
-        )
-        raise_for_status(response, self.url.path)
-        pieces = sink.pieces(response)
-        if sink.seconds is not None:
-            self.context.metrics.histogram(
-                "request.phase_seconds", phase="multipart-decode"
-            ).observe(sink.seconds)
-            if parent_span is not None:
-                parent_span.set(multipart_decode=sink.seconds)
-        self._cache_insert(
-            response.headers.get("ETag"), pieces, response=response
-        )
-        totals = [total for _, _, total in pieces if total is not None]
-        return PartTable.from_parts(
-            ((offset, data) for offset, data, _ in pieces),
-            total=totals[0] if totals else None,
-        )
 
     # -- metalink -----------------------------------------------------------------
 

@@ -7,10 +7,6 @@ are gone): one frozen bundle carried on
 requests a file operation may keep in flight, whether the pipelined
 read-ahead engine (:mod:`repro.core.engine`) is armed, and the bounds
 of its speculative sliding window.
-
-The old names keep working for one release as deprecation aliases —
-they warn and map onto an equivalent ``TransferConfig`` (see
-``RequestParams.effective_transfer``).
 """
 
 from __future__ import annotations

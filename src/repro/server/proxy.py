@@ -33,34 +33,34 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.concurrency import Now
+from repro.core.context import Context
+from repro.core.file import RangeSink, get_ranges
 from repro.core.pagecache import DEFAULT_PAGE_SIZE, PageCache
-from repro.errors import HttpParseError, HttpProtocolError
+from repro.core.request import execute_request
+from repro.errors import (
+    DavixError,
+    HttpProtocolError,
+    NetworkError,
+    RequestError,
+)
 from repro.http import (
     Headers,
-    RangePart,
     Request,
     Response,
     Url,
-    gather_byteranges,
-    make_boundary,
     parse_cache_control,
     parse_range_header,
     resolve_ranges,
 )
-from repro.http.multipart import content_type_boundary, decode_byteranges
-from repro.http.ranges import (
-    RangeSpec,
-    format_content_range,
-    format_range_header,
-    merge_spans,
-    parse_content_range,
-)
+from repro.http.ranges import merge_spans
 from repro.obs.propagation import (
     TRACEPARENT_HEADER,
     format_trace_id,
     parse_traceparent,
 )
 from repro.server.envelope import Envelope, ServedResponse, ServerConfig
+from repro.server.rangeserver import plan_range_response
 
 __all__ = ["ProxyApp"]
 
@@ -78,6 +78,16 @@ FORWARDED_HEADERS = (
 #: server ``max_ranges`` limits).
 MAX_GAP_RANGES = 64
 
+#: The ``stats`` key one served request of each cache outcome bumps
+#: (a ``BYPASS`` was already counted when it was routed).
+_STAT_OF_OUTCOME = {
+    "HIT": "hits",
+    "STALE": "hits",
+    "REVALIDATED": "revalidated",
+    "MISS": "misses",
+    "PARTIAL": "partial_hits",
+}
+
 
 class _ObjectMeta:
     """Cached non-page state of one origin object (the page bytes,
@@ -90,6 +100,31 @@ class _ObjectMeta:
         self.last_modified: Optional[str] = None
         #: Served without revalidation until this (runtime) time.
         self.fresh_until = 0.0
+
+
+class _PageEvicted(Exception):
+    """A page the coverage check saw is gone: the caller re-plans."""
+
+
+class _CachedObject:
+    """The face of one cached entry that
+    :func:`~repro.server.rangeserver.plan_range_response` and its
+    :class:`RangePlan` ask of a stored object (``etag``, ``size``,
+    ``content_type``, ``content.read``), read from the page store."""
+
+    def __init__(self, pages: PageCache, url, etag, size, content_type):
+        self._pages = pages
+        self._url = url
+        self.etag = etag
+        self.size = size
+        self.content_type = content_type
+        self.content = self
+
+    def read(self, offset: int, length: int) -> bytes:
+        data = self._pages.read(self._url, offset, length)
+        if data is None or len(data) != length:
+            raise _PageEvicted(self._url)
+        return data
 
 
 class ProxyApp(Envelope):
@@ -155,7 +190,7 @@ class ProxyApp(Envelope):
         self.stats["requests"] += 1
         try:
             target = Url.parse(request.target)
-        except Exception:
+        except (HttpProtocolError, ValueError):
             return self._error(
                 400, "proxy requires an absolute request URI"
             )
@@ -186,22 +221,28 @@ class ProxyApp(Envelope):
 
     def _client_context(self):
         if self._context is None:
-            from repro.core.context import Context
-
             self._context = Context()
         return self._context
 
-    def _exchange(self, target: Url, upstream: Request, parent=None):
-        """Effect sub-op: one origin round trip (raises on network
-        failure — callers decide between stale-serve and 502)."""
-        from repro.core.request import execute_request
-
-        response, _ = yield from execute_request(
-            self._client_context(),
-            target,
-            upstream,
-            parent_span=parent,
+    def _exchange(
+        self, name, target: Url, upstream: Request, trace_ctx, serving
+    ):
+        """Effect sub-op: one origin round trip under its own ``name``
+        span (raises on network failure — callers decide between
+        stale-serve and 502)."""
+        span = self._start_upstream(
+            name, trace_ctx, serving, url=str(target)
         )
+        try:
+            response, _ = yield from execute_request(
+                self._client_context(), target, upstream, parent_span=span
+            )
+        except (DavixError, NetworkError) as exc:
+            if span is not None:
+                span.end(error=str(exc))
+            raise
+        if span is not None:
+            span.end(status=response.status)
         return response
 
     def _start_upstream(self, name, trace_ctx, serving, **attrs):
@@ -225,12 +266,17 @@ class ProxyApp(Envelope):
             return tracer.start(name, remote=trace_ctx, **attrs)
         return tracer.start(name, root=True, **attrs)
 
-    def _emit_proxy_event(
+    def _record(
         self, ts, url, outcome, status, served, from_cache, trace_ctx
-    ):
-        """One ``kind="proxy"`` wide event per served request — the
+    ) -> None:
+        """The one accounting call per served request: the stats bump
+        for ``outcome``, and one ``kind="proxy"`` wide event — the
         byte-provenance analyzer splits delivered bytes into
         cache-served vs origin-fetched from exactly these fields."""
+        key = _STAT_OF_OUTCOME.get(outcome)
+        if key is not None:
+            self.stats[key] += 1
+        self.stats["origin_bytes_saved"] += max(0, from_cache)
         if self.events is None:
             return
         self.events.emit(
@@ -250,8 +296,6 @@ class ProxyApp(Envelope):
 
     def _relay(self, request: Request, target: Url, trace_ctx=None):
         """Effect sub-op: pass-through (non-cacheable) request."""
-        from repro.errors import DavixError, NetworkError
-
         serving = self.serving_span
         upstream = Request(
             method=request.method,
@@ -259,21 +303,14 @@ class ProxyApp(Envelope):
             headers=_strip_hop_headers(request.headers),
             body=request.body,
         )
-        span = self._start_upstream(
-            "relay", trace_ctx, serving, url=str(target)
-        )
         try:
             response = yield from self._exchange(
-                target, upstream, parent=span
+                "relay", target, upstream, trace_ctx, serving
             )
         except (DavixError, NetworkError) as exc:
-            if span is not None:
-                span.end(error=str(exc))
             return self._error(502, f"upstream failed: {exc}")
-        if span is not None:
-            span.end(status=response.status)
-        self._emit_proxy_event(
-            getattr(span, "end_time", None) or 0.0,
+        self._record(
+            self._client_context().clock(),
             str(target),
             "BYPASS",
             response.status,
@@ -292,9 +329,6 @@ class ProxyApp(Envelope):
         that reveals a new version invalidates the stale pages and the
         next pass recomputes coverage against the fresh entry.
         """
-        from repro.concurrency import Now
-        from repro.errors import DavixError, NetworkError
-
         # Read before the first yield: the connection loop clears
         # ``serving_span`` the moment the deferred returns.
         serving = self.serving_span
@@ -308,126 +342,45 @@ class ProxyApp(Envelope):
             size = self.pages.known_size(url)
             meta = self._meta.get(url)
             if etag is None or size is None or meta is None:
-                aligned = self._cold_ranged_spans(request)
-                if aligned is None:
+                # Nothing resident: a ranged request is a gap fill with
+                # no validator, of the page-aligned expansion — so the
+                # pages land whole, the response assembles from the
+                # store and repeats are pure hits.
+                etag = specs = None
+                need = missing = self._cold_ranged_spans(request)
+                if missing is None:
                     response = yield from self._fill_from_scratch(
                         request, target, url, now, trace_ctx, serving
                     )
                     return response
-                # Cold ranged request: fetch the page-aligned expansion
-                # so the pages land whole and the response assembles
-                # from the store (and repeats are pure hits).
+            else:
+                specs = self._requested_ranges(request, etag)
+                need = self._needed_spans(specs, size)
+                missing = merge_spans(
+                    [
+                        span
+                        for offset, length in need
+                        for span in self.pages.missing_spans(
+                            url, offset, length
+                        )
+                    ]
+                )
+            wanted = sum(length for _, length in need)
+
+            if missing:
+                # Gaps: fetch only the missing spans, If-Range guarded.
                 if outcome is None:
-                    outcome = "MISS"
-                    saved_bytes = 0
+                    covered = wanted - sum(n for _, n in missing)
+                    outcome = "PARTIAL" if covered > 0 else "MISS"
+                    saved_bytes = max(0, covered)
                 try:
                     response = yield from self._fill_gaps(
-                        target, url, aligned, None, now, trace_ctx, serving
+                        target, url, missing, etag, now, trace_ctx, serving
                     )
                 except (DavixError, NetworkError) as exc:
                     return self._error(502, f"upstream failed: {exc}")
-                if response is not None:
-                    if response.status == 206:
-                        # Undecodable 206 for the *expanded* ranges:
-                        # relay the client's own request verbatim.
-                        response = yield from self._relay(
-                            request, target, trace_ctx
-                        )
-                    return response
-                continue
-
-            specs = self._requested_ranges(request, etag)
-            need = self._needed_spans(specs, size)
-            missing: List[Tuple[int, int]] = []
-            for offset, length in need:
-                missing.extend(self.pages.missing_spans(url, offset, length))
-            missing = merge_spans(missing)
-            fresh = now < meta.fresh_until
-
-            if not missing and (fresh or outcome is not None):
-                # Fully cached and either fresh or just (re)validated.
-                if outcome is None:
-                    outcome = "HIT"
-                    saved_bytes = sum(length for _, length in need)
-                served = self._assemble(request, url, specs, outcome)
-                if served is not None:
-                    self._account(outcome, saved_bytes)
-                    self._emit_proxy_event(
-                        now,
-                        url,
-                        outcome,
-                        served.status,
-                        sum(length for _, length in need),
-                        saved_bytes,
-                        trace_ctx,
-                    )
-                    return served
-                continue  # pages raced away (eviction): re-plan
-
-            if not missing:
-                # Fully cached but stale: conditional revalidation.
-                upstream = Request(
-                    "GET",
-                    target.target,
-                    Headers([("If-None-Match", etag)]),
-                )
-                span = self._start_upstream(
-                    "revalidate", trace_ctx, serving, url=url
-                )
-                try:
-                    response = yield from self._exchange(
-                        target, upstream, parent=span
-                    )
-                except (DavixError, NetworkError):
-                    if span is not None:
-                        span.end(error="unreachable")
-                    served = self._assemble(request, url, specs, "STALE")
-                    if served is not None:
-                        stale_bytes = sum(length for _, length in need)
-                        self._account("STALE", stale_bytes)
-                        self._emit_proxy_event(
-                            now,
-                            url,
-                            "STALE",
-                            served.status,
-                            stale_bytes,
-                            stale_bytes,
-                            trace_ctx,
-                        )
-                        return served
-                    return self._error(
-                        502, "upstream failed and cache incomplete"
-                    )
-                if span is not None:
-                    span.end(status=response.status)
-                if response.status == 304:
-                    meta.fresh_until = now + self._ttl_for(response)
-                    outcome = "REVALIDATED"
-                    saved_bytes = sum(length for _, length in need)
-                    continue
-                if response.status in (200, 206):
-                    self._ingest(url, response, now)
-                    outcome = "MISS"
-                    saved_bytes = 0
-                    continue
-                return _forwarded(response, cache_state="UNCACHEABLE")
-
-            # Gaps: fetch only the missing spans, If-Range guarded.
-            if outcome is None:
-                covered = sum(n for _, n in need) - sum(
-                    n for _, n in missing
-                )
-                outcome = "PARTIAL" if covered > 0 else "MISS"
-                saved_bytes = max(0, covered)
-            try:
-                response = yield from self._fill_gaps(
-                    target, url, missing, etag, now, trace_ctx, serving
-                )
-            except (DavixError, NetworkError):
-                return self._error(
-                    502, "upstream failed and cache incomplete"
-                )
-            if response is not None:
+                if response is None:
+                    continue  # ingested: re-plan against the store
                 if response.status == 206:
                     # Undecodable 206 for the gap ranges: relay the
                     # client's own request verbatim instead.
@@ -436,8 +389,53 @@ class ProxyApp(Envelope):
                     )
                     return response
                 # A non-206/200 answer (e.g. the object vanished):
-                # forward it verbatim.
+                # forward it, marked as the proxy's.
                 return _forwarded(response, cache_state="UNCACHEABLE")
+
+            if now < meta.fresh_until or outcome is not None:
+                # Fully cached and either fresh or just (re)validated.
+                if outcome is None:
+                    outcome = "HIT"
+                    saved_bytes = wanted
+                served = self._assemble(request, url, specs, outcome)
+                if served is not None:
+                    self._record(
+                        now, url, outcome, served.status,
+                        wanted, saved_bytes, trace_ctx,
+                    )
+                    return served
+                continue  # pages raced away (eviction): re-plan
+
+            # Fully cached but stale: conditional revalidation.
+            upstream = Request(
+                "GET", target.target, Headers([("If-None-Match", etag)])
+            )
+            try:
+                response = yield from self._exchange(
+                    "revalidate", target, upstream, trace_ctx, serving
+                )
+            except (DavixError, NetworkError):
+                served = self._assemble(request, url, specs, "STALE")
+                if served is not None:
+                    self._record(
+                        now, url, "STALE", served.status,
+                        wanted, wanted, trace_ctx,
+                    )
+                    return served
+                return self._error(
+                    502, "upstream failed and cache incomplete"
+                )
+            if response.status == 304:
+                meta.fresh_until = now + self._ttl_for(response)
+                outcome = "REVALIDATED"
+                saved_bytes = wanted
+                continue
+            if response.status in (200, 206):
+                self._ingest(url, response, now)
+                outcome = "MISS"
+                saved_bytes = 0
+                continue
+            return _forwarded(response, cache_state="UNCACHEABLE")
 
         # Coverage never converged (budget too small for the request):
         # fall back to a verbatim relay so the client still gets bytes.
@@ -450,35 +448,20 @@ class ProxyApp(Envelope):
     ):
         """Effect sub-op: nothing cached — forward the request as-is
         and ingest whatever comes back."""
-        from repro.errors import DavixError, NetworkError
-
         upstream = Request(
             "GET", target.target, _strip_hop_headers(request.headers)
         )
-        span = self._start_upstream(
-            "origin-fetch", trace_ctx, serving, url=url
-        )
         try:
             response = yield from self._exchange(
-                target, upstream, parent=span
+                "origin-fetch", target, upstream, trace_ctx, serving
             )
         except (DavixError, NetworkError) as exc:
-            if span is not None:
-                span.end(error=str(exc))
             return self._error(502, f"upstream failed: {exc}")
-        if span is not None:
-            span.end(status=response.status)
         if response.status in (200, 206):
             self._ingest(url, response, now)
-            self.stats["misses"] += 1
-            self._emit_proxy_event(
-                now,
-                url,
-                "MISS",
-                response.status,
-                len(response.body),
-                0,
-                trace_ctx,
+            self._record(
+                now, url, "MISS", response.status,
+                len(response.body), 0, trace_ctx,
             )
             return _forwarded(response, cache_state="MISS")
         return _forwarded(response, cache_state="UNCACHEABLE")
@@ -505,29 +488,17 @@ class ProxyApp(Envelope):
         )
         try:
             for start in range(0, len(missing), MAX_GAP_RANGES):
-                chunk = missing[start : start + MAX_GAP_RANGES]
-                headers = Headers(
-                    [
-                        (
-                            "Range",
-                            format_range_header(
-                                [
-                                    RangeSpec.from_offset_length(o, n)
-                                    for o, n in chunk
-                                ]
-                            ),
-                        )
-                    ]
-                )
-                if etag is not None:
-                    headers.set("If-Range", etag)
-                upstream = Request("GET", target.target, headers)
-                response = yield from self._exchange(
-                    target, upstream, parent=span
+                response, sink = yield from get_ranges(
+                    self._client_context(),
+                    target,
+                    None,
+                    missing[start : start + MAX_GAP_RANGES],
+                    parent_span=span,
+                    if_range=etag,
                 )
                 if response.status in (200, 206):
-                    if not self._ingest(url, response, now):
-                        return response  # undecodable: forward verbatim
+                    if not self._ingest(url, response, now, sink):
+                        return response  # undecodable: caller relays
                     if response.status == 200:
                         return None  # whole object replaced: re-plan
                     continue
@@ -566,8 +537,17 @@ class ProxyApp(Envelope):
                 return self.default_ttl
         return self.default_ttl
 
-    def _ingest(self, url: str, response: Response, now: float) -> bool:
-        """Decompose one origin response into pages + meta."""
+    def _ingest(
+        self, url: str, response: Response, now: float, sink=None
+    ) -> bool:
+        """Decompose one origin 200/206 into pages + meta.
+
+        ``sink`` is the :class:`~repro.core.file.RangeSink` the
+        response streamed through, if it did. The inserts carry no
+        TTL, unlike the client tier's: a stale page must survive here
+        to be revalidated with ``If-None-Match`` or served ``STALE``;
+        freshness lives in ``meta.fresh_until`` instead.
+        """
         directives = parse_cache_control(
             response.headers.get("Cache-Control")
         )
@@ -578,65 +558,27 @@ class ProxyApp(Envelope):
             self._meta.pop(url, None)
             self._no_store.add(url)
             return False
-        etag = response.headers.get("ETag")
-        meta = self._meta.setdefault(url, _ObjectMeta())
-        if response.status == 200:
-            self.pages.insert(
-                url, etag, 0, response.body, total=len(response.body)
-            )
-            content_type = response.headers.get("Content-Type")
-            if content_type:
-                meta.content_type = content_type
-        elif response.status == 206:
-            content_type = response.content_type
-            if content_type.lower().startswith("multipart/byteranges"):
-                try:
-                    parts = decode_byteranges(
-                        response.body,
-                        content_type_boundary(content_type),
-                        copy=False,
-                    )
-                except (HttpParseError, HttpProtocolError):
-                    return False
-                for part in parts:
-                    self.pages.insert(
-                        url, etag, part.offset, part.data, total=part.total
-                    )
-            else:
-                content_range = response.headers.get("Content-Range")
-                if content_range is None:
-                    return False
-                try:
-                    offset, _length, total = parse_content_range(
-                        content_range
-                    )
-                except (HttpParseError, HttpProtocolError):
-                    return False
-                self.pages.insert(
-                    url, etag, offset, response.body, total=total
-                )
-                if content_type:
-                    meta.content_type = content_type
-        else:
+        if sink is None:
+            sink = RangeSink(self._client_context().clock)
+        try:
+            pieces = sink.pieces(response)
+        except RequestError:
             return False
+        etag = response.headers.get("ETag")
+        for offset, data, total in pieces:
+            self.pages.insert(url, etag, offset, data, total=total)
+        meta = self._meta.setdefault(url, _ObjectMeta())
+        content_type = response.content_type
+        if content_type and not content_type.lower().startswith(
+            "multipart/byteranges"
+        ):
+            meta.content_type = content_type
         last_modified = response.headers.get("Last-Modified")
         if last_modified:
             meta.last_modified = last_modified
         meta.fresh_until = now + self._ttl_for(response)
         self.stats["evictions"] = self.pages.stats["evictions"]
         return True
-
-    def _account(self, state: str, saved_bytes: int) -> None:
-        """One stats bump per served request, by outcome."""
-        key = {
-            "HIT": "hits",
-            "STALE": "hits",
-            "REVALIDATED": "revalidated",
-            "MISS": "misses",
-            "PARTIAL": "partial_hits",
-        }[state]
-        self.stats[key] += 1
-        self.stats["origin_bytes_saved"] += max(0, saved_bytes)
 
     # -- request interpretation ---------------------------------------------------
 
@@ -697,11 +639,12 @@ class ProxyApp(Envelope):
     ) -> Optional[Response]:
         """Build the client-facing response from cached pages.
 
-        Mirrors the origin's RFC 7233 behaviour (same resolution, same
-        single-range/multipart split) so a cache answer is
-        indistinguishable from an origin answer, boundary aside.
-        Returns ``None`` if a needed page has been evicted since the
-        coverage check — the caller re-plans.
+        Answered by the origin's own RFC 7233 responder
+        (:func:`~repro.server.rangeserver.plan_range_response`: same
+        resolution, same single-range/multipart split) so a cache
+        answer is indistinguishable from an origin answer, boundary
+        aside. Returns ``None`` if a needed page has been evicted
+        since the coverage check — the caller re-plans.
         """
         etag = self.pages.etag(url)
         size = self.pages.known_size(url)
@@ -717,49 +660,26 @@ class ProxyApp(Envelope):
                     Response(304, Headers([("ETag", etag)])), state
                 )
 
-        base = Headers([("Accept-Ranges", "bytes"), ("ETag", etag)])
-        if meta.last_modified:
-            base.set("Last-Modified", meta.last_modified)
-
-        if specs is None:
-            body = self.pages.read(url, 0, size)
-            if body is None or len(body) != size:
-                return None
-            headers = base.copy()
-            headers.set("Content-Type", meta.content_type)
-            return _mark(Response(200, headers, body), state)
-
-        resolved = resolve_ranges(specs, size)
-        if not resolved:
-            headers = base.copy()
-            headers.set("Content-Range", f"bytes */{size}")
-            return _mark(Response(416, headers), state)
-
-        if len(resolved) == 1:
-            offset, length = resolved[0]
-            body = self.pages.read(url, offset, length)
-            if body is None or len(body) != length:
-                return None
-            headers = base.copy()
-            headers.set("Content-Type", meta.content_type)
-            headers.set(
-                "Content-Range", format_content_range(offset, length, size)
-            )
-            return _mark(Response(206, headers, body), state)
-
-        parts: List[RangePart] = []
-        for offset, length in resolved:
-            data = self.pages.read(url, offset, length)
-            if data is None or len(data) != length:
-                return None
-            parts.append(RangePart(offset=offset, data=data, total=size))
-        boundary = make_boundary()
-        pieces = gather_byteranges(parts, boundary, meta.content_type)
-        headers = base.copy()
-        headers.set(
-            "Content-Type", f"multipart/byteranges; boundary={boundary}"
+        obj = _CachedObject(self.pages, url, etag, size, meta.content_type)
+        # The proxy has no range-count guard: max_ranges never binds.
+        plan = plan_range_response(
+            obj,
+            request.headers.get("Range") if specs is not None else None,
+            max_ranges=len(specs or ()),
         )
-        return _mark(Response(206, headers, pieces=pieces), state)
+        try:
+            if plan.multipart_boundary is not None:
+                response = Response(
+                    206, plan.headers, pieces=plan.multipart_pieces(obj)
+                )
+            else:
+                body = b"".join(obj.read(o, n) for o, n in plan.segments)
+                response = Response(plan.status, plan.headers, body)
+        except _PageEvicted:
+            return None
+        if meta.last_modified:
+            response.headers.set("Last-Modified", meta.last_modified)
+        return _mark(response, state)
 
     # -- introspection ------------------------------------------------------------
 

@@ -119,6 +119,31 @@ def test_pread_vec_span_parents_requests():
     assert all(r.parent_id in batch_ids for r in requests)
 
 
+def test_cached_gap_fill_observes_multipart_decode():
+    """The gap fill of a cached ``pread_vec`` decodes the same
+    ``multipart/byteranges`` bodies the uncached path does, and records
+    the ``multipart-decode`` phase like it (it used to record nothing)."""
+    from repro.core import RequestParams, TransferConfig
+
+    reads = [(0, 16), (65536 * 2, 16), (65536 * 4, 16)]
+    counts = {}
+    for budget in (0, 1 << 20):
+        client, _, store, _ = davix_world(
+            params=RequestParams(
+                transfer=TransferConfig(page_cache_bytes=budget)
+            )
+        )
+        store.put("/obj", b"m" * (65536 * 5))
+        client.pread_vec("http://server/obj", reads)
+        decode = client.metrics().get(
+            "request.phase_seconds", phase="multipart-decode"
+        )
+        counts[budget] = decode.count if decode is not None else 0
+    # One three-range request either way: its phase recorder observes
+    # once, the decode of its one multipart body once more.
+    assert counts == {0: 2, 1 << 20: 2}
+
+
 def test_server_side_metrics_via_accesslog():
     from repro.obs import MetricsRegistry
     from repro.server.accesslog import AccessLog

@@ -203,6 +203,21 @@ def test_missing_object_propagates_404():
 
     with pytest.raises(FileNotFound):
         client.get("http://origin/nope")
+    with pytest.raises(FileNotFound):
+        client.pread("http://origin/nope", 0, 10)
+    # Plain or ranged, cold or not, the 404 is the proxy's answer: it
+    # carries the proxy's marks, not the origin's raw headers.
+    from tests.helpers import one_request, get
+
+    for headers in ({}, {"Range": "bytes=0-9"}):
+        response = client.runtime.run(
+            one_request(
+                ("proxy", 3128), get("http://origin/nope", headers)
+            )
+        )
+        assert response.status == 404
+        assert response.headers.get("Via") == "1.1 repro-proxy"
+        assert response.headers.get("X-Cache") == "UNCACHEABLE"
 
 
 def test_bad_proxy_request_rejected():
