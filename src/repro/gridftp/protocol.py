@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.bytequeue import Deframer
 from repro.errors import HttpProtocolError
 
 __all__ = [
@@ -68,29 +69,16 @@ def encode_eof() -> bytes:
     return BLOCK_HEADER.pack(EOF_FLAG, 0, 0)
 
 
-class BlockReader:
+class BlockReader(Deframer):
     """Incremental mode-E deframer."""
 
     def __init__(self):
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
+        super().__init__(BLOCK_HEADER, MAX_BLOCK, HttpProtocolError)
 
     def next_block(self) -> Optional[DataBlock]:
         """Pop the next complete block, or None."""
-        if len(self._buffer) < BLOCK_HEADER.size:
-            return None
-        flags, offset, length = BLOCK_HEADER.unpack_from(self._buffer)
-        if length > MAX_BLOCK:
-            raise HttpProtocolError(f"oversized block ({length} B)")
-        total = BLOCK_HEADER.size + length
-        if len(self._buffer) < total:
-            return None
-        with memoryview(self._buffer) as view:
-            payload = bytes(view[BLOCK_HEADER.size : total])
-        del self._buffer[:total]
-        return DataBlock(flags, offset, payload)
+        frame = self.next_frame()
+        return None if frame is None else DataBlock(*frame)
 
 
 # -- control channel -----------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Deque, List, Optional, Union
 
 from collections import deque
 
+from repro.bytequeue import ByteQueue
 from repro.errors import HttpParseError, HttpProtocolError
 from repro.http.headers import Headers
 from repro.http.messages import BODYLESS_METHODS, Request, Response
@@ -93,15 +94,11 @@ class HttpParser:
         if role not in ("client", "server"):
             raise ValueError(f"bad role {role!r}")
         self.role = role
-        self._buffer = bytearray()
-        #: Body pieces that arrived whole and bypass ``_buffer``; they
-        #: precede whatever the buffer holds.
-        self._pieces: Deque[bytes] = deque()
+        self._queue = ByteQueue()
         self._eof = False
         self._state = _IDLE
         self._remaining = 0
         self._pending_methods: Deque[str] = deque()
-        self._emitted_closed = False
 
     # -- input -------------------------------------------------------------
 
@@ -112,18 +109,7 @@ class HttpParser:
             return
         if self._eof:
             raise HttpParseError("data received after EOF")
-        if (
-            len(data) <= self._remaining
-            and not self._buffer
-            and self._state in (_BODY_LENGTH, _BODY_CHUNK_DATA)
-        ):
-            # Nothing but body bytes: hand the piece over unstaged.
-            self._remaining -= len(data)
-            self._pieces.append(
-                data if type(data) is bytes else bytes(data)
-            )
-        else:
-            self._buffer.extend(data)
+        self._queue.append(data)
 
     def expect_response_to(self, method: str) -> None:
         """Register an outgoing request's method (client role only)."""
@@ -135,16 +121,30 @@ class HttpParser:
 
     def next_event(self) -> Event:
         """Return the next protocol event or :data:`NEED_DATA`."""
-        if self._pieces:
-            return Data(self._pieces.popleft())
+        if self._remaining:
+            # Inside a sized body or chunk: the body bytes of one
+            # received buffer, which is handed over as the object it
+            # is when it holds nothing else, else as one slice.
+            data = self._queue.read(self._remaining)
+            if data:
+                self._remaining -= len(data)
+                return Data(data)
+            if not self._eof:
+                return NEED_DATA
+            if self._state == _BODY_CHUNK_DATA:
+                raise HttpParseError("EOF inside chunk data")
+            raise HttpParseError(
+                f"EOF with {self._remaining} body bytes missing"
+            )
         if self._state == _IDLE:
             return self._parse_head()
-        if self._state == _BODY_LENGTH:
-            return self._parse_length_body()
+        if self._state == _BODY_LENGTH:  # and all of it handed over
+            self._state = _IDLE
+            return EndOfMessage()
         if self._state == _BODY_CHUNK_HEADER:
             return self._parse_chunk_header()
         if self._state == _BODY_CHUNK_DATA:
-            return self._parse_chunk_data()
+            return self._parse_chunk_end()
         if self._state == _BODY_CHUNK_TRAILER:
             return self._parse_chunk_trailer()
         if self._state == _BODY_EOF:
@@ -156,23 +156,19 @@ class HttpParser:
     # -- head parsing ---------------------------------------------------------
 
     def _parse_head(self) -> Event:
-        end = self._buffer.find(HEAD_TERMINATOR)
+        end = self._queue.find(HEAD_TERMINATOR)
         if end < 0:
-            if len(self._buffer) > MAX_HEAD_BYTES:
+            if len(self._queue) > MAX_HEAD_BYTES:
                 raise HttpParseError("header block too large")
-            if self._eof:
-                if not self._buffer and not self._emitted_closed:
-                    self._state = _CLOSED
-                    self._emitted_closed = True
-                    return CONNECTION_CLOSED
-                if not self._buffer:
-                    return CONNECTION_CLOSED
+            if not self._eof:
+                return NEED_DATA
+            if self._queue:
                 raise HttpParseError("EOF inside message head")
-            return NEED_DATA
+            self._state = _CLOSED
+            return CONNECTION_CLOSED
 
-        blob = bytes(self._buffer[:end])
-        del self._buffer[: end + len(HEAD_TERMINATOR)]
-        lines = blob.split(CRLF)
+        # The terminator's two empty lines are skipped with the rest.
+        lines = self._queue.take(end + len(HEAD_TERMINATOR)).split(CRLF)
         start_line = lines[0].decode("ascii", "replace")
         headers = self._parse_header_lines(lines[1:])
 
@@ -271,45 +267,21 @@ class HttpParser:
 
     # -- body parsing ---------------------------------------------------------
 
-    def _take_body(self) -> bytes:
-        """Up to ``_remaining`` buffered body bytes, copied once."""
-        take = min(self._remaining, len(self._buffer))
-        self._remaining -= take
-        with memoryview(self._buffer) as view:
-            data = bytes(view[:take])
-        del self._buffer[:take]
-        return data
-
-    def _parse_length_body(self) -> Event:
-        if self._remaining == 0:
-            self._state = _IDLE
-            return EndOfMessage()
-        if not self._buffer:
-            if self._eof:
-                raise HttpParseError(
-                    f"EOF with {self._remaining} body bytes missing"
-                )
-            return NEED_DATA
-        return Data(self._take_body())
-
     def _parse_eof_body(self) -> Event:
-        if self._buffer:
-            data = bytes(self._buffer)
-            self._buffer.clear()
-            return Data(data)
+        if self._queue:
+            return Data(self._queue.read(len(self._queue)))
         if self._eof:
             self._state = _CLOSED
             return EndOfMessage()
         return NEED_DATA
 
     def _parse_chunk_header(self) -> Event:
-        end = self._buffer.find(CRLF)
+        end = self._queue.find(CRLF)
         if end < 0:
             if self._eof:
                 raise HttpParseError("EOF inside chunk header")
             return NEED_DATA
-        line = bytes(self._buffer[:end]).split(b";", 1)[0].strip()
-        del self._buffer[: end + 2]
+        line = self._queue.take(end + 2).split(b";", 1)[0].strip()
         try:
             size = int(line, 16)
         except ValueError:
@@ -321,34 +293,26 @@ class HttpParser:
         self._state = _BODY_CHUNK_DATA
         return self.next_event()
 
-    def _parse_chunk_data(self) -> Event:
-        if self._remaining > 0:
-            if not self._buffer:
-                if self._eof:
-                    raise HttpParseError("EOF inside chunk data")
-                return NEED_DATA
-            return Data(self._take_body())
+    def _parse_chunk_end(self) -> Event:
         # Consume the CRLF after the chunk payload.
-        if len(self._buffer) < 2:
+        if len(self._queue) < 2:
             if self._eof:
                 raise HttpParseError("EOF after chunk data")
             return NEED_DATA
-        if self._buffer[:2] != CRLF:
+        if self._queue.take(2) != CRLF:
             raise HttpParseError("chunk data not followed by CRLF")
-        del self._buffer[:2]
         self._state = _BODY_CHUNK_HEADER
         return self.next_event()
 
     def _parse_chunk_trailer(self) -> Event:
         # After the zero chunk: optional trailer lines, then a blank line.
-        end = self._buffer.find(CRLF)
+        end = self._queue.find(CRLF)
         if end < 0:
             if self._eof:
                 raise HttpParseError("EOF inside chunked trailer")
             return NEED_DATA
-        line = bytes(self._buffer[:end])
-        del self._buffer[: end + 2]
-        if line:
+        self._queue.take(end + 2)
+        if end:
             return self.next_event()  # discard trailer header
         self._state = _IDLE
         return EndOfMessage()

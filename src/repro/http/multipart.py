@@ -12,6 +12,7 @@ import secrets
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.bytequeue import ByteQueue
 from repro.errors import HttpParseError
 from repro.http.headers import Headers
 from repro.http.ranges import format_content_range, parse_content_range
@@ -207,13 +208,9 @@ class MultipartStream:
     def __init__(self, boundary: str):
         self._delim = f"--{boundary}".encode("ascii")
         self._closing = self._delim + b"--"
-        #: Fed bytes not yet consumed; never holds part data between
-        #: feeds, only a split delimiter, header block or CRLF.
-        self._buffer = b""
+        self._queue = ByteQueue()  # fed bytes not yet consumed
         self._state = self._SEEK
-        self._pending = None  # (offset, total) of the open part
-        self._need = 0  # data bytes the open part still lacks
-        self._chunks: List[bytes] = []  # data of the open part so far
+        self._pending = None  # (offset, length, total) of the open part
         self.parts: List[RangePart] = []
 
     @property
@@ -225,16 +222,8 @@ class MultipartStream:
         """Consume one body chunk, emitting any parts it completes."""
         if self._state == self._DONE:
             return  # epilogue after the closing delimiter is ignored
-        if type(chunk) is not bytes:
-            chunk = bytes(chunk)  # parts must not alias a caller's buffer
-        if self._buffer:
-            chunk = self._buffer + chunk
-        elif 0 < len(chunk) <= self._need:
-            # Nothing but data of the open part: keep the chunk as is.
-            self._chunks.append(chunk)
-            self._need -= len(chunk)
-            return
-        self._buffer = chunk[self._advance(chunk) :]
+        self._queue.append(chunk)
+        self._state = self._advance(self._state)
 
     def close(self) -> List[RangePart]:
         """Signal end-of-body; returns the decoded parts.
@@ -251,80 +240,58 @@ class MultipartStream:
             raise HttpParseError("multipart body without terminator")
         return self.parts
 
-    def _advance(self, buf: bytes) -> int:
-        """Parse as far as ``buf`` allows; returns the bytes consumed."""
+    def _advance(self, state: int) -> int:
+        """Parse as far as the queue allows; returns the state that
+        lacks bytes, to be resumed by the next feed."""
+        queue = self._queue
         delim = self._delim
-        size = len(buf)
-        pos = 0
-        state = self._state
         if state == self._SEEK:
             # A preamble is legal and ignored; keep only enough tail
             # to recognise a delimiter split across chunks.
-            pos = buf.find(delim)
-            if pos < 0:
-                return max(0, size - len(delim))
+            start = queue.find(delim)
+            if start < 0:
+                queue.cut(max(0, len(queue) - len(delim)))
+                return state
+            queue.cut(start)
             state = self._DELIM
-        # One turn of the loop is one part; a state that lacks bytes
-        # breaks out and is resumed by the next feed.
-        while True:
+        while True:  # one turn is one part
+            if state == self._DATA:
+                offset, length, total = self._pending
+                if len(queue) < length + 2:
+                    return state
+                data = queue.take(length)  # one slice, or one join
+                if queue.take(2) != _CRLF:
+                    raise HttpParseError("part data not followed by CRLF")
+                self.parts.append(
+                    RangePart(offset=offset, data=data, total=total)
+                )
+                state = self._DELIM
             if state == self._DELIM:
-                # Need delim + 2 bytes to tell "--boundary\r\n" (next
-                # part) apart from "--boundary--" (closing).
-                if size - pos < len(delim) + 2:
-                    break
-                if buf.startswith(self._closing, pos):
-                    state = self._DONE
-                    pos = size
-                    break
-                if not buf.startswith(_CRLF, pos + len(delim)):
+                # "--boundary\r\n" opens the next part, "--boundary--"
+                # closes the body: the token is two bytes past delim.
+                if len(queue) < len(delim) + 2:
+                    return state
+                token = queue.take(len(delim) + 2)
+                if token == self._closing:
+                    queue.clear()
+                    return self._DONE
+                if not token.startswith(delim):
+                    raise HttpParseError("misaligned multipart delimiter")
+                if not token.endswith(_CRLF):
                     raise HttpParseError("delimiter not followed by CRLF")
-                pos += len(delim) + 2
                 state = self._HEADERS
-            if state == self._HEADERS:
-                header_end = buf.find(_CRLF + _CRLF, pos)
-                if header_end < 0:
-                    break
-                headers = _parse_part_headers(buf[pos:header_end])
-                pos = header_end + 4
-                content_range = headers.get("Content-Range")
-                if content_range is None:
-                    raise HttpParseError("part without Content-Range")
-                offset, length, total = parse_content_range(content_range)
-                if total is None:
-                    raise HttpParseError(
-                        "part Content-Range without total size"
-                    )
-                self._pending = (offset, total)
-                self._need = length
-                state = self._DATA
-            need = self._need
-            if size - pos < need + 2:
-                # Hand over the data that is here (as a view: the
-                # part's join is its one copy); a lone CR stays.
-                have = min(size - pos, need)
-                if have:
-                    self._chunks.append(memoryview(buf)[pos : pos + have])
-                    self._need = need - have
-                    pos += have
-                break
-            if not buf.startswith(_CRLF, pos + need):
-                raise HttpParseError("part data not followed by CRLF")
-            if self._chunks:
-                if need:
-                    self._chunks.append(memoryview(buf)[pos : pos + need])
-                data = b"".join(self._chunks)
-                self._chunks = []
-            else:
-                data = buf[pos : pos + need]
-            pos += need + 2
-            offset, total = self._pending
-            self.parts.append(
-                RangePart(offset=offset, data=data, total=total)
-            )
-            self._need = 0
-            state = self._DELIM
-        self._state = state
-        return pos
+            header_end = queue.find(_CRLF + _CRLF)
+            if header_end < 0:
+                return state
+            headers = _parse_part_headers(queue.take(header_end + 4))
+            content_range = headers.get("Content-Range")
+            if content_range is None:
+                raise HttpParseError("part without Content-Range")
+            offset, length, total = parse_content_range(content_range)
+            if total is None:
+                raise HttpParseError("part Content-Range without total size")
+            self._pending = (offset, length, total)
+            state = self._DATA
 
 
 def _parse_part_headers(blob: bytes) -> Headers:

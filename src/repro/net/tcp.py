@@ -20,10 +20,10 @@ plus multiplicative decrease), not per-segment.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional, Tuple
 
+from repro.bytequeue import ByteQueue
 from repro.errors import ConnectionClosed
 from repro.net.link import LinkSpec, Wire
 from repro.sim import EOF, Environment, Event, Mailbox, Signal
@@ -91,11 +91,8 @@ class _HalfStream:
         self.loss_episodes = 0
         self.last_activity = env.now
 
-        #: Application writes awaiting transmission; ``_offset`` bytes
-        #: of the head one are already sent.
-        self._queue: Deque[bytes] = deque()
-        self._offset = 0
-        self._pending_bytes = 0
+        #: Application writes awaiting transmission.
+        self._queue = ByteQueue()
         self._closing = False
         self.aborted = False
 
@@ -131,13 +128,11 @@ class _HalfStream:
             return event
         if isinstance(data, (bytes, bytearray, memoryview)):
             data = (data,)
-        size = 0
+        queued = len(self._queue)
         for piece in data:
-            if len(piece):
-                self._queue.append(bytes(piece))
-                size += len(piece)
+            self._queue.append(piece)
+        size = len(self._queue) - queued
         if size:
-            self._pending_bytes += size
             self._wake.fire()
         event.succeed(size)
         return event
@@ -156,43 +151,12 @@ class _HalfStream:
         self.aborted = True
         self.reset = True
         self._queue.clear()
-        self._offset = 0
-        self._pending_bytes = 0
         if not self.rx.closed:
             self.rx.close()
         self._wake.fire()
         self._acked.fire()
 
     # -- sender process ------------------------------------------------------
-
-    def _take(self, limit: int) -> bytes:
-        """Dequeue one burst of ``limit`` (<= pending) bytes."""
-        queue = self._queue
-        start = self._offset
-        end = start + limit
-        if end <= len(queue[0]):
-            # The burst lies inside one write: a single slice.
-            chunk = queue[0][start:end]
-        else:
-            # It spans several writes: cut views, so that the join is
-            # the only copy.
-            views = []
-            remaining = limit
-            while remaining:
-                view = memoryview(queue[0])[start : start + remaining]
-                views.append(view)
-                remaining -= len(view)
-                if remaining:
-                    queue.popleft()
-                    start = 0
-            end = start + len(view)
-            chunk = b"".join(views)
-        if end == len(queue[0]):
-            queue.popleft()
-            end = 0
-        self._offset = end
-        self._pending_bytes -= limit
-        return chunk
 
     def _sender(self):
         env = self.env
@@ -229,18 +193,19 @@ class _HalfStream:
                 continue
 
             window = max(int(self.cwnd) - self.inflight, opts.mss)
-            limit = min(window, opts.chunk_cap, self._pending_bytes)
+            pending = len(self._queue)
+            limit = min(window, opts.chunk_cap, pending)
             if (
                 opts.nagle
-                and self._pending_bytes < opts.mss
+                and pending < opts.mss
                 and self.inflight > 0
             ):
                 # Nagle: hold sub-MSS data while anything is unacked.
                 yield self._acked.wait()
                 continue
-            chunk = self._take(limit)
-            size = len(chunk)
-            self.inflight += size
+            # One burst: a slice of one write, or one join across several.
+            chunk = self._queue.take(limit)
+            self.inflight += limit
             self.last_activity = env.now
             lost = (
                 self.spec.loss_rate > 0
@@ -370,7 +335,7 @@ class ConnectionSide:
         self._in = in_half
         self.local = local
         self.remote = remote
-        self._leftover = bytearray()
+        self._leftover = ByteQueue()
 
     # -- properties ----------------------------------------------------------
 
@@ -415,9 +380,9 @@ class ConnectionSide:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be > 0")
         if self._leftover:
-            take = bytes(self._leftover[:max_bytes])
-            del self._leftover[:max_bytes]
-            return Event(self._out.env).succeed(take)
+            return Event(self._out.env).succeed(
+                self._leftover.read(max_bytes)
+            )
         # The mailbox's own event, one hop from burst to waiter: its
         # first callback turns the mailbox item into what recv promises
         # before any waiter's callback sees the value.
@@ -435,8 +400,8 @@ class ConnectionSide:
                 event._value = b""
             return
         if len(item) > max_bytes:
-            self._leftover.extend(item[max_bytes:])
-            item = item[:max_bytes]
+            self._leftover.append(item)
+            item = self._leftover.read(max_bytes)
         event._value = bytes(item)
 
     def cancel_recv(self, event: Event) -> None:

@@ -20,6 +20,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.bytequeue import Deframer
 from repro.errors import HttpProtocolError
 from repro.http import Headers
 
@@ -71,30 +72,15 @@ def encode_frame(
     return HEADER.pack(streamid, frame_type, flags, len(payload)) + payload
 
 
-class FrameReader:
+class FrameReader(Deframer):
     """Incremental deframer."""
 
     def __init__(self):
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
+        super().__init__(HEADER, MAX_FRAME_PAYLOAD, HttpProtocolError)
 
     def next_frame(self) -> Optional[Frame]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        streamid, frame_type, flags, length = HEADER.unpack_from(
-            self._buffer
-        )
-        if length > MAX_FRAME_PAYLOAD:
-            raise HttpProtocolError(f"oversized frame ({length} B)")
-        total = HEADER.size + length
-        if len(self._buffer) < total:
-            return None
-        with memoryview(self._buffer) as view:
-            payload = bytes(view[HEADER.size : total])
-        del self._buffer[:total]
-        return Frame(streamid, frame_type, flags, payload)
+        frame = super().next_frame()
+        return None if frame is None else Frame(*frame)
 
 
 # -- header blocks -----------------------------------------------------------------
@@ -118,19 +104,24 @@ def _decode_kv(blob: bytes) -> List[Tuple[str, str]]:
         raw = zlib.decompress(blob)
     except zlib.error as exc:
         raise HttpProtocolError(f"bad header block: {exc}") from exc
-    (count,) = struct.unpack_from(">H", raw)
-    cursor = 2
     pairs = []
-    for _ in range(count):
-        (name_length,) = struct.unpack_from(">H", raw, cursor)
-        cursor += 2
-        name = raw[cursor : cursor + name_length].decode("utf-8")
-        cursor += name_length
-        (value_length,) = struct.unpack_from(">I", raw, cursor)
-        cursor += 4
-        value = raw[cursor : cursor + value_length].decode("utf-8")
-        cursor += value_length
-        pairs.append((name, value))
+    try:
+        (count,) = struct.unpack_from(">H", raw)
+        cursor = 2
+        for _ in range(count):
+            (name_length,) = struct.unpack_from(">H", raw, cursor)
+            cursor += 2
+            name = raw[cursor : cursor + name_length].decode("utf-8")
+            cursor += name_length
+            (value_length,) = struct.unpack_from(">I", raw, cursor)
+            cursor += 4
+            value = raw[cursor : cursor + value_length].decode("utf-8")
+            cursor += value_length
+            pairs.append((name, value))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise HttpProtocolError(f"bad header block: {exc}") from None
+    if cursor > len(raw):  # the last length ran past the end
+        raise HttpProtocolError("truncated header block")
     return pairs
 
 

@@ -15,10 +15,10 @@ Frame layout (big-endian):
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from repro.bytequeue import Deframer
 from repro.errors import XrootdError
 
 __all__ = [
@@ -123,78 +123,17 @@ def encode_response(streamid: int, status: int, payload: bytes = b"") -> bytes:
     return b"".join(gather_frame(streamid, status, (payload,)))
 
 
-class FrameReader:
+class FrameReader(Deframer):
     """Incremental frame deframer (role-agnostic).
 
-    Feed bytes, pop ``(streamid, code, payload)`` triples. ``code`` is
-    the request id on the server side, the status on the client side.
-    What is fed is kept as the buffers it came in, never staged:
-    :meth:`next_pieces` cuts a payload out of them as whole buffers and
-    views, and :meth:`next_frame` is its join.
+    Feed bytes; :meth:`next_frame` pops ``(streamid, code, payload)``
+    triples and :meth:`next_pieces` the same with the payload left as
+    the buffers it arrived in. ``code`` is the request id on the server
+    side, the status on the client side.
     """
 
     def __init__(self):
-        self._bursts = deque()
-        self._offset = 0  # consumed prefix of self._bursts[0]
-        self._size = 0  # unconsumed bytes over all of them
-        self._header = None  # of the frame whose payload is awaited
-
-    def feed(self, data: bytes) -> None:
-        if type(data) is not bytes:
-            # Copied once, so that no payload aliases a caller's buffer.
-            data = bytes(data)
-        if data:
-            self._bursts.append(data)
-            self._size += len(data)
-
-    def _cut(self, count: int) -> List[bytes]:
-        """Consume ``count`` (<= ``_size``) bytes: a buffer used up whole
-        is handed over as it is, a part of one as a view."""
-        bursts = self._bursts
-        start = self._offset
-        self._size -= count
-        pieces = []
-        while count:
-            burst = bursts[0]
-            view = memoryview(burst)[start : start + count]
-            pieces.append(burst if len(view) == len(burst) else view)
-            count -= len(view)
-            start += len(view)
-            if start == len(burst):
-                bursts.popleft()
-                start = 0
-        self._offset = start
-        return pieces
-
-    def next_pieces(self) -> Optional[Tuple[int, int, List[bytes]]]:
-        """:meth:`next_frame` with the payload left as the list of
-        buffers it arrived in."""
-        if self._header is None:
-            if self._size < HEADER.size:
-                return None
-            first, start = self._bursts[0], self._offset
-            if len(first) - start > HEADER.size:
-                self._header = HEADER.unpack_from(first, start)
-                self._offset += HEADER.size
-                self._size -= HEADER.size
-            else:  # it straddles buffers, or uses the first one up
-                self._header = HEADER.unpack(
-                    b"".join(self._cut(HEADER.size))
-                )
-        streamid, code, dlen = self._header
-        if dlen > MAX_DLEN:
-            raise XrootdError(f"frame dlen {dlen} exceeds maximum")
-        if self._size < dlen:
-            return None
-        self._header = None
-        return (streamid, code, self._cut(dlen))
-
-    def next_frame(self) -> Optional[Tuple[int, int, bytes]]:
-        frame = self.next_pieces()
-        if frame is None:
-            return None
-        streamid, code, pieces = frame
-        return (streamid, code, b"".join(pieces))
+        super().__init__(HEADER, MAX_DLEN, XrootdError)
 
 
 # -- payload codecs --------------------------------------------------------------

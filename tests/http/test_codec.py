@@ -550,3 +550,19 @@ def test_receive_data_after_eof_raises_in_every_state():
         parser.receive_data(b"")
         with pytest.raises(HttpParseError):
             parser.receive_data(b"x")
+
+
+def test_a_buffer_that_is_nothing_but_body_is_handed_over_as_it_is():
+    """No staging: a received buffer of body bytes comes out as the
+    object that went in, also when buffers queue up before a pull."""
+    burst = bytes(range(256)) * 64
+    wire = serialize_response(Response(200, Headers(), body=burst * 2))
+    parser = HttpParser("client")
+    parser.expect_response_to("GET")
+    parser.receive_data(wire[: -2 * len(burst)])
+    parser.receive_data(burst)
+    parser.receive_data(burst)
+    events, last = drain(parser)
+    assert last == NEED_DATA
+    assert [type(event) for event in events[1:]] == [Data, Data, EndOfMessage]
+    assert events[1].data is burst and events[2].data is burst

@@ -8,6 +8,8 @@ they arrive, so decode overlaps with the transfer. The contract: for
 boundaries never confuses the state machine.
 """
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +92,19 @@ def test_unterminated_headers_raise():
     decoder.feed(b"--B\r\nContent-Range: bytes 0-1/2")
     with pytest.raises(HttpParseError, match="headers not terminated"):
         decoder.close()
+
+
+def test_garbage_where_a_delimiter_belongs_is_misaligned():
+    """After a part comes a delimiter; anything else is refused, as
+    the buffered decoder refuses it."""
+    body = encode_byteranges(PARTS[:2], "BOUND")
+    second = body.index(b"--BOUND", 1)
+    bad = body[:second] + b"XXXXXXX" + body[second + 7 :]
+    with pytest.raises(HttpParseError, match="misaligned"):
+        decode_byteranges(bad, "BOUND")
+    for chunk_size in (1, 5, len(bad)):
+        with pytest.raises(HttpParseError, match="misaligned"):
+            stream_decode(bad, "BOUND", chunk_size)
 
 
 def test_part_without_content_range_rejected():
@@ -181,16 +196,23 @@ def test_every_split_and_every_truncation_matches_buffered():
     preamble=st.binary(max_size=40),
     cuts=st.lists(st.integers(min_value=0, max_value=4000), max_size=12),
     keep=st.none() | st.integers(min_value=0, max_value=4000),
+    corrupt=st.none()
+    | st.tuples(st.integers(min_value=0), st.binary(min_size=1, max_size=4)),
     wrap=st.sampled_from([bytes, bytearray, memoryview]),
 )
 def test_property_any_chunking_of_any_body_matches_buffered(
-    parts, preamble, cuts, keep, wrap
+    parts, preamble, cuts, keep, corrupt, wrap
 ):
     range_parts = [
         RangePart(offset=offset, data=data, total=20_000)
         for offset, data in parts
     ]
     body = preamble + encode_byteranges(range_parts, "B7")
+    if corrupt is not None:  # garbage over the start of one delimiter
+        which, junk = corrupt
+        delimiters = [found.start() for found in re.finditer(b"--B7", body)]
+        at = delimiters[which % len(delimiters)]
+        body = body[:at] + junk + body[at + len(junk) :]
     if keep is not None:
         body = body[: keep % (len(body) + 1)]
     edges = sorted({cut % (len(body) + 1) for cut in cuts} | {len(body)})

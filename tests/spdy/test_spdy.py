@@ -1,5 +1,7 @@
 """Tests for the SPDY-like multiplexed comparator."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,6 +63,23 @@ def test_header_block_is_compressed():
     headers = Headers([("X-Pad", "v" * 2000)])
     blob = sp.encode_request_head("GET", "/", headers)
     assert len(blob) < 500  # zlib'd
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"",  # no pair count
+        b"\x00\x01\x00",  # a name length cut short
+        b"\x00\x01\x00\x01a\x00\x00\x00\x64xyz",  # value runs past the end
+        b"\x00\x01\x00\x01\xff\x00\x00\x00\x00",  # name is not UTF-8
+        b"not zlib at all",
+    ],
+)
+def test_malformed_header_block_is_a_typed_error(raw):
+    blob = raw if raw.startswith(b"not") else zlib.compress(raw)
+    for decode in (sp.decode_request_head, sp.decode_response_head):
+        with pytest.raises(HttpProtocolError):
+            decode(blob)
 
 
 @given(

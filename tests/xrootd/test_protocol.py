@@ -1,9 +1,7 @@
 """Tests for the XRootD frame and payload codecs."""
 
-import random
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import XrootdError
@@ -101,26 +99,6 @@ def test_close_roundtrip():
 
 
 @given(
-    st.integers(min_value=0, max_value=65535),
-    st.integers(min_value=0, max_value=65535),
-    st.binary(max_size=4096),
-    st.integers(min_value=1, max_value=64),
-)
-def test_frame_roundtrip_any_split(streamid, code, payload, step):
-    wire = proto.encode_request(streamid, code, payload)
-    reader = proto.FrameReader()
-    frames = []
-    for i in range(0, len(wire), step):
-        reader.feed(wire[i : i + step])
-        while True:
-            frame = reader.next_frame()
-            if frame is None:
-                break
-            frames.append(frame)
-    assert frames == [(streamid, code, payload)]
-
-
-@given(
     st.lists(st.binary(max_size=500), min_size=0, max_size=10)
 )
 def test_readv_reply_property(pieces):
@@ -129,105 +107,7 @@ def test_readv_reply_property(pieces):
     )
 
 
-# -- buffers in, buffers out: no staging, same frames -------------------------
-
-
-def pop_all(reader):
-    frames = []
-    while True:
-        frame = reader.next_frame()
-        if frame is None:
-            return frames
-        frames.append(frame)
-
-
-#: Payload sizes around every boundary the deframer knows: empty, the
-#: header size, a receive burst, a response frame, a whole basket read.
-FRAME_SIZES = st.sampled_from(
-    [0, 1, 7, 8, 9, 4096, 65535, 65536, 262_144, 600 * 1024]
-) | st.integers(min_value=0, max_value=600 * 1024)
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=65535),
-            st.integers(min_value=0, max_value=65535),
-            FRAME_SIZES,
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    st.sampled_from([bytes, bytearray, memoryview]),
-    st.data(),
-)
-def test_any_chunking_yields_the_same_frames(frames, kind, data):
-    """A stream of request and response frames cut anywhere — inside a
-    header too — and fed as any buffer type deframes to what it does
-    fed whole."""
-    rng = random.Random(len(frames))
-    expected = [
-        (streamid, code, rng.randbytes(size))
-        for streamid, code, size in frames
-    ]
-    encoders = (proto.encode_request, proto.encode_response)
-    wires = [
-        encoders[index % 2](*frame) for index, frame in enumerate(expected)
-    ]
-    wire = b"".join(wires)
-    starts = [sum(map(len, wires[:index])) for index in range(len(wires))]
-    cuts = data.draw(
-        st.lists(st.integers(min_value=0, max_value=len(wire)), max_size=12)
-    )
-    # Cuts near a frame's start, so headers straddle buffers.
-    cuts += [
-        min(max(starts[index] + delta, 0), len(wire))
-        for index, delta in data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=len(wires) - 1),
-                    st.integers(min_value=-8, max_value=16),
-                ),
-                max_size=6,
-            )
-        )
-    ]
-    edges = sorted({0, len(wire), *cuts})
-
-    whole = proto.FrameReader()
-    whole.feed(wire)
-    assert pop_all(whole) == expected
-
-    reader = proto.FrameReader()
-    got = []
-    for begin, end in zip(edges, edges[1:]):
-        piece = kind(wire[begin:end])
-        reader.feed(piece)
-        if kind is bytearray:
-            piece[:] = bytes(len(piece))  # the reader must not alias it
-        got.extend(pop_all(reader))
-    assert got == expected
-    assert all(type(payload) is bytes for _, _, payload in got)
-
-
-def test_next_pieces_hands_over_whole_bursts_and_views():
-    """The payload of a frame that spans receive bursts is those bursts:
-    a burst used up whole is the object that was fed, not a copy."""
-    payload = bytes(range(256)) * 1024  # 256 KiB
-    wire = proto.encode_response(5, proto.STATUS_OKSOFAR, payload)
-    bursts = [wire[i : i + 65536] for i in range(0, len(wire), 65536)]
-    reader = proto.FrameReader()
-    for burst in bursts[:-1]:
-        reader.feed(burst)
-        assert reader.next_pieces() is None
-    reader.feed(bursts[-1])
-    streamid, status, pieces = reader.next_pieces()
-    assert (streamid, status) == (5, proto.STATUS_OKSOFAR)
-    assert b"".join(pieces) == payload
-    assert [piece for piece in pieces if type(piece) is bytes] == bursts[1:]
-    assert all(piece is burst for piece, burst in zip(pieces[1:], bursts[1:]))
-    assert reader.next_pieces() is None
+# -- buffers in, buffers out (any chunking, aliasing: tests/test_bytequeue.py) -
 
 
 def test_oversized_frame_header_is_rejected_every_time():
