@@ -16,25 +16,19 @@ Layered architecture (bottom up):
 * :mod:`repro.workloads` — the paper's HEP analysis job + HammerCloud.
 """
 
-from repro.core import (
-    Context,
-    DavFile,
-    DavixClient,
-    DavPosix,
-    MetalinkMode,
-    RequestParams,
-    TransferConfig,
-)
+from repro._lazy import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Context",
-    "DavFile",
-    "DavixClient",
-    "DavPosix",
-    "MetalinkMode",
-    "RequestParams",
-    "TransferConfig",
-    "__version__",
-]
+_EXPORTS = {
+    "Context": ".core",
+    "DavFile": ".core",
+    "DavixClient": ".core",
+    "DavPosix": ".core",
+    "MetalinkMode": ".core",
+    "RequestParams": ".core",
+    "TransferConfig": ".core",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

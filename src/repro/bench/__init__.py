@@ -1,14 +1,16 @@
 """Benchmark support: statistics and table rendering."""
 
-from repro.bench.figures import PAPER_FIG4, print_table, render_table
-from repro.bench.stats import percentile, ratio, sample_summary, summarize
+from repro._lazy import exports
 
-__all__ = [
-    "PAPER_FIG4",
-    "print_table",
-    "render_table",
-    "percentile",
-    "ratio",
-    "sample_summary",
-    "summarize",
-]
+_EXPORTS = {
+    "PAPER_FIG4": ".figures",
+    "print_table": ".figures",
+    "render_table": ".figures",
+    "percentile": ".stats",
+    "ratio": ".stats",
+    "sample_summary": ".stats",
+    "summarize": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

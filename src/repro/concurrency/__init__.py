@@ -1,49 +1,33 @@
 """Effect-based concurrency: write protocol code once, run it on the
 simulated network or on real sockets."""
 
-from repro.concurrency.effects import (
-    Abort,
-    Accept,
-    Await,
-    Close,
-    Connect,
-    Effect,
-    Join,
-    MakePromise,
-    Now,
-    Recv,
-    Send,
-    Sleep,
-    Spawn,
-)
-from repro.concurrency.promise import EffectLock, SimPromise, ThreadPromise
-from repro.concurrency.runtime import Runtime, TaskHandle
-from repro.concurrency.structures import Outcome, TaskWindow, bounded_gather
-from repro.concurrency.sim_runtime import SimRuntime
-from repro.concurrency.thread_runtime import ThreadRuntime
+from repro._lazy import exports
 
-__all__ = [
-    "Abort",
-    "Accept",
-    "Await",
-    "MakePromise",
-    "EffectLock",
-    "SimPromise",
-    "ThreadPromise",
-    "Close",
-    "Connect",
-    "Effect",
-    "Join",
-    "Now",
-    "Recv",
-    "Send",
-    "Sleep",
-    "Spawn",
-    "Outcome",
-    "TaskWindow",
-    "bounded_gather",
-    "Runtime",
-    "TaskHandle",
-    "SimRuntime",
-    "ThreadRuntime",
-]
+_EXPORTS = {
+    "Abort": ".effects",
+    "Accept": ".effects",
+    "Await": ".effects",
+    "MakePromise": ".effects",
+    "EffectLock": ".promise",
+    "SimPromise": ".promise",
+    "ThreadPromise": ".promise",
+    "Close": ".effects",
+    "Connect": ".effects",
+    "Effect": ".effects",
+    "Join": ".effects",
+    "Now": ".effects",
+    "Recv": ".effects",
+    "Send": ".effects",
+    "Sleep": ".effects",
+    "Spawn": ".effects",
+    "Outcome": ".structures",
+    "TaskWindow": ".structures",
+    "bounded_gather": ".structures",
+    "Runtime": ".runtime",
+    "TaskHandle": ".runtime",
+    "SimRuntime": ".sim_runtime",
+    "ThreadRuntime": ".thread_runtime",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

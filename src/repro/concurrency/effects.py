@@ -62,7 +62,7 @@ class Now(Effect):
 class Connect(Effect):
     """Open a TCP connection to ``endpoint``; resolves to a channel.
 
-    ``options`` is runtime-specific (a :class:`~repro.net.tcp.TcpOptions`
+    ``options`` is runtime-specific (a :class:`~repro.net.options.TcpOptions`
     for the simulator; ignored by the socket runtime).
     Raises :class:`~repro.errors.ConnectError` on failure.
     """

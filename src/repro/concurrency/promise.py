@@ -12,16 +12,17 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.sim import Environment, Gate
-
 __all__ = ["SimPromise", "ThreadPromise", "EffectLock"]
 
 
 class SimPromise:
     """Promise backed by a simulation Gate."""
 
-    def __init__(self, env: Environment):
-        self._gate = Gate(env)
+    def __init__(self, gate):
+        #: A :class:`repro.sim.Gate`, handed in by ``SimRuntime`` so that
+        #: this module, which the socket runtime needs for
+        #: :class:`ThreadPromise`, imports no simulator.
+        self._gate = gate
 
     @property
     def done(self) -> bool:

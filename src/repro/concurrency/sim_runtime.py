@@ -13,7 +13,7 @@ from repro.concurrency import effects as fx
 from repro.concurrency.runtime import Runtime, TaskHandle
 from repro.errors import ProcessInterrupt, TransferTimeout
 from repro.net.network import Network
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Gate
 
 __all__ = ["SimRuntime"]
 
@@ -115,7 +115,7 @@ class SimRuntime(Runtime):
         if isinstance(step, fx.MakePromise):
             from repro.concurrency.promise import SimPromise
 
-            return SimPromise(env)
+            return SimPromise(Gate(env))
         if isinstance(step, fx.Await):
             value = yield from self._wait(
                 step.promise._wait_event(), step.timeout

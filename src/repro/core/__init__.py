@@ -14,90 +14,52 @@ Public surface:
 * :func:`pipeline_requests` — the HTTP-pipelining baseline.
 """
 
-from repro.core.client import DavixClient
-from repro.core.context import Context, MetalinkMode, RequestParams
-from repro.core.dispatch import JobResult, run_parallel
-from repro.core.engine import TransferEngine
-from repro.core.transfer import TransferConfig
-from repro.core.failover import with_failover
-from repro.core.file import DavFile, FileStat
-from repro.core.objectclient import ObjectStoreClient
-from repro.core.multistream import (
-    MultistreamResult,
-    StreamStats,
-    multistream_download,
-)
-from repro.core.pipelining import pipeline_requests
-from repro.core.pool import PoolStats, SessionPool
-from repro.core.posix import DavFd, DavPosix
-from repro.core.session import Session, StaleSession, open_session
-from repro.core.tpc import (
-    PerfMarker,
-    TpcConfig,
-    TpcSummary,
-    parse_marker_stream,
-    plan_chunks,
-)
-from repro.core.vectored import (
-    CoalescedRange,
-    Fragment,
-    PartTable,
-    VectorPlan,
-    missing_ranges,
-    plan_vector,
-    scatter_parts,
-)
-from repro.resilience import (
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    RetrySchedule,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DavixClient",
-    "Context",
-    "MetalinkMode",
-    "RequestParams",
-    "TransferConfig",
-    "TransferEngine",
-    "JobResult",
-    "run_parallel",
-    "with_failover",
-    "DavFile",
-    "ObjectStoreClient",
-    "FileStat",
-    "MultistreamResult",
-    "StreamStats",
-    "multistream_download",
-    "pipeline_requests",
-    "PoolStats",
-    "SessionPool",
-    "DavFd",
-    "DavPosix",
-    "Session",
-    "StaleSession",
-    "open_session",
-    "PerfMarker",
-    "TpcConfig",
-    "TpcSummary",
-    "parse_marker_stream",
-    "plan_chunks",
-    "CoalescedRange",
-    "Fragment",
-    "PartTable",
-    "VectorPlan",
-    "plan_vector",
-    "scatter_parts",
-    "missing_ranges",
-    "BreakerBoard",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
-    "Deadline",
-    "RetryPolicy",
-    "RetrySchedule",
-]
+_EXPORTS = {
+    "DavixClient": ".client",
+    "Context": ".context",
+    "MetalinkMode": ".context",
+    "RequestParams": ".context",
+    "TransferConfig": ".transfer",
+    "TransferEngine": ".engine",
+    "JobResult": ".dispatch",
+    "run_parallel": ".dispatch",
+    "with_failover": ".failover",
+    "DavFile": ".file",
+    "ObjectStoreClient": ".objectclient",
+    "FileStat": ".file",
+    "MultistreamResult": ".multistream",
+    "StreamStats": ".multistream",
+    "multistream_download": ".multistream",
+    "pipeline_requests": ".pipelining",
+    "PoolStats": ".pool",
+    "SessionPool": ".pool",
+    "DavFd": ".posix",
+    "DavPosix": ".posix",
+    "Session": ".session",
+    "StaleSession": ".session",
+    "open_session": ".session",
+    "PerfMarker": ".tpc",
+    "TpcConfig": ".tpc",
+    "TpcSummary": ".tpc",
+    "parse_marker_stream": ".tpc",
+    "plan_chunks": ".tpc",
+    "CoalescedRange": ".vectored",
+    "Fragment": ".vectored",
+    "PartTable": ".vectored",
+    "VectorPlan": ".vectored",
+    "plan_vector": ".vectored",
+    "scatter_parts": ".vectored",
+    "missing_ranges": ".vectored",
+    "BreakerBoard": "repro.resilience",
+    "BreakerConfig": "repro.resilience",
+    "BreakerState": "repro.resilience",
+    "CircuitBreaker": "repro.resilience",
+    "Deadline": "repro.resilience",
+    "RetryPolicy": "repro.resilience",
+    "RetrySchedule": "repro.resilience",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.pagecache import PageCache
 from repro.core.pool import SessionPool
 from repro.core.transfer import TransferConfig
-from repro.net.tcp import TcpOptions
+from repro.net.options import TcpOptions
 from repro.obs import EventLog, MetricsRegistry, SloTracker, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig, RetryPolicy
 

@@ -47,6 +47,7 @@ from repro.http.headers import parse_cache_control
 from repro.http.multipart import MultipartStream, content_type_boundary
 from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import METALINK_MEDIA_TYPE, Metalink, parse_metalink
+from repro.server.webdav import parse_multistatus
 
 __all__ = ["FileStat", "DavFile", "RangeSink", "get_ranges"]
 
@@ -309,8 +310,6 @@ class DavFile:
         )
 
     def _stat_propfind(self):
-        from repro.server.webdav import parse_multistatus
-
         request = Request(
             "PROPFIND", self.url.target, Headers([("Depth", "0")])
         )

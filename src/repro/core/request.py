@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.http import Request, Response, Url
 from repro.http.status import is_redirect, is_retriable
-from repro.net.tcp import TcpOptions
+from repro.net.options import TcpOptions
 from repro.obs.phases import PhaseRecorder
 from repro.obs.propagation import format_span_id, format_trace_id
 from repro.resilience import Deadline, is_idempotent

@@ -32,13 +32,17 @@ class Url:
 
     @classmethod
     def parse(cls, raw: str) -> "Url":
-        parts = urlsplit(raw)
+        try:
+            parts = urlsplit(raw)
+            port = parts.port
+        except ValueError as exc:  # unclosed IPv6 bracket, non-numeric port
+            raise HttpProtocolError(f"malformed URL {raw!r}: {exc}") from exc
         scheme = (parts.scheme or "http").lower()
         if scheme not in DEFAULT_PORTS:
             raise HttpProtocolError(f"unsupported scheme {scheme!r} in {raw!r}")
         if not parts.hostname:
             raise HttpProtocolError(f"URL without host: {raw!r}")
-        port = parts.port or DEFAULT_PORTS[scheme]
+        port = port or DEFAULT_PORTS[scheme]
         path = parts.path or "/"
         return cls(
             scheme=scheme,
@@ -74,7 +78,12 @@ class Url:
 
     def resolve(self, location: str) -> "Url":
         """Resolve a (possibly relative) redirect target against self."""
-        return Url.parse(urljoin(str(self), location))
+        try:
+            return Url.parse(urljoin(str(self), location))
+        except ValueError as exc:  # urljoin splits both URLs itself
+            raise HttpProtocolError(
+                f"malformed redirect target {location!r}: {exc}"
+            ) from exc
 
     def with_path(self, path: str, encode: bool = True) -> "Url":
         """Return a copy pointing at ``path`` (query dropped)."""

@@ -1,21 +1,16 @@
 """Metalink (RFC 5854) support: model, parser, writer."""
 
-from repro.metalink.model import (
-    METALINK_MEDIA_TYPE,
-    METALINK_NS,
-    Metalink,
-    MetalinkFile,
-    MetalinkUrl,
-)
-from repro.metalink.parser import parse_metalink
-from repro.metalink.writer import write_metalink
+from repro._lazy import exports
 
-__all__ = [
-    "METALINK_MEDIA_TYPE",
-    "METALINK_NS",
-    "Metalink",
-    "MetalinkFile",
-    "MetalinkUrl",
-    "parse_metalink",
-    "write_metalink",
-]
+_EXPORTS = {
+    "METALINK_MEDIA_TYPE": ".model",
+    "METALINK_NS": ".model",
+    "Metalink": ".model",
+    "MetalinkFile": ".model",
+    "MetalinkUrl": ".model",
+    "parse_metalink": ".parser",
+    "write_metalink": ".writer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

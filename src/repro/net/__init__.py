@@ -1,32 +1,24 @@
 """Flow-level network simulation: links, TCP model, topology, profiles."""
 
-from repro.net.link import LinkSpec, Wire
-from repro.net.network import Host, Listener, Network
-from repro.net.profiles import (
-    GEANT,
-    HUNDRED_GIG,
-    LAN,
-    PROFILES,
-    WAN,
-    NetProfile,
-    build_network,
-)
-from repro.net.tcp import ConnectionSide, TcpConnection, TcpOptions
+from repro._lazy import exports
 
-__all__ = [
-    "LinkSpec",
-    "Wire",
-    "Host",
-    "Listener",
-    "Network",
-    "ConnectionSide",
-    "TcpConnection",
-    "TcpOptions",
-    "NetProfile",
-    "LAN",
-    "GEANT",
-    "WAN",
-    "HUNDRED_GIG",
-    "PROFILES",
-    "build_network",
-]
+_EXPORTS = {
+    "LinkSpec": ".link",
+    "Wire": ".link",
+    "Host": ".network",
+    "Listener": ".network",
+    "Network": ".network",
+    "ConnectionSide": ".tcp",
+    "TcpConnection": ".tcp",
+    "TcpOptions": ".options",
+    "NetProfile": ".profiles",
+    "LAN": ".profiles",
+    "GEANT": ".profiles",
+    "WAN": ".profiles",
+    "HUNDRED_GIG": ".profiles",
+    "PROFILES": ".profiles",
+    "build_network": ".profiles",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -15,121 +15,65 @@ in :mod:`repro.obs.window`, SLO/error-budget tracking in
 :mod:`repro.obs.slo`. See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.analyze import (
-    CriticalPath,
-    ProvenanceLedger,
-    SpanRecord,
-    TraceTree,
-    assemble_traces,
-    byte_provenance,
-    critical_path,
-    render_critical_path,
-    render_provenance,
-    render_trace_diff,
-    render_trace_summary,
-    render_waterfall,
-    stragglers,
-)
-from repro.obs.collector import (
-    TELEMETRY_CONTENT_TYPE,
-    TELEMETRY_PATH,
-    TelemetryCollector,
-    TelemetrySink,
-    parse_records,
-    push_telemetry,
-    record_to_json,
-    records_to_json_lines,
-)
-from repro.obs.events import (
-    EventLog,
-    event_to_json,
-    events_to_json_lines,
-    parse_json_lines,
-)
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    metrics_to_json_lines,
-    prometheus_exposition,
-    render_metrics,
-    render_span_tree,
-    spans_to_json_lines,
-    window_to_prometheus,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.phases import PHASES, PhaseRecorder, RequestTimings
-from repro.obs.propagation import (
-    TRACEPARENT_HEADER,
-    TraceContext,
-    format_span_id,
-    format_trace_id,
-    format_traceparent,
-    inject_traceparent,
-    parse_traceparent,
-)
-from repro.obs.slo import OriginSlo, SloPolicy, SloTracker
-from repro.obs.tracing import NULL_SPAN, Span, Tracer
-from repro.obs.window import RollingHistogram, WindowSnapshot
+from repro._lazy import exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
-    "Span",
-    "Tracer",
-    "NULL_SPAN",
-    "TRACEPARENT_HEADER",
-    "TraceContext",
-    "format_trace_id",
-    "format_span_id",
-    "format_traceparent",
-    "parse_traceparent",
-    "inject_traceparent",
-    "PHASES",
-    "PhaseRecorder",
-    "RequestTimings",
-    "EventLog",
-    "event_to_json",
-    "events_to_json_lines",
-    "parse_json_lines",
-    "RollingHistogram",
-    "WindowSnapshot",
-    "SloPolicy",
-    "OriginSlo",
-    "SloTracker",
-    "render_metrics",
-    "metrics_to_json_lines",
-    "prometheus_exposition",
-    "window_to_prometheus",
-    "PROMETHEUS_CONTENT_TYPE",
-    "render_span_tree",
-    "spans_to_json_lines",
-    "TELEMETRY_PATH",
-    "TELEMETRY_CONTENT_TYPE",
-    "TelemetrySink",
-    "TelemetryCollector",
-    "parse_records",
-    "push_telemetry",
-    "record_to_json",
-    "records_to_json_lines",
-    "SpanRecord",
-    "TraceTree",
-    "CriticalPath",
-    "ProvenanceLedger",
-    "assemble_traces",
-    "critical_path",
-    "stragglers",
-    "byte_provenance",
-    "render_waterfall",
-    "render_critical_path",
-    "render_provenance",
-    "render_trace_summary",
-    "render_trace_diff",
-]
+_EXPORTS = {
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "DEFAULT_BUCKETS": ".metrics",
+    "Span": ".tracing",
+    "Tracer": ".tracing",
+    "NULL_SPAN": ".tracing",
+    "TRACEPARENT_HEADER": ".propagation",
+    "TraceContext": ".propagation",
+    "format_trace_id": ".propagation",
+    "format_span_id": ".propagation",
+    "format_traceparent": ".propagation",
+    "parse_traceparent": ".propagation",
+    "inject_traceparent": ".propagation",
+    "PHASES": ".phases",
+    "PhaseRecorder": ".phases",
+    "RequestTimings": ".phases",
+    "EventLog": ".events",
+    "event_to_json": ".events",
+    "events_to_json_lines": ".events",
+    "parse_json_lines": ".events",
+    "RollingHistogram": ".window",
+    "WindowSnapshot": ".window",
+    "SloPolicy": ".slo",
+    "OriginSlo": ".slo",
+    "SloTracker": ".slo",
+    "render_metrics": ".export",
+    "metrics_to_json_lines": ".export",
+    "prometheus_exposition": ".export",
+    "window_to_prometheus": ".export",
+    "PROMETHEUS_CONTENT_TYPE": ".export",
+    "render_span_tree": ".export",
+    "spans_to_json_lines": ".export",
+    "TELEMETRY_PATH": ".collector",
+    "TELEMETRY_CONTENT_TYPE": ".collector",
+    "TelemetrySink": ".collector",
+    "TelemetryCollector": ".collector",
+    "parse_records": ".collector",
+    "push_telemetry": ".collector",
+    "record_to_json": ".collector",
+    "records_to_json_lines": ".collector",
+    "SpanRecord": ".analyze",
+    "TraceTree": ".analyze",
+    "CriticalPath": ".analyze",
+    "ProvenanceLedger": ".analyze",
+    "assemble_traces": ".analyze",
+    "critical_path": ".analyze",
+    "stragglers": ".analyze",
+    "byte_provenance": ".analyze",
+    "render_waterfall": ".analyze",
+    "render_critical_path": ".analyze",
+    "render_provenance": ".analyze",
+    "render_trace_summary": ".analyze",
+    "render_trace_diff": ".analyze",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -11,62 +11,37 @@ Two on-disk formats share one fetcher protocol and one read surface:
   with parallel per-cluster decode lanes.
 """
 
-from repro.rootio.clusterscan import ClusterScan
-from repro.rootio.fetchers import DavixFetcher, XrootdFetcher
-from repro.rootio.generator import (
-    BranchSpec,
-    DatasetSpec,
-    generate_ntuple_bytes,
-    generate_ntuple_layout,
-    generate_tree_bytes,
-    generate_tree_layout,
-    paper_dataset,
-)
-from repro.rootio.ntuple import (
-    ClusterInfo,
-    ColumnMeta,
-    NTupleMeta,
-    NTupleReader,
-    PageInfo,
-    decode_page,
-    ntuple_meta_from_json,
-    write_ntuple_file,
-)
-from repro.rootio.tree import BasketInfo, BranchMeta, TreeMeta
-from repro.rootio.treecache import TTreeCache
-from repro.rootio.treefile import (
-    LocalFetcher,
-    TreeFileReader,
-    write_tree_file,
-)
-from repro.rootio.zipfmt import compress_basket, decompress_basket
+from repro._lazy import exports
 
-__all__ = [
-    "DavixFetcher",
-    "XrootdFetcher",
-    "BranchSpec",
-    "DatasetSpec",
-    "generate_tree_bytes",
-    "generate_tree_layout",
-    "generate_ntuple_bytes",
-    "generate_ntuple_layout",
-    "paper_dataset",
-    "BasketInfo",
-    "BranchMeta",
-    "TreeMeta",
-    "TTreeCache",
-    "LocalFetcher",
-    "TreeFileReader",
-    "write_tree_file",
-    "compress_basket",
-    "decompress_basket",
-    "PageInfo",
-    "ColumnMeta",
-    "ClusterInfo",
-    "NTupleMeta",
-    "NTupleReader",
-    "ClusterScan",
-    "write_ntuple_file",
-    "ntuple_meta_from_json",
-    "decode_page",
-]
+_EXPORTS = {
+    "DavixFetcher": ".fetchers",
+    "XrootdFetcher": ".fetchers",
+    "BranchSpec": ".generator",
+    "DatasetSpec": ".generator",
+    "generate_tree_bytes": ".generator",
+    "generate_tree_layout": ".generator",
+    "generate_ntuple_bytes": ".generator",
+    "generate_ntuple_layout": ".generator",
+    "paper_dataset": ".generator",
+    "BasketInfo": ".tree",
+    "BranchMeta": ".tree",
+    "TreeMeta": ".tree",
+    "TTreeCache": ".treecache",
+    "LocalFetcher": ".treefile",
+    "TreeFileReader": ".treefile",
+    "write_tree_file": ".treefile",
+    "compress_basket": ".zipfmt",
+    "decompress_basket": ".zipfmt",
+    "PageInfo": ".ntuple",
+    "ColumnMeta": ".ntuple",
+    "ClusterInfo": ".ntuple",
+    "NTupleMeta": ".ntuple",
+    "NTupleReader": ".ntuple",
+    "ClusterScan": ".clusterscan",
+    "write_ntuple_file": ".ntuple",
+    "ntuple_meta_from_json": ".ntuple",
+    "decode_page": ".ntuple",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
+from repro.errors import RootIOError
 from repro.rootio.ntuple import (
     DEFAULT_CLUSTER_ENTRIES,
     DEFAULT_PAGE_BYTES,
@@ -121,14 +120,15 @@ def paper_dataset(scale: float = 1.0, n_branches: int = 10) -> DatasetSpec:
     )
 
 
-def _branch_payload(
-    spec: BranchSpec, n_entries: int, rng: np.random.Generator
-) -> bytes:
+def _branch_payload(spec: BranchSpec, n_entries: int, rng) -> bytes:
     """Event records whose zlib ratio approximates ``compress_ratio``.
 
     Mix of incompressible (random) and fully compressible (zero) bytes:
     a fraction ``r`` of random bytes compresses to ~r of the original.
+    ``rng`` is the numpy generator :func:`_branch_payloads` seeded.
     """
+    import numpy as np  # already loaded: the caller made ``rng`` with it
+
     total = spec.event_size * n_entries
     random_bytes = int(total * spec.compress_ratio)
     payload = np.zeros(total, dtype=np.uint8)
@@ -146,16 +146,29 @@ def _branch_payload(
     return payload.tobytes()
 
 
-def generate_tree_bytes(spec: DatasetSpec) -> bytes:
-    """Materialise the dataset as a real tree file (bytes)."""
+def _branch_payloads(spec: DatasetSpec) -> Dict[str, bytes]:
+    """Every branch's event records, seeded by ``spec.seed``.
+
+    numpy loads here and not at the top of the module: only
+    materialising needs it, so a layout-only job or a client process
+    never imports it.
+    """
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise RootIOError("materialising a dataset needs numpy") from exc
     rng = np.random.default_rng(spec.seed)
-    arrays: Dict[str, bytes] = {
+    return {
         branch.name: _branch_payload(branch, spec.n_entries, rng)
         for branch in spec.branches
     }
+
+
+def generate_tree_bytes(spec: DatasetSpec) -> bytes:
+    """Materialise the dataset as a real tree file (bytes)."""
     return write_tree_file(
         spec.name,
-        arrays,
+        _branch_payloads(spec),
         n_entries=spec.n_entries,
         basket_entries=spec.basket_entries,
     )
@@ -173,14 +186,9 @@ def generate_ntuple_bytes(
     the decoded columns of both formats are byte-identical — the
     invariant the format-equivalence tests assert.
     """
-    rng = np.random.default_rng(spec.seed)
-    arrays: Dict[str, bytes] = {
-        branch.name: _branch_payload(branch, spec.n_entries, rng)
-        for branch in spec.branches
-    }
     return write_ntuple_file(
         spec.name,
-        arrays,
+        _branch_payloads(spec),
         n_entries=spec.n_entries,
         cluster_entries=cluster_entries,
         page_bytes=page_bytes,

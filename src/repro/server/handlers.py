@@ -308,7 +308,7 @@ class StorageApp(Envelope):
         """Does the Destination header name another origin?"""
         try:
             url = Url.parse(destination)
-        except Exception:
+        except HttpProtocolError:
             return False  # bare path: always local
         host = request.headers.get("Host")
         if host is None:
@@ -392,7 +392,7 @@ class StorageApp(Envelope):
             )
         try:
             target = Url.parse(destination).decoded_path
-        except Exception:
+        except HttpProtocolError:
             target = destination  # tolerate a bare path
         overwrite = request.headers.get("Overwrite", "T").upper() != "F"
         if not self.store.exists(request.path):

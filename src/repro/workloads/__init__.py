@@ -1,27 +1,21 @@
 """The paper's workloads: HEP analysis job, scenario runner, campaign."""
 
-from repro.workloads.analysis import (
-    DAVIX_TCP,
-    XROOTD_TCP,
-    AnalysisConfig,
-    AnalysisReport,
-    davix_analysis,
-    xrootd_analysis,
-)
-from repro.workloads.hammercloud import Campaign, CellStats, results_to_csv
-from repro.workloads.runner import TREE_PATH, Scenario, run_scenario
+from repro._lazy import exports
 
-__all__ = [
-    "DAVIX_TCP",
-    "XROOTD_TCP",
-    "AnalysisConfig",
-    "AnalysisReport",
-    "davix_analysis",
-    "xrootd_analysis",
-    "Campaign",
-    "CellStats",
-    "results_to_csv",
-    "TREE_PATH",
-    "Scenario",
-    "run_scenario",
-]
+_EXPORTS = {
+    "DAVIX_TCP": ".analysis",
+    "XROOTD_TCP": ".analysis",
+    "AnalysisConfig": ".analysis",
+    "AnalysisReport": ".analysis",
+    "davix_analysis": ".analysis",
+    "xrootd_analysis": ".analysis",
+    "Campaign": ".hammercloud",
+    "CellStats": ".hammercloud",
+    "results_to_csv": ".hammercloud",
+    "TREE_PATH": ".runner",
+    "Scenario": ".runner",
+    "run_scenario": ".runner",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

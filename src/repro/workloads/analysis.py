@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 from repro.concurrency import Now, Sleep
 from repro.core.context import Context, RequestParams, TransferConfig
-from repro.net.tcp import TcpOptions
+from repro.net.options import TcpOptions
 from repro.rootio.clusterscan import ClusterScan
 from repro.rootio.fetchers import DavixFetcher, XrootdFetcher
 from repro.rootio.ntuple import NTupleReader

@@ -8,15 +8,16 @@ data server sharing the HTTP server's object store and service model
 gives XRootD its WAN edge (:mod:`repro.xrootd.readahead`).
 """
 
-from repro.xrootd.client import XrdClient, XrdFile
-from repro.xrootd.readahead import ReadAheadWindow
-from repro.xrootd.server import XrdServer, XrdServerConfig, serve_xrootd
+from repro._lazy import exports
 
-__all__ = [
-    "XrdClient",
-    "XrdFile",
-    "ReadAheadWindow",
-    "XrdServer",
-    "XrdServerConfig",
-    "serve_xrootd",
-]
+_EXPORTS = {
+    "XrdClient": ".client",
+    "XrdFile": ".client",
+    "ReadAheadWindow": ".readahead",
+    "XrdServer": ".server",
+    "XrdServerConfig": ".server",
+    "serve_xrootd": ".server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = exports(__name__, _EXPORTS)

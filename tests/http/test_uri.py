@@ -83,3 +83,19 @@ def test_url_is_hashable_value_type():
     b = Url.parse("http://h/x")
     assert a == b
     assert hash(a) == hash(b)
+
+
+MALFORMED = ["http://h:notaport/x", "http://[::1/x"]
+
+
+@pytest.mark.parametrize("raw", MALFORMED)
+def test_malformed_authority_is_a_typed_error(raw):
+    # urlsplit / SplitResult.port raise a bare ValueError for these.
+    with pytest.raises(HttpProtocolError, match="malformed"):
+        Url.parse(raw)
+
+
+@pytest.mark.parametrize("location", MALFORMED)
+def test_malformed_redirect_target_is_a_typed_error(location):
+    with pytest.raises(HttpProtocolError, match="malformed"):
+        Url.parse("http://a/old").resolve(location)

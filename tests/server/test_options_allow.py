@@ -5,6 +5,8 @@ supports — files, collections, and missing paths differ — with COPY
 advertised consistently now that third-party copy landed.
 """
 
+import pytest
+
 from repro.http import Headers, Request
 
 from tests.helpers import davix_world
@@ -98,3 +100,38 @@ def test_collection_move_removes_source_tree():
     assert response.status in (201, 204)
     assert store.read("/archive/a.txt") == b"alpha"
     assert not store.exists("/docs")
+
+
+@pytest.mark.parametrize("verb", ["MOVE", "COPY"])
+@pytest.mark.parametrize(
+    "destination", ["http://h:notaport/x", "http://[::1/x"]
+)
+def test_malformed_destination_url_is_taken_as_a_path(verb, destination):
+    # COPY also asks whether the Destination names another origin.
+    client, app, store = world()
+    request = Request(
+        verb,
+        "/data/file.bin",
+        Headers([("Host", "server"), ("Destination", destination)]),
+    )
+    response = app.handle(request).response
+    assert response.status == 201
+    assert store.read(destination) == b"x" * 10
+    assert store.exists("/data/file.bin") == (verb == "COPY")
+
+
+def test_move_and_copy_swallow_nothing_but_a_malformed_destination(monkeypatch):
+    client, app, store = world()
+
+    def broken(raw):
+        raise RuntimeError("not a URL problem")
+
+    monkeypatch.setattr("repro.server.handlers.Url.parse", broken)
+    for verb in ("MOVE", "COPY"):
+        request = Request(
+            verb, "/data/file.bin", Headers([("Destination", "/elsewhere")])
+        )
+        with pytest.raises(RuntimeError):
+            app.handle(request)
+    assert store.exists("/data/file.bin")
+    assert not store.exists("/elsewhere")

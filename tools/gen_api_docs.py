@@ -52,9 +52,9 @@ def render() -> str:
         doc = first_line(module)
         sections.append(f"{doc}\n")
         for name in exported:
-            member = getattr(module, name, None)
-            if member is None:
-                continue
+            # No default: a lazy package resolves the name here, and one
+            # that cannot must fail the run, not drop out of the page.
+            member = getattr(module, name)
             if inspect.isclass(member):
                 kind, summary = "class", first_line(member)
             elif callable(member):
