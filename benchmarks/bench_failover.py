@@ -11,13 +11,15 @@ overhead vs the all-alive baseline.
 """
 
 from repro.concurrency import SimRuntime
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.errors import DavixError, NetworkError
 from repro.net import LinkSpec, Network
 from repro.server import HttpServer, ObjectStore, StorageApp, ZeroContent
 from repro.sim import Environment
 
 from _util import emit
+
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 N_REPLICAS = 4
 FILE_SIZE = 64_000_000
@@ -41,7 +43,7 @@ def build_world(dead_sites):
         HttpServer(SimRuntime(net, name), app, port=80).start()
     for index in dead_sites:
         net.host(f"site{index}").fail()
-    params = RequestParams(retries=0, connect_timeout=1.0)
+    params = RequestParams(retry_policy=NO_RETRY, connect_timeout=1.0)
     client = DavixClient(SimRuntime(net, "client"), params=params)
     return client, urls, net
 

@@ -13,8 +13,8 @@ many small ones — three ways:
 Reported metric: mean completion time of the *small* requests.
 """
 
-from repro.concurrency import SimRuntime
-from repro.core import DavixClient, pipeline_requests, run_parallel
+from repro.concurrency import SimRuntime, bounded_gather
+from repro.core import DavixClient, pipeline_requests
 from repro.core.file import DavFile
 from repro.http import Request
 from repro.net import LinkSpec, Network
@@ -77,7 +77,9 @@ def run_pool_dispatch():
         return thunk
 
     jobs = [job("/big")] + [job(f"/small{i}") for i in range(N_SMALL)]
-    client_rt.run(run_parallel(jobs, concurrency=N_SMALL + 1))
+    outcomes = client_rt.run(bounded_gather(jobs, limit=N_SMALL + 1))
+    for outcome in outcomes:
+        outcome.unwrap()
     return done["/big"], [done[f"/small{i}"] for i in range(N_SMALL)]
 
 

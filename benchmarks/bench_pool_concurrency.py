@@ -11,8 +11,8 @@ XRootD connection. Metrics: wall time (scaling) and server connection
 count (the paper's honest trade-off).
 """
 
-from repro.concurrency import SimRuntime
-from repro.core import DavixClient, run_parallel
+from repro.concurrency import SimRuntime, bounded_gather
+from repro.core import DavixClient
 from repro.core.file import DavFile
 from repro.net.profiles import GEANT, build_network
 from repro.server import HttpServer, ObjectStore, StorageApp, ZeroContent
@@ -52,13 +52,13 @@ def run_davix(width):
         return thunk
 
     start = client_rt.now()
-    client_rt.run(
-        run_parallel(
-            [job(f"/obj{i}") for i in range(OBJECTS)],
-            concurrency=width,
-            raise_first=True,
+    outcomes = client_rt.run(
+        bounded_gather(
+            [job(f"/obj{i}") for i in range(OBJECTS)], limit=width
         )
     )
+    for outcome in outcomes:
+        outcome.unwrap()
     elapsed = client_rt.now() - start
     conns = net.host("server").counters["connections_accepted"]
     return elapsed, conns

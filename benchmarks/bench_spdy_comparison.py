@@ -14,9 +14,9 @@ should match multiplexed performance at the cost of more connections,
 and TLS should tax both equally.
 """
 
-from repro.concurrency import Await, SimRuntime
+from repro.concurrency import Await, SimRuntime, bounded_gather
 from repro.concurrency.tlsmodel import TlsPolicy
-from repro.core import DavixClient, run_parallel
+from repro.core import DavixClient
 from repro.core.file import DavFile
 from repro.http import Request
 from repro.net.profiles import GEANT, build_network
@@ -67,13 +67,13 @@ def run_pool(tls: bool):
         return thunk
 
     start = client_rt.now()
-    client_rt.run(
-        run_parallel(
-            [job(f"/obj{i}") for i in range(OBJECTS)],
-            concurrency=WIDTH,
-            raise_first=True,
+    outcomes = client_rt.run(
+        bounded_gather(
+            [job(f"/obj{i}") for i in range(OBJECTS)], limit=WIDTH
         )
     )
+    for outcome in outcomes:
+        outcome.unwrap()
     elapsed = client_rt.now() - start
     conns = net.host("server").counters["connections_accepted"]
     return elapsed, conns

@@ -14,7 +14,7 @@ Gates (the paper's Section 3.2 scaling argument, ported to TPC):
 """
 
 from repro.concurrency import SimRuntime
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.net import LinkSpec, Network, TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import (
@@ -27,6 +27,8 @@ from repro.server import (
 from repro.sim import Environment
 
 from _util import emit
+
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 GBIT = 125_000_000
 FILE_SIZE = 384 * 1024 * 1024
@@ -69,13 +71,15 @@ def tpc_world(link_bandwidth, rtt):
     apps = {}
     for name in ("site-a", "site-b"):
         app = StorageApp(ObjectStore(), config=config)
-        app.tpc_params = RequestParams(tcp_options=WINDOW, retries=0)
+        app.tpc_params = RequestParams(
+            tcp_options=WINDOW, retry_policy=NO_RETRY
+        )
         app.metrics = MetricsRegistry()
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps[name] = app
     apps["site-a"].store.put(SOURCE, ZeroContent(FILE_SIZE))
     client = DavixClient(
-        SimRuntime(net, "client"), params=RequestParams(retries=0)
+        SimRuntime(net, "client"), params=RequestParams(retry_policy=NO_RETRY)
     )
     return client, net, apps
 

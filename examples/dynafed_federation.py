@@ -11,7 +11,7 @@ Run: ``python examples/dynafed_federation.py``
 """
 
 from repro.concurrency import SimRuntime
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.net import LinkSpec, Network
 from repro.server import (
     FederationApp,
@@ -21,6 +21,8 @@ from repro.server import (
     SyntheticContent,
 )
 from repro.sim import Environment
+
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 PATH = "/fed/atlas/dataset042.root"
 SIZE = 8_000_000
@@ -58,7 +60,7 @@ def main() -> None:
     HttpServer(SimRuntime(net, "dynafed"), federator, port=80).start()
 
     client = DavixClient(
-        SimRuntime(net, "client"), params=RequestParams(retries=0)
+        SimRuntime(net, "client"), params=RequestParams(retry_policy=NO_RETRY)
     )
     fed_url = f"http://dynafed{PATH}"
 
@@ -66,10 +68,8 @@ def main() -> None:
     for _ in range(3):
         data = client.get(fed_url)
         assert len(data) == SIZE
-    print(
-        f"3 federated GETs ok; redirects followed: "
-        f"{client.context.counters['redirects_followed']}"
-    )
+    redirects = client.metrics().value("client.redirects_followed_total")
+    print(f"3 federated GETs ok; redirects followed: {int(redirects)}")
 
     # The Metalink view of the same namespace entry.
     metalink = client.get_metalink(fed_url)

@@ -12,11 +12,13 @@ Run: ``python examples/resilient_failover.py``
 """
 
 from repro.concurrency import SimRuntime
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.errors import AllReplicasFailed
 from repro.net import LinkSpec, Network
 from repro.server import HttpServer, ObjectStore, StorageApp, SyntheticContent
 from repro.sim import Environment
+
+NO_RETRY = RetryPolicy(max_attempts=1)
 
 N_SITES = 4
 PATH = "/grid/dataset.root"
@@ -40,7 +42,7 @@ def build_grid():
         app = StorageApp(store, replicas={PATH: urls})
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps.append(app)
-    params = RequestParams(retries=0, connect_timeout=0.5)
+    params = RequestParams(retry_policy=NO_RETRY, connect_timeout=0.5)
     client = DavixClient(SimRuntime(net, "client"), params=params)
     return client, net, urls, apps
 
@@ -59,10 +61,11 @@ def main() -> None:
             data = client.get_with_failover(
                 urls[0], metalink_url=urls[-1]
             )
+            failovers = client.metrics().value("client.failovers_total")
             print(
                 f"  {dead} site(s) down -> fail-over GET ok "
                 f"({len(data) / 1e6:.0f} MB, "
-                f"{client.context.counters['failovers']} failovers so far)"
+                f"{int(failovers or 0)} failovers so far)"
             )
         except AllReplicasFailed as exc:
             print(f"  {dead} site(s) down -> {exc}")

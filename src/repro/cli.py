@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="HTTP/WebDAV data access (davix reproduction)",
     )
     parser.add_argument(
-        "--retries", type=int, default=1, help="transient-error retries"
-    )
-    parser.add_argument(
         "--timeout", type=float, default=30.0, help="operation timeout (s)"
     )
     parser.add_argument(
@@ -82,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = parser.add_argument_group(
         "resilience",
-        "retry/backoff, deadline and circuit-breaker knobs "
-        "(overrides --retries when --max-attempts is given)",
+        "retry/backoff, deadline and circuit-breaker knobs",
     )
     resilience.add_argument(
         "--max-attempts",
         type=int,
         metavar="N",
-        help="total tries per request (first attempt + retries)",
+        help="total tries per request, first attempt included "
+        "(default: 2, the retry immediate)",
     )
     resilience.add_argument(
         "--retry-base",
@@ -337,27 +334,24 @@ def _transfer(args) -> Optional[TransferConfig]:
 
 
 def _client(args) -> DavixClient:
-    retry_policy = None
+    inflight = getattr(args, "inflight", None)
+    transfer = _transfer(args)
+    extra = {}
     if getattr(args, "max_attempts", None) is not None:
-        retry_policy = RetryPolicy(
+        extra["retry_policy"] = RetryPolicy(
             max_attempts=args.max_attempts,
             base_delay=args.retry_base,
             max_delay=args.retry_max_delay,
             jitter=args.retry_jitter,
             seed=args.retry_seed,
         )
-    inflight = getattr(args, "inflight", None)
-    transfer = _transfer(args)
-    extra = {}
     if transfer is not None:
         extra["transfer"] = transfer
     if inflight is not None:
         extra["multistream_max_streams"] = inflight
     params = RequestParams(
-        retries=args.retries,
         operation_timeout=args.timeout,
         proxy=getattr(args, "proxy", None),
-        retry_policy=retry_policy,
         deadline=getattr(args, "deadline", None),
         breaker_enabled=not getattr(args, "no_breaker", False),
         **extra,

@@ -10,7 +10,10 @@ Public surface:
   ``DavFile.prefetch`` / ``TransferConfig(read_ahead=True)``;
 * :func:`with_failover` / :func:`multistream_download` — Metalink
   strategies;
-* :func:`run_parallel` — pool-based parallel dispatch;
+* :meth:`DavixClient.get_many` — pool-based parallel dispatch (Fig. 2),
+  a :func:`~repro.concurrency.bounded_gather` of whole-object reads;
+* :func:`plan_chunks` — the one chunk planner under multi-stream,
+  third-party copy and the GridFTP stripes;
 * :func:`pipeline_requests` — the HTTP-pipelining baseline.
 """
 
@@ -23,8 +26,6 @@ _EXPORTS = {
     "RequestParams": ".context",
     "TransferConfig": ".transfer",
     "TransferEngine": ".engine",
-    "JobResult": ".dispatch",
-    "run_parallel": ".dispatch",
     "with_failover": ".failover",
     "DavFile": ".file",
     "ObjectStoreClient": ".objectclient",
@@ -44,7 +45,7 @@ _EXPORTS = {
     "TpcConfig": ".tpc",
     "TpcSummary": ".tpc",
     "parse_marker_stream": ".tpc",
-    "plan_chunks": ".tpc",
+    "plan_chunks": "repro.http",
     "CoalescedRange": ".vectored",
     "Fragment": ".vectored",
     "PartTable": ".vectored",

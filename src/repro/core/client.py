@@ -17,11 +17,12 @@ overrides applied on top of the context default.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.concurrency import bounded_gather
 from repro.concurrency.runtime import Runtime
 from repro.core.context import Context, RequestParams, TransferConfig
-from repro.core.dispatch import run_parallel
 from repro.core.failover import with_failover
 from repro.core.file import DavFile, FileStat
 from repro.core.multistream import MultistreamResult, multistream_download
@@ -320,23 +321,27 @@ class DavixClient:
         concurrency: int = 8,
         params: Optional[RequestParams] = None,
     ) -> List[bytes]:
-        """Fetch many objects through the pool dispatcher."""
+        """Fetch many objects over the pool, ``concurrency`` at a time.
+
+        The paper's answer to HTTP's missing multiplexing: neither
+        pipelined on one connection (head-of-line blocking) nor one
+        connection per request (slow start every time) — each lane of
+        the gather takes a pooled session per object, so connections
+        are recycled across objects and the pool grows no wider than
+        ``concurrency``. The first failure, in ``urls`` order, is
+        raised once every lane has drained.
+        """
         params = self._resolve_params(params)
 
-        def job(url):
-            def thunk():
-                data = yield from DavFile(
-                    self.context, url, params
-                ).read_all()
-                return data
+        def fetch(url):
+            data = yield from DavFile(self.context, url, params).read_all()
+            return data
 
-            return thunk
-
-        results = self.runtime.run(
-            run_parallel(
-                [job(url) for url in urls],
-                concurrency=concurrency,
-                raise_first=True,
+        outcomes = self.runtime.run(
+            bounded_gather(
+                [partial(fetch, url) for url in urls],
+                limit=concurrency,
+                name="get-many",
             )
         )
-        return [result.value for result in results]
+        return [outcome.unwrap() for outcome in outcomes]

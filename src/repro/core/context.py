@@ -1,10 +1,10 @@
 """davix context and request parameters.
 
 Mirrors the public surface of the original libdavix: a
-:class:`Context` owns shared state (the session pool, counters) and a
-:class:`RequestParams` bundles per-operation behaviour — redirect
-policy, retries, keep-alive, vectored-I/O limits and the Metalink
-strategy from Section 2.4 of the paper.
+:class:`Context` owns shared state (the session pool, the metric
+registry) and a :class:`RequestParams` bundles per-operation behaviour
+— redirect policy, retries, keep-alive, vectored-I/O limits and the
+Metalink strategy from Section 2.4 of the paper.
 
 The Context is also the observability composition root:
 ``Context(params=…, metrics=…, tracer=…)`` wires one
@@ -53,17 +53,20 @@ class RequestParams:
     #: real sockets).
     tcp_options: Optional[TcpOptions] = None
 
-    # -- redirects / retries --------------------------------------------------
+    # -- redirects ------------------------------------------------------------
     follow_redirects: bool = True
     max_redirects: int = 10
-    #: Extra attempts on transient failures (5xx, stale connections).
-    retries: int = 1
-    retry_delay: float = 0.0
 
     # -- resilience (retry/backoff, deadline, breaker) ------------------------
-    #: Full backoff policy; when set it supersedes the legacy
-    #: ``retries``/``retry_delay`` pair.
-    retry_policy: Optional[RetryPolicy] = None
+    #: Attempts and backoff on transient failures (5xx, stale or
+    #: refused connections). The default is one immediate retry.
+    retry_policy: RetryPolicy = RetryPolicy(
+        max_attempts=2,
+        base_delay=0.0,
+        max_delay=1.0,
+        multiplier=1.0,
+        jitter="none",
+    )
     #: Total wall-time budget for one logical operation (seconds),
     #: covering every retry, redirect and byte read. None = unbounded.
     deadline: Optional[float] = None
@@ -120,8 +123,8 @@ class RequestParams:
             raise ValueError(
                 f"bad metalink_mode {self.metalink_mode!r}"
             )
-        if self.max_redirects < 0 or self.retries < 0:
-            raise ValueError("max_redirects/retries must be >= 0")
+        if self.max_redirects < 0:
+            raise ValueError("max_redirects must be >= 0")
         if self.max_vector_ranges < 1:
             raise ValueError("max_vector_ranges must be >= 1")
         if self.vector_gap < 0:
@@ -130,24 +133,6 @@ class RequestParams:
             raise ValueError("multistream settings must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be > 0 seconds")
-
-    def effective_retry_policy(self) -> RetryPolicy:
-        """The operative :class:`~repro.resilience.RetryPolicy`.
-
-        ``retry_policy`` when set; otherwise the legacy
-        ``retries``/``retry_delay`` pair expressed as a fixed-delay,
-        jitter-free policy — so old configurations behave bit-for-bit
-        as before.
-        """
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy(
-            max_attempts=self.retries + 1,
-            base_delay=self.retry_delay,
-            max_delay=max(self.retry_delay, 1.0),
-            multiplier=1.0,
-            jitter="none",
-        )
 
     def effective_transfer(self) -> TransferConfig:
         """The operative :class:`~repro.core.transfer.TransferConfig`:
@@ -251,14 +236,6 @@ class Context:
         #: origin -> expiry time of the blacklist entry.
         self._blacklist: Dict[Tuple, float] = {}
         self._closed = False
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "redirects_followed": 0,
-            "retries": 0,
-            "failovers": 0,
-            "vector_requests": 0,
-            "vector_fragments": 0,
-        }
 
     def _now(self) -> float:
         return self.clock()
@@ -332,13 +309,3 @@ class Context:
             return
         self._closed = True
         self.flush_telemetry()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment a legacy counter and its registry mirror.
-
-        The dict form (``context.counters``) predates the registry and
-        is kept for existing call sites; the same event lands in
-        ``metrics`` as the counter ``client.<name>_total``.
-        """
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-        self.metrics.counter(f"client.{counter}_total").inc(amount)

@@ -123,7 +123,7 @@ def with_failover(
             ).inc()
             try:
                 result = yield from operation(replica)
-                context.bump("failovers")
+                metrics.counter("client.failovers_total").inc()
                 metrics.counter("failover.recovered_total").inc()
                 span.set(recovered_via=replica.host)
                 return result

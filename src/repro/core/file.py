@@ -16,6 +16,7 @@ offers the synchronous facade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency import bounded_gather
@@ -635,9 +636,11 @@ class DavFile:
         )
         if not plan.fragments:
             return []
-        self.context.bump("vector_requests", len(plan.batches))
-        self.context.bump("vector_fragments", len(plan.fragments))
         metrics = self.context.metrics
+        metrics.counter("client.vector_requests_total").inc(len(plan.batches))
+        metrics.counter("client.vector_fragments_total").inc(
+            len(plan.fragments)
+        )
         metrics.counter("vector.round_trips_total").inc(len(plan.batches))
         metrics.counter("vector.fragments_total").inc(len(plan.fragments))
         metrics.counter("vector.ranges_total").inc(plan.total_ranges)
@@ -675,18 +678,9 @@ class DavFile:
                 metrics.counter("vector.parallel_dispatch_total").inc()
                 gauge = metrics.gauge("vector.inflight")
 
-                def job(batch, index):
-                    def thunk():
-                        scattered = yield from self._fetch_scatter(
-                            batch, span, index
-                        )
-                        return scattered
-
-                    return thunk
-
                 outcomes = yield from bounded_gather(
                     [
-                        job(batch, index)
+                        partial(self._fetch_scatter, batch, span, index)
                         for index, batch in enumerate(plan.batches)
                     ],
                     limit=inflight,
@@ -733,7 +727,7 @@ class DavFile:
         parts = yield from self._get_ranges(
             [(rng.offset, rng.length) for rng in batch], parent_span
         )
-        rounds = self.params.effective_retry_policy().max_attempts - 1
+        rounds = self.params.retry_policy.max_attempts - 1
         missing = missing_ranges(batch, parts)
         while missing and rounds > 0:
             rounds -= 1

@@ -1,10 +1,15 @@
 """Multi-stream parallel download (paper Section 2.4, second strategy).
 
 The Metalink lists N replicas; davix splits the object into fixed-size
-chunks and runs one worker stream per replica, each pulling the next
-unclaimed chunk (work stealing, so a slow or dead replica only slows
-its current chunk). The result is assembled in order and verified
-against the Metalink's adler32 checksum.
+chunks (:func:`~repro.http.ranges.plan_chunks`) and runs one worker
+stream per replica (lanes of one
+:func:`~repro.concurrency.bounded_gather`), each pulling the next
+unclaimed chunk (work stealing, so a slow replica only slows its
+current chunk). A stream that fails hands its chunk back to the
+survivors and retires — where third-party copy retries a chunk in
+place, here another replica holds the same bytes. The result is
+assembled in order and verified against the Metalink's adler32
+checksum.
 
 The paper notes the trade-off explicitly: client throughput is
 maximised, but server load grows with the stream count — the ML-MS
@@ -15,14 +20,20 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from functools import partial
 from typing import Dict, List, Optional
 
-from repro.concurrency import Join, Spawn
+from repro.concurrency import bounded_gather
 from repro.core.context import Context, RequestParams
 from repro.core.file import DavFile
 from repro.core.failover import FAILOVER_ERRORS, resolve_replicas
-from repro.errors import AllReplicasFailed, ChecksumMismatch, RequestError
-from repro.http import Url
+from repro.errors import (
+    AllReplicasFailed,
+    ChecksumMismatch,
+    HttpProtocolError,
+    RequestError,
+)
+from repro.http import Url, plan_chunks
 from repro.metalink import Metalink
 
 __all__ = ["StreamStats", "MultistreamResult", "multistream_download"]
@@ -110,11 +121,7 @@ def multistream_download(
         raise AllReplicasFailed(primary.path, [])
     replicas = replicas[: params.multistream_max_streams]
 
-    chunk_size = params.multistream_chunk
-    queue = deque(
-        (offset, min(chunk_size, size - offset))
-        for offset in range(0, size, chunk_size)
-    )
+    queue = deque(plan_chunks(size, params.multistream_chunk))
     assembly = bytearray(size)
     stats = [StreamStats(replica) for replica in replicas]
     metrics = context.metrics
@@ -136,22 +143,25 @@ def multistream_download(
                     return  # no chunks left (popleft is atomic under threads)
                 try:
                     data = yield from handle.pread(offset, length)
-                except FAILOVER_ERRORS:
-                    # Put the chunk back for the surviving streams.
+                    if len(data) != length:
+                        raise HttpProtocolError(
+                            f"{replica}: {len(data)} bytes of a "
+                            f"{length}-byte chunk at {offset}"
+                        )
+                except Exception as exc:
+                    # Whatever went wrong, the chunk goes back to the
+                    # surviving streams and this one retires (the
+                    # gather records its error). Only an unavailable
+                    # replica is blacklisted for later requests, not a
+                    # short or forbidden one.
                     queue.appendleft((offset, length))
                     stat.failed = True
-                    context.blacklist(replica.origin)
+                    if isinstance(exc, FAILOVER_ERRORS):
+                        context.blacklist(replica.origin)
                     metrics.counter(
                         "multistream.stream_failures_total"
                     ).inc()
-                    return
-                if len(data) != length:
-                    queue.appendleft((offset, length))
-                    stat.failed = True
-                    metrics.counter(
-                        "multistream.stream_failures_total"
-                    ).inc()
-                    return
+                    raise
                 assembly[offset : offset + length] = data
                 stat.chunks += 1
                 stat.bytes += length
@@ -164,20 +174,21 @@ def multistream_download(
         finally:
             span.end(chunks=stat.chunks, failed=stat.failed)
 
+    outcomes = []
     if size > 0:
-        tasks = []
-        for replica, stat in zip(replicas, stats):
-            task = yield Spawn(
-                worker(replica, stat), name=f"ms-{replica.host}"
-            )
-            tasks.append(task)
-        for task in tasks:
-            yield Join(task)
-
+        outcomes = yield from bounded_gather(
+            [partial(worker, *pair) for pair in zip(replicas, stats)],
+            limit=len(replicas),
+            name="multistream",
+        )
     if queue:
         raise AllReplicasFailed(
             primary.path,
-            [(str(s.url), "stream failed") for s in stats if s.failed],
+            [
+                (str(stat.url), outcome.error)
+                for stat, outcome in zip(stats, outcomes)
+                if not outcome.ok
+            ],
         )
 
     data = bytes(assembly)

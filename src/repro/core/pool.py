@@ -75,16 +75,6 @@ class PoolStats:
         total = self.acquires
         return self.hits / total if total else 0.0
 
-    def as_dict(self) -> Dict[str, int]:
-        """The five counters as a plain dict (legacy shape)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "recycled": self.recycled,
-            "discarded": self.discarded,
-            "evicted": self.evicted,
-        }
-
 
 class _Shard:
     """One independent sub-pool: its own lock, free-lists and counters."""

@@ -190,7 +190,7 @@ def _retry_pause(context, schedule, deadline, span, cause):
     if deadline is not None and deadline.remaining() <= delay:
         context.metrics.counter("deadline.exceeded_total").inc()
         raise DeadlineExceeded(deadline.budget) from cause
-    context.bump("retries")
+    context.metrics.counter("client.retries_total").inc()
     context.metrics.counter("retry.attempts_total").inc()
     context.metrics.counter("retry.backoff_seconds_total").inc(delay)
     if delay > 0:
@@ -231,7 +231,7 @@ def execute_request(
     params = params or context.params
     if idempotent is None:
         idempotent = is_idempotent(request.method)
-    policy = params.effective_retry_policy()
+    policy = params.retry_policy
     schedule = policy.schedule(rng=context.retry_rng(policy))
     deadline = (
         Deadline.after(context.clock, params.deadline)
@@ -288,7 +288,7 @@ def execute_request(
 
     try:
         while True:
-            context.bump("requests")
+            context.metrics.counter("client.requests_total").inc()
             acquire_span = span.child("session-acquire")
             try:
                 session = yield from checkout_session(
@@ -342,7 +342,7 @@ def execute_request(
                 # retry, without consuming the attempt budget (the
                 # classic keep-alive race is the pool's fault, not the
                 # endpoint's).
-                context.bump("retries")
+                context.metrics.counter("client.retries_total").inc()
                 context.metrics.counter("session.stale_total").inc()
                 session.discard()
                 continue
@@ -379,7 +379,7 @@ def execute_request(
                     breakers.record(origin, ok=True)
                 context.pool.release(session)
                 redirects += 1
-                context.bump("redirects_followed")
+                context.metrics.counter("client.redirects_followed_total").inc()
                 if redirects > params.max_redirects:
                     raise RedirectLoopError(str(url), params.max_redirects)
                 current = current.resolve(response.headers.get("Location"))

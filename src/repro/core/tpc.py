@@ -14,11 +14,13 @@ This module is the *active side* of that protocol, run by the storage
 server as deferred work (the server acts as a davix client towards its
 peer):
 
-* the object is split into fixed-size chunks (:func:`plan_chunks`, the
-  same planning rule as :mod:`repro.core.multistream`);
+* the object is split into fixed-size chunks
+  (:func:`~repro.http.ranges.plan_chunks`, the planning rule
+  :mod:`repro.core.multistream` and the GridFTP stripes share);
 * chunks move over N concurrent ranged GET (pull) or ranged PUT (push)
   lanes via :func:`~repro.concurrency.bounded_gather`, each lane
-  retrying its chunk on transient failure on top of the per-request
+  retrying its chunk in place on transient failure
+  (:func:`_move_chunk`) on top of the per-request
   :class:`~repro.resilience.RetryPolicy`;
 * pulls guard every range with ``If-Match`` so a source update
   mid-transfer surfaces as a clean failure instead of a version mix;
@@ -37,18 +39,20 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Optional
 
 from repro.concurrency import Now, bounded_gather
+from repro.core.request import execute_request
 from repro.errors import DavixError, NetworkError, RequestError
 from repro.http import Headers, Request, Response, Url, text_response
+from repro.http.ranges import format_content_range, plan_chunks
 
 __all__ = [
     "PERF_MARKER_MEDIA_TYPE",
     "TpcConfig",
     "PerfMarker",
     "TpcSummary",
-    "plan_chunks",
     "parse_digest_header",
     "format_marker_stream",
     "parse_marker_stream",
@@ -107,22 +111,6 @@ class TpcSummary:
         if not self.markers:
             return 0
         return max(marker.bytes_transferred for marker in self.markers)
-
-
-def plan_chunks(size: int, chunk_size: int) -> List[Tuple[int, int]]:
-    """Split ``size`` bytes into ``(offset, length)`` chunks.
-
-    The final chunk absorbs the remainder (it may be a single byte);
-    a zero-length object plans to no chunks at all.
-    """
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    return [
-        (offset, min(chunk_size, size - offset))
-        for offset in range(0, size, chunk_size)
-    ]
 
 
 def parse_digest_header(value: Optional[str]) -> dict:
@@ -207,16 +195,38 @@ def parse_marker_stream(text) -> TpcSummary:
 # -- the transfer engine ------------------------------------------------------
 
 
+@dataclass
 class _Progress:
-    """Shared accounting of one transfer across its lanes."""
+    """Shared state of one transfer across its lanes.
 
-    __slots__ = ("bytes", "retries", "markers", "streams")
+    The chunk plan, the accounting every lane stamps (bytes, retries,
+    one marker per finished chunk) and the two ways a transfer that
+    got past its setup ends: :meth:`fail` and :meth:`succeed`.
+    """
 
-    def __init__(self, streams: int):
-        self.bytes = 0
-        self.retries = 0
-        self.markers: List[PerfMarker] = []
-        self.streams = streams
+    context: object
+    #: The other site: GET source of a pull, PUT target of a push.
+    peer: Url
+    mode: str
+    path: str
+    size: int
+    config: TpcConfig
+    span: object
+    metrics: object
+    events: object
+    started: float
+    bytes: int = 0
+    retries: int = 0
+    markers: List[PerfMarker] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.chunks = plan_chunks(self.size, self.config.chunk_size)
+        self.streams = max(
+            1, min(self.config.streams, len(self.chunks) or 1)
+        )
+        self.span.set(
+            streams=self.streams, chunks=len(self.chunks), bytes=self.size
+        )
 
     def chunk_done(self, index: int, length: int, now: float) -> None:
         self.bytes += length
@@ -229,6 +239,53 @@ class _Progress:
             )
         )
 
+    def _emit(self, now, ok, **error):
+        if self.events is None:
+            return
+        duration = now - self.started
+        self.events.emit(
+            "tpc",
+            mode=self.mode,
+            path=self.path,
+            bytes=self.size if ok else self.bytes,
+            streams=self.streams,
+            chunks=len(self.markers),
+            retries=self.retries,
+            duration=duration,
+            throughput=(self.size / duration) if ok and duration > 0 else 0.0,
+            digest=self.config.digest,
+            ok=ok,
+            **error,
+        )
+
+    def _respond(self, status_line, headers=()) -> Response:
+        """The pending COPY's 202: marker frames, then the verdict."""
+        return Response(
+            202,
+            Headers([("Content-Type", PERF_MARKER_MEDIA_TYPE), *headers]),
+            format_marker_stream(self.markers, status_line),
+        )
+
+    def fail(self, now, reason) -> Response:
+        """End in ``failure:`` — bytes may have moved, nothing committed."""
+        self._emit(now, ok=False, error=str(reason))
+        if self.metrics is not None:
+            self.metrics.counter("tpc.failures_total", stage="transfer").inc()
+        self.span.end(error=str(reason))
+        return self._respond(f"failure: {reason}")
+
+    def succeed(self, now, created, headers) -> Response:
+        """End in ``success:`` — the object is verified and committed."""
+        if self.metrics is not None:
+            metrics, mode = self.metrics, self.mode
+            metrics.counter("tpc.transfers_total", mode=mode).inc()
+            metrics.counter("tpc.bytes_total", mode=mode).inc(self.size)
+            metrics.counter("tpc.chunks_total").inc(len(self.markers))
+            metrics.counter("tpc.streams_total").inc(self.streams)
+        self._emit(now, ok=True)
+        self.span.end(ok=True, retries=self.retries)
+        return self._respond(f"success: Created {created}", headers)
+
 
 def _setup_failure(metrics, span, reason) -> Response:
     """A 502 before any bytes moved (source unreachable/missing)."""
@@ -238,45 +295,74 @@ def _setup_failure(metrics, span, reason) -> Response:
     return text_response(502, f"third-party copy failed: {reason}")
 
 
-def _transfer_failure(metrics, span, progress, reason) -> Response:
-    """A 202 whose marker stream ends in ``failure:`` (bytes moved)."""
-    if metrics is not None:
-        metrics.counter("tpc.failures_total", stage="transfer").inc()
-    span.end(error=str(reason))
-    body = format_marker_stream(progress.markers, f"failure: {reason}")
-    return Response(
-        202, Headers([("Content-Type", PERF_MARKER_MEDIA_TYPE)]), body
+def _move_chunk(progress, index, offset, length, build, accept):
+    """Effect sub-op: move one chunk over its lane, retrying in place.
+
+    Each attempt opens a ``tpc-chunk`` span and sends the request
+    ``build(offset, length)`` to the peer. ``accept(reply, offset,
+    length)`` judges the reply: it returns the span's closing
+    attributes when the chunk landed, ``None`` when the same request
+    is worth repeating, and raises when no retry can help. A failed
+    request or a rejected reply spends one of ``chunk_retries``; past
+    the budget the lane raises the last failure.
+    """
+    context = progress.context
+    attempts = 0
+    while True:
+        lane = progress.span.child(
+            "tpc-chunk", chunk=index, offset=offset, nbytes=length
+        )
+        ended = {}
+        try:
+            reply, _ = yield from execute_request(
+                context,
+                progress.peer,
+                build(offset, length),
+                context.params,
+                idempotent=True,
+                parent_span=lane,
+            )
+        except (DavixError, NetworkError) as exc:
+            ended, failure = {"error": repr(exc)}, exc
+        else:
+            ended = {"status": reply.status}
+            landed = accept(reply, offset, length)
+            if landed is not None:
+                now = yield Now()
+                progress.chunk_done(index, length, now)
+                ended = landed
+                return length
+            failure = RequestError(
+                f"chunk {index} at offset {offset}: HTTP {reply.status}",
+                status=reply.status,
+            )
+        finally:
+            lane.end(**ended)
+        attempts += 1
+        progress.retries += 1
+        if progress.metrics is not None:
+            progress.metrics.counter("tpc.stream_retries_total").inc()
+        if attempts > progress.config.chunk_retries:
+            raise failure
+
+
+def _move_chunks(progress, chunks, build, accept):
+    """Effect sub-op: drain ``chunks`` over the transfer's lanes.
+
+    Returns ``(now, error)``: the time the last lane finished and the
+    first chunk's failure in plan order (``None`` when all landed).
+    """
+    outcomes = yield from bounded_gather(
+        [
+            partial(_move_chunk, progress, index, *chunk, build, accept)
+            for index, chunk in enumerate(chunks)
+        ],
+        limit=progress.streams,
+        name=f"tpc-{progress.mode}",
     )
-
-
-def _emit_event(events, mode, path, size, config, progress, started,
-                now, ok, error=None):
-    if events is None:
-        return
-    duration = now - started
-    events.emit(
-        "tpc",
-        mode=mode,
-        path=path,
-        bytes=size if ok else progress.bytes,
-        streams=progress.streams,
-        chunks=len(progress.markers),
-        retries=progress.retries,
-        duration=duration,
-        throughput=(size / duration) if ok and duration > 0 else 0.0,
-        digest=config.digest,
-        ok=ok,
-        **({"error": str(error)} if error else {}),
-    )
-
-
-def _count_success(metrics, mode, size, progress):
-    if metrics is None:
-        return
-    metrics.counter("tpc.transfers_total", mode=mode).inc()
-    metrics.counter("tpc.bytes_total", mode=mode).inc(size)
-    metrics.counter("tpc.chunks_total").inc(len(progress.markers))
-    metrics.counter("tpc.streams_total").inc(progress.streams)
+    now = yield Now()
+    errors = [outcome.error for outcome in outcomes if not outcome.ok]
+    return now, (errors[0] if errors else None)
 
 
 def run_pull(
@@ -296,8 +382,6 @@ def run_pull(
     perf-marker stream (``success:`` only after the digest verified
     and the object committed).
     """
-    from repro.core.request import execute_request
-
     config = config or TpcConfig()
     source_url = source if isinstance(source, Url) else Url.parse(source)
     span = context.tracer.start(
@@ -333,116 +417,52 @@ def run_pull(
     expected = parse_digest_header(response.headers.get("Digest")).get(
         config.digest
     )
-
-    chunks = plan_chunks(size, config.chunk_size)
-    streams = max(1, min(config.streams, len(chunks) or 1))
-    span.set(streams=streams, chunks=len(chunks), bytes=size)
-    progress = _Progress(streams)
+    progress = _Progress(
+        context, source_url, "pull", destination_path, size, config,
+        span, metrics, events, started,
+    )
     assembly = bytearray(size)
 
-    def chunk_op(index, offset, length):
-        def op():
-            attempts = 0
-            while True:
-                lane = span.child(
-                    "tpc-chunk", chunk=index, offset=offset, nbytes=length
-                )
-                headers = Headers(
-                    [("Range", f"bytes={offset}-{offset + length - 1}")]
-                )
-                if etag is not None:
-                    headers.set("If-Match", etag)
-                request = Request("GET", source_url.target, headers)
-                try:
-                    reply, _ = yield from execute_request(
-                        context,
-                        source_url,
-                        request,
-                        context.params,
-                        idempotent=True,
-                        parent_span=lane,
-                    )
-                except (DavixError, NetworkError) as exc:
-                    lane.end(error=repr(exc))
-                    attempts += 1
-                    progress.retries += 1
-                    if metrics is not None:
-                        metrics.counter("tpc.stream_retries_total").inc()
-                    if attempts > config.chunk_retries:
-                        raise
-                    continue
-                if reply.status == 412:
-                    lane.end(status=412)
-                    raise RequestError(
-                        "source changed mid-transfer "
-                        f"(If-Match {etag} failed)",
-                        status=412,
-                    )
-                if (
-                    reply.status not in (200, 206)
-                    or len(reply.body) != length
-                ):
-                    lane.end(status=reply.status)
-                    attempts += 1
-                    progress.retries += 1
-                    if metrics is not None:
-                        metrics.counter("tpc.stream_retries_total").inc()
-                    if attempts > config.chunk_retries:
-                        raise RequestError(
-                            f"chunk {index} at offset {offset}: "
-                            f"HTTP {reply.status}",
-                            status=reply.status,
-                        )
-                    continue
-                assembly[offset:offset + length] = reply.body
-                now = yield Now()
-                progress.chunk_done(index, length, now)
-                lane.end(ok=True)
-                return length
+    def ranged_get(offset, length):
+        headers = Headers(
+            [("Range", f"bytes={offset}-{offset + length - 1}")]
+        )
+        if etag is not None:
+            # A source update mid-transfer must fail, not mix versions.
+            headers.set("If-Match", etag)
+        return Request("GET", source_url.target, headers)
 
-        return op
+    def store_range(reply, offset, length):
+        if reply.status == 412:
+            raise RequestError(
+                f"source changed mid-transfer (If-Match {etag} failed)",
+                status=412,
+            )
+        if reply.status not in (200, 206) or len(reply.body) != length:
+            return None
+        assembly[offset:offset + length] = reply.body
+        return {"ok": True}
 
-    outcomes = yield from bounded_gather(
-        [chunk_op(i, o, n) for i, (o, n) in enumerate(chunks)],
-        limit=streams,
-        name="tpc-pull",
+    now, error = yield from _move_chunks(
+        progress, progress.chunks, ranged_get, store_range
     )
-    now = yield Now()
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        reason = failed[0].error
-        _emit_event(events, "pull", destination_path, size, config,
-                    progress, started, now, ok=False, error=reason)
-        return _transfer_failure(metrics, span, progress, reason)
-
+    if error is not None:
+        return progress.fail(now, error)
     actual = _compute_digest(assembly, config.digest)
     if expected is not None and actual != expected:
         if metrics is not None:
             metrics.counter("tpc.digest_mismatch_total").inc()
-        reason = (
+        return progress.fail(
+            now,
             f"digest mismatch: source {config.digest}={expected}, "
-            f"received {config.digest}={actual}"
+            f"received {config.digest}={actual}",
         )
-        _emit_event(events, "pull", destination_path, size, config,
-                    progress, started, now, ok=False, error=reason)
-        return _transfer_failure(metrics, span, progress, reason)
-
     obj = store.put(destination_path, bytes(assembly), content_type)
-    _count_success(metrics, "pull", size, progress)
-    _emit_event(events, "pull", destination_path, size, config,
-                progress, started, now, ok=True)
-    span.end(ok=True, retries=progress.retries)
-    body = format_marker_stream(
-        progress.markers, f"success: Created {destination_path}"
+    return progress.succeed(
+        now,
+        destination_path,
+        [("ETag", obj.etag), ("Digest", f"{config.digest}={actual}")],
     )
-    headers = Headers(
-        [
-            ("Content-Type", PERF_MARKER_MEDIA_TYPE),
-            ("ETag", obj.etag),
-            ("Digest", f"{config.digest}={actual}"),
-        ]
-    )
-    return Response(202, headers, body)
 
 
 def run_push(
@@ -463,8 +483,6 @@ def run_push(
     local checksum or the remote copy is deleted and the transfer
     reported failed.
     """
-    from repro.core.request import execute_request
-
     config = config or TpcConfig()
     dest_url = (
         destination
@@ -483,107 +501,48 @@ def run_push(
     obj = store.get(source_path)
     size = obj.size
     local_digest = obj.checksum(config.digest)
-
-    chunks = plan_chunks(size, config.chunk_size)
-    streams = max(1, min(config.streams, len(chunks) or 1))
-    span.set(streams=streams, chunks=len(chunks), bytes=size)
-    progress = _Progress(streams)
+    progress = _Progress(
+        context, dest_url, "push", source_path, size, config,
+        span, metrics, events, started,
+    )
     commit = {}
 
-    def upload_op(index, offset, length):
-        def op():
-            attempts = 0
-            while True:
-                lane = span.child(
-                    "tpc-chunk", chunk=index, offset=offset, nbytes=length
-                )
-                headers = Headers(
-                    [
-                        ("Content-Type", obj.content_type),
-                        ("Want-Digest", config.digest),
-                    ]
-                )
-                if size > 0:
-                    headers.set(
-                        "Content-Range",
-                        f"bytes {offset}-{offset + length - 1}/{size}",
-                    )
-                body = store.read(source_path, offset, length)
-                request = Request(
-                    "PUT", dest_url.target, headers, body
-                )
-                try:
-                    reply, _ = yield from execute_request(
-                        context,
-                        dest_url,
-                        request,
-                        context.params,
-                        idempotent=True,
-                        parent_span=lane,
-                    )
-                except (DavixError, NetworkError) as exc:
-                    lane.end(error=repr(exc))
-                    attempts += 1
-                    progress.retries += 1
-                    if metrics is not None:
-                        metrics.counter("tpc.stream_retries_total").inc()
-                    if attempts > config.chunk_retries:
-                        raise
-                    continue
-                if reply.status not in (201, 202, 204):
-                    lane.end(status=reply.status)
-                    attempts += 1
-                    progress.retries += 1
-                    if metrics is not None:
-                        metrics.counter("tpc.stream_retries_total").inc()
-                    if attempts > config.chunk_retries:
-                        raise RequestError(
-                            f"chunk {index} at offset {offset}: "
-                            f"HTTP {reply.status}",
-                            status=reply.status,
-                        )
-                    continue
-                if reply.status in (201, 204):
-                    commit["digest"] = parse_digest_header(
-                        reply.headers.get("Digest")
-                    ).get(config.digest)
-                    commit["etag"] = reply.headers.get("ETag")
-                now = yield Now()
-                progress.chunk_done(index, length, now)
-                lane.end(ok=True, status=reply.status)
-                return length
+    def ranged_put(offset, length):
+        headers = Headers(
+            [
+                ("Content-Type", obj.content_type),
+                ("Want-Digest", config.digest),
+            ]
+        )
+        if size > 0:
+            headers.set(
+                "Content-Range", format_content_range(offset, length, size)
+            )
+        body = store.read(source_path, offset, length)
+        return Request("PUT", dest_url.target, headers, body)
 
-        return op
+    def note_commit(reply, offset, length):
+        if reply.status not in (201, 202, 204):
+            return None
+        if reply.status in (201, 204):
+            # Coverage complete: the destination committed the object.
+            commit["digest"] = parse_digest_header(
+                reply.headers.get("Digest")
+            ).get(config.digest)
+        return {"ok": True, "status": reply.status}
 
-    if chunks:
-        thunks = [upload_op(i, o, n) for i, (o, n) in enumerate(chunks)]
-    else:
-        # Zero-length object: a single plain PUT carries it whole.
-        thunks = [upload_op(0, 0, 0)]
-    outcomes = yield from bounded_gather(
-        thunks, limit=streams, name="tpc-push"
+    # A zero-length object plans to no chunks: one plain PUT carries it.
+    now, error = yield from _move_chunks(
+        progress, progress.chunks or [(0, 0)], ranged_put, note_commit
     )
-    now = yield Now()
-    failed = [outcome for outcome in outcomes if not outcome.ok]
-    if failed:
-        reason = failed[0].error
-        _emit_event(events, "push", source_path, size, config,
-                    progress, started, now, ok=False, error=reason)
-        return _transfer_failure(metrics, span, progress, reason)
+    if error is not None:
+        return progress.fail(now, error)
     if "digest" not in commit:
-        reason = "destination never committed the upload"
-        _emit_event(events, "push", source_path, size, config,
-                    progress, started, now, ok=False, error=reason)
-        return _transfer_failure(metrics, span, progress, reason)
-
+        return progress.fail(now, "destination never committed the upload")
     remote_digest = commit["digest"]
     if remote_digest is not None and remote_digest != local_digest:
         if metrics is not None:
             metrics.counter("tpc.digest_mismatch_total").inc()
-        reason = (
-            f"digest mismatch: local {config.digest}={local_digest}, "
-            f"destination {config.digest}={remote_digest}"
-        )
         # Leave no corrupt replica behind; best effort.
         try:
             yield from execute_request(
@@ -595,21 +554,13 @@ def run_push(
             )
         except (DavixError, NetworkError):
             pass
-        _emit_event(events, "push", source_path, size, config,
-                    progress, started, now, ok=False, error=reason)
-        return _transfer_failure(metrics, span, progress, reason)
-
-    _count_success(metrics, "push", size, progress)
-    _emit_event(events, "push", source_path, size, config,
-                progress, started, now, ok=True)
-    span.end(ok=True, retries=progress.retries)
-    body = format_marker_stream(
-        progress.markers, f"success: Created {dest_url.decoded_path}"
+        return progress.fail(
+            now,
+            f"digest mismatch: local {config.digest}={local_digest}, "
+            f"destination {config.digest}={remote_digest}",
+        )
+    return progress.succeed(
+        now,
+        dest_url.decoded_path,
+        [("Digest", f"{config.digest}={local_digest}")],
     )
-    headers = Headers(
-        [
-            ("Content-Type", PERF_MARKER_MEDIA_TYPE),
-            ("Digest", f"{config.digest}={local_digest}"),
-        ]
-    )
-    return Response(202, headers, body)

@@ -7,9 +7,10 @@ blocks arriving out of order across the streams.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from functools import partial
+from typing import Tuple
 
-from repro.concurrency import Close, Connect, Join, Recv, Send, Spawn
+from repro.concurrency import Close, Connect, Recv, Send, bounded_gather
 from repro.errors import ConnectionClosed, HttpProtocolError, RequestError
 from repro.gridftp import protocol as gp
 from repro.gridftp.server import _read_line
@@ -78,44 +79,45 @@ class GridFtpClient:
             raise RequestError(f"gridftp RETR refused: {code} {message}")
 
         assembly = bytearray(size)
-        received = {"bytes": 0}
 
         def drain(data_channel):
+            """One data channel's blocks -> the bytes it delivered."""
             reader = gp.BlockReader()
+            received = 0
             while True:
                 block = reader.next_block()
                 if block is None:
                     data = yield Recv(data_channel)
                     if not data:
-                        return
+                        return received
                     reader.feed(data)
                     continue
                 if block.eof:
                     yield Close(data_channel)
-                    return
+                    return received
                 end = block.offset + len(block.payload)
                 if end > size:
                     raise HttpProtocolError(
                         f"block beyond EOF ({end} > {size})"
                     )
                 assembly[block.offset : end] = block.payload
-                received["bytes"] += len(block.payload)
+                received += len(block.payload)
 
-        tasks = []
-        for data_channel in channels:
-            task = yield Spawn(drain(data_channel), name="gridftp-drain")
-            tasks.append(task)
-        for task in tasks:
-            yield Join(task)
+        outcomes = yield from bounded_gather(
+            [partial(drain, data_channel) for data_channel in channels],
+            limit=len(channels),
+            name="gridftp-drain",
+        )
+        received = sum(outcome.unwrap() for outcome in outcomes)
 
         code, message = yield from self._reply()
         if code != 226:
             raise RequestError(
                 f"gridftp transfer incomplete: {code} {message}"
             )
-        if received["bytes"] != size:
+        if received != size:
             raise RequestError(
-                f"gridftp short transfer: {received['bytes']} of {size}"
+                f"gridftp short transfer: {received} of {size}"
             )
         self.bytes_received += size
         return bytes(assembly)

@@ -8,10 +8,12 @@ per-connection TCP windows — GridFTP's answer to long fat pipes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
-from repro.concurrency import Accept, Close, Join, Recv, Send, Sleep, Spawn
+from repro.concurrency import Accept, Close, Recv, Send, Sleep, Spawn
 from repro.concurrency.runtime import Runtime
+from repro.concurrency.structures import bounded_gather
 from repro.errors import (
     ConnectionClosed,
     HttpProtocolError,
@@ -19,6 +21,7 @@ from repro.errors import (
     TransferTimeout,
 )
 from repro.gridftp import protocol as gp
+from repro.http import plan_chunks
 from repro.server.objectstore import ObjectStore, StoreError
 
 __all__ = ["GridFtpServer", "serve_gridftp"]
@@ -156,20 +159,20 @@ class GridFtpServer:
             data_channels.append(data_channel)
             listener.close()
 
-        extents = [
-            (offset, min(self.block_size, obj.size - offset))
-            for offset in range(0, obj.size, self.block_size)
-        ]
-        tasks = []
-        for lane, data_channel in enumerate(data_channels):
-            share = extents[lane :: len(data_channels)]
-            task = yield Spawn(
-                self._send_stripe(data_channel, obj, share),
-                name=f"gridftp-stripe-{lane}",
-            )
-            tasks.append(task)
-        for task in tasks:
-            yield Join(task)
+        extents = plan_chunks(obj.size, self.block_size)
+        stripes = len(data_channels)
+        outcomes = yield from bounded_gather(
+            [
+                partial(
+                    self._send_stripe, data_channel, obj, extents[lane::stripes]
+                )
+                for lane, data_channel in enumerate(data_channels)
+            ],
+            limit=stripes,
+            name="gridftp-stripe",
+        )
+        for outcome in outcomes:
+            outcome.unwrap()
         yield Send(channel, gp.format_reply(226, "transfer complete"))
 
     def _send_stripe(self, channel, obj, extents):

@@ -27,6 +27,7 @@ from repro.http.ranges import (
     merge_spans,
     parse_content_range,
     parse_range_header,
+    plan_chunks,
     resolve_ranges,
 )
 from repro.http.uri import Url
@@ -57,6 +58,7 @@ __all__ = [
     "merge_spans",
     "parse_content_range",
     "parse_range_header",
+    "plan_chunks",
     "resolve_ranges",
     "Url",
 ]

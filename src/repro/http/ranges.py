@@ -23,6 +23,7 @@ __all__ = [
     "format_range_header",
     "resolve_ranges",
     "merge_spans",
+    "plan_chunks",
     "parse_content_range",
     "format_content_range",
 ]
@@ -151,6 +152,24 @@ def merge_spans(
         else:
             merged.append((offset, length))
     return merged
+
+
+def plan_chunks(size: int, chunk_size: int) -> List[Tuple[int, int]]:
+    """Split ``size`` bytes into ``(offset, length)`` chunks.
+
+    The one planning rule behind every chunked transfer (multi-stream
+    downloads, third-party copy, GridFTP stripes). The final chunk
+    absorbs the remainder (it may be a single byte); a zero-length
+    object plans to no chunks at all.
+    """
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    return [
+        (offset, min(chunk_size, size - offset))
+        for offset in range(0, size, chunk_size)
+    ]
 
 
 def format_content_range(offset: int, length: int, total: int) -> str:

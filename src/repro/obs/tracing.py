@@ -17,8 +17,8 @@ wall clock — because the tracer never calls ``time`` itself; the
 is explicit (``span.child(...)``) on the request path, with an implicit
 current-span stack for ``with tracer.span(...):`` convenience. The
 stack is per-tracer, not per-task: under concurrent simulator tasks
-(``run_parallel``, multistream) prefer explicit parents or
-``root=True`` spans.
+(``bounded_gather`` lanes: ``get_many``, multistream) prefer explicit
+parents or ``root=True`` spans.
 
 Finished spans land in a bounded ring buffer; exporters in
 :mod:`repro.obs.export` render them as a tree or JSON lines.

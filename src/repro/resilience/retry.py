@@ -16,8 +16,8 @@ Jitter follows the "decorrelated jitter" scheme (each delay is drawn
 from ``[base, prev * multiplier]``, capped), which spreads synchronized
 clients apart while keeping the expected delay exponential. With
 ``jitter="none"`` the schedule degrades to plain exponential backoff —
-and with ``multiplier=1`` to a fixed delay, which is exactly the legacy
-``RequestParams.retry_delay`` behaviour.
+and with ``multiplier=1`` to a fixed delay (the ``RequestParams``
+default is that with a zero delay: one immediate retry).
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.concurrency import (
 )
 from repro.concurrency.tlsmodel import TlsPolicy, client_handshake
 from repro.errors import ConnectionClosed, HttpProtocolError
-from repro.http import Request, Response
+from repro.http import Request, Response, plan_chunks
 from repro.spdy import protocol as sp
 
 __all__ = ["SpdyClient"]
@@ -126,9 +126,9 @@ class SpdyClient:
             )
         )
         body = request.body
-        for start in range(0, len(body), sp.MAX_FRAME_PAYLOAD):
-            piece = body[start : start + sp.MAX_FRAME_PAYLOAD]
-            last = start + sp.MAX_FRAME_PAYLOAD >= len(body)
+        for start, length in plan_chunks(len(body), sp.MAX_FRAME_PAYLOAD):
+            piece = body[start : start + length]
+            last = start + length == len(body)
             wire += sp.encode_frame(
                 streamid,
                 sp.TYPE_DATA,

@@ -26,7 +26,7 @@ from repro.errors import (
     NetworkError,
     TransferTimeout,
 )
-from repro.http import Request
+from repro.http import Request, plan_chunks
 from repro.server.handlers import StorageApp
 from repro.spdy import protocol as sp
 
@@ -136,8 +136,9 @@ class SpdyServer:
             )
             pending = None
             for chunk in chunks:
-                for start in range(0, len(chunk), sp.MAX_FRAME_PAYLOAD):
-                    piece = chunk[start : start + sp.MAX_FRAME_PAYLOAD]
+                frames = plan_chunks(len(chunk), sp.MAX_FRAME_PAYLOAD)
+                for start, length in frames:
+                    piece = chunk[start : start + length]
                     if pending is not None:
                         yield from self._send_frame(
                             channel, send_lock,

@@ -7,6 +7,8 @@ from repro.core import DavixClient, RequestParams
 from repro.errors import FileNotFound
 from repro.server import ObjectStore, StorageApp, real_server
 
+from tests.helpers import NO_RETRY
+
 
 @pytest.fixture()
 def live():
@@ -79,8 +81,8 @@ def test_real_metalink_and_failover():
             front_url = f"http://127.0.0.1:{front.port}/f"
             front_app.replicas["/f"] = [front_url, backend_url]
             client = DavixClient(
-                ThreadRuntime(), params=RequestParams(retries=0)
+                ThreadRuntime(), params=RequestParams(retry_policy=NO_RETRY)
             )
             data = client.get_with_failover(front_url)
             assert data == b"replica-content"
-            assert client.context.counters["failovers"] == 1
+            assert client.context.metrics.value("client.failovers_total") == 1

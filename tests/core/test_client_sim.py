@@ -7,7 +7,7 @@ from repro.errors import FileNotFound, RequestError
 from repro.net import TcpOptions
 from repro.server import ServerConfig
 
-from tests.helpers import davix_world
+from tests.helpers import NO_RETRY, davix_world, immediate
 
 
 def test_put_get_roundtrip():
@@ -90,8 +90,8 @@ def test_pread_vec_coalesces_into_one_request():
     chunks = client.pread_vec("http://server/x", reads)
     assert app.requests_handled - before == 1  # one coalesced GET
     assert chunks == [content[o : o + n] for o, n in reads]
-    assert client.context.counters["vector_requests"] == 1
-    assert client.context.counters["vector_fragments"] == 40
+    assert client.context.metrics.value("client.vector_requests_total") == 1
+    assert client.context.metrics.value("client.vector_fragments_total") == 40
 
 
 def test_pread_vec_batches_when_over_max_ranges():
@@ -155,7 +155,7 @@ def test_redirect_followed_transparently():
     client, app, store, _ = davix_world(config=config)
     store.put("/data/x", b"redirected-content")
     assert client.get("http://server/data/x") == b"redirected-content"
-    assert client.context.counters["redirects_followed"] == 1
+    assert client.context.metrics.value("client.redirects_followed_total") == 1
 
 
 def test_redirect_loop_detected():
@@ -176,7 +176,7 @@ def test_redirect_loop_detected():
 
 def test_retry_on_503_then_success():
     # Deterministically fail the first attempt with 503, then serve.
-    params = RequestParams(retries=2)
+    params = RequestParams(retry_policy=immediate(3))
     client, app, store, _ = davix_world(params=params)
     store.put("/x", b"eventually")
     original = app.handle
@@ -193,7 +193,7 @@ def test_retry_on_503_then_success():
 
     app.handle = flaky
     assert client.get("http://server/x") == b"eventually"
-    assert client.context.counters["retries"] == 1
+    assert client.context.metrics.value("client.retries_total") == 1
 
 
 def test_error_status_maps_to_request_error():
@@ -201,7 +201,7 @@ def test_error_status_maps_to_request_error():
 
     faults = FaultPolicy()
     faults.break_path("/x")
-    params = RequestParams(retries=0)
+    params = RequestParams(retry_policy=NO_RETRY)
     client, app, store, _ = davix_world(faults=faults, params=params)
     store.put("/x", b"data")
     with pytest.raises(RequestError) as info:
@@ -220,7 +220,7 @@ def test_stale_session_is_retried_transparently():
     env = client.runtime.env
     env.run(until=env.now + 5.0)  # let the server's idle timer fire
     assert client.get("http://server/x") == b"abc"
-    assert client.context.counters["retries"] == 1
+    assert client.context.metrics.value("client.retries_total") == 1
     assert client.context.pool.stats().hits == 1  # reuse was attempted
 
 
@@ -232,7 +232,7 @@ def test_server_connection_close_header_prevents_bad_recycling():
     store.put("/x", b"abc")
     for _ in range(6):
         assert client.get("http://server/x") == b"abc"
-    assert client.context.counters["retries"] == 0
+    assert client.context.metrics.value("client.retries_total") is None
 
 
 def test_custom_tcp_options_passed_to_transport():

@@ -1,9 +1,9 @@
-"""Tests for the pool-based parallel dispatcher (paper Figure 2)."""
+"""Tests for the pool-based parallel dispatcher (paper Figure 2):
+``DavixClient.get_many``. What ``bounded_gather`` itself guarantees is
+checked in ``tests/concurrency/test_structures.py``."""
 
 import pytest
 
-from repro.core import RequestParams, run_parallel
-from repro.core.file import DavFile
 from repro.errors import FileNotFound
 
 from tests.helpers import davix_world
@@ -61,50 +61,28 @@ def test_parallel_is_faster_than_serial_on_latency_bound_jobs():
 
 
 def test_job_errors_captured_per_job():
+    # One missing object fails its own job only: the lanes drain every
+    # URL before the first failure, in URL order, is raised.
     client, app, store, _ = davix_world()
     store.put("/good", b"ok")
-
-    def job(path):
-        def thunk():
-            data = yield from DavFile(
-                client.context, f"http://server{path}"
-            ).read_all()
-            return data
-
-        return thunk
-
-    results = client.runtime.run(
-        run_parallel([job("/good"), job("/bad"), job("/good")], 2)
-    )
-    assert results[0].ok and results[0].value == b"ok"
-    assert not results[1].ok
-    assert isinstance(results[1].error, FileNotFound)
-    assert results[2].ok
+    urls = [f"http://server{path}" for path in ("/good", "/bad", "/good")]
     with pytest.raises(FileNotFound):
-        results[1].unwrap()
+        client.get_many(urls, concurrency=2)
+    assert app.requests_handled == 3
 
 
 def test_raise_first_propagates():
     client, app, store, _ = davix_world()
-
-    def job():
-        def thunk():
-            data = yield from DavFile(
-                client.context, "http://server/missing"
-            ).read_all()
-            return data
-
-        return thunk
-
     with pytest.raises(FileNotFound):
-        client.runtime.run(run_parallel([job()], 1, raise_first=True))
+        client.get_many(["http://server/missing"], concurrency=1)
 
 
 def test_zero_jobs():
     client, app, store, _ = davix_world()
-    assert client.runtime.run(run_parallel([], 4)) == []
+    assert client.get_many([], concurrency=4) == []
 
 
 def test_bad_concurrency_rejected():
+    client, app, store, _ = davix_world()
     with pytest.raises(ValueError):
-        next(iter(run_parallel([], 0)))
+        client.get_many(["http://server/x"], concurrency=0)

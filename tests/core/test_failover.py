@@ -10,6 +10,8 @@ from repro.obs import MetricsRegistry
 from repro.server import HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 
 def replica_world(n_replicas=3, latency=0.001):
     """A client plus n storage sites each holding the same file; every
@@ -44,7 +46,7 @@ def test_primary_success_needs_no_failover():
     client, net, apps, urls = replica_world()
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
-    assert client.context.counters["failovers"] == 0
+    assert client.context.metrics.value("client.failovers_total") is None
     assert apps[1].requests_handled == 0
 
 
@@ -54,7 +56,7 @@ def test_failover_to_second_replica_when_primary_down():
     # The metalink must come from a live site (the federation case).
     data = client.get_with_failover(urls[0], metalink_url=urls[1])
     assert data == b"replicated-content"
-    assert client.context.counters["failovers"] == 1
+    assert client.context.metrics.value("client.failovers_total") == 1
 
 
 def test_failover_skips_dead_replicas_until_one_works():
@@ -78,7 +80,7 @@ def test_all_replicas_dead_raises_all_failed():
     from repro.core.file import DavFile
 
     params = client.context.params.with_(
-        retries=0, connect_timeout=0.5,
+        retry_policy=NO_RETRY, connect_timeout=0.5,
         tcp_options=None,
     )
 
@@ -118,7 +120,7 @@ def test_404_on_primary_triggers_failover():
     apps[0].store.delete("/data/f.root")
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
-    assert client.context.counters["failovers"] == 1
+    assert client.context.metrics.value("client.failovers_total") == 1
 
 
 def test_metalink_mode_disabled_raises_primary_error():
@@ -163,7 +165,7 @@ def test_failover_counts_attempts_in_error():
     client, net, apps, urls = replica_world(n_replicas=3)
     for app in apps:
         app.store.delete("/data/f.root")
-    params = client.context.params.with_(retries=0)
+    params = client.context.params.with_(retry_policy=NO_RETRY)
     with pytest.raises(AllReplicasFailed) as info:
         client.get_with_failover(urls[0], params=params)
     # primary + 2 distinct replicas were tried

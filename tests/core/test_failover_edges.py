@@ -19,6 +19,8 @@ from repro.obs import MetricsRegistry
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 PATH = "/data/f.root"
 CONTENT = bytes(i % 249 for i in range(80_000))
 
@@ -60,10 +62,7 @@ def federation_world(n_replicas=3, site_faults=None, breaker=None):
     return client, net, apps, urls
 
 
-FAST = RequestParams(
-    retries=0, connect_timeout=0.5,
-    retry_policy=RetryPolicy(max_attempts=1),
-)
+FAST = RequestParams(retry_policy=NO_RETRY, connect_timeout=0.5)
 
 
 def test_all_replicas_down_lists_every_attempt():
@@ -80,7 +79,7 @@ def test_all_replicas_down_lists_every_attempt():
     assert (
         client.metrics().counter("failover.exhausted_total").value == 1
     )
-    assert client.context.counters.get("failovers", 0) == 0
+    assert client.context.metrics.value("client.failovers_total") is None
 
 
 def test_metalink_with_only_the_primary_replica():
@@ -124,8 +123,8 @@ def test_reset_storm_mid_vectored_read_fails_over():
         )
     )
     assert chunks == [CONTENT[o : o + n] for o, n in reads]
-    assert client.context.counters["failovers"] == 1
-    assert client.context.counters["retries"] >= 1
+    assert client.context.metrics.value("client.failovers_total") == 1
+    assert client.context.metrics.value("client.retries_total") >= 1
     assert gets(apps[1]) >= 1
 
 

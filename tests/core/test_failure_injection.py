@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.core import RequestParams
+from repro.core import RequestParams, RetryPolicy
 from repro.errors import RequestError, TransferTimeout
 from repro.http import Response
 from repro.server import FaultPolicy, ServedResponse, ServerConfig
 
-from tests.helpers import davix_world
+from tests.helpers import NO_RETRY, davix_world, immediate
 
 
 def test_truncated_body_detected_and_retried():
     # The server lies about Content-Length and resets midway; with a
     # retry budget the client recovers on a second attempt.
     client, app, store, _ = davix_world(
-        params=RequestParams(retries=2)
+        params=RequestParams(retry_policy=immediate(3))
     )
     store.put("/x", b"D" * 50_000)
     original = app.handle
@@ -29,13 +29,13 @@ def test_truncated_body_detected_and_retried():
 
     app.handle = flaky
     assert client.get("http://server/x") == b"D" * 50_000
-    assert client.context.counters["retries"] == 1
+    assert client.context.metrics.value("client.retries_total") == 1
 
 
 def test_truncated_body_without_retries_raises():
     client, app, store, _ = davix_world(
         faults=FaultPolicy(reset_rate=1.0, seed=1),
-        params=RequestParams(retries=0),
+        params=RequestParams(retry_policy=NO_RETRY),
     )
     store.put("/x", b"D" * 50_000)
     with pytest.raises(RequestError):
@@ -45,7 +45,7 @@ def test_truncated_body_without_retries_raises():
 def test_operation_timeout_on_slow_server():
     client, app, store, _ = davix_world(
         faults=FaultPolicy(slow_rate=1.0, slow_delay=10.0, seed=0),
-        params=RequestParams(retries=0, operation_timeout=1.0),
+        params=RequestParams(retry_policy=NO_RETRY, operation_timeout=1.0),
     )
     store.put("/x", b"abc")
     with pytest.raises(RequestError) as info:
@@ -65,18 +65,18 @@ def test_slow_server_within_timeout_succeeds():
 def test_error_storm_exhausts_retries():
     client, app, store, _ = davix_world(
         faults=FaultPolicy(error_rate=1.0, seed=0),
-        params=RequestParams(retries=3),
+        params=RequestParams(retry_policy=immediate(4)),
     )
     store.put("/x", b"abc")
     with pytest.raises(RequestError) as info:
         client.get("http://server/x")
     assert info.value.status == 503
-    assert client.context.counters["retries"] == 3
+    assert client.context.metrics.value("client.retries_total") == 3
 
 
 def test_vectored_read_on_flaky_server_recovers():
     client, app, store, _ = davix_world(
-        params=RequestParams(retries=5)
+        params=RequestParams(retry_policy=immediate(6))
     )
     content = bytes(i % 251 for i in range(100_000))
     store.put("/x", content)
@@ -97,7 +97,7 @@ def test_vectored_read_on_flaky_server_recovers():
 
 def test_garbage_response_is_transport_error():
     client, app, store, _ = davix_world(
-        params=RequestParams(retries=0)
+        params=RequestParams(retry_policy=NO_RETRY)
     )
     store.put("/x", b"abc")
 
@@ -115,7 +115,12 @@ def test_garbage_response_is_transport_error():
 
 def test_retry_delay_is_observed():
     client, app, store, _ = davix_world(
-        params=RequestParams(retries=2, retry_delay=1.5)
+        params=RequestParams(
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay=1.5, max_delay=1.5,
+                multiplier=1.0, jitter="none",
+            )
+        )
     )
     store.put("/x", b"abc")
     original = app.handle

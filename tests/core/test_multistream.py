@@ -6,14 +6,22 @@ import pytest
 
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
-from repro.errors import AllReplicasFailed, ChecksumMismatch, RequestError
+from repro.errors import (
+    AllReplicasFailed,
+    ChecksumMismatch,
+    PermissionDenied,
+    RequestError,
+)
 from repro.net import LinkSpec, Network
-from repro.server import HttpServer, ObjectStore, StorageApp
+from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
+
+from tests.helpers import NO_RETRY
 
 
 def multistream_world(
-    n_replicas=3, size=1_000_000, params=None, corrupt_site=None
+    n_replicas=3, size=1_000_000, params=None, corrupt_site=None,
+    site_faults=None,
 ):
     env = Environment()
     net = Network(env, seed=3)
@@ -35,7 +43,11 @@ def multistream_world(
         if corrupt_site == index:
             payload = b"X" + content[1:]
         store.put(path, payload)
-        app = StorageApp(store, replicas={path: urls})
+        app = StorageApp(
+            store,
+            replicas={path: urls},
+            faults=(site_faults or {}).get(index),
+        )
         HttpServer(runtime, app, port=80).start()
         apps.append(app)
 
@@ -85,7 +97,7 @@ def test_multistream_faster_than_single_stream_when_path_limited():
 
 
 def test_multistream_survives_replica_death_midway():
-    params = RequestParams(multistream_chunk=50_000, retries=0)
+    params = RequestParams(multistream_chunk=50_000, retry_policy=NO_RETRY)
     client, net, apps, urls, content = multistream_world(params=params)
 
     # Take down one site while the download runs.
@@ -100,9 +112,53 @@ def test_multistream_survives_replica_death_midway():
     assert len(failed) <= 1  # at most the killed stream
 
 
+@pytest.mark.parametrize("error_status", [503, 403])
+def test_multistream_survives_a_replica_answering_errors(error_status):
+    # Whatever a replica answers — unavailable (a fail-over error) or
+    # forbidden (not one) — its stream hands the chunk back and retires;
+    # the two healthy replicas hold the whole object.
+    broken = FaultPolicy(
+        error_status=error_status, broken_paths={"/data/big.bin"}
+    )
+    params = RequestParams(multistream_chunk=50_000, retry_policy=NO_RETRY)
+    client, net, apps, urls, content = multistream_world(
+        params=params, site_faults={1: broken}
+    )
+    result = client.get_multistream(urls[0])
+    assert result.data == content
+    assert [stream.failed for stream in result.streams] == [False, True, False]
+    assert result.bytes_by_host()["site1"] == 0
+    assert client.metrics().value("multistream.stream_failures_total") == 1
+
+
+def test_all_replicas_failed_carries_each_streams_error():
+    broken = {
+        index: FaultPolicy(error_status=status, broken_paths={"/data/big.bin"})
+        for index, status in enumerate((403, 503, 403))
+    }
+    params = RequestParams(multistream_chunk=50_000, retry_policy=NO_RETRY)
+    client, net, apps, urls, content = multistream_world(params=params)
+    metalink = client.get_metalink(urls[0])
+    for index, app in enumerate(apps):
+        app.faults = broken[index]
+
+    from repro.core.multistream import multistream_download
+
+    with pytest.raises(AllReplicasFailed) as info:
+        client.runtime.run(
+            multistream_download(
+                client.context, urls[0], params, metalink=metalink
+            )
+        )
+    assert [url for url, _ in info.value.attempts] == urls
+    assert [type(error) for _, error in info.value.attempts] == [
+        PermissionDenied, RequestError, PermissionDenied,
+    ]
+
+
 def test_multistream_all_dead_raises():
     params = RequestParams(
-        multistream_chunk=50_000, retries=0, connect_timeout=0.2
+        multistream_chunk=50_000, retry_policy=NO_RETRY, connect_timeout=0.2
     )
     client, net, apps, urls, content = multistream_world(params=params)
     metalink = client.get_metalink(urls[0])

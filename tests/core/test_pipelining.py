@@ -72,7 +72,8 @@ def test_head_of_line_blocking_delays_small_responses():
 def test_pool_dispatch_avoids_hol_blocking():
     """The same mixed workload through davix's pool dispatch: small
     requests do not wait for the large one."""
-    from repro.core import DavixClient, run_parallel
+    from repro.concurrency import bounded_gather
+    from repro.core import DavixClient
 
     client_rt, store, app = pipelined_world(latency=0.01, bandwidth=2e6)
     store.put("/big", b"B" * 2_000_000)
@@ -92,7 +93,7 @@ def test_pool_dispatch_avoids_hol_blocking():
         return thunk
 
     jobs = [job("/big")] + [job("/small")] * 4
-    client_rt.run(run_parallel(jobs, concurrency=5))
+    client_rt.run(bounded_gather(jobs, limit=5))
     assert times["/small"] < 0.2  # finished long before the big one
     assert times["/big"] > 0.9
 

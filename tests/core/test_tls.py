@@ -10,6 +10,8 @@ from repro.net import LinkSpec, Network
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 
 def tls_world(tls_server=True, latency=0.01, policy=None):
     env = Environment()
@@ -29,7 +31,7 @@ def tls_world(tls_server=True, latency=0.01, policy=None):
     ).start()
     client = DavixClient(
         SimRuntime(net, "client"),
-        params=RequestParams(retries=0, tls=policy),
+        params=RequestParams(retry_policy=NO_RETRY, tls=policy),
     )
     return client, store
 

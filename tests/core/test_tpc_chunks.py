@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
-from repro.core.tpc import TpcConfig, plan_chunks
+from repro.core.tpc import TpcConfig
+from repro.http.ranges import plan_chunks
 from repro.net import LinkSpec, Network
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
+
+from tests.helpers import NO_RETRY
 
 
 @given(
@@ -71,7 +74,7 @@ def tpc_world(chunk_size, streams):
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps[name] = app
     client = DavixClient(
-        SimRuntime(net, "client"), params=RequestParams(retries=0)
+        SimRuntime(net, "client"), params=RequestParams(retry_policy=NO_RETRY)
     )
     return client, apps
 

@@ -15,7 +15,7 @@ import pytest
 from repro.core import RequestParams, TransferConfig
 from repro.errors import RequestError
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, immediate
 from tests.resilience.conftest import ScriptedFaults, errors
 
 BLOB = bytes((i * 131 + 7) % 256 for i in range(400_000))
@@ -25,12 +25,12 @@ def reads_spread(count, length=512, stride=16_384):
     return [(i * stride, length) for i in range(count)]
 
 
-def world(max_inflight, latency=0.001, faults=None, retries=None):
+def world(max_inflight, latency=0.001, faults=None, attempts=2):
     params = RequestParams(
         max_vector_ranges=4,
         vector_gap=0,
         transfer=TransferConfig(max_inflight=max_inflight),
-        **({"retries": retries} if retries is not None else {}),
+        retry_policy=immediate(attempts),
     )
     client, app, store, _ = davix_world(
         latency=latency, params=params, faults=faults
@@ -153,7 +153,7 @@ def test_parallel_retries_faults_per_batch():
     its own envelope and the scattered bytes still come back exact."""
     reads = reads_spread(16)
     faults = ScriptedFaults(errors(3))
-    client, app = world(max_inflight=4, faults=faults, retries=3)
+    client, app = world(max_inflight=4, faults=faults, attempts=4)
     result = client.pread_vec("http://server/blob", reads)
     assert result == [BLOB[o : o + n] for o, n in reads]
     assert faults.injected["error"] == 3
@@ -167,6 +167,6 @@ def test_parallel_retries_faults_per_batch():
 def test_parallel_failure_surfaces_after_retry_budget():
     reads = reads_spread(16)
     faults = ScriptedFaults(errors(20))
-    client, _ = world(max_inflight=4, faults=faults, retries=0)
+    client, _ = world(max_inflight=4, faults=faults, attempts=1)
     with pytest.raises(RequestError):
         client.pread_vec("http://server/blob", reads)

@@ -17,7 +17,16 @@ from repro.http import (
     serialize_request,
 )
 from repro.net import LinkSpec, Network
+from repro.resilience import RetryPolicy
 from repro.sim import Environment
+
+#: ``RequestParams(retry_policy=NO_RETRY)``: the first failure is final.
+NO_RETRY = RetryPolicy(max_attempts=1)
+
+
+def immediate(attempts: int) -> RetryPolicy:
+    """``attempts`` tries with no backoff between them."""
+    return RetryPolicy(max_attempts=attempts, base_delay=0.0, jitter="none")
 
 
 def read_response(channel, parser):

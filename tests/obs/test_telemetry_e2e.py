@@ -41,6 +41,8 @@ from repro.server import (
 )
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 PAYLOAD = bytes(range(256)) * 512  # 128 KiB, two 64 KiB pages
 URL = "http://origin/data/obj.bin"
 
@@ -100,7 +102,7 @@ def run_campaign(seed=12):
         context = Context(
             params=RequestParams(
                 proxy="http://proxy:3128",
-                retries=0,
+                retry_policy=NO_RETRY,
                 transfer=TransferConfig(page_cache_bytes=1 << 20),
             ),
             telemetry=TelemetrySink(node),
@@ -125,7 +127,7 @@ def run_campaign(seed=12):
         URL,
         "http://mirror/data/copy.bin",
         mode="pull",
-        params=RequestParams(retries=0),
+        params=RequestParams(retry_policy=NO_RETRY),
     )
     assert summary.ok
 

@@ -69,11 +69,13 @@ def test_analysis_completes_under_faults_and_repeats_exactly():
     injected = faults.snapshot()
     assert injected["error"] > 0
     assert injected["reset"] > 0
-    assert ctx_a.counters["retries"] > 0
+    assert ctx_a.metrics.value("client.retries_total") > 0
 
     # Byte-identical repeats.
     assert asdict(report_a) == asdict(report_b)
-    assert ctx_a.counters["retries"] == ctx_b.counters["retries"]
+    assert ctx_a.metrics.value("client.retries_total") == ctx_b.metrics.value(
+        "client.retries_total"
+    )
     assert ctx_a.breakers.transitions == ctx_b.breakers.transitions
     assert metrics_to_json_lines(ctx_a.metrics) == metrics_to_json_lines(
         ctx_b.metrics

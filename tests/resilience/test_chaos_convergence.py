@@ -72,7 +72,7 @@ def run_schedule(schedule_seed, faults):
     return {
         "metrics": metrics_to_json_lines(client.metrics()),
         "transitions": tuple(client.breakers().transitions),
-        "retries": client.context.counters["retries"],
+        "retries": client.context.metrics.value("client.retries_total"),
         "injected": faults.snapshot(),
     }
 

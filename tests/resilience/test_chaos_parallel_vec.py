@@ -65,7 +65,7 @@ def run_schedule(schedule_seed, faults, max_inflight):
     ]
     observables = {
         "metrics": metrics_to_json_lines(client.metrics()),
-        "retries": client.context.counters["retries"],
+        "retries": client.context.metrics.value("client.retries_total"),
         "injected": faults.snapshot(),
         "inflight_gauge": client.metrics().value("vector.inflight"),
     }

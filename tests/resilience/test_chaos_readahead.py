@@ -38,19 +38,19 @@ def chaos_plan(seed, count=24):
     return segments
 
 
-def engine_params(transfer, retry_policy=POLICY, retries=None):
-    knob = {"retry_policy": retry_policy}
-    if retries is not None:
-        knob = {"retries": retries}
+def engine_params(transfer, retry_policy=POLICY):
     return RequestParams(
-        max_vector_ranges=6, vector_gap=0, transfer=transfer, **knob
+        max_vector_ranges=6,
+        vector_gap=0,
+        transfer=transfer,
+        retry_policy=retry_policy,
     )
 
 
-def run_reads(faults, transfer, plan, retries=None):
+def run_reads(faults, transfer, plan, retry_policy=POLICY):
     client, app, store, _ = davix_world(
         faults=faults,
-        params=engine_params(transfer, retries=retries),
+        params=engine_params(transfer, retry_policy),
     )
     store.put("/data/blob", BLOB)
     results = client.pread_vec("http://server/data/blob", plan)
@@ -117,7 +117,7 @@ def test_speculative_error_shrinks_window_and_falls_back(chaos_seed):
         faults,
         TransferConfig(read_ahead=True, window_batches=4),
         plan,
-        retries=0,
+        retry_policy=RetryPolicy(max_attempts=1),
     )
     assert results == expected
     assert faults.injected["error"] == 1

@@ -28,6 +28,8 @@ from repro.sim import Environment
 
 from tests.resilience.conftest import ScriptedFaults, errors
 
+from tests.helpers import NO_RETRY
+
 CONFIG = ServerConfig(tpc_chunk=64 * 1024, tpc_streams=4)
 PAYLOAD = bytes((i * 53 + 29) % 256 for i in range(300 * 1024))
 
@@ -50,12 +52,12 @@ def tpc_world(seed, source_faults=None):
         app.metrics = MetricsRegistry()
         # No transport-level retries: every chunk fault must surface
         # to (and be absorbed by) the TPC stream retry loop.
-        app.tpc_params = RequestParams(retries=0)
+        app.tpc_params = RequestParams(retry_policy=NO_RETRY)
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps[name] = app
     apps["site-a"].store.put("/data/src.bin", PAYLOAD)
     client = DavixClient(
-        SimRuntime(net, "client"), params=RequestParams(retries=0)
+        SimRuntime(net, "client"), params=RequestParams(retry_policy=NO_RETRY)
     )
     return client, apps
 

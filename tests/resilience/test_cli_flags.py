@@ -1,6 +1,7 @@
 """davix-tool resilience flags -> client configuration."""
 
 from repro.cli import _client, build_parser
+from repro.core import RequestParams
 from repro.resilience import RetryPolicy
 
 
@@ -46,15 +47,8 @@ def test_no_breaker_flag_disables_breaking():
 def test_defaults_keep_legacy_retry_semantics():
     client = _client(parse(["stat", "http://x/y"]))
     params = client.context.params
-    assert params.retry_policy is None
     assert params.deadline is None
-    # --retries still maps onto the fixed-delay legacy policy.
-    effective = params.effective_retry_policy()
-    assert effective.max_attempts == 2
-    assert effective.jitter == "none"
-
-
-def test_retries_flag_still_feeds_effective_policy():
-    client = _client(parse(["--retries", "4", "stat", "http://x/y"]))
-    effective = client.context.params.effective_retry_policy()
-    assert effective.max_attempts == 5
+    # Without --max-attempts: one immediate retry, as ever.
+    assert params.retry_policy == RequestParams().retry_policy
+    assert params.retry_policy.max_attempts == 2
+    assert params.retry_policy.jitter == "none"

@@ -94,7 +94,7 @@ def test_golden_resilience_metrics():
         else:
             assert record is not None, f"missing series {name}"
             assert record["value"] == want, name
-    assert client.context.counters["retries"] == 2
+    assert client.context.metrics.value("client.retries_total") == 2
 
 
 def test_deterministic_across_fresh_worlds():

@@ -44,7 +44,7 @@ def test_deadline_is_never_retried():
     store.put("/x", b"abc")
     with pytest.raises(DeadlineExceeded):
         client.get("http://server/x")
-    assert client.context.counters.get("retries", 0) == 0
+    assert client.context.metrics.value("client.retries_total") is None
 
 
 def test_deadline_leaves_room_for_fast_operations():
@@ -142,7 +142,7 @@ def test_mid_body_reset_retried_for_get_but_not_move():
     )
     store.put("/x", b"G" * 50_000)
     assert client.get("http://server/x") == b"G" * 50_000
-    assert client.context.counters["retries"] == 1
+    assert client.context.metrics.value("client.retries_total") == 1
 
     # MOVE: not idempotent -> the transport error surfaces, unretried.
     client2, app2, store2, _ = davix_world(
@@ -152,7 +152,7 @@ def test_mid_body_reset_retried_for_get_but_not_move():
     store2.put("/a", b"payload")
     with pytest.raises(RequestError):
         client2.rename("http://server/a", "http://server/b")
-    assert client2.context.counters.get("retries", 0) == 0
+    assert client2.context.metrics.value("client.retries_total") is None
     assert (
         client2.metrics().counter("retry.unsafe_skipped_total").value
         == 1
@@ -171,7 +171,7 @@ def test_retry_non_idempotent_opt_in():
     store.put("/a", b"payload")
     client.copy("http://server/a", "http://server/b")
     assert store.read("/b") == b"payload"
-    assert client.context.counters["retries"] == 1
+    assert client.context.metrics.value("client.retries_total") == 1
 
 
 def test_vectored_read_survives_mid_multipart_reset():
@@ -186,7 +186,7 @@ def test_vectored_read_survives_mid_multipart_reset():
     reads = [(0, 300), (40_000, 300), (99_000, 300)]
     chunks = client.pread_vec("http://server/x", reads)
     assert chunks == [content[o : o + n] for o, n in reads]
-    assert client.context.counters["retries"] >= 1
+    assert client.context.metrics.value("client.retries_total") >= 1
 
 
 def test_connect_failures_retry_and_finally_raise():
@@ -201,5 +201,5 @@ def test_connect_failures_retry_and_finally_raise():
     server_rt.network.host("server").fail()
     with pytest.raises((RequestError, ConnectError)):
         client.get("http://server/x")
-    assert client.context.counters["retries"] == 2
+    assert client.context.metrics.value("client.retries_total") == 2
     assert client.metrics().counter("retry.exhausted_total").value == 1

@@ -114,15 +114,8 @@ def test_idempotent_methods():
     assert not is_idempotent("COPY")
 
 
-def test_legacy_params_map_to_fixed_delay_policy():
-    params = RequestParams(retries=2, retry_delay=0.25)
-    policy = params.effective_retry_policy()
-    assert policy.max_attempts == 3
+def test_default_policy_is_one_immediate_retry():
+    policy = RequestParams().retry_policy
+    assert policy.max_attempts == 2
     assert policy.jitter == "none"
-    assert list(policy.delays()) == [0.25, 0.25]
-
-
-def test_explicit_policy_wins_over_legacy_knobs():
-    policy = RetryPolicy(max_attempts=7)
-    params = RequestParams(retries=2, retry_policy=policy)
-    assert params.effective_retry_policy() is policy
+    assert list(policy.delays()) == [0.0]

@@ -237,7 +237,7 @@ def observable_flat_world():
     the same kit StorageApp wears (access log, tracer, events,
     metrics endpoint)."""
     from repro.concurrency import SimRuntime
-    from repro.core import DavixClient, RequestParams
+    from repro.core import DavixClient, RequestParams, RetryPolicy
     from repro.net import LinkSpec, Network
     from repro.obs import EventLog, MetricsRegistry, Tracer
     from repro.server import AccessLog, HttpServer
@@ -264,7 +264,8 @@ def observable_flat_world():
     app.access_log = AccessLog(metrics=app.metrics)
     HttpServer(server_rt, app, port=80).start()
     client = DavixClient(
-        SimRuntime(net, "client"), params=RequestParams(retries=0)
+        SimRuntime(net, "client"),
+        params=RequestParams(retry_policy=RetryPolicy(max_attempts=1)),
     )
     return client, app
 

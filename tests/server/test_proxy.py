@@ -15,6 +15,8 @@ from repro.server import (
 )
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 
 def proxy_world(cache_bytes=256 << 20, default_ttl=60.0):
     """client -- proxy -- origin, with a slow client<->origin path so
@@ -40,7 +42,7 @@ def proxy_world(cache_bytes=256 << 20, default_ttl=60.0):
     HttpServer(SimRuntime(net, "proxy"), proxy_app, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
-        params=RequestParams(proxy="http://proxy:3128", retries=0),
+        params=RequestParams(proxy="http://proxy:3128", retry_policy=NO_RETRY),
     )
     return client, proxy_app, origin_app, origin_store, net
 

@@ -19,6 +19,8 @@ from repro.server import (
 )
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 
 def world(cache_control=None, default_ttl=60.0):
     env = Environment()
@@ -42,7 +44,7 @@ def world(cache_control=None, default_ttl=60.0):
     HttpServer(SimRuntime(net, "proxy"), proxy, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
-        params=RequestParams(proxy="http://proxy:3128", retries=0),
+        params=RequestParams(proxy="http://proxy:3128", retry_policy=NO_RETRY),
     )
     return client, proxy, origin, store
 

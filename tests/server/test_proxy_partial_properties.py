@@ -29,6 +29,8 @@ from repro.server import (
 )
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 SLOW = settings(
     max_examples=20,
     suppress_health_check=[HealthCheck.too_slow],
@@ -89,7 +91,7 @@ def proxy_world():
     HttpServer(SimRuntime(net, "proxy"), proxy, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
-        params=RequestParams(proxy="http://proxy:3128", retries=0),
+        params=RequestParams(proxy="http://proxy:3128", retry_policy=NO_RETRY),
     )
     return client, proxy, origin, store
 

@@ -18,6 +18,8 @@ from repro.obs import EventLog, MetricsRegistry, Tracer
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
 
+from tests.helpers import NO_RETRY
+
 
 def tpc_world(server_config=None, observe=False, tracer=None):
     """client + two storage sites; sites can reach each other."""
@@ -45,7 +47,7 @@ def tpc_world(server_config=None, observe=False, tracer=None):
         apps[name] = app
     client = DavixClient(
         SimRuntime(net, "client"),
-        params=RequestParams(retries=0),
+        params=RequestParams(retry_policy=NO_RETRY),
         tracer=tracer,
     )
     return client, net, apps
@@ -250,6 +252,34 @@ def test_tpc_metrics_and_events():
     assert events[0]["ok"] is True
     assert events[0]["bytes"] == len(payload)
     assert events[0]["throughput"] > 0
+
+
+def test_chunk_exhausting_its_retries_leaves_no_span_open():
+    from repro.http import Response
+    from repro.server import ServedResponse
+
+    client, net, apps = tpc_world(observe=True, tracer=Tracer())
+    source, destination = apps["site-a"], apps["site-b"]
+    source.store.put("/src", b"x" * 1000)
+    healthy = source.handle
+
+    def ranged_reads_fail(request):
+        if request.method == "GET":
+            return ServedResponse(Response(503))
+        return healthy(request)
+
+    source.handle = ranged_reads_fail
+    # One request per attempt, so the breaker (5 in a row) stays shut.
+    destination.tpc_params = RequestParams(retry_policy=NO_RETRY)
+    with pytest.raises(DavixError, match="chunk 0 at offset 0: HTTP 503"):
+        client.third_party_copy("http://site-a/src", "http://site-b/dst")
+    # chunk_retries=2: three attempts, each its own finished span.
+    chunk_spans = destination.tracer.by_name("tpc-chunk")
+    assert [span.attrs["status"] for span in chunk_spans] == [503] * 3
+    assert destination.metrics.value("tpc.stream_retries_total") == 3
+    assert destination.tracer.by_name("tpc-transfer")[0].attrs["error"]
+    assert destination.tracer.current is None  # nothing left open
+    assert not destination.store.exists("/dst")
 
 
 def test_transfer_span_joins_client_trace():

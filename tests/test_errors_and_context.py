@@ -83,10 +83,10 @@ def test_params_defaults_are_daivx_like():
 
 def test_params_with_creates_modified_copy():
     params = RequestParams()
-    tuned = params.with_(retries=7, keep_alive=False)
-    assert tuned.retries == 7
+    tuned = params.with_(max_redirects=7, keep_alive=False)
+    assert tuned.max_redirects == 7
     assert tuned.keep_alive is False
-    assert params.retries == 1  # original untouched
+    assert params.max_redirects == 10  # original untouched
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_params_with_creates_modified_copy():
     [
         {"metalink_mode": "bogus"},
         {"max_redirects": -1},
-        {"retries": -1},
+        {"deadline": 0},
         {"max_vector_ranges": 0},
         {"vector_gap": -1},
         {"multistream_chunk": 0},
@@ -107,15 +107,6 @@ def test_params_validation(kwargs):
 
 
 # -- Context ----------------------------------------------------------------------
-
-
-def test_context_counters_bump():
-    context = Context()
-    context.bump("requests")
-    context.bump("requests", 4)
-    context.bump("custom")
-    assert context.counters["requests"] == 5
-    assert context.counters["custom"] == 1
 
 
 def test_context_blacklist_roundtrip():
