@@ -13,7 +13,7 @@ overhead vs the all-alive baseline.
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.errors import DavixError, NetworkError
-from repro.net import LinkSpec, Network
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.server import HttpServer, ObjectStore, StorageApp, ZeroContent
 from repro.sim import Environment
 
@@ -43,7 +43,9 @@ def build_world(dead_sites):
         HttpServer(SimRuntime(net, name), app, port=80).start()
     for index in dead_sites:
         net.host(f"site{index}").fail()
-    params = RequestParams(retry_policy=NO_RETRY, connect_timeout=1.0)
+    params = RequestParams(
+        retry_policy=NO_RETRY, tcp_options=TcpOptions(connect_timeout=1.0)
+    )
     client = DavixClient(SimRuntime(net, "client"), params=params)
     return client, urls, net
 

@@ -191,9 +191,9 @@ def run_lifecycle(client_cache: bool, site_proxy: bool):
         net.set_route("wn0", "sitecache", LAN)
     params = RequestParams(
         proxy="http://sitecache:3128" if site_proxy else None,
-        transfer=TransferConfig(page_cache_bytes=128 << 20)
-        if client_cache
-        else None,
+        transfer=TransferConfig(
+            page_cache_bytes=(128 << 20) if client_cache else 0
+        ),
     )
     client = DavixClient(SimRuntime(net, "wn0"), params=params)
 

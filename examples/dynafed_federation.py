@@ -82,7 +82,7 @@ def main() -> None:
     # verified against the federator's adler32.
     result = client.get_multistream(
         fed_url,
-        params=client.context.params.with_(multistream_chunk=1_000_000),
+        params=client.context.params.replace(multistream_chunk=1_000_000),
         metalink_url=fed_url,
     )
     print(

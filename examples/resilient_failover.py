@@ -14,7 +14,7 @@ Run: ``python examples/resilient_failover.py``
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.errors import AllReplicasFailed
-from repro.net import LinkSpec, Network
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.server import HttpServer, ObjectStore, StorageApp, SyntheticContent
 from repro.sim import Environment
 
@@ -42,7 +42,9 @@ def build_grid():
         app = StorageApp(store, replicas={PATH: urls})
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps.append(app)
-    params = RequestParams(retry_policy=NO_RETRY, connect_timeout=0.5)
+    params = RequestParams(
+        retry_policy=NO_RETRY, tcp_options=TcpOptions(connect_timeout=0.5)
+    )
     client = DavixClient(SimRuntime(net, "client"), params=params)
     return client, net, urls, apps
 

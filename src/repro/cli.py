@@ -53,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--inflight",
         type=int,
         metavar="N",
-        help="concurrent in-flight requests per file operation "
-        "(vectored-read batches, multistream chunks; default 1)",
+        help="concurrent in-flight batches of one vectored read "
+        "(default 1; a multistream download takes its stream count "
+        "from get --multistream N)",
     )
     parser.add_argument(
         "--read-ahead",
@@ -313,29 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _transfer(args) -> Optional[TransferConfig]:
-    """The unified TransferConfig the flags describe (None = defaults)."""
-    inflight = getattr(args, "inflight", None)
-    read_ahead = getattr(args, "read_ahead", False)
-    cache_bytes = getattr(args, "cache_bytes", None)
-    page_size = getattr(args, "page_size", None)
-    if inflight is None and not read_ahead and cache_bytes is None:
-        return None
-    extra = {}
-    if cache_bytes is not None:
-        extra["page_cache_bytes"] = cache_bytes
-    if page_size is not None:
-        extra["page_size"] = page_size
+def _transfer(args) -> TransferConfig:
+    """The TransferConfig the flags describe (defaults where unset)."""
+    flags = {
+        "max_inflight": args.inflight,
+        "page_cache_bytes": args.cache_bytes,
+        "page_size": args.page_size,
+    }
     return TransferConfig(
-        max_inflight=inflight if inflight is not None else 1,
-        read_ahead=read_ahead,
-        **extra,
+        read_ahead=args.read_ahead,
+        **{name: value for name, value in flags.items() if value is not None},
     )
 
 
 def _client(args) -> DavixClient:
-    inflight = getattr(args, "inflight", None)
-    transfer = _transfer(args)
     extra = {}
     if getattr(args, "max_attempts", None) is not None:
         extra["retry_policy"] = RetryPolicy(
@@ -345,11 +337,8 @@ def _client(args) -> DavixClient:
             jitter=args.retry_jitter,
             seed=args.retry_seed,
         )
-    if transfer is not None:
-        extra["transfer"] = transfer
-    if inflight is not None:
-        extra["multistream_max_streams"] = inflight
     params = RequestParams(
+        transfer=_transfer(args),
         operation_timeout=args.timeout,
         proxy=getattr(args, "proxy", None),
         deadline=getattr(args, "deadline", None),
@@ -366,7 +355,7 @@ def _client(args) -> DavixClient:
 def cmd_get(args, out=sys.stdout) -> int:
     client = _client(args)
     if args.multistream:
-        params = client.context.params.with_(
+        params = client.context.params.replace(
             multistream_max_streams=args.multistream
         )
         data = client.get_multistream(args.url, params=params).data

@@ -62,8 +62,8 @@ class Now(Effect):
 class Connect(Effect):
     """Open a TCP connection to ``endpoint``; resolves to a channel.
 
-    ``options`` is runtime-specific (a :class:`~repro.net.options.TcpOptions`
-    for the simulator; ignored by the socket runtime).
+    ``options`` is a :class:`~repro.net.options.TcpOptions` (None = the
+    defaults); the socket runtime uses only its ``connect_timeout``.
     Raises :class:`~repro.errors.ConnectError` on failure.
     """
 

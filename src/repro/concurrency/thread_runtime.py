@@ -17,6 +17,7 @@ from typing import Any, Generator, Optional, Tuple
 from repro.concurrency import effects as fx
 from repro.concurrency.runtime import Runtime, TaskHandle
 from repro.errors import ConnectError, ConnectionClosed, TransferTimeout
+from repro.net.options import TcpOptions
 
 __all__ = ["ThreadRuntime", "SocketChannel", "SocketListener"]
 
@@ -137,9 +138,6 @@ class _Task:
 class ThreadRuntime(Runtime):
     """Run effect generators on the calling OS thread with real sockets."""
 
-    def __init__(self, connect_timeout: float = 5.0):
-        self.connect_timeout = connect_timeout
-
     # -- Runtime interface ----------------------------------------------------
 
     def run(self, op: Generator) -> Any:
@@ -185,7 +183,7 @@ class ThreadRuntime(Runtime):
         if isinstance(step, fx.Now):
             return time.monotonic()
         if isinstance(step, fx.Connect):
-            return self._connect(step.endpoint)
+            return self._connect(step.endpoint, step.options or TcpOptions())
         if isinstance(step, fx.Send):
             try:
                 if isinstance(step.data, (bytes, bytearray, memoryview)):
@@ -222,10 +220,12 @@ class ThreadRuntime(Runtime):
                 ) from None
         raise TypeError(f"unknown effect {step!r}")
 
-    def _connect(self, endpoint: Tuple[str, int]) -> SocketChannel:
+    def _connect(
+        self, endpoint: Tuple[str, int], options: TcpOptions
+    ) -> SocketChannel:
         try:
             sock = socket.create_connection(
-                endpoint, timeout=self.connect_timeout
+                endpoint, timeout=options.connect_timeout
             )
         except OSError as exc:
             raise ConnectError(

@@ -239,23 +239,18 @@ class DavixClient:
         reads: Sequence[Tuple[int, int]],
         params: Optional[RequestParams] = None,
         transfer: Optional[TransferConfig] = None,
-        read_ahead: Optional[bool] = None,
     ) -> List[bytes]:
         """Vectored read: the paper's Section 2.3 in one call.
 
         ``transfer`` (when given) overrides ``params.transfer`` — the
         single bundle steering batch parallelism and the read-ahead
-        engine. ``read_ahead`` arms (or pins off) the pipelined
-        engine for this call regardless of the config.
+        engine.
         """
         overrides = {}
         if transfer is not None:
             overrides["transfer"] = transfer
         file = DavFile(
-            self.context,
-            url,
-            self._resolve_params(params, **overrides),
-            read_ahead=read_ahead,
+            self.context, url, self._resolve_params(params, **overrides)
         )
 
         def op():

@@ -46,15 +46,15 @@ class RequestParams:
     """Per-operation behaviour knobs (davix ``RequestParams``)."""
 
     # -- connection / timing ------------------------------------------------
-    connect_timeout: float = 5.0
     operation_timeout: Optional[float] = 120.0
     keep_alive: bool = True
-    #: TCP options forwarded to the simulated transport (ignored on
-    #: real sockets).
-    tcp_options: Optional[TcpOptions] = None
+    #: TCP options of every fresh connection. ``connect_timeout`` bounds
+    #: the connect on both runtimes (clamped by ``deadline``); the rest
+    #: tune the simulated transport.
+    tcp_options: TcpOptions = TcpOptions()
 
     # -- redirects ------------------------------------------------------------
-    follow_redirects: bool = True
+    #: Redirects followed per operation before RedirectLoopError.
     max_redirects: int = 10
 
     # -- resilience (retry/backoff, deadline, breaker) ------------------------
@@ -88,9 +88,9 @@ class RequestParams:
     vector_gap: int = 512
 
     # -- transfer engine ------------------------------------------------------
-    #: The unified I/O-engine bundle (parallelism + read-ahead).
-    #: ``None`` means the defaults (serial, no read-ahead).
-    transfer: Optional[TransferConfig] = None
+    #: The unified I/O-engine bundle (parallelism, read-ahead, page
+    #: cache); the default is serial, no read-ahead, no cache.
+    transfer: TransferConfig = TransferConfig()
 
     # -- Metalink (Section 2.4) --------------------------------------------------
     metalink_mode: str = MetalinkMode.FAILOVER
@@ -134,22 +134,10 @@ class RequestParams:
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be > 0 seconds")
 
-    def effective_transfer(self) -> TransferConfig:
-        """The operative :class:`~repro.core.transfer.TransferConfig`:
-        ``transfer`` when set, otherwise the defaults (serial, no
-        read-ahead)."""
-        if self.transfer is not None:
-            return self.transfer
-        return TransferConfig()
-
     def replace(self, **changes) -> "RequestParams":
         """A copy with the given fields replaced (the uniform override
         primitive every client method routes through)."""
         return replace(self, **changes)
-
-    def with_(self, **changes) -> "RequestParams":
-        """Alias of :meth:`replace` (the historical spelling)."""
-        return self.replace(**changes)
 
 
 class Context:
@@ -174,14 +162,9 @@ class Context:
         pool_idle_ttl: Optional[float] = None,
         events: Optional[EventLog] = None,
         slo: Optional[SloTracker] = None,
-        transfer: Optional[TransferConfig] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ):
         self.params = params or RequestParams()
-        if transfer is not None:
-            # Convenience spelling: Context(transfer=...) folds the
-            # engine config into the context-wide default params.
-            self.params = self.params.with_(transfer=transfer)
         #: Injected time source (simulated or monotonic); settable so
         #: blacklist TTLs follow the right clock.
         self.clock = clock or (lambda: 0.0)

@@ -67,7 +67,7 @@ def with_failover(
     re-raised untouched.
     """
     params = params or context.params
-    primary = url if isinstance(url, Url) else Url.parse(url)
+    primary = Url.parse(url)
     metrics = context.metrics
 
     try:
@@ -92,12 +92,9 @@ def with_failover(
     ]
 
     try:
-        source = metalink_url or primary
-        if not isinstance(source, Url):
-            source = Url.parse(source)
         try:
             metalink = yield from DavFile(
-                context, source, params
+                context, metalink_url or primary, params
             ).get_metalink()
         except (DavixError, MetalinkError, *FAILOVER_ERRORS):
             # No metalink available: nothing to fail over to.

@@ -207,10 +207,9 @@ def raise_for_status(response: Response, path: str) -> None:
 class DavFile:
     """One remote resource addressed by URL.
 
-    ``read_ahead`` overrides ``params.transfer.read_ahead`` for this
-    file: ``True`` arms the pipelined transfer engine
-    (:class:`~repro.core.engine.TransferEngine`), ``False`` pins the
-    demanded path, ``None`` (default) follows the config.
+    The pipelined transfer engine
+    (:class:`~repro.core.engine.TransferEngine`) is armed by
+    ``params.transfer.read_ahead`` or by the first :meth:`prefetch`.
     """
 
     def __init__(
@@ -218,17 +217,15 @@ class DavFile:
         context: Context,
         url,
         params: Optional[RequestParams] = None,
-        read_ahead: Optional[bool] = None,
     ):
         self.context = context
-        self.url = url if isinstance(url, Url) else Url.parse(url)
+        self.url = Url.parse(url)
         self.params = params or context.params
-        self.transfer = self.params.effective_transfer()
-        armed = (
-            self.transfer.read_ahead if read_ahead is None else read_ahead
-        )
+        self.transfer = self.params.transfer
         self._engine: Optional[TransferEngine] = (
-            TransferEngine(self, self.transfer) if armed else None
+            TransferEngine(self, self.transfer)
+            if self.transfer.read_ahead
+            else None
         )
         # The page cache is context-owned (one per Context, shared by
         # every file), so repeated opens of the same URL reuse pages.

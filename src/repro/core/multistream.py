@@ -86,14 +86,11 @@ def multistream_download(
     stream died, :class:`ChecksumMismatch` when verification fails.
     """
     params = params or context.params
-    primary = url if isinstance(url, Url) else Url.parse(url)
+    primary = Url.parse(url)
 
     if metalink is None:
-        source = metalink_url or primary
-        if not isinstance(source, Url):
-            source = Url.parse(source)
         metalink = yield from DavFile(
-            context, source, params
+            context, metalink_url or primary, params
         ).get_metalink()
 
     entry = metalink.single()

@@ -44,9 +44,7 @@ class ObjectStoreClient:
         params: Optional[RequestParams] = None,
     ):
         self.context = context
-        self.base_url = (
-            base_url if isinstance(base_url, Url) else Url.parse(base_url)
-        )
+        self.base_url = Url.parse(base_url)
         self.params = params or context.params
 
     # -- addressing ---------------------------------------------------------
@@ -57,18 +55,10 @@ class ObjectStoreClient:
         return self.base_url.with_path(f"{prefix}/{key.lstrip('/')}")
 
     def file(
-        self,
-        key: str,
-        params: Optional[RequestParams] = None,
-        read_ahead: Optional[bool] = None,
+        self, key: str, params: Optional[RequestParams] = None
     ) -> DavFile:
         """A :class:`DavFile` bound to ``key`` (full read surface)."""
-        return DavFile(
-            self.context,
-            self.url_for(key),
-            params or self.params,
-            read_ahead=read_ahead,
-        )
+        return DavFile(self.context, self.url_for(key), params or self.params)
 
     def fetcher(
         self, key: str, params: Optional[RequestParams] = None

@@ -110,7 +110,7 @@ class DavPosix:
 
     def mkdir(self, url):
         """Effect sub-op: create a remote collection (MKCOL)."""
-        parsed = url if isinstance(url, Url) else Url.parse(url)
+        parsed = Url.parse(url)
         response, _ = yield from execute_request(
             self.context,
             parsed,
@@ -155,16 +155,8 @@ class DavPosix:
 
         if mode not in ("pull", "push"):
             raise DavixError("tpc", f"unknown TPC mode {mode!r}")
-        source = (
-            source_url
-            if isinstance(source_url, Url)
-            else Url.parse(source_url)
-        )
-        destination = (
-            destination_url
-            if isinstance(destination_url, Url)
-            else Url.parse(destination_url)
-        )
+        source = Url.parse(source_url)
+        destination = Url.parse(destination_url)
         if mode == "pull":
             active, target = destination, destination.target
             headers = Headers([("Source", str(source))])
@@ -199,16 +191,8 @@ class DavPosix:
         return summary
 
     def _copy_or_move(self, method, source_url, destination_url, overwrite):
-        source = (
-            source_url
-            if isinstance(source_url, Url)
-            else Url.parse(source_url)
-        )
-        destination = (
-            destination_url
-            if isinstance(destination_url, Url)
-            else Url.parse(destination_url)
-        )
+        source = Url.parse(source_url)
+        destination = Url.parse(destination_url)
         headers = Headers(
             [
                 ("Destination", str(destination)),
@@ -228,7 +212,7 @@ class DavPosix:
 
         Uses PROPFIND Depth 1, like ``davix-ls``.
         """
-        parsed = url if isinstance(url, Url) else Url.parse(url)
+        parsed = Url.parse(url)
         request = Request(
             "PROPFIND", parsed.target, Headers([("Depth", "1")])
         )

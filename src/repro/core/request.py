@@ -30,6 +30,7 @@ opts in. Connect failures and stale keep-alive races are always safe.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Optional, Tuple
 
 from repro.concurrency import Sleep
@@ -48,7 +49,6 @@ from repro.errors import (
 )
 from repro.http import Request, Response, Url
 from repro.http.status import is_redirect, is_retriable
-from repro.net.options import TcpOptions
 from repro.obs.phases import PhaseRecorder
 from repro.obs.propagation import format_span_id, format_trace_id
 from repro.resilience import Deadline, is_idempotent
@@ -86,8 +86,9 @@ def checkout_session(
     one pooled connection carries traffic for every origin behind it.
     With ``breakers`` given, an open circuit for the origin raises
     :class:`~repro.errors.CircuitOpenError` before any pool or connect
-    work; ``deadline`` bounds the connect timeout. Fresh connects are
-    timed into ``session.connect_seconds`` and counted in
+    work; ``deadline`` clamps ``params.tcp_options.connect_timeout``
+    on a fresh connect. Fresh connects are timed into
+    ``session.connect_seconds`` and counted in
     ``session.connect_total``; pool hits/misses are recorded by the
     pool itself.
     """
@@ -107,11 +108,11 @@ def checkout_session(
         session.metrics = context.metrics
         return session
     tcp_options = params.tcp_options
-    if tcp_options is None:
-        connect_timeout = params.connect_timeout
-        if deadline is not None:
-            connect_timeout = deadline.clamp(connect_timeout)
-        tcp_options = TcpOptions(connect_timeout=connect_timeout)
+    if deadline is not None:
+        tcp_options = replace(
+            tcp_options,
+            connect_timeout=deadline.clamp(tcp_options.connect_timeout),
+        )
     tls = None
     if url.scheme in ("https", "davs"):
         from repro.concurrency.tlsmodel import TlsPolicy
@@ -370,10 +371,8 @@ def execute_request(
             finally:
                 exchange_span.end()
 
-            if (
-                params.follow_redirects
-                and is_redirect(response.status)
-                and response.headers.get("Location")
+            if is_redirect(response.status) and response.headers.get(
+                "Location"
             ):
                 if breakers is not None:
                     breakers.record(origin, ok=True)

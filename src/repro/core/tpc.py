@@ -383,7 +383,7 @@ def run_pull(
     and the object committed).
     """
     config = config or TpcConfig()
-    source_url = source if isinstance(source, Url) else Url.parse(source)
+    source_url = Url.parse(source)
     span = context.tracer.start(
         "tpc-transfer",
         root=trace_ctx is None,
@@ -484,11 +484,7 @@ def run_push(
     reported failed.
     """
     config = config or TpcConfig()
-    dest_url = (
-        destination
-        if isinstance(destination, Url)
-        else Url.parse(destination)
-    )
+    dest_url = Url.parse(destination)
     span = context.tracer.start(
         "tpc-transfer",
         root=trace_ctx is None,

@@ -20,10 +20,11 @@ __all__ = ["TransferConfig"]
 class TransferConfig:
     """How a file's bytes move: parallelism and read-ahead in one place.
 
-    ``max_inflight`` bounds concurrent requests of one demand-side
-    operation (vectored-read batches, multistream chunks); the window
-    fields bound the *speculative* side — how many planned batches the
-    transfer engine keeps in flight ahead of the application.
+    ``max_inflight`` bounds the concurrent batches of one demanded
+    vectored read (multistream downloads take their stream count from
+    ``RequestParams.multistream_max_streams``); the window fields bound
+    the *speculative* side — how many planned batches the transfer
+    engine keeps in flight ahead of the application.
     """
 
     #: Concurrent in-flight requests per file operation (1 = the
@@ -72,7 +73,3 @@ class TransferConfig:
     def replace(self, **changes) -> "TransferConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def with_(self, **changes) -> "TransferConfig":
-        """Alias of :meth:`replace` (the historical spelling)."""
-        return self.replace(**changes)

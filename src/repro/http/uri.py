@@ -8,6 +8,7 @@ keying), percent-safe path joining, and redirect resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Union
 from urllib.parse import quote, unquote, urljoin, urlsplit
 
 from repro.errors import HttpProtocolError
@@ -31,7 +32,10 @@ class Url:
     query: str = ""
 
     @classmethod
-    def parse(cls, raw: str) -> "Url":
+    def parse(cls, raw: Union[str, "Url"]) -> "Url":
+        """``raw`` as a :class:`Url`; a ``Url`` is returned unchanged."""
+        if isinstance(raw, Url):
+            return raw
         try:
             parts = urlsplit(raw)
             port = parts.port

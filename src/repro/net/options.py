@@ -18,6 +18,8 @@ class TcpOptions:
 
     Defaults follow a 2014-era Linux stack: MSS 1460, initial window of
     10 segments (RFC 6928), 4 MiB receive-window cap.
+    ``connect_timeout`` bounds a connect on both runtimes; the other
+    fields tune the simulated transport only.
     """
 
     mss: int = 1460

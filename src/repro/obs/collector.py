@@ -314,7 +314,7 @@ def push_telemetry(context, url: str, sink: TelemetrySink):
     if not records:
         return None
     body = (records_to_json_lines(records) + "\n").encode("utf-8")
-    target = url if isinstance(url, Url) else Url.parse(url)
+    target = Url.parse(url)
     request = Request(
         "POST",
         target.target,

@@ -22,11 +22,11 @@ __all__ = ["DavixFetcher", "XrootdFetcher"]
 class DavixFetcher:
     """Tree fetcher over the davix HTTP client (TDavixFile).
 
-    With the transfer engine armed (``read_ahead=True`` or
-    ``params.transfer.read_ahead``), feed the upcoming access sequence
-    through :meth:`plan` and the file pipelines speculative
-    multi-range fetches ahead of consumption — the HTTP counterpart
-    of :class:`XrootdFetcher`'s sliding window.
+    With the transfer engine armed (``params.transfer.read_ahead``),
+    feed the upcoming access sequence through :meth:`plan` and the
+    file pipelines speculative multi-range fetches ahead of
+    consumption — the HTTP counterpart of :class:`XrootdFetcher`'s
+    sliding window.
     """
 
     def __init__(
@@ -34,9 +34,8 @@ class DavixFetcher:
         context: Context,
         url,
         params: Optional[RequestParams] = None,
-        read_ahead: Optional[bool] = None,
     ):
-        self.file = DavFile(context, url, params, read_ahead=read_ahead)
+        self.file = DavFile(context, url, params)
         self.reads = 0
         self.bytes_fetched = 0
 

@@ -110,7 +110,8 @@ class AnalysisConfig:
         if self.decode_lanes < 1:
             raise ValueError("decode_lanes must be >= 1")
 
-    def with_(self, **changes) -> "AnalysisConfig":
+    def replace(self, **changes) -> "AnalysisConfig":
+        """A copy with the given fields replaced."""
         return replace(self, **changes)
 
 
@@ -220,9 +221,9 @@ def davix_analysis(
     ``meta`` short-circuits index parsing for layout-only runs (the
     server hosts sized-but-synthetic content).
     """
-    params = params or context.params.with_(tcp_options=cfg.davix_tcp)
+    params = params or context.params.replace(tcp_options=cfg.davix_tcp)
     if cfg.davix_readahead:
-        params = params.with_(
+        params = params.replace(
             transfer=TransferConfig(
                 max_inflight=cfg.davix_max_inflight,
                 read_ahead=True,

@@ -20,9 +20,12 @@ from repro.concurrency import (
     Spawn,
     ThreadRuntime,
 )
-from repro.errors import ConnectError, TransferTimeout
-from repro.net import LinkSpec, Network
+from repro.core import DavixClient, RequestParams
+from repro.errors import ConnectError, RequestError, TransferTimeout
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.sim import Environment
+
+from tests.helpers import NO_RETRY
 
 
 # -- a protocol written once -------------------------------------------------
@@ -130,15 +133,53 @@ def test_connect_error_raised_inside_operation():
     client_rt, _server_rt = sim_world()
     assert client_rt.run(op()) == "refused"
 
-    runtime = ThreadRuntime(connect_timeout=0.5)
+    runtime = ThreadRuntime()
     # Port 1 on localhost is almost certainly closed.
     def op_real():
         try:
-            yield Connect(("127.0.0.1", 1))
+            yield Connect(("127.0.0.1", 1), TcpOptions(connect_timeout=0.5))
         except ConnectError:
             return "refused"
 
     assert runtime.run(op_real()) == "refused"
+
+
+@pytest.fixture()
+def connect_timeouts(monkeypatch):
+    """The ``timeout`` of every ``socket.create_connection``; each
+    connect is refused without touching the network."""
+    seen = []
+
+    def refuse(endpoint, timeout=None, *args, **kwargs):
+        seen.append(timeout)
+        raise ConnectionRefusedError(f"refused {endpoint}")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    return seen
+
+
+def test_thread_runtime_connects_with_the_effects_timeout(connect_timeouts):
+    def op(options):
+        try:
+            yield Connect(("127.0.0.1", 1), options)
+        except ConnectError:
+            return "refused"
+
+    runtime = ThreadRuntime()
+    assert runtime.run(op(TcpOptions(connect_timeout=0.25))) == "refused"
+    assert runtime.run(op(None)) == "refused"
+    assert connect_timeouts == [0.25, TcpOptions().connect_timeout]
+
+
+def test_thread_runtime_connect_is_bounded_by_the_deadline(connect_timeouts):
+    client = DavixClient(
+        ThreadRuntime(),
+        params=RequestParams(deadline=0.3, retry_policy=NO_RETRY),
+    )
+    with pytest.raises(RequestError):
+        client.get("http://127.0.0.1:1/x")
+    assert len(connect_timeouts) == 1
+    assert 0 < connect_timeouts[0] <= 0.3
 
 
 def test_sleep_and_now_in_sim_are_virtual():

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import RequestParams
-from repro.errors import FileNotFound, RequestError
+from repro.errors import DeadlineExceeded, FileNotFound, RequestError
 from repro.net import TcpOptions
 from repro.server import ServerConfig
+from repro.workloads.analysis import DAVIX_TCP
 
 from tests.helpers import NO_RETRY, davix_world, immediate
 
@@ -242,6 +243,21 @@ def test_custom_tcp_options_passed_to_transport():
     client, app, store, _ = davix_world(params=params)
     store.put("/x", b"abc")
     assert client.get("http://server/x") == b"abc"
+
+
+@pytest.mark.parametrize(
+    "tcp_options", [TcpOptions(), DAVIX_TCP], ids=["default", "davix_tcp"]
+)
+def test_deadline_bounds_the_connect_to_a_down_host(tcp_options):
+    """The deadline clamps ``tcp_options.connect_timeout`` (5 s in both
+    bundles): a down host fails the operation when the budget ends."""
+    client, _, _, server_rt = davix_world(
+        params=RequestParams(deadline=0.5, tcp_options=tcp_options)
+    )
+    server_rt.network.host("server").fail()
+    with pytest.raises(DeadlineExceeded):
+        client.get("http://server/x")
+    assert client.runtime.now() <= 0.5
 
 
 def test_user_agent_and_extra_headers_sent():

@@ -31,12 +31,7 @@ def segments_spread(count, length=1024, stride=8192, base=0):
 
 def test_close_cancels_inflight_batches():
     client = engine_world()
-    file = DavFile(
-        client.context,
-        "http://server/blob",
-        client.context.params,
-        read_ahead=True,
-    )
+    file = DavFile(client.context, "http://server/blob")
 
     def op():
         file.prefetch(segments_spread(32))
@@ -58,12 +53,7 @@ def test_close_cancels_inflight_batches():
 
 def test_replacing_prefetch_abandons_old_plan():
     client = engine_world()
-    file = DavFile(
-        client.context,
-        "http://server/blob",
-        client.context.params,
-        read_ahead=True,
-    )
+    file = DavFile(client.context, "http://server/blob")
 
     def op():
         file.prefetch(segments_spread(24))
@@ -86,12 +76,7 @@ def test_replacing_prefetch_abandons_old_plan():
 
 def test_abandon_frees_window_slots_immediately():
     client = engine_world()
-    file = DavFile(
-        client.context,
-        "http://server/blob",
-        client.context.params,
-        read_ahead=True,
-    )
+    file = DavFile(client.context, "http://server/blob")
 
     def op():
         file.prefetch(segments_spread(32))
@@ -115,8 +100,7 @@ def test_close_without_engine_is_noop():
     file = DavFile(
         client.context,
         "http://server/blob",
-        client.context.params,
-        read_ahead=False,
+        client.context.params.replace(transfer=TransferConfig()),
     )
 
     def op():

@@ -5,7 +5,7 @@ import pytest
 from repro.concurrency import SimRuntime
 from repro.core import Context, DavixClient, MetalinkMode, RequestParams
 from repro.errors import AllReplicasFailed, FileNotFound
-from repro.net import LinkSpec, Network
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
@@ -79,9 +79,8 @@ def test_all_replicas_dead_raises_all_failed():
     from repro.core.failover import with_failover
     from repro.core.file import DavFile
 
-    params = client.context.params.with_(
-        retry_policy=NO_RETRY, connect_timeout=0.5,
-        tcp_options=None,
+    params = client.context.params.replace(
+        retry_policy=NO_RETRY, tcp_options=TcpOptions(connect_timeout=0.5)
     )
 
     def attempt(target):
@@ -126,7 +125,7 @@ def test_404_on_primary_triggers_failover():
 def test_metalink_mode_disabled_raises_primary_error():
     client, net, apps, urls = replica_world(n_replicas=2)
     apps[0].store.delete("/data/f.root")
-    params = client.context.params.with_(
+    params = client.context.params.replace(
         metalink_mode=MetalinkMode.DISABLED
     )
     with pytest.raises(FileNotFound):
@@ -165,7 +164,7 @@ def test_failover_counts_attempts_in_error():
     client, net, apps, urls = replica_world(n_replicas=3)
     for app in apps:
         app.store.delete("/data/f.root")
-    params = client.context.params.with_(retry_policy=NO_RETRY)
+    params = client.context.params.replace(retry_policy=NO_RETRY)
     with pytest.raises(AllReplicasFailed) as info:
         client.get_with_failover(urls[0], params=params)
     # primary + 2 distinct replicas were tried

@@ -14,7 +14,7 @@ from repro.core import (
 from repro.core.failover import with_failover
 from repro.core.file import DavFile
 from repro.errors import AllReplicasFailed
-from repro.net import LinkSpec, Network
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
@@ -62,7 +62,9 @@ def federation_world(n_replicas=3, site_faults=None, breaker=None):
     return client, net, apps, urls
 
 
-FAST = RequestParams(retry_policy=NO_RETRY, connect_timeout=0.5)
+FAST = RequestParams(
+    retry_policy=NO_RETRY, tcp_options=TcpOptions(connect_timeout=0.5)
+)
 
 
 def test_all_replicas_down_lists_every_attempt():
@@ -158,6 +160,6 @@ def test_breaker_disabled_still_attempts_open_replica():
     origin = ("http", "site1", 80)
     client.context.breakers.record(origin, ok=False)
 
-    params = FAST.with_(breaker_enabled=False)
+    params = FAST.replace(breaker_enabled=False)
     assert client.get_with_failover(urls[0], params=params) == CONTENT
     assert apps[1].requests_handled >= 1

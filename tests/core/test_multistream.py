@@ -12,7 +12,7 @@ from repro.errors import (
     PermissionDenied,
     RequestError,
 )
-from repro.net import LinkSpec, Network
+from repro.net import LinkSpec, Network, TcpOptions
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
@@ -158,7 +158,9 @@ def test_all_replicas_failed_carries_each_streams_error():
 
 def test_multistream_all_dead_raises():
     params = RequestParams(
-        multistream_chunk=50_000, retry_policy=NO_RETRY, connect_timeout=0.2
+        multistream_chunk=50_000,
+        retry_policy=NO_RETRY,
+        tcp_options=TcpOptions(connect_timeout=0.2),
     )
     client, net, apps, urls, content = multistream_world(params=params)
     metalink = client.get_metalink(urls[0])

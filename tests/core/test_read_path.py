@@ -121,7 +121,7 @@ def test_engine_miss_is_charged_once():
     client, _, store, _ = davix_world()
     content = bytes(i % 251 for i in range(400_000))
     store.put("/x", content)
-    file = DavFile(client.context, "http://server/x", read_ahead=True)
+    file = DavFile(client.context, "http://server/x")
     file.prefetch([(0, 1000), (5000, 1000)])
 
     def op():

@@ -37,14 +37,9 @@ def engine_world(transfer=None, latency=0.001, params=None, **world_kw):
     return client, app
 
 
-def run_file_op(client, build_op, read_ahead=True):
+def run_file_op(client, build_op):
     """Run an effect op against a fresh DavFile; returns (result, file)."""
-    file = DavFile(
-        client.context,
-        "http://server/blob",
-        client.context.params,
-        read_ahead=read_ahead,
-    )
+    file = DavFile(client.context, "http://server/blob", client.context.params)
 
     def op():
         result = yield from build_op(file)

@@ -39,6 +39,11 @@ def test_empty_path_becomes_root():
     assert Url.parse("http://h").target == "/"
 
 
+def test_parse_returns_a_url_unchanged():
+    url = Url.parse("http://h:8080/x?y=1")
+    assert Url.parse(url) is url
+
+
 def test_unsupported_scheme_rejected():
     with pytest.raises(HttpProtocolError):
         Url.parse("ftp://h/x")

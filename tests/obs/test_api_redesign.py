@@ -114,8 +114,6 @@ def test_request_params_replace():
     assert updated.max_redirects == 5
     assert updated.keep_alive is True
     assert params.max_redirects == 2  # original untouched
-    # with_ stays as a back-compat alias.
-    assert params.with_(max_redirects=5) == updated
 
 
 def test_request_params_replace_rejects_unknown_field():

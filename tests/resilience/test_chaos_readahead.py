@@ -159,12 +159,7 @@ def test_speculation_never_leaves_the_plan(chaos_seed):
     store.put("/data/blob", BLOB)
     from repro.core.file import DavFile
 
-    file = DavFile(
-        client.context,
-        "http://server/data/blob",
-        client.context.params,
-        read_ahead=True,
-    )
+    file = DavFile(client.context, "http://server/data/blob")
 
     def op():
         file.prefetch(plan)

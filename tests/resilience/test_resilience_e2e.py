@@ -9,6 +9,7 @@ from repro.errors import (
     DeadlineExceeded,
     RequestError,
 )
+from repro.net import TcpOptions
 from repro.server import FaultPolicy
 
 from tests.helpers import davix_world
@@ -195,7 +196,7 @@ def test_connect_failures_retry_and_finally_raise():
             retry_policy=RetryPolicy(
                 max_attempts=3, base_delay=0.05, jitter="none"
             ),
-            connect_timeout=0.5,
+            tcp_options=TcpOptions(connect_timeout=0.5),
         )
     )
     server_rt.network.host("server").fail()

@@ -152,24 +152,25 @@ def test_vec_rejects_malformed_range(live):
 def test_inflight_flag_sets_transfer_config():
     from repro.cli import _client
 
-    args = build_parser().parse_args(["--inflight", "7", "stats"])
-    client = _client(args)
-    transfer = client.context.params.effective_transfer()
-    assert transfer.max_inflight == 7
-    assert transfer.read_ahead is False
-    assert client.context.params.multistream_max_streams == 7
+    from repro.core import RequestParams, TransferConfig
 
-    args = build_parser().parse_args(["--read-ahead", "stats"])
-    client = _client(args)
-    transfer = client.context.params.effective_transfer()
-    assert transfer.read_ahead is True
-    # --read-ahead alone must not narrow the multistream default.
-    assert client.context.params.multistream_max_streams == 4
+    args = build_parser().parse_args(["--inflight", "7", "stats"])
+    params = _client(args).context.params
+    assert params.transfer == TransferConfig(max_inflight=7)
+    # --inflight writes only the transfer bundle: the multistream
+    # stream count comes from get --multistream N.
+    assert params.multistream_max_streams == (
+        RequestParams().multistream_max_streams
+    )
+
+    args = build_parser().parse_args(
+        ["--read-ahead", "--page-size", "4096", "stats"]
+    )
+    transfer = _client(args).context.params.transfer
+    assert transfer == TransferConfig(read_ahead=True, page_size=4096)
 
     args = build_parser().parse_args(["stats"])
-    client = _client(args)
-    assert client.context.params.transfer is None
-    assert client.context.params.effective_transfer().max_inflight == 1
+    assert _client(args).context.params.transfer == TransferConfig()
 
 
 def test_deprecated_parallel_flags_removed():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Context, MetalinkMode, RequestParams
+from repro.core import Context, MetalinkMode, RequestParams, TransferConfig
 from repro.errors import (
     AllReplicasFailed,
     ChecksumMismatch,
@@ -17,6 +17,7 @@ from repro.errors import (
     RequestError,
     XrootdError,
 )
+from repro.net import TcpOptions
 
 
 def test_hierarchy_roots():
@@ -76,14 +77,15 @@ def test_xrootd_error_code():
 def test_params_defaults_are_daivx_like():
     params = RequestParams()
     assert params.keep_alive is True
-    assert params.follow_redirects is True
+    assert params.tcp_options == TcpOptions()
+    assert params.transfer == TransferConfig()
     assert params.metalink_mode == MetalinkMode.FAILOVER
     assert params.max_vector_ranges == 256
 
 
 def test_params_with_creates_modified_copy():
     params = RequestParams()
-    tuned = params.with_(max_redirects=7, keep_alive=False)
+    tuned = params.replace(max_redirects=7, keep_alive=False)
     assert tuned.max_redirects == 7
     assert tuned.keep_alive is False
     assert params.max_redirects == 10  # original untouched

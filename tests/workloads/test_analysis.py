@@ -164,7 +164,7 @@ def test_xrootd_readahead_option_reduces_time_at_high_latency():
     with_ra = run_scenario(
         Scenario(
             profile=WAN, protocol="xrootd", spec=tiny_spec(),
-            config=base.with_(xrootd_readahead=4 * 1024 * 1024),
+            config=base.replace(xrootd_readahead=4 * 1024 * 1024),
         )
     )
     without = run_scenario(
