@@ -4,10 +4,9 @@
 and consumes them from the front: nothing is staged, a payload that
 lies inside one buffer is one slice of it and a payload across several
 is one join. The HTTP parser, the multipart decoder, the simulated TCP
-send queue and the three binary deframers (XRootD, SPDY, GridFTP — one
-:class:`Deframer` with three header layouts) all sit on it, so the
-per-byte cost of receiving is the same code under every protocol the
-benchmarks compare.
+send queue and XRootD's binary deframer (one :class:`Deframer`) all
+sit on it, so the per-byte cost of receiving is the same code under
+both protocols the benchmarks compare.
 """
 
 from __future__ import annotations

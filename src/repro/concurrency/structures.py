@@ -5,9 +5,9 @@ sub-operations with at most ``limit`` in flight, collect every outcome
 in submission order, and only then surface failures. It is the only
 code that spawns and joins transfer lanes: the pool dispatcher
 (``DavixClient.get_many``, paper Fig. 2), the parallel vectored-read
-path, multi-stream downloads, third-party-copy streams and the GridFTP
-stripes — one scheduling policy, every runtime (deterministic on the
-simulator, OS threads on sockets).
+path, multi-stream downloads and third-party-copy streams — one
+scheduling policy, every runtime (deterministic on the simulator, OS
+threads on sockets).
 
 :class:`TaskWindow` is its open-ended sibling: bookkeeping for a
 *sliding* window of spawned tasks whose results are consumed out of

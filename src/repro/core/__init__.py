@@ -12,8 +12,8 @@ Public surface:
   strategies;
 * :meth:`DavixClient.get_many` — pool-based parallel dispatch (Fig. 2),
   a :func:`~repro.concurrency.bounded_gather` of whole-object reads;
-* :func:`plan_chunks` — the one chunk planner under multi-stream,
-  third-party copy and the GridFTP stripes;
+* :func:`plan_chunks` — the one chunk planner under multi-stream and
+  third-party copy;
 * :func:`pipeline_requests` — the HTTP-pipelining baseline.
 """
 
@@ -42,7 +42,6 @@ _EXPORTS = {
     "StaleSession": ".session",
     "open_session": ".session",
     "PerfMarker": ".tpc",
-    "TpcConfig": ".tpc",
     "TpcSummary": ".tpc",
     "parse_marker_stream": ".tpc",
     "plan_chunks": "repro.http",

@@ -20,6 +20,7 @@ from repro.errors import (
     DavixError,
     DeadlineExceeded,
     FileNotFound,
+    HttpProtocolError,
     MetalinkError,
     RequestError,
     TransferTimeout,
@@ -46,7 +47,7 @@ def resolve_replicas(metalink: Metalink, base: Url) -> List[Url]:
     for entry_url in metalink.single().ordered_urls():
         try:
             replicas.append(base.resolve(entry_url.url))
-        except Exception:  # noqa: BLE001 - skip unparsable replicas
+        except HttpProtocolError:  # an unparsable replica is skipped
             continue
     return replicas
 

@@ -16,7 +16,7 @@ peer):
 
 * the object is split into fixed-size chunks
   (:func:`~repro.http.ranges.plan_chunks`, the planning rule
-  :mod:`repro.core.multistream` and the GridFTP stripes share);
+  :mod:`repro.core.multistream` shares);
 * chunks move over N concurrent ranged GET (pull) or ranged PUT (push)
   lanes via :func:`~repro.concurrency.bounded_gather`, each lane
   retrying its chunk in place on transient failure
@@ -36,7 +36,6 @@ active server and passive server.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
@@ -50,7 +49,6 @@ from repro.http.ranges import format_content_range, plan_chunks
 
 __all__ = [
     "PERF_MARKER_MEDIA_TYPE",
-    "TpcConfig",
     "PerfMarker",
     "TpcSummary",
     "parse_digest_header",
@@ -63,29 +61,11 @@ __all__ = [
 #: Content type of the 202 COPY response body (WLCG convention).
 PERF_MARKER_MEDIA_TYPE = "text/perf-marker-stream"
 
+#: RFC 3230 digest algorithm used end to end.
+DIGEST = "adler32"
 
-@dataclass(frozen=True)
-class TpcConfig:
-    """Knobs of one third-party transfer (the active side)."""
-
-    #: Concurrent transfer lanes (clamped to the chunk count).
-    streams: int = 4
-    #: Bytes per ranged GET/PUT chunk.
-    chunk_size: int = 8 * 1024 * 1024
-    #: RFC 3230 digest algorithm used end to end.
-    digest: str = "adler32"
-    #: Chunk-level retry budget on top of the per-request policy.
-    chunk_retries: int = 2
-
-    def __post_init__(self):
-        if self.streams < 1:
-            raise ValueError("streams must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        if self.digest not in ("adler32", "md5"):
-            raise ValueError(f"unsupported digest {self.digest!r}")
-        if self.chunk_retries < 0:
-            raise ValueError("chunk_retries must be >= 0")
+#: Chunk-level retry budget on top of the per-request policy.
+CHUNK_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -125,12 +105,8 @@ def parse_digest_header(value: Optional[str]) -> dict:
     return digests
 
 
-def _compute_digest(data, algo: str) -> str:
-    if algo == "adler32":
-        return f"{zlib.adler32(bytes(data)) & 0xFFFFFFFF:08x}"
-    if algo == "md5":
-        return hashlib.md5(bytes(data)).hexdigest()
-    raise ValueError(f"unsupported digest {algo!r}")
+def _compute_digest(data) -> str:
+    return f"{zlib.adler32(bytes(data)) & 0xFFFFFFFF:08x}"
 
 
 # -- perf-marker stream (wire format) -----------------------------------------
@@ -210,7 +186,9 @@ class _Progress:
     mode: str
     path: str
     size: int
-    config: TpcConfig
+    #: Concurrent transfer lanes asked for (clamped to the chunk count).
+    streams: int
+    chunk_size: int
     span: object
     metrics: object
     events: object
@@ -220,10 +198,8 @@ class _Progress:
     markers: List[PerfMarker] = field(default_factory=list)
 
     def __post_init__(self):
-        self.chunks = plan_chunks(self.size, self.config.chunk_size)
-        self.streams = max(
-            1, min(self.config.streams, len(self.chunks) or 1)
-        )
+        self.chunks = plan_chunks(self.size, self.chunk_size)
+        self.streams = max(1, min(self.streams, len(self.chunks) or 1))
         self.span.set(
             streams=self.streams, chunks=len(self.chunks), bytes=self.size
         )
@@ -253,7 +229,7 @@ class _Progress:
             retries=self.retries,
             duration=duration,
             throughput=(self.size / duration) if ok and duration > 0 else 0.0,
-            digest=self.config.digest,
+            digest=DIGEST,
             ok=ok,
             **error,
         )
@@ -303,7 +279,7 @@ def _move_chunk(progress, index, offset, length, build, accept):
     length)`` judges the reply: it returns the span's closing
     attributes when the chunk landed, ``None`` when the same request
     is worth repeating, and raises when no retry can help. A failed
-    request or a rejected reply spends one of ``chunk_retries``; past
+    request or a rejected reply spends one of :data:`CHUNK_RETRIES`; past
     the budget the lane raises the last failure.
     """
     context = progress.context
@@ -342,7 +318,7 @@ def _move_chunk(progress, index, offset, length, build, accept):
         progress.retries += 1
         if progress.metrics is not None:
             progress.metrics.counter("tpc.stream_retries_total").inc()
-        if attempts > progress.config.chunk_retries:
+        if attempts > CHUNK_RETRIES:
             raise failure
 
 
@@ -370,7 +346,8 @@ def run_pull(
     store,
     destination_path: str,
     source,
-    config: Optional[TpcConfig] = None,
+    streams: int,
+    chunk_size: int,
     metrics=None,
     events=None,
     trace_ctx=None,
@@ -382,7 +359,6 @@ def run_pull(
     perf-marker stream (``success:`` only after the digest verified
     and the object committed).
     """
-    config = config or TpcConfig()
     source_url = Url.parse(source)
     span = context.tracer.start(
         "tpc-transfer",
@@ -397,7 +373,7 @@ def run_pull(
     head = Request(
         "HEAD",
         source_url.target,
-        Headers([("Want-Digest", config.digest)]),
+        Headers([("Want-Digest", DIGEST)]),
     )
     try:
         response, _ = yield from execute_request(
@@ -415,11 +391,11 @@ def run_pull(
         "Content-Type", "application/octet-stream"
     )
     expected = parse_digest_header(response.headers.get("Digest")).get(
-        config.digest
+        DIGEST
     )
     progress = _Progress(
-        context, source_url, "pull", destination_path, size, config,
-        span, metrics, events, started,
+        context, source_url, "pull", destination_path, size, streams,
+        chunk_size, span, metrics, events, started,
     )
     assembly = bytearray(size)
 
@@ -448,20 +424,20 @@ def run_pull(
     )
     if error is not None:
         return progress.fail(now, error)
-    actual = _compute_digest(assembly, config.digest)
+    actual = _compute_digest(assembly)
     if expected is not None and actual != expected:
         if metrics is not None:
             metrics.counter("tpc.digest_mismatch_total").inc()
         return progress.fail(
             now,
-            f"digest mismatch: source {config.digest}={expected}, "
-            f"received {config.digest}={actual}",
+            f"digest mismatch: source {DIGEST}={expected}, "
+            f"received {DIGEST}={actual}",
         )
     obj = store.put(destination_path, bytes(assembly), content_type)
     return progress.succeed(
         now,
         destination_path,
-        [("ETag", obj.etag), ("Digest", f"{config.digest}={actual}")],
+        [("ETag", obj.etag), ("Digest", f"{DIGEST}={actual}")],
     )
 
 
@@ -470,7 +446,8 @@ def run_push(
     store,
     source_path: str,
     destination,
-    config: Optional[TpcConfig] = None,
+    streams: int,
+    chunk_size: int,
     metrics=None,
     events=None,
     trace_ctx=None,
@@ -483,7 +460,6 @@ def run_push(
     local checksum or the remote copy is deleted and the transfer
     reported failed.
     """
-    config = config or TpcConfig()
     dest_url = Url.parse(destination)
     span = context.tracer.start(
         "tpc-transfer",
@@ -496,10 +472,10 @@ def run_push(
     started = yield Now()
     obj = store.get(source_path)
     size = obj.size
-    local_digest = obj.checksum(config.digest)
+    local_digest = obj.checksum(DIGEST)
     progress = _Progress(
-        context, dest_url, "push", source_path, size, config,
-        span, metrics, events, started,
+        context, dest_url, "push", source_path, size, streams,
+        chunk_size, span, metrics, events, started,
     )
     commit = {}
 
@@ -507,7 +483,7 @@ def run_push(
         headers = Headers(
             [
                 ("Content-Type", obj.content_type),
-                ("Want-Digest", config.digest),
+                ("Want-Digest", DIGEST),
             ]
         )
         if size > 0:
@@ -524,7 +500,7 @@ def run_push(
             # Coverage complete: the destination committed the object.
             commit["digest"] = parse_digest_header(
                 reply.headers.get("Digest")
-            ).get(config.digest)
+            ).get(DIGEST)
         return {"ok": True, "status": reply.status}
 
     # A zero-length object plans to no chunks: one plain PUT carries it.
@@ -552,11 +528,11 @@ def run_push(
             pass
         return progress.fail(
             now,
-            f"digest mismatch: local {config.digest}={local_digest}, "
-            f"destination {config.digest}={remote_digest}",
+            f"digest mismatch: local {DIGEST}={local_digest}, "
+            f"destination {DIGEST}={remote_digest}",
         )
     return progress.succeed(
         now,
         dest_url.decoded_path,
-        [("Digest", f"{config.digest}={local_digest}")],
+        [("Digest", f"{DIGEST}={local_digest}")],
     )

@@ -158,9 +158,9 @@ def plan_chunks(size: int, chunk_size: int) -> List[Tuple[int, int]]:
     """Split ``size`` bytes into ``(offset, length)`` chunks.
 
     The one planning rule behind every chunked transfer (multi-stream
-    downloads, third-party copy, GridFTP stripes). The final chunk
-    absorbs the remainder (it may be a single byte); a zero-length
-    object plans to no chunks at all.
+    downloads, third-party copy). The final chunk absorbs the remainder
+    (it may be a single byte); a zero-length object plans to no chunks
+    at all.
     """
     if size < 0:
         raise ValueError("size must be >= 0")

@@ -339,7 +339,7 @@ class StorageApp(Envelope):
         peer) and the pending COPY answers 202 with a perf-marker
         stream (:mod:`repro.core.tpc`).
         """
-        from repro.core.tpc import TpcConfig, run_pull, run_push
+        from repro.core.tpc import run_pull, run_push
         from repro.obs.propagation import (
             TRACEPARENT_HEADER,
             parse_traceparent,
@@ -349,15 +349,9 @@ class StorageApp(Envelope):
         if mode == "push" and not self.store.exists(path):
             return ServedResponse(self._not_found(path))
         requested = request.headers.get_int("X-Number-Of-Streams")
-        streams = (
-            requested
-            if requested is not None and requested > 0
-            else self.config.tpc_streams
-        )
-        config = TpcConfig(
-            streams=min(streams, self.config.tpc_max_streams),
-            chunk_size=self.config.tpc_chunk,
-        )
+        if requested is None or requested < 1:
+            requested = self.config.tpc_streams
+        streams = min(requested, self.config.tpc_max_streams)
         trace_ctx = parse_traceparent(
             request.headers.get(TRACEPARENT_HEADER)
         )
@@ -369,7 +363,8 @@ class StorageApp(Envelope):
                 self.store,
                 path,
                 remote,
-                config,
+                streams,
+                self.config.tpc_chunk,
                 metrics=self.metrics,
                 events=self.events,
                 trace_ctx=trace_ctx,

@@ -2,7 +2,7 @@
 
 Every guarantee is checked on both runtimes — deterministic simulator
 tasks and OS threads — because every chunk mover (``get_many``,
-multi-stream, third-party copy, GridFTP stripes) leans on them.
+multi-stream, third-party copy) leans on them.
 """
 
 import threading

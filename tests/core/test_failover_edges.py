@@ -11,10 +11,12 @@ from repro.core import (
     RequestParams,
     RetryPolicy,
 )
-from repro.core.failover import with_failover
+from repro.core.failover import resolve_replicas, with_failover
 from repro.core.file import DavFile
 from repro.errors import AllReplicasFailed
+from repro.http import Url
 from repro.net import LinkSpec, Network, TcpOptions
+from repro.metalink import Metalink, MetalinkFile, MetalinkUrl
 from repro.obs import MetricsRegistry
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
@@ -163,3 +165,28 @@ def test_breaker_disabled_still_attempts_open_replica():
     params = FAST.replace(breaker_enabled=False)
     assert client.get_with_failover(urls[0], params=params) == CONTENT
     assert apps[1].requests_handled >= 1
+
+
+def _metalink(*urls):
+    return Metalink(
+        [MetalinkFile("f.root", urls=[MetalinkUrl(url) for url in urls])]
+    )
+
+
+def test_an_unparsable_replica_is_skipped():
+    base = Url.parse(f"http://fed{PATH}")
+    replicas = resolve_replicas(
+        _metalink("http://[::1/x", f"http://site1{PATH}"), base
+    )
+    assert replicas == [Url.parse(f"http://site1{PATH}")]
+
+
+def test_a_bug_while_resolving_a_replica_is_not_swallowed(monkeypatch):
+    def broken(self, location):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(Url, "resolve", broken)
+    with pytest.raises(RuntimeError):
+        resolve_replicas(
+            _metalink(f"http://site1{PATH}"), Url.parse(f"http://fed{PATH}")
+        )

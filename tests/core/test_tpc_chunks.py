@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
-from repro.core.tpc import TpcConfig
 from repro.http.ranges import plan_chunks
 from repro.net import LinkSpec, Network
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
@@ -114,15 +113,9 @@ def test_multistream_tpc_byte_identical_to_single_stream(size, mode):
     assert committed[1] == committed[4] == payload
 
 
-def test_tpc_config_validation():
+def test_plan_chunks_rejects_a_negative_size_or_an_empty_chunk():
     import pytest
 
-    with pytest.raises(ValueError):
-        TpcConfig(streams=0)
-    with pytest.raises(ValueError):
-        TpcConfig(chunk_size=0)
-    with pytest.raises(ValueError):
-        TpcConfig(digest="crc32")
     with pytest.raises(ValueError):
         plan_chunks(-1, 8)
     with pytest.raises(ValueError):

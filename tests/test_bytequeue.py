@@ -1,9 +1,8 @@
-"""The one receive buffer, and the three deframers built on it.
+"""The one receive buffer, and the deframer built on it.
 
-Every decoder in the package reads from :class:`ByteQueue`; XRootD,
-SPDY and GridFTP frames all come off one :class:`Deframer`. What does
-not depend on a protocol's grammar is tested here once, against all of
-them: any chunking of the input gives what one feed gives, nothing
+Every decoder in the package reads from :class:`ByteQueue`; XRootD's
+frames come off a :class:`Deframer`. What does not depend on a
+protocol's grammar is tested here once: any chunking of the input gives what one feed gives, nothing
 handed out aliases a mutable buffer that was fed, a buffer consumed
 whole comes back as the object that went in, an oversized length is a
 typed error on every call, and a header may straddle buffers.
@@ -11,7 +10,6 @@ typed error on every call, and a header may straddle buffers.
 
 import random
 import struct
-from dataclasses import astuple
 from typing import Callable, NamedTuple
 
 import pytest
@@ -19,9 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bytequeue import ByteQueue, Deframer
-from repro.errors import HttpProtocolError, XrootdError
-from repro.gridftp import protocol as gridftp
-from repro.spdy import protocol as spdy
+from repro.errors import XrootdError
 from repro.xrootd import protocol as xrootd
 
 KINDS = [bytes, bytearray, memoryview]
@@ -126,7 +122,7 @@ def test_read_never_crosses_a_buffer_and_find_joins_only_on_a_miss():
     assert len(queue) == 0 and queue.take(0) == b""
 
 
-# -- the three deframers ------------------------------------------------------
+# -- the deframer -------------------------------------------------------------
 
 
 class Protocol(NamedTuple):
@@ -135,28 +131,12 @@ class Protocol(NamedTuple):
     fields: tuple  # bit widths of the header fields before the length
     maximum: int
     error: type
-    pop: Callable  # reader -> the next frame as a tuple, or None
-
-
-def _as_tuple(frame):
-    return None if frame is None else astuple(frame)
 
 
 PROTOCOLS = {
     "xrootd": Protocol(
         xrootd.FrameReader, xrootd.HEADER, (16, 16),
         xrootd.MAX_DLEN, XrootdError,
-        lambda reader: reader.next_frame(),
-    ),
-    "spdy": Protocol(
-        spdy.FrameReader, spdy.HEADER, (32, 8, 8),
-        spdy.MAX_FRAME_PAYLOAD, HttpProtocolError,
-        lambda reader: _as_tuple(reader.next_frame()),
-    ),
-    "gridftp": Protocol(
-        gridftp.BlockReader, gridftp.BLOCK_HEADER, (8, 64),
-        gridftp.MAX_BLOCK, HttpProtocolError,
-        lambda reader: _as_tuple(reader.next_block()),
     ),
 }
 
@@ -173,17 +153,17 @@ def field_values(proto, seed):
     )
 
 
-def pop_all(proto, reader):
+def pop_all(reader):
     frames = []
     while True:
-        frame = proto.pop(reader)
+        frame = reader.next_frame()
         if frame is None:
             return frames
         frames.append(frame)
 
 
 #: Payload sizes around every boundary a deframer knows: empty, the
-#: header sizes, a receive burst, SPDY's frame cap, a whole basket read.
+#: header sizes, a receive burst, 64 KiB, a whole basket read.
 FRAME_SIZES = st.sampled_from(
     [0, 1, 7, 8, 9, 10, 13, 4096, 65535, 65536, 262_144, 600 * 1024]
 ) | st.integers(min_value=0, max_value=600 * 1024)
@@ -234,7 +214,7 @@ def test_any_chunking_yields_the_same_frames(proto, frames, kind, data):
 
     whole = proto.reader()
     whole.feed(wire)
-    assert pop_all(proto, whole) == expected
+    assert pop_all(whole) == expected
 
     reader = proto.reader()
     got = []
@@ -243,7 +223,7 @@ def test_any_chunking_yields_the_same_frames(proto, frames, kind, data):
         reader.feed(piece)
         if kind is bytearray:
             piece[:] = bytes(len(piece))  # the reader must not alias it
-        got.extend(pop_all(proto, reader))
+        got.extend(pop_all(reader))
     assert got == expected
     assert all(type(frame[-1]) is bytes for frame in got)
 
@@ -255,9 +235,9 @@ def test_a_header_straddling_buffers_decodes(proto):
     for cut in range(1, proto.header.size + 1):
         reader = proto.reader()
         reader.feed(wire[:cut])
-        assert proto.pop(reader) is None
+        assert reader.next_frame() is None
         reader.feed(wire[cut:] + wire)
-        assert pop_all(proto, reader) == [(*fields, b"abc")] * 2
+        assert pop_all(reader) == [(*fields, b"abc")] * 2
 
 
 @protocols
@@ -266,14 +246,14 @@ def test_an_oversized_length_is_a_typed_error_every_time(proto):
     zeros = field_values(proto, 0)
     header = proto.header.pack(*zeros, proto.maximum + 1)
     reader.feed(header[:3])
-    assert proto.pop(reader) is None
+    assert reader.next_frame() is None
     reader.feed(header[3:])
     for _ in range(2):
         with pytest.raises(proto.error):
-            proto.pop(reader)
+            reader.next_frame()
     at_the_cap = proto.reader()
     at_the_cap.feed(proto.header.pack(*zeros, proto.maximum))
-    assert proto.pop(at_the_cap) is None
+    assert at_the_cap.next_frame() is None
 
 
 @protocols
@@ -300,4 +280,4 @@ def test_payload_bursts_come_back_as_the_objects_that_were_fed(proto):
 
     reader.feed(wire[: proto.header.size])
     reader.feed(payload)
-    assert proto.pop(reader)[-1] is payload
+    assert reader.next_frame()[-1] is payload

@@ -11,7 +11,6 @@ import dataclasses
 import inspect
 
 from repro.core.context import Context, RequestParams
-from repro.core.tpc import TpcConfig
 from repro.core.transfer import TransferConfig
 from repro.server import ServerConfig
 
@@ -21,7 +20,6 @@ KNOB_CEILINGS = {
     "RequestParams": 23,
     "TransferConfig": 8,
     "ServerConfig": 18,
-    "TpcConfig": 4,
     "Context": 11,
 }
 
@@ -29,7 +27,7 @@ KNOB_CEILINGS = {
 def test_knob_counts_are_pinned():
     counts = {
         bundle.__name__: len(dataclasses.fields(bundle))
-        for bundle in (RequestParams, TransferConfig, ServerConfig, TpcConfig)
+        for bundle in (RequestParams, TransferConfig, ServerConfig)
     }
     counts["Context"] = len(inspect.signature(Context.__init__).parameters) - 1
     assert counts == KNOB_CEILINGS
