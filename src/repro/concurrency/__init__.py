@@ -20,6 +20,7 @@ _EXPORTS = {
     "Send": ".effects",
     "Sleep": ".effects",
     "Spawn": ".effects",
+    "AcceptLoop": ".structures",
     "Outcome": ".structures",
     "TaskWindow": ".structures",
     "bounded_gather": ".structures",

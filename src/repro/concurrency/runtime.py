@@ -22,6 +22,11 @@ class TaskHandle:
         self.impl = impl
         self.name = name
 
+    @property
+    def alive(self) -> bool:
+        """True until the operation has returned or raised."""
+        return self.impl.is_alive
+
     def __repr__(self) -> str:
         label = f" {self.name}" if self.name else ""
         return f"<TaskHandle{label}>"
@@ -37,6 +42,8 @@ class Runtime:
       calling thread for sockets);
     * :meth:`spawn` — start an operation concurrently;
     * :meth:`join` — wait for a spawned task from *outside* operations;
+    * :meth:`settle` — the same for a task already told to end, except
+      that the simulator never runs for it;
     * :meth:`listen` — open a listener handle usable with ``Accept``;
     * :meth:`now` — current time in seconds.
     """
@@ -48,6 +55,9 @@ class Runtime:
         raise NotImplementedError
 
     def join(self, task: TaskHandle) -> Any:
+        raise NotImplementedError
+
+    def settle(self, task: TaskHandle) -> None:
         raise NotImplementedError
 
     def listen(self, port: int, host: Optional[str] = None) -> Any:

@@ -48,6 +48,10 @@ class SimRuntime(Runtime):
         """Wait (by running the simulation) for a spawned task."""
         return self.env.run(until=task.impl)
 
+    def settle(self, task: TaskHandle) -> None:
+        """Nothing to wait for: the task ends when the simulation next
+        runs, and the clock does not move now."""
+
     def listen(self, port: int, host: Optional[str] = None) -> Any:
         return self.network.listen(host or self.host, port)
 

@@ -14,16 +14,80 @@ threads on sockets).
 order and refilled as they drain — the shape of the transfer engine's
 speculative read-ahead (:mod:`repro.core.engine`), where gather's
 submit-all/collect-all contract does not fit.
+
+:class:`AcceptLoop` is the servers' one accept loop: a task per
+connection, every one of them ended by :meth:`AcceptLoop.stop`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
-from repro.concurrency.effects import Join, Spawn
+from repro.concurrency.effects import Accept, Join, Spawn
+from repro.concurrency.runtime import Runtime, TaskHandle
+from repro.errors import NetworkError
 
-__all__ = ["Outcome", "TaskWindow", "bounded_gather"]
+__all__ = ["AcceptLoop", "Outcome", "TaskWindow", "bounded_gather"]
+
+
+class AcceptLoop:
+    """A listening port; ``handler(channel)`` is the effect op serving
+    one connection, whatever the protocol. Tasks are named
+    ``<name>-server`` (the loop) and ``<name>-conn``. A connection is
+    kept with its task until the next accept after that task ends."""
+
+    def __init__(
+        self,
+        runtime: Runtime,
+        handler: Callable[[Any], Generator],
+        name: str,
+        port: int = 0,
+        host: Optional[str] = None,
+    ):
+        self.runtime = runtime
+        self.handler = handler
+        self.name = name
+        self.port = port
+        self.host = host
+        self.listener = None
+        self._task: Optional[TaskHandle] = None
+        self._live: Dict[Any, TaskHandle] = {}
+
+    def start(self) -> "AcceptLoop":
+        """Open the listener and spawn the accept loop."""
+        self.listener = self.runtime.listen(self.port, self.host)
+        self.port = self.listener.port
+        self._task = self.runtime.spawn(
+            self._accept(self.listener), name=f"{self.name}-server"
+        )
+        return self
+
+    def _accept(self, listener):
+        while True:
+            try:
+                channel = yield Accept(listener)
+            except NetworkError:
+                return  # listener closed
+            self._live = {c: t for c, t in self._live.items() if t.alive}
+            self._live[channel] = yield Spawn(
+                self.handler(channel), name=f"{self.name}-conn"
+            )
+
+    def stop(self) -> None:
+        """Close the listener and stop every connection reading: a
+        handler mid-request still sends its response, an idle one reads
+        EOF and closes. On sockets this returns once every task has
+        ended; the simulator ends them on its next run."""
+        if self.listener is None:
+            return
+        self.listener.close()
+        self.runtime.settle(self._task)
+        live, self._live = self._live, {}
+        for channel in live:
+            channel.shutdown_read()
+        for task in live.values():
+            self.runtime.settle(task)
 
 
 class TaskWindow:

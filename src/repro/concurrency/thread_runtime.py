@@ -43,13 +43,20 @@ class SocketChannel:
             self.sock.shutdown(socket.SHUT_WR)
         except OSError:
             pass
-        # Leave the fd open briefly so in-flight data drains; the peer's
-        # EOF read completes the exchange. Full close happens on GC or
-        # abort. Pool code always recv()s to EOF before discarding.
+        # The FIN trails whatever is queued; the fd is released at once
+        # and the kernel still delivers the queued bytes (no linger).
         try:
             self.sock.close()
         except OSError:
             pass
+
+    def shutdown_read(self) -> None:
+        """Stop receiving: a blocked or later recv reads EOF; sending
+        still works. ``close`` alone would not wake a blocked recv."""
+        try:
+            self.sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # closed already
 
     def abort(self) -> None:
         self._closed = True
@@ -81,6 +88,12 @@ class SocketListener:
 
     def close(self) -> None:
         self.closed = True
+        # On Linux close() alone neither wakes a thread blocked in
+        # accept() nor, while it holds the socket, stops the port.
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not every platform shuts down a listening socket
         try:
             self.sock.close()
         except OSError:
@@ -128,6 +141,10 @@ class _Task:
         except BaseException as exc:  # stored, re-raised at join
             self.failure = exc
 
+    @property
+    def is_alive(self) -> bool:
+        return self.thread.is_alive()
+
     def join(self) -> Any:
         self.thread.join()
         if self.failure is not None:
@@ -162,6 +179,9 @@ class ThreadRuntime(Runtime):
 
     def join(self, task: TaskHandle) -> Any:
         return task.impl.join()
+
+    def settle(self, task: TaskHandle) -> None:
+        task.impl.thread.join()
 
     def listen(self, port: int = 0, host: Optional[str] = None) -> Any:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

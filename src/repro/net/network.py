@@ -49,11 +49,6 @@ class Host:
     def wires(self) -> Tuple[Wire, Wire]:
         return (self.uplink, self.downlink)
 
-    @property
-    def open_connections(self) -> int:
-        """Connections terminating here that are not fully aborted."""
-        return sum(1 for conn in self.connections if not conn.aborted)
-
     def fail(self) -> None:
         """Take the host down, resetting every established connection."""
         self.up = False

@@ -385,6 +385,12 @@ class ConnectionSide:
         """Graceful close of our sending half (FIN after queued data)."""
         self._out.close()
 
+    def shutdown_read(self) -> None:
+        """Stop receiving: what already arrived is still read, then EOF;
+        later bursts are dropped. Sending still works."""
+        if not self._in.rx.closed:
+            self._in.rx.close()
+
     def abort(self) -> None:
         """Reset both directions immediately."""
         self._conn.abort()

@@ -272,9 +272,6 @@ class TelemetryCollector:
     def events(self) -> List[Dict[str, object]]:
         return [r for r in self._records if r.get("type") == "event"]
 
-    def metrics_snapshots(self) -> List[Dict[str, object]]:
-        return [r for r in self._records if r.get("type") == "metrics"]
-
     def nodes(self) -> List[str]:
         """Distinct reporting nodes, in first-seen order."""
         seen: List[str] = []

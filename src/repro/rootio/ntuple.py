@@ -500,11 +500,6 @@ class NTupleReader:
         )
         return self.meta
 
-    def read_page(self, page: PageInfo):
-        """Effect sub-op: fetch + verify + decompress one page."""
-        blob = yield from self.fetcher.fetch(page.offset, page.nbytes)
-        return decode_page(blob, page)
-
     def read_entries(
         self,
         start: int,

@@ -5,7 +5,6 @@ from repro._lazy import exports
 _EXPORTS = {
     "HttpServer": ".app",
     "handle_connection": ".app",
-    "serve_forever": ".app",
     "CollectorApp": ".collectorapp",
     "Envelope": ".envelope",
     "FaultAction": ".faults",

@@ -1,4 +1,4 @@
-"""Transport-facing serve loops of the storage server.
+"""Transport-facing connection loop of the storage server.
 
 Written as effect generators so the identical code serves simulated
 connections (benchmarks) and real sockets (integration tests, CLI).
@@ -9,25 +9,12 @@ blocking in the FIG1-HOL experiment.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.concurrency import (
-    Abort,
-    Accept,
-    Close,
-    Now,
-    Recv,
-    Send,
-    Sleep,
-    Spawn,
-)
+from repro.concurrency import Abort, AcceptLoop, Close, Now, Recv, Send, Sleep
 from repro.concurrency.runtime import Runtime
-from repro.errors import (
-    ConnectionClosed,
-    HttpParseError,
-    NetworkError,
-    TransferTimeout,
-)
+from repro.errors import ConnectionClosed, HttpParseError, TransferTimeout
 from repro.http import (
     CONNECTION_CLOSED,
     NEED_DATA,
@@ -41,20 +28,10 @@ from repro.http import (
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.server.envelope import Envelope, ServedResponse
 
-__all__ = ["serve_forever", "handle_connection", "HttpServer"]
+__all__ = ["handle_connection", "HttpServer"]
 
 #: Server-side keep-alive idle timeout (seconds).
 KEEPALIVE_IDLE = 30.0
-
-
-def serve_forever(listener, app: Envelope):
-    """Accept loop: one spawned handler per connection."""
-    while True:
-        try:
-            channel = yield Accept(listener)
-        except (NetworkError, ConnectionClosed):
-            return  # listener closed: shut down
-        yield Spawn(handle_connection(channel, app), name="http-conn")
 
 
 def handle_connection(channel, app: Envelope):
@@ -250,8 +227,8 @@ def _send_result(channel, result: ServedResponse):
     return False
 
 
-class HttpServer:
-    """Bind a server app to a runtime and port."""
+class HttpServer(AcceptLoop):
+    """Bind a server app to a runtime and port; ``stop()`` ends it."""
 
     def __init__(
         self,
@@ -260,29 +237,6 @@ class HttpServer:
         port: int = 80,
         host: Optional[str] = None,
     ):
-        self.runtime = runtime
+        handler = partial(handle_connection, app=app)
+        super().__init__(runtime, handler, "http", port, host)
         self.app = app
-        self.port = port
-        self.host = host
-        self.listener = None
-        self._task = None
-
-    def start(self) -> "HttpServer":
-        """Open the listener and spawn the accept loop."""
-        self.listener = self.runtime.listen(self.port, self.host)
-        actual = getattr(self.listener, "port", self.port)
-        self.port = actual
-        self._task = self.runtime.spawn(
-            serve_forever(self.listener, self.app), name="http-server"
-        )
-        return self
-
-    def stop(self) -> None:
-        if self.listener is not None:
-            self.listener.close()
-
-    def __enter__(self) -> "HttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -23,8 +23,8 @@ def real_server(
     """Context manager: a live localhost storage server.
 
     Yields the started :class:`HttpServer`; ``server.port`` holds the
-    ephemeral port. The server thread is a daemon and dies with the
-    listener.
+    ephemeral port. On exit ``stop()`` closes the port and every
+    connection and returns once each server thread has ended.
     """
     if app is None:
         app = StorageApp(ObjectStore(), config=config)

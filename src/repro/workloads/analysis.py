@@ -128,12 +128,6 @@ class AnalysisReport:
     vector_reads: int
     single_reads: int
 
-    @property
-    def events_per_second(self) -> float:
-        if self.wall_seconds <= 0:
-            return float("inf")
-        return self.events_read / self.wall_seconds
-
 
 def _consumption_plan(
     meta: TreeMeta, events: int, cluster: int, branch_names=()

@@ -58,10 +58,6 @@ class ReadAheadWindow:
     def planned(self) -> int:
         return len(self._plan)
 
-    @property
-    def inflight_bytes(self) -> int:
-        return self._inflight_bytes
-
     # -- I/O ---------------------------------------------------------------------
 
     def _top_up(self):

@@ -10,19 +10,20 @@ return out of order — the server half of XRootD's multiplexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.concurrency import (
-    Accept,
+    AcceptLoop,
     Close,
     EffectLock,
+    Join,
     Recv,
     Send,
     Sleep,
     Spawn,
 )
-from repro.concurrency.runtime import Runtime
-from repro.errors import ConnectionClosed, NetworkError, TransferTimeout, XrootdError
+from repro.concurrency.runtime import Runtime, TaskHandle
+from repro.errors import ConnectionClosed, TransferTimeout, XrootdError
 from repro.server.objectstore import ObjectStore, StoreError
 from repro.xrootd import protocol as proto
 
@@ -49,12 +50,14 @@ class XrdServerConfig:
 
 
 class _ConnState:
-    """Per-connection open-file table and send serialisation."""
+    """Per-connection open-file table, send serialisation and the
+    request processors still running."""
 
     def __init__(self):
         self.files: Dict[int, str] = {}
         self.next_handle = 1
         self.send_lock = EffectLock()
+        self.tasks: List[TaskHandle] = []
 
 
 class XrdServer:
@@ -70,18 +73,7 @@ class XrdServer:
         self.requests_handled = 0
         self.bytes_served = 0
 
-    # -- serving loops ------------------------------------------------------
-
-    def serve_forever(self, listener):
-        """Effect op: accept loop."""
-        while True:
-            try:
-                channel = yield Accept(listener)
-            except (NetworkError, ConnectionClosed):
-                return
-            yield Spawn(
-                self.handle_connection(channel), name="xrootd-conn"
-            )
+    # -- serving loop -------------------------------------------------------
 
     def handle_connection(self, channel):
         """Effect op: deframe requests, spawn one processor each."""
@@ -97,12 +89,19 @@ class XrdServer:
                     reader.feed(data)
                     continue
                 streamid, reqid, payload = frame
-                yield Spawn(
+                state.tasks = [task for task in state.tasks if task.alive]
+                task = yield Spawn(
                     self._process(channel, state, streamid, reqid, payload),
                     name=f"xrootd-req-{streamid}",
                 )
+                state.tasks.append(task)
         except (ConnectionClosed, XrootdError, TransferTimeout):
             pass
+        # Replies still being sent go out before the FIN, and no
+        # processor outlives its connection's task.
+        for task in state.tasks:
+            if task.alive:
+                yield Join(task)
         yield Close(channel)
 
     # -- request processing ------------------------------------------------------
@@ -228,8 +227,9 @@ def serve_xrootd(
     server: XrdServer,
     port: int = 1094,
     host: Optional[str] = None,
-):
-    """Open a listener and spawn the accept loop; returns the listener."""
-    listener = runtime.listen(port, host)
-    runtime.spawn(server.serve_forever(listener), name="xrootd-server")
-    return listener
+) -> AcceptLoop:
+    """Open a listener and spawn the accept loop; returns the running
+    loop, whose ``port`` is the bound port and ``stop()`` ends it."""
+    return AcceptLoop(
+        runtime, server.handle_connection, "xrootd", port, host
+    ).start()

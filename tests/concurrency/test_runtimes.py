@@ -4,6 +4,7 @@ simulated runtime and on the real-socket runtime."""
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -21,7 +22,12 @@ from repro.concurrency import (
     ThreadRuntime,
 )
 from repro.core import DavixClient, RequestParams
-from repro.errors import ConnectError, RequestError, TransferTimeout
+from repro.errors import (
+    ConnectError,
+    NetworkError,
+    RequestError,
+    TransferTimeout,
+)
 from repro.net import LinkSpec, Network, TcpOptions
 from repro.sim import Environment
 
@@ -121,6 +127,38 @@ def test_multiple_clients_both_runtimes():
     results = {runtime.join(task) for task in tasks}
     assert results == {b"MSG0\n", b"MSG1\n", b"MSG2\n"}
     listener.close()
+
+
+def accept_once(listener):
+    """The type of the error a pending ``Accept`` is woken with."""
+    try:
+        yield Accept(listener)
+    except NetworkError as exc:
+        return type(exc)
+
+
+def test_closing_a_listener_wakes_a_pending_accept_on_both_runtimes():
+    _client_rt, server_rt = sim_world()
+    listener = server_rt.listen(80)
+    task = server_rt.spawn(accept_once(listener))
+    listener.close()
+    assert issubclass(server_rt.join(task), NetworkError)
+
+    # Run in a plain thread with a join timeout: an accept that is never
+    # woken fails the test instead of hanging it.
+    runtime = ThreadRuntime()
+    listener = runtime.listen(0)
+    woken = []
+    thread = threading.Thread(
+        target=lambda: woken.append(runtime.run(accept_once(listener))),
+        daemon=True,
+    )
+    thread.start()
+    time.sleep(0.2)  # let it block in accept()
+    listener.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), "accept() was not woken by close()"
+    assert len(woken) == 1 and issubclass(woken[0], NetworkError)
 
 
 def test_connect_error_raised_inside_operation():

@@ -71,6 +71,18 @@ def one_request(endpoint, request, options=None):
     return responses[0]
 
 
+def left_idle(endpoint, request):
+    """Effect op: one request on a fresh keep-alive connection, which is
+    then left open and idle; returns ``(channel, response)``."""
+    channel = yield Connect(endpoint)
+    parser = HttpParser("client")
+    request.headers.setdefault("Host", endpoint[0])
+    parser.expect_response_to(request.method)
+    yield Send(channel, serialize_request(request))
+    response = yield from read_response(channel, parser)
+    return channel, response
+
+
 def sim_world(latency=0.001, bandwidth=1e8, seed=0, jitter=0.0):
     """(client_runtime, server_runtime) on a 2-host simulated network."""
     env = Environment()

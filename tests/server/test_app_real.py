@@ -1,11 +1,31 @@
 """The same storage server over real localhost sockets."""
 
-from repro.concurrency import ThreadRuntime
+import gc
+import threading
+import time
+import weakref
+
+import pytest
+
+from repro.concurrency import Recv, ThreadRuntime
+from repro.errors import ConnectError
 from repro.http import Headers, Request, decode_byteranges
 from repro.http.multipart import content_type_boundary
 from repro.server import ObjectStore, StorageApp, real_server
 
-from tests.helpers import get, http_exchange, one_request, put
+from tests.helpers import get, http_exchange, left_idle, one_request, put
+
+
+def server_threads():
+    return [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name in ("http-server", "http-conn")
+    ]
+
+
+def read_once(channel):
+    return (yield Recv(channel, timeout=1.0))
 
 
 def test_real_get_put_delete_cycle():
@@ -75,3 +95,62 @@ def test_real_large_streamed_body():
         response = runtime.run(one_request(endpoint, get("/big")))
         assert response.status == 200
         assert response.body == payload
+
+
+# -- stop() means stopped ------------------------------------------------------
+
+
+def test_a_stopped_server_refuses_connections():
+    store = ObjectStore()
+    store.put("/x", b"old bytes")
+    runtime = ThreadRuntime()
+    with real_server(StorageApp(store)) as server:
+        endpoint = ("127.0.0.1", server.port)
+        assert runtime.run(one_request(endpoint, get("/x"))).status == 200
+    with pytest.raises(ConnectError):
+        runtime.run(one_request(endpoint, get("/x")))
+
+
+def test_a_stopped_server_ends_its_threads_and_lets_go_of_its_app():
+    store = ObjectStore()
+    store.put("/x", b"abc")
+    app = StorageApp(store)
+    runtime = ThreadRuntime()
+    with real_server(app) as server:
+        endpoint = ("127.0.0.1", server.port)
+        channel, response = runtime.run(left_idle(endpoint, get("/x")))
+        assert response.status == 200
+        assert runtime.run(one_request(endpoint, get("/x"))).status == 200
+    assert server_threads() == []
+    collected = weakref.ref(app)
+    del app, server
+    gc.collect()
+    assert collected() is None
+    channel.close()
+
+
+def test_stop_ends_an_idle_keepalive_session_within_a_second():
+    store = ObjectStore()
+    store.put("/x", b"abc")
+    runtime = ThreadRuntime()
+    with real_server(StorageApp(store)) as server:
+        endpoint = ("127.0.0.1", server.port)
+        channel, response = runtime.run(left_idle(endpoint, get("/x")))
+        assert response.status == 200
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 1.0
+        assert server_threads() == []
+    # The server closed its side: the idle session reads EOF at once.
+    assert runtime.run(read_once(channel)) == b""
+    channel.close()
+
+
+def test_stop_is_idempotent():
+    runtime = ThreadRuntime()
+    with real_server() as server:
+        endpoint = ("127.0.0.1", server.port)
+        assert runtime.run(one_request(endpoint, get("/none"))).status == 404
+        server.stop()
+        server.stop()
+    server.stop()

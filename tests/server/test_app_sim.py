@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ConnectionClosed
+from repro.concurrency import Connect, Recv
+from repro.errors import ConnectError, ConnectionClosed
 from repro.http import Headers, Request, decode_byteranges
 from repro.http.multipart import content_type_boundary
 from repro.metalink import parse_metalink
@@ -17,7 +18,14 @@ from repro.server import (
     parse_multistatus,
 )
 
-from tests.helpers import get, http_exchange, one_request, put, sim_world
+from tests.helpers import (
+    get,
+    http_exchange,
+    left_idle,
+    one_request,
+    put,
+    sim_world,
+)
 
 
 def start_server(server_rt, app, port=80):
@@ -412,3 +420,25 @@ def test_federation_redirect_and_metalink():
 
     missing = client_rt.run(one_request(("server", 80), get("/unknown")))
     assert missing.status == 404
+
+
+def test_stop_on_the_simulator_moves_no_clock_and_ends_connections_next_run():
+    client_rt, server_rt = sim_world()
+    store = ObjectStore(clock=server_rt.now)
+    store.put("/x", b"abc")
+    server = start_server(server_rt, StorageApp(store))
+    channel, response = client_rt.run(left_idle(("server", 80), get("/x")))
+    assert response.status == 200
+    before = client_rt.now()
+    server.stop()
+    assert client_rt.now() == before
+
+    def after_stop():
+        # The idle session reads the server's FIN; the port refuses.
+        eof = yield Recv(channel, timeout=1.0)
+        try:
+            yield Connect(("server", 80))
+        except ConnectError:
+            return eof, "refused"
+
+    assert client_rt.run(after_stop()) == (b"", "refused")

@@ -88,12 +88,12 @@ def run_sim(store, config, requests):
 def run_sockets(store, config, requests):
     runtime = ThreadRuntime()
     server = XrdServer(store, config)
-    listener = serve_xrootd(runtime, server, port=0)
+    loop = serve_xrootd(runtime, server, port=0)
     try:
-        endpoint = ("127.0.0.1", listener.port)
+        endpoint = ("127.0.0.1", loop.port)
         return server, runtime.run(exchange(endpoint, requests))
     finally:
-        listener.close()
+        loop.stop()
 
 
 RUNTIMES = pytest.mark.parametrize(
