@@ -35,6 +35,25 @@ from repro.errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
+def _slo_field(name: str):
+    """argparse type of one :class:`~repro.obs.slo.SloPolicy` field:
+    the policy's own check decides, and a value it refuses is a usage
+    error (exit 2), not a traceback."""
+
+    def parse(text: str) -> float:
+        from repro.obs.slo import SloPolicy
+
+        value = float(text)
+        try:
+            SloPolicy(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = name  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the davix-tool argument parser."""
     parser = argparse.ArgumentParser(
@@ -263,21 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--slo-availability",
-        type=float,
+        type=_slo_field("availability"),
         default=0.99,
         metavar="FRACTION",
         help="availability objective (default: 0.99)",
     )
     report.add_argument(
         "--slo-latency",
-        type=float,
+        type=_slo_field("latency_threshold"),
         default=0.5,
         metavar="SECONDS",
         help="latency threshold in seconds (default: 0.5)",
     )
     report.add_argument(
         "--slo-latency-objective",
-        type=float,
+        type=_slo_field("latency_objective"),
         default=0.95,
         metavar="FRACTION",
         help="fraction of requests that must meet it (default: 0.95)",
@@ -573,7 +592,6 @@ def cmd_stats(args, out=sys.stdout) -> int:
     from repro.core import DavixClient
     from repro.net.profiles import LAN, build_network
     from repro.server import HttpServer, ObjectStore, StorageApp
-    from repro.server.accesslog import AccessLog
     from repro.sim import Environment
 
     env = Environment()
@@ -581,9 +599,7 @@ def cmd_stats(args, out=sys.stdout) -> int:
     server_rt = SimRuntime(net, "server")
     store = ObjectStore(clock=server_rt.now)
     store.put("/demo/obj", b"x" * 262_144)
-    app = StorageApp(store)
-    app.access_log = AccessLog()
-    HttpServer(server_rt, app, port=80).start()
+    HttpServer(server_rt, StorageApp(store), port=80).start()
 
     client = DavixClient(SimRuntime(net, "client"))
     for _ in range(5):

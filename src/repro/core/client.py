@@ -29,7 +29,7 @@ from repro.core.multistream import MultistreamResult, multistream_download
 from repro.core.pool import PoolStats
 from repro.core.posix import DavPosix
 from repro.metalink import Metalink
-from repro.obs import EventLog, MetricsRegistry, SloTracker, Span, Tracer
+from repro.obs import EventLog, MetricsRegistry, Span, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig
 
 __all__ = ["DavixClient"]
@@ -85,10 +85,6 @@ class DavixClient:
     def events(self) -> EventLog:
         """The wide-event log: one structured record per request."""
         return self.context.events
-
-    def slo(self) -> SloTracker:
-        """Per-origin SLO / error-budget state for this client."""
-        return self.context.slo
 
     def pool_stats(self) -> PoolStats:
         """Typed snapshot of the session pool's usage counters."""

@@ -23,7 +23,7 @@ from repro.core.pagecache import PageCache
 from repro.core.pool import SessionPool
 from repro.core.transfer import TransferConfig
 from repro.net.options import TcpOptions
-from repro.obs import EventLog, MetricsRegistry, SloTracker, Tracer
+from repro.obs import EventLog, MetricsRegistry, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig, RetryPolicy
 
 __all__ = ["MetalinkMode", "RequestParams", "TransferConfig", "Context"]
@@ -78,7 +78,7 @@ class RequestParams:
 
     # -- observability --------------------------------------------------------
     #: Send a W3C-style ``Traceparent`` header on every request so
-    #: server-side spans and access-log records join the client trace.
+    #: server-side spans and wide events join the client trace.
     trace_propagation: bool = True
 
     # -- vectored I/O (Section 2.3) -------------------------------------------
@@ -161,7 +161,6 @@ class Context:
         pool_shards: int = 8,
         pool_idle_ttl: Optional[float] = None,
         events: Optional[EventLog] = None,
-        slo: Optional[SloTracker] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ):
         self.params = params or RequestParams()
@@ -184,13 +183,12 @@ class Context:
         )
         #: The wide-event log: one structured record per finished
         #: request (and whatever workloads append), exported as JSONL.
+        #: It is the one per-request record; SLO verdicts are folded
+        #: from it after the run (:func:`~repro.obs.slo.slo_verdicts`).
         self.events = events if events is not None else EventLog()
         if telemetry is not None:
             self.tracer.sink = telemetry.record_span
             self.events.sink = telemetry.record_event
-        #: Per-origin SLO / error-budget bookkeeping, fed by every
-        #: terminal response on this context.
-        self.slo = slo if slo is not None else SloTracker()
         self.pool = SessionPool(
             max_idle_per_origin=pool_max_per_origin,
             clock=self._now,

@@ -262,11 +262,6 @@ def execute_request(
             context.metrics.histogram(
                 "request.phase_seconds", phase=phase
             ).observe(seconds)
-        duration = context.clock() - started
-        origin_name = f"{current.host}:{current.port}"
-        context.slo.record(
-            origin_name, duration, ok=response.status < 500
-        )
         context.events.emit(
             "request",
             side="client",
@@ -274,9 +269,9 @@ def execute_request(
             method=request.method,
             url=str(url),
             host=current.host,
-            origin=origin_name,
+            origin=f"{current.host}:{current.port}",
             status=response.status,
-            duration=duration,
+            duration=context.clock() - started,
             retries=schedule.retries,
             redirects=redirects,
             trace_id=format_trace_id(span.trace_id),

@@ -1,18 +1,18 @@
 """Observability layer: metrics, tracing, propagation, events, SLOs.
 
 The composition point is :class:`~repro.core.context.Context` — it owns
-one :class:`MetricsRegistry`, one :class:`Tracer`, one :class:`EventLog`
-and one :class:`SloTracker`, and every layer on the request path (pool,
-session, vectored I/O, failover, multistream) records into them; the
-server side (:class:`~repro.server.handlers.StorageApp`,
-:class:`~repro.server.accesslog.AccessLog`) accepts its own registry,
-tracer and event log so both ends of a simulated run are visible — and
-*joinable*, because the client propagates a W3C-style ``Traceparent``
-header (:mod:`repro.obs.propagation`) that the server threads into its
-spans, access-log records and wide events. Per-request phase
-breakdowns live in :mod:`repro.obs.phases`, sliding-window aggregation
-in :mod:`repro.obs.window`, SLO/error-budget tracking in
-:mod:`repro.obs.slo`. See ``docs/OBSERVABILITY.md``.
+one :class:`MetricsRegistry`, one :class:`Tracer` and one
+:class:`EventLog`, and every layer on the request path (pool, session,
+vectored I/O, failover, multistream) records into them; the server
+side (every :class:`~repro.server.envelope.Envelope` app) accepts its
+own registry, tracer and event log so both ends of a simulated run are
+visible — and *joinable*, because the client propagates a W3C-style
+``Traceparent`` header (:mod:`repro.obs.propagation`) that the server
+threads into its spans and wide events. The wide event is the one
+per-request record: the access log (:func:`common_log_format`) and the
+SLO/error-budget verdicts (:func:`slo_verdicts`) are folds over it
+after the run. Per-request phase breakdowns live in
+:mod:`repro.obs.phases`. See ``docs/OBSERVABILITY.md``.
 """
 
 from repro._lazy import exports
@@ -40,15 +40,12 @@ _EXPORTS = {
     "event_to_json": ".events",
     "events_to_json_lines": ".events",
     "parse_json_lines": ".events",
-    "RollingHistogram": ".window",
-    "WindowSnapshot": ".window",
+    "common_log_format": ".events",
     "SloPolicy": ".slo",
-    "OriginSlo": ".slo",
-    "SloTracker": ".slo",
+    "slo_verdicts": ".slo",
     "render_metrics": ".export",
     "metrics_to_json_lines": ".export",
     "prometheus_exposition": ".export",
-    "window_to_prometheus": ".export",
     "PROMETHEUS_CONTENT_TYPE": ".export",
     "render_span_tree": ".export",
     "spans_to_json_lines": ".export",

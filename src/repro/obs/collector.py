@@ -126,12 +126,19 @@ def records_to_json_lines(records: Iterable[Dict[str, object]]) -> str:
 
 
 def parse_records(text: str) -> List[Dict[str, object]]:
-    """Inverse of :func:`records_to_json_lines` (blank lines skipped)."""
+    """Inverse of :func:`records_to_json_lines` (blank lines skipped).
+
+    Raises ``ValueError`` on a line that is not a JSON object, so the
+    ingest endpoint rejects the whole batch.
+    """
     records = []
     for line in text.splitlines():
         line = line.strip()
         if line:
-            records.append(json.loads(line))
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("a telemetry record must be a JSON object")
+            records.append(record)
     return records
 
 

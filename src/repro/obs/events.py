@@ -15,9 +15,15 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List
 
-__all__ = ["EventLog", "event_to_json", "events_to_json_lines", "parse_json_lines"]
+__all__ = [
+    "EventLog",
+    "event_to_json",
+    "events_to_json_lines",
+    "parse_json_lines",
+    "common_log_format",
+]
 
 
 def _norm(value):
@@ -49,6 +55,25 @@ def parse_json_lines(text: str) -> List[Dict[str, object]]:
         if line:
             events.append(json.loads(line))
     return events
+
+
+def common_log_format(event: Dict[str, object]) -> str:
+    """A server ``request`` event as an Apache common-log-format line.
+
+    The access log is this fold over the server's wide events. The
+    timestamp is in (simulated) seconds; the propagated trace ID is
+    appended when the request carried one, so one grep joins the line
+    to the client's spans.
+    """
+    line = (
+        f'{event["client"]} - - [{event["ts"]:.6f}] '
+        f'"{event["method"]} {event["path"]} HTTP/1.1" '
+        f'{event["status"]} {event["bytes_sent"]} '
+        f'{event["duration"]:.6f}'
+    )
+    if event["trace_id"]:
+        line += f' trace={event["trace_id"]}'
+    return line
 
 
 class EventLog:
@@ -83,15 +108,9 @@ class EventLog:
     def by_kind(self, kind: str) -> List[Dict[str, object]]:
         return [event for event in self._events if event.get("kind") == kind]
 
-    def last(self) -> Optional[Dict[str, object]]:
-        return self._events[-1] if self._events else None
-
     def to_json_lines(self) -> str:
         """The retained events as canonical JSONL."""
         return events_to_json_lines(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
 
     def __len__(self) -> int:
         return len(self._events)

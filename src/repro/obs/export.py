@@ -22,7 +22,6 @@ __all__ = [
     "render_metrics",
     "metrics_to_json_lines",
     "prometheus_exposition",
-    "window_to_prometheus",
     "render_span_tree",
     "spans_to_json_lines",
 ]
@@ -168,25 +167,6 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
                 f"{name}{labels} {_prom_value(instrument.value)}"
             )
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def window_to_prometheus(name: str, snapshot) -> str:
-    """A :class:`~repro.obs.window.WindowSnapshot` as one histogram
-    family in the text format (same shape as a cumulative histogram,
-    but covering only the sliding window)."""
-    prom = _prom_name(name)
-    lines = [f"# TYPE {prom} histogram"]
-    cumulative = 0
-    for bound, count in zip(snapshot.buckets, snapshot.bucket_counts):
-        cumulative += count
-        lines.append(
-            f'{prom}_bucket{{le="{_num(bound)}"}} {cumulative}'
-        )
-    cumulative += snapshot.bucket_counts[-1]
-    lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative}')
-    lines.append(f"{prom}_sum {_prom_value(snapshot.sum)}")
-    lines.append(f"{prom}_count {snapshot.count}")
-    return "\n".join(lines) + "\n"
 
 
 def render_span_tree(tracer: Tracer) -> str:

@@ -2,9 +2,9 @@
 
 One request must be one joinable story across both processes: the
 client injects a ``Traceparent`` header carrying its trace and span
-IDs, the server parses it, and every server-side record (spans, the
-access log, wide events) carries the client's IDs. The header follows
-the W3C Trace Context layout::
+IDs, the server parses it, and every server-side record (spans, wide
+events and the access-log lines folded from them) carries the
+client's IDs. The header follows the W3C Trace Context layout::
 
     00-<32 hex trace-id>-<16 hex parent-span-id>-<2 hex flags>
 

@@ -1,11 +1,12 @@
-"""Per-origin SLO and error-budget tracking.
+"""Per-origin SLO and error-budget verdicts, folded from wide events.
 
 HammerCloud's verdict on a site is not a mean — it is "did the site
-meet its objectives over the run". An :class:`SloPolicy` states the
-objectives (availability, and a latency threshold a given fraction of
-requests must beat); an :class:`SloTracker` folds every request's
-``(origin, duration, ok)`` outcome into per-origin tallies and renders
-verdicts with the remaining error budget.
+meet its objectives over the run", mined from the logs after the run.
+An :class:`SloPolicy` states the objectives (availability, and a
+latency threshold a given fraction of requests must beat);
+:func:`slo_verdicts` folds the client ``request`` wide events of a run
+into one verdict per origin, with the remaining error budget. Nothing
+is tallied while requests run: the event log is the one record.
 
 Error budget: with an availability objective of 99 %, 1 % of requests
 may fail — the *budget*. ``budget_remaining`` is the unspent fraction
@@ -15,10 +16,11 @@ number operators page on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
-__all__ = ["SloPolicy", "OriginSlo", "SloTracker"]
+__all__ = ["SloPolicy", "slo_verdicts"]
 
 
 @dataclass(frozen=True)
@@ -37,96 +39,61 @@ class SloPolicy:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
-        if self.latency_threshold <= 0:
-            raise ValueError("latency_threshold must be > 0 seconds")
+        # A NaN threshold compares false both ways: it would count no
+        # request as slow and print as "nan" under an OK verdict.
+        threshold = self.latency_threshold
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError("latency_threshold must be finite and > 0 s")
 
 
-@dataclass
-class OriginSlo:
-    """Running tallies of one origin against a policy."""
+def slo_verdicts(
+    events: Iterable[Dict[str, object]], policy: Optional[SloPolicy] = None
+) -> List[Dict[str, object]]:
+    """One verdict per origin over ``events``, sorted by origin name.
 
-    origin: str
-    policy: SloPolicy
-    requests: int = 0
-    errors: int = 0
-    slow: int = 0
-    durations: List[float] = field(default_factory=list)
-
-    def record(self, duration: float, ok: bool) -> None:
-        self.requests += 1
-        if not ok:
-            self.errors += 1
-        if duration > self.policy.latency_threshold:
-            self.slow += 1
-        self.durations.append(float(duration))
-
-    # -- read side ----------------------------------------------------------
-
-    @property
-    def availability(self) -> float:
-        if not self.requests:
-            return 1.0
-        return 1.0 - self.errors / self.requests
-
-    @property
-    def latency_attainment(self) -> float:
-        """Fraction of requests that met the latency threshold."""
-        if not self.requests:
-            return 1.0
-        return 1.0 - self.slow / self.requests
-
-    def latency_percentile(self, q: float) -> Optional[float]:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self.durations:
-            return None
-        ordered = sorted(self.durations)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def budget_remaining(self) -> float:
-        """Unspent fraction of the availability error budget."""
-        budget = 1.0 - self.policy.availability
-        if not self.requests or budget <= 0:
-            return 1.0 if not self.errors else float("-inf")
-        spent = (self.errors / self.requests) / budget
-        return 1.0 - spent
-
-    @property
-    def availability_ok(self) -> bool:
-        return self.availability >= self.policy.availability
-
-    @property
-    def latency_ok(self) -> bool:
-        return self.latency_attainment >= self.policy.latency_objective
-
-    @property
-    def verdict(self) -> str:
-        """``OK`` when every objective holds, else ``BREACH``."""
-        return "OK" if self.availability_ok and self.latency_ok else "BREACH"
-
-
-class SloTracker:
-    """Folds request outcomes into per-origin SLO state."""
-
-    def __init__(self, policy: Optional[SloPolicy] = None):
-        self.policy = policy or SloPolicy()
-        self._origins: Dict[str, OriginSlo] = {}
-
-    def record(self, origin: str, duration: float, ok: bool) -> None:
-        """Fold one request outcome into ``origin``'s tallies."""
-        state = self._origins.get(origin)
-        if state is None:
-            state = OriginSlo(origin=origin, policy=self.policy)
-            self._origins[origin] = state
-        state.record(duration, ok)
-
-    def origin(self, origin: str) -> Optional[OriginSlo]:
-        return self._origins.get(origin)
-
-    def origins(self) -> List[OriginSlo]:
-        """Every tracked origin, sorted by name (deterministic)."""
-        return [self._origins[name] for name in sorted(self._origins)]
-
-    def __len__(self) -> int:
-        return len(self._origins)
+    Each event is a request record with a ``duration`` and a
+    ``status`` (5xx counts as an error), naming its origin by
+    ``origin`` or else ``host``. A verdict holds the origin, its
+    ``requests``, ``availability``, ``latency_attainment`` (the
+    fraction that met the threshold), ``latency`` (the
+    ``latency_objective`` percentile of the durations),
+    ``budget_remaining`` and ``verdict``: ``OK`` when every objective
+    holds, else ``BREACH``.
+    """
+    policy = policy or SloPolicy()
+    durations: Dict[str, List[float]] = {}
+    errors: Dict[str, int] = {}
+    for event in events:
+        origin = str(event.get("origin", event.get("host", "?")))
+        durations.setdefault(origin, []).append(float(event["duration"]))
+        errors[origin] = errors.get(origin, 0) + (int(event["status"]) >= 500)
+    budget = 1.0 - policy.availability
+    verdicts = []
+    for origin in sorted(durations):
+        ordered = sorted(durations[origin])
+        requests = len(ordered)
+        failed = errors[origin]
+        slow = sum(1 for d in ordered if d > policy.latency_threshold)
+        availability = 1.0 - failed / requests
+        attainment = 1.0 - slow / requests
+        if budget <= 0:
+            remaining = 1.0 if not failed else float("-inf")
+        else:
+            remaining = 1.0 - (failed / requests) / budget
+        index = min(requests - 1, int(policy.latency_objective * requests))
+        ok = (
+            availability >= policy.availability
+            and attainment >= policy.latency_objective
+        )
+        verdicts.append(
+            {
+                "origin": origin,
+                "requests": requests,
+                "availability": availability,
+                "latency_attainment": attainment,
+                "latency": ordered[index],
+                "budget_remaining": remaining,
+                "verdict": "OK" if ok else "BREACH",
+            }
+        )
+    return verdicts

@@ -11,8 +11,6 @@ _EXPORTS = {
     "FaultPolicy": ".faults",
     "FederationApp": ".federation",
     "FlatObjectApp": ".flatobject",
-    "AccessEntry": ".accesslog",
-    "AccessLog": ".accesslog",
     "ReplicaEntry": ".federation",
     "ServedResponse": ".envelope",
     "ServerConfig": ".envelope",

@@ -71,7 +71,7 @@ def handle_connection(channel, app: Envelope):
             )
             started = yield Now()
             # Observers (metrics scrapes, telemetry pushes) get no
-            # span, no wide event and no access-log entry.
+            # span and no wide event.
             observer = app.is_observer(request)
             trace_ctx = parse_traceparent(
                 request.headers.get(TRACEPARENT_HEADER)
@@ -115,10 +115,13 @@ def handle_connection(channel, app: Envelope):
             if span is not None:
                 span.end(status=status)
             if app.events is not None and not observer:
+                # The one record of a served request: the access log
+                # (obs.events.common_log_format) is a fold over these.
                 app.events.emit(
                     "request",
                     side="server",
                     ts=started,
+                    client=str(getattr(channel, "remote", ("?",))[0]),
                     method=request.method,
                     path=request.path,
                     status=status,
@@ -126,24 +129,6 @@ def handle_connection(channel, app: Envelope):
                     duration=finished - started,
                     trace_id=trace_hex,
                     parent_span_id=parent_hex,
-                )
-            if app.access_log is not None and not observer:
-                from repro.server.accesslog import AccessEntry
-
-                app.access_log.record(
-                    AccessEntry(
-                        timestamp=started,
-                        client=str(
-                            getattr(channel, "remote", ("?",))[0]
-                        ),
-                        method=request.method,
-                        path=request.path,
-                        status=status,
-                        bytes_sent=result.body_length,
-                        duration=finished - started,
-                        trace_id=trace_hex,
-                        parent_span_id=parent_hex,
-                    )
                 )
             if aborted or not keep:
                 break

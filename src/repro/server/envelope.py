@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.http import Headers, Request, Response, text_response
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    prometheus_exposition,
-    window_to_prometheus,
-)
+from repro.obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_exposition
 from repro.server.faults import FaultPolicy
 from repro.server.objectstore import StoreError
 
@@ -129,15 +125,14 @@ class Envelope:
         self.metrics = metrics
         #: Requests routed so far (observer requests excluded).
         self.requests_handled = 0
-        #: Optional :class:`~repro.server.accesslog.AccessLog` — the
-        #: serve loop records one entry per served request.
-        self.access_log = None
         #: Optional :class:`~repro.obs.Tracer`: the serve loop starts a
         #: ``server-request`` span per request, joined to the client's
         #: trace when a ``Traceparent`` header arrives.
         self.tracer = None
         #: Optional :class:`~repro.obs.EventLog` for server-side wide
-        #: events (one per served request).
+        #: events: one per served request, the server's one request
+        #: record (its access log is
+        #: :func:`~repro.obs.events.common_log_format` over them).
         self.events = None
         #: The in-flight ``server-request`` span of the connection the
         #: current deferred belongs to (set by the connection loop just
@@ -154,7 +149,7 @@ class Envelope:
         """Is ``request`` a metrics scrape or a telemetry push?
 
         Observers are answered before any counter, fault or stamp and
-        get no span, wide event or access-log entry, so the series and
+        get no span or wide event, so the series and
         traces they carry are never perturbed by the act of reading or
         shipping them.
         """
@@ -243,18 +238,12 @@ class Envelope:
         )
 
     def _scrape(self) -> Response:
-        """The Prometheus text exposition of this app's registry, plus
-        the access log's sliding-window latency histogram."""
+        """The Prometheus text exposition of this app's registry."""
         text = (
             prometheus_exposition(self.metrics)
             if self.metrics is not None
             else ""
         )
-        window = getattr(self.access_log, "window", None)
-        if window is not None:
-            text += window_to_prometheus(
-                "server_request_seconds_window", window.snapshot()
-            )
         body = text.encode("utf-8")
         headers = Headers(
             [

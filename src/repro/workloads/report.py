@@ -7,8 +7,8 @@ JSONL event log (the output of
 :meth:`~repro.workloads.hammercloud.Campaign.event_json_lines` or any
 list of event dicts): per-cell execution statistics from the ``run``
 events, a per-profile phase breakdown from the client-side ``request``
-events, and SLO verdicts from replaying those requests through a
-:class:`~repro.obs.SloTracker`.
+events, and SLO verdicts folded from those same requests by
+:func:`~repro.obs.slo.slo_verdicts`.
 
 Everything renders with fixed ``%.6f`` formatting over deterministic
 simulated timings, so two seeded repetitions of the same campaign
@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.stats import percentile
 from repro.obs.phases import PHASES
-from repro.obs.slo import SloPolicy, SloTracker
+from repro.obs.slo import SloPolicy, slo_verdicts
 
 __all__ = ["render_report"]
 
@@ -259,33 +259,24 @@ def _tpc_section(events: List[dict]) -> List[str]:
 def _slo_section(
     events: List[dict], policy: SloPolicy
 ) -> List[str]:
-    tracker = SloTracker(policy=policy)
-    for event in events:
-        tracker.record(
-            str(event.get("origin", event.get("host", "?"))),
-            float(event["duration"]),
-            ok=int(event["status"]) < 500,
-        )
     lines = [
         "SLO verdicts (availability>="
         f"{policy.availability * 100:.2f}%, "
         f"p{policy.latency_objective * 100:.0f} latency<="
         f"{policy.latency_threshold:.6f}s)"
     ]
-    rows = []
-    for origin in tracker.origins():
-        latency = origin.latency_percentile(policy.latency_objective)
-        rows.append(
-            [
-                origin.origin,
-                str(origin.requests),
-                f"{origin.availability * 100:.4f}%",
-                f"{origin.latency_attainment * 100:.4f}%",
-                _fmt(latency) if latency is not None else "-",
-                _fmt(origin.budget_remaining()),
-                origin.verdict,
-            ]
-        )
+    rows = [
+        [
+            verdict["origin"],
+            str(verdict["requests"]),
+            f"{verdict['availability'] * 100:.4f}%",
+            f"{verdict['latency_attainment'] * 100:.4f}%",
+            _fmt(verdict["latency"]),
+            _fmt(verdict["budget_remaining"]),
+            verdict["verdict"],
+        ]
+        for verdict in slo_verdicts(events, policy)
+    ]
     lines += _table(
         [
             "origin",

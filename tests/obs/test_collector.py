@@ -4,11 +4,15 @@ ingest (mounted and standalone) and the in-process flush path."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrency import SimRuntime
 from repro.core.context import Context
 from repro.net import LinkSpec, Network
+from repro.http import Request
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs.analyze import assemble_traces
 from repro.obs.collector import (
     TELEMETRY_CONTENT_TYPE,
     TelemetryCollector,
@@ -242,3 +246,50 @@ def test_bad_batch_answers_400_and_ingests_nothing():
     response = runtime.run(op())
     assert response.status == 400
     assert len(collector) == 0
+
+
+# -- hostile batches ------------------------------------------------------------
+
+
+def post_batch(app, body: bytes):
+    return app.handle(Request("POST", "/v1/telemetry", body=body)).response
+
+
+def test_lines_that_are_not_objects_fail_the_whole_batch():
+    collector = TelemetryCollector()
+    app = CollectorApp(collector)
+    assert post_batch(app, b"5\n[1,2]\nnull").status == 400
+    assert len(collector) == 0
+    # The read side still works: nothing without ``.get`` was stored.
+    assert collector.nodes() == [] and collector.spans() == []
+    assert assemble_traces(collector.records()) == []
+    with pytest.raises(ValueError):
+        parse_records('{"type": "event"}\n"text"\n')
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_LINES = st.lists(
+    st.one_of(_JSON.map(json.dumps), st.text(max_size=16)), max_size=6
+).map("\n".join)
+
+
+@settings(max_examples=200)
+@given(body=st.one_of(st.text(), _LINES))
+def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
+    collector = TelemetryCollector()
+    app = CollectorApp(collector)
+    assert post_batch(app, b'{"type": "event", "node": "n"}').status == 204
+    before, batches = collector.records(), collector.batches
+    status = post_batch(app, body.encode("utf-8")).status
+    assert status in (204, 400)
+    if status == 400:
+        assert collector.records() == before
+        assert collector.batches == batches
+    else:
+        assert all(isinstance(r, dict) for r in collector.records())
+        collector.nodes(), collector.spans(), collector.events()

@@ -19,7 +19,6 @@ def test_emit_and_read_back():
     assert len(log) == 2
     assert log.total_events == 2
     assert log.by_kind("run") == [{"kind": "run", "wall_seconds": 1.5}]
-    assert log.last()["kind"] == "run"
 
 
 def test_capacity_bound_drops_oldest():
@@ -50,6 +49,7 @@ def test_jsonl_roundtrip():
         {"kind": "run", "n": 3},
     ]
     assert parse_json_lines("\n\n" + text + "\n") == parse_json_lines(text)
+    assert EventLog().to_json_lines() == ""
 
 
 def test_jsonl_deterministic_for_same_events():
@@ -64,12 +64,3 @@ def test_jsonl_deterministic_for_same_events():
 def test_events_to_json_lines_over_plain_dicts():
     text = events_to_json_lines([{"kind": "a"}, {"kind": "b", "x": 1}])
     assert text.splitlines() == ['{"kind": "a"}', '{"kind": "b", "x": 1}']
-
-
-def test_clear():
-    log = EventLog()
-    log.emit("x")
-    log.clear()
-    assert len(log) == 0
-    assert log.last() is None
-    assert log.to_json_lines() == ""

@@ -144,28 +144,26 @@ def test_cached_gap_fill_observes_multipart_decode():
     assert counts == {0: 2, 1 << 20: 2}
 
 
-def test_server_side_metrics_via_accesslog():
-    from repro.obs import MetricsRegistry
-    from repro.server.accesslog import AccessLog
+def test_server_side_metrics_and_events():
+    from repro.obs import EventLog, MetricsRegistry
 
     client, app, store, _ = davix_world()
     server_registry = MetricsRegistry()
     app.metrics = server_registry
-    app.access_log = AccessLog(metrics=server_registry)
+    app.events = EventLog()
     store.put("/obj", b"s" * 512)
     client.get("http://server/obj")
     client.stat("http://server/obj")
 
     assert server_registry.value("server.requests_total", method="GET") == 1
-    assert server_registry.value("server.responses_total", status="200") >= 1
-    assert (
-        server_registry.value(
-            "server.access_total", method="GET", status="200"
-        )
-        == 1
-    )
-    assert server_registry.value("server.bytes_sent_total") >= 512
-    assert server_registry.get("server.request_seconds").count == 2
+    assert server_registry.value("server.requests_total", method="HEAD") == 1
+    assert server_registry.value("server.responses_total", status="200") == 2
+    events = app.events.by_kind("request")
+    assert [(e["method"], e["status"]) for e in events] == [
+        ("GET", 200),
+        ("HEAD", 200),
+    ]
+    assert sum(e["bytes_sent"] for e in events) >= 512
 
 
 def test_failover_metrics_and_span():

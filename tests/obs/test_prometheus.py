@@ -3,9 +3,7 @@
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
-    RollingHistogram,
     prometheus_exposition,
-    window_to_prometheus,
 )
 
 GOLDEN = """\
@@ -86,21 +84,6 @@ def test_metric_names_are_sanitised():
 def test_content_type_constant():
     assert PROMETHEUS_CONTENT_TYPE.startswith("text/plain")
     assert "version=0.0.4" in PROMETHEUS_CONTENT_TYPE
-
-
-def test_window_exposition():
-    hist = RollingHistogram(lambda: 0.0, buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(50.0)
-    assert window_to_prometheus("server.window", hist.snapshot()) == (
-        "# TYPE server_window histogram\n"
-        'server_window_bucket{le="0.1"} 1\n'
-        'server_window_bucket{le="1"} 2\n'
-        'server_window_bucket{le="+Inf"} 3\n'
-        "server_window_sum 50.55\n"
-        "server_window_count 3\n"
-    )
 
 
 def test_quote_only_label_value_escapes_each_quote():

@@ -1,5 +1,5 @@
 """End-to-end acceptance: one vectored read through the sim server
-produces client spans, server spans and an access-log record that all
+produces client spans, server spans and server wide events that all
 share a single trace ID, with the phase profile summing to the request
 span's duration, and a scrapable Prometheus endpoint on the server."""
 
@@ -9,12 +9,13 @@ from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     EventLog,
     MetricsRegistry,
-    RollingHistogram,
     Tracer,
+    common_log_format,
     format_span_id,
     format_trace_id,
+    slo_verdicts,
 )
-from repro.server import AccessLog, ServerConfig
+from repro.server import ServerConfig
 from tests.helpers import davix_world, get, one_request
 
 
@@ -27,14 +28,10 @@ def observable_world(**kwargs):
     app.metrics = MetricsRegistry()
     app.tracer = Tracer(clock=server_rt.now)
     app.events = EventLog()
-    app.access_log = AccessLog(
-        metrics=app.metrics,
-        window=RollingHistogram(server_rt.now),
-    )
     return client, app, store, server_rt
 
 
-def test_one_trace_id_across_client_server_and_access_log():
+def test_one_trace_id_across_client_server_and_server_events():
     client, app, store, _ = observable_world()
     store.put("/obj", bytes(range(256)) * 1024)
     client.pread_vec("http://server/obj", [(0, 64), (65536, 64)])
@@ -51,11 +48,12 @@ def test_one_trace_id_across_client_server_and_access_log():
         assert format_trace_id(span.trace_id) == trace_hex
         assert span.parent_id is not None
 
-    assert app.access_log.entries
-    for entry in app.access_log.entries:
-        assert entry.trace_id == trace_hex
-        assert len(entry.parent_span_id) == 16
-        assert "trace=" + trace_hex in entry.common_log_format()
+    events = app.events.by_kind("request")
+    assert events
+    for event in events:
+        assert event["trace_id"] == trace_hex
+        assert len(event["parent_span_id"]) == 16
+        assert "trace=" + trace_hex in common_log_format(event)
 
 
 def test_server_span_parents_the_client_exchange_span():
@@ -66,8 +64,8 @@ def test_server_span_parents_the_client_exchange_span():
     (exchange,) = client.tracer().by_name("exchange")
     (server_span,) = app.tracer.by_name("server-request")
     assert server_span.parent_id == exchange.span_id
-    (entry,) = app.access_log.entries
-    assert entry.parent_span_id == format_span_id(exchange.span_id)
+    (event,) = app.events.by_kind("request")
+    assert event["parent_span_id"] == format_span_id(exchange.span_id)
 
 
 def test_phases_sum_to_request_span_duration():
@@ -97,7 +95,9 @@ def test_client_wide_event_carries_trace_and_phases():
     assert event["trace_id"] == format_trace_id(request.trace_id)
     for phase_field in ("phase_queue_wait", "phase_connect", "phase_ttfb"):
         assert phase_field in event
-    assert client.slo().origin("server:80").verdict == "OK"
+    (verdict,) = slo_verdicts(client.events().by_kind("request"))
+    assert verdict["origin"] == "server:80"
+    assert verdict["verdict"] == "OK"
 
 
 def test_server_wide_event_joins_the_client_trace():
@@ -124,11 +124,13 @@ def test_metrics_endpoint_serves_prometheus_exposition():
     assert response.status == 200
     assert response.headers.get("Content-Type") == PROMETHEUS_CONTENT_TYPE
     body = response.body.decode("utf-8")
-    assert "# TYPE server_access_total counter" in body
-    assert 'server_access_total{method="GET",status="200"} 1' in body
-    assert "# TYPE server_request_seconds_window histogram" in body
-    # The scrape itself is not counted in the series it exposes.
-    assert app.access_log.total_requests == 1
+    assert "# TYPE server_requests_total counter" in body
+    assert 'server_requests_total{method="GET"} 1' in body
+    assert 'server_responses_total{status="200"} 1' in body
+    # The scrape itself is not counted in the series it exposes, and
+    # leaves no record: one server request event, the GET's.
+    (event,) = app.events.by_kind("request")
+    assert event["path"] == "/obj"
 
 
 def test_propagation_can_be_disabled_per_request():
@@ -139,8 +141,8 @@ def test_propagation_can_be_disabled_per_request():
     client.get(
         "http://server/obj", params=RequestParams(trace_propagation=False)
     )
-    (entry,) = app.access_log.entries
-    assert entry.trace_id == ""
-    assert "trace=" not in entry.common_log_format()
+    (event,) = app.events.by_kind("request")
+    assert event["trace_id"] == ""
+    assert "trace=" not in common_log_format(event)
     (server_span,) = app.tracer.by_name("server-request")
     assert server_span.parent_id is None

@@ -1,87 +1,36 @@
-"""Tests for the access log and its serve-loop integration."""
+"""The access log is a fold over the server's ``request`` wide events."""
 
 import pytest
 
-from repro.server import ObjectStore, StorageApp
-from repro.server.accesslog import AccessEntry, AccessLog
+from repro.core import RequestParams
+from repro.errors import FileNotFound
+from repro.obs import (
+    EventLog,
+    common_log_format,
+    events_to_json_lines,
+    parse_json_lines,
+)
 
-from tests.helpers import davix_world, get, one_request
-
-
-def entry(status=200, method="GET", duration=0.01, nbytes=100):
-    return AccessEntry(
-        timestamp=1.0,
-        client="client",
-        method=method,
-        path="/x",
-        status=status,
-        bytes_sent=nbytes,
-        duration=duration,
-    )
+from tests.helpers import davix_world
 
 
-def test_record_and_aggregate():
-    log = AccessLog()
-    log.record(entry(200, "GET"))
-    log.record(entry(404, "GET"))
-    log.record(entry(201, "PUT", nbytes=0))
-    assert len(log) == 3
-    assert log.total_requests == 3
-    assert log.total_bytes == 200
-    assert log.by_status() == {200: 1, 404: 1, 201: 1}
-    assert log.by_method() == {"GET": 2, "PUT": 1}
+def served(*urls, params=None):
+    """Server ``request`` events of GETs against a simulated server."""
+    client, app, store, _ = davix_world()
+    app.events = EventLog()
+    store.put("/x", b"0123456789")
+    for url in urls:
+        try:
+            client.get(url, params=params)
+        except FileNotFound:
+            pass
+    return app.events.by_kind("request")
 
 
-def test_error_rate():
-    log = AccessLog()
-    assert log.error_rate() == 0.0
-    log.record(entry(200))
-    log.record(entry(503))
-    assert log.error_rate() == 0.5
-
-
-def test_latency_percentile():
-    log = AccessLog()
-    assert log.latency_percentile(0.5) is None
-    for duration in (0.01, 0.02, 0.03, 0.04, 0.10):
-        log.record(entry(duration=duration))
-    assert log.latency_percentile(0.0) == 0.01
-    assert log.latency_percentile(0.5) == pytest.approx(0.03)
-    assert log.latency_percentile(1.0) == 0.10
-    with pytest.raises(ValueError):
-        log.latency_percentile(2.0)
-
-
-def test_ring_buffer_capacity():
-    log = AccessLog(capacity=2)
-    for status in (200, 201, 204):
-        log.record(entry(status))
-    assert len(log) == 2
-    assert [e.status for e in log.entries] == [201, 204]
-    assert log.total_requests == 3  # monotone counters keep counting
-    with pytest.raises(ValueError):
-        AccessLog(capacity=0)
-
-
-def test_common_log_format():
-    line = entry().common_log_format()
-    assert '"GET /x HTTP/1.1" 200 100' in line
-    assert line.startswith("client - - [1.000000]")
-
-
-def test_render_tail():
-    log = AccessLog()
-    for i in range(5):
-        log.record(entry(200 + i))
-    rendered = log.render(2)
-    assert rendered.count("\n") == 1
-    assert "203" in rendered and "204" in rendered
-
-
-def test_to_record_is_flat_and_complete():
-    record = entry().to_record()
-    assert record == {
-        "kind": "access",
+def event(**fields):
+    record = {
+        "kind": "request",
+        "side": "server",
         "ts": 1.0,
         "client": "client",
         "method": "GET",
@@ -92,68 +41,83 @@ def test_to_record_is_flat_and_complete():
         "trace_id": "",
         "parent_span_id": "",
     }
+    record.update(fields)
+    return record
+
+
+def test_common_log_format():
+    # One served GET renders the line the access log always wrote.
+    (traced,) = served("http://server/x")
+    assert common_log_format(traced) == (
+        'client - - [0.003002] "GET /x HTTP/1.1" 200 10 0.000500'
+        " trace=00000000000000000000000000000001"
+    )
+    (plain,) = served(
+        "http://server/x", params=RequestParams(trace_propagation=False)
+    )
+    assert common_log_format(plain) == (
+        'client - - [0.003001] "GET /x HTTP/1.1" 200 10 0.000500'
+    )
+
+
+def test_render_tail():
+    events = [event(status=200 + i) for i in range(5)]
+    rendered = "\n".join(common_log_format(e) for e in events[-2:])
+    assert rendered.count("\n") == 1
+    assert "203" in rendered and "204" in rendered
+
+
+def test_server_event_is_flat_and_complete():
+    (record,) = served("http://server/x")
+    assert record == {
+        "kind": "request",
+        "side": "server",
+        "ts": record["ts"],
+        "client": "client",
+        "method": "GET",
+        "path": "/x",
+        "status": 200,
+        "bytes_sent": 10,
+        "duration": record["duration"],
+        "trace_id": "0" * 31 + "1",
+        "parent_span_id": record["parent_span_id"],
+    }
+    assert len(record["parent_span_id"]) == 16
 
 
 def test_clf_is_a_rendering_of_the_record():
-    plain = entry()
-    assert "trace=" not in plain.common_log_format()
-    traced = AccessEntry(
-        timestamp=1.0,
-        client="client",
-        method="GET",
-        path="/x",
-        status=200,
-        bytes_sent=100,
-        duration=0.01,
-        trace_id="ab" * 16,
-        parent_span_id="cd" * 8,
+    assert "trace=" not in common_log_format(event())
+    traced = event(trace_id="ab" * 16, parent_span_id="cd" * 8)
+    line = common_log_format(traced)
+    assert line == (
+        'client - - [1.000000] "GET /x HTTP/1.1" 200 100 0.010000'
+        f" trace={'ab' * 16}"
     )
-    line = traced.common_log_format()
-    assert line.endswith(f" trace={'ab' * 16}")
-    # Everything in the CLF line comes from to_record().
-    assert traced.to_record()["trace_id"] == "ab" * 16
 
 
 def test_to_json_lines_is_deterministic_jsonl():
-    from repro.obs import parse_json_lines
-
-    log = AccessLog()
-    log.record(entry(200))
-    log.record(entry(404))
-    text = log.to_json_lines()
+    events = served("http://server/x", "http://server/missing")
+    text = events_to_json_lines(events)
     parsed = parse_json_lines(text)
     assert [record["status"] for record in parsed] == [200, 404]
-    assert all(record["kind"] == "access" for record in parsed)
-    assert log.to_json_lines(1) == text.splitlines()[-1]
-
-
-def test_attached_window_sees_durations():
-    from repro.obs import RollingHistogram
-
-    window = RollingHistogram(lambda: 0.0, buckets=(0.05, 1.0))
-    log = AccessLog(window=window)
-    log.record(entry(duration=0.01))
-    log.record(entry(duration=0.5))
-    snap = window.snapshot()
-    assert snap.count == 2
-    assert snap.bucket_counts == (1, 1, 0)
+    assert all(record["side"] == "server" for record in parsed)
+    assert text == events_to_json_lines(
+        served("http://server/x", "http://server/missing")
+    )
 
 
 def test_serve_loop_records_requests():
     client, app, store, _ = davix_world()
-    app.access_log = AccessLog()
+    app.events = EventLog()
     store.put("/x", b"0123456789")
     client.get("http://server/x")
     client.pread("http://server/x", 0, 4)
-    try:
+    with pytest.raises(FileNotFound):
         client.get("http://server/missing")
-    except Exception:
-        pass
-    log = app.access_log
-    assert log.total_requests == 3
-    statuses = [e.status for e in log.entries]
-    assert statuses == [200, 206, 404]
-    assert log.entries[0].bytes_sent == 10
-    assert log.entries[0].client == "client"
-    assert all(e.duration >= 0 for e in log.entries)
-    assert "GET /x" in log.render()
+    events = app.events.by_kind("request")
+    assert len(events) == 3
+    assert [e["status"] for e in events] == [200, 206, 404]
+    assert events[0]["bytes_sent"] == 10
+    assert events[0]["client"] == "client"
+    assert all(e["duration"] >= 0 for e in events)
+    assert "GET /x" in "\n".join(common_log_format(e) for e in events)

@@ -234,13 +234,13 @@ def test_fault_slow_and_reset_decorate_the_response():
 
 def observable_flat_world():
     """FlatObjectApp behind a real sim server, fully instrumented —
-    the same kit StorageApp wears (access log, tracer, events,
-    metrics endpoint)."""
+    the same kit StorageApp wears (tracer, events, metrics
+    endpoint)."""
     from repro.concurrency import SimRuntime
     from repro.core import DavixClient, RequestParams, RetryPolicy
     from repro.net import LinkSpec, Network
     from repro.obs import EventLog, MetricsRegistry, Tracer
-    from repro.server import AccessLog, HttpServer
+    from repro.server import HttpServer
     from repro.sim import Environment
 
     env = Environment()
@@ -261,7 +261,6 @@ def observable_flat_world():
     )
     app.tracer = Tracer(clock=server_rt.now, node="flat")
     app.events = EventLog()
-    app.access_log = AccessLog(metrics=app.metrics)
     HttpServer(server_rt, app, port=80).start()
     client = DavixClient(
         SimRuntime(net, "client"),
@@ -281,9 +280,9 @@ def test_flat_app_joins_client_traces_and_logs_access():
     assert format_trace_id(span.trace_id) == format_trace_id(
         client_span.trace_id
     )
-    (entry,) = app.access_log.entries
-    assert entry.status == 200
-    assert entry.method == "GET"
+    (event,) = app.events.by_kind("request")
+    assert event["status"] == 200
+    assert event["method"] == "GET"
 
 
 def test_flat_app_counts_requests_and_serves_prometheus():
@@ -300,9 +299,9 @@ def test_flat_app_counts_requests_and_serves_prometheus():
     body = response.body.decode("utf-8")
     assert 'server_requests_total{method="GET"} 1' in body
     assert 'server_requests_total{method="HEAD"} 1' in body
-    # The scrape is an observer: no span, no access-log entry for it.
+    # The scrape is an observer: no span, no wide event for it.
     assert len(app.tracer.by_name("server-request")) == 2
-    assert app.access_log.total_requests == 2
+    assert len(app.events.by_kind("request")) == 2
 
 
 def test_flat_app_ships_spans_into_a_telemetry_sink():

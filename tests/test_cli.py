@@ -344,3 +344,46 @@ def test_cli_trace_diff_compares_two_artifacts(tmp_path):
     assert output.endswith("\n")
     # The slowed-down artifact moves the compared buckets.
     assert "request" in output
+
+
+def report_log(tmp_path):
+    """A one-request client event log for ``davix-tool report``."""
+    path = tmp_path / "events.jsonl"
+    path.write_text(
+        '{"kind": "request", "side": "client", "origin": "s:80",'
+        ' "duration": 0.84, "status": 200}\n'
+    )
+    return str(path)
+
+
+def test_report_slo_flags_set_the_policy(tmp_path):
+    code, output = run_cli(
+        ["report", report_log(tmp_path), "--slo-latency", "0.25",
+         "--slo-availability", "1", "--slo-latency-objective", "0.5"]
+    )
+    assert code == 0
+    assert "availability>=100.00%, p50 latency<=0.250000s" in output
+    assert "BREACH" in output
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--slo-latency", "nan", "latency_threshold must be finite"),
+        ("--slo-latency", "inf", "latency_threshold must be finite"),
+        ("--slo-latency", "0", "latency_threshold must be finite"),
+        ("--slo-availability", "2", "availability must be in (0, 1]"),
+        ("--slo-availability", "0", "availability must be in (0, 1]"),
+        ("--slo-latency-objective", "1.5", "latency_objective must be in"),
+        ("--slo-latency-objective", "x", "invalid latency_objective value"),
+    ],
+)
+def test_report_rejects_a_bad_slo_flag_with_a_usage_error(
+    tmp_path, capsys, flag, value, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", report_log(tmp_path), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: davix-tool report")
+    assert f"argument {flag}: {message}" in err

@@ -68,9 +68,9 @@ from repro.xrootd import XrdServer, serve_xrootd
 #: so this is a ceiling: a new import that raises one must raise it here,
 #: in the same diff, where a reviewer sees what a process now pays for.
 MODULE_CEILINGS = {
-    "import repro.core.client": 50,
-    "import repro.cli": 52,
-    BENCHMARK_IMPORTS: 85,
+    "import repro.core.client": 49,
+    "import repro.cli": 51,
+    BENCHMARK_IMPORTS: 84,
 }
 
 LOADED = (

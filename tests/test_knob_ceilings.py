@@ -20,7 +20,7 @@ KNOB_CEILINGS = {
     "RequestParams": 23,
     "TransferConfig": 8,
     "ServerConfig": 18,
-    "Context": 11,
+    "Context": 10,
 }
 
 
