@@ -35,6 +35,7 @@ Arm it through :class:`~repro.core.transfer.TransferConfig`
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -67,8 +68,8 @@ class _SpecBatch:
     def __init__(self, index, ranges, segments, nbytes, span):
         self.index = index
         self.ranges = ranges
-        #: Segments not yet served to the application.
-        self.segments: Set[Segment] = segments
+        #: Segments not yet served to the application, sorted.
+        self.segments: List[Segment] = segments
         self.nbytes = nbytes
         self.span = span
         self.task = None
@@ -120,9 +121,6 @@ class TransferEngine:
             "shrunk": 0,
             "cancelled": 0,
         }
-        #: Every coalesced ``(offset, length)`` launched speculatively
-        #: (test hook: speculation must stay inside the prefetch plan).
-        self.launched_ranges: List[Segment] = []
 
     # -- plan feeding (pure) ------------------------------------------------
 
@@ -214,7 +212,7 @@ class TransferEngine:
             batch = _SpecBatch(
                 index=index,
                 ranges=ranges,
-                segments=set(segments),
+                segments=sorted(segments),
                 nbytes=nbytes,
                 span=span,
             )
@@ -227,9 +225,6 @@ class TransferEngine:
             self._inflight.append(batch)
             self._window.launched(nbytes)
             self.stats["launched"] += 1
-            self.launched_ranges.extend(
-                (rng.offset, rng.length) for rng in ranges
-            )
             metrics = self.context.metrics
             metrics.counter("engine.speculative_batches_total").inc()
             metrics.counter("engine.speculative_ranges_total").inc(
@@ -296,7 +291,14 @@ class TransferEngine:
             )
 
     def _consume(self, segment: Segment, batch: _SpecBatch) -> None:
-        batch.segments.discard(segment)
+        pending = batch.segments
+        index = bisect_left(pending, segment)
+        if index < len(pending) and pending[index] == segment:
+            del pending[index]
+        if batch.parts is not None:
+            # Often the only reference left to the part (a layout-only
+            # scan keeps no payload), so free it unless still pending.
+            batch.parts.release(*segment, pending)
         self._by_segment.pop(segment, None)
         self._planned.discard(segment)
         if batch.resolved and not batch.segments and batch in self._inflight:
@@ -321,8 +323,17 @@ class TransferEngine:
         metrics = self.context.metrics
         results: List[Optional[bytes]] = [None] * len(reads)
         demanded: List[Tuple[int, Segment]] = []
+        # A segment's first index in ``reads``, and the later ones that
+        # repeat it: a repeat is served from the first's result, not
+        # mistaken for an off-plan read once the first consumed it.
+        first: Dict[Segment, int] = {}
+        repeats: List[Tuple[int, int]] = []
         offplan = False
         for index, segment in enumerate(reads):
+            if segment in first:
+                repeats.append((index, first[segment]))
+                continue
+            first[segment] = index
             batch = self._by_segment.get(segment)
             if batch is None and segment in self._planned:
                 # Planned but not yet launched: pump the window (the
@@ -363,6 +374,8 @@ class TransferEngine:
                 results[index] = piece
         else:
             self._grow()
+        for index, source in repeats:
+            results[index] = results[source]
         yield from self._top_up()
         return results
 
@@ -451,6 +464,7 @@ class TransferEngine:
         for batch in list(self._inflight):
             yield from self._resolve(batch)
             unused += len(batch.segments)
+            batch.parts = None
             for segment in list(batch.segments):
                 self._consume(segment, batch)
         self._inflight.clear()

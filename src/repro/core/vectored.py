@@ -22,7 +22,7 @@ All pure functions; the planning invariants are property-tested.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -250,6 +250,25 @@ class PartTable:
         except RequestError:
             return False
         return True
+
+    def release(self, offset: int, length: int, pending) -> None:
+        """Forget the part :meth:`find` serves ``[offset, offset+length)``
+        from, unless a span of the sorted ``(offset, length)`` list
+        ``pending`` starts inside it: no other part could serve that."""
+        end = offset + length
+        if self.total is not None and end > self.total:
+            end = max(self.total, offset)
+        index = bisect_right(self._offsets, offset) - 1
+        while index >= 0 and end > offset:
+            start = self._offsets[index]
+            stop = start + len(self._views[index])
+            if stop >= end:
+                after = bisect_left(pending, (start,))
+                if after == len(pending) or pending[after][0] >= stop:
+                    del self._offsets[index]
+                    del self._views[index]
+                return
+            index -= 1
 
     def __repr__(self) -> str:
         spans = ", ".join(

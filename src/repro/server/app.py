@@ -132,6 +132,10 @@ def handle_connection(channel, app: Envelope):
                 )
             if aborted or not keep:
                 break
+            # Nothing of a request outlives its response: bound while
+            # the connection idles for the next one, these would pin
+            # its body and every response piece the peer already has.
+            del request, result, span
     except (ConnectionClosed, HttpParseError, TransferTimeout):
         pass  # peer went away or spoke garbage: drop the connection
     if not aborted:

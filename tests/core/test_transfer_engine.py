@@ -10,6 +10,8 @@ speculation from demand, and the ``engine.*`` metric series plus the
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import RequestParams, TransferConfig
 from repro.core.file import DavFile
@@ -162,6 +164,96 @@ def test_off_plan_read_shrinks_window():
     assert file.engine.window_batches < 4
     assert client.metrics().value("engine.window_shrink_total") > 0
     assert client.metrics().value("engine.misses_total") >= 1
+
+
+def test_repeated_segment_in_one_read_vec_is_served_from_the_first():
+    """A segment asked for twice in one call is a plan hit both times:
+    the repeat costs no request, no miss and no window shrink."""
+    client, app = engine_world()
+    plan = segments_spread(16)
+    reads = plan[:4] + [plan[0]] + plan[4:8]
+
+    def op(file):
+        file.prefetch(plan)
+        data = yield from file.pread_vec(reads)
+        return data
+
+    result, file = run_file_op(client, op)
+    assert result == [BLOB[o : o + n] for o, n in reads]
+    assert app.requests_handled == 2
+    assert file.engine.stats["misses"] == 0
+    assert file.engine.stats["shrunk"] == 0
+
+
+def pending_parts_only(engine):
+    """Every resolved batch's table holds only parts that cover one of
+    the batch's still-pending segments."""
+    for batch in engine._inflight:
+        if batch.parts is None:
+            continue
+        table = batch.parts
+        for start, view in zip(table._offsets, table._views):
+            assert any(
+                start <= offset and offset + length <= start + len(view)
+                for offset, length in batch.segments
+            ), (start, len(view), batch.segments)
+
+
+@st.composite
+def plans_and_orders(draw):
+    """A plan of ascending, possibly overlapping segments, a coalescing
+    gap, and the plan cut into groups served in a shuffled order."""
+    plan = []
+    cursor = draw(st.integers(0, 4096))
+    for _ in range(draw(st.integers(1, 20))):
+        length = draw(st.integers(1, 2048))
+        plan.append((cursor, length))
+        cursor += length + draw(st.integers(1 - length, 1500))
+    order = draw(st.permutations(plan))
+    groups = []
+    while order:
+        size = draw(st.integers(1, len(order)))
+        groups.append(order[:size])
+        order = order[size:]
+    return plan, draw(st.sampled_from([0, 64, 512, 1024])), groups
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(plans_and_orders())
+def test_a_served_part_is_released_and_no_pending_one_is(case):
+    """Whatever order a resolved batch's segments are served in, its
+    table keeps only parts a pending segment still needs, and every
+    read is a plan hit with the demand path's bytes."""
+    plan, gap, groups = case
+    client, _ = engine_world(
+        params=RequestParams(
+            max_vector_ranges=8,
+            vector_gap=gap,
+            transfer=TransferConfig(read_ahead=True, window_batches=4),
+        )
+    )
+
+    def op(file):
+        file.prefetch(plan)
+        out = []
+        for group in groups:
+            if len(group) == 1:
+                data = yield from file.pread(*group[0])
+                out.append([data])
+            else:
+                out.append((yield from file.pread_vec(group)))
+            pending_parts_only(file.engine)
+        return out
+
+    result, file = run_file_op(client, op)
+    assert result == [[BLOB[o : o + n] for o, n in group] for group in groups]
+    assert file.engine.stats["misses"] == 0
+    assert file.engine.stats["hits"] == len(plan)
+    assert not file.engine._inflight
 
 
 def test_plan_tail_demanded_before_launch_is_skipped():

@@ -4,14 +4,15 @@ Speculation must never trade correctness for overlap: under seeded
 fault schedules (5xx errors, mid-body resets, slowdowns) the engine
 path returns byte-identical results to the non-speculative demand
 path, a failed speculative fetch shrinks the window and falls back
-silently, and — the containment property — every speculative range
-ever launched stays inside the prefetch plan: the engine never fetches
+silently, and — the containment property — every range the server
+receives stays inside the prefetch plan: the engine never fetches
 bytes nobody asked for.
 """
 
 import random
 
 from repro.core import RequestParams, RetryPolicy, TransferConfig
+from repro.http.ranges import parse_range_header
 from repro.server import FaultPolicy
 
 from tests.helpers import davix_world
@@ -144,8 +145,27 @@ def _covered_by_plan(rng_offset, rng_length, intervals):
     return cursor >= end
 
 
+def recording_ranges(app):
+    """Wrap ``app.handle`` so every ``Range`` the server receives is
+    recorded as ``(offset, length)`` spans; returns that list."""
+    received = []
+    handle = app.handle
+
+    def recording(request):
+        header = request.headers.get("Range")
+        if header is not None:
+            received.extend(
+                (spec.first, spec.last - spec.first + 1)
+                for spec in parse_range_header(header)
+            )
+        return handle(request)
+
+    app.handle = recording
+    return received
+
+
 def test_speculation_never_leaves_the_plan(chaos_seed):
-    """Containment property: every speculatively launched range lies
+    """Containment property: every range the server is asked for lies
     inside the union of prefetched segments — chaos or not, the
     engine never requests bytes outside the plan."""
     plan = chaos_plan(chaos_seed)
@@ -157,6 +177,7 @@ def test_speculation_never_leaves_the_plan(chaos_seed):
         ),
     )
     store.put("/data/blob", BLOB)
+    received = recording_ranges(app)
     from repro.core.file import DavFile
 
     file = DavFile(client.context, "http://server/data/blob")
@@ -169,10 +190,11 @@ def test_speculation_never_leaves_the_plan(chaos_seed):
 
     results = client.runtime.run(op())
     assert results == [BLOB[o : o + n] for o, n in plan]
+    # Speculation actually happened, and its ranges reached the server.
+    assert client.metrics().value("engine.speculative_batches_total") >= 1
+    assert received
     intervals = sorted((o, o + n) for o, n in plan)
-    launched = file.engine.launched_ranges
-    assert launched  # speculation actually happened
-    for offset, length in launched:
+    for offset, length in received:
         assert _covered_by_plan(offset, length, intervals), (
             offset,
             length,

@@ -1,5 +1,8 @@
 """Tests for the analysis job, scenario runner and campaign."""
 
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
 from repro.net.profiles import GEANT, LAN, WAN, NetProfile
@@ -174,6 +177,36 @@ def test_xrootd_readahead_option_reduces_time_at_high_latency():
         )
     )
     assert with_ra.wall_seconds < without.wall_seconds
+
+
+def test_readahead_wan_job_peaks_near_its_window():
+    """The paper-size WAN job with a 32 MB davix read-ahead window (the
+    benchmark's ``sim_wan_readahead`` unit): traced memory peaks at no
+    more than 1.6 windows above its base. The window is what must be
+    resident; a response the client already has, kept by an idle
+    server connection, or a part already served, kept by the engine,
+    is not (with both, the peak was 2.38 windows)."""
+    window = 32_000_000
+    scenario = Scenario(
+        profile=WAN,
+        protocol="davix",
+        spec=replace(paper_dataset(1.0), seed=42),
+        config=AnalysisConfig(fraction=0.1, davix_readahead=window),
+        seed=42,
+    )
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started_here:
+            tracemalloc.stop()
+    assert report.bytes_fetched > 2 * window
+    assert peak <= 1.6 * window
 
 
 def test_seed_determinism_and_jitter_variation():
