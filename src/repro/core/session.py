@@ -35,7 +35,7 @@ from repro.http import (
     HttpParser,
     Request,
     Response,
-    serialize_request,
+    gather_request,
 )
 
 __all__ = ["Session", "StaleSession", "open_session"]
@@ -148,18 +148,20 @@ class Session:
             inject_traceparent(request.headers, span)
         parser = HttpParser("client")
         parser.expect_response_to(request.method)
-        wire = serialize_request(request)
+        # One gather write: a PUT body is never copied behind its head.
+        wire = gather_request(request)
+        size = sum(map(len, wire))
         reused = self.requests_sent > 0
         self.requests_sent += 1
-        self.bytes_sent += len(wire)
+        self.bytes_sent += size
         if self.metrics is not None:
-            self.metrics.counter("session.bytes_sent_total").inc(len(wire))
+            self.metrics.counter("session.bytes_sent_total").inc(size)
         if deadline is not None:
             deadline.check()
-        send_span = span.child("send", bytes=len(wire)) if span else None
+        send_span = span.child("send", bytes=size) if span else None
         try:
             if self.tls is not None:
-                yield Sleep(self.tls.record_cost(len(wire)))
+                yield Sleep(self.tls.record_cost(size))
             yield Send(self.channel, wire)
         except ConnectionClosed as exc:
             self.mark_dirty()

@@ -6,6 +6,7 @@ from repro.http.codec import (
     Data,
     EndOfMessage,
     HttpParser,
+    gather_request,
     gather_response,
     serialize_request,
     serialize_response,
@@ -38,6 +39,7 @@ __all__ = [
     "Data",
     "EndOfMessage",
     "HttpParser",
+    "gather_request",
     "gather_response",
     "serialize_request",
     "serialize_response",

@@ -38,6 +38,7 @@ __all__ = [
     "Data",
     "EndOfMessage",
     "HttpParser",
+    "gather_request",
     "serialize_request",
     "gather_response",
     "serialize_response",
@@ -330,8 +331,11 @@ def _serialize_headers(headers: Headers) -> bytes:
     )
 
 
-def serialize_request(request: Request) -> bytes:
-    """Serialise a complete request (Content-Length added if needed)."""
+def gather_request(request: Request) -> List[bytes]:
+    """A complete request as ``[head, body]`` to gather-write.
+
+    Their join is :func:`serialize_request`; the body is not copied.
+    """
     headers = request.headers.copy()
     if request.body and "Content-Length" not in headers:
         headers.set("Content-Length", len(request.body))
@@ -346,7 +350,12 @@ def serialize_request(request: Request) -> bytes:
             "latin-1"
         )
     )
-    return head + _serialize_headers(headers) + CRLF + request.body
+    return [head + _serialize_headers(headers) + CRLF, request.body]
+
+
+def serialize_request(request: Request) -> bytes:
+    """Serialise a complete request (Content-Length added if needed)."""
+    return b"".join(gather_request(request))
 
 
 def serialize_response_head(

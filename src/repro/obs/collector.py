@@ -128,14 +128,18 @@ def records_to_json_lines(records: Iterable[Dict[str, object]]) -> str:
 def parse_records(text: str) -> List[Dict[str, object]]:
     """Inverse of :func:`records_to_json_lines` (blank lines skipped).
 
-    Raises ``ValueError`` on a line that is not a JSON object, so the
-    ingest endpoint rejects the whole batch.
+    Raises ``ValueError`` on a line that is not a JSON object, or that
+    nests too deeply to decode, so the ingest endpoint rejects the
+    whole batch.
     """
     records = []
     for line in text.splitlines():
         line = line.strip()
         if line:
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except RecursionError:
+                raise ValueError("a record nests too deeply") from None
             if not isinstance(record, dict):
                 raise ValueError("a telemetry record must be a JSON object")
             records.append(record)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import RootIOError
 from repro.rootio.ntuple import (
@@ -146,9 +146,11 @@ def _branch_payload(spec: BranchSpec, n_entries: int, rng) -> bytes:
     return payload.tobytes()
 
 
-def _branch_payloads(spec: DatasetSpec) -> Dict[str, bytes]:
-    """Every branch's event records, seeded by ``spec.seed``.
+def _branch_payloads(spec: DatasetSpec) -> Iterator[Tuple[str, bytes]]:
+    """Yield ``(name, event records)`` per branch, seeded by ``spec.seed``.
 
+    One branch at a time, in spec order, so a consumer that drops each
+    payload before asking for the next holds one branch, not the set.
     numpy loads here and not at the top of the module: only
     materialising needs it, so a layout-only job or a client process
     never imports it.
@@ -158,14 +160,15 @@ def _branch_payloads(spec: DatasetSpec) -> Dict[str, bytes]:
     except ImportError as exc:
         raise RootIOError("materialising a dataset needs numpy") from exc
     rng = np.random.default_rng(spec.seed)
-    return {
-        branch.name: _branch_payload(branch, spec.n_entries, rng)
-        for branch in spec.branches
-    }
+    for branch in spec.branches:
+        yield branch.name, _branch_payload(branch, spec.n_entries, rng)
 
 
 def generate_tree_bytes(spec: DatasetSpec) -> bytes:
-    """Materialise the dataset as a real tree file (bytes)."""
+    """Materialise the dataset as a real tree file (bytes).
+
+    Peaks at about twice the file plus one raw branch payload.
+    """
     return write_tree_file(
         spec.name,
         _branch_payloads(spec),
@@ -188,7 +191,8 @@ def generate_ntuple_bytes(
     """
     return write_ntuple_file(
         spec.name,
-        _branch_payloads(spec),
+        # Cluster-major pages interleave the columns: all at once.
+        dict(_branch_payloads(spec)),
         n_entries=spec.n_entries,
         cluster_entries=cluster_entries,
         page_bytes=page_bytes,

@@ -336,7 +336,7 @@ def write_ntuple_file(
             )
         )
 
-    body = bytearray()
+    blobs: List[bytes] = []
     cursor = HEADER.size
     cluster_list: List[ClusterInfo] = []
     for first in range(0, n_entries, cluster_entries):
@@ -365,7 +365,7 @@ def write_ntuple_file(
                         checksum=zlib.adler32(blob) & 0xFFFFFFFF,
                     )
                 )
-                body += blob
+                blobs.append(blob)
                 cursor += len(blob)
 
     meta = NTupleMeta(
@@ -376,9 +376,7 @@ def write_ntuple_file(
     )
     footer = json.dumps(_meta_to_json(meta)).encode("utf-8")
     header = HEADER.pack(NTUPLE_MAGIC, cursor, len(footer))
-    blob = header + bytes(body) + footer
-    meta.file_size = len(blob)
-    return blob
+    return b"".join([header, *blobs, footer])
 
 
 def _meta_to_json(meta: NTupleMeta) -> dict:

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import RootIOError
 from repro.rootio.tree import BasketInfo, BranchMeta, TreeMeta
@@ -29,7 +31,7 @@ HEADER = struct.Struct(">8sQQ")
 
 def write_tree_file(
     name: str,
-    branch_arrays: Dict[str, bytes],
+    branch_arrays: Union[Mapping[str, bytes], Iterable[Tuple[str, bytes]]],
     n_entries: int,
     basket_entries: int = 100,
     compression_level: int = 1,
@@ -37,17 +39,21 @@ def write_tree_file(
     """Serialise branch data into a tree file (returned as bytes).
 
     ``branch_arrays`` maps branch name to its concatenated fixed-size
-    event records (``len == n_entries * event_size``).
+    event records (``len == n_entries * event_size``), or yields those
+    ``(name, records)`` pairs; an iterable is consumed one branch at a
+    time, each payload dropped before the next is drawn.
     """
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
     if basket_entries < 1:
         raise ValueError("basket_entries must be >= 1")
 
-    body = bytearray()
+    if isinstance(branch_arrays, Mapping):
+        branch_arrays = branch_arrays.items()
+    blobs: List[bytes] = []
     cursor = HEADER.size
     branches: List[BranchMeta] = []
-    for branch_name, data in branch_arrays.items():
+    for branch_name, data in branch_arrays:
         if len(data) % n_entries != 0:
             raise RootIOError(
                 f"branch {branch_name}: {len(data)} bytes does not "
@@ -70,16 +76,17 @@ def write_tree_file(
                     uncompressed=len(raw),
                 )
             )
-            body += blob
+            blobs.append(blob)
             cursor += len(blob)
         branches.append(branch)
+        # The loop variable would pin this payload while the iterable
+        # draws the next one.
+        del data
 
     meta = TreeMeta(name=name, n_entries=n_entries, branches=branches)
     index = json.dumps(_meta_to_json(meta)).encode("utf-8")
     header = HEADER.pack(MAGIC, cursor, len(index))
-    blob = header + bytes(body) + index
-    meta.file_size = len(blob)
-    return blob
+    return b"".join([header, *blobs, index])
 
 
 def _meta_to_json(meta: TreeMeta) -> dict:

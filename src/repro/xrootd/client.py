@@ -74,30 +74,17 @@ class XrdClient:
         reader = proto.FrameReader()
         try:
             while True:
+                # No local here may pin a delivered frame across ``Recv``.
                 frame = reader.next_pieces()
-                if frame is None:
-                    data = yield Recv(self.channel)
-                    if not data:
-                        raise ConnectionClosed(
-                            f"{self.endpoint[0]}: server closed"
-                        )
-                    reader.feed(data)
+                if frame is not None:
+                    self._dispatch(*frame)
                     continue
-                streamid, status, pieces = frame
-                if status == proto.STATUS_OKSOFAR:
-                    # Partial response: accumulate until the final OK,
-                    # unless nobody awaits this stream.
-                    if streamid in self._pending:
-                        self._partials.setdefault(streamid, []).extend(pieces)
-                    continue
-                promise = self._pending.pop(streamid, None)
-                partial = self._partials.pop(streamid, None)
-                if promise is None:
-                    continue  # response to an abandoned request
-                if partial is not None:
-                    partial.extend(pieces)
-                    pieces = partial
-                promise.resolve(proto.ResponseFrame(streamid, status, pieces))
+                data = yield Recv(self.channel)
+                if not data:
+                    raise ConnectionClosed(
+                        f"{self.endpoint[0]}: server closed"
+                    )
+                reader.feed(data)
         except (ConnectionClosed, XrootdError) as exc:
             self._closed = True
             self._partials.clear()
@@ -106,6 +93,23 @@ class XrdClient:
                     ConnectionClosed(f"xrootd connection lost: {exc}")
                 )
             self._pending.clear()
+
+    def _dispatch(self, streamid: int, status: int, pieces: list) -> None:
+        """Hand one frame to the promise awaiting its stream."""
+        if status == proto.STATUS_OKSOFAR:
+            # Partial response: accumulate until the final OK, unless
+            # nobody awaits this stream.
+            if streamid in self._pending:
+                self._partials.setdefault(streamid, []).extend(pieces)
+            return
+        promise = self._pending.pop(streamid, None)
+        partial = self._partials.pop(streamid, None)
+        if promise is None:
+            return  # response to an abandoned request
+        if partial is not None:
+            partial.extend(pieces)
+            pieces = partial
+        promise.resolve(proto.ResponseFrame(streamid, status, pieces))
 
     # -- plumbing -------------------------------------------------------------------
 

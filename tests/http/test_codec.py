@@ -14,6 +14,7 @@ from repro.http import (
     HttpParser,
     Request,
     Response,
+    gather_request,
     serialize_request,
     serialize_response,
 )
@@ -302,6 +303,31 @@ def test_serialize_get_has_no_content_length():
 def test_serialize_post_without_body_gets_zero_length():
     wire = serialize_request(Request("POST", "/x"))
     assert b"Content-Length: 0\r\n" in wire
+
+
+@pytest.mark.parametrize(
+    "request_, wire",
+    [
+        (
+            Request("GET", "/x", Headers([("Host", "h")])),
+            b"GET /x HTTP/1.1\r\nHost: h\r\n\r\n",
+        ),
+        (
+            Request("POST", "/x", Headers([("Host", "h")])),
+            b"POST /x HTTP/1.1\r\nHost: h\r\nContent-Length: 0\r\n\r\n",
+        ),
+        (
+            Request("PUT", "/x", Headers([("Host", "h")]), body=b"abcd"),
+            b"PUT /x HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nabcd",
+        ),
+    ],
+    ids=["bodyless", "empty-body", "sized"],
+)
+def test_gather_request_joins_to_the_serialised_request(request_, wire):
+    pieces = gather_request(request_)
+    assert b"".join(pieces) == wire == serialize_request(request_)
+    # The body rides as its own buffer, never copied behind the head.
+    assert pieces[-1] is request_.body
 
 
 def test_serialize_response_roundtrip():

@@ -251,6 +251,10 @@ def test_bad_batch_answers_400_and_ingests_nothing():
 # -- hostile batches ------------------------------------------------------------
 
 
+#: One line nested past the JSON decoder's recursion limit.
+DEEP = b"[" * 100_000
+
+
 def post_batch(app, body: bytes):
     return app.handle(Request("POST", "/v1/telemetry", body=body)).response
 
@@ -263,8 +267,9 @@ def test_lines_that_are_not_objects_fail_the_whole_batch():
     # The read side still works: nothing without ``.get`` was stored.
     assert collector.nodes() == [] and collector.spans() == []
     assert assemble_traces(collector.records()) == []
-    with pytest.raises(ValueError):
-        parse_records('{"type": "event"}\n"text"\n')
+    for text in ('{"type": "event"}\n"text"\n', DEEP.decode("ascii")):
+        with pytest.raises(ValueError):
+            parse_records(text)
 
 
 _JSON = st.recursive(
@@ -293,3 +298,62 @@ def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
     else:
         assert all(isinstance(r, dict) for r in collector.records())
         collector.nodes(), collector.spans(), collector.events()
+
+
+def deep_batch_then_stats(context, base):
+    """Effect op: POST ``DEEP`` as a batch, then GET the stats on the
+    same pooled connection. Returns both statuses and the stats body."""
+    from repro.core.request import execute_request
+    from repro.http import Headers, Url
+
+    posted, _ = yield from execute_request(
+        context,
+        Url.parse(base + "/v1/telemetry"),
+        Request(
+            "POST",
+            "/v1/telemetry",
+            Headers([("Content-Type", TELEMETRY_CONTENT_TYPE)]),
+            DEEP,
+        ),
+    )
+    stats, _ = yield from execute_request(
+        context,
+        Url.parse(base + "/v1/telemetry/stats"),
+        Request("GET", "/v1/telemetry/stats"),
+    )
+    return posted.status, stats.status, stats.body
+
+
+def assert_deep_batch_refused(outcome, context, collector):
+    posted, status, body = outcome
+    assert posted == 400
+    assert status == 200
+    assert body == b"records=0 batches=0 dropped=0\n"
+    assert collector.batches == 0
+    # The 400 kept the connection: the stats GET reused it.
+    pool = context.pool.stats()
+    assert (pool.misses, pool.hits) == (1, 1)
+
+
+def test_deep_json_batch_answers_400_and_keeps_the_connection_sim():
+    collector = TelemetryCollector()
+    runtime = collector_world(lambda: CollectorApp(collector))
+    context = Context()
+    context.clock = runtime.now
+    outcome = runtime.run(deep_batch_then_stats(context, "http://hub"))
+    assert_deep_batch_refused(outcome, context, collector)
+
+
+def test_deep_json_batch_answers_400_and_keeps_the_connection_sockets():
+    from repro.concurrency import ThreadRuntime
+    from repro.server import real_server
+
+    collector = TelemetryCollector()
+    runtime = ThreadRuntime()
+    context = Context()
+    with real_server(CollectorApp(collector)) as server:
+        outcome = runtime.run(
+            deep_batch_then_stats(context, f"http://127.0.0.1:{server.port}")
+        )
+        assert_deep_batch_refused(outcome, context, collector)
+        context.pool.clear()

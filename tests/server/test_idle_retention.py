@@ -3,9 +3,9 @@
 Session recycling (paper §2.2) means many connections that sit idle
 between requests. Each must be back to its floor once a response is
 out: the request, the response and its pieces are the peer's now. Both
-servers are held to that on both runtimes, after an 8 MiB two-range
-read whose result the client has dropped while the connection stays
-open.
+servers, and the XRootD client's demultiplexer, are held to that on
+both runtimes, after an 8 MiB two-range read whose result the client
+has dropped while the connection stays open.
 """
 
 import time
@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from repro.concurrency import Connect, Recv, Send, Sleep, ThreadRuntime
 from repro.core import DavixClient
 from repro.server import ObjectStore, StorageApp, real_server
-from repro.xrootd import XrdServer, serve_xrootd
+from repro.xrootd import XrdClient, XrdServer, serve_xrootd
 from repro.xrootd import protocol as proto
 
 from tests.helpers import davix_world, sim_world
@@ -151,6 +151,57 @@ def test_idle_xrootd_connection_retains_no_response_sockets():
             grown = settled(now, before)
         assert received > 8 * MIB
         channel.close()
+    finally:
+        loop.stop()
+    assert grown < MIB
+
+
+# -- XRootD client ---------------------------------------------------------------
+#
+# The twin on the other end: the client's demultiplexer sits in ``Recv``
+# for the next frame once a reply is handed over, and must not keep it.
+
+
+def client_readv_left_open(endpoint):
+    """Effect op: the same readv through :class:`XrdClient`, its result
+    dropped; the client stays connected. Returns ``(client, bytes)``."""
+    client = yield from XrdClient.connect(endpoint)
+    remote = yield from client.open(PATH)
+    pieces = yield from client.readv(remote, RANGES)
+    return client, sum(map(len, pieces))
+
+
+def test_idle_xrootd_client_retains_no_response_sim():
+    client_rt, server_rt = sim_world(bandwidth=1e9)
+    store = ObjectStore()
+    store.put(PATH, CONTENT)
+    serve_xrootd(server_rt, XrdServer(store), port=1094)
+    with traced() as now:
+        before = now()
+        client, received = client_rt.run(
+            client_readv_left_open(("server", 1094))
+        )
+        client_rt.run(pause(1.0))
+        grown = now() - before
+    assert received == 8 * MIB
+    assert not client.channel.closed
+    assert grown < MIB
+
+
+def test_idle_xrootd_client_retains_no_response_sockets():
+    store = ObjectStore()
+    store.put(PATH, CONTENT)
+    runtime = ThreadRuntime()
+    loop = serve_xrootd(runtime, XrdServer(store), port=0)
+    try:
+        with traced() as now:
+            before = now()
+            client, received = runtime.run(
+                client_readv_left_open(("127.0.0.1", loop.port))
+            )
+            grown = settled(now, before)
+        assert received == 8 * MIB
+        runtime.run(client.disconnect())
     finally:
         loop.stop()
     assert grown < MIB
