@@ -16,6 +16,7 @@ from repro.errors import ConnectionClosed
 from repro.http import (
     CONNECTION_CLOSED,
     NEED_DATA,
+    BodyCollector,
     Data,
     EndOfMessage,
     HttpParser,
@@ -53,7 +54,7 @@ def pipeline_requests(
     responses: List[Response] = []
     completions: List[float] = []
     head: Optional[Response] = None
-    body = bytearray()
+    body: Optional[BodyCollector] = None
     while len(responses) < len(requests):
         event = parser.next_event()
         if event == NEED_DATA:
@@ -67,11 +68,11 @@ def pipeline_requests(
             )
         if isinstance(event, Response):
             head = event
-            body = bytearray()
+            body = BodyCollector(parser.body_length)
         elif isinstance(event, Data):
-            body.extend(event.data)
+            body.add(event.data)
         elif isinstance(event, EndOfMessage):
-            head.body = bytes(body)
+            head.body = body.body()
             responses.append(head)
             completions.append((yield Now()))
     yield Close(channel)

@@ -30,6 +30,7 @@ from repro.errors import (
 from repro.http import (
     CONNECTION_CLOSED,
     NEED_DATA,
+    BodyCollector,
     Data,
     EndOfMessage,
     HttpParser,
@@ -178,9 +179,7 @@ class Session:
         received = 0
         first_byte = False
         head: Optional[Response] = None
-        # Body chunks are joined once at the end — one copy total,
-        # instead of the grow-then-copy a bytearray would pay.
-        chunks = []
+        body = None
         try:
             while True:
                 event = parser.next_event()
@@ -223,11 +222,13 @@ class Session:
                     head = event
                     if sink_factory is not None:
                         sink = sink_factory(head)
+                    if sink is None:
+                        body = BodyCollector(parser.body_length)
                 elif isinstance(event, Data):
                     if sink is not None:
                         sink(event.data)
                     else:
-                        chunks.append(event.data)
+                        body.add(event.data)
                 elif isinstance(event, EndOfMessage):
                     if recorder is not None:
                         recorder.mark("body-transfer")
@@ -241,7 +242,8 @@ class Session:
                 recv_span.end(bytes=received)
 
         assert head is not None
-        head.body = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        if body is not None:
+            head.body = body.body()
         if not head.keep_alive():
             self.mark_dirty()
         return head

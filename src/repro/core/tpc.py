@@ -132,8 +132,8 @@ def format_marker_stream(
 
 def parse_marker_stream(text) -> TpcSummary:
     """Parse a perf-marker body back into a :class:`TpcSummary`."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", "replace")
+    if not isinstance(text, str):  # any bytes-like body
+        text = str(text, "utf-8", "replace")
     markers: List[PerfMarker] = []
     frame: dict = {}
     ok = False

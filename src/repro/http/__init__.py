@@ -3,6 +3,7 @@
 from repro.http.codec import (
     CONNECTION_CLOSED,
     NEED_DATA,
+    BodyCollector,
     Data,
     EndOfMessage,
     HttpParser,
@@ -36,6 +37,7 @@ from repro.http.uri import Url
 __all__ = [
     "CONNECTION_CLOSED",
     "NEED_DATA",
+    "BodyCollector",
     "Data",
     "EndOfMessage",
     "HttpParser",

@@ -38,6 +38,8 @@ __all__ = [
     "Data",
     "EndOfMessage",
     "HttpParser",
+    "BodyCollector",
+    "MAX_PREALLOCATED_BODY",
     "gather_request",
     "serialize_request",
     "gather_response",
@@ -53,6 +55,10 @@ NEED_DATA = "NEED_DATA"
 CONNECTION_CLOSED = "CONNECTION_CLOSED"
 
 MAX_HEAD_BYTES = 65536
+#: The largest declared ``Content-Length`` a :class:`BodyCollector`
+#: preallocates; a larger declaration is collected as chunks plus one
+#: join, so a peer's head alone never makes us allocate more than this.
+MAX_PREALLOCATED_BODY = 64 << 20
 CRLF = b"\r\n"
 HEAD_TERMINATOR = b"\r\n\r\n"
 
@@ -99,6 +105,7 @@ class HttpParser:
         self._eof = False
         self._state = _IDLE
         self._remaining = 0
+        self._body_length: Optional[int] = None
         self._pending_methods: Deque[str] = deque()
 
     # -- input -------------------------------------------------------------
@@ -117,6 +124,13 @@ class HttpParser:
         if self.role != "client":
             raise HttpProtocolError("only clients expect responses")
         self._pending_methods.append(method.upper())
+
+    @property
+    def body_length(self) -> Optional[int]:
+        """The declared length of the current message's body: its
+        ``Content-Length`` (0 when it has none), ``None`` for a chunked
+        or read-until-EOF body."""
+        return self._body_length
 
     # -- output ------------------------------------------------------------
 
@@ -179,6 +193,10 @@ class HttpParser:
         else:
             message = self._build_response(start_line, headers)
             self._setup_response_body(message)
+        # A sized (or empty) body is all in ``_remaining`` now.
+        self._body_length = (
+            self._remaining if self._state == _BODY_LENGTH else None
+        )
         return message
 
     @staticmethod
@@ -317,6 +335,58 @@ class HttpParser:
             return self.next_event()  # discard trailer header
         self._state = _IDLE
         return EndOfMessage()
+
+
+class BodyCollector:
+    """The body of one message, received once.
+
+    ``length`` is the parser's :attr:`HttpParser.body_length` for the
+    message. A body whose first chunk is all of it is that chunk, so a
+    small message is not copied. A sized body of at most
+    :data:`MAX_PREALLOCATED_BODY` bytes is copied into one
+    ``bytearray(length)`` as it arrives, and that ``bytearray`` is the
+    body: its peak is the body, not its chunks plus their join. Any
+    other body (chunked, read-until-EOF, or declared larger) is kept
+    as its chunks and joined once.
+    """
+
+    __slots__ = ("_length", "_buffer", "_filled", "_chunks")
+
+    def __init__(self, length: Optional[int]):
+        self._length = length
+        self._buffer: Optional[bytearray] = None
+        self._filled = 0
+        self._chunks: List[bytes] = []
+
+    def add(self, data: bytes) -> None:
+        """Take one :class:`Data` event's bytes."""
+        buffer = self._buffer
+        if buffer is None:
+            length = self._length
+            if (
+                self._chunks
+                or length is None
+                or len(data) >= length
+                or length > MAX_PREALLOCATED_BODY
+            ):
+                self._chunks.append(data)
+                return
+            buffer = self._buffer = bytearray(length)
+        end = self._filled + len(data)
+        # Through a view: a bytearray's own slice assignment would
+        # first copy ``data`` into a temporary bytearray.
+        memoryview(buffer)[self._filled:end] = data
+        self._filled = end
+
+    def body(self):
+        """The whole body: ``bytes``, or the ``bytearray`` it was
+        received into."""
+        if self._buffer is not None:
+            return self._buffer
+        chunks = self._chunks
+        if len(chunks) == 1:
+            return chunks[0]
+        return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------

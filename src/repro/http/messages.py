@@ -18,7 +18,11 @@ BODYLESS_METHODS = frozenset(
 
 @dataclass
 class Request:
-    """An HTTP request.
+    """An HTTP request; a received ``body`` is ``bytes`` or ``bytearray``.
+
+    A body that arrived in pieces under a ``Content-Length`` is the
+    ``bytearray`` it was received into (see
+    :class:`~repro.http.codec.BodyCollector`).
 
     ``target`` is the request-target as it appears on the request line
     (path plus optional query); the ``Host`` header is added by the
@@ -28,7 +32,7 @@ class Request:
     method: str
     target: str
     headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
+    body: bytes = b""  # or a received bytearray
     version: str = "HTTP/1.1"
 
     def __post_init__(self):
@@ -64,7 +68,11 @@ class Request:
 
 @dataclass
 class Response:
-    """An HTTP response.
+    """An HTTP response; a received ``body`` is ``bytes`` or ``bytearray``.
+
+    A body that arrived in pieces under a ``Content-Length`` is the
+    ``bytearray`` it was received into (see
+    :class:`~repro.http.codec.BodyCollector`).
 
     A server may give the body as ``pieces`` instead of ``body``: a
     sequence of buffers that goes out in one gather write, so a large
@@ -74,7 +82,7 @@ class Response:
 
     status: int
     headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
+    body: bytes = b""  # or a received bytearray
     reason: Optional[str] = None
     version: str = "HTTP/1.1"
     pieces: Optional[Sequence[bytes]] = None

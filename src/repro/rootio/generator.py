@@ -191,8 +191,7 @@ def generate_ntuple_bytes(
     """
     return write_ntuple_file(
         spec.name,
-        # Cluster-major pages interleave the columns: all at once.
-        dict(_branch_payloads(spec)),
+        _branch_payloads(spec),
         n_entries=spec.n_entries,
         cluster_entries=cluster_entries,
         page_bytes=page_bytes,

@@ -32,7 +32,9 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union,
+)
 
 from repro.concurrency import bounded_gather
 from repro.errors import PageChecksumError, RootIOError
@@ -297,7 +299,7 @@ def _column_level(
 
 def write_ntuple_file(
     name: str,
-    branch_arrays: Dict[str, bytes],
+    branch_arrays: Union[Mapping[str, bytes], Iterable[Tuple[str, bytes]]],
     n_entries: int,
     cluster_entries: int = DEFAULT_CLUSTER_ENTRIES,
     page_bytes: int = DEFAULT_PAGE_BYTES,
@@ -307,10 +309,13 @@ def write_ntuple_file(
 
     ``branch_arrays`` maps column name to its concatenated fixed-size
     event records — the same input :func:`write_tree_file` takes, so
-    one dataset materialises identically in both formats.
-    ``compression`` is a zlib level for every column, or a mapping
-    ``{column: level}`` (missing columns default to 1, level 0 =
-    store).
+    one dataset materialises identically in both formats — or yields
+    those ``(name, records)`` pairs. Each column's pages are compressed
+    before the next column is drawn, and the pages are laid out
+    cluster-major once all are compressed, so an iterable is held one
+    raw column at a time. ``compression`` is a zlib level for every
+    column, or a mapping ``{column: level}`` (missing columns default
+    to 1, level 0 = store).
     """
     if n_entries < 1:
         raise ValueError("n_entries must be >= 1")
@@ -319,54 +324,61 @@ def write_ntuple_file(
     if page_bytes < 1:
         raise ValueError("page_bytes must be >= 1")
 
+    if isinstance(branch_arrays, Mapping):
+        branch_arrays = branch_arrays.items()
+    clusters = range(0, n_entries, cluster_entries)
     columns: List[ColumnMeta] = []
-    sizes: Dict[str, int] = {}
-    for column_name, data in branch_arrays.items():
+    # (cluster, column, blob, first entry, entries, raw size), column-major.
+    pages = []
+    for column_name, data in branch_arrays:
         if len(data) % n_entries != 0:
             raise RootIOError(
                 f"column {column_name}: {len(data)} bytes does not "
                 f"divide into {n_entries} entries"
             )
-        sizes[column_name] = len(data) // n_entries
-        columns.append(
-            ColumnMeta(
-                name=column_name,
-                event_size=sizes[column_name],
-                level=_column_level(compression, column_name),
-            )
-        )
+        event_size = len(data) // n_entries
+        level = _column_level(compression, column_name)
+        column = ColumnMeta(column_name, event_size, level)
+        columns.append(column)
+        page_entries = max(1, page_bytes // event_size)
+        for cluster, first in enumerate(clusters):
+            stop = min(first + cluster_entries, n_entries)
+            for page_first in range(first, stop, page_entries):
+                page_stop = min(page_first + page_entries, stop)
+                raw = data[page_first * event_size : page_stop * event_size]
+                blob = compress_basket(raw, level=level)
+                pages.append((
+                    cluster, column, blob,
+                    page_first, page_stop - page_first, len(raw),
+                ))
+        # The loop variable would pin this payload while the iterable
+        # draws the next one.
+        del data
 
+    # Cluster-major: a stable sort keeps each cluster's columns in order.
+    pages.sort(key=lambda page: page[0])
     blobs: List[bytes] = []
     cursor = HEADER.size
-    cluster_list: List[ClusterInfo] = []
-    for first in range(0, n_entries, cluster_entries):
-        count = min(cluster_entries, n_entries - first)
-        cluster_list.append(ClusterInfo(first_entry=first, n_entries=count))
-        for column in columns:
-            data = branch_arrays[column.name]
-            event_size = column.event_size
-            page_entries = max(1, page_bytes // event_size)
-            for page_first in range(first, first + count, page_entries):
-                page_count = min(
-                    page_entries, first + count - page_first
-                )
-                raw = data[
-                    page_first * event_size
-                    : (page_first + page_count) * event_size
-                ]
-                blob = compress_basket(raw, level=column.level)
-                column.pages.append(
-                    PageInfo(
-                        offset=cursor,
-                        nbytes=len(blob),
-                        first_entry=page_first,
-                        n_entries=page_count,
-                        uncompressed=len(raw),
-                        checksum=zlib.adler32(blob) & 0xFFFFFFFF,
-                    )
-                )
-                blobs.append(blob)
-                cursor += len(blob)
+    for _, column, blob, first, count, uncompressed in pages:
+        column.pages.append(
+            PageInfo(
+                offset=cursor,
+                nbytes=len(blob),
+                first_entry=first,
+                n_entries=count,
+                uncompressed=uncompressed,
+                checksum=zlib.adler32(blob) & 0xFFFFFFFF,
+            )
+        )
+        blobs.append(blob)
+        cursor += len(blob)
+    cluster_list = [
+        ClusterInfo(
+            first_entry=first,
+            n_entries=min(cluster_entries, n_entries - first),
+        )
+        for first in clusters
+    ]
 
     meta = NTupleMeta(
         name=name,

@@ -18,6 +18,7 @@ from repro.errors import ConnectionClosed, HttpParseError, TransferTimeout
 from repro.http import (
     CONNECTION_CLOSED,
     NEED_DATA,
+    BodyCollector,
     Data,
     EndOfMessage,
     HttpParser,
@@ -145,8 +146,7 @@ def handle_connection(channel, app: Envelope):
 def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
     """Read one full request (head + body); None on clean close."""
     head: Optional[Request] = None
-    # Joined once at the end, as Session.request does: one copy.
-    chunks = []
+    body = None
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
@@ -157,11 +157,12 @@ def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
             return None
         if isinstance(event, Request):
             head = event
+            body = BodyCollector(parser.body_length)
         elif isinstance(event, Data):
-            chunks.append(event.data)
+            body.add(event.data)
         elif isinstance(event, EndOfMessage):
             assert head is not None
-            head.body = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+            head.body = body.body()
             return head
 
 

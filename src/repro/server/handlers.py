@@ -48,7 +48,8 @@ class _PartialUpload:
         self.content_type = content_type
 
     def write(self, offset: int, data: bytes) -> None:
-        self.buffer[offset:offset + len(data)] = data
+        # Through a view, which copies ``data`` once, not twice.
+        memoryview(self.buffer)[offset:offset + len(data)] = data
         self.spans = merge_spans(self.spans + [(offset, len(data))])
 
     @property
@@ -236,9 +237,8 @@ class StorageApp(Envelope):
             return ServedResponse(Response(202))
         del self._uploads[path]
         existed = self.store.exists(path)
-        obj = self.store.put(
-            path, bytes(upload.buffer), upload.content_type
-        )
+        # The buffer is no longer in _uploads: the store adopts it.
+        obj = self.store.put(path, upload.buffer, upload.content_type)
         headers = Headers([("ETag", obj.etag)])
         digest = self._digest_header(request, obj)
         if digest is not None:

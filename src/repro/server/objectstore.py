@@ -67,16 +67,24 @@ class Content:
 
 
 class BytesContent(Content):
-    """Content held as actual bytes."""
+    """Content held as bytes, or as a ``bytearray`` adopted as it is.
+
+    A request body received into a ``bytearray`` thus becomes the
+    stored object without a second copy; any other bytes-like is
+    copied into ``bytes``. Reads are ``bytes`` either way.
+    """
 
     def __init__(self, data: bytes):
-        self._data = bytes(data)
+        self._data = data if type(data) is bytearray else bytes(data)
         self.size = len(self._data)
 
     def read(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise ValueError("negative offset/length")
-        return self._data[offset : offset + length]
+        data = self._data
+        if type(data) is bytes:
+            return data[offset : offset + length]
+        return bytes(memoryview(data)[offset : offset + length])
 
 
 class SyntheticContent(Content):
@@ -194,7 +202,12 @@ def _normalise(path: str) -> str:
 
 
 class ObjectStore:
-    """Hierarchical object store with implicit parent collections."""
+    """Hierarchical object store; :meth:`put` adopts a ``bytearray``.
+
+    Parent collections are implicit. An adopted ``bytearray`` becomes
+    the object's content without a copy: the caller hands it over and
+    must not change it after.
+    """
 
     def __init__(self, clock=None):
         self._objects: Dict[str, StoredObject] = {}
@@ -216,7 +229,8 @@ class ObjectStore:
     ) -> StoredObject:
         """Create or replace the object at ``path``.
 
-        ``content`` may be raw bytes or any :class:`Content`.
+        ``content`` may be raw bytes or any :class:`Content`; a
+        ``bytearray`` is adopted, not copied (see :class:`BytesContent`).
         """
         path = _normalise(path)
         if path in self._collections and path != "/":

@@ -8,8 +8,6 @@ could swallow later data, that other interrupts pass through, and that
 a finished wait lets go of what it received.
 """
 
-import tracemalloc
-
 import pytest
 
 from repro.concurrency import (
@@ -28,7 +26,7 @@ from repro.concurrency import (
 from repro.errors import ConnectionClosed, ProcessInterrupt, TransferTimeout
 from repro.net.profiles import WAN, build_network
 from repro.sim import Environment
-from tests.helpers import sim_world
+from tests.helpers import sim_world, traced_peak
 
 
 def serve(server_rt, handler):
@@ -235,25 +233,23 @@ def test_await_with_a_deadline_keeps_resolve_and_reject_rules():
 
 def _transfer(client_rt, server_rt, payload, timeout):
     """Send ``payload`` client -> server; the sink drops every chunk as
-    it reads it and returns what ``at_end()`` says once the last byte
-    is consumed."""
+    it reads it."""
     listener = server_rt.listen(9000)
     size = len(payload)
 
-    def sink(at_end):
+    def sink():
         channel = yield Accept(listener)
         received = 0
         while received < size:
             received += len((yield Recv(channel, timeout=timeout)))
-        return at_end()
 
     def source():
         channel = yield Connect(("server", 9000))
         yield Send(channel, payload)
         yield Close(channel)
 
-    def run(at_end):
-        task = server_rt.spawn(sink(at_end))
+    def run():
+        task = server_rt.spawn(sink())
         client_rt.spawn(source())
         return server_rt.join(task)
 
@@ -270,17 +266,9 @@ def test_received_bursts_are_not_retained_until_the_deadline():
     run = _transfer(client_rt, server_rt, payload, timeout=120)
     del payload  # the send queue holds the only reference now
 
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        after = run(lambda: tracemalloc.get_traced_memory()[0])
-    finally:
-        if started_here:
-            tracemalloc.stop()
+    held = traced_peak(run).held
     assert client_rt.now() < 120
-    assert after - before < 2 << 20
+    assert held < 2 << 20
 
 
 def test_event_budget_of_a_wan_transfer():
@@ -293,5 +281,5 @@ def test_event_budget_of_a_wan_transfer():
         SimRuntime(net, "client"), SimRuntime(net, "server"),
         bytes(1 << 20), timeout=120,
     )
-    run(lambda: None)
+    run()
     assert env._eid <= 236  # the parent of this test scheduled 312

@@ -4,11 +4,16 @@ client)."""
 
 from __future__ import annotations
 
+import time
+import tracemalloc
+from typing import Any, Callable, NamedTuple, Optional
+
 from repro.concurrency import Close, Connect, Recv, Send, SimRuntime
 from repro.errors import ConnectionClosed
 from repro.http import (
     CONNECTION_CLOSED,
     NEED_DATA,
+    BodyCollector,
     Data,
     EndOfMessage,
     HttpParser,
@@ -24,6 +29,47 @@ from repro.sim import Environment
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
+class Footprint(NamedTuple):
+    """What :func:`traced_peak` saw of one call."""
+
+    result: Any
+    #: The most bytes traced above the start while the call ran.
+    peak: int
+    #: The bytes still traced above the start once it had returned.
+    held: int
+
+
+def traced_peak(
+    fn: Callable[[], Any],
+    settled: Optional[Callable[[int], bool]] = None,
+) -> Footprint:
+    """Run ``fn()`` under tracemalloc (started here unless it already
+    runs) and measure it against the bytes traced when it was called.
+
+    ``settled``, a test on ``held``, is for a server thread that may
+    still be finishing the request it has just answered: ``held`` is
+    re-read until the test passes, for up to five seconds.
+    """
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+        deadline = time.monotonic() + 5.0
+        while settled is not None and not settled(current - base):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+            current = tracemalloc.get_traced_memory()[0]
+        return Footprint(result, peak - base, current - base)
+    finally:
+        if started_here:
+            tracemalloc.stop()
+
+
 def immediate(attempts: int) -> RetryPolicy:
     """``attempts`` tries with no backoff between them."""
     return RetryPolicy(max_attempts=attempts, base_delay=0.0, jitter="none")
@@ -31,8 +77,7 @@ def immediate(attempts: int) -> RetryPolicy:
 
 def read_response(channel, parser):
     """Effect sub-op: read one complete response."""
-    head = None
-    body = bytearray()
+    head = body = None
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
@@ -43,10 +88,11 @@ def read_response(channel, parser):
             raise ConnectionClosed("server closed mid-exchange")
         if isinstance(event, Response):
             head = event
+            body = BodyCollector(parser.body_length)
         elif isinstance(event, Data):
-            body.extend(event.data)
+            body.add(event.data)
         elif isinstance(event, EndOfMessage):
-            head.body = bytes(body)
+            head.body = body.body()
             return head
 
 

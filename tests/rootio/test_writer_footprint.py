@@ -1,14 +1,13 @@
 """The dataset writers build each byte once.
 
-The tree writer draws, compresses and drops one branch payload at a
-time and joins the file once, so its traced peak is about twice the
-file plus one raw payload. The ntuple's cluster-major layout needs every
-column at once, so it holds every payload plus twice its file. Both
-outputs stay byte-identical to the pinned adler32s of the benchmark's
+Both writers draw, compress and drop one branch payload at a time and
+join the file once, so each traced peak is about twice the file plus
+one raw payload: the ntuple writer lays its compressed pages out
+cluster-major only once every column is compressed. Both outputs stay
+byte-identical to the pinned adler32s of the benchmark's
 ``loopback_analysis`` dataset.
 """
 
-import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -23,37 +22,24 @@ from repro.rootio import (
     write_tree_file,
 )
 
+from tests.helpers import traced_peak
+
 pytest.importorskip("numpy")  # loaded before tracing: not the writer's
 
 #: The ``loopback_analysis`` dataset at seed 42: a 13.55 MiB tree.
 SPEC = replace(paper_dataset(0.1), n_entries=2400, seed=42)
 
 
-def traced_peak(build):
-    """``(result, peak bytes traced while build() ran)``."""
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = build()
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started_here:
-            tracemalloc.stop()
-
-
 def test_tree_writer_peaks_under_three_files():
-    blob, peak = traced_peak(lambda: generate_tree_bytes(SPEC))
+    blob, peak, _ = traced_peak(lambda: generate_tree_bytes(SPEC))
     assert zlib.adler32(blob) == 3260238170
     assert peak <= 3.0 * len(blob)
 
 
-def test_ntuple_writer_peaks_under_four_point_three_files():
-    blob, peak = traced_peak(lambda: generate_ntuple_bytes(SPEC))
+def test_ntuple_writer_peaks_under_three_files():
+    blob, peak, _ = traced_peak(lambda: generate_ntuple_bytes(SPEC))
     assert zlib.adler32(blob) == 118118033
-    assert peak <= 4.3 * len(blob)
+    assert peak <= 3.0 * len(blob)
 
 
 @st.composite

@@ -8,17 +8,13 @@ both runtimes, after an 8 MiB two-range read whose result the client
 has dropped while the connection stays open.
 """
 
-import time
-import tracemalloc
-from contextlib import contextmanager
-
 from repro.concurrency import Connect, Recv, Send, Sleep, ThreadRuntime
 from repro.core import DavixClient
 from repro.server import ObjectStore, StorageApp, real_server
 from repro.xrootd import XrdClient, XrdServer, serve_xrootd
 from repro.xrootd import protocol as proto
 
-from tests.helpers import davix_world, sim_world
+from tests.helpers import davix_world, sim_world, traced_peak
 
 MIB = 1 << 20
 #: Two 4 MiB ranges a MiB apart: never coalesced, an 8 MiB response.
@@ -27,29 +23,10 @@ CONTENT = bytes(9 * MIB)
 PATH = "/data/blob"
 
 
-@contextmanager
-def traced():
-    """Yields a function that reads the bytes traced now."""
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    try:
-        yield lambda: tracemalloc.get_traced_memory()[0]
-    finally:
-        if started_here:
-            tracemalloc.stop()
-
-
-def settled(now, before, seconds=5.0):
-    """Traced growth over ``before`` once it is under a MiB, or after
-    ``seconds``: a server thread may still be finishing the request it
-    has just answered."""
-    deadline = time.monotonic() + seconds
-    grown = now() - before
-    while grown >= MIB and time.monotonic() < deadline:
-        time.sleep(0.01)
-        grown = now() - before
-    return grown
+def settled(held):
+    """Under a MiB: what a server thread still finishing the request
+    it has just answered is given time to reach."""
+    return held < MIB
 
 
 def pause(seconds):
@@ -64,15 +41,16 @@ def pause(seconds):
 def test_idle_http_connection_retains_no_response_sim():
     client, _app, store, _ = davix_world(bandwidth=1e9)
     store.put(PATH, CONTENT)
-    with traced() as now:
-        before = now()
+
+    def read_then_idle():
         chunks = client.pread_vec(f"http://server{PATH}", RANGES)
-        assert sum(map(len, chunks)) == 8 * MIB
-        del chunks
         client.runtime.run(pause(1.0))
-        grown = now() - before
+        return sum(map(len, chunks))
+
+    received, _, held = traced_peak(read_then_idle)
+    assert received == 8 * MIB
     assert client.context.pool.idle_count() == 1  # still kept alive
-    assert grown < MIB
+    assert held < MIB
 
 
 def test_idle_http_connection_retains_no_response_sockets():
@@ -81,15 +59,13 @@ def test_idle_http_connection_retains_no_response_sockets():
     client = DavixClient(ThreadRuntime())
     with real_server(StorageApp(store)) as server:
         url = f"http://127.0.0.1:{server.port}{PATH}"
-        with traced() as now:
-            before = now()
-            chunks = client.pread_vec(url, RANGES)
-            assert sum(map(len, chunks)) == 8 * MIB
-            del chunks
-            grown = settled(now, before)
+        received, _, held = traced_peak(
+            lambda: sum(map(len, client.pread_vec(url, RANGES))), settled
+        )
         assert client.context.pool.idle_count() == 1
         client.context.pool.clear()
-    assert grown < MIB
+    assert received == 8 * MIB
+    assert held < MIB
 
 
 # -- XRootD --------------------------------------------------------------------
@@ -127,14 +103,16 @@ def test_idle_xrootd_connection_retains_no_response_sim():
     store = ObjectStore()
     store.put(PATH, CONTENT)
     serve_xrootd(server_rt, XrdServer(store), port=1094)
-    with traced() as now:
-        before = now()
-        channel, received = client_rt.run(readv_left_open(("server", 1094)))
+
+    def read_then_idle():
+        opened = client_rt.run(readv_left_open(("server", 1094)))
         client_rt.run(pause(1.0))
-        grown = now() - before
+        return opened
+
+    (channel, received), _, held = traced_peak(read_then_idle)
     assert received > 8 * MIB
     assert not channel.closed
-    assert grown < MIB
+    assert held < MIB
 
 
 def test_idle_xrootd_connection_retains_no_response_sockets():
@@ -143,17 +121,15 @@ def test_idle_xrootd_connection_retains_no_response_sockets():
     runtime = ThreadRuntime()
     loop = serve_xrootd(runtime, XrdServer(store), port=0)
     try:
-        with traced() as now:
-            before = now()
-            channel, received = runtime.run(
-                readv_left_open(("127.0.0.1", loop.port))
-            )
-            grown = settled(now, before)
+        (channel, received), _, held = traced_peak(
+            lambda: runtime.run(readv_left_open(("127.0.0.1", loop.port))),
+            settled,
+        )
         assert received > 8 * MIB
         channel.close()
     finally:
         loop.stop()
-    assert grown < MIB
+    assert held < MIB
 
 
 # -- XRootD client ---------------------------------------------------------------
@@ -176,16 +152,16 @@ def test_idle_xrootd_client_retains_no_response_sim():
     store = ObjectStore()
     store.put(PATH, CONTENT)
     serve_xrootd(server_rt, XrdServer(store), port=1094)
-    with traced() as now:
-        before = now()
-        client, received = client_rt.run(
-            client_readv_left_open(("server", 1094))
-        )
+
+    def read_then_idle():
+        opened = client_rt.run(client_readv_left_open(("server", 1094)))
         client_rt.run(pause(1.0))
-        grown = now() - before
+        return opened
+
+    (client, received), _, held = traced_peak(read_then_idle)
     assert received == 8 * MIB
     assert not client.channel.closed
-    assert grown < MIB
+    assert held < MIB
 
 
 def test_idle_xrootd_client_retains_no_response_sockets():
@@ -194,14 +170,14 @@ def test_idle_xrootd_client_retains_no_response_sockets():
     runtime = ThreadRuntime()
     loop = serve_xrootd(runtime, XrdServer(store), port=0)
     try:
-        with traced() as now:
-            before = now()
-            client, received = runtime.run(
+        (client, received), _, held = traced_peak(
+            lambda: runtime.run(
                 client_readv_left_open(("127.0.0.1", loop.port))
-            )
-            grown = settled(now, before)
+            ),
+            settled,
+        )
         assert received == 8 * MIB
         runtime.run(client.disconnect())
     finally:
         loop.stop()
-    assert grown < MIB
+    assert held < MIB

@@ -10,7 +10,11 @@ import pytest
 
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
-from repro.core.tpc import parse_marker_stream
+from repro.core.tpc import (
+    PerfMarker,
+    format_marker_stream,
+    parse_marker_stream,
+)
 from repro.errors import DavixError
 from repro.http import Headers, Request
 from repro.net import LinkSpec, Network
@@ -294,3 +298,15 @@ def test_transfer_span_joins_client_trace():
     # trace id: one story across both processes.
     assert transfer_spans[0].trace_id == root.trace_id
     assert apps["site-b"].tracer.by_name("tpc-chunk")
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_a_marker_stream_parses_from_any_bytes_like_body(wrap):
+    """A received body may be the ``bytearray`` it was received into."""
+    stream = format_marker_stream(
+        [PerfMarker(1.5, 0, 1, 4096)], "success: Created"
+    )
+    summary = parse_marker_stream(wrap(stream))
+    assert summary == parse_marker_stream(stream.decode("utf-8"))
+    assert summary.ok
+    assert summary.bytes_transferred == 4096

@@ -1,6 +1,5 @@
 """Tests for the analysis job, scenario runner and campaign."""
 
-import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,6 +13,8 @@ from repro.workloads import (
     Scenario,
     run_scenario,
 )
+
+from tests.helpers import traced_peak
 
 
 def tiny_spec(n_entries=600):
@@ -194,17 +195,7 @@ def test_readahead_wan_job_peaks_near_its_window():
         config=AnalysisConfig(fraction=0.1, davix_readahead=window),
         seed=42,
     )
-    started_here = not tracemalloc.is_tracing()
-    if started_here:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        report = run_scenario(scenario)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started_here:
-            tracemalloc.stop()
+    report, peak, _ = traced_peak(lambda: run_scenario(scenario))
     assert report.bytes_fetched > 2 * window
     assert peak <= 1.6 * window
 
