@@ -5,7 +5,8 @@ Public surface:
 * :class:`Context` / :class:`RequestParams` / :class:`TransferConfig`
   — configuration;
 * :class:`DavixClient` — synchronous facade over any runtime;
-* :class:`DavFile` / :class:`DavPosix` — effect-level file APIs;
+* :class:`DavFile` / :class:`DavPosix` — effect-level file and
+  namespace APIs;
 * :class:`TransferEngine` — the pipelined read-ahead window behind
   ``DavFile.prefetch`` / ``TransferConfig(read_ahead=True)``;
 * :func:`with_failover` / :func:`multistream_download` — Metalink
@@ -36,7 +37,6 @@ _EXPORTS = {
     "pipeline_requests": ".pipelining",
     "PoolStats": ".pool",
     "SessionPool": ".pool",
-    "DavFd": ".posix",
     "DavPosix": ".posix",
     "Session": ".session",
     "StaleSession": ".session",

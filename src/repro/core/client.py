@@ -70,7 +70,6 @@ class DavixClient:
         # The blacklist and session-age logic need the runtime's clock
         # (the tracer follows through context._now).
         self.context.clock = runtime.now
-        self.posix = DavPosix(self.context, self.context.params)
 
     # -- observability accessors ----------------------------------------------
 

@@ -109,9 +109,6 @@ class RequestParams:
     #: Bearer token attached as ``Authorization: Bearer <token>``
     #: (stands in for the grid's X.509 delegation).
     auth_token: Optional[str] = None
-    #: S3 access/secret pair; when set every request is signed
-    #: (see :mod:`repro.server.s3`).
-    s3_credentials: Optional[object] = None
     #: TLS cost model for https/davs URLs (None -> model defaults).
     tls: Optional[object] = None
     #: Forward-proxy URL; all plain-http traffic goes through it

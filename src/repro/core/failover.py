@@ -1,7 +1,7 @@
 """Metalink-driven replica fail-over (paper Section 2.4, default mode).
 
 When an operation against the primary URL fails, davix fetches the
-resource's Metalink (from a federation endpoint or the primary's own
+resource's Metalink (from ``metalink_url`` or the primary's own
 server), filters blacklisted/duplicate replicas, and retries the
 operation against each remaining replica in priority order. A read
 succeeds as long as *one* replica is reachable.
@@ -62,7 +62,7 @@ def with_failover(
     """Effect op: run ``operation(url)`` with Metalink fail-over.
 
     ``operation`` maps a :class:`Url` to an effect sub-op. The Metalink
-    is fetched from ``metalink_url`` (a federation endpoint) when given,
+    is fetched from ``metalink_url`` (any Metalink endpoint) when given,
     otherwise from the primary URL itself. With
     ``params.metalink_mode == "disabled"`` the primary failure is
     re-raised untouched.

@@ -139,12 +139,7 @@ def checkout_session(
     return session
 
 
-def _prepare(
-    request: Request,
-    url: Url,
-    params: RequestParams,
-    context: Context,
-) -> Request:
+def _prepare(request: Request, url: Url, params: RequestParams) -> Request:
     headers = request.headers.copy()
     headers.set("Host", url.netloc)
     headers.setdefault("User-Agent", params.user_agent)
@@ -159,22 +154,13 @@ def _prepare(
         )
     if not params.keep_alive:
         headers.set("Connection", "close")
-    prepared = Request(
+    return Request(
         method=request.method,
         target=target,
         headers=headers,
         body=request.body,
         version=request.version,
     )
-    if params.s3_credentials is not None:
-        from repro.server.s3 import sign_request
-
-        sign_request(
-            prepared,
-            params.s3_credentials,
-            date=f"{context.clock():.6f}",
-        )
-    return prepared
 
 
 def _retry_pause(context, schedule, deadline, span, cause):
@@ -321,7 +307,7 @@ def execute_request(
                 acquire_span.end()
 
             origin = session.origin
-            outgoing = _prepare(request, current, params, context)
+            outgoing = _prepare(request, current, params)
             exchange_span = span.child("exchange", host=current.host)
             try:
                 response = yield from _session_exchange(

@@ -105,10 +105,6 @@ def parse_digest_header(value: Optional[str]) -> dict:
     return digests
 
 
-def _compute_digest(data) -> str:
-    return f"{zlib.adler32(bytes(data)) & 0xFFFFFFFF:08x}"
-
-
 # -- perf-marker stream (wire format) -----------------------------------------
 
 
@@ -416,7 +412,8 @@ def run_pull(
             )
         if reply.status not in (200, 206) or len(reply.body) != length:
             return None
-        assembly[offset:offset + length] = reply.body
+        # Through a view, which copies the body once, not twice.
+        memoryview(assembly)[offset:offset + length] = reply.body
         return {"ok": True}
 
     now, error = yield from _move_chunks(
@@ -424,7 +421,7 @@ def run_pull(
     )
     if error is not None:
         return progress.fail(now, error)
-    actual = _compute_digest(assembly)
+    actual = f"{zlib.adler32(assembly):08x}"
     if expected is not None and actual != expected:
         if metrics is not None:
             metrics.counter("tpc.digest_mismatch_total").inc()
@@ -433,7 +430,8 @@ def run_pull(
             f"digest mismatch: source {DIGEST}={expected}, "
             f"received {DIGEST}={actual}",
         )
-    obj = store.put(destination_path, bytes(assembly), content_type)
+    # The store adopts the assembly buffer: no second copy.
+    obj = store.put(destination_path, assembly, content_type)
     return progress.succeed(
         now,
         destination_path,

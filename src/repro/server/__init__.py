@@ -1,17 +1,14 @@
-"""HTTP/WebDAV storage server (DPM-like) and DynaFed-like federator."""
+"""HTTP/WebDAV storage server (DPM-like), flat-object dialect and proxy."""
 
 from repro._lazy import exports
 
 _EXPORTS = {
     "HttpServer": ".app",
     "handle_connection": ".app",
-    "CollectorApp": ".collectorapp",
     "Envelope": ".envelope",
     "FaultAction": ".faults",
     "FaultPolicy": ".faults",
-    "FederationApp": ".federation",
     "FlatObjectApp": ".flatobject",
-    "ReplicaEntry": ".federation",
     "ServedResponse": ".envelope",
     "ServerConfig": ".envelope",
     "StorageApp": ".handlers",
@@ -24,8 +21,6 @@ _EXPORTS = {
     "ZeroContent": ".objectstore",
     "real_server": ".realserver",
     "ProxyApp": ".proxy",
-    "S3Credentials": ".s3",
-    "sign_request": ".s3",
     "DavResource": ".webdav",
     "build_multistatus": ".webdav",
     "parse_multistatus": ".webdav",

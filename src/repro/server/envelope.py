@@ -3,8 +3,8 @@
 :meth:`Envelope.handle` maps one :class:`~repro.http.Request` to a
 :class:`ServedResponse` without any I/O — the serve loops in
 :mod:`repro.server.app` drive it over simulated or real transports.
-Storage node, flat-object store, site proxy, federator and collector
-are subclasses that implement :meth:`Envelope.route` only; everything
+Storage node, flat-object store and site proxy are subclasses that
+implement :meth:`Envelope.route` only; everything
 around the route — observer requests, request/response counters, the
 fault policy, ``StoreError`` mapping and response stamping — happens
 here, once, so every tier counts and fails the same way.
@@ -55,9 +55,9 @@ class ServerConfig:
     #: responses (e.g. ``"max-age=120"``); None = no header.
     cache_control: Optional[str] = None
     #: Mounted :class:`~repro.obs.collector.TelemetryCollector`: every
-    #: app served by this config — storage, proxy, flat-object, or a
-    #: standalone collector node — ingests ``POST <telemetry_path>``
-    #: JSONL batches into it; None = telemetry ingest disabled.
+    #: app served by this config — storage, proxy or flat-object —
+    #: ingests ``POST <telemetry_path>`` JSONL batches into it; None =
+    #: telemetry ingest disabled.
     collector: Optional[object] = None
     #: Mount path of the telemetry ingest endpoint.
     telemetry_path: str = "/v1/telemetry"
@@ -107,8 +107,8 @@ class Envelope:
 
     #: The object store of a storage tier. Responses of apps that own
     #: one carry ``Server``/``Cache-Control`` and are charged storage
-    #: service time; data-less tiers (proxy, federator, collector)
-    #: leave it None and answer unstamped in zero service time.
+    #: service time; a data-less tier (the proxy) leaves it None and
+    #: answers unstamped in zero service time.
     store = None
 
     def __init__(

@@ -14,9 +14,7 @@ page cache run unchanged against this dialect
 pairing).
 
 Listing is one JSON endpoint (``GET /?list=1&prefix=...``) so tooling
-can enumerate keys without PROPFIND. An endpoint deployed with
-``credentials=`` is private: every request must carry the S3-style
-signature of :mod:`repro.server.s3` or is answered 403.
+can enumerate keys without PROPFIND.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.server.envelope import Envelope, ServerConfig
 from repro.server.faults import FaultPolicy
 from repro.server.objectstore import ObjectStore, StoreError
 from repro.server.rangeserver import plan_range_response
-from repro.server.s3 import S3Credentials, verify
 
 __all__ = ["FlatObjectApp"]
 
@@ -52,7 +49,6 @@ class FlatObjectApp(Envelope):
         config: Optional[ServerConfig] = None,
         faults: Optional[FaultPolicy] = None,
         metrics=None,
-        credentials: Optional[S3Credentials] = None,
     ):
         super().__init__(
             config or ServerConfig(server_name="repro-flatstore/1.0"),
@@ -60,17 +56,8 @@ class FlatObjectApp(Envelope):
             metrics,
         )
         self.store = store
-        #: Access-key pair requests must be signed with; None = a
-        #: public endpoint (no authentication).
-        self.credentials = credentials
-        self.auth_failures = 0
 
     def route(self, request: Request):
-        if self.credentials is not None and not verify(
-            request, self.credentials
-        ):
-            self.auth_failures += 1
-            return self._error(403, "signature does not match")
         if request.method not in FLAT_VERBS:
             response = self._error(
                 405, f"{request.method} is not spoken here"

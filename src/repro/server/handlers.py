@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HttpParseError, HttpProtocolError
 from repro.http import Headers, Request, Response, Url
+from repro.http.codec import MAX_PREALLOCATED_BODY
 from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import (
     METALINK_MEDIA_TYPE,
@@ -34,27 +35,50 @@ from repro.server.webdav import DavResource, build_multistatus
 
 __all__ = ["StorageApp"]
 
+#: Ranged uploads in progress at once; past this the oldest is dropped.
+MAX_PENDING_UPLOADS = 64
+
 
 class _PartialUpload:
-    """Accumulator for one ranged (``Content-Range``) upload."""
+    """Accumulator for one ranged (``Content-Range``) upload.
 
-    __slots__ = ("total", "buffer", "spans", "content_type")
+    As in :class:`~repro.http.BodyCollector`, the claimed total is
+    preallocated only up to ``MAX_PREALLOCATED_BODY``; a larger upload
+    keeps its chunks and writes them, in arrival order, at commit.
+    """
+
+    __slots__ = ("total", "buffer", "chunks", "spans", "content_type")
 
     def __init__(self, total: int, content_type: str):
         self.total = total
-        self.buffer = bytearray(total)
+        self.buffer = (
+            bytearray(total) if total <= MAX_PREALLOCATED_BODY else None
+        )
+        self.chunks: List[Tuple[int, bytes]] = []
         #: Received byte spans, kept merged and sorted.
         self.spans: List[Tuple[int, int]] = []
         self.content_type = content_type
 
     def write(self, offset: int, data: bytes) -> None:
-        # Through a view, which copies ``data`` once, not twice.
-        memoryview(self.buffer)[offset:offset + len(data)] = data
+        if self.buffer is None:
+            self.chunks.append((offset, data))
+        else:
+            # Through a view, which copies ``data`` once, not twice.
+            memoryview(self.buffer)[offset:offset + len(data)] = data
         self.spans = merge_spans(self.spans + [(offset, len(data))])
 
     @property
     def complete(self) -> bool:
         return self.spans == [(0, self.total)]
+
+    def commit(self) -> bytearray:
+        """The whole object, once :attr:`complete`."""
+        if self.buffer is None:
+            self.buffer = bytearray(self.total)
+            view = memoryview(self.buffer)
+            for offset, data in self.chunks:
+                view[offset:offset + len(data)] = data
+        return self.buffer
 
 
 class StorageApp(Envelope):
@@ -225,6 +249,10 @@ class StorageApp(Envelope):
         path = request.path
         upload = self._uploads.get(path)
         if upload is None or upload.total != total:
+            self._uploads.pop(path, None)
+            if len(self._uploads) >= MAX_PENDING_UPLOADS:
+                del self._uploads[next(iter(self._uploads))]
+                self._count("server.uploads_evicted_total")
             upload = _PartialUpload(
                 total,
                 request.headers.get(
@@ -238,7 +266,7 @@ class StorageApp(Envelope):
         del self._uploads[path]
         existed = self.store.exists(path)
         # The buffer is no longer in _uploads: the store adopts it.
-        obj = self.store.put(path, upload.buffer, upload.content_type)
+        obj = self.store.put(path, upload.commit(), upload.content_type)
         headers = Headers([("ETag", obj.etag)])
         digest = self._digest_header(request, obj)
         if digest is not None:

@@ -160,19 +160,23 @@ def test_redirect_followed_transparently():
 
 
 def test_redirect_loop_detected():
+    from repro.core import DavixClient
     from repro.errors import RedirectLoopError
-    from repro.server import FederationApp, HttpServer
+    from repro.http import Headers, Response
+    from repro.server import Envelope, HttpServer, ServerConfig
     from tests.helpers import sim_world
 
-    client_rt, server_rt = sim_world()
-    fed = FederationApp()
-    fed.register("/loop", ["http://server/loop"])  # points to itself
-    HttpServer(server_rt, fed, port=80).start()
-    from repro.core import DavixClient
+    class SelfRedirect(Envelope):
+        def route(self, request):
+            return Response(302, Headers([("Location", "http://server/loop")]))
 
+    client_rt, server_rt = sim_world()
+    app = SelfRedirect(ServerConfig())
+    HttpServer(server_rt, app, port=80).start()
     client = DavixClient(client_rt)
     with pytest.raises(RedirectLoopError):
         client.get("http://server/loop")
+    assert app.requests_handled > 1
 
 
 def test_retry_on_503_then_success():

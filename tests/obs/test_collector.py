@@ -1,5 +1,5 @@
 """Telemetry collector plumbing: wire format, bounded queues, HTTP
-ingest (mounted and standalone) and the in-process flush path."""
+ingest (mounted on a storage app) and the in-process flush path."""
 
 import json
 
@@ -22,13 +22,7 @@ from repro.obs.collector import (
     record_to_json,
     records_to_json_lines,
 )
-from repro.server import (
-    CollectorApp,
-    HttpServer,
-    ObjectStore,
-    ServerConfig,
-    StorageApp,
-)
+from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
 
 
@@ -142,6 +136,11 @@ def test_malformed_jsonl_batch_fails_whole_batch():
 # -- HTTP ingest --------------------------------------------------------------
 
 
+def mounted(collector):
+    """A storage app whose config mounts ``collector``'s ingest."""
+    return StorageApp(ObjectStore(), config=ServerConfig(collector=collector))
+
+
 def collector_world(app_factory):
     env = Environment()
     net = Network(env, seed=5)
@@ -157,13 +156,7 @@ def collector_world(app_factory):
 
 def test_push_telemetry_into_mounted_storage_collector():
     collector = TelemetryCollector()
-
-    def app():
-        return StorageApp(
-            ObjectStore(), config=ServerConfig(collector=collector)
-        )
-
-    runtime = collector_world(app)
+    runtime = collector_world(lambda: mounted(collector))
     sink = TelemetrySink("client")
     context = Context(telemetry=sink)
     context.clock = runtime.now
@@ -181,9 +174,7 @@ def test_push_telemetry_into_mounted_storage_collector():
 
 
 def test_push_telemetry_with_empty_queue_skips_the_wire():
-    runtime = collector_world(
-        lambda: CollectorApp(TelemetryCollector())
-    )
+    runtime = collector_world(lambda: mounted(TelemetryCollector()))
     sink = TelemetrySink("client")
     context = Context()
     context.clock = runtime.now
@@ -195,34 +186,9 @@ def test_push_telemetry_with_empty_queue_skips_the_wire():
     )
 
 
-def test_collector_app_serves_jsonl_and_stats_back():
-    collector = TelemetryCollector()
-    runtime = collector_world(lambda: CollectorApp(collector))
-    sink = TelemetrySink("client")
-    context = Context(telemetry=sink)
-    context.clock = runtime.now
-    context.events.emit("cache", hits=2)
-    runtime.run(
-        push_telemetry(context, "http://hub/v1/telemetry", sink)
-    )
-
-    from repro.core import DavixClient
-
-    client = DavixClient(runtime, context=context)
-    body = client.get("http://hub/v1/telemetry")
-    assert parse_records(body.decode("utf-8")) == collector.records()
-    stats = client.get("http://hub/v1/telemetry/stats")
-    assert stats == b"records=1 batches=1 dropped=0\n"
-
-    from repro.errors import FileNotFound
-
-    with pytest.raises(FileNotFound):
-        client.get("http://hub/elsewhere")
-
-
 def test_bad_batch_answers_400_and_ingests_nothing():
     collector = TelemetryCollector()
-    runtime = collector_world(lambda: CollectorApp(collector))
+    runtime = collector_world(lambda: mounted(collector))
 
     from repro.core.request import execute_request
     from repro.http import Headers, Request, Url
@@ -261,7 +227,7 @@ def post_batch(app, body: bytes):
 
 def test_lines_that_are_not_objects_fail_the_whole_batch():
     collector = TelemetryCollector()
-    app = CollectorApp(collector)
+    app = mounted(collector)
     assert post_batch(app, b"5\n[1,2]\nnull").status == 400
     assert len(collector) == 0
     # The read side still works: nothing without ``.get`` was stored.
@@ -287,7 +253,7 @@ _LINES = st.lists(
 @given(body=st.one_of(st.text(), _LINES))
 def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
     collector = TelemetryCollector()
-    app = CollectorApp(collector)
+    app = mounted(collector)
     assert post_batch(app, b'{"type": "event", "node": "n"}').status == 204
     before, batches = collector.records(), collector.batches
     status = post_batch(app, body.encode("utf-8")).status
@@ -300,9 +266,9 @@ def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
         collector.nodes(), collector.spans(), collector.events()
 
 
-def deep_batch_then_stats(context, base):
-    """Effect op: POST ``DEEP`` as a batch, then GET the stats on the
-    same pooled connection. Returns both statuses and the stats body."""
+def deep_batch_then_get(context, base):
+    """Effect op: POST ``DEEP`` as a batch, then GET ``/probe`` on the
+    same pooled connection. Returns both statuses and the GET's body."""
     from repro.core.request import execute_request
     from repro.http import Headers, Url
 
@@ -316,31 +282,31 @@ def deep_batch_then_stats(context, base):
             DEEP,
         ),
     )
-    stats, _ = yield from execute_request(
-        context,
-        Url.parse(base + "/v1/telemetry/stats"),
-        Request("GET", "/v1/telemetry/stats"),
+    probe, _ = yield from execute_request(
+        context, Url.parse(base + "/probe"), Request("GET", "/probe")
     )
-    return posted.status, stats.status, stats.body
+    return posted.status, probe.status, probe.body
 
 
 def assert_deep_batch_refused(outcome, context, collector):
     posted, status, body = outcome
     assert posted == 400
     assert status == 200
-    assert body == b"records=0 batches=0 dropped=0\n"
-    assert collector.batches == 0
-    # The 400 kept the connection: the stats GET reused it.
+    assert body == b"ok"
+    assert (len(collector), collector.batches) == (0, 0)
+    # The 400 kept the connection: the GET reused it.
     pool = context.pool.stats()
     assert (pool.misses, pool.hits) == (1, 1)
 
 
 def test_deep_json_batch_answers_400_and_keeps_the_connection_sim():
     collector = TelemetryCollector()
-    runtime = collector_world(lambda: CollectorApp(collector))
+    app = mounted(collector)
+    app.store.put("/probe", b"ok")
+    runtime = collector_world(lambda: app)
     context = Context()
     context.clock = runtime.now
-    outcome = runtime.run(deep_batch_then_stats(context, "http://hub"))
+    outcome = runtime.run(deep_batch_then_get(context, "http://hub"))
     assert_deep_batch_refused(outcome, context, collector)
 
 
@@ -351,9 +317,11 @@ def test_deep_json_batch_answers_400_and_keeps_the_connection_sockets():
     collector = TelemetryCollector()
     runtime = ThreadRuntime()
     context = Context()
-    with real_server(CollectorApp(collector)) as server:
+    app = mounted(collector)
+    app.store.put("/probe", b"ok")
+    with real_server(app) as server:
         outcome = runtime.run(
-            deep_batch_then_stats(context, f"http://127.0.0.1:{server.port}")
+            deep_batch_then_get(context, f"http://127.0.0.1:{server.port}")
         )
         assert_deep_batch_refused(outcome, context, collector)
         context.pool.clear()

@@ -9,7 +9,6 @@ from repro.http.multipart import content_type_boundary
 from repro.metalink import parse_metalink
 from repro.server import (
     FaultPolicy,
-    FederationApp,
     HttpServer,
     ObjectStore,
     ServerConfig,
@@ -321,7 +320,18 @@ def test_metalink_negotiation():
         "http://server/data/f.root",
         "http://mirror/data/f.root",
     ]
-    assert entry.checksum("adler32") is not None
+    assert [u.priority for u in entry.urls] == [1, 2]
+    assert entry.checksum("adler32") == store.get("/data/f.root").checksum(
+        "adler32"
+    )
+    # The query form negotiates the same document; a path with no
+    # replicas has no Metalink.
+    by_query = client_rt.run(
+        one_request(("server", 80), get("/data/f.root?metalink"))
+    )
+    assert by_query.body == response.body
+    missing = client_rt.run(one_request(("server", 80), get("/unknown?metalink")))
+    assert missing.status == 404
 
 
 def test_redirect_mode():
@@ -392,34 +402,6 @@ def test_large_synthetic_object_streams():
     assert response.body[:4096] == SyntheticContent(size, seed=11).read(
         0, 4096
     )
-
-
-def test_federation_redirect_and_metalink():
-    client_rt, server_rt = sim_world()
-    fed = FederationApp()
-    fed.register(
-        "/fed/data.root",
-        ["http://site-a/data.root", "http://site-b/data.root"],
-        size=1234,
-        adler32="deadbeef",
-    )
-    HttpServer(server_rt, fed, port=80).start()
-
-    first = client_rt.run(one_request(("server", 80), get("/fed/data.root")))
-    second = client_rt.run(one_request(("server", 80), get("/fed/data.root")))
-    assert first.status == second.status == 302
-    assert first.headers.get("Location") == "http://site-a/data.root"
-    assert second.headers.get("Location") == "http://site-b/data.root"
-
-    meta = client_rt.run(
-        one_request(("server", 80), get("/fed/data.root?metalink"))
-    )
-    entry = parse_metalink(meta.body).single()
-    assert entry.size == 1234
-    assert entry.checksum("adler32") == "deadbeef"
-
-    missing = client_rt.run(one_request(("server", 80), get("/unknown")))
-    assert missing.status == 404
 
 
 def test_stop_on_the_simulator_moves_no_clock_and_ends_connections_next_run():

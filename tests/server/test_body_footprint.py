@@ -15,8 +15,10 @@ from repro.concurrency import Accept, Close, Connect, Recv, Send, ThreadRuntime
 from repro.core import DavixClient, open_session
 from repro.errors import ConnectionClosed, HttpParseError
 from repro.http import HttpParser, Request
+from repro.http.codec import MAX_PREALLOCATED_BODY
 from repro.net import TcpOptions
-from repro.server import ObjectStore, StorageApp, real_server
+from repro.obs import MetricsRegistry
+from repro.server import ObjectStore, StorageApp, handlers, real_server
 from repro.server.app import _read_request
 
 from tests.helpers import davix_world, put, sim_world, traced_peak
@@ -173,3 +175,41 @@ def test_the_completing_chunk_of_a_ranged_put_stores_its_buffer():
     assert served.response.status == 201
     assert app.store.read("/striped") == BODY
     assert peak <= MIB
+
+
+def test_a_hostile_upload_total_costs_what_was_sent():
+    """A 1-byte chunk declaring a 32 TiB object is accepted and held as
+    the byte it is."""
+    app = StorageApp(ObjectStore())
+    chunk = put("/huge", b"x", {"Content-Range": "bytes 0-0/35184372088832"})
+    served, peak, _ = traced_peak(lambda: app.handle(chunk))
+    assert served.response.status == 202
+    assert peak <= MIB
+
+
+@pytest.mark.parametrize("bound", [8, MAX_PREALLOCATED_BODY])
+def test_a_ranged_upload_commits_its_chunks_in_arrival_order(
+    monkeypatch, bound
+):
+    """Above the bound the chunks are kept and written at commit; the
+    bytes stored are those of a preallocated upload: a later chunk
+    overwrites an earlier one where they overlap."""
+    monkeypatch.setattr(handlers, "MAX_PREALLOCATED_BODY", bound)
+    app = StorageApp(ObjectStore())
+    body = bytes(range(20))
+    first = put("/big", b"\xff" * 12, {"Content-Range": "bytes 0-11/20"})
+    last = put("/big", body[10:], {"Content-Range": "bytes 10-19/20"})
+    assert app.handle(first).response.status == 202
+    assert app.handle(last).response.status == 201
+    assert app.store.read("/big") == b"\xff" * 10 + body[10:]
+
+
+def test_abandoned_uploads_are_capped_oldest_first():
+    metrics = MetricsRegistry()
+    app = StorageApp(ObjectStore(), metrics=metrics)
+    for i in range(handlers.MAX_PENDING_UPLOADS + 1):
+        chunk = put(f"/u{i}", b"x", {"Content-Range": "bytes 0-0/2"})
+        assert app.handle(chunk).response.status == 202
+    assert len(app._uploads) == handlers.MAX_PENDING_UPLOADS
+    assert "/u0" not in app._uploads
+    assert metrics.value("server.uploads_evicted_total") == 1

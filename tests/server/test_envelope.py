@@ -1,7 +1,7 @@
 """The request envelope every server app shares.
 
 One ``handle()`` — observer bypass, request/response counters, fault
-policy, ``StoreError`` -> 409, response stamping — and five apps that
+policy, ``StoreError`` -> 409, response stamping — and three apps that
 only route. These tests pin what the copies had let drift.
 """
 
@@ -10,14 +10,12 @@ import inspect
 import pytest
 
 import repro.server
-from repro.http import Request
+from repro.http import Headers, Request, Response
 from repro.obs import MetricsRegistry
 from repro.obs.collector import TelemetryCollector
 from repro.server import (
-    CollectorApp,
     Envelope,
     FaultAction,
-    FederationApp,
     FlatObjectApp,
     HttpServer,
     ObjectStore,
@@ -35,8 +33,6 @@ APPS = {
     "storage": lambda config: StorageApp(ObjectStore(), config),
     "flat": lambda config: FlatObjectApp(ObjectStore(), config),
     "proxy": lambda config: ProxyApp(config),
-    "federation": lambda config: FederationApp(config),
-    "collector": lambda config: CollectorApp(config=config),
 }
 STORE_BACKED = ("storage", "flat")
 
@@ -131,9 +127,11 @@ def test_store_backed_apps_count_and_stamp_alike(store_app):
 
 
 def test_data_less_tiers_answer_unstamped_in_zero_service_time():
-    federation = FederationApp()
-    federation.register("/f", ["http://site0/f"])
-    served = federation.handle(Request("GET", "/f"))
+    class Redirector(Envelope):
+        def route(self, request):
+            return Response(302, Headers([("Location", "http://site0/f")]))
+
+    served = Redirector(ServerConfig()).handle(Request("GET", "/f"))
     assert served.response.status == 302
     assert served.response.headers.get("Server") is None
     assert served.service_time == 0.0
@@ -190,11 +188,10 @@ def test_every_app_routes_and_only_the_envelope_handles():
         "StorageApp",
         "FlatObjectApp",
         "ProxyApp",
-        "FederationApp",
-        "CollectorApp",
     }
     for cls in apps:
         assert issubclass(cls, Envelope)
         assert "route" in vars(cls)
         assert "handle" not in vars(cls)
-    assert not hasattr(repro.server, "S3App")
+    for gone in ("S3App", "CollectorApp", "FederationApp"):
+        assert not hasattr(repro.server, gone)

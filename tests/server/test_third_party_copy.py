@@ -6,6 +6,8 @@ mode (COPY to the source with an absolute ``Destination``) both answer
 control traffic.
 """
 
+import random
+
 import pytest
 
 from repro.concurrency import SimRuntime
@@ -22,7 +24,7 @@ from repro.obs import EventLog, MetricsRegistry, Tracer
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
 
-from tests.helpers import NO_RETRY
+from tests.helpers import NO_RETRY, traced_peak
 
 
 def tpc_world(server_config=None, observe=False, tracer=None):
@@ -310,3 +312,21 @@ def test_a_marker_stream_parses_from_any_bytes_like_body(wrap):
     assert summary == parse_marker_stream(stream.decode("utf-8"))
     assert summary.ok
     assert summary.bytes_transferred == 4096
+
+
+def test_a_16_mib_pull_holds_the_object_once():
+    """The destination commits the buffer it assembled the chunks in:
+    past that one object, only the chunks in flight are held."""
+    mib = 1 << 20
+    config = ServerConfig(tpc_chunk=mib, tpc_streams=2)
+    client, net, apps = tpc_world(server_config=config)
+    payload = random.Random(3).randbytes(16 * mib)
+    apps["site-a"].store.put("/data/src.bin", payload)
+    response, peak, _ = traced_peak(
+        lambda: run_copy(
+            client, "site-b", "/data/dst.bin", "http://site-a/data/src.bin"
+        )
+    )
+    assert parse_marker_stream(response.body).ok
+    assert apps["site-b"].store.read("/data/dst.bin") == payload
+    assert peak <= len(payload) + 8 * mib, peak / mib

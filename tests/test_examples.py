@@ -41,16 +41,3 @@ def test_resilient_failover():
     assert "all sites down -> " in out
     assert "multi-stream" in out
 
-
-def test_dynafed_federation():
-    out = run_example("dynafed_federation.py")
-    assert "redirects followed: 3" in out
-    assert "checksum verified" in out
-    assert "fail-over via federation metalink: ok" in out
-
-
-def test_cloud_storage_s3():
-    out = run_example("cloud_storage_s3.py")
-    assert "signed GET / range / vectored reads ok" in out
-    assert "anonymous GET rejected" in out
-    assert "https" in out

@@ -35,9 +35,7 @@ FORBIDDEN_IN_A_CLIENT = (
     "repro.rootio",
     "repro.server.handlers",
     "repro.server.proxy",
-    "repro.server.federation",
     "repro.server.flatobject",
-    "repro.server.collectorapp",
     "repro.obs.analyze",
     "repro.obs.collector",
     "repro.obs.export",
@@ -197,4 +195,5 @@ def test_every_module_imports_from_a_cold_package_tree():
         "    importlib.import_module(name)\n"
         "print(len(names))\n"
     )
-    assert int(out) > 100
+    # Every module file was walked, not just the packages.
+    assert int(out) == len(list(pathlib.Path(SRC, "repro").rglob("*.py")))
