@@ -22,12 +22,13 @@ The window adapts to the access pattern, mirroring
   the batch count.
 
 Speculative fetches trap their own failures and surface them at join
-time — a failed prefetch silently falls back to the demanded path, it
-never crashes the caller (or the simulation). Every launch carries a
-``speculative-fetch`` span parented under one ``transfer-engine``
-span, so traces distinguish speculation from demand; window state and
-hit rates export through ``engine.*`` metrics and the demanded-read
-stall time lands in the ``readahead-wait`` request phase.
+time as misses, which the file resolves like any other read: a failed
+prefetch never crashes the caller (or the simulation). Every launch
+carries a ``speculative-fetch`` span parented under one
+``transfer-engine`` span, so traces distinguish speculation from
+demand; window state and hit rates export through ``engine.*``
+metrics and the demanded-read stall time lands in the
+``readahead-wait`` request phase.
 
 Arm it through :class:`~repro.core.transfer.TransferConfig`
 (``read_ahead=True``) or explicitly via ``DavFile.prefetch(segments)``.
@@ -85,9 +86,9 @@ class TransferEngine:
     Feed it a consumption-ordered plan with :meth:`prefetch`; demanded
     reads route through :meth:`read_vec` / :meth:`read_single`, which
     serve plan hits from (or while awaiting) in-flight speculative
-    batches and fall back to the file's demand path on misses. Call
-    :meth:`drain` when done so stragglers are joined and the engine
-    span closes.
+    batches and report misses as ``None`` for the file to resolve.
+    Call :meth:`drain` when done so stragglers are joined and the
+    engine span closes.
     """
 
     def __init__(self, file, config: TransferConfig):
@@ -151,10 +152,8 @@ class TransferEngine:
 
     def _segment_cached(self, segment: Segment) -> bool:
         """Is this planned segment already served by the page cache?"""
-        cache = getattr(self.file, "_pagecache", None)
-        if cache is None:
-            return False
-        return cache.read(self.file._cache_key, *segment) is not None
+        cache, key = self.file._pagecache, self.file._cache_key
+        return cache is not None and cache.read(key, *segment) is not None
 
     def _engine_span(self):
         if self._span is None:
@@ -306,113 +305,94 @@ class TransferEngine:
 
     # -- demanded reads ------------------------------------------------------
 
+    def _take(self, segment: Segment):
+        """Effect sub-op: look one demanded segment up in the window
+        -> ``(bytes or None, its batch or None, off-plan?)``, awaiting
+        the batch if it is still in flight."""
+        batch = self._by_segment.get(segment)
+        if batch is None and segment in self._planned:
+            # Planned but not yet launched: pump the window (a resolve
+            # may have freed slots).
+            yield from self._top_up()
+            batch = self._by_segment.get(segment)
+        if batch is None:
+            if segment not in self._planned:
+                return None, None, True
+            # Deep in the plan, beyond the window: the caller demands
+            # it now, so skip its speculative launch later.
+            self._planned.discard(segment)
+            self._dropped.add(segment)
+            return None, None, False
+        yield from self._resolve(batch)
+        if batch.error is not None or not batch.parts.covers(*segment):
+            return None, batch, False
+        self.stats["hits"] += 1
+        self.context.metrics.counter("engine.hits_total").inc()
+        return batch.parts.read(*segment), batch, False
+
+    def _missed(self, count: int, offplan: bool) -> None:
+        """Count ``count`` misses; an off-plan read is the
+        random-access signal, so the window shrinks."""
+        self.stats["misses"] += count
+        self.context.metrics.counter("engine.misses_total").inc(count)
+        if offplan:
+            self._shrink()
+
     def read_vec(self, reads: Sequence[Segment]):
         """Effect sub-op: vectored read through the engine.
 
-        Plan hits are served from speculative batches (awaiting any
-        still in flight); misses fall back to the file's demanded
-        vectored path in one batch. With no plan armed the call's own
-        reads become the plan — the pipelined-window dispatch mode.
+        One entry per read: its bytes on a plan hit (served from a
+        speculative batch, awaiting it if still in flight), ``None`` on
+        a miss. With no plan armed the call's own reads become the plan
+        — the pipelined-window dispatch mode.
         """
         if not reads:
             return []
         if not self._plan and not self._by_segment:
             self.prefetch(reads)
         yield from self._top_up()
-
-        metrics = self.context.metrics
         results: List[Optional[bytes]] = [None] * len(reads)
-        demanded: List[Tuple[int, Segment]] = []
-        # A segment's first index in ``reads``, and the later ones that
-        # repeat it: a repeat is served from the first's result, not
-        # mistaken for an off-plan read once the first consumed it.
-        first: Dict[Segment, int] = {}
-        repeats: List[Tuple[int, int]] = []
+        missed = 0
         offplan = False
+        # Each segment's first index in ``reads``: a repeat is served
+        # from the first's result, not mistaken for an off-plan read
+        # once the first consumed it.
+        first: Dict[Segment, int] = {}
         for index, segment in enumerate(reads):
             if segment in first:
-                repeats.append((index, first[segment]))
                 continue
             first[segment] = index
-            batch = self._by_segment.get(segment)
-            if batch is None and segment in self._planned:
-                # Planned but not yet launched: pump the window (the
-                # resolve loop above may have freed slots).
+            data, batch, stray = yield from self._take(segment)
+            results[index] = data
+            missed += data is None
+            offplan = offplan or stray
+            if batch is not None:
+                self._consume(segment, batch)
                 yield from self._top_up()
-                batch = self._by_segment.get(segment)
-            if batch is None:
-                demanded.append((index, segment))
-                if segment in self._planned:
-                    # Deep in the plan, beyond the window: demand it
-                    # now and skip its speculative launch later.
-                    self._planned.discard(segment)
-                    self._dropped.add(segment)
-                else:
-                    offplan = True
-                continue
-            yield from self._resolve(batch)
-            offset, length = segment
-            if batch.error is None and batch.parts.covers(offset, length):
-                results[index] = batch.parts.read(offset, length)
-                self.stats["hits"] += 1
-                metrics.counter("engine.hits_total").inc()
-            else:
-                demanded.append((index, segment))
-            self._consume(segment, batch)
-            yield from self._top_up()
-
-        if demanded:
-            self.stats["misses"] += len(demanded)
-            metrics.counter("engine.misses_total").inc(len(demanded))
-            if offplan:
-                self._shrink()
-            pieces = yield from self.file._pread_vec_demand(
-                [segment for _, segment in demanded],
-                self.config.max_inflight,
-            )
-            for (index, _), piece in zip(demanded, pieces):
-                results[index] = piece
+        if missed:
+            self._missed(missed, offplan)
         else:
             self._grow()
-        for index, source in repeats:
-            results[index] = results[source]
         yield from self._top_up()
-        return results
+        return [results[first[segment]] for segment in reads]
 
     def read_single(self, offset: int, length: int):
         """Effect sub-op: serve one positional read from the window.
 
-        Returns the bytes on a plan hit, ``None`` on a miss (the
-        caller demand-fetches). An off-plan read is the random-access
-        signal: the window shrinks.
+        Returns the bytes on a plan hit, ``None`` on a miss. Unlike
+        :meth:`read_vec` it grows the window before its post-read
+        top-up, which changes what the next batch carries.
         """
         segment = (int(offset), int(length))
         yield from self._top_up()
-        batch = self._by_segment.get(segment)
-        if batch is None and segment in self._planned:
-            yield from self._top_up()
-            batch = self._by_segment.get(segment)
-        if batch is None:
-            self.stats["misses"] += 1
-            self.context.metrics.counter("engine.misses_total").inc()
-            if segment in self._planned:
-                self._planned.discard(segment)
-                self._dropped.add(segment)
-            else:
-                self._shrink()
-            return None
-        yield from self._resolve(batch)
-        data = None
-        if batch.error is None and batch.parts.covers(*segment):
-            data = batch.parts.read(*segment)
-            self.stats["hits"] += 1
-            self.context.metrics.counter("engine.hits_total").inc()
-            self._grow()
+        data, batch, offplan = yield from self._take(segment)
+        if data is None:
+            self._missed(1, offplan)
         else:
-            self.stats["misses"] += 1
-            self.context.metrics.counter("engine.misses_total").inc()
-        self._consume(segment, batch)
-        yield from self._top_up()
+            self._grow()
+        if batch is not None:
+            self._consume(segment, batch)
+            yield from self._top_up()
         return data
 
     # -- shutdown -----------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.http import (
     Url,
     format_range_header,
 )
-from repro.http.headers import parse_cache_control
+from repro.http.headers import freshness_lifetime
 from repro.http.multipart import MultipartStream, content_type_boundary
 from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import METALINK_MEDIA_TYPE, Metalink, parse_metalink
@@ -72,28 +72,6 @@ def _total_of_416(response: Response) -> Optional[int]:
     try:
         return int(value[len("bytes */"):])
     except ValueError:
-        return None
-
-
-def _cache_ttl(response: Response) -> Optional[float]:
-    """The page-cache TTL a response's ``Cache-Control`` dictates.
-
-    ``None`` = no freshness directive (cacheable, unbounded); ``0.0``
-    = the origin forbids reuse (``no-store``/``no-cache``/
-    ``max-age=0``); a positive value = ``max-age`` seconds.
-    """
-    value = response.headers.get("Cache-Control")
-    if value is None:
-        return None
-    directives = parse_cache_control(value)
-    if "no-store" in directives or "no-cache" in directives:
-        return 0.0
-    max_age = directives.get("max-age")
-    if max_age is None:
-        return None
-    try:
-        return max(0.0, float(max_age))
-    except (TypeError, ValueError):
         return None
 
 
@@ -415,8 +393,9 @@ class DavFile:
         concurrently, each on its own pooled session with its own
         retry/deadline/breaker envelope; partial responses refetch only
         their ``missing_ranges``. With the transfer engine armed
-        (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
-        through the speculative window instead. Multipart bodies
+        (``transfer.read_ahead`` / :meth:`prefetch`) plan hits come
+        from the speculative window and its misses take the same
+        cache-then-demand ladder as any other read. Multipart bodies
         decode as they arrive, one ``bytes`` per part; a fragment that
         is a whole part is handed that object, any other is cut out as
         one copy. ``vector.copy_bytes_total`` counts the fragment
@@ -442,10 +421,11 @@ class DavFile:
         ``reads`` are ``(offset, length)`` int pairs, none empty; the
         result is their bytes in order. A stage the file does not have
         (no page cache, or one the origin suppressed for this URL; no
-        engine) is skipped, not a separate path. ``vector`` only
-        selects the engine entry point and the demanded request shape
-        — a ``pread`` emits no ``pread-vec`` span or ``vector.*``
-        counter.
+        engine) is skipped, not a separate path. The engine only
+        reports: every read it misses goes on down the ladder.
+        ``vector`` only selects the engine entry point and the
+        demanded request shape — a ``pread`` emits no ``pread-vec``
+        span or ``vector.*`` counter.
         """
         cache = self._pagecache
         key = self._cache_key
@@ -457,7 +437,6 @@ class DavFile:
         if cache is not None:
             started = self.context.clock()
             pending = []
-            spans: List[Tuple[int, int]] = []
             #: Bytes of each pending read resident at probe time: they
             #: stay "page-cache" even though the read completes after
             #: the gap fill.
@@ -469,7 +448,6 @@ class DavFile:
                     self._charge_delivery(len(data), 0)
                 else:
                     pending.append(index)
-                    spans.extend(missing)
                     resident[index] = length - sum(n for _, n in missing)
             self.context.metrics.histogram(
                 "request.phase_seconds", phase="cache-lookup"
@@ -477,26 +455,46 @@ class DavFile:
             if not pending:
                 return results
 
-        pieces = None
         if self._engine is not None:
             wanted = [reads[index] for index in pending]
             if vector:
-                pieces = yield from self._engine.read_vec(wanted)
+                served = yield from self._engine.read_vec(wanted)
             else:
-                # A window miss (None) falls through to the next stage.
-                hit = yield from self._engine.read_single(*wanted[0])
-                pieces = None if hit is None else [hit]
+                served = [(yield from self._engine.read_single(*wanted[0]))]
+            missed = []
+            for index, data in zip(pending, served):
+                if data is None:
+                    missed.append(index)
+                else:
+                    results[index] = data
+            self._charge_delivery(0, sum(len(d) for d in served if d))
+            pending = missed
+            if not pending:
+                return results
 
-        if pieces is None and cache is not None:
+        if cache is not None:
             # Fill only the missing page-aligned spans, then re-read.
-            # The loop tolerates an ETag change mid-fill (the insert
-            # invalidates, widening the gaps) but gives up when filling
-            # stops making progress — a budget smaller than the read
-            # cannot converge.
-            spans = merge_spans(spans)
+            # The spans are taken now, not at the probe: speculative
+            # fetches insert too. The loop tolerates an ETag change
+            # mid-fill (the insert invalidates, widening the gaps) but
+            # gives up when filling stops making progress — a budget
+            # smaller than the read cannot converge.
+            spans = None
             for _ in range(3):
-                if spans:
-                    yield from self._fetch_spans(spans)
+                again = merge_spans(
+                    [
+                        span
+                        for index in pending
+                        for span in cache.missing_spans(key, *reads[index])
+                    ]
+                )
+                if again == spans:
+                    break  # filling stopped converging: demand the rest
+                spans = again
+                # Coalesced GETs of at most max_vector_ranges spans.
+                step = max(1, self.params.max_vector_ranges)
+                for start in range(0, len(spans), step):
+                    yield from self._get_ranges(spans[start : start + step])
                 unresolved: List[int] = []
                 for index in pending:
                     data = cache.read(key, *reads[index])
@@ -509,26 +507,15 @@ class DavFile:
                 pending = unresolved
                 if not pending:
                     return results
-                again = merge_spans(
-                    [
-                        span
-                        for index in pending
-                        for span in cache.missing_spans(key, *reads[index])
-                    ]
-                )
-                if again == spans:
-                    break  # filling stopped converging: demand the rest
-                spans = again
 
-        if pieces is None:
-            wanted = [reads[index] for index in pending]
-            if vector:
-                pieces = yield from self._pread_vec_demand(
-                    wanted, self.transfer.max_inflight
-                )
-            else:
-                piece = yield from self._pread_demand(*wanted[0])
-                pieces = [piece]
+        wanted = [reads[index] for index in pending]
+        if vector:
+            pieces = yield from self._pread_vec_demand(wanted)
+        else:
+            # A server that ignored the Range header sent the whole
+            # object: the table slices it.
+            parts = yield from self._get_ranges(wanted)
+            pieces = [parts.read(*wanted[0])]
         for index, piece in zip(pending, pieces):
             results[index] = piece
         self._charge_delivery(0, sum(len(p) for p in pieces))
@@ -569,9 +556,9 @@ class DavFile:
         multipart decode time lands in the ``multipart-decode`` phase
         (and on ``parent_span``); and the pieces enter the page cache
         under the response's ETag — a stale ETag invalidates before
-        anything lands — with its ``Cache-Control`` as the TTL
-        (``no-store``/``no-cache``/``max-age=0`` keep the bytes out,
-        ``max-age=N`` bounds their freshness).
+        anything lands — with its
+        :func:`~repro.http.headers.freshness_lifetime` as the TTL
+        (``0.0`` keeps the bytes out, ``max-age=N`` bounds them).
         """
         response, sink = yield from get_ranges(
             self.context, self.url, self.params, ranges, parent_span
@@ -590,7 +577,7 @@ class DavFile:
                     parent_span.set(multipart_decode=sink.seconds)
         cache = self._pagecache
         etag = response.headers.get("ETag")
-        ttl = _cache_ttl(response) if cache is not None else None
+        ttl = None if cache is None else freshness_lifetime(response.headers)
         table = PartTable()
         for offset, data, piece_total in pieces:
             if cache is not None:
@@ -604,27 +591,7 @@ class DavFile:
                 table.add(offset, data)
         return table
 
-    def _fetch_spans(self, spans):
-        """Effect sub-op: fetch ``(offset, length)`` spans into the cache.
-
-        The spans (page-aligned gaps from ``missing_spans``) pack into
-        coalesced multi-range GETs — at most ``max_vector_ranges`` per
-        request; the caller re-reads the cache for the bytes.
-        """
-        max_ranges = max(1, self.params.max_vector_ranges)
-        for start in range(0, len(spans), max_ranges):
-            yield from self._get_ranges(spans[start : start + max_ranges])
-
-    def _pread_demand(self, offset: int, length: int):
-        """The demanded single-range read (no speculation). A server
-        that ignored the Range header sent the whole object: the table
-        slices it."""
-        parts = yield from self._get_ranges([(offset, length)])
-        return parts.read(offset, length)
-
-    def _pread_vec_demand(
-        self, reads: Sequence[Tuple[int, int]], max_inflight: int = 1
-    ):
+    def _pread_vec_demand(self, reads: Sequence[Tuple[int, int]]):
         """The demanded vectored read: plan, fetch, scatter."""
         plan = plan_vector(
             reads,
@@ -634,10 +601,6 @@ class DavFile:
         if not plan.fragments:
             return []
         metrics = self.context.metrics
-        metrics.counter("client.vector_requests_total").inc(len(plan.batches))
-        metrics.counter("client.vector_fragments_total").inc(
-            len(plan.fragments)
-        )
         metrics.counter("vector.round_trips_total").inc(len(plan.batches))
         metrics.counter("vector.fragments_total").inc(len(plan.fragments))
         metrics.counter("vector.ranges_total").inc(plan.total_ranges)
@@ -653,7 +616,7 @@ class DavFile:
             max(0, plan.total_request_bytes - plan.requested_bytes)
         )
 
-        inflight = min(max_inflight, len(plan.batches))
+        inflight = min(self.transfer.max_inflight, len(plan.batches))
         span = self.context.tracer.start(
             "pread-vec",
             url=str(self.url),

@@ -91,8 +91,8 @@ class PageCache:
         self.clock = clock or (lambda: 0.0)
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
-        #: Objects whose origin said no-store/max-age=0. Remembered so
-        #: the read path can skip the probe/gap-fill dance entirely;
+        #: Objects no response may be stored for (the one no-store
+        #: table of both tiers): the read path and the proxy skip them;
         #: cleared the moment a response allows caching again.
         self._no_store: set = set()
         #: (key, page index) -> page byte count, in LRU order.
@@ -134,10 +134,28 @@ class PageCache:
         with self._lock:
             return sum(1 for e in self._entries.values() if e.pages)
 
+    def __contains__(self, key: str) -> bool:
+        """Does the cache hold an entry (pages, size or ETag) of ``key``?"""
+        with self._lock:
+            return key in self._entries
+
     def suppressed(self, key: str) -> bool:
         """Did the origin forbid caching ``key`` (no-store/max-age=0)?"""
         with self._lock:
             return key in self._no_store
+
+    def suppress(self, key: str) -> None:
+        """Forget ``key`` and store nothing of it until a response
+        allows caching again."""
+        with self._lock:
+            self._suppress_locked(key)
+
+    def _suppress_locked(self, key: str) -> None:
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._drop_locked(key, entry)
+            self._mirror_gauges()
+        self._no_store.add(key)
 
     def etag(self, key: str) -> Optional[str]:
         """The ETag the cached pages of ``key`` belong to."""
@@ -383,11 +401,7 @@ class PageCache:
             if ttl is not None and ttl <= 0:
                 # The origin forbids caching this object: drop what we
                 # hold and remember the verdict for the read path.
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._drop_locked(key, entry)
-                    self._mirror_gauges()
-                self._no_store.add(key)
+                self._suppress_locked(key)
                 return
             self._no_store.discard(key)
             self._expire_locked(key)
@@ -430,6 +444,8 @@ class PageCache:
             entry = self._entries.get(key)
             if entry is not None:
                 entry.pages.pop(index, None)
+                if not entry.pages:
+                    del self._entries[key]  # its last page: forget it
             self._used -= nbytes
             self.stats["evictions"] += 1
             self.stats["evicted_bytes"] += nbytes

@@ -13,7 +13,7 @@ from repro.http.codec import (
     serialize_response,
     serialize_response_head,
 )
-from repro.http.headers import Headers, parse_cache_control
+from repro.http.headers import Headers, freshness_lifetime, parse_cache_control
 from repro.http.messages import Request, Response, text_response
 from repro.http.multipart import (
     RangePart,
@@ -47,6 +47,7 @@ __all__ = [
     "serialize_response",
     "serialize_response_head",
     "Headers",
+    "freshness_lifetime",
     "parse_cache_control",
     "Request",
     "Response",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Headers", "parse_cache_control"]
+__all__ = ["Headers", "freshness_lifetime", "parse_cache_control"]
 
 HeaderSource = Union[
     "Headers", Iterable[Tuple[str, str]], dict, None
@@ -33,6 +33,24 @@ def parse_cache_control(value: Optional[str]) -> dict:
             continue
         directives[name] = argument.strip().strip('"') if sep else None
     return directives
+
+
+def freshness_lifetime(headers: "Headers") -> Optional[float]:
+    """A response's freshness lifetime in seconds, from its headers.
+
+    The one ``Cache-Control`` reading of both cache tiers: ``0.0``
+    when the origin forbids reuse (``no-store``, ``no-cache``,
+    ``max-age=0``); ``max-age`` seconds; ``None`` when there is no
+    freshness directive or a malformed one (the cache's own default
+    applies).
+    """
+    directives = parse_cache_control(headers.get("Cache-Control"))
+    if "no-store" in directives or "no-cache" in directives:
+        return 0.0
+    try:
+        return max(0.0, float(directives["max-age"]))
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class Headers:

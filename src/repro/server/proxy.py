@@ -31,7 +31,7 @@ proxy is itself a davix client towards the origin servers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.concurrency import Now
 from repro.core.context import Context
@@ -49,6 +49,7 @@ from repro.http import (
     Request,
     Response,
     Url,
+    freshness_lifetime,
     parse_cache_control,
     parse_range_header,
     resolve_ranges,
@@ -161,10 +162,8 @@ class ProxyApp(Envelope):
         self.pages = PageCache(
             max(0, cache_bytes), page_size, metrics=metrics
         )
+        #: Per-URL meta, held exactly while the page store holds the URL.
         self._meta: Dict[str, _ObjectMeta] = {}
-        #: URLs the origin marked ``Cache-Control: no-store`` — always
-        #: relayed, never written to the page store again.
-        self._no_store: Set[str] = set()
         #: The davix context the proxy's upstream fetches run on.
         #: Inject one (``context=``) to give the proxy a real clock, a
         #: node-namespaced tracer and a telemetry sink; created lazily
@@ -203,7 +202,7 @@ class ProxyApp(Envelope):
         if (
             request.method != "GET"
             or self.cache_bytes <= 0
-            or str(target) in self._no_store
+            or self.pages.suppressed(str(target))
         ):
             self.stats["bypassed"] += 1
             return ServedResponse(
@@ -325,54 +324,49 @@ class ProxyApp(Envelope):
     def _cached_get(self, request: Request, target: Url, trace_ctx=None):
         """Effect sub-op: serve a GET from pages, gaps, or the origin.
 
-        The attempt loop tolerates ETag churn mid-fill — a gap fetch
-        that reveals a new version invalidates the stale pages and the
-        next pass recomputes coverage against the fresh entry.
+        Each pass acts on one :meth:`_decide` verdict. The loop
+        tolerates ETag churn mid-fill — a gap fetch that reveals a new
+        version invalidates the stale pages and the next pass decides
+        against the fresh entry.
         """
         # Read before the first yield: the connection loop clears
         # ``serving_span`` the moment the deferred returns.
         serving = self.serving_span
         now = yield Now()
         url = str(target)
-        outcome: Optional[str] = None
-        saved_bytes = 0
+        #: ``(outcome, bytes saved)``, fixed by the first pass that
+        #: went to the origin; a request served without one is a HIT.
+        verdict: Optional[Tuple[str, int]] = None
 
         for _attempt in range(4):
-            etag = self.pages.etag(url)
-            size = self.pages.known_size(url)
-            meta = self._meta.get(url)
-            if etag is None or size is None or meta is None:
-                # Nothing resident: a ranged request is a gap fill with
-                # no validator, of the page-aligned expansion — so the
-                # pages land whole, the response assembles from the
-                # store and repeats are pure hits.
-                etag = specs = None
-                need = missing = self._cold_ranged_spans(request)
-                if missing is None:
-                    response = yield from self._fill_from_scratch(
-                        request, target, url, now, trace_ctx, serving
-                    )
-                    return response
-            else:
-                specs = self._requested_ranges(request, etag)
-                need = self._needed_spans(specs, size)
-                missing = merge_spans(
-                    [
-                        span
-                        for offset, length in need
-                        for span in self.pages.missing_spans(
-                            url, offset, length
-                        )
-                    ]
+            kind, etag, specs, wanted, missing = self._decide(
+                request, url, now, validated=verdict is not None
+            )
+            if kind == "cold":
+                # Not pre-alignable: forward as-is, ingest the answer.
+                upstream = Request(
+                    "GET", target.target, _strip_hop_headers(request.headers)
                 )
-            wanted = sum(length for _, length in need)
+                try:
+                    response = yield from self._exchange(
+                        "origin-fetch", target, upstream, trace_ctx, serving
+                    )
+                except (DavixError, NetworkError) as exc:
+                    return self._error(502, f"upstream failed: {exc}")
+                if response.status not in (200, 206):
+                    return _forwarded(response, cache_state="UNCACHEABLE")
+                self._ingest(url, response, now)
+                self._record(
+                    now, url, "MISS", response.status,
+                    len(response.body), 0, trace_ctx,
+                )
+                return _forwarded(response, cache_state="MISS")
 
-            if missing:
-                # Gaps: fetch only the missing spans, If-Range guarded.
-                if outcome is None:
-                    covered = wanted - sum(n for _, n in missing)
-                    outcome = "PARTIAL" if covered > 0 else "MISS"
-                    saved_bytes = max(0, covered)
+            if kind == "gaps":
+                covered = max(0, wanted - sum(n for _, n in missing))
+                verdict = verdict or (
+                    "PARTIAL" if covered > 0 else "MISS", covered
+                )
                 try:
                     response = yield from self._fill_gaps(
                         target, url, missing, etag, now, trace_ctx, serving
@@ -380,7 +374,7 @@ class ProxyApp(Envelope):
                 except (DavixError, NetworkError) as exc:
                     return self._error(502, f"upstream failed: {exc}")
                 if response is None:
-                    continue  # ingested: re-plan against the store
+                    continue  # ingested: decide again against the store
                 if response.status == 206:
                     # Undecodable 206 for the gap ranges: relay the
                     # client's own request verbatim instead.
@@ -392,21 +386,17 @@ class ProxyApp(Envelope):
                 # forward it, marked as the proxy's.
                 return _forwarded(response, cache_state="UNCACHEABLE")
 
-            if now < meta.fresh_until or outcome is not None:
-                # Fully cached and either fresh or just (re)validated.
-                if outcome is None:
-                    outcome = "HIT"
-                    saved_bytes = wanted
+            if kind == "fresh":
+                outcome, saved = verdict or ("HIT", wanted)
                 served = self._assemble(request, url, specs, outcome)
-                if served is not None:
-                    self._record(
-                        now, url, outcome, served.status,
-                        wanted, saved_bytes, trace_ctx,
-                    )
-                    return served
-                continue  # pages raced away (eviction): re-plan
+                if served is None:
+                    continue  # pages raced away (eviction): decide again
+                self._record(
+                    now, url, outcome, served.status, wanted, saved, trace_ctx
+                )
+                return served
 
-            # Fully cached but stale: conditional revalidation.
+            # Stale: conditional revalidation.
             upstream = Request(
                 "GET", target.target, Headers([("If-None-Match", etag)])
             )
@@ -416,55 +406,67 @@ class ProxyApp(Envelope):
                 )
             except (DavixError, NetworkError):
                 served = self._assemble(request, url, specs, "STALE")
-                if served is not None:
-                    self._record(
-                        now, url, "STALE", served.status,
-                        wanted, wanted, trace_ctx,
+                if served is None:
+                    return self._error(
+                        502, "upstream failed and cache incomplete"
                     )
-                    return served
-                return self._error(
-                    502, "upstream failed and cache incomplete"
+                self._record(
+                    now, url, "STALE", served.status, wanted, wanted, trace_ctx
                 )
+                return served
             if response.status == 304:
-                meta.fresh_until = now + self._ttl_for(response)
-                outcome = "REVALIDATED"
-                saved_bytes = wanted
-                continue
-            if response.status in (200, 206):
+                meta = self._meta.get(url)
+                if meta is not None:
+                    meta.fresh_until = self._fresh_until(response, now)
+                verdict = ("REVALIDATED", wanted)
+            elif response.status in (200, 206):
                 self._ingest(url, response, now)
-                outcome = "MISS"
-                saved_bytes = 0
-                continue
-            return _forwarded(response, cache_state="UNCACHEABLE")
+                verdict = ("MISS", 0)
+            else:
+                return _forwarded(response, cache_state="UNCACHEABLE")
 
         # Coverage never converged (budget too small for the request):
         # fall back to a verbatim relay so the client still gets bytes.
         response = yield from self._relay(request, target, trace_ctx)
         return response
 
-    def _fill_from_scratch(
-        self, request: Request, target: Url, url, now,
-        trace_ctx=None, serving=None,
-    ):
-        """Effect sub-op: nothing cached — forward the request as-is
-        and ingest whatever comes back."""
-        upstream = Request(
-            "GET", target.target, _strip_hop_headers(request.headers)
+    def _decide(self, request: Request, url: str, now: float, validated):
+        """One pass's RFC 9111-shaped decision on the stored entry:
+        ``(kind, etag, specs, wanted, missing)``.
+
+        ``kind`` is ``cold`` (nothing stored, and the request has no
+        page-aligned expansion), ``gaps`` (fetch ``missing``: a cold
+        ranged request is all gaps, with no validator, so its pages
+        land whole and repeats are pure hits), ``fresh`` (serve from
+        pages: within the lifetime, or ``validated`` by this request's
+        own origin exchange) or ``stale`` (revalidate ``etag``).
+        """
+        etag = self.pages.etag(url)
+        size = self.pages.known_size(url)
+        meta = self._meta.get(url)
+        if etag is None or size is None or meta is None:
+            missing = self._cold_ranged_spans(request)
+            kind = "cold" if missing is None else "gaps"
+            return kind, None, None, sum(n for _, n in missing or ()), missing
+        specs = self._requested_ranges(request, etag)
+        if specs is not None:
+            need = resolve_ranges(specs, size)
+        else:
+            need = [(0, size)] if size > 0 else []
+        missing = merge_spans(
+            [
+                span
+                for offset, length in need
+                for span in self.pages.missing_spans(url, offset, length)
+            ]
         )
-        try:
-            response = yield from self._exchange(
-                "origin-fetch", target, upstream, trace_ctx, serving
-            )
-        except (DavixError, NetworkError) as exc:
-            return self._error(502, f"upstream failed: {exc}")
-        if response.status in (200, 206):
-            self._ingest(url, response, now)
-            self._record(
-                now, url, "MISS", response.status,
-                len(response.body), 0, trace_ctx,
-            )
-            return _forwarded(response, cache_state="MISS")
-        return _forwarded(response, cache_state="UNCACHEABLE")
+        if missing:
+            kind = "gaps"
+        elif validated or now < meta.fresh_until:
+            kind = "fresh"
+        else:
+            kind = "stale"
+        return kind, etag, specs, sum(n for _, n in need), missing
 
     def _fill_gaps(
         self, target: Url, url, missing, etag, now,
@@ -516,26 +518,12 @@ class ProxyApp(Envelope):
 
     # -- ingestion & accounting -------------------------------------------------
 
-    def _ttl_for(self, response: Response) -> float:
-        """Freshness lifetime the origin granted via ``Cache-Control``.
-
-        ``max-age`` overrides the proxy's ``default_ttl``; ``no-cache``
-        means "store but revalidate every time" (TTL zero). Anything
-        else — including an absent or malformed header — falls back to
-        the configured default.
-        """
-        directives = parse_cache_control(
-            response.headers.get("Cache-Control")
-        )
-        if "no-cache" in directives:
-            return 0.0
-        max_age = directives.get("max-age")
-        if max_age is not None:
-            try:
-                return max(0.0, float(max_age))
-            except ValueError:
-                return self.default_ttl
-        return self.default_ttl
+    def _fresh_until(self, response: Response, now: float) -> float:
+        """When a copy of ``response`` turns stale: its
+        :func:`~repro.http.headers.freshness_lifetime` from ``now``, or
+        ``default_ttl`` when the origin set none."""
+        lifetime = freshness_lifetime(response.headers)
+        return now + (self.default_ttl if lifetime is None else lifetime)
 
     def _ingest(
         self, url: str, response: Response, now: float, sink=None
@@ -548,15 +536,12 @@ class ProxyApp(Envelope):
         to be revalidated with ``If-None-Match`` or served ``STALE``;
         freshness lives in ``meta.fresh_until`` instead.
         """
-        directives = parse_cache_control(
-            response.headers.get("Cache-Control")
-        )
-        if "no-store" in directives:
+        cache_control = response.headers.get("Cache-Control")
+        if "no-store" in parse_cache_control(cache_control):
             # The origin forbids storing this response: purge whatever
             # we hold and pin the URL to the relay path.
-            self.pages.invalidate(url)
+            self.pages.suppress(url)
             self._meta.pop(url, None)
-            self._no_store.add(url)
             return False
         if sink is None:
             sink = RangeSink(self._client_context().clock)
@@ -576,8 +561,12 @@ class ProxyApp(Envelope):
         last_modified = response.headers.get("Last-Modified")
         if last_modified:
             meta.last_modified = last_modified
-        meta.fresh_until = now + self._ttl_for(response)
-        self.stats["evictions"] = self.pages.stats["evictions"]
+        meta.fresh_until = self._fresh_until(response, now)
+        if self.stats["evictions"] != self.pages.stats["evictions"]:
+            # Meta follows the page store: a URL evicted whole has none.
+            for gone in [u for u in list(self._meta) if u not in self.pages]:
+                self._meta.pop(gone, None)
+            self.stats["evictions"] = self.pages.stats["evictions"]
         return True
 
     # -- request interpretation ---------------------------------------------------
@@ -624,13 +613,6 @@ class ProxyApp(Envelope):
             return parse_range_header(header)
         except HttpProtocolError:
             return None  # RFC 7233 §3.1: may ignore an invalid Range
-
-    @staticmethod
-    def _needed_spans(specs, size: int) -> List[Tuple[int, int]]:
-        """The object spans a request needs (``[]`` means 416)."""
-        if specs is None:
-            return [(0, size)] if size > 0 else []
-        return resolve_ranges(specs, size)
 
     # -- response assembly --------------------------------------------------------
 

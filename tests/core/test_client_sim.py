@@ -91,8 +91,8 @@ def test_pread_vec_coalesces_into_one_request():
     chunks = client.pread_vec("http://server/x", reads)
     assert app.requests_handled - before == 1  # one coalesced GET
     assert chunks == [content[o : o + n] for o, n in reads]
-    assert client.context.metrics.value("client.vector_requests_total") == 1
-    assert client.context.metrics.value("client.vector_fragments_total") == 40
+    assert client.context.metrics.value("vector.round_trips_total") == 1
+    assert client.context.metrics.value("vector.fragments_total") == 40
 
 
 def test_pread_vec_batches_when_over_max_ranges():

@@ -115,3 +115,14 @@ def test_cached_reads_match_direct(reads, page_size, budget, use_vec):
         assert cache.used_bytes <= budget
     else:
         assert cache is None
+
+
+def test_an_object_evicted_whole_leaves_no_entry():
+    """1 000 distinct keys through a one-page cache: the entry table
+    holds the one object the page belongs to, not every key seen."""
+    cache = PageCache(64, page_size=64)
+    for index in range(1000):
+        cache.insert(f"k{index}", None, 0, bytes(64), total=64)
+    assert cache.object_count == 1
+    assert len(cache._entries) == 1
+    assert "k999" in cache and "k0" not in cache

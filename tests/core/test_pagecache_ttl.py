@@ -12,9 +12,8 @@ import pytest
 
 from repro.concurrency import Sleep
 from repro.core import RequestParams, TransferConfig
-from repro.core.file import _cache_ttl
 from repro.core.pagecache import PageCache
-from repro.http import Headers, Response
+from repro.http import Headers, Response, freshness_lifetime
 from repro.server import ServerConfig
 
 from tests.helpers import davix_world
@@ -120,7 +119,7 @@ def response_with(cache_control):
     ],
 )
 def test_cache_ttl_parsing(value, expected):
-    assert _cache_ttl(response_with(value)) == expected
+    assert freshness_lifetime(response_with(value).headers) == expected
 
 
 # -- end-to-end through DavFile --------------------------------------------

@@ -34,7 +34,16 @@ STAGES = {
     # One page of budget: a gap fill of a longer read cannot converge
     # and falls through to the demanded request.
     "tiny-budget": ({"page_cache_bytes": PAGE}, True, False),
+    # The engine speculates elsewhere (PLANS), so every read it sees
+    # is a miss and goes on down the ladder: gap fill, then demand.
+    "off-plan": (
+        {"page_cache_bytes": 1 << 16, "read_ahead": True}, True, True,
+    ),
 }
+
+#: Stages whose engine is armed with a plan: past EOF, where no drawn
+#: read can land exactly.
+PLANS = {"off-plan": [(8 * PAGE, PAGE)]}
 
 
 def _world(stage, content):
@@ -67,10 +76,19 @@ def _read_once(stage, content, offset, length, vector):
     provenance ledger was charged)."""
     client, app = _world(stage, content)
     requests, charged = app.requests_handled, _delivered(client)
-    if vector:
-        (data,) = client.pread_vec("http://server/x", [(offset, length)])
-    else:
-        data = client.pread("http://server/x", offset, length)
+    file = DavFile(client.context, "http://server/x")
+    if stage in PLANS:
+        file.prefetch(PLANS[stage])
+
+    def op():
+        if vector:
+            (piece,) = yield from file.pread_vec([(offset, length)])
+        else:
+            piece = yield from file.pread(offset, length)
+        yield from file.close()
+        return piece
+
+    data = client.runtime.run(op())
     return (
         data,
         app.requests_handled - requests,
@@ -114,10 +132,39 @@ def test_unsatisfiable_without_a_total_still_raises():
         client.pread("http://server/x", 200, 5)
 
 
+def test_an_off_plan_vector_miss_fills_the_cache():
+    """An engine miss takes the gap fill like any other read: its
+    pages land in the cache, so repeating the read costs the origin
+    nothing."""
+    client, app, store, _ = davix_world(
+        params=RequestParams(
+            transfer=TransferConfig(
+                page_cache_bytes=1 << 16, page_size=PAGE, read_ahead=True
+            )
+        )
+    )
+    content = bytes(i % 251 for i in range(6 * PAGE))
+    store.put("/x", content)
+    reads = [(2 * PAGE + 5, 100), (4 * PAGE + 1, 20)]
+    file = DavFile(client.context, "http://server/x")
+    file.prefetch([(0, PAGE)])
+
+    def op():
+        pieces = yield from file.pread_vec(reads)
+        yield from file.close()
+        return pieces
+
+    assert client.runtime.run(op()) == [content[o : o + n] for o, n in reads]
+    assert file.engine.stats["misses"] == 2
+    before = app.requests_handled
+    again = client.pread_vec("http://server/x", reads)
+    assert again == [content[o : o + n] for o, n in reads]
+    assert app.requests_handled == before
+
+
 def test_engine_miss_is_charged_once():
-    """An off-plan vectored read falls from the engine to the demanded
-    path inside ``read_vec``; its bytes are charged by the resolver,
-    once (they used to be charged by both)."""
+    """An off-plan vectored read misses the engine and is demanded by
+    the resolver, which charges its bytes once."""
     client, _, store, _ = davix_world()
     content = bytes(i % 251 for i in range(400_000))
     store.put("/x", content)

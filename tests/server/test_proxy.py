@@ -199,6 +199,17 @@ def test_lru_eviction_bounded_by_bytes():
     assert proxy.stats["misses"] == 5
 
 
+def test_meta_follows_the_page_store():
+    """Distinct URLs through a one-object proxy: a URL evicted from
+    the page store keeps no meta, so the table stays at one entry."""
+    client, proxy, origin, store, net = proxy_world(cache_bytes=1000)
+    for i in range(50):
+        store.put(f"/obj{i}", bytes(1000))
+        client.get(f"http://origin/obj{i}")
+    assert proxy.cached_objects == 1
+    assert list(proxy._meta) == ["http://origin/obj49"]
+
+
 def test_missing_object_propagates_404():
     client, proxy, origin, store, net = proxy_world()
     from repro.errors import FileNotFound

@@ -106,6 +106,24 @@ def test_no_store_bypasses_the_cache():
     assert proxy.stats["bypassed"] >= 2
 
 
+def test_a_304_marked_no_store_grants_no_freshness():
+    """A revalidation answered ``304`` with ``no-store`` reads as a
+    zero lifetime, like ``no-cache``: the next request revalidates
+    again rather than riding on ``default_ttl``."""
+    client, proxy, origin, store = world(
+        cache_control="max-age=1", default_ttl=3600.0
+    )
+    store.put("/x", b"revalidate me")
+    client.get("http://origin/x")
+    client.runtime.run(_sleep(5.0))
+    origin.config.cache_control = "no-store"
+    assert client.get("http://origin/x") == b"revalidate me"
+    baseline = origin.requests_handled
+    assert client.get("http://origin/x") == b"revalidate me"
+    assert origin.requests_handled == baseline + 1
+    assert proxy.stats["revalidated"] == 2
+
+
 def test_no_cache_revalidates_every_time():
     client, proxy, origin, store = world(cache_control="no-cache")
     store.put("/x", b"always check")
