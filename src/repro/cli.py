@@ -549,17 +549,24 @@ def cmd_serve(args, out=sys.stdout) -> int:
 def _render_stats(client, args, out) -> None:
     """Shared tail of ``stats``: registry (and spans) to ``out``."""
     from repro.obs import (
+        assemble_traces,
         metrics_to_json_lines,
+        records_to_json_lines,
         render_metrics,
-        render_span_tree,
-        spans_to_json_lines,
+        render_waterfall,
     )
+    from repro.obs.collector import encode_span
 
     registry = client.metrics()
+    tracer = client.tracer()
+    spans = [
+        encode_span(span, tracer.node or "client")
+        for span in tracer.finished()
+    ]
     if args.json:
         print(metrics_to_json_lines(registry), file=out)
         if args.trace:
-            print(spans_to_json_lines(client.tracer()), file=out)
+            print(records_to_json_lines(spans), file=out)
     else:
         print(render_metrics(registry), file=out)
         pool = client.pool_stats()
@@ -570,7 +577,8 @@ def _render_stats(client, args, out) -> None:
             file=out,
         )
         if args.trace:
-            print("\n" + render_span_tree(client.tracer()), file=out)
+            for tree in assemble_traces(spans):
+                print("\n" + render_waterfall(tree), file=out)
 
 
 def cmd_stats(args, out=sys.stdout) -> int:
@@ -617,23 +625,34 @@ def cmd_stats(args, out=sys.stdout) -> int:
     return 0
 
 
+def _read_records(path: str):
+    """The JSONL records at ``path`` (``-`` is stdin); a line that is
+    not a JSON object is a typed error, not a traceback."""
+    from repro.obs.collector import parse_records
+
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as handle:
+            text = handle.read()
+    try:
+        return parse_records(text)
+    except ValueError as exc:
+        raise ReproError(f"{path}: {exc}") from None
+
+
 def cmd_report(args, out=sys.stdout) -> int:
     """Render the HammerCloud-style run summary from a JSONL log."""
-    from repro.obs.events import parse_json_lines
     from repro.obs.slo import SloPolicy
     from repro.workloads.report import render_report
 
-    if args.events == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.events) as handle:
-            text = handle.read()
+    records = _read_records(args.events)
     policy = SloPolicy(
         availability=args.slo_availability,
         latency_threshold=args.slo_latency,
         latency_objective=args.slo_latency_objective,
     )
-    out.write(render_report(parse_json_lines(text), policy=policy))
+    out.write(render_report(records, policy=policy))
     return 0
 
 
@@ -645,21 +664,13 @@ def cmd_trace(args, out=sys.stdout) -> int:
         render_trace_summary,
         render_waterfall,
     )
-    from repro.obs.collector import parse_records
 
-    def _read(path: str) -> str:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path) as handle:
-            return handle.read()
-
-    records = parse_records(_read(args.telemetry))
+    records = _read_records(args.telemetry)
     if args.diff:
-        other = parse_records(_read(args.diff))
         out.write(
             render_trace_diff(
                 records,
-                other,
+                _read_records(args.diff),
                 label_a=args.telemetry,
                 label_b=args.diff,
             )

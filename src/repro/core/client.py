@@ -29,7 +29,7 @@ from repro.core.multistream import MultistreamResult, multistream_download
 from repro.core.pool import PoolStats
 from repro.core.posix import DavPosix
 from repro.metalink import Metalink
-from repro.obs import EventLog, MetricsRegistry, Span, Tracer
+from repro.obs import MetricsRegistry, Span, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig
 
 __all__ = ["DavixClient"]
@@ -80,10 +80,6 @@ class DavixClient:
     def tracer(self) -> Tracer:
         """The tracer producing this client's request spans."""
         return self.context.tracer
-
-    def events(self) -> EventLog:
-        """The wide-event log: one structured record per request."""
-        return self.context.events
 
     def pool_stats(self) -> PoolStats:
         """Typed snapshot of the session pool's usage counters."""

@@ -78,7 +78,7 @@ class RequestParams:
 
     # -- observability --------------------------------------------------------
     #: Send a W3C-style ``Traceparent`` header on every request so
-    #: server-side spans and wide events join the client trace.
+    #: server-side spans join the client trace.
     trace_propagation: bool = True
 
     # -- vectored I/O (Section 2.3) -------------------------------------------
@@ -178,10 +178,12 @@ class Context:
             clock=self._now,
             node=telemetry.node if telemetry is not None else None,
         )
-        #: The wide-event log: one structured record per finished
-        #: request (and whatever workloads append), exported as JSONL.
-        #: It is the one per-request record; SLO verdicts are folded
-        #: from it after the run (:func:`~repro.obs.slo.slo_verdicts`).
+        #: The wide-event log for records that are not requests (a
+        #: proxy's cache splits, TPC transfers, whatever workloads
+        #: append). A request's one record is its ``request`` span:
+        #: :func:`~repro.obs.events.request_events` folds the tracer's
+        #: finished spans into rows, and SLO verdicts read those rows
+        #: (:func:`~repro.obs.slo.slo_verdicts`).
         self.events = events if events is not None else EventLog()
         if telemetry is not None:
             self.tracer.sink = telemetry.record_span

@@ -50,7 +50,6 @@ from repro.errors import (
 from repro.http import Request, Response, Url
 from repro.http.status import is_redirect, is_retriable
 from repro.obs.phases import PhaseRecorder
-from repro.obs.propagation import format_span_id, format_trace_id
 from repro.resilience import Deadline, is_idempotent
 
 __all__ = ["execute_request", "checkout_session"]
@@ -228,7 +227,6 @@ def execute_request(
     breakers = context.breakers if params.breaker_enabled else None
     current = url
     redirects = 0
-    started = context.clock()
     span = context.tracer.start(
         "request", parent=parent_span, method=request.method, url=str(url)
     )
@@ -239,34 +237,24 @@ def execute_request(
     # sleep is charged to the following attempt's queue-wait.
     recorder = PhaseRecorder(context.clock)
 
-    def finish(response: Response) -> None:
-        """Record the per-request telemetry at a terminal response."""
-        timings = recorder.timings()
-        span.set(status=response.status, timings=timings)
-        phases = timings.as_dict()
-        for phase, seconds in phases.items():
-            context.metrics.histogram(
-                "request.phase_seconds", phase=phase
-            ).observe(seconds)
-        context.events.emit(
-            "request",
-            side="client",
-            ts=started,
-            method=request.method,
-            url=str(url),
+    def finish(status: int) -> None:
+        """Record the request on its span, its one record
+        (:func:`~repro.obs.events.request_events` folds it into a
+        row); status 0 means no response arrived."""
+        phases = recorder.phases()
+        span.set(
+            status=status,
             host=current.host,
             origin=f"{current.host}:{current.port}",
-            status=response.status,
-            duration=context.clock() - started,
             retries=schedule.retries,
             redirects=redirects,
-            trace_id=format_trace_id(span.trace_id),
-            span_id=format_span_id(span.span_id),
-            **{
-                "phase_" + phase.replace("-", "_"): seconds
-                for phase, seconds in phases.items()
-            },
+            phases=phases,
         )
+        if status:
+            for phase, seconds in phases.items():
+                context.metrics.histogram(
+                    "request.phase_seconds", phase=phase
+                ).observe(seconds)
 
     try:
         while True:
@@ -379,14 +367,20 @@ def execute_request(
                     continue
                 # Budget spent: hand the error response to the caller
                 # (it maps statuses to its own exceptions).
-                finish(response)
+                finish(response.status)
                 return response, current
 
             if breakers is not None:
                 breakers.record(origin, ok=True)
             context.pool.release(session)
-            finish(response)
+            finish(response.status)
             return response, current
+    except Exception as exc:
+        # A failed request still leaves its row; the SLO counts its
+        # status 0 against the origin's availability.
+        finish(0)
+        span.set(error=type(exc).__name__)
+        raise
     finally:
         span.end()
 

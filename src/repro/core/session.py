@@ -131,8 +131,8 @@ class Session:
         ``span`` (when given) becomes the parent of ``send``/``recv``
         child spans covering the two wire phases, and — with
         ``propagate`` — its trace/span IDs ride to the server in a
-        ``Traceparent`` header, so server-side spans and wide events
-        join the client's trace. ``recorder`` (a
+        ``Traceparent`` header, so server-side spans join the client's
+        trace. ``recorder`` (a
         :class:`~repro.obs.PhaseRecorder`) receives the wire phase
         marks: ``request-write`` when the request is on the wire,
         ``ttfb`` at the first response byte, ``body-transfer`` when the

@@ -8,11 +8,13 @@ side (every :class:`~repro.server.envelope.Envelope` app) accepts its
 own registry, tracer and event log so both ends of a simulated run are
 visible — and *joinable*, because the client propagates a W3C-style
 ``Traceparent`` header (:mod:`repro.obs.propagation`) that the server
-threads into its spans and wide events. The wide event is the one
-per-request record: the access log (:func:`common_log_format`) and the
-SLO/error-budget verdicts (:func:`slo_verdicts`) are folds over it
-after the run. Per-request phase breakdowns live in
-:mod:`repro.obs.phases`. See ``docs/OBSERVABILITY.md``.
+threads into its spans. A request's span is its one record:
+:func:`request_events` folds finished spans into flat per-request
+rows, and the access log (:func:`common_log_format`) and the
+SLO/error-budget verdicts (:func:`slo_verdicts`) read those rows after
+the run. The event log keeps the records that are not requests (proxy
+cache splits, third-party copies). Per-request phase breakdowns live
+in :mod:`repro.obs.phases`. See ``docs/OBSERVABILITY.md``.
 """
 
 from repro._lazy import exports
@@ -35,11 +37,8 @@ _EXPORTS = {
     "inject_traceparent": ".propagation",
     "PHASES": ".phases",
     "PhaseRecorder": ".phases",
-    "RequestTimings": ".phases",
     "EventLog": ".events",
-    "event_to_json": ".events",
-    "events_to_json_lines": ".events",
-    "parse_json_lines": ".events",
+    "request_events": ".events",
     "common_log_format": ".events",
     "SloPolicy": ".slo",
     "slo_verdicts": ".slo",
@@ -47,8 +46,6 @@ _EXPORTS = {
     "metrics_to_json_lines": ".export",
     "prometheus_exposition": ".export",
     "PROMETHEUS_CONTENT_TYPE": ".export",
-    "render_span_tree": ".export",
-    "spans_to_json_lines": ".export",
     "TELEMETRY_PATH": ".collector",
     "TELEMETRY_CONTENT_TYPE": ".collector",
     "TelemetrySink": ".collector",

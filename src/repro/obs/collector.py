@@ -25,7 +25,7 @@ Wire format (one JSON object per line, keys sorted)::
     {"type":"span","node":"client","name":"request",
      "trace":"<32 hex>","span":"<16 hex>","parent":"<16 hex>"|null,
      "remote":false,"start":1.5,"end":2.5,"attrs":{...}}
-    {"type":"event","node":"proxy","event":{"kind":"request",...}}
+    {"type":"event","node":"proxy","event":{"kind":"proxy",...}}
     {"type":"metrics","node":"origin","ts":9.0,
      "series":{"name{label=v}":value,...}}
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.obs.events import _norm
 from repro.obs.propagation import format_span_id, format_trace_id
 
 __all__ = [
@@ -63,6 +62,17 @@ TELEMETRY_PATH = "/v1/telemetry"
 TELEMETRY_CONTENT_TYPE = "application/x-ndjson"
 
 
+def _norm(value):
+    """Normalise one field for stable JSON (integral floats -> ints)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, dict):
+        return {key: _norm(inner) for key, inner in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_norm(inner) for inner in value]
+    return value
+
+
 def _json_safe(value):
     """Span attributes are arbitrary objects; the wire is JSON only."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -71,9 +81,6 @@ def _json_safe(value):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    as_dict = getattr(value, "as_dict", None)
-    if callable(as_dict):
-        return _json_safe(as_dict())
     return str(value)
 
 
@@ -114,9 +121,11 @@ def encode_metrics(
 
 
 def record_to_json(record: Dict[str, object]) -> str:
-    """One wire record as its canonical JSON line (sorted keys,
-    integral floats as ints — the same normalisation the event log
-    uses, so artefacts diff byte-for-byte across seeded runs)."""
+    """One record as its canonical JSON line.
+
+    Keys sorted and integral floats as ints, so artefacts diff
+    byte-for-byte across seeded runs. Wire records, wide events and
+    request rows all encode through it."""
     return json.dumps(_norm(dict(record)), sort_keys=True)
 
 

@@ -1,66 +1,91 @@
-"""Wide structured events: one record per request, per side.
+"""The request record, folded from spans, and the wide-event log.
 
-Metrics aggregate and spans nest; a *wide event* is the third leg —
-one flat record per request carrying everything known about it (IDs,
-phases, sizes, outcome), the row HammerCloud-style offline analysis
-mines. The client engine emits one per request, the storage server one
-per served request; the shared trace ID joins the two sides.
+Each request is recorded once, as its span: the client's ``request``
+span (method, url, status, host, origin, retries, redirects and the
+nine ``phases``) and the server's ``server-request`` span (method,
+path, status, client, bytes_sent). :func:`request_events` folds
+finished spans into the flat rows HammerCloud-style offline analysis
+mines — one per request, per side, joined across sides by the
+propagated trace ID — and the access log (:func:`common_log_format`)
+and the SLO verdicts (:func:`~repro.obs.slo.slo_verdicts`) read those
+rows. A request that failed without a response still gets a row, with
+``status`` 0.
 
-The JSONL rendering is a contract: one object per line in emit order,
-keys sorted, integral floats emitted as ints — deterministic on the
-simulated clock, so two seeded runs diff byte-for-byte.
+:class:`EventLog` holds the records that are not requests: the
+proxy's per-request cache split and the third-party-copy transfers,
+plus whatever a workload appends. The JSONL codec of both is the
+collector's (:func:`~repro.obs.collector.records_to_json_lines`).
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Deque, Dict, Iterable, List
 
-__all__ = [
-    "EventLog",
-    "event_to_json",
-    "events_to_json_lines",
-    "parse_json_lines",
-    "common_log_format",
-]
+from repro.obs.propagation import format_span_id, format_trace_id
+
+__all__ = ["EventLog", "request_events", "common_log_format"]
 
 
-def _norm(value):
-    """Normalise one field for stable JSON (integral floats -> ints)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, dict):
-        return {key: _norm(inner) for key, inner in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_norm(inner) for inner in value]
-    return value
+def request_events(spans: Iterable) -> List[Dict[str, object]]:
+    """The request rows of finished ``spans``, in end order.
 
-
-def event_to_json(event: Dict[str, object]) -> str:
-    """One event as its canonical JSON line."""
-    return json.dumps(_norm(dict(event)), sort_keys=True)
-
-
-def events_to_json_lines(events: Iterable[Dict[str, object]]) -> str:
-    """Events as JSONL, one canonical line each, in the given order."""
-    return "\n".join(event_to_json(event) for event in events)
-
-
-def parse_json_lines(text: str) -> List[Dict[str, object]]:
-    """Inverse of :func:`events_to_json_lines` (blank lines skipped)."""
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            events.append(json.loads(line))
-    return events
+    A client ``request`` span that reached a terminal outcome (it
+    carries ``status``) gives a ``side="client"`` row with one
+    ``phase_*`` field per phase; a ``server-request`` span gives a
+    ``side="server"`` row whose ``trace_id`` and ``parent_span_id``
+    name the client's span when the request carried a
+    ``Traceparent`` (empty otherwise).
+    """
+    rows: List[Dict[str, object]] = []
+    for span in spans:
+        attrs = span.attrs
+        if span.name == "request" and "status" in attrs:
+            row: Dict[str, object] = {
+                "kind": "request",
+                "side": "client",
+                "ts": span.start,
+                "method": attrs["method"],
+                "url": attrs["url"],
+                "host": attrs["host"],
+                "origin": attrs["origin"],
+                "status": attrs["status"],
+                "duration": span.end_time - span.start,
+                "retries": attrs["retries"],
+                "redirects": attrs["redirects"],
+                "trace_id": format_trace_id(span.trace_id),
+                "span_id": format_span_id(span.span_id),
+            }
+            for phase, seconds in attrs["phases"].items():
+                row["phase_" + phase.replace("-", "_")] = seconds
+            rows.append(row)
+        elif span.name == "server-request":
+            trace_id = parent_span_id = ""
+            if span.remote:
+                trace_id = format_trace_id(span.trace_id)
+                parent_span_id = format_span_id(span.parent_id)
+            rows.append(
+                {
+                    "kind": "request",
+                    "side": "server",
+                    "ts": span.start,
+                    "client": attrs["client"],
+                    "method": attrs["method"],
+                    "path": attrs["path"],
+                    "status": attrs["status"],
+                    "bytes_sent": attrs["bytes_sent"],
+                    "duration": span.end_time - span.start,
+                    "trace_id": trace_id,
+                    "parent_span_id": parent_span_id,
+                }
+            )
+    return rows
 
 
 def common_log_format(event: Dict[str, object]) -> str:
-    """A server ``request`` event as an Apache common-log-format line.
+    """A server request row as an Apache common-log-format line.
 
-    The access log is this fold over the server's wide events. The
+    The access log is this fold over the server's request rows. The
     timestamp is in (simulated) seconds; the propagated trace ID is
     appended when the request carried one, so one grep joins the line
     to the client's spans.
@@ -104,13 +129,6 @@ class EventLog:
     def records(self) -> List[Dict[str, object]]:
         """Retained events in emit order (copies of the refs, not deep)."""
         return list(self._events)
-
-    def by_kind(self, kind: str) -> List[Dict[str, object]]:
-        return [event for event in self._events if event.get("kind") == kind]
-
-    def to_json_lines(self) -> str:
-        """The retained events as canonical JSONL."""
-        return events_to_json_lines(self._events)
 
     def __len__(self) -> int:
         return len(self._events)

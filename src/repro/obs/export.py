@@ -1,29 +1,30 @@
-"""Exporters: human-readable tables and JSON-lines for metrics/spans.
+"""Metric exporters: a text table, JSON lines and Prometheus text.
 
-Two consumers, two formats:
+Three consumers, three formats:
 
-* operators eyeballing a benchmark or ``davix-tool stats`` get aligned
-  text tables (:func:`render_metrics`) and an indented span tree
-  (:func:`render_span_tree`);
+* operators eyeballing a benchmark or ``davix-tool stats`` get an
+  aligned text table (:func:`render_metrics`);
 * downstream tooling gets deterministic JSON lines — one object per
-  series or span, sorted by name/label, integral floats emitted as
-  ints — so outputs diff cleanly and golden tests stay stable.
+  series, sorted by name/label, integral floats emitted as ints — so
+  outputs diff cleanly and golden tests stay stable;
+* scrapers get the Prometheus text exposition.
+
+Spans export as the collector's wire records
+(:func:`~repro.obs.collector.encode_span`) and render as the
+analyzer's waterfall (:func:`~repro.obs.analyze.render_waterfall`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.metrics import MetricsRegistry, format_series
-from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "render_metrics",
     "metrics_to_json_lines",
     "prometheus_exposition",
-    "render_span_tree",
-    "spans_to_json_lines",
 ]
 
 #: Content type of the Prometheus text exposition format.
@@ -167,58 +168,3 @@ def prometheus_exposition(registry: MetricsRegistry) -> str:
                 f"{name}{labels} {_prom_value(instrument.value)}"
             )
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_span_tree(tracer: Tracer) -> str:
-    """Indented tree of finished spans, one trace after another."""
-    spans = tracer.finished()
-    if not spans:
-        return "trace: (empty)"
-    by_parent: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        by_parent.setdefault(span.parent_id, []).append(span)
-    known = {span.span_id for span in spans}
-
-    def walk(span: Span, depth: int, out: List[str]) -> None:
-        duration = span.duration
-        timing = f"{duration:.6f}s" if duration is not None else "open"
-        attrs = ""
-        if span.attrs:
-            inner = " ".join(
-                f"{key}={value}" for key, value in sorted(span.attrs.items())
-            )
-            attrs = f" [{inner}]"
-        out.append(f"{'  ' * depth}{span.name} {timing}{attrs}")
-        for child in sorted(
-            by_parent.get(span.span_id, []), key=lambda s: s.start
-        ):
-            walk(child, depth + 1, out)
-
-    # Roots: no parent, or the parent fell out of the ring buffer.
-    roots = [
-        span
-        for span in spans
-        if span.parent_id is None or span.parent_id not in known
-    ]
-    lines: List[str] = []
-    for root in sorted(roots, key=lambda s: (s.trace_id, s.start)):
-        walk(root, 0, lines)
-    return "\n".join(lines)
-
-
-def spans_to_json_lines(tracer: Tracer) -> str:
-    """One JSON object per finished span, in end order."""
-    lines = []
-    for span in tracer.finished():
-        record = {
-            "type": "span",
-            "name": span.name,
-            "trace": span.trace_id,
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "start": _num(span.start),
-            "end": _num(span.end_time),
-            "attrs": {k: str(v) for k, v in sorted(span.attrs.items())},
-        }
-        lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines)

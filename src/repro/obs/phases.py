@@ -3,7 +3,7 @@
 The paper's Figure 2 (keep-alive amortising connection setup) and
 Figure 3 (vectored reads collapsing range round trips) are claims about
 *phases* of a request, not its total. Every request therefore records a
-:class:`RequestTimings` breakdown:
+breakdown of its seconds over these phases:
 
 ============== =====================================================
 cache-lookup    probing the client page cache (and, on the proxy,
@@ -28,15 +28,15 @@ The mechanics are a :class:`PhaseRecorder`: the request path drops a
 is attributed to the marked phase. Marks are cumulative across
 redirects and retries, so the phases of one logical request always sum
 to the enclosing ``request`` span's duration (exactly, on the
-simulated clock).
+simulated clock). :meth:`PhaseRecorder.phases` is the breakdown the
+span carries as its ``phases`` attribute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
-__all__ = ["PHASES", "RequestTimings", "PhaseRecorder"]
+__all__ = ["PHASES", "PhaseRecorder"]
 
 #: Canonical phase order (label form, as used in metric labels).
 PHASES = (
@@ -50,44 +50,6 @@ PHASES = (
     "multipart-decode",
     "readahead-wait",
 )
-
-
-def _field_name(phase: str) -> str:
-    return phase.replace("-", "_")
-
-
-@dataclass(frozen=True)
-class RequestTimings:
-    """Seconds spent in each phase of one request."""
-
-    cache_lookup: float = 0.0
-    queue_wait: float = 0.0
-    connect: float = 0.0
-    tls: float = 0.0
-    request_write: float = 0.0
-    ttfb: float = 0.0
-    body_transfer: float = 0.0
-    multipart_decode: float = 0.0
-    readahead_wait: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """Sum of every phase (== the request span's duration)."""
-        return sum(getattr(self, f.name) for f in fields(self))
-
-    def as_dict(self) -> Dict[str, float]:
-        """``phase-label -> seconds`` in canonical phase order."""
-        return {
-            phase: getattr(self, _field_name(phase)) for phase in PHASES
-        }
-
-    def __repr__(self) -> str:
-        inner = " ".join(
-            f"{phase}={value:.6f}"
-            for phase, value in self.as_dict().items()
-            if value
-        )
-        return f"<RequestTimings {inner or 'empty'}>"
 
 
 class PhaseRecorder:
@@ -118,26 +80,8 @@ class PhaseRecorder:
         self._elapsed[phase] = self._elapsed.get(phase, 0.0) + delta
         return delta
 
-    def add(self, phase: str, seconds: float) -> None:
-        """Attribute ``seconds`` to ``phase`` without moving the mark
-        (used for phases measured out-of-band, e.g. multipart decode)."""
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        self._elapsed[phase] = self._elapsed.get(phase, 0.0) + seconds
-
-    def elapsed(self) -> List[Tuple[str, float]]:
-        """Recorded ``(phase, seconds)`` pairs in canonical order."""
-        return [
-            (phase, self._elapsed[phase])
-            for phase in PHASES
-            if phase in self._elapsed
-        ]
-
-    def timings(self) -> RequestTimings:
-        """Freeze the accumulated marks into a :class:`RequestTimings`."""
-        return RequestTimings(
-            **{
-                _field_name(phase): seconds
-                for phase, seconds in self._elapsed.items()
-            }
-        )
+    def phases(self) -> Dict[str, float]:
+        """``phase -> seconds`` for every phase, in canonical order
+        (0.0 for a phase never marked); the values sum to the
+        enclosing span's duration."""
+        return {phase: self._elapsed.get(phase, 0.0) for phase in PHASES}

@@ -55,14 +55,6 @@ class TraceContext:
     span_id: int
     sampled: bool = True
 
-    @property
-    def trace_id_hex(self) -> str:
-        return format_trace_id(self.trace_id)
-
-    @property
-    def span_id_hex(self) -> str:
-        return format_span_id(self.span_id)
-
 
 def format_traceparent(span) -> Optional[str]:
     """The ``traceparent`` value for ``span`` (None for null spans).

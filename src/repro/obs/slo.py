@@ -1,12 +1,13 @@
-"""Per-origin SLO and error-budget verdicts, folded from wide events.
+"""Per-origin SLO and error-budget verdicts, folded from request rows.
 
 HammerCloud's verdict on a site is not a mean — it is "did the site
 meet its objectives over the run", mined from the logs after the run.
 An :class:`SloPolicy` states the objectives (availability, and a
 latency threshold a given fraction of requests must beat);
-:func:`slo_verdicts` folds the client ``request`` wide events of a run
-into one verdict per origin, with the remaining error budget. Nothing
-is tallied while requests run: the event log is the one record.
+:func:`slo_verdicts` folds the client request rows of a run
+(:func:`~repro.obs.events.request_events` over its spans) into one
+verdict per origin, with the remaining error budget. Nothing is
+tallied while requests run: the request span is the one record.
 
 Error budget: with an availability objective of 99 %, 1 % of requests
 may fail — the *budget*. ``budget_remaining`` is the unspent fraction
@@ -51,14 +52,14 @@ def slo_verdicts(
 ) -> List[Dict[str, object]]:
     """One verdict per origin over ``events``, sorted by origin name.
 
-    Each event is a request record with a ``duration`` and a
-    ``status`` (5xx counts as an error), naming its origin by
-    ``origin`` or else ``host``. A verdict holds the origin, its
-    ``requests``, ``availability``, ``latency_attainment`` (the
-    fraction that met the threshold), ``latency`` (the
-    ``latency_objective`` percentile of the durations),
-    ``budget_remaining`` and ``verdict``: ``OK`` when every objective
-    holds, else ``BREACH``.
+    Each event is a request row with a ``duration`` and a ``status``
+    (5xx counts as an error, and so does 0: the request failed with
+    no response), naming its origin by ``origin`` or else ``host``.
+    A verdict holds the origin, its ``requests``, ``availability``,
+    ``latency_attainment`` (the fraction that met the threshold),
+    ``latency`` (the ``latency_objective`` percentile of the
+    durations), ``budget_remaining`` and ``verdict``: ``OK`` when
+    every objective holds, else ``BREACH``.
     """
     policy = policy or SloPolicy()
     durations: Dict[str, List[float]] = {}
@@ -66,7 +67,10 @@ def slo_verdicts(
     for event in events:
         origin = str(event.get("origin", event.get("host", "?")))
         durations.setdefault(origin, []).append(float(event["duration"]))
-        errors[origin] = errors.get(origin, 0) + (int(event["status"]) >= 500)
+        status = int(event["status"])
+        errors[origin] = errors.get(origin, 0) + (
+            status >= 500 or status == 0
+        )
     budget = 1.0 - policy.availability
     verdicts = []
     for origin in sorted(durations):

@@ -20,8 +20,11 @@ stack is per-tracer, not per-task: under concurrent simulator tasks
 (``bounded_gather`` lanes: ``get_many``, multistream) prefer explicit
 parents or ``root=True`` spans.
 
-Finished spans land in a bounded ring buffer; exporters in
-:mod:`repro.obs.export` render them as a tree or JSON lines.
+Finished spans land in a bounded ring buffer. The collector encodes
+them as wire records (:func:`~repro.obs.collector.encode_span`), the
+analyzer renders them as a waterfall, and
+:func:`~repro.obs.events.request_events` folds them into request
+rows.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from repro.concurrency import Abort, AcceptLoop, Close, Now, Recv, Send, Sleep
+from repro.concurrency import Abort, AcceptLoop, Close, Recv, Send, Sleep
 from repro.concurrency.runtime import Runtime
 from repro.errors import ConnectionClosed, HttpParseError, TransferTimeout
 from repro.http import (
@@ -70,9 +70,7 @@ def handle_connection(channel, app: Envelope):
                     or served < config.max_requests_per_connection
                 )
             )
-            started = yield Now()
-            # Observers (metrics scrapes, telemetry pushes) get no
-            # span and no wide event.
+            # Observers (metrics scrapes, telemetry pushes) get no span.
             observer = app.is_observer(request)
             trace_ctx = parse_traceparent(
                 request.headers.get(TRACEPARENT_HEADER)
@@ -109,27 +107,13 @@ def handle_connection(channel, app: Envelope):
             if not keep:
                 result.response.headers.set("Connection", "close")
             aborted = yield from _send_result(channel, result)
-            finished = yield Now()
-            status = result.response.status
-            trace_hex = trace_ctx.trace_id_hex if trace_ctx else ""
-            parent_hex = trace_ctx.span_id_hex if trace_ctx else ""
             if span is not None:
-                span.end(status=status)
-            if app.events is not None and not observer:
                 # The one record of a served request: the access log
                 # (obs.events.common_log_format) is a fold over these.
-                app.events.emit(
-                    "request",
-                    side="server",
-                    ts=started,
+                span.end(
+                    status=result.response.status,
                     client=str(getattr(channel, "remote", ("?",))[0]),
-                    method=request.method,
-                    path=request.path,
-                    status=status,
                     bytes_sent=result.body_length,
-                    duration=finished - started,
-                    trace_id=trace_hex,
-                    parent_span_id=parent_hex,
                 )
             if aborted or not keep:
                 break

@@ -127,12 +127,14 @@ class Envelope:
         self.requests_handled = 0
         #: Optional :class:`~repro.obs.Tracer`: the serve loop starts a
         #: ``server-request`` span per request, joined to the client's
-        #: trace when a ``Traceparent`` header arrives.
+        #: trace when a ``Traceparent`` header arrives. That span is the
+        #: served request's one record: its access log is
+        #: :func:`~repro.obs.events.common_log_format` over
+        #: :func:`~repro.obs.events.request_events` of the finished spans.
         self.tracer = None
-        #: Optional :class:`~repro.obs.EventLog` for server-side wide
-        #: events: one per served request, the server's one request
-        #: record (its access log is
-        #: :func:`~repro.obs.events.common_log_format` over them).
+        #: Optional :class:`~repro.obs.EventLog` for the wide events
+        #: that are not requests: the proxy's cache split per served
+        #: request and the third-party-copy transfers.
         self.events = None
         #: The in-flight ``server-request`` span of the connection the
         #: current deferred belongs to (set by the connection loop just
@@ -149,9 +151,8 @@ class Envelope:
         """Is ``request`` a metrics scrape or a telemetry push?
 
         Observers are answered before any counter, fault or stamp and
-        get no span or wide event, so the series and
-        traces they carry are never perturbed by the act of reading or
-        shipping them.
+        get no span, so the series and traces they carry are never
+        perturbed by the act of reading or shipping them.
         """
         config = self.config
         if request.method == "GET":

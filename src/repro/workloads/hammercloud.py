@@ -7,10 +7,10 @@ reports the same aggregate: the mean execution time.
 
 The campaign is also the telemetry pipeline's head-end: every davix
 repetition runs on its own :class:`~repro.core.context.Context` whose
-wide events (one per request) are collected — tagged with protocol,
-profile and repetition — alongside one ``run`` summary event per
-repetition, and exported as JSONL
-(:meth:`Campaign.event_json_lines`) or rendered as the
+request rows (folded from its spans, one per request) and wide events
+are collected — tagged with protocol, profile and repetition —
+alongside one ``run`` summary event per repetition, and exported as
+JSONL (:meth:`Campaign.event_json_lines`) or rendered as the
 HammerCloud-style page (:meth:`Campaign.report`). ``python -m
 repro.workloads.hammercloud`` runs a small campaign and writes both.
 """
@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import Context, RequestParams
 from repro.net.profiles import NetProfile
-from repro.obs.events import events_to_json_lines
+from repro.obs.collector import records_to_json_lines
+from repro.obs.events import request_events
 from repro.obs.slo import SloPolicy
 from repro.rootio.generator import DatasetSpec
 from repro.workloads.analysis import AnalysisConfig, AnalysisReport
@@ -118,9 +119,9 @@ class Campaign:
         #: cluster-wide trace artifact ``davix-tool trace`` reads.
         self.collector = collector
         #: Wide events accumulated across every cell run so far: the
-        #: per-request events of each davix repetition (tagged with
-        #: protocol/profile/repetition) plus one ``run`` summary event
-        #: per repetition of either protocol.
+        #: request rows and wide events of each davix repetition
+        #: (tagged with protocol/profile/repetition) plus one ``run``
+        #: summary event per repetition of either protocol.
         self.events: List[dict] = []
 
     def run_cell(
@@ -137,8 +138,8 @@ class Campaign:
                 seed=self.base_seed + repetition,
                 materialize=self.materialize,
             )
-            # Each davix repetition gets a fresh context so its event
-            # log covers exactly one execution.
+            # Each davix repetition gets a fresh context so its spans
+            # and event log cover exactly one execution.
             sink = None
             if protocol == "davix" and self.collector is not None:
                 from repro.obs.collector import TelemetrySink
@@ -161,7 +162,9 @@ class Campaign:
                 "repetition": repetition,
             }
             if context is not None:
-                for event in context.events.records():
+                for event in request_events(
+                    context.tracer.finished()
+                ) + context.events.records():
                     merged = dict(event)
                     merged.update(tags)
                     self.events.append(merged)
@@ -230,7 +233,7 @@ class Campaign:
 
     def event_json_lines(self) -> str:
         """Every collected wide event as deterministic JSONL."""
-        return events_to_json_lines(self.events)
+        return records_to_json_lines(self.events)
 
     def telemetry_json_lines(self) -> str:
         """The collector's records as canonical JSONL ('' without a

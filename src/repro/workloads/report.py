@@ -7,8 +7,9 @@ JSONL event log (the output of
 :meth:`~repro.workloads.hammercloud.Campaign.event_json_lines` or any
 list of event dicts): per-cell execution statistics from the ``run``
 events, a per-profile phase breakdown from the client-side ``request``
-events, and SLO verdicts folded from those same requests by
-:func:`~repro.obs.slo.slo_verdicts`.
+rows (folded from the request spans by
+:func:`~repro.obs.events.request_events`), and SLO verdicts folded
+from those same rows by :func:`~repro.obs.slo.slo_verdicts`.
 
 Everything renders with fixed ``%.6f`` formatting over deterministic
 simulated timings, so two seeded repetitions of the same campaign
@@ -301,7 +302,7 @@ def render_report(
 
     ``events`` is any iterable of wide-event dicts (parsed JSONL);
     ``run`` events feed the execution table, client-side ``request``
-    events feed the phase breakdown and the SLO verdicts, ``cache``
+    rows feed the phase breakdown and the SLO verdicts, ``cache``
     events (page-cache-armed campaigns) feed the cache counters,
     ``ntuple`` events (columnar campaigns) feed the scan counters, and
     ``tpc`` events feed the third-party-copy rollup. ``telemetry`` is

@@ -120,14 +120,12 @@ def run_scenario(
         )
         server_sink = None
         if collector is not None:
-            from repro.obs import EventLog, Tracer
+            from repro.obs import Tracer
             from repro.obs.collector import TelemetrySink
 
             server_sink = TelemetrySink("server", clock=server_rt.now)
             app.tracer = Tracer(clock=server_rt.now, node="server")
             app.tracer.sink = server_sink.record_span
-            app.events = EventLog()
-            app.events.sink = server_sink.record_event
         HttpServer(server_rt, app, port=80).start()
         if context is None:
             context = Context(params=scenario.params)

@@ -181,6 +181,20 @@ def test_cli_stats_json_and_trace():
         record["name"] for record in records if record["type"] == "span"
     }
     assert {"request", "tcp-connect", "send", "recv"} <= span_names
+    # The collector's wire records: node-tagged, hex IDs.
+    span = next(record for record in records if record["type"] == "span")
+    assert span["node"] == "client"
+    assert len(span["trace"]) == 32 and len(span["span"]) == 16
+
+
+def test_cli_stats_trace_renders_a_waterfall_per_trace():
+    code, output = _run_stats(["stats", "--trace"])
+    assert code == 0
+    # Five GETs and one vectored read: six traces, no orphans.
+    assert output.count("\ntrace ") == 6
+    assert "root=pread-vec" in output
+    assert "client:request" in output
+    assert "orphan" not in output
 
 
 def test_cli_stats_against_live_server():

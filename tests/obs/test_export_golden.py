@@ -2,7 +2,8 @@
 
 The JSON-lines format is a contract with downstream tooling: sorted by
 series, sorted keys inside each object, integral floats emitted as
-ints. These tests pin the exact bytes.
+ints. These tests pin the exact bytes, for metric series and for the
+span wire records the collector ships.
 """
 
 import json
@@ -10,11 +11,13 @@ import json
 from repro.obs import (
     MetricsRegistry,
     Tracer,
+    assemble_traces,
     metrics_to_json_lines,
+    records_to_json_lines,
     render_metrics,
-    render_span_tree,
-    spans_to_json_lines,
+    render_waterfall,
 )
+from repro.obs.collector import encode_span
 
 
 def _sample_registry() -> MetricsRegistry:
@@ -81,24 +84,35 @@ def _sample_tracer() -> Tracer:
     return tracer
 
 
+def _sample_records():
+    spans = _sample_tracer().finished()
+    return [encode_span(span, "client") for span in spans]
+
+
 GOLDEN_SPAN_LINES = "\n".join(
     [
-        '{"attrs": {"bytes": "10"}, "end": 2, "name": "send", '
-        '"parent": 1, "span": 2, "start": 1, "trace": 1, "type": "span"}',
-        '{"attrs": {"method": "GET", "status": "200"}, "end": 3, '
-        '"name": "request", "parent": null, "span": 1, "start": 0, '
-        '"trace": 1, "type": "span"}',
+        '{"attrs": {"bytes": 10}, "end": 2, "name": "send", '
+        '"node": "client", "parent": "0000000000000001", "remote": false, '
+        '"span": "0000000000000002", "start": 1, '
+        '"trace": "00000000000000000000000000000001", "type": "span"}',
+        '{"attrs": {"method": "GET", "status": 200}, "end": 3, '
+        '"name": "request", "node": "client", "parent": null, '
+        '"remote": false, "span": "0000000000000001", "start": 0, '
+        '"trace": "00000000000000000000000000000001", "type": "span"}',
     ]
 )
 
 
-def test_spans_json_lines_golden():
-    assert spans_to_json_lines(_sample_tracer()) == GOLDEN_SPAN_LINES
+def test_encode_span_golden():
+    assert records_to_json_lines(_sample_records()) == GOLDEN_SPAN_LINES
 
 
-def test_render_span_tree_nests_children():
-    rendered = render_span_tree(_sample_tracer())
-    lines = rendered.splitlines()
-    assert lines[0].startswith("request 3.000000s")
-    assert lines[1].startswith("  send 1.000000s")
-    assert render_span_tree(Tracer()) == "trace: (empty)"
+def test_render_waterfall_nests_children():
+    (tree,) = assemble_traces(_sample_records())
+    lines = render_waterfall(tree).splitlines()
+    assert lines[0].startswith(
+        "trace 00000000000000000000000000000001  root=request"
+    )
+    assert lines[1].endswith("3.000000s  client:request")
+    assert lines[2].endswith("1.000000s    client:send")
+    assert assemble_traces([]) == []

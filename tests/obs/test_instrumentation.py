@@ -145,12 +145,12 @@ def test_cached_gap_fill_observes_multipart_decode():
 
 
 def test_server_side_metrics_and_events():
-    from repro.obs import EventLog, MetricsRegistry
+    from repro.obs import MetricsRegistry, Tracer, request_events
 
-    client, app, store, _ = davix_world()
+    client, app, store, server_rt = davix_world()
     server_registry = MetricsRegistry()
     app.metrics = server_registry
-    app.events = EventLog()
+    app.tracer = Tracer(clock=server_rt.now)
     store.put("/obj", b"s" * 512)
     client.get("http://server/obj")
     client.stat("http://server/obj")
@@ -158,7 +158,7 @@ def test_server_side_metrics_and_events():
     assert server_registry.value("server.requests_total", method="GET") == 1
     assert server_registry.value("server.requests_total", method="HEAD") == 1
     assert server_registry.value("server.responses_total", status="200") == 2
-    events = app.events.by_kind("request")
+    events = request_events(app.tracer.finished())
     assert [(e["method"], e["status"]) for e in events] == [
         ("GET", 200),
         ("HEAD", 200),

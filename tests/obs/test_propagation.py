@@ -31,8 +31,6 @@ def test_format_and_parse_roundtrip():
     assert ctx.trace_id == span.trace_id
     assert ctx.span_id == span.span_id
     assert ctx.sampled is True
-    assert ctx.trace_id_hex == format_trace_id(span.trace_id)
-    assert ctx.span_id_hex == format_span_id(span.span_id)
 
 
 def test_null_span_formats_to_none():

@@ -1,18 +1,19 @@
 """End-to-end acceptance: one vectored read through the sim server
-produces client spans, server spans and server wide events that all
-share a single trace ID, with the phase profile summing to the request
-span's duration, and a scrapable Prometheus endpoint on the server."""
+produces client spans, server spans and the request rows folded from
+them that all share a single trace ID, with the phase profile summing
+to the request span's duration, and a scrapable Prometheus endpoint on
+the server."""
 
 import pytest
 
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
-    EventLog,
     MetricsRegistry,
     Tracer,
     common_log_format,
     format_span_id,
     format_trace_id,
+    request_events,
     slo_verdicts,
 )
 from repro.server import ServerConfig
@@ -27,8 +28,12 @@ def observable_world(**kwargs):
     client, app, store, server_rt = davix_world(config=config, **kwargs)
     app.metrics = MetricsRegistry()
     app.tracer = Tracer(clock=server_rt.now)
-    app.events = EventLog()
     return client, app, store, server_rt
+
+
+def rows(tracer):
+    """The request rows folded from ``tracer``'s finished spans."""
+    return request_events(tracer.finished())
 
 
 def test_one_trace_id_across_client_server_and_server_events():
@@ -48,7 +53,7 @@ def test_one_trace_id_across_client_server_and_server_events():
         assert format_trace_id(span.trace_id) == trace_hex
         assert span.parent_id is not None
 
-    events = app.events.by_kind("request")
+    events = rows(app.tracer)
     assert events
     for event in events:
         assert event["trace_id"] == trace_hex
@@ -64,7 +69,7 @@ def test_server_span_parents_the_client_exchange_span():
     (exchange,) = client.tracer().by_name("exchange")
     (server_span,) = app.tracer.by_name("server-request")
     assert server_span.parent_id == exchange.span_id
-    (event,) = app.events.by_kind("request")
+    (event,) = rows(app.tracer)
     assert event["parent_span_id"] == format_span_id(exchange.span_id)
 
 
@@ -74,12 +79,14 @@ def test_phases_sum_to_request_span_duration():
     client.get("http://server/obj")
 
     (request,) = client.tracer().by_name("request")
-    timings = request.attrs["timings"]
-    assert timings.total == pytest.approx(request.duration, abs=1e-9)
+    phases = request.attrs["phases"]
+    assert sum(phases.values()) == pytest.approx(
+        request.duration, abs=1e-9
+    )
     # A cold request pays real connect and first-byte time.
-    assert timings.connect > 0
-    assert timings.ttfb > 0
-    assert timings.body_transfer > 0
+    assert phases["connect"] > 0
+    assert phases["ttfb"] > 0
+    assert phases["body-transfer"] > 0
 
 
 def test_client_wide_event_carries_trace_and_phases():
@@ -87,7 +94,7 @@ def test_client_wide_event_carries_trace_and_phases():
     store.put("/obj", b"w" * 128)
     client.get("http://server/obj")
 
-    (event,) = client.events().by_kind("request")
+    (event,) = rows(client.tracer())
     (request,) = client.tracer().by_name("request")
     assert event["side"] == "client"
     assert event["status"] == 200
@@ -95,7 +102,7 @@ def test_client_wide_event_carries_trace_and_phases():
     assert event["trace_id"] == format_trace_id(request.trace_id)
     for phase_field in ("phase_queue_wait", "phase_connect", "phase_ttfb"):
         assert phase_field in event
-    (verdict,) = slo_verdicts(client.events().by_kind("request"))
+    (verdict,) = slo_verdicts([event])
     assert verdict["origin"] == "server:80"
     assert verdict["verdict"] == "OK"
 
@@ -105,7 +112,7 @@ def test_server_wide_event_joins_the_client_trace():
     store.put("/obj", b"s" * 128)
     client.get("http://server/obj")
 
-    (event,) = app.events.by_kind("request")
+    (event,) = rows(app.tracer)
     (request,) = client.tracer().by_name("request")
     assert event["side"] == "server"
     assert event["trace_id"] == format_trace_id(request.trace_id)
@@ -128,8 +135,8 @@ def test_metrics_endpoint_serves_prometheus_exposition():
     assert 'server_requests_total{method="GET"} 1' in body
     assert 'server_responses_total{status="200"} 1' in body
     # The scrape itself is not counted in the series it exposes, and
-    # leaves no record: one server request event, the GET's.
-    (event,) = app.events.by_kind("request")
+    # leaves no record: one server request row, the GET's.
+    (event,) = rows(app.tracer)
     assert event["path"] == "/obj"
 
 
@@ -141,7 +148,7 @@ def test_propagation_can_be_disabled_per_request():
     client.get(
         "http://server/obj", params=RequestParams(trace_propagation=False)
     )
-    (event,) = app.events.by_kind("request")
+    (event,) = rows(app.tracer)
     assert event["trace_id"] == ""
     assert "trace=" not in common_log_format(event)
     (server_span,) = app.tracer.by_name("server-request")

@@ -1,30 +1,32 @@
-"""The access log is a fold over the server's ``request`` wide events."""
+"""The access log is a fold over the server's request rows, which fold
+out of its ``server-request`` spans."""
 
 import pytest
 
 from repro.core import RequestParams
 from repro.errors import FileNotFound
 from repro.obs import (
-    EventLog,
+    Tracer,
     common_log_format,
-    events_to_json_lines,
-    parse_json_lines,
+    parse_records,
+    records_to_json_lines,
+    request_events,
 )
 
 from tests.helpers import davix_world
 
 
 def served(*urls, params=None):
-    """Server ``request`` events of GETs against a simulated server."""
-    client, app, store, _ = davix_world()
-    app.events = EventLog()
+    """Server request rows of GETs against a simulated server."""
+    client, app, store, server_rt = davix_world()
+    app.tracer = Tracer(clock=server_rt.now)
     store.put("/x", b"0123456789")
     for url in urls:
         try:
             client.get(url, params=params)
         except FileNotFound:
             pass
-    return app.events.by_kind("request")
+    return request_events(app.tracer.finished())
 
 
 def event(**fields):
@@ -97,24 +99,24 @@ def test_clf_is_a_rendering_of_the_record():
 
 def test_to_json_lines_is_deterministic_jsonl():
     events = served("http://server/x", "http://server/missing")
-    text = events_to_json_lines(events)
-    parsed = parse_json_lines(text)
+    text = records_to_json_lines(events)
+    parsed = parse_records(text)
     assert [record["status"] for record in parsed] == [200, 404]
     assert all(record["side"] == "server" for record in parsed)
-    assert text == events_to_json_lines(
+    assert text == records_to_json_lines(
         served("http://server/x", "http://server/missing")
     )
 
 
 def test_serve_loop_records_requests():
-    client, app, store, _ = davix_world()
-    app.events = EventLog()
+    client, app, store, server_rt = davix_world()
+    app.tracer = Tracer(clock=server_rt.now)
     store.put("/x", b"0123456789")
     client.get("http://server/x")
     client.pread("http://server/x", 0, 4)
     with pytest.raises(FileNotFound):
         client.get("http://server/missing")
-    events = app.events.by_kind("request")
+    events = request_events(app.tracer.finished())
     assert len(events) == 3
     assert [e["status"] for e in events] == [200, 206, 404]
     assert events[0]["bytes_sent"] == 10

@@ -234,12 +234,11 @@ def test_fault_slow_and_reset_decorate_the_response():
 
 def observable_flat_world():
     """FlatObjectApp behind a real sim server, fully instrumented —
-    the same kit StorageApp wears (tracer, events, metrics
-    endpoint)."""
+    the same kit StorageApp wears (tracer, metrics endpoint)."""
     from repro.concurrency import SimRuntime
     from repro.core import DavixClient, RequestParams, RetryPolicy
     from repro.net import LinkSpec, Network
-    from repro.obs import EventLog, MetricsRegistry, Tracer
+    from repro.obs import MetricsRegistry, Tracer
     from repro.server import HttpServer
     from repro.sim import Environment
 
@@ -260,7 +259,6 @@ def observable_flat_world():
         metrics=MetricsRegistry(),
     )
     app.tracer = Tracer(clock=server_rt.now, node="flat")
-    app.events = EventLog()
     HttpServer(server_rt, app, port=80).start()
     client = DavixClient(
         SimRuntime(net, "client"),
@@ -270,7 +268,7 @@ def observable_flat_world():
 
 
 def test_flat_app_joins_client_traces_and_logs_access():
-    from repro.obs import format_trace_id
+    from repro.obs import format_trace_id, request_events
 
     client, app = observable_flat_world()
     assert client.get("http://server/data/blob") == BODY
@@ -280,7 +278,7 @@ def test_flat_app_joins_client_traces_and_logs_access():
     assert format_trace_id(span.trace_id) == format_trace_id(
         client_span.trace_id
     )
-    (event,) = app.events.by_kind("request")
+    (event,) = request_events(app.tracer.finished())
     assert event["status"] == 200
     assert event["method"] == "GET"
 
@@ -299,9 +297,8 @@ def test_flat_app_counts_requests_and_serves_prometheus():
     body = response.body.decode("utf-8")
     assert 'server_requests_total{method="GET"} 1' in body
     assert 'server_requests_total{method="HEAD"} 1' in body
-    # The scrape is an observer: no span, no wide event for it.
+    # The scrape is an observer: no span, so no request row, for it.
     assert len(app.tracer.by_name("server-request")) == 2
-    assert len(app.events.by_kind("request")) == 2
 
 
 def test_flat_app_ships_spans_into_a_telemetry_sink():
@@ -311,7 +308,6 @@ def test_flat_app_ships_spans_into_a_telemetry_sink():
     collector = TelemetryCollector()
     sink = TelemetrySink("flat", target=collector)
     app.tracer.sink = sink.record_span
-    app.events.sink = sink.record_event
     client.get("http://server/data/blob")
     sink.flush()
     assert [r["node"] for r in collector.spans()] == ["flat"]

@@ -366,6 +366,25 @@ def test_report_slo_flags_set_the_policy(tmp_path):
     assert "BREACH" in output
 
 
+@pytest.mark.parametrize("command", ["report", "trace"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "a telemetry record must be a JSON object"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_a_line_that_is_not_a_record_is_a_typed_error(
+    tmp_path, capsys, command, line, message
+):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"kind": "run"}\n' + line + "\n")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"davix-tool: {path}: ")
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -1,10 +1,11 @@
-"""Telemetry pipeline: campaign wide events, determinism and the
-HammerCloud-style run report (library, CLI and golden properties)."""
+"""Telemetry pipeline: campaign request rows and wide events,
+determinism and the HammerCloud-style run report (library, CLI and
+golden properties)."""
 
 import io
 
 from repro.net.profiles import PROFILES
-from repro.obs import SloPolicy, parse_json_lines
+from repro.obs import SloPolicy, parse_records
 from repro.rootio.generator import BranchSpec, DatasetSpec
 from repro.workloads import AnalysisConfig, Campaign
 from repro.workloads.report import render_report
@@ -173,7 +174,7 @@ def test_cli_report_matches_library_rendering(tmp_path):
 
 def test_event_json_lines_roundtrip():
     campaign = run_campaign(repetitions=1)
-    parsed = parse_json_lines(campaign.event_json_lines())
+    parsed = parse_records(campaign.event_json_lines())
     assert len(parsed) == len(campaign.events)
     kinds = {event["kind"] for event in parsed}
     assert kinds == {"run", "request"}
