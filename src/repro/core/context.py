@@ -23,7 +23,7 @@ from repro.core.pagecache import PageCache
 from repro.core.pool import SessionPool
 from repro.core.transfer import TransferConfig
 from repro.net.options import TcpOptions
-from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig, RetryPolicy
 
 __all__ = ["MetalinkMode", "RequestParams", "TransferConfig", "Context"]
@@ -157,7 +157,6 @@ class Context:
         breaker: Optional[BreakerConfig] = None,
         pool_shards: int = 8,
         pool_idle_ttl: Optional[float] = None,
-        events: Optional[EventLog] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ):
         self.params = params or RequestParams()
@@ -166,28 +165,26 @@ class Context:
         self.clock = clock or (lambda: 0.0)
         #: The metric registry every layer on this context records into.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Cluster-telemetry sink: when set, every finished span and
-        #: every wide event stream into it (cheap reference enqueues),
-        #: and :meth:`close` flushes the backlog deterministically.
+        #: Cluster-telemetry sink: when set, every finished span
+        #: streams into it (a cheap reference enqueue), and
+        #: :meth:`close` flushes the backlog, closed by a snapshot of
+        #: ``metrics``, deterministically.
         self.telemetry = telemetry
         if telemetry is not None:
             telemetry.clock = self._now
         #: The span producer; follows ``self.clock`` even when that is
-        #: reassigned later (DavixClient points it at the runtime).
+        #: reassigned later (DavixClient points it at the runtime). A
+        #: request's one record is its span, and so is a proxy's cache
+        #: split and a third-party copy's result:
+        #: :func:`~repro.obs.events.request_events` folds the finished
+        #: spans into rows, and SLO verdicts read those rows
+        #: (:func:`~repro.obs.slo.slo_verdicts`).
         self.tracer = tracer if tracer is not None else Tracer(
             clock=self._now,
             node=telemetry.node if telemetry is not None else None,
         )
-        #: The wide-event log for records that are not requests (a
-        #: proxy's cache splits, TPC transfers, whatever workloads
-        #: append). A request's one record is its ``request`` span:
-        #: :func:`~repro.obs.events.request_events` folds the tracer's
-        #: finished spans into rows, and SLO verdicts read those rows
-        #: (:func:`~repro.obs.slo.slo_verdicts`).
-        self.events = events if events is not None else EventLog()
         if telemetry is not None:
             self.tracer.sink = telemetry.record_span
-            self.events.sink = telemetry.record_event
         self.pool = SessionPool(
             max_idle_per_origin=pool_max_per_origin,
             clock=self._now,

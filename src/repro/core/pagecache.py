@@ -34,10 +34,14 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["PageCache", "DEFAULT_PAGE_SIZE"]
+__all__ = ["PageCache", "DEFAULT_PAGE_SIZE", "MAX_NO_STORE_KEYS"]
 
 #: Default page size: two 32 KiB ROOT baskets per page.
 DEFAULT_PAGE_SIZE = 64 * 1024
+
+#: No-store verdicts one cache remembers; past it the oldest is
+#: forgotten (and counted in ``cache.no_store_forgotten_total``).
+MAX_NO_STORE_KEYS = 4096
 
 #: One ``(offset, length)`` byte span.
 Span = Tuple[int, int]
@@ -92,9 +96,10 @@ class PageCache:
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
         #: Objects no response may be stored for (the one no-store
-        #: table of both tiers): the read path and the proxy skip them;
-        #: cleared the moment a response allows caching again.
-        self._no_store: set = set()
+        #: table of both tiers), oldest verdict first: the read path
+        #: and the proxy skip them; cleared the moment a response
+        #: allows caching again. Bounded by :data:`MAX_NO_STORE_KEYS`.
+        self._no_store: Dict[str, None] = {}
         #: (key, page index) -> page byte count, in LRU order.
         self._lru: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
         self._used = 0
@@ -146,7 +151,13 @@ class PageCache:
 
     def suppress(self, key: str) -> None:
         """Forget ``key`` and store nothing of it until a response
-        allows caching again."""
+        allows caching again.
+
+        Past :data:`MAX_NO_STORE_KEYS` verdicts the oldest is
+        forgotten, which is safe: the next fill of that key re-reads
+        its ``Cache-Control`` and suppresses it again. The cost is
+        that one request — the proxy labels it ``MISS``, not
+        ``BYPASS`` — goes down the caching path first."""
         with self._lock:
             self._suppress_locked(key)
 
@@ -155,7 +166,11 @@ class PageCache:
         if entry is not None:
             self._drop_locked(key, entry)
             self._mirror_gauges()
-        self._no_store.add(key)
+        self._no_store.pop(key, None)
+        self._no_store[key] = None
+        while len(self._no_store) > MAX_NO_STORE_KEYS:
+            del self._no_store[next(iter(self._no_store))]
+            self._count("no_store_forgotten_total")
 
     def etag(self, key: str) -> Optional[str]:
         """The ETag the cached pages of ``key`` belong to."""
@@ -403,7 +418,7 @@ class PageCache:
                 # hold and remember the verdict for the read path.
                 self._suppress_locked(key)
                 return
-            self._no_store.discard(key)
+            self._no_store.pop(key, None)
             self._expire_locked(key)
             self._observe_locked(key, etag)
             entry = self._entries[key]

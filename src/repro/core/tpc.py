@@ -173,7 +173,10 @@ class _Progress:
 
     The chunk plan, the accounting every lane stamps (bytes, retries,
     one marker per finished chunk) and the two ways a transfer that
-    got past its setup ends: :meth:`fail` and :meth:`succeed`.
+    got past its setup ends: :meth:`fail` and :meth:`succeed`. Both
+    end the ``tpc-transfer`` span with the transfer's result, which
+    :func:`~repro.obs.events.request_events` folds into its ``tpc``
+    row.
     """
 
     context: object
@@ -187,8 +190,6 @@ class _Progress:
     chunk_size: int
     span: object
     metrics: object
-    events: object
-    started: float
     bytes: int = 0
     retries: int = 0
     markers: List[PerfMarker] = field(default_factory=list)
@@ -211,20 +212,15 @@ class _Progress:
             )
         )
 
-    def _emit(self, now, ok, **error):
-        if self.events is None:
-            return
-        duration = now - self.started
-        self.events.emit(
-            "tpc",
-            mode=self.mode,
+    def _end(self, ok, **error):
+        """End the span with the result: the bytes moved and the
+        chunks finished, which replace the planned ones."""
+        self.span.end(
             path=self.path,
-            bytes=self.size if ok else self.bytes,
             streams=self.streams,
             chunks=len(self.markers),
+            bytes=self.size if ok else self.bytes,
             retries=self.retries,
-            duration=duration,
-            throughput=(self.size / duration) if ok and duration > 0 else 0.0,
             digest=DIGEST,
             ok=ok,
             **error,
@@ -238,15 +234,14 @@ class _Progress:
             format_marker_stream(self.markers, status_line),
         )
 
-    def fail(self, now, reason) -> Response:
+    def fail(self, reason) -> Response:
         """End in ``failure:`` — bytes may have moved, nothing committed."""
-        self._emit(now, ok=False, error=str(reason))
         if self.metrics is not None:
             self.metrics.counter("tpc.failures_total", stage="transfer").inc()
-        self.span.end(error=str(reason))
+        self._end(False, error=str(reason))
         return self._respond(f"failure: {reason}")
 
-    def succeed(self, now, created, headers) -> Response:
+    def succeed(self, created, headers) -> Response:
         """End in ``success:`` — the object is verified and committed."""
         if self.metrics is not None:
             metrics, mode = self.metrics, self.mode
@@ -254,8 +249,7 @@ class _Progress:
             metrics.counter("tpc.bytes_total", mode=mode).inc(self.size)
             metrics.counter("tpc.chunks_total").inc(len(self.markers))
             metrics.counter("tpc.streams_total").inc(self.streams)
-        self._emit(now, ok=True)
-        self.span.end(ok=True, retries=self.retries)
+        self._end(True)
         return self._respond(f"success: Created {created}", headers)
 
 
@@ -321,8 +315,8 @@ def _move_chunk(progress, index, offset, length, build, accept):
 def _move_chunks(progress, chunks, build, accept):
     """Effect sub-op: drain ``chunks`` over the transfer's lanes.
 
-    Returns ``(now, error)``: the time the last lane finished and the
-    first chunk's failure in plan order (``None`` when all landed).
+    Returns the first chunk's failure in plan order (``None`` when
+    all landed).
     """
     outcomes = yield from bounded_gather(
         [
@@ -332,9 +326,8 @@ def _move_chunks(progress, chunks, build, accept):
         limit=progress.streams,
         name=f"tpc-{progress.mode}",
     )
-    now = yield Now()
     errors = [outcome.error for outcome in outcomes if not outcome.ok]
-    return now, (errors[0] if errors else None)
+    return errors[0] if errors else None
 
 
 def run_pull(
@@ -345,7 +338,6 @@ def run_pull(
     streams: int,
     chunk_size: int,
     metrics=None,
-    events=None,
     trace_ctx=None,
 ):
     """Effect op: pull ``source`` into ``store`` at ``destination_path``.
@@ -364,7 +356,6 @@ def run_pull(
         source=str(source_url),
         destination=destination_path,
     )
-    started = yield Now()
 
     head = Request(
         "HEAD",
@@ -391,7 +382,7 @@ def run_pull(
     )
     progress = _Progress(
         context, source_url, "pull", destination_path, size, streams,
-        chunk_size, span, metrics, events, started,
+        chunk_size, span, metrics,
     )
     assembly = bytearray(size)
 
@@ -416,24 +407,22 @@ def run_pull(
         memoryview(assembly)[offset:offset + length] = reply.body
         return {"ok": True}
 
-    now, error = yield from _move_chunks(
+    error = yield from _move_chunks(
         progress, progress.chunks, ranged_get, store_range
     )
     if error is not None:
-        return progress.fail(now, error)
+        return progress.fail(error)
     actual = f"{zlib.adler32(assembly):08x}"
     if expected is not None and actual != expected:
         if metrics is not None:
             metrics.counter("tpc.digest_mismatch_total").inc()
         return progress.fail(
-            now,
             f"digest mismatch: source {DIGEST}={expected}, "
             f"received {DIGEST}={actual}",
         )
     # The store adopts the assembly buffer: no second copy.
     obj = store.put(destination_path, assembly, content_type)
     return progress.succeed(
-        now,
         destination_path,
         [("ETag", obj.etag), ("Digest", f"{DIGEST}={actual}")],
     )
@@ -447,7 +436,6 @@ def run_push(
     streams: int,
     chunk_size: int,
     metrics=None,
-    events=None,
     trace_ctx=None,
 ):
     """Effect op: push ``source_path`` from ``store`` to ``destination``.
@@ -467,13 +455,12 @@ def run_push(
         source=source_path,
         destination=str(dest_url),
     )
-    started = yield Now()
     obj = store.get(source_path)
     size = obj.size
     local_digest = obj.checksum(DIGEST)
     progress = _Progress(
         context, dest_url, "push", source_path, size, streams,
-        chunk_size, span, metrics, events, started,
+        chunk_size, span, metrics,
     )
     commit = {}
 
@@ -502,13 +489,13 @@ def run_push(
         return {"ok": True, "status": reply.status}
 
     # A zero-length object plans to no chunks: one plain PUT carries it.
-    now, error = yield from _move_chunks(
+    error = yield from _move_chunks(
         progress, progress.chunks or [(0, 0)], ranged_put, note_commit
     )
     if error is not None:
-        return progress.fail(now, error)
+        return progress.fail(error)
     if "digest" not in commit:
-        return progress.fail(now, "destination never committed the upload")
+        return progress.fail("destination never committed the upload")
     remote_digest = commit["digest"]
     if remote_digest is not None and remote_digest != local_digest:
         if metrics is not None:
@@ -525,12 +512,10 @@ def run_push(
         except (DavixError, NetworkError):
             pass
         return progress.fail(
-            now,
             f"digest mismatch: local {DIGEST}={local_digest}, "
             f"destination {DIGEST}={remote_digest}",
         )
     return progress.succeed(
-        now,
         dest_url.decoded_path,
         [("Digest", f"{DIGEST}={local_digest}")],
     )

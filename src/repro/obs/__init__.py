@@ -1,20 +1,20 @@
-"""Observability layer: metrics, tracing, propagation, events, SLOs.
+"""Observability layer: metrics, tracing, propagation, row folds, SLOs.
 
 The composition point is :class:`~repro.core.context.Context` — it owns
-one :class:`MetricsRegistry`, one :class:`Tracer` and one
-:class:`EventLog`, and every layer on the request path (pool, session,
-vectored I/O, failover, multistream) records into them; the server
-side (every :class:`~repro.server.envelope.Envelope` app) accepts its
-own registry, tracer and event log so both ends of a simulated run are
-visible — and *joinable*, because the client propagates a W3C-style
-``Traceparent`` header (:mod:`repro.obs.propagation`) that the server
-threads into its spans. A request's span is its one record:
-:func:`request_events` folds finished spans into flat per-request
-rows, and the access log (:func:`common_log_format`) and the
-SLO/error-budget verdicts (:func:`slo_verdicts`) read those rows after
-the run. The event log keeps the records that are not requests (proxy
-cache splits, third-party copies). Per-request phase breakdowns live
-in :mod:`repro.obs.phases`. See ``docs/OBSERVABILITY.md``.
+one :class:`MetricsRegistry` and one :class:`Tracer`, and every layer
+on the request path (pool, session, vectored I/O, failover,
+multistream) records into them; the server side (every
+:class:`~repro.server.envelope.Envelope` app) accepts its own registry
+and tracer so both ends of a simulated run are visible — and
+*joinable*, because the client propagates a W3C-style ``Traceparent``
+header (:mod:`repro.obs.propagation`) that the server threads into its
+spans. A request's span is its one record, and so is a proxy's cache
+split and a third-party copy's result: :func:`request_events` folds
+finished spans into flat rows, and the access log
+(:func:`common_log_format`) and the SLO/error-budget verdicts
+(:func:`slo_verdicts`) read those rows after the run. Per-request
+phase breakdowns live in :mod:`repro.obs.phases`. See
+``docs/OBSERVABILITY.md``.
 """
 
 from repro._lazy import exports
@@ -37,7 +37,6 @@ _EXPORTS = {
     "inject_traceparent": ".propagation",
     "PHASES": ".phases",
     "PhaseRecorder": ".phases",
-    "EventLog": ".events",
     "request_events": ".events",
     "common_log_format": ".events",
     "SloPolicy": ".slo",

@@ -14,9 +14,10 @@ telemetry cannot:
   not approximately — even though timestamps are floats.
 * **Which node served this byte?** — :func:`byte_provenance` folds the
   client's delivery-time ``provenance.bytes_total`` counters, the
-  proxy's per-request served/from-cache split events and the TPC
-  transfer events into a :class:`ProvenanceLedger` whose buckets sum
-  to the bytes the application actually received.
+  per-request served/from-cache split on the proxy's serving spans and
+  the results on the TPC transfer spans into a
+  :class:`ProvenanceLedger` whose buckets sum to the bytes the
+  application actually received.
 
 The ``davix-tool trace`` subcommand renders all of this (waterfall,
 critical path, provenance, and a two-run diff).
@@ -344,7 +345,7 @@ class ProvenanceLedger:
     ``page_cache`` and ``network`` are the client's delivery-time
     split (each byte handed to the application charged to exactly one
     of the two); ``proxy_cache``/``origin`` refine the network bucket
-    using the proxy's own served/from-cache events; ``tpc`` counts
+    using the proxy's own served/from-cache split; ``tpc`` counts
     bytes moved peer-to-peer by third-party-copy streams. The identity
     ``total == page_cache + network + tpc`` holds exactly.
     """
@@ -379,8 +380,9 @@ def byte_provenance(
     """Fold collected records into a :class:`ProvenanceLedger`.
 
     Metric snapshots are cumulative, so only the *last* snapshot per
-    node contributes; proxy and tpc wide events are per-request and
-    simply sum.
+    node contributes; a proxy's ``server-request`` spans (those that
+    carry a cache ``outcome``) and ``tpc-transfer`` spans (those that
+    carry ``ok``) are per-request and simply sum.
     """
     ledger = ProvenanceLedger()
     last_metrics: Dict[str, Dict[str, object]] = {}
@@ -390,17 +392,16 @@ def byte_provenance(
             last_metrics[str(record.get("node", "?"))] = (
                 record.get("series") or {}
             )
-        elif rtype == "event":
-            event = record.get("event") or {}
-            kind = event.get("kind")
-            if kind == "proxy":
-                served = int(event.get("served_bytes", 0))
-                from_cache = int(event.get("from_cache_bytes", 0))
+        elif rtype == "span":
+            name, attrs = record.get("name"), record.get("attrs") or {}
+            if name == "server-request" and "outcome" in attrs:
+                served = int(attrs.get("served_bytes", 0))
+                from_cache = int(attrs.get("from_cache_bytes", 0))
                 ledger.proxy_served += served
                 ledger.proxy_from_cache += from_cache
                 ledger.proxy_from_origin += served - from_cache
-            elif kind == "tpc" and event.get("ok"):
-                ledger.tpc += int(event.get("bytes", 0))
+            elif name == "tpc-transfer" and attrs.get("ok"):
+                ledger.tpc += int(attrs.get("bytes", 0))
     for series in last_metrics.values():
         ledger.page_cache += _series_value(
             series, "provenance.bytes_total{source=page-cache}"

@@ -1,18 +1,20 @@
 """Cluster-wide telemetry collection: sink, wire format, collector.
 
-Per-process telemetry (tracer ring buffers, event logs, metric
-registries) answers "what did *this* node do"; federation-scale tuning
-needs "where did this second go *across* nodes". This module is the
-transport layer of that story:
+Per-process telemetry (tracer ring buffers, metric registries) answers
+"what did *this* node do"; federation-scale tuning needs "where did
+this second go *across* nodes". A node's telemetry is its finished
+spans plus snapshots of its metric registry — every offline row is a
+fold over a span (:func:`~repro.obs.events.request_events`). This
+module is the transport layer of that story:
 
-* :class:`TelemetrySink` — attached to a node's ``Tracer`` and
-  ``EventLog`` as their ``sink`` hook. Recording is a bounds check and
-  an append of an object reference (the hot path stays cheap — see
+* :class:`TelemetrySink` — attached to a node's ``Tracer`` as its
+  ``sink`` hook. Recording is a bounds check and an append of an
+  object reference (the hot path stays cheap — see
   ``bench_collector_overhead``); serialisation happens at drain time.
   The queue is bounded and drop-counting, and a flush is deterministic:
   records encode in emit order with canonical JSON, so two seeded runs
   produce byte-identical artefacts.
-* The **wire format** — JSON lines, one record per line, three record
+* The **wire format** — JSON lines, one record per line, two record
   types (see below). ``encode_*`` / :func:`record_to_json` produce it,
   :func:`parse_records` consumes it.
 * :class:`TelemetryCollector` — the ingest store behind the
@@ -25,7 +27,6 @@ Wire format (one JSON object per line, keys sorted)::
     {"type":"span","node":"client","name":"request",
      "trace":"<32 hex>","span":"<16 hex>","parent":"<16 hex>"|null,
      "remote":false,"start":1.5,"end":2.5,"attrs":{...}}
-    {"type":"event","node":"proxy","event":{"kind":"proxy",...}}
     {"type":"metrics","node":"origin","ts":9.0,
      "series":{"name{label=v}":value,...}}
 
@@ -47,7 +48,6 @@ __all__ = [
     "TelemetrySink",
     "TelemetryCollector",
     "encode_span",
-    "encode_event",
     "encode_metrics",
     "record_to_json",
     "records_to_json_lines",
@@ -101,11 +101,6 @@ def encode_span(span, node: str) -> Dict[str, object]:
     }
 
 
-def encode_event(event: Dict[str, object], node: str) -> Dict[str, object]:
-    """One wide-event record as a wire record."""
-    return {"type": "event", "node": node, "event": _json_safe(dict(event))}
-
-
 def encode_metrics(
     series: Dict[str, object], node: str, ts: float
 ) -> Dict[str, object]:
@@ -124,8 +119,8 @@ def record_to_json(record: Dict[str, object]) -> str:
     """One record as its canonical JSON line.
 
     Keys sorted and integral floats as ints, so artefacts diff
-    byte-for-byte across seeded runs. Wire records, wide events and
-    request rows all encode through it."""
+    byte-for-byte across seeded runs. Wire records and the rows folded
+    from spans all encode through it."""
     return json.dumps(_norm(dict(record)), sort_keys=True)
 
 
@@ -158,12 +153,10 @@ def parse_records(text: str) -> List[Dict[str, object]]:
 class TelemetrySink:
     """Bounded, drop-counting queue between one node and the collector.
 
-    Wire it into a node's observability objects as their ``sink``
-    hooks::
+    Wire it into a node's tracer as its ``sink`` hook::
 
         sink = TelemetrySink(node="client", target=collector)
         tracer.sink = sink.record_span
-        events.sink = sink.record_event
 
     ``record_*`` enqueue object *references* — nothing is serialised
     until :meth:`drain`, which encodes the queue in record order and
@@ -198,13 +191,6 @@ class TelemetrySink:
             return
         self._queue.append(("span", span))
 
-    def record_event(self, event: Dict[str, object]) -> None:
-        """``EventLog.sink`` hook: one wide event."""
-        if len(self._queue) >= self.capacity:
-            self.dropped += 1
-            return
-        self._queue.append(("event", event))
-
     def record_metrics(self, registry, ts: Optional[float] = None) -> None:
         """Snapshot a :class:`~repro.obs.MetricsRegistry` into the
         queue (called at flush points, not per-request)."""
@@ -226,8 +212,6 @@ class TelemetrySink:
         for item in self._queue:
             if item[0] == "span":
                 records.append(encode_span(item[1], self.node))
-            elif item[0] == "event":
-                records.append(encode_event(item[1], self.node))
             else:
                 records.append(encode_metrics(item[1], self.node, item[2]))
         self._queue.clear()
@@ -288,9 +272,6 @@ class TelemetryCollector:
 
     def spans(self) -> List[Dict[str, object]]:
         return [r for r in self._records if r.get("type") == "span"]
-
-    def events(self) -> List[Dict[str, object]]:
-        return [r for r in self._records if r.get("type") == "event"]
 
     def nodes(self) -> List[str]:
         """Distinct reporting nodes, in first-seen order."""

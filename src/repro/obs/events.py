@@ -1,41 +1,43 @@
-"""The request record, folded from spans, and the wide-event log.
+"""Every offline row, folded from spans.
 
 Each request is recorded once, as its span: the client's ``request``
 span (method, url, status, host, origin, retries, redirects and the
 nine ``phases``) and the server's ``server-request`` span (method,
-path, status, client, bytes_sent). :func:`request_events` folds
-finished spans into the flat rows HammerCloud-style offline analysis
-mines — one per request, per side, joined across sides by the
-propagated trace ID — and the access log (:func:`common_log_format`)
-and the SLO verdicts (:func:`~repro.obs.slo.slo_verdicts`) read those
+path, status, client, bytes_sent). A caching proxy's serving span also
+carries the request's cache split (url, outcome, served_bytes,
+from_cache_bytes), and a third-party copy's ``tpc-transfer`` span ends
+with the transfer's result. :func:`request_events` folds finished
+spans into the flat rows HammerCloud-style offline analysis mines —
+one per request, per side, joined across sides by the propagated
+trace ID, plus one ``proxy`` row per proxied request and one ``tpc``
+row per transfer — and the access log (:func:`common_log_format`) and
+the SLO verdicts (:func:`~repro.obs.slo.slo_verdicts`) read those
 rows. A request that failed without a response still gets a row, with
-``status`` 0.
-
-:class:`EventLog` holds the records that are not requests: the
-proxy's per-request cache split and the third-party-copy transfers,
-plus whatever a workload appends. The JSONL codec of both is the
-collector's (:func:`~repro.obs.collector.records_to_json_lines`).
+``status`` 0. The JSONL codec of the rows is the collector's
+(:func:`~repro.obs.collector.records_to_json_lines`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
 from repro.obs.propagation import format_span_id, format_trace_id
 
-__all__ = ["EventLog", "request_events", "common_log_format"]
+__all__ = ["request_events", "common_log_format"]
 
 
 def request_events(spans: Iterable) -> List[Dict[str, object]]:
-    """The request rows of finished ``spans``, in end order.
+    """The rows of finished ``spans``, in end order.
 
     A client ``request`` span that reached a terminal outcome (it
     carries ``status``) gives a ``side="client"`` row with one
     ``phase_*`` field per phase; a ``server-request`` span gives a
     ``side="server"`` row whose ``trace_id`` and ``parent_span_id``
     name the client's span when the request carried a
-    ``Traceparent`` (empty otherwise).
+    ``Traceparent`` (empty otherwise), followed by a ``proxy`` row
+    when a caching proxy recorded its cache ``outcome`` on it. A
+    ``tpc-transfer`` span that got past its setup (it carries ``ok``)
+    gives one ``tpc`` row.
     """
     rows: List[Dict[str, object]] = []
     for span in spans:
@@ -79,6 +81,40 @@ def request_events(spans: Iterable) -> List[Dict[str, object]]:
                     "parent_span_id": parent_span_id,
                 }
             )
+            if "outcome" in attrs:
+                rows.append(
+                    {
+                        "kind": "proxy",
+                        "ts": span.start,
+                        "url": attrs["url"],
+                        "outcome": attrs["outcome"],
+                        "status": attrs["status"],
+                        "served_bytes": attrs["served_bytes"],
+                        "from_cache_bytes": attrs["from_cache_bytes"],
+                        "trace_id": trace_id,
+                    }
+                )
+        elif span.name == "tpc-transfer" and "ok" in attrs:
+            duration = span.end_time - span.start
+            ok = attrs["ok"]
+            row = {
+                "kind": "tpc",
+                "mode": attrs["mode"],
+                "path": attrs["path"],
+                "bytes": attrs["bytes"],
+                "streams": attrs["streams"],
+                "chunks": attrs["chunks"],
+                "retries": attrs["retries"],
+                "duration": duration,
+                "throughput": (
+                    attrs["bytes"] / duration if ok and duration > 0 else 0.0
+                ),
+                "digest": attrs["digest"],
+                "ok": ok,
+            }
+            if "error" in attrs:
+                row["error"] = attrs["error"]
+            rows.append(row)
     return rows
 
 
@@ -99,36 +135,3 @@ def common_log_format(event: Dict[str, object]) -> str:
     if event["trace_id"]:
         line += f' trace={event["trace_id"]}'
     return line
-
-
-class EventLog:
-    """Bounded ring of wide events (oldest dropped first).
-
-    ``sink`` is an optional callable invoked with each record as it is
-    emitted (see :class:`~repro.obs.collector.TelemetrySink`).
-    """
-
-    def __init__(self, capacity: int = 100_000, sink=None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.sink = sink
-        self._events: Deque[Dict[str, object]] = deque(maxlen=capacity)
-        self.total_events = 0
-
-    def emit(self, kind: str, **fields) -> Dict[str, object]:
-        """Record one event; returns the stored record."""
-        record: Dict[str, object] = {"kind": kind}
-        record.update(fields)
-        self._events.append(record)
-        self.total_events += 1
-        if self.sink is not None:
-            self.sink(record)
-        return record
-
-    def records(self) -> List[Dict[str, object]]:
-        """Retained events in emit order (copies of the refs, not deep)."""
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)

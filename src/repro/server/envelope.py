@@ -132,10 +132,6 @@ class Envelope:
         #: :func:`~repro.obs.events.common_log_format` over
         #: :func:`~repro.obs.events.request_events` of the finished spans.
         self.tracer = None
-        #: Optional :class:`~repro.obs.EventLog` for the wide events
-        #: that are not requests: the proxy's cache split per served
-        #: request and the third-party-copy transfers.
-        self.events = None
         #: The in-flight ``server-request`` span of the connection the
         #: current deferred belongs to (set by the connection loop just
         #: before it runs the deferred), so spans of the deferred's own

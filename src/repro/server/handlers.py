@@ -394,7 +394,6 @@ class StorageApp(Envelope):
                 streams,
                 self.config.tpc_chunk,
                 metrics=self.metrics,
-                events=self.events,
                 trace_ctx=trace_ctx,
             )
             return response

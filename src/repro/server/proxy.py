@@ -55,11 +55,7 @@ from repro.http import (
     resolve_ranges,
 )
 from repro.http.ranges import merge_spans
-from repro.obs.propagation import (
-    TRACEPARENT_HEADER,
-    format_trace_id,
-    parse_traceparent,
-)
+from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.server.envelope import Envelope, ServedResponse, ServerConfig
 from repro.server.rangeserver import plan_range_response
 
@@ -171,7 +167,6 @@ class ProxyApp(Envelope):
         self._context = context
         if context is not None:
             self.tracer = context.tracer
-            self.events = context.events
         self.stats = {
             "requests": 0,
             "hits": 0,
@@ -205,14 +200,16 @@ class ProxyApp(Envelope):
             or self.pages.suppressed(str(target))
         ):
             self.stats["bypassed"] += 1
-            return ServedResponse(
-                Response(500),
-                deferred=lambda: self._relay(request, target, trace_ctx),
-            )
+            serve = self._relay
+        else:
+            serve = self._cached_get
+        # The connection loop sets ``serving_span`` just before it
+        # calls the deferred, and clears it once the deferred returns:
+        # bound here, the span stays this request's across every yield.
         return ServedResponse(
             Response(500),
-            deferred=lambda: self._cached_get(
-                request, target, trace_ctx
+            deferred=lambda: serve(
+                request, target, trace_ctx, self.serving_span
             ),
         )
 
@@ -265,37 +262,28 @@ class ProxyApp(Envelope):
             return tracer.start(name, remote=trace_ctx, **attrs)
         return tracer.start(name, root=True, **attrs)
 
-    def _record(
-        self, ts, url, outcome, status, served, from_cache, trace_ctx
-    ) -> None:
+    def _record(self, serving, url, outcome, served, from_cache) -> None:
         """The one accounting call per served request: the stats bump
-        for ``outcome``, and one ``kind="proxy"`` wide event — the
-        byte-provenance analyzer splits delivered bytes into
-        cache-served vs origin-fetched from exactly these fields."""
+        for ``outcome``, and the cache split on the ``serving`` span,
+        which :func:`~repro.obs.events.request_events` folds into the
+        request's ``kind="proxy"`` row — the byte-provenance analyzer
+        splits delivered bytes into cache-served vs origin-fetched
+        from exactly these fields."""
         key = _STAT_OF_OUTCOME.get(outcome)
         if key is not None:
             self.stats[key] += 1
         self.stats["origin_bytes_saved"] += max(0, from_cache)
-        if self.events is None:
-            return
-        self.events.emit(
-            "proxy",
-            ts=ts,
-            url=url,
-            outcome=outcome,
-            status=status,
-            served_bytes=max(0, served),
-            from_cache_bytes=max(0, min(served, from_cache)),
-            trace_id=(
-                format_trace_id(trace_ctx.trace_id)
-                if trace_ctx is not None
-                else ""
-            ),
-        )
+        if serving is not None:
+            serving.set(
+                url=url,
+                outcome=outcome,
+                served_bytes=max(0, served),
+                from_cache_bytes=max(0, min(served, from_cache)),
+            )
 
-    def _relay(self, request: Request, target: Url, trace_ctx=None):
-        """Effect sub-op: pass-through (non-cacheable) request."""
-        serving = self.serving_span
+    def _relay(self, request: Request, target: Url, trace_ctx, serving):
+        """Effect sub-op: pass-through (non-cacheable) request, on
+        behalf of the ``serving`` span's request."""
         upstream = Request(
             method=request.method,
             target=target.target,
@@ -308,20 +296,12 @@ class ProxyApp(Envelope):
             )
         except (DavixError, NetworkError) as exc:
             return self._error(502, f"upstream failed: {exc}")
-        self._record(
-            self._client_context().clock(),
-            str(target),
-            "BYPASS",
-            response.status,
-            len(response.body),
-            0,
-            trace_ctx,
-        )
+        self._record(serving, str(target), "BYPASS", len(response.body), 0)
         return _forwarded(response, cache_state="BYPASS")
 
     # -- the cached GET path ----------------------------------------------------
 
-    def _cached_get(self, request: Request, target: Url, trace_ctx=None):
+    def _cached_get(self, request: Request, target: Url, trace_ctx, serving):
         """Effect sub-op: serve a GET from pages, gaps, or the origin.
 
         Each pass acts on one :meth:`_decide` verdict. The loop
@@ -329,9 +309,6 @@ class ProxyApp(Envelope):
         version invalidates the stale pages and the next pass decides
         against the fresh entry.
         """
-        # Read before the first yield: the connection loop clears
-        # ``serving_span`` the moment the deferred returns.
-        serving = self.serving_span
         now = yield Now()
         url = str(target)
         #: ``(outcome, bytes saved)``, fixed by the first pass that
@@ -356,10 +333,7 @@ class ProxyApp(Envelope):
                 if response.status not in (200, 206):
                     return _forwarded(response, cache_state="UNCACHEABLE")
                 self._ingest(url, response, now)
-                self._record(
-                    now, url, "MISS", response.status,
-                    len(response.body), 0, trace_ctx,
-                )
+                self._record(serving, url, "MISS", len(response.body), 0)
                 return _forwarded(response, cache_state="MISS")
 
             if kind == "gaps":
@@ -379,7 +353,7 @@ class ProxyApp(Envelope):
                     # Undecodable 206 for the gap ranges: relay the
                     # client's own request verbatim instead.
                     response = yield from self._relay(
-                        request, target, trace_ctx
+                        request, target, trace_ctx, serving
                     )
                     return response
                 # A non-206/200 answer (e.g. the object vanished):
@@ -391,9 +365,7 @@ class ProxyApp(Envelope):
                 served = self._assemble(request, url, specs, outcome)
                 if served is None:
                     continue  # pages raced away (eviction): decide again
-                self._record(
-                    now, url, outcome, served.status, wanted, saved, trace_ctx
-                )
+                self._record(serving, url, outcome, wanted, saved)
                 return served
 
             # Stale: conditional revalidation.
@@ -410,9 +382,7 @@ class ProxyApp(Envelope):
                     return self._error(
                         502, "upstream failed and cache incomplete"
                     )
-                self._record(
-                    now, url, "STALE", served.status, wanted, wanted, trace_ctx
-                )
+                self._record(serving, url, "STALE", wanted, wanted)
                 return served
             if response.status == 304:
                 meta = self._meta.get(url)
@@ -427,7 +397,9 @@ class ProxyApp(Envelope):
 
         # Coverage never converged (budget too small for the request):
         # fall back to a verbatim relay so the client still gets bytes.
-        response = yield from self._relay(request, target, trace_ctx)
+        response = yield from self._relay(
+            request, target, trace_ctx, serving
+        )
         return response
 
     def _decide(self, request: Request, url: str, now: float, validated):

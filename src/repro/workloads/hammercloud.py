@@ -7,9 +7,9 @@ reports the same aggregate: the mean execution time.
 
 The campaign is also the telemetry pipeline's head-end: every davix
 repetition runs on its own :class:`~repro.core.context.Context` whose
-request rows (folded from its spans, one per request) and wide events
-are collected — tagged with protocol, profile and repetition —
-alongside one ``run`` summary event per repetition, and exported as
+rows (folded from its spans) are collected — tagged with protocol,
+profile and repetition — alongside one ``run`` summary event per
+repetition, and exported as
 JSONL (:meth:`Campaign.event_json_lines`) or rendered as the
 HammerCloud-style page (:meth:`Campaign.report`). ``python -m
 repro.workloads.hammercloud`` runs a small campaign and writes both.
@@ -119,7 +119,7 @@ class Campaign:
         #: cluster-wide trace artifact ``davix-tool trace`` reads.
         self.collector = collector
         #: Wide events accumulated across every cell run so far: the
-        #: request rows and wide events of each davix repetition
+        #: rows folded from each davix repetition's spans
         #: (tagged with protocol/profile/repetition) plus one ``run``
         #: summary event per repetition of either protocol.
         self.events: List[dict] = []
@@ -139,7 +139,7 @@ class Campaign:
                 materialize=self.materialize,
             )
             # Each davix repetition gets a fresh context so its spans
-            # and event log cover exactly one execution.
+            # cover exactly one execution.
             sink = None
             if protocol == "davix" and self.collector is not None:
                 from repro.obs.collector import TelemetrySink
@@ -162,9 +162,7 @@ class Campaign:
                 "repetition": repetition,
             }
             if context is not None:
-                for event in request_events(
-                    context.tracer.finished()
-                ) + context.events.records():
+                for event in request_events(context.tracer.finished()):
                     merged = dict(event)
                     merged.update(tags)
                     self.events.append(merged)

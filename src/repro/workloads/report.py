@@ -186,17 +186,15 @@ def _telemetry_section(records: List[dict]) -> List[str]:
     for record in records:
         node = str(record.get("node", "?"))
         kind = str(record.get("type", "?"))
-        per = nodes.setdefault(
-            node, {"span": 0, "event": 0, "metrics": 0}
-        )
+        per = nodes.setdefault(node, {"span": 0, "metrics": 0})
         if kind in per:
             per[kind] += 1
     lines = ["Cluster telemetry"]
     rows = [
-        [node, str(per["span"]), str(per["event"]), str(per["metrics"])]
+        [node, str(per["span"]), str(per["metrics"])]
         for node, per in sorted(nodes.items())
     ]
-    lines += _table(["node", "spans", "events", "metrics"], rows)
+    lines += _table(["node", "spans", "metrics"], rows)
 
     trees = assemble_traces(records)
     single = sum(1 for tree in trees if tree.is_single_tree)

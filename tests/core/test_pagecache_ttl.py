@@ -12,11 +12,13 @@ import pytest
 
 from repro.concurrency import Sleep
 from repro.core import RequestParams, TransferConfig
+from repro.core import pagecache
 from repro.core.pagecache import PageCache
 from repro.http import Headers, Response, freshness_lifetime
+from repro.obs import MetricsRegistry
 from repro.server import ServerConfig
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, traced_peak
 
 PAGE = 1024
 BLOB = bytes((i * 37 + 11) % 256 for i in range(16 * PAGE))
@@ -147,6 +149,31 @@ def test_no_store_origin_never_caches():
     assert client.context.page_cache.stats["hits"] == 0
     assert client.context.page_cache.used_bytes == 0
     assert client.context.page_cache.suppressed("http://server/blob")
+
+
+def test_the_no_store_table_forgets_its_oldest_verdicts(monkeypatch):
+    """Every URL an origin marks no-store is a verdict to remember; a
+    stream of distinct ones must not grow the table without bound."""
+    monkeypatch.setattr(pagecache, "MAX_NO_STORE_KEYS", 8)
+    metrics = MetricsRegistry()
+    cache = PageCache(64 * PAGE, page_size=PAGE, metrics=metrics)
+
+    def url(n):
+        return f"http://server/{n:04d}/" + "x" * 1000
+
+    def suppress_a_thousand():
+        for n in range(1000):
+            cache.suppress(url(n))
+        cache.suppress(url(992))  # renewed: now the newest verdict
+        cache.suppress(url(1000))
+
+    _, _, held = traced_peak(suppress_a_thousand)
+    # Eight kilobyte-long keys, not a thousand of them.
+    assert held < 64 << 10
+    assert metrics.value("cache.no_store_forgotten_total") == 993
+    # 992 was renewed, so 993 was the oldest when 1000 arrived.
+    kept = [n for n in range(1001) if cache.suppressed(url(n))]
+    assert kept == [992, *range(994, 1001)]
 
 
 def test_max_age_serves_from_cache_until_stale():

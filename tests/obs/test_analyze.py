@@ -182,16 +182,28 @@ def metrics_record(node, page_cache, network):
     }
 
 
-def proxy_event(served, from_cache):
+def span_record(node, name, **attrs):
+    """A finished span's wire record; only name and attrs matter here."""
     return {
-        "type": "event",
-        "node": "proxy",
-        "event": {
-            "kind": "proxy",
-            "served_bytes": served,
-            "from_cache_bytes": from_cache,
-        },
+        "type": "span",
+        "node": node,
+        "name": name,
+        "trace": "0" * 32,
+        "span": "0" * 16,
+        "parent": None,
+        "remote": False,
+        "start": 0.0,
+        "end": 1.0,
+        "attrs": attrs,
     }
+
+
+def proxy_event(served, from_cache):
+    """The serving span of one request the proxy answered."""
+    return span_record(
+        "proxy", "server-request", status=206, outcome="PARTIAL",
+        served_bytes=served, from_cache_bytes=from_cache,
+    )
 
 
 def test_ledger_splits_network_by_proxy_events():
@@ -199,6 +211,8 @@ def test_ledger_splits_network_by_proxy_events():
         [
             metrics_record("client", 100, 900),
             proxy_event(600, 400),
+            # An origin's serving span carries no cache split.
+            span_record("origin", "server-request", status=200),
         ]
     )
     assert ledger.page_cache == 100
@@ -238,10 +252,10 @@ def test_only_the_last_metrics_snapshot_per_node_counts():
 def test_failed_tpc_transfers_do_not_count():
     ledger = byte_provenance(
         [
-            {"type": "event", "node": "site",
-             "event": {"kind": "tpc", "ok": True, "bytes": 50}},
-            {"type": "event", "node": "site",
-             "event": {"kind": "tpc", "ok": False, "bytes": 999}},
+            span_record("site", "tpc-transfer", ok=True, bytes=50),
+            span_record("site", "tpc-transfer", ok=False, bytes=999),
+            # Without ``ok`` a span is no transfer row (a setup failure).
+            span_record("site", "tpc-transfer", bytes=999, error="502"),
         ]
     )
     assert ledger.tpc == 50

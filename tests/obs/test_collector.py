@@ -57,27 +57,38 @@ def test_span_round_trips_through_jsonl():
 
 def test_record_json_is_canonical():
     sink = make_sink(clock=lambda: 4.0)
-    sink.record_event({"kind": "cache", "hits": 3})
+    tracer = Tracer(clock=lambda: 2.0, node="unit")
+    tracer.sink = sink.record_span
+    tracer.start("cache", root=True).end(hits=3.0, bytes=1.5)
     registry = MetricsRegistry()
     registry.counter("io.bytes_total").inc(12)
     sink.record_metrics(registry)
-    event, metrics = sink.drain()
+    span, metrics = sink.drain()
     # Sorted keys, integral floats normalised to ints.
-    assert record_to_json(event) == (
-        '{"event": {"hits": 3, "kind": "cache"},'
-        ' "node": "unit", "type": "event"}'
+    ids = span["span"], span["trace"]
+    assert record_to_json(span) == (
+        '{"attrs": {"bytes": 1.5, "hits": 3}, "end": 2, "name": "cache",'
+        ' "node": "unit", "parent": null, "remote": false,'
+        ' "span": "%s", "start": 2, "trace": "%s", "type": "span"}' % ids
     )
     parsed = json.loads(record_to_json(metrics))
     assert parsed["ts"] == 4
     assert parsed["series"]["io.bytes_total"] == 12
 
 
+def snapshot(n):
+    """A registry whose one counter reads ``n``."""
+    registry = MetricsRegistry()
+    registry.counter("n").inc(n)
+    return registry
+
+
 def test_drain_empties_and_preserves_order():
     sink = make_sink()
-    sink.record_event({"kind": "a"})
-    sink.record_event({"kind": "b"})
+    sink.record_metrics(snapshot(1))
+    sink.record_metrics(snapshot(2))
     first = sink.drain()
-    assert [r["event"]["kind"] for r in first] == ["a", "b"]
+    assert [r["series"]["n"] for r in first] == [1, 2]
     assert sink.drain() == []
     assert sink.pending == 0
 
@@ -88,10 +99,10 @@ def test_drain_empties_and_preserves_order():
 def test_sink_drops_beyond_capacity_and_counts():
     sink = make_sink(capacity=2)
     for n in range(5):
-        sink.record_event({"kind": "e", "n": n})
+        sink.record_metrics(snapshot(n))
     assert sink.pending == 2
     assert sink.dropped == 3
-    kept = [r["event"]["n"] for r in sink.drain()]
+    kept = [r["series"]["n"] for r in sink.drain()]
     assert kept == [0, 1]  # oldest-first, tail dropped
 
 
@@ -103,7 +114,7 @@ def test_sink_capacity_must_be_positive():
 def test_collector_drops_beyond_capacity_and_counts():
     collector = TelemetryCollector(capacity=3)
     accepted = collector.ingest(
-        [{"type": "event", "node": "n", "event": {"n": i}}
+        [{"type": "metrics", "node": "n", "series": {"n": i}}
          for i in range(5)]
     )
     assert accepted == 3
@@ -115,21 +126,21 @@ def test_collector_drops_beyond_capacity_and_counts():
 def test_flush_delivers_to_bound_or_explicit_target():
     bound = TelemetryCollector()
     sink = make_sink(target=bound)
-    sink.record_event({"kind": "x"})
+    sink.record_metrics(snapshot(1))
     sink.flush()
     assert len(bound) == 1
 
     override = TelemetryCollector()
-    sink.record_event({"kind": "y"})
+    sink.record_metrics(snapshot(2))
     sink.flush(target=override)
     assert len(bound) == 1  # unchanged
-    assert override.records()[0]["event"]["kind"] == "y"
+    assert override.records()[0]["series"]["n"] == 2
 
 
 def test_malformed_jsonl_batch_fails_whole_batch():
     collector = TelemetryCollector()
     with pytest.raises(ValueError):
-        collector.ingest_lines('{"type": "event"}\nnot json\n')
+        collector.ingest_lines('{"type": "metrics"}\nnot json\n')
     assert len(collector) == 0
 
 
@@ -160,13 +171,14 @@ def test_push_telemetry_into_mounted_storage_collector():
     sink = TelemetrySink("client")
     context = Context(telemetry=sink)
     context.clock = runtime.now
-    context.events.emit("cache", hits=1)
+    context.metrics.counter("cache.hits").inc()
+    sink.record_metrics(context.metrics)
     response = runtime.run(
         push_telemetry(context, "http://hub/v1/telemetry", sink)
     )
     assert response.status == 204
     assert response.headers.get("X-Telemetry-Accepted") == "1"
-    assert collector.events()[0]["event"]["kind"] == "cache"
+    assert collector.records()[0]["series"]["cache.hits"] == 1
     # The push drains before building the request: its own span is
     # still queued locally, not in the shipped batch.
     assert collector.spans() == []
@@ -233,7 +245,7 @@ def test_lines_that_are_not_objects_fail_the_whole_batch():
     # The read side still works: nothing without ``.get`` was stored.
     assert collector.nodes() == [] and collector.spans() == []
     assert assemble_traces(collector.records()) == []
-    for text in ('{"type": "event"}\n"text"\n', DEEP.decode("ascii")):
+    for text in ('{"type": "span"}\n"text"\n', DEEP.decode("ascii")):
         with pytest.raises(ValueError):
             parse_records(text)
 
@@ -254,7 +266,7 @@ _LINES = st.lists(
 def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
     collector = TelemetryCollector()
     app = mounted(collector)
-    assert post_batch(app, b'{"type": "event", "node": "n"}').status == 204
+    assert post_batch(app, b'{"type": "span", "node": "n"}').status == 204
     before, batches = collector.records(), collector.batches
     status = post_batch(app, body.encode("utf-8")).status
     assert status in (204, 400)
@@ -263,7 +275,7 @@ def test_ingest_answers_400_unchanged_or_204_with_only_objects(body):
         assert collector.batches == batches
     else:
         assert all(isinstance(r, dict) for r in collector.records())
-        collector.nodes(), collector.spans(), collector.events()
+        collector.nodes(), collector.spans()
 
 
 def deep_batch_then_get(context, base):

@@ -2,8 +2,8 @@
 
 The ISSUE acceptance scenario: an analysis-style read mix runs
 client -> caching proxy -> origin while a third-party copy moves the
-same object origin -> mirror, with every node shipping spans, wide
-events and metric snapshots into one :class:`TelemetryCollector`
+same object origin -> mirror, with every node shipping spans and
+metric snapshots into one :class:`TelemetryCollector`
 (the client's batch arrives over HTTP through the mounted
 ``POST /v1/telemetry`` endpoint). The assembled artifact must satisfy:
 
@@ -21,7 +21,7 @@ from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams, TransferConfig
 from repro.core.context import Context
 from repro.net import LinkSpec, Network
-from repro.obs import EventLog, Tracer
+from repro.obs import Tracer
 from repro.obs.analyze import (
     assemble_traces,
     byte_provenance,
@@ -48,7 +48,7 @@ URL = "http://origin/data/obj.bin"
 
 
 def instrumented_storage(net, host, store, collector=None):
-    """A StorageApp shipping node-namespaced spans + events to a sink."""
+    """A StorageApp shipping node-namespaced spans to a sink."""
     runtime = SimRuntime(net, host)
     sink = TelemetrySink(host, clock=runtime.now)
     config = (
@@ -59,8 +59,6 @@ def instrumented_storage(net, host, store, collector=None):
     app = StorageApp(store, config=config)
     app.tracer = Tracer(clock=runtime.now, node=host)
     app.tracer.sink = sink.record_span
-    app.events = EventLog()
-    app.events.sink = sink.record_event
     HttpServer(runtime, app, port=80).start()
     return app, sink
 

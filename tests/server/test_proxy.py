@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.concurrency import SimRuntime
+from repro.concurrency import SimRuntime, Sleep, bounded_gather
 from repro.core import DavixClient, RequestParams
+from repro.core.context import Context
+from repro.core.request import execute_request
 from repro.errors import RequestError
+from repro.http import Headers, Request, Url
 from repro.net import LinkSpec, Network
+from repro.obs import request_events
 from repro.server import (
     HttpServer,
     ObjectStore,
@@ -18,9 +22,10 @@ from repro.sim import Environment
 from tests.helpers import NO_RETRY
 
 
-def proxy_world(cache_bytes=256 << 20, default_ttl=60.0):
+def proxy_world(cache_bytes=256 << 20, default_ttl=60.0, traced=False):
     """client -- proxy -- origin, with a slow client<->origin path so
-    the cache benefit is visible."""
+    the cache benefit is visible. ``traced`` gives the proxy a context,
+    and so a tracer on the proxy's clock."""
     env = Environment()
     net = Network(env, seed=12)
     net.add_host("client")
@@ -38,8 +43,15 @@ def proxy_world(cache_bytes=256 << 20, default_ttl=60.0):
     origin_store = ObjectStore()
     origin_app = StorageApp(origin_store)
     HttpServer(SimRuntime(net, "origin"), origin_app, port=80).start()
-    proxy_app = ProxyApp(cache_bytes=cache_bytes, default_ttl=default_ttl)
-    HttpServer(SimRuntime(net, "proxy"), proxy_app, port=3128).start()
+    proxy_rt = SimRuntime(net, "proxy")
+    context = None
+    if traced:
+        context = Context()
+        context.clock = proxy_rt.now
+    proxy_app = ProxyApp(
+        cache_bytes=cache_bytes, default_ttl=default_ttl, context=context
+    )
+    HttpServer(proxy_rt, proxy_app, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
         params=RequestParams(proxy="http://proxy:3128", retry_policy=NO_RETRY),
@@ -184,6 +196,110 @@ def test_put_passes_through():
     assert client.put("http://origin/new", b"written") == 201
     assert store.read("/new") == b"written"
     assert proxy.stats["bypassed"] == 1
+
+
+def test_a_fallback_relay_records_onto_its_own_request():
+    """A request whose pages never fit falls back to a relay after
+    several gap fetches; by then a second connection is being served.
+    The relay span and the BYPASS split still land on the first
+    request's own ``server-request`` span."""
+    client, proxy, _, store, _ = proxy_world(cache_bytes=64 << 10, traced=True)
+    store.put("/pages", bytes(256 << 10))
+    store.put("/big", bytes(4 << 20))
+
+    def get(path, delay=0.0, headers=()):
+        yield Sleep(delay)
+        response, _ = yield from execute_request(
+            client.context,
+            Url.parse("http://origin" + path),
+            Request("GET", path, Headers(list(headers))),
+        )
+        return response.headers.get("X-Cache")
+
+    def both():
+        outcomes = yield from bounded_gather(
+            [
+                # Two pages through a one-page budget: never converges.
+                lambda: get("/pages", headers=[("Range", "bytes=0-131071")]),
+                # Arrives during the first one's gap fetches, and is
+                # still being served when the first one falls back.
+                lambda: get("/big", delay=0.3),
+            ],
+            limit=2,
+        )
+        return [outcome.value for outcome in outcomes]
+
+    assert client.runtime.run(both()) == ["BYPASS", "MISS"]
+    spans = proxy.tracer.finished()
+    serving = {
+        span.attrs["path"]: span
+        for span in spans
+        if span.name == "server-request"
+    }
+    fallback, other = serving["http://origin/pages"], serving["http://origin/big"]
+    assert fallback.end_time > other.start
+    (relay,) = [span for span in spans if span.name == "relay"]
+    assert relay.parent_id == fallback.span_id
+    assert fallback.attrs["outcome"] == "BYPASS"
+    assert fallback.attrs["served_bytes"] == 131072
+    assert other.attrs["outcome"] == "MISS"
+
+
+#: The proxy rows of four reads, as the proxy's event log held them
+#: before its cache split moved onto the serving span: the fold over
+#: that span must rebuild them field for field, apart from the BYPASS
+#: row's ``ts`` — stamped after the upstream exchange then, at arrival
+#: (the span's start) now, like every other outcome.
+PROXY_ROWS = [
+    {
+        "kind": "proxy", "ts": 0.0030016224000000004,
+        "url": "http://origin/obj", "outcome": "MISS", "status": 206,
+        "served_bytes": 65536, "from_cache_bytes": 0,
+        "trace_id": "00000000000000000000000000000001",
+    },
+    {
+        "kind": "proxy", "ts": 0.6553059023999999,
+        "url": "http://origin/obj", "outcome": "PARTIAL", "status": 206,
+        "served_bytes": 131072, "from_cache_bytes": 65536,
+        "trace_id": "00000000000000000000000000000002",
+    },
+    {
+        "kind": "proxy", "ts": 0.8264527424,
+        "url": "http://origin/obj", "outcome": "HIT", "status": 206,
+        "served_bytes": 65536, "from_cache_bytes": 65536,
+        "trace_id": "00000000000000000000000000000003",
+    },
+    {
+        "kind": "proxy", "ts": 0.9896981872000001,
+        "url": "http://origin/up", "outcome": "BYPASS", "status": 201,
+        "served_bytes": 0, "from_cache_bytes": 0,
+        "trace_id": "00000000000000000000000000000004",
+    },
+]
+
+#: When the BYPASS request arrived: its row's ``ts`` now.
+BYPASS_ARRIVAL = 0.8290936576000001
+
+
+def test_proxy_rows_are_folded_from_the_serving_spans():
+    client, proxy, _, store, _ = proxy_world(traced=True)
+    store.put("/obj", bytes(range(256)) * 512)  # two 64 KiB pages
+    client.pread("http://origin/obj", 0, 65536)  # cold: MISS
+    client.pread("http://origin/obj", 0, 131072)  # one page cached
+    client.pread("http://origin/obj", 32768, 65536)  # both: HIT
+    client.put("http://origin/up", b"u" * 1000)  # not a GET: BYPASS
+    rows = request_events(proxy.tracer.finished())
+    expected = [dict(row) for row in PROXY_ROWS]
+    expected[-1]["ts"] = BYPASS_ARRIVAL
+    assert [row for row in rows if row["kind"] == "proxy"] == expected
+    # Each follows its own request's server row, stamped the same.
+    for index, row in enumerate(rows):
+        if row["kind"] == "proxy":
+            server = rows[index - 1]
+            assert server["side"] == "server"
+            assert (server["ts"], server["trace_id"]) == (
+                row["ts"], row["trace_id"]
+            )
 
 
 def test_lru_eviction_bounded_by_bytes():

@@ -20,11 +20,36 @@ from repro.core.tpc import (
 from repro.errors import DavixError
 from repro.http import Headers, Request
 from repro.net import LinkSpec, Network
-from repro.obs import EventLog, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, request_events
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
 from repro.sim import Environment
 
 from tests.helpers import NO_RETRY, traced_peak
+
+#: The transfer rows of the two pulls below, as the destination's event
+#: log held them before the result moved onto the ``tpc-transfer``
+#: span: the fold over that span must rebuild them field for field.
+PULL_ROW = {
+    "kind": "tpc", "mode": "pull", "path": "/dst", "bytes": 500000,
+    "streams": 1, "chunks": 1, "retries": 0,
+    "duration": 0.08464271120000016, "throughput": 5907183.181060474,
+    "digest": "adler32", "ok": True,
+}
+#: A pull whose one chunk failed three times: the bytes moved and the
+#: chunks finished, not the planned 1000 and 1.
+EXHAUSTED_ROW = {
+    "kind": "tpc", "mode": "pull", "path": "/dst", "bytes": 0,
+    "streams": 1, "chunks": 0, "retries": 3,
+    "duration": 0.05050986880000016, "throughput": 0.0,
+    "digest": "adler32", "ok": False,
+    "error": "[request] chunk 0 at offset 0: HTTP 503",
+}
+
+
+def tpc_rows(app):
+    """The ``tpc`` rows folded from ``app``'s finished spans."""
+    rows = request_events(app.tracer.finished())
+    return [row for row in rows if row["kind"] == "tpc"]
 
 
 def tpc_world(server_config=None, observe=False, tracer=None):
@@ -45,7 +70,6 @@ def tpc_world(server_config=None, observe=False, tracer=None):
         app = StorageApp(store, config=server_config)
         if observe:
             app.metrics = MetricsRegistry()
-            app.events = EventLog()
         runtime = SimRuntime(net, name)
         if tracer is not None:
             app.tracer = Tracer(clock=runtime.now)
@@ -240,7 +264,7 @@ def test_zero_length_object_copies_both_modes():
 
 
 def test_tpc_metrics_and_events():
-    client, net, apps = tpc_world(observe=True)
+    client, net, apps = tpc_world(observe=True, tracer=Tracer())
     payload = b"m" * 500_000
     apps["site-a"].store.put("/src", payload)
     client.third_party_copy("http://site-a/src", "http://site-b/dst")
@@ -251,13 +275,7 @@ def test_tpc_metrics_and_events():
     assert metrics.counter(
         "tpc.bytes_total", mode="pull"
     ).value == len(payload)
-    events = [
-        e for e in apps["site-b"].events.records() if e["kind"] == "tpc"
-    ]
-    assert len(events) == 1
-    assert events[0]["ok"] is True
-    assert events[0]["bytes"] == len(payload)
-    assert events[0]["throughput"] > 0
+    assert tpc_rows(apps["site-b"]) == [PULL_ROW]
 
 
 def test_chunk_exhausting_its_retries_leaves_no_span_open():
@@ -286,6 +304,16 @@ def test_chunk_exhausting_its_retries_leaves_no_span_open():
     assert destination.tracer.by_name("tpc-transfer")[0].attrs["error"]
     assert destination.tracer.current is None  # nothing left open
     assert not destination.store.exists("/dst")
+    assert tpc_rows(destination) == [EXHAUSTED_ROW]
+
+
+def test_a_setup_failure_gets_no_transfer_row():
+    client, net, apps = tpc_world(observe=True, tracer=Tracer())
+    with pytest.raises(DavixError):
+        client.third_party_copy("http://site-a/nope", "http://site-b/dst")
+    (span,) = apps["site-b"].tracer.by_name("tpc-transfer")
+    assert span.attrs["error"] and "ok" not in span.attrs
+    assert tpc_rows(apps["site-b"]) == []
 
 
 def test_transfer_span_joins_client_trace():

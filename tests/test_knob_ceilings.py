@@ -22,7 +22,7 @@ KNOB_CEILINGS = {
     "RequestParams": 22,
     "TransferConfig": 8,
     "ServerConfig": 18,
-    "Context": 10,
+    "Context": 9,
 }
 
 
@@ -38,7 +38,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 20621
+SOURCE_LINE_CEILING = 20565
 
 
 def test_source_line_count_is_not_above_its_ceiling():
