@@ -33,7 +33,7 @@ FRAGMENT = 4096
 FRAGMENTS = 256
 #: Vectored reads per timed sample (a bigger timed section drowns
 #: scheduler noise; every read takes the full demand path).
-READS_PER_RUN = 5
+READS_PER_RUN = 8
 ROUNDS = 9
 #: Acceptance gate: armed p50 within 5% of the bare p50.
 MAX_OVERHEAD = 1.05

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 __all__ = ["ByteQueue", "Deframer"]
 
@@ -49,6 +49,13 @@ class ByteQueue:
         self._buffers.clear()
         self._offset = 0
         self._size = 0
+
+    def front(self) -> Tuple[bytes, int]:
+        """The head buffer and its consumed offset (``(b"", 0)`` when
+        empty), to scan in place and :meth:`cut` what was used."""
+        if not self._size:
+            return b"", 0
+        return self._buffers[0], self._offset
 
     def cut(self, count: int) -> List[bytes]:
         """Consume ``count`` (<= ``len()``) bytes as the buffers they

@@ -15,6 +15,7 @@ offers the synchronous facade.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,14 +37,7 @@ from repro.errors import (
     PermissionDenied,
     RequestError,
 )
-from repro.http import (
-    Headers,
-    RangeSpec,
-    Request,
-    Response,
-    Url,
-    format_range_header,
-)
+from repro.http import Headers, Request, Response, Url
 from repro.http.headers import freshness_lifetime
 from repro.http.multipart import MultipartStream, content_type_boundary
 from repro.http.ranges import merge_spans, parse_content_range
@@ -67,12 +61,8 @@ def _total_of_416(response: Response) -> Optional[int]:
     """The object size a 416's ``Content-Range: bytes */N`` reveals —
     how a past-EOF request still teaches the caller the length."""
     value = (response.headers.get("Content-Range") or "").strip()
-    if not value.lower().startswith("bytes */"):
-        return None
-    try:
-        return int(value[len("bytes */"):])
-    except ValueError:
-        return None
+    match = re.fullmatch(r"bytes \*/([0-9]+)", value, re.IGNORECASE)
+    return None if match is None else int(match[1])
 
 
 class RangeSink:
@@ -124,8 +114,7 @@ class RangeSink:
                         content_type_boundary(response.content_type)
                     )
                     self._decoder.feed(response.body)
-                parts = self._decoder.close()
-                return [(p.offset, p.data, p.total) for p in parts]
+                return self._decoder.close()
             content_range = response.headers.get("Content-Range")
             if content_range is None:
                 raise RequestError("206 without Content-Range")
@@ -155,8 +144,8 @@ def get_ranges(
     200/206 carried. ``if_range`` (an ETag) makes an object that
     changed since come back as a full 200 instead of a version mix.
     """
-    specs = [RangeSpec.from_offset_length(o, n) for o, n in ranges]
-    headers = Headers([("Range", format_range_header(specs))])
+    spans = ",".join([f"{o}-{o + n - 1}" for o, n in ranges])
+    headers = Headers([("Range", "bytes=" + spans)])
     if if_range is not None:
         headers.set("If-Range", if_range)
     sink = RangeSink(context.clock)
@@ -518,7 +507,7 @@ class DavFile:
             pieces = [parts.read(*wanted[0])]
         for index, piece in zip(pending, pieces):
             results[index] = piece
-        self._charge_delivery(0, sum(len(p) for p in pieces))
+        self._charge_delivery(0, sum(map(len, pieces)))
         return results
 
     # -- byte provenance ----------------------------------------------------
@@ -672,7 +661,7 @@ class DavFile:
         finally:
             batch_span.end()
         self.context.metrics.counter("vector.copy_bytes_total").inc(
-            sum(len(piece) for piece in scattered.values())
+            sum(map(len, scattered.values()))
         )
         return scattered
 

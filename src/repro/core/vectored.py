@@ -23,8 +23,8 @@ All pure functions; the planning invariants are property-tested.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import RequestError
 
@@ -39,22 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     """One requested read: ``length`` bytes at ``offset``.
 
     ``index`` is the caller's position for result ordering.
+    :func:`plan_vector` checks ``offset >= 0`` and ``length > 0``.
     """
 
     offset: int
     length: int
     index: int
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError("fragment offset must be >= 0")
-        if self.length <= 0:
-            raise ValueError("fragment length must be > 0")
 
     @property
     def end(self) -> int:
@@ -65,9 +59,11 @@ class Fragment:
 class CoalescedRange:
     """A merged contiguous read covering one or more fragments."""
 
+    __slots__ = ("offset", "length", "fragments")
+
     offset: int
     length: int
-    fragments: List[Fragment] = field(default_factory=list)
+    fragments: List[Fragment]
 
     @property
     def end(self) -> int:
@@ -89,19 +85,17 @@ class VectorPlan:
 
     @property
     def total_ranges(self) -> int:
-        return sum(len(batch) for batch in self.batches)
+        return sum([len(batch) for batch in self.batches])
 
     @property
     def total_request_bytes(self) -> int:
         """Bytes the server will send (including coalescing overhead)."""
-        return sum(
-            rng.length for batch in self.batches for rng in batch
-        )
+        return sum([rng.length for batch in self.batches for rng in batch])
 
     @property
     def requested_bytes(self) -> int:
         """Bytes the caller actually asked for."""
-        return sum(fragment.length for fragment in self.fragments)
+        return sum([fragment.length for fragment in self.fragments])
 
 
 def plan_vector(
@@ -119,31 +113,29 @@ def plan_vector(
     if gap < 0:
         raise ValueError("gap must be >= 0")
     fragments = [
-        Fragment(offset=offset, length=length, index=index)
+        Fragment(offset, length, index)
         for index, (offset, length) in enumerate(reads)
     ]
     if not fragments:
         return VectorPlan(batches=[], fragments=[])
 
-    ordered = sorted(fragments, key=lambda f: (f.offset, f.end))
-    merged: List[CoalescedRange] = []
-    current = CoalescedRange(
-        offset=ordered[0].offset,
-        length=ordered[0].length,
-        fragments=[ordered[0]],
-    )
-    for fragment in ordered[1:]:
-        if fragment.offset <= current.end + gap:
-            current.length = max(current.end, fragment.end) - current.offset
-            current.fragments.append(fragment)
-        else:
-            merged.append(current)
-            current = CoalescedRange(
-                offset=fragment.offset,
-                length=fragment.length,
-                fragments=[fragment],
-            )
-    merged.append(current)
+    # Tuple order is (offset, end) order, ties in input order.
+    ordered = sorted(fragments)
+    start = end = ordered[0].offset
+    if start < 0:
+        raise ValueError("fragment offset must be >= 0")
+    merged, members = [], []
+    for fragment in ordered:
+        offset, length, _ = fragment
+        if length <= 0:
+            raise ValueError("fragment length must be > 0")
+        if offset > end + gap:
+            merged.append(CoalescedRange(start, end - start, members))
+            start, end, members = offset, offset, []
+        if offset + length > end:
+            end = offset + length
+        members.append(fragment)
+    merged.append(CoalescedRange(start, end - start, members))
 
     batches = [
         merged[i : i + max_ranges]
@@ -192,13 +184,16 @@ class PartTable:
     def add(self, offset: int, data) -> None:
         """Insert one part (``bytes`` or ``memoryview``) at ``offset``."""
         view = data if isinstance(data, memoryview) else memoryview(data)
-        index = bisect_right(self._offsets, offset)
-        if index > 0 and self._offsets[index - 1] == offset:
-            if len(view) >= len(self._views[index - 1]):
-                self._views[index - 1] = view
-            return
-        self._offsets.insert(index, offset)
-        self._views.insert(index, view)
+        offsets, views = self._offsets, self._views
+        index = len(offsets)  # in-order parts append, without a bisect
+        if index and offset <= offsets[-1]:
+            index = bisect_right(offsets, offset)
+            if index > 0 and offsets[index - 1] == offset:
+                if len(view) >= len(views[index - 1]):
+                    views[index - 1] = view
+                return
+        offsets.insert(index, offset)
+        views.insert(index, view)
 
     def merge(self, other: "PartTable") -> None:
         """Fold another table's parts into this one (refetch path)."""
@@ -302,23 +297,23 @@ def scatter_parts(
     cover a planned range.
     """
     out: Dict[int, bytes] = {}
+    total = table.total
     for rng in plan_batch:
-        data = table.find(rng.offset, rng.length)
-        for fragment in rng.fragments:
-            start = fragment.offset - rng.offset
-            piece = data[start : start + fragment.length]
-            wanted = fragment.length
-            if table.total is not None:
+        base = rng.offset
+        data = table.find(base, rng.length)
+        for offset, length, index in rng.fragments:
+            start = offset - base
+            piece = data[start : start + length]
+            wanted = length
+            if total is not None:
                 # EOF clips the fragment: a POSIX-style short read.
-                wanted = max(
-                    0, min(fragment.end, table.total) - fragment.offset
-                )
+                wanted = max(0, min(offset + length, total) - offset)
             if len(piece) != wanted:
                 raise RequestError(
                     f"server returned {len(piece)} bytes for fragment "
-                    f"at {fragment.offset} (wanted {wanted})"
+                    f"at {offset} (wanted {wanted})"
                 )
-            out[fragment.index] = _as_bytes(piece)
+            out[index] = _as_bytes(piece)
     return out
 
 
@@ -333,9 +328,21 @@ def missing_ranges(
     ranges), the remaining ranges are re-requested as a smaller batch
     instead of re-reading everything — multi-range GETs are idempotent,
     so the refetch is always safe.
+
+    ``plan_batch`` is in plan order, so one walk of it beside the
+    table's sorted parts answers :meth:`PartTable.covers` for each.
     """
-    return [
-        rng
-        for rng in plan_batch
-        if not table.covers(rng.offset, rng.length)
-    ]
+    offsets, views, total = table._offsets, table._views, table.total
+    missing = []
+    index, reach = 0, -1  # reach: furthest end of the parts so far
+    for rng in plan_batch:
+        offset = rng.offset
+        end = offset + rng.length
+        if total is not None and end > total:
+            end = max(total, offset)
+        while index < len(offsets) and offsets[index] <= offset:
+            reach = max(reach, offsets[index] + len(views[index]))
+            index += 1
+        if end > offset and reach < end:
+            missing.append(rng)
+    return missing

@@ -12,6 +12,7 @@ first/last positions, either possibly open); a *resolved* range is an
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,20 +43,13 @@ class RangeSpec:
     last: Optional[int]
 
     def __post_init__(self):
-        if self.first is None and self.last is None:
+        first, last = self.first, self.last
+        if first is None and last is None:
             raise HttpProtocolError("range-spec needs at least one bound")
-        if self.first is not None and self.first < 0:
-            raise HttpProtocolError("range first-byte must be >= 0")
-        if self.last is not None and self.last < 0:
-            raise HttpProtocolError("range last-byte must be >= 0")
-        if (
-            self.first is not None
-            and self.last is not None
-            and self.last < self.first
-        ):
-            raise HttpProtocolError(
-                f"descending range {self.first}-{self.last}"
-            )
+        if (first or 0) < 0 or (last or 0) < 0:
+            raise HttpProtocolError(f"negative range position {self}")
+        if first is not None and last is not None and last < first:
+            raise HttpProtocolError(f"descending range {first}-{last}")
 
     @classmethod
     def from_offset_length(cls, offset: int, length: int) -> "RangeSpec":
@@ -64,29 +58,26 @@ class RangeSpec:
         return cls(first=offset, last=offset + length - 1)
 
     def to_header_fragment(self) -> str:
-        if self.first is None:
-            return f"-{self.last}"
-        if self.last is None:
-            return f"{self.first}-"
-        return f"{self.first}-{self.last}"
+        first = "" if self.first is None else self.first
+        return f"{first}-{'' if self.last is None else self.last}"
 
     def resolve(self, size: int) -> Optional[Tuple[int, int]]:
         """Resolve against a resource of ``size`` bytes.
 
         Returns ``(offset, length)`` or ``None`` when unsatisfiable.
         """
-        if self.first is None:
-            # suffix: last N bytes
-            if self.last == 0:
-                return None
+        if self.first is None:  # suffix: the last N bytes
             length = min(self.last, size)
-            if length == 0:
-                return None
-            return (size - length, length)
+            return (size - length, length) if length else None
         if self.first >= size:
             return None
         last = size - 1 if self.last is None else min(self.last, size - 1)
         return (self.first, last - self.first + 1)
+
+
+#: One range-spec, closed ``a-b``, open ``a-`` or suffix ``-n``: ASCII
+#: digits only (``int`` alone takes ``+5``, ``1_0``, non-ASCII digits).
+_RANGE_SPEC = re.compile(r"[ \t]*([0-9]*)-([0-9]*)[ \t]*")
 
 
 def parse_range_header(value: str) -> List[RangeSpec]:
@@ -96,24 +87,16 @@ def parse_range_header(value: str) -> List[RangeSpec]:
     maps this to ignoring the header, per RFC 7233 §3.1).
     """
     value = value.strip()
-    if not value.lower().startswith("bytes="):
+    if value[:6].lower() != "bytes=":
         raise HttpProtocolError(f"unsupported range unit in {value!r}")
     specs: List[RangeSpec] = []
-    for part in value[len("bytes=") :].split(","):
-        part = part.strip()
-        if not part:
-            raise HttpProtocolError("empty range-spec")
-        first_s, sep, last_s = part.partition("-")
-        if not sep:
-            raise HttpProtocolError(f"range-spec without '-': {part!r}")
-        try:
-            first = int(first_s) if first_s else None
-            last = int(last_s) if last_s else None
-        except ValueError:
-            raise HttpProtocolError(f"non-numeric range-spec {part!r}")
-        specs.append(RangeSpec(first=first, last=last))
-    if not specs:
-        raise HttpProtocolError("Range header with no range-spec")
+    for part in value[6:].split(","):
+        match = _RANGE_SPEC.fullmatch(part)
+        if match is None:
+            raise HttpProtocolError(f"malformed range-spec {part!r}")
+        first, last = match.groups()
+        first = int(first) if first else None
+        specs.append(RangeSpec(first, int(last) if last else None))
     return specs
 
 
@@ -134,6 +117,11 @@ def resolve_ranges(
     """
     resolved = []
     for spec in specs:
+        first, last = spec.first, spec.last
+        if first is not None and last is not None:
+            if first < size:
+                resolved.append((first, min(last, size - 1) - first + 1))
+            continue
         pair = spec.resolve(size)
         if pair is not None:
             resolved.append(pair)
@@ -177,26 +165,20 @@ def format_content_range(offset: int, length: int, total: int) -> str:
     return f"bytes {offset}-{offset + length - 1}/{total}"
 
 
+#: ``bytes first-last/total``, positions ASCII digits, total maybe ``*``.
+_CONTENT_RANGE = re.compile(r"bytes ([0-9]+)-([0-9]+)/([0-9]+|\*)")
+
+
 def parse_content_range(value: str) -> Tuple[int, int, Optional[int]]:
     """Parse ``Content-Range: bytes a-b/total``.
 
     Returns ``(offset, length, total)`` with ``total=None`` for ``/*``.
     """
-    value = value.strip()
-    if not value.startswith("bytes "):
-        raise HttpProtocolError(f"bad Content-Range unit: {value!r}")
-    span, sep, total_s = value[len("bytes ") :].partition("/")
-    if not sep:
-        raise HttpProtocolError(f"Content-Range without total: {value!r}")
-    first_s, sep, last_s = span.partition("-")
-    if not sep:
-        raise HttpProtocolError(f"bad Content-Range span: {value!r}")
-    try:
-        first = int(first_s)
-        last = int(last_s)
-        total = None if total_s.strip() == "*" else int(total_s)
-    except ValueError:
-        raise HttpProtocolError(f"non-numeric Content-Range: {value!r}")
+    match = _CONTENT_RANGE.fullmatch(value.strip())
+    if match is None:
+        raise HttpProtocolError(f"malformed Content-Range: {value!r}")
+    first_s, last_s, total_s = match.groups()
+    first, last = int(first_s), int(last_s)
     if last < first:
         raise HttpProtocolError(f"descending Content-Range: {value!r}")
-    return (first, last - first + 1, total)
+    return (first, last - first + 1, None if total_s == "*" else int(total_s))

@@ -9,12 +9,12 @@ the client's fallback path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import HttpProtocolError
 from repro.http import (
     Headers,
-    RangePart,
     gather_byteranges,
     make_boundary,
     parse_range_header,
@@ -26,6 +26,7 @@ from repro.server.objectstore import StoredObject
 __all__ = ["plan_range_response", "RangePlan"]
 
 
+@dataclass
 class RangePlan:
     """What the server will send for a (possibly ranged) GET.
 
@@ -35,33 +36,20 @@ class RangePlan:
     or its join, :meth:`build_multipart_body`.
     """
 
-    def __init__(
-        self,
-        status: int,
-        segments: List[Tuple[int, int]],
-        headers: Headers,
-        multipart_boundary: Optional[str] = None,
-    ):
-        self.status = status
-        self.segments = segments
-        self.headers = headers
-        self.multipart_boundary = multipart_boundary
+    status: int
+    segments: List[Tuple[int, int]]
+    headers: Headers
+    multipart_boundary: Optional[str] = None
 
     @property
     def body_bytes(self) -> int:
         """Payload size before multipart framing."""
-        return sum(length for _, length in self.segments)
+        return sum([length for _, length in self.segments])
 
     def multipart_pieces(self, obj: StoredObject) -> List[bytes]:
         """The multipart body as buffers for one gather write."""
-        parts = [
-            RangePart(
-                offset=offset,
-                data=obj.content.read(offset, length),
-                total=obj.size,
-            )
-            for offset, length in self.segments
-        ]
+        read, size = obj.content.read, obj.size
+        parts = [(o, read(o, n), size) for o, n in self.segments]
         return gather_byteranges(
             parts, self.multipart_boundary, obj.content_type
         )

@@ -15,6 +15,7 @@ from repro.concurrency import (
     Await,
     Close,
     Connect,
+    Join,
     MakePromise,
     Recv,
     Send,
@@ -65,7 +66,8 @@ class XrdClient:
         """Effect sub-op: connect and start the demultiplexer."""
         channel = yield Connect(endpoint, tcp_options)
         client = cls(channel, endpoint)
-        yield Spawn(client._reader(), name=f"xrootd-demux-{endpoint[0]}")
+        name = f"xrootd-demux-{endpoint[0]}"
+        client._demux = yield Spawn(client._reader(), name=name)
         return client
 
     # -- demultiplexer -----------------------------------------------------------
@@ -194,6 +196,9 @@ class XrdClient:
         return pieces
 
     def disconnect(self):
-        """Effect sub-op: close the connection."""
+        """Effect sub-op: end the demultiplexer (its ``Recv`` reads EOF),
+        then close the connection, which it can no longer touch."""
         self._closed = True
+        self.channel.shutdown_read()
+        yield Join(self._demux)
         yield Close(self.channel)

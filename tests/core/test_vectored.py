@@ -1,12 +1,27 @@
 """Tests (incl. property-based) for vectored-I/O planning."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import PartTable, plan_vector, scatter_parts
+import repro
+from repro.concurrency import SimRuntime
+from repro.core import (
+    Context,
+    DavixClient,
+    PartTable,
+    missing_ranges,
+    plan_vector,
+    scatter_parts,
+)
 from repro.core.vectored import Fragment
 from repro.errors import RequestError
+from repro.net import GEANT, build_network
+from repro.server import HttpServer, ObjectStore, StorageApp
+from repro.sim import Environment
 
 
 def test_empty_plan():
@@ -295,3 +310,64 @@ def test_scatter_recovers_fragment_bytes(reads, gap):
         out.update(scatter_parts(batch, parts))
     for index, (offset, length) in enumerate(reads):
         assert out[index] == content[offset : offset + length]
+
+
+@given(
+    parts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3000),
+            st.integers(min_value=1, max_value=400),
+        ),
+        max_size=12,
+    ),
+    reads=reads_strategy,
+    gap=st.integers(min_value=0, max_value=300),
+    total=st.none() | st.integers(min_value=1, max_value=4000),
+)
+def test_missing_ranges_is_the_ranges_covers_refuses(parts, reads, gap, total):
+    """One walk of batch and table answers what a ``covers`` per range
+    answers, over any parts: out of order, overlapping, duplicated,
+    clipped at EOF."""
+    table = PartTable(total=total)
+    for offset, length in parts:
+        table.add(offset, bytes(length))
+    for batch in plan_vector(reads, max_ranges=8, gap=gap).batches:
+        assert missing_ranges(batch, table) == [
+            rng for rng in batch if not table.covers(rng.offset, rng.length)
+        ]
+
+
+# -- the per-fragment cost of a vectored read --------------------------------
+
+
+def test_call_budget_of_a_vectored_read():
+    """One ``pread_vec`` of 256 scattered 4 KiB fragments on the
+    simulator, client and server: the Python calls made in ``repro``
+    frames are pinned, so a per-fragment or per-part hop that grows
+    back on the plan, Range header, multipart or scatter path fails
+    here without a stopwatch."""
+    size = 4 << 20
+    env = Environment()
+    net = build_network(GEANT, env, seed=3)
+    store = ObjectStore()
+    blob = random.Random(7).randbytes(size)
+    store.put("/blob", blob)
+    HttpServer(SimRuntime(net, "server"), StorageApp(store), port=80).start()
+    client = DavixClient(SimRuntime(net, "client"), context=Context())
+    rng = random.Random(3)
+    reads = [(rng.randrange(size - 4096), 4096) for _ in range(256)]
+    package = repro.__file__.rsplit("__init__.py", 1)[0]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = client.pread_vec("http://server/blob", reads)
+    finally:
+        sys.setprofile(None)
+    assert out == [blob[o : o + n] for o, n in reads]
+    assert calls <= 4121  # the parent of this test made 12 013

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import HttpError, HttpParseError
+from repro.errors import HttpError, HttpParseError, HttpProtocolError
 from repro.http import (
     RangePart,
     decode_byteranges,
@@ -230,3 +230,98 @@ def test_parts_do_not_alias_a_mutable_chunk():
     decoder.feed(body)
     body[:] = bytes(len(body))
     assert decoder.close() == PARTS[:1]
+
+
+# -- canonical and non-canonical part heads ----------------------------------
+
+#: How one part's head is written. The first is what every encoder here
+#: writes (read in one match); the rest take the general grammar, or
+#: must fail there exactly as in the buffered decoder.
+HEADS = {
+    "canonical": "Content-Type: application/octet-stream\r\n"
+    "Content-Range: bytes {first}-{last}/{total}\r\n",
+    "lower-case": "content-type: text/plain\r\n"
+    "content-range: bytes {first}-{last}/{total}\r\n",
+    "reordered": "Content-Range: bytes {first}-{last}/{total}\r\n"
+    "Content-Type: application/octet-stream\r\n",
+    "extra field": "Content-Type: application/octet-stream\r\n"
+    "Content-Range: bytes {first}-{last}/{total}\r\nX-Part: 1\r\n",
+    "padded": "Content-Type:   a/b  \r\n"
+    "Content-Range:  bytes {first}-{last}/{total} \r\n",
+    "range only": "Content-Range: bytes {first}-{last}/{total}\r\n",
+    "descending": "Content-Type: a/b\r\n"
+    "Content-Range: bytes {last}-{first}/{total}\r\n",
+    "unknown total": "Content-Type: a/b\r\n"
+    "Content-Range: bytes {first}-{last}/*\r\n",
+    "plus sign": "Content-Type: a/b\r\n"
+    "Content-Range: bytes +{first}-{last}/{total}\r\n",
+    "no range": "Content-Type: a/b\r\n",
+}
+
+
+def hand_written_body(boundary, parts):
+    """``parts`` are ``(offset, data, style, slack, after)``: the head
+    says ``len(data) + slack`` bytes, so a nonzero slack misframes, and
+    ``after`` follows the data where CRLF belongs."""
+    body = [b"preamble\r\n"]
+    for offset, data, style, slack, after in parts:
+        last = offset + max(1, len(data) + slack) - 1
+        head = HEADS[style].format(first=offset, last=last, total=20_000)
+        body.append(f"--{boundary}\r\n{head}\r\n".encode("ascii"))
+        body.append(data + after)
+    body.append(f"--{boundary}--\r\n".encode("ascii"))
+    return b"".join(body)
+
+
+@given(
+    parts=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10_000),
+            st.binary(min_size=1, max_size=120),
+            st.sampled_from(sorted(HEADS)),
+            st.sampled_from([0, 0, 0, -1, 1]),
+            st.sampled_from([b"\r\n", b"\r\n", b"\r\n", b"ZZ", b""]),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    cuts=st.lists(st.integers(min_value=0, max_value=2000), max_size=10),
+)
+def test_property_any_head_mix_any_chunking_matches_buffered(parts, cuts):
+    """Same parts, or the same error type, as the buffered decoder: for
+    heads in and out of the canonical form and any chunk edges, which
+    can split a head between the in-place match and the queue."""
+    body = hand_written_body("B7", parts)
+    edges = sorted({cut % (len(body) + 1) for cut in cuts} | {len(body)})
+    chunks = [body[start:end] for start, end in zip([0] + edges, edges)]
+    assert outcome(lambda: feed_all("B7", chunks)) == outcome(
+        lambda: decode_byteranges(body, "B7")
+    )
+
+
+CANONICAL = HEADS["canonical"].format(first=3, last=9, total=20)
+TOKENS = [b"--B7", b"--B7--", b"\r\n", b"\r\n\r\n", b"-", b"/", b"*"]
+TOKENS += [line.encode("ascii") for line in CANONICAL.split("\r\n")]
+
+
+@given(
+    pieces=st.lists(
+        st.sampled_from(TOKENS)
+        | st.binary(max_size=6)
+        | st.integers(min_value=0, max_value=99).map(lambda n: b"%d" % n),
+        max_size=40,
+    ),
+    cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=8),
+)
+def test_property_arbitrary_bytes_fail_typed(pieces, cuts):
+    """Whatever arrives, in whatever chunks, the decoder returns or
+    raises a typed HTTP error, and it agrees with the buffered one."""
+    body = b"".join(pieces)
+    edges = sorted({cut % (len(body) + 1) for cut in cuts} | {len(body)})
+    chunks = [body[start:end] for start, end in zip([0] + edges, edges)]
+    streamed = outcome(lambda: feed_all("B7", chunks))
+    assert isinstance(streamed, list) or streamed in (
+        HttpParseError,
+        HttpProtocolError,
+    )
+    assert streamed == outcome(lambda: decode_byteranges(body, "B7"))

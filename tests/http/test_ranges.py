@@ -38,6 +38,11 @@ def test_parse_suffix_range():
         "bytes=a-b",
         "bytes=9-5",
         "bytes=0-1,,2-3",
+        # RFC 7233 positions are 1*DIGIT: what int() alone would take.
+        "bytes=1_0-2_0",
+        "bytes=+5-+9",
+        "bytes=5 - 9",
+        "bytes=\u0663-\u0669",
     ],
 )
 def test_parse_malformed_rejected(value):
@@ -97,7 +102,16 @@ def test_content_range_star_total():
 
 
 @pytest.mark.parametrize(
-    "value", ["items 0-1/2", "bytes 0-1", "bytes x-y/2", "bytes 5-1/10"]
+    "value",
+    [
+        "items 0-1/2",
+        "bytes 0-1",
+        "bytes x-y/2",
+        "bytes 5-1/10",
+        "bytes 1_0-2_0/100",
+        "bytes +0-9/+100",
+        "bytes \u0660-\u0669/\u0661\u0660\u0660",
+    ],
 )
 def test_content_range_malformed(value):
     with pytest.raises(HttpProtocolError):

@@ -1,8 +1,18 @@
-"""End-to-end XRootD client/server tests over the simulator."""
+"""End-to-end XRootD client/server tests over the simulator (and one
+over sockets)."""
+
+import threading
 
 import pytest
 
-from repro.concurrency import Accept, Close, Connect, Recv, Send
+from repro.concurrency import (
+    Accept,
+    Close,
+    Connect,
+    Recv,
+    Send,
+    ThreadRuntime,
+)
 from repro.errors import ConnectionClosed, XrootdError
 from repro.server import ObjectStore
 from repro.xrootd import (
@@ -356,3 +366,31 @@ def test_streamed_reply_reaches_the_caller_as_bytes():
     assert all(type(piece) is bytes for piece in [whole, *pieces])
     assert bytes_read == 1_000_000 + 600_000 + 300_000 + 10
     assert server.bytes_served == store.bytes_read == bytes_read
+
+
+def test_disconnect_returns_after_the_demultiplexer_ends_on_sockets():
+    """On sockets, ``disconnect`` stops the demultiplexer's ``Recv``
+    and joins its task, so no ``xrootd-demux`` thread outlives it (it
+    used to wait in ``Recv`` for the server's FIN)."""
+    store = ObjectStore()
+    store.put("/data/f.root", bytes(4096))
+    runtime = ThreadRuntime()
+    loop = serve_xrootd(runtime, XrdServer(store), port=0)
+
+    def op():
+        client = yield from XrdClient.connect(("127.0.0.1", loop.port))
+        f = yield from client.open("/data/f.root")
+        data = yield from client.read(f, 0, 100)
+        yield from client.disconnect()
+        return data, [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("xrootd-demux")
+        ]
+
+    try:
+        data, demuxers = runtime.run(op())
+    finally:
+        loop.stop()
+    assert data == bytes(100)
+    assert demuxers == []
