@@ -11,9 +11,7 @@ Two claims of the RNTuple-style v2 layout, measured end to end:
   scattered 20-row windows, an event-index skim) fetches page-granular
   byte ranges in v2 (~64 KiB pages) versus basket-granular ranges in
   v1 (100-entry ≈ 1.2 MB baskets): v2 must move at most 40 % of the
-  bytes v1 moves for the same rows, and the bytes must be identical
-  across the WebDAV and flat-object server dialects (the
-  backend-agnosticism claim).
+  bytes v1 moves for the same rows.
 
 Amplification = bytes fetched / compressed bytes of the selected
 records (1.0 = the wire carried exactly the selection).
@@ -31,13 +29,7 @@ from repro.rootio import (
     generate_tree_layout,
     paper_dataset,
 )
-from repro.server import (
-    FlatObjectApp,
-    HttpServer,
-    ObjectStore,
-    StorageApp,
-    ZeroContent,
-)
+from repro.server import HttpServer, ObjectStore, StorageApp, ZeroContent
 from repro.sim import Environment
 from repro.workloads import AnalysisConfig, Scenario, run_scenario
 
@@ -52,26 +44,14 @@ SEED = 31
 
 
 def scan_configs():
-    """label -> (AnalysisConfig, backend) for the full-scan sweep."""
+    """label -> AnalysisConfig for the full-scan sweep."""
     return {
-        "v1-webdav": (AnalysisConfig(fraction=0.25), "webdav"),
-        "v2-webdav-1lane": (
-            AnalysisConfig(
-                fraction=0.25, format="ntuple", decode_lanes=1
-            ),
-            "webdav",
+        "v1-webdav": AnalysisConfig(fraction=0.25),
+        "v2-webdav-1lane": AnalysisConfig(
+            fraction=0.25, format="ntuple", decode_lanes=1
         ),
-        "v2-webdav-4lanes": (
-            AnalysisConfig(
-                fraction=0.25, format="ntuple", decode_lanes=4
-            ),
-            "webdav",
-        ),
-        "v2-object-4lanes": (
-            AnalysisConfig(
-                fraction=0.25, format="ntuple", decode_lanes=4
-            ),
-            "object",
+        "v2-webdav-4lanes": AnalysisConfig(
+            fraction=0.25, format="ntuple", decode_lanes=4
         ),
     }
 
@@ -97,7 +77,7 @@ def selected_bytes(spec, rows, names):
     return rows * per_row
 
 
-def fetch_window_spans(meta, windows, names, backend):
+def fetch_window_spans(meta, windows, names):
     """Fetch each window's spans over a simulated wire -> bytes moved.
 
     The layout is hosted as sized-but-synthetic content; the client
@@ -115,10 +95,7 @@ def fetch_window_spans(meta, windows, names, backend):
     server_rt = SimRuntime(net, "server")
     store = ObjectStore(clock=server_rt.now)
     store.put("/data/events", ZeroContent(meta.file_size))
-    app = (
-        FlatObjectApp(store) if backend == "object" else StorageApp(store)
-    )
-    HttpServer(server_rt, app, port=80).start()
+    HttpServer(server_rt, StorageApp(store), port=80).start()
     runtime = SimRuntime(net, "client")
     context = Context()
     context.clock = runtime.now
@@ -141,7 +118,7 @@ def test_columnar_scan(benchmark):
 
     def run():
         out = {"full": {}, "sparse": {}}
-        for label, (config, backend) in scan_configs().items():
+        for label, config in scan_configs().items():
             report = run_scenario(
                 Scenario(
                     profile=WAN,
@@ -149,20 +126,16 @@ def test_columnar_scan(benchmark):
                     spec=spec,
                     config=config,
                     seed=SEED,
-                    backend=backend,
                 )
             )
             out["full"][label] = report
         v1_meta = generate_tree_layout(spec)
         v2_meta = generate_ntuple_layout(spec)
         out["sparse"]["v1-webdav"] = fetch_window_spans(
-            v1_meta, windows, SPARSE_COLUMNS, "webdav"
+            v1_meta, windows, SPARSE_COLUMNS
         )
         out["sparse"]["v2-webdav"] = fetch_window_spans(
-            v2_meta, windows, SPARSE_COLUMNS, "webdav"
-        )
-        out["sparse"]["v2-object"] = fetch_window_spans(
-            v2_meta, windows, SPARSE_COLUMNS, "object"
+            v2_meta, windows, SPARSE_COLUMNS
         )
         return out
 
@@ -203,8 +176,7 @@ def test_columnar_scan(benchmark):
         note=(
             "v2 pages cut the sparse skim's wire bytes ~4x vs v1 "
             "baskets; 4 decode lanes overlap WAN refills with "
-            "decompression on the full scan; object-store bytes match "
-            "WebDAV exactly"
+            "decompression on the full scan"
         ),
         params={
             "scale": bench_scale(),
@@ -226,10 +198,6 @@ def test_columnar_scan(benchmark):
             },
         },
     )
-
-    # Backend-agnostic: the v2 selection moves identical bytes over
-    # the WebDAV and flat-object dialects.
-    assert sparse["v2-webdav"] == sparse["v2-object"]
 
     if bench_scale() >= 0.9:
         # Read-amplification gate: v2 pages fetch <= 40 % of the bytes

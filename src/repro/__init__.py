@@ -8,7 +8,7 @@ Layered architecture (bottom up):
 * :mod:`repro.net` — flow-level TCP model and network profiles;
 * :mod:`repro.concurrency` — effect runtimes (simulator / sockets);
 * :mod:`repro.http` — sans-io HTTP/1.1 stack;
-* :mod:`repro.server` — DPM-like storage server, flat-object store, proxy;
+* :mod:`repro.server` — DPM-like storage server and caching proxy;
 * :mod:`repro.metalink` — RFC 5854 Metalink;
 * :mod:`repro.core` — **davix**: pool, vectored I/O, failover;
 * :mod:`repro.xrootd` — the XRootD baseline protocol;

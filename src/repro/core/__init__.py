@@ -29,7 +29,6 @@ _EXPORTS = {
     "TransferEngine": ".engine",
     "with_failover": ".failover",
     "DavFile": ".file",
-    "ObjectStoreClient": ".objectclient",
     "FileStat": ".file",
     "MultistreamResult": ".multistream",
     "StreamStats": ".multistream",

@@ -3,7 +3,7 @@
 Mirrors the public surface of the original libdavix: a
 :class:`Context` owns shared state (the session pool, the metric
 registry) and a :class:`RequestParams` bundles per-operation behaviour
-— redirect policy, retries, keep-alive, vectored-I/O limits and the
+— retries, deadlines, keep-alive, vectored-I/O coalescing and the
 Metalink strategy from Section 2.4 of the paper.
 
 The Context is also the observability composition root:
@@ -27,6 +27,11 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig, RetryPolicy
 
 __all__ = ["MetalinkMode", "RequestParams", "TransferConfig", "Context"]
+
+#: Seconds a failed replica stays blacklisted.
+BLACKLIST_TTL = 30.0
+#: Idle sessions the pool keeps per origin.
+POOL_MAX_PER_ORIGIN = 16
 
 
 class MetalinkMode:
@@ -53,10 +58,6 @@ class RequestParams:
     #: tune the simulated transport.
     tcp_options: TcpOptions = TcpOptions()
 
-    # -- redirects ------------------------------------------------------------
-    #: Redirects followed per operation before RedirectLoopError.
-    max_redirects: int = 10
-
     # -- resilience (retry/backoff, deadline, breaker) ------------------------
     #: Attempts and backoff on transient failures (5xx, stale or
     #: refused connections). The default is one immediate retry.
@@ -72,18 +73,8 @@ class RequestParams:
     deadline: Optional[float] = None
     #: Consult the context's per-endpoint circuit breakers.
     breaker_enabled: bool = True
-    #: Retry a request whose method is non-idempotent even when it may
-    #: already have reached the server (default: never).
-    retry_non_idempotent: bool = False
-
-    # -- observability --------------------------------------------------------
-    #: Send a W3C-style ``Traceparent`` header on every request so
-    #: server-side spans join the client trace.
-    trace_propagation: bool = True
 
     # -- vectored I/O (Section 2.3) -------------------------------------------
-    #: Maximum range-specs packed into one multi-range request.
-    max_vector_ranges: int = 256
     #: Merge fragments whose gap is below this many bytes.
     vector_gap: int = 512
 
@@ -94,8 +85,6 @@ class RequestParams:
 
     # -- Metalink (Section 2.4) --------------------------------------------------
     metalink_mode: str = MetalinkMode.FAILOVER
-    #: Seconds a failed replica stays blacklisted.
-    blacklist_ttl: float = 30.0
     #: Verify the Metalink adler32 checksum after multi-stream GETs.
     verify_checksum: bool = True
     #: Chunk size for multi-stream downloads.
@@ -103,11 +92,10 @@ class RequestParams:
     #: Maximum parallel streams (one per distinct replica).
     multistream_max_streams: int = 4
 
-    # -- headers / auth ---------------------------------------------------------------
-    user_agent: str = "repro-davix/1.0"
-    extra_headers: Tuple[Tuple[str, str], ...] = ()
-    #: Bearer token attached as ``Authorization: Bearer <token>``
-    #: (stands in for the grid's X.509 delegation).
+    # -- auth / transport -----------------------------------------------------
+    #: Bearer token attached as ``Authorization: Bearer <token>`` to
+    #: requests to the operation's own origin, never across a redirect
+    #: to another one (stands in for the grid's X.509 delegation).
     auth_token: Optional[str] = None
     #: TLS cost model for https/davs URLs (None -> model defaults).
     tls: Optional[object] = None
@@ -120,10 +108,6 @@ class RequestParams:
             raise ValueError(
                 f"bad metalink_mode {self.metalink_mode!r}"
             )
-        if self.max_redirects < 0:
-            raise ValueError("max_redirects must be >= 0")
-        if self.max_vector_ranges < 1:
-            raise ValueError("max_vector_ranges must be >= 1")
         if self.vector_gap < 0:
             raise ValueError("vector_gap must be >= 0")
         if self.multistream_chunk < 1 or self.multistream_max_streams < 1:
@@ -150,13 +134,10 @@ class Context:
     def __init__(
         self,
         params: Optional[RequestParams] = None,
-        pool_max_per_origin: int = 16,
         clock=None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         breaker: Optional[BreakerConfig] = None,
-        pool_shards: int = 8,
-        pool_idle_ttl: Optional[float] = None,
         telemetry: Optional["TelemetrySink"] = None,
     ):
         self.params = params or RequestParams()
@@ -186,11 +167,9 @@ class Context:
         if telemetry is not None:
             self.tracer.sink = telemetry.record_span
         self.pool = SessionPool(
-            max_idle_per_origin=pool_max_per_origin,
+            max_idle_per_origin=POOL_MAX_PER_ORIGIN,
             clock=self._now,
             metrics=self.metrics,
-            shards=pool_shards,
-            idle_ttl=pool_idle_ttl,
         )
         #: Per-endpoint circuit breakers; opening one drops the
         #: endpoint's idle pooled sessions along with it.
@@ -249,7 +228,7 @@ class Context:
 
     def blacklist(self, origin: Tuple, ttl: Optional[float] = None) -> None:
         """Mark an origin as recently failed."""
-        ttl = self.params.blacklist_ttl if ttl is None else ttl
+        ttl = BLACKLIST_TTL if ttl is None else ttl
         self._blacklist[origin] = self._now() + ttl
 
     def is_blacklisted(self, origin: Tuple) -> bool:

@@ -41,6 +41,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.concurrency import Join, Spawn, TaskWindow
+from repro.core import vectored
 from repro.core.transfer import TransferConfig
 from repro.core.vectored import plan_vector
 
@@ -175,7 +176,7 @@ class TransferEngine:
         while self._plan and self._window.has_room():
             segments: List[Segment] = []
             nbytes = 0
-            while self._plan and len(segments) < params.max_vector_ranges:
+            while self._plan and len(segments) < vectored.MAX_VECTOR_RANGES:
                 segment = self._plan.popleft()
                 if segment in self._dropped:
                     self._dropped.discard(segment)
@@ -193,10 +194,10 @@ class TransferEngine:
                     break
             if not segments:
                 continue
-            # <= max_vector_ranges segments always plan to one batch.
+            # <= MAX_VECTOR_RANGES segments always plan to one batch.
             plan = plan_vector(
                 segments,
-                max_ranges=params.max_vector_ranges,
+                max_ranges=vectored.MAX_VECTOR_RANGES,
                 gap=params.vector_gap,
             )
             ranges = plan.batches[0]

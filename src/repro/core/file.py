@@ -21,6 +21,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.concurrency import bounded_gather
+from repro.core import vectored
 from repro.core.context import Context, RequestParams
 from repro.core.engine import TransferEngine
 from repro.core.request import execute_request
@@ -375,7 +376,7 @@ class DavFile:
         """Effect sub-op: vectored read -> list of bytes, input order.
 
         This is the paper's flagship feature: the reads are coalesced
-        and packed into at most ``ceil(n_ranges/max_vector_ranges)``
+        and packed into at most ``ceil(n_ranges/MAX_VECTOR_RANGES)``
         multi-range requests, each answered by one
         ``multipart/byteranges`` response. With
         ``transfer.max_inflight > 1`` the batches dispatch
@@ -480,8 +481,8 @@ class DavFile:
                 if again == spans:
                     break  # filling stopped converging: demand the rest
                 spans = again
-                # Coalesced GETs of at most max_vector_ranges spans.
-                step = max(1, self.params.max_vector_ranges)
+                # Coalesced GETs of at most MAX_VECTOR_RANGES spans.
+                step = vectored.MAX_VECTOR_RANGES
                 for start in range(0, len(spans), step):
                     yield from self._get_ranges(spans[start : start + step])
                 unresolved: List[int] = []
@@ -584,7 +585,7 @@ class DavFile:
         """The demanded vectored read: plan, fetch, scatter."""
         plan = plan_vector(
             reads,
-            max_ranges=self.params.max_vector_ranges,
+            max_ranges=vectored.MAX_VECTOR_RANGES,
             gap=self.params.vector_gap,
         )
         if not plan.fragments:

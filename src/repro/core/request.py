@@ -24,8 +24,8 @@ Three resilience policies meet here:
 
 Mid-exchange failures (the request may have reached the application)
 are retried only for idempotent methods — a vectored multi-range GET is
-retry-safe, a MOVE is not — unless ``params.retry_non_idempotent``
-opts in. Connect failures and stale keep-alive races are always safe.
+retry-safe, a MOVE is not — unless :data:`RETRY_NON_IDEMPOTENT` opts
+in. Connect failures and stale keep-alive races are always safe.
 """
 
 from __future__ import annotations
@@ -53,6 +53,14 @@ from repro.obs.phases import PhaseRecorder
 from repro.resilience import Deadline, is_idempotent
 
 __all__ = ["execute_request", "checkout_session"]
+
+#: Redirects followed per operation before RedirectLoopError.
+MAX_REDIRECTS = 10
+#: Retry a request whose method is non-idempotent even when it may
+#: already have reached the server (never).
+RETRY_NON_IDEMPOTENT = False
+#: ``User-Agent`` of every request that does not set its own.
+USER_AGENT = "repro-davix/1.0"
 
 #: Errors that mean "this attempt failed, the endpoint may still work".
 TRANSIENT_ERRORS = (
@@ -138,16 +146,18 @@ def checkout_session(
     return session
 
 
-def _prepare(request: Request, url: Url, params: RequestParams) -> Request:
+def _prepare(
+    request: Request, url: Url, params: RequestParams, first: Url
+) -> Request:
+    """The request as sent to ``url``, a hop of the operation on
+    ``first``: ``params.auth_token`` goes to ``first``'s origin only."""
     headers = request.headers.copy()
     headers.set("Host", url.netloc)
-    headers.setdefault("User-Agent", params.user_agent)
+    headers.setdefault("User-Agent", USER_AGENT)
     target = url.target
     if params.proxy is not None and url.scheme in ("http", "dav"):
         target = str(url)  # absolute request-URI towards the proxy
-    for name, value in params.extra_headers:
-        headers.setdefault(name, value)
-    if params.auth_token:
+    if params.auth_token and url.origin == first.origin:
         headers.setdefault(
             "Authorization", f"Bearer {params.auth_token}"
         )
@@ -295,7 +305,7 @@ def execute_request(
                 acquire_span.end()
 
             origin = session.origin
-            outgoing = _prepare(request, current, params)
+            outgoing = _prepare(request, current, params, url)
             exchange_span = span.child("exchange", host=current.host)
             try:
                 response = yield from _session_exchange(
@@ -324,7 +334,7 @@ def execute_request(
                 session.discard()
                 if breakers is not None:
                     breakers.record(origin, ok=False)
-                if not (idempotent or params.retry_non_idempotent):
+                if not (idempotent or RETRY_NON_IDEMPOTENT):
                     # The exchange died mid-flight: the server may have
                     # executed a non-idempotent operation already.
                     context.metrics.counter(
@@ -348,8 +358,8 @@ def execute_request(
                 context.pool.release(session)
                 redirects += 1
                 context.metrics.counter("client.redirects_followed_total").inc()
-                if redirects > params.max_redirects:
-                    raise RedirectLoopError(str(url), params.max_redirects)
+                if redirects > MAX_REDIRECTS:
+                    raise RedirectLoopError(str(url), MAX_REDIRECTS)
                 current = current.resolve(response.headers.get("Location"))
                 continue
 
@@ -395,16 +405,6 @@ def _session_exchange(
     recorder=None,
 ):
     """One exchange on one session, with late sink selection."""
-    if sink_factory is None:
-        response = yield from session.request(
-            request,
-            timeout=params.operation_timeout,
-            span=span,
-            deadline=deadline,
-            recorder=recorder,
-            propagate=params.trace_propagation,
-        )
-        return response
     response = yield from session.request(
         request,
         sink_factory=sink_factory,
@@ -412,6 +412,5 @@ def _session_exchange(
         span=span,
         deadline=deadline,
         recorder=recorder,
-        propagate=params.trace_propagation,
     )
     return response

@@ -41,6 +41,10 @@ from repro.http import (
 
 __all__ = ["Session", "StaleSession", "open_session"]
 
+#: Send a W3C-style ``Traceparent`` header on every traced request so
+#: server-side spans join the client trace.
+TRACE_PROPAGATION = True
+
 
 class StaleSession(NetworkError):
     """A recycled connection died before the response started.
@@ -119,7 +123,6 @@ class Session:
         span=None,
         deadline=None,
         recorder=None,
-        propagate: bool = True,
     ):
         """Effect sub-op: send ``request``, read the full response.
 
@@ -130,9 +133,9 @@ class Session:
         — needed so redirect/error bodies are buffered, not streamed.
         ``span`` (when given) becomes the parent of ``send``/``recv``
         child spans covering the two wire phases, and — with
-        ``propagate`` — its trace/span IDs ride to the server in a
-        ``Traceparent`` header, so server-side spans join the client's
-        trace. ``recorder`` (a
+        :data:`TRACE_PROPAGATION` — its trace/span IDs ride to the
+        server in a ``Traceparent`` header, so server-side spans join
+        the client's trace. ``recorder`` (a
         :class:`~repro.obs.PhaseRecorder`) receives the wire phase
         marks: ``request-write`` when the request is on the wire,
         ``ttfb`` at the first response byte, ``body-transfer`` when the
@@ -143,7 +146,7 @@ class Session:
         Raises :class:`StaleSession` when a *reused* connection turns
         out dead before the status line arrives.
         """
-        if propagate and span is not None:
+        if TRACE_PROPAGATION and span is not None:
             from repro.obs.propagation import inject_traceparent
 
             inject_traceparent(request.headers, span)

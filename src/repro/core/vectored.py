@@ -38,6 +38,9 @@ __all__ = [
     "missing_ranges",
 ]
 
+#: Maximum range-specs packed into one multi-range request.
+MAX_VECTOR_RANGES = 256
+
 
 class Fragment(NamedTuple):
     """One requested read: ``length`` bytes at ``offset``.

@@ -1,4 +1,4 @@
-"""HTTP/WebDAV storage server (DPM-like), flat-object dialect and proxy."""
+"""HTTP/WebDAV storage server (DPM-like) and caching proxy."""
 
 from repro._lazy import exports
 
@@ -8,7 +8,6 @@ _EXPORTS = {
     "Envelope": ".envelope",
     "FaultAction": ".faults",
     "FaultPolicy": ".faults",
-    "FlatObjectApp": ".flatobject",
     "ServedResponse": ".envelope",
     "ServerConfig": ".envelope",
     "StorageApp": ".handlers",

@@ -31,7 +31,11 @@ from repro.server.envelope import Envelope, ServedResponse
 
 __all__ = ["handle_connection", "HttpServer"]
 
-#: Server-side keep-alive idle timeout (seconds).
+#: Honour HTTP keep-alive (off = HTTP/1.0-style close per request).
+KEEPALIVE = True
+#: Close the connection after this many requests (None = unlimited).
+MAX_REQUESTS_PER_CONNECTION: Optional[int] = None
+#: Close kept-alive connections idle for longer than this (seconds).
 KEEPALIVE_IDLE = 30.0
 
 
@@ -56,18 +60,16 @@ def handle_connection(channel, app: Envelope):
             return
     try:
         while True:
-            request = yield from _read_request(
-                channel, parser, config.keepalive_idle
-            )
+            request = yield from _read_request(channel, parser)
             if request is None:
                 break
             served += 1
             keep = (
-                config.keepalive
+                KEEPALIVE
                 and request.wants_keep_alive()
                 and (
-                    config.max_requests_per_connection is None
-                    or served < config.max_requests_per_connection
+                    MAX_REQUESTS_PER_CONNECTION is None
+                    or served < MAX_REQUESTS_PER_CONNECTION
                 )
             )
             # Observers (metrics scrapes, telemetry pushes) get no span.
@@ -127,14 +129,14 @@ def handle_connection(channel, app: Envelope):
         yield Close(channel)
 
 
-def _read_request(channel, parser: HttpParser, idle_timeout=KEEPALIVE_IDLE):
+def _read_request(channel, parser: HttpParser):
     """Read one full request (head + body); None on clean close."""
     head: Optional[Request] = None
     body = None
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
-            data = yield Recv(channel, timeout=idle_timeout)
+            data = yield Recv(channel, timeout=KEEPALIVE_IDLE)
             parser.receive_data(data)
             continue
         if event == CONNECTION_CLOSED:

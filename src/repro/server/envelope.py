@@ -3,11 +3,11 @@
 :meth:`Envelope.handle` maps one :class:`~repro.http.Request` to a
 :class:`ServedResponse` without any I/O — the serve loops in
 :mod:`repro.server.app` drive it over simulated or real transports.
-Storage node, flat-object store and site proxy are subclasses that
-implement :meth:`Envelope.route` only; everything
-around the route — observer requests, request/response counters, the
-fault policy, ``StoreError`` mapping and response stamping — happens
-here, once, so every tier counts and fails the same way.
+Storage node and site proxy are subclasses that implement
+:meth:`Envelope.route` only; everything around the route — observer
+requests, request/response counters, the fault policy, ``StoreError``
+mapping and response stamping — happens here, once, so every tier
+counts and fails the same way.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ class ServerConfig:
     """Behavioural knobs of the storage server."""
 
     server_name: str = "repro-dpm/1.0"
-    #: Honour HTTP keep-alive (off = HTTP/1.0-style close per request).
-    keepalive: bool = True
-    #: Close the connection after this many requests (None = unlimited).
-    max_requests_per_connection: Optional[int] = None
-    #: Close kept-alive connections idle for longer than this (seconds).
-    keepalive_idle: float = 30.0
     #: Per-request fixed service overhead in seconds (CPU + queueing).
     service_overhead: float = 0.0005
     #: Storage backend streaming rate in bytes/second (disk array).
@@ -55,15 +49,12 @@ class ServerConfig:
     #: responses (e.g. ``"max-age=120"``); None = no header.
     cache_control: Optional[str] = None
     #: Mounted :class:`~repro.obs.collector.TelemetryCollector`: every
-    #: app served by this config — storage, proxy or flat-object —
-    #: ingests ``POST <telemetry_path>`` JSONL batches into it; None =
+    #: app served by this config — storage or proxy — ingests
+    #: ``POST <telemetry_path>`` JSONL batches into it; None =
     #: telemetry ingest disabled.
     collector: Optional[object] = None
     #: Mount path of the telemetry ingest endpoint.
     telemetry_path: str = "/v1/telemetry"
-    #: Default stream count for third-party copies (no
-    #: ``X-Number-Of-Streams`` header on the COPY).
-    tpc_streams: int = 4
     #: Hard cap on client-requested TPC stream counts.
     tpc_max_streams: int = 16
     #: Chunk size of third-party-copy ranged transfers.

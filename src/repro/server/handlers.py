@@ -37,6 +37,9 @@ __all__ = ["StorageApp"]
 
 #: Ranged uploads in progress at once; past this the oldest is dropped.
 MAX_PENDING_UPLOADS = 64
+#: Stream count of a third-party copy whose COPY carries no
+#: ``X-Number-Of-Streams`` header.
+TPC_STREAMS = 4
 
 
 class _PartialUpload:
@@ -378,7 +381,7 @@ class StorageApp(Envelope):
             return ServedResponse(self._not_found(path))
         requested = request.headers.get_int("X-Number-Of-Streams")
         if requested is None or requested < 1:
-            requested = self.config.tpc_streams
+            requested = TPC_STREAMS
         streams = min(requested, self.config.tpc_max_streams)
         trace_ctx = parse_traceparent(
             request.headers.get(TRACEPARENT_HEADER)

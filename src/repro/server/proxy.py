@@ -241,6 +241,26 @@ class ProxyApp(Envelope):
             span.end(status=response.status)
         return response
 
+    def _forward(
+        self, name, request: Request, target: Url, trace_ctx, serving
+    ):
+        """Effect sub-op: the client's ``request``, minus its hop-by-hop
+        headers, as one :meth:`_exchange` -> ``(response, True)``; the
+        proxy's own 502 and ``False`` when the origin is unreachable."""
+        upstream = Request(
+            method=request.method,
+            target=target.target,
+            headers=_strip_hop_headers(request.headers),
+            body=request.body,
+        )
+        try:
+            response = yield from self._exchange(
+                name, target, upstream, trace_ctx, serving
+            )
+        except (DavixError, NetworkError) as exc:
+            return self._error(502, f"upstream failed: {exc}"), False
+        return response, True
+
     def _start_upstream(self, name, trace_ctx, serving, **attrs):
         """Start a span for upstream work on the proxy's tracer.
 
@@ -284,18 +304,11 @@ class ProxyApp(Envelope):
     def _relay(self, request: Request, target: Url, trace_ctx, serving):
         """Effect sub-op: pass-through (non-cacheable) request, on
         behalf of the ``serving`` span's request."""
-        upstream = Request(
-            method=request.method,
-            target=target.target,
-            headers=_strip_hop_headers(request.headers),
-            body=request.body,
+        response, reached = yield from self._forward(
+            "relay", request, target, trace_ctx, serving
         )
-        try:
-            response = yield from self._exchange(
-                "relay", target, upstream, trace_ctx, serving
-            )
-        except (DavixError, NetworkError) as exc:
-            return self._error(502, f"upstream failed: {exc}")
+        if not reached:
+            return response
         self._record(serving, str(target), "BYPASS", len(response.body), 0)
         return _forwarded(response, cache_state="BYPASS")
 
@@ -321,15 +334,11 @@ class ProxyApp(Envelope):
             )
             if kind == "cold":
                 # Not pre-alignable: forward as-is, ingest the answer.
-                upstream = Request(
-                    "GET", target.target, _strip_hop_headers(request.headers)
+                response, reached = yield from self._forward(
+                    "origin-fetch", request, target, trace_ctx, serving
                 )
-                try:
-                    response = yield from self._exchange(
-                        "origin-fetch", target, upstream, trace_ctx, serving
-                    )
-                except (DavixError, NetworkError) as exc:
-                    return self._error(502, f"upstream failed: {exc}")
+                if not reached:
+                    return response
                 if response.status not in (200, 206):
                     return _forwarded(response, cache_state="UNCACHEABLE")
                 self._ingest(url, response, now)

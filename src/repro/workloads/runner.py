@@ -23,13 +23,7 @@ from repro.rootio.generator import (
     generate_tree_bytes,
     generate_tree_layout,
 )
-from repro.server import (
-    FlatObjectApp,
-    HttpServer,
-    ObjectStore,
-    StorageApp,
-    ZeroContent,
-)
+from repro.server import HttpServer, ObjectStore, StorageApp, ZeroContent
 from repro.sim import Environment
 from repro.workloads.analysis import (
     AnalysisConfig,
@@ -59,17 +53,10 @@ class Scenario:
     faults: Optional[FaultPolicy] = None
     #: Request params for the davix client (retry policy, deadline, …).
     params: Optional[RequestParams] = None
-    #: Server dialect: "webdav" (full DPM-style StorageApp) or
-    #: "object" (flat S3-like key store); davix only.
-    backend: str = "webdav"
 
     def __post_init__(self):
         if self.protocol not in ("davix", "xrootd"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.backend not in ("webdav", "object"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "object" and self.protocol != "davix":
-            raise ValueError("the object backend speaks HTTP (davix) only")
 
 
 def run_scenario(
@@ -113,11 +100,7 @@ def run_scenario(
         meta = layout
 
     if scenario.protocol == "davix":
-        app = (
-            FlatObjectApp(store, faults=scenario.faults)
-            if scenario.backend == "object"
-            else StorageApp(store, faults=scenario.faults)
-        )
+        app = StorageApp(store, faults=scenario.faults)
         server_sink = None
         if collector is not None:
             from repro.obs import Tracer

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core import RequestParams
+from repro.core import request as request_module
+from repro.core import vectored
 from repro.errors import DeadlineExceeded, FileNotFound, RequestError
 from repro.net import TcpOptions
 from repro.server import ServerConfig
+from repro.server import app as server_app
 from repro.workloads.analysis import DAVIX_TCP
 
 from tests.helpers import NO_RETRY, davix_world, immediate
@@ -95,9 +98,9 @@ def test_pread_vec_coalesces_into_one_request():
     assert client.context.metrics.value("vector.fragments_total") == 40
 
 
-def test_pread_vec_batches_when_over_max_ranges():
-    params = RequestParams(max_vector_ranges=8, vector_gap=0)
-    client, app, store, _ = davix_world(params=params)
+def test_pread_vec_batches_when_over_max_ranges(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 8)
+    client, app, store, _ = davix_world(params=RequestParams(vector_gap=0))
     content = bytes(i % 251 for i in range(200_000))
     store.put("/x", content)
     before = app.requests_handled
@@ -159,6 +162,50 @@ def test_redirect_followed_transparently():
     assert client.context.metrics.value("client.redirects_followed_total") == 1
 
 
+def test_bearer_token_is_not_sent_to_another_origin_on_redirect():
+    """As curl on a cross-host redirect: the token goes to the
+    operation's own origin on every hop, and to no other origin."""
+    from repro.concurrency import SimRuntime
+    from repro.core import DavixClient
+    from repro.net import LinkSpec, Network
+    from repro.server import HttpServer, ObjectStore, StorageApp
+    from repro.sim import Environment
+
+    net = Network(Environment())
+    net.add_host("client")
+    seen = []
+
+    def node(host, redirect_base=None):
+        net.add_host(host)
+        net.set_route("client", host, LinkSpec(latency=0.001, bandwidth=1e8))
+        store = ObjectStore()
+        store.put("/f", b"payload")
+        app = StorageApp(store, ServerConfig(redirect_base=redirect_base))
+        handle = app.handle
+
+        def spy(request):
+            seen.append((host, request.headers.get("Authorization")))
+            return handle(request)
+
+        app.handle = spy
+        HttpServer(SimRuntime(net, host), app, port=80).start()
+
+    node("head", redirect_base="http://disk")
+    node("disk")
+    node("self", redirect_base="http://self")
+    client = DavixClient(
+        SimRuntime(net, "client"), params=RequestParams(auth_token="t0k")
+    )
+    assert client.get("http://head/f") == b"payload"
+    assert client.get("http://self/f") == b"payload"
+    assert seen == [
+        ("head", "Bearer t0k"),
+        ("disk", None),
+        ("self", "Bearer t0k"),
+        ("self", "Bearer t0k"),
+    ]
+
+
 def test_redirect_loop_detected():
     from repro.core import DavixClient
     from repro.errors import RedirectLoopError
@@ -214,12 +261,12 @@ def test_error_status_maps_to_request_error():
     assert info.value.status == 503
 
 
-def test_stale_session_is_retried_transparently():
+def test_stale_session_is_retried_transparently(monkeypatch):
     # The server drops idle keep-alive connections after 1 s; the second
     # GET (after a 5 s pause) finds a dead pooled session, gets EOF
     # instead of a status line, and must retry on a fresh connection.
-    config = ServerConfig(keepalive_idle=1.0)
-    client, app, store, _ = davix_world(config=config)
+    monkeypatch.setattr(server_app, "KEEPALIVE_IDLE", 1.0)
+    client, app, store, _ = davix_world()
     store.put("/x", b"abc")
     assert client.get("http://server/x") == b"abc"
     env = client.runtime.env
@@ -229,11 +276,13 @@ def test_stale_session_is_retried_transparently():
     assert client.context.pool.stats().hits == 1  # reuse was attempted
 
 
-def test_server_connection_close_header_prevents_bad_recycling():
-    # max_requests_per_connection makes the server announce the close;
+def test_server_connection_close_header_prevents_bad_recycling(
+    monkeypatch,
+):
+    # MAX_REQUESTS_PER_CONNECTION makes the server announce the close;
     # the client must not recycle that session (no stale retry needed).
-    config = ServerConfig(max_requests_per_connection=2)
-    client, app, store, _ = davix_world(config=config)
+    monkeypatch.setattr(server_app, "MAX_REQUESTS_PER_CONNECTION", 2)
+    client, app, store, _ = davix_world()
     store.put("/x", b"abc")
     for _ in range(6):
         assert client.get("http://server/x") == b"abc"
@@ -264,22 +313,17 @@ def test_deadline_bounds_the_connect_to_a_down_host(tcp_options):
     assert client.runtime.now() <= 0.5
 
 
-def test_user_agent_and_extra_headers_sent():
-    client, app, store, _ = davix_world(
-        params=RequestParams(
-            user_agent="custom-agent/2",
-            extra_headers=(("X-Trace", "abc123"),),
-        )
-    )
+def test_user_agent_sent(monkeypatch):
+    monkeypatch.setattr(request_module, "USER_AGENT", "custom-agent/2")
+    client, app, store, _ = davix_world()
     seen = {}
     original = app.handle
 
     def spy(request):
         seen["ua"] = request.headers.get("User-Agent")
-        seen["trace"] = request.headers.get("X-Trace")
         return original(request)
 
     app.handle = spy
     store.put("/x", b"abc")
     client.get("http://server/x")
-    assert seen == {"ua": "custom-agent/2", "trace": "abc123"}
+    assert seen == {"ua": "custom-agent/2"}

@@ -6,7 +6,9 @@ batches must be cancelled — window slots freed immediately, counted in
 ``engine.cancelled_batches_total`` — instead of draining uselessly.
 """
 
-from repro.core import RequestParams, TransferConfig
+import pytest
+
+from repro.core import RequestParams, TransferConfig, vectored
 from repro.core.file import DavFile
 
 from tests.helpers import davix_world
@@ -14,9 +16,13 @@ from tests.helpers import davix_world
 BLOB = bytes((i * 37 + 11) % 256 for i in range(800_000))
 
 
+@pytest.fixture(autouse=True)
+def four_ranges_a_request(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 4)
+
+
 def engine_world(latency=0.02):
     params = RequestParams(
-        max_vector_ranges=4,
         vector_gap=0,
         transfer=TransferConfig(max_inflight=4, read_ahead=True),
     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.concurrency import SimRuntime
 from repro.core import Context, DavixClient, MetalinkMode, RequestParams
+from repro.core import context as context_module
 from repro.errors import AllReplicasFailed, FileNotFound
 from repro.net import LinkSpec, Network, TcpOptions
 from repro.obs import MetricsRegistry
@@ -149,8 +150,9 @@ def test_blacklisted_replica_is_skipped():
     assert gets[2] >= 1
 
 
-def test_blacklist_expires_with_ttl():
-    context = Context(params=RequestParams(blacklist_ttl=10.0))
+def test_blacklist_expires_with_ttl(monkeypatch):
+    monkeypatch.setattr(context_module, "BLACKLIST_TTL", 10.0)
+    context = Context()
     now = {"t": 0.0}
     context.clock = lambda: now["t"]
     origin = ("http", "site1", 80)

@@ -6,7 +6,8 @@ from repro.core import pipeline_requests
 from repro.core.file import DavFile
 from repro.errors import ConnectionClosed
 from repro.http import Request
-from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
+from repro.server import HttpServer, ObjectStore, StorageApp
+from repro.server import app as server_app
 
 from tests.helpers import davix_world, get, sim_world
 
@@ -98,12 +99,12 @@ def test_pool_dispatch_avoids_hol_blocking():
     assert times["/big"] > 0.9
 
 
-def test_pipeline_against_closing_server_raises():
-    config = ServerConfig(max_requests_per_connection=2)
+def test_pipeline_against_closing_server_raises(monkeypatch):
+    monkeypatch.setattr(server_app, "MAX_REQUESTS_PER_CONNECTION", 2)
     client_rt, server_rt = sim_world()
     store = ObjectStore()
     store.put("/x", b"d")
-    HttpServer(server_rt, StorageApp(store, config=config), port=80).start()
+    HttpServer(server_rt, StorageApp(store), port=80).start()
     with pytest.raises(ConnectionClosed):
         client_rt.run(
             pipeline_requests(

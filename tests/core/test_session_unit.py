@@ -6,18 +6,17 @@ from repro.concurrency import SimRuntime
 from repro.core import Session, StaleSession, open_session
 from repro.errors import ConnectionClosed
 from repro.http import Request
-from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
+from repro.server import HttpServer, ObjectStore, StorageApp
+from repro.server import app as server_app
 
 from tests.helpers import sim_world
 
 
-def session_world(config=None):
+def session_world():
     client_rt, server_rt = sim_world()
     store = ObjectStore()
     store.put("/x", b"session-test")
-    HttpServer(
-        server_rt, StorageApp(store, config=config), port=80
-    ).start()
+    HttpServer(server_rt, StorageApp(store), port=80).start()
     return client_rt, store
 
 
@@ -59,8 +58,9 @@ def test_request_updates_counters_and_stays_reusable():
     assert session.reusable
 
 
-def test_connection_close_response_dirties_session():
-    client_rt, _ = session_world(config=ServerConfig(keepalive=False))
+def test_connection_close_response_dirties_session(monkeypatch):
+    monkeypatch.setattr(server_app, "KEEPALIVE", False)
+    client_rt, _ = session_world()
     session = open_to_server(client_rt)
 
     def op():

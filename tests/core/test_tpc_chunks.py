@@ -53,7 +53,7 @@ def test_plan_chunks_single_byte_final_chunk(chunk):
     assert chunks[-1] == (chunk * 3, 1)
 
 
-def tpc_world(chunk_size, streams):
+def tpc_world(chunk_size):
     env = Environment()
     net = Network(env, seed=7)
     for name in ("client", "site-a", "site-b"):
@@ -66,10 +66,7 @@ def tpc_world(chunk_size, streams):
     net.set_route("client", "site-b", default)
     apps = {}
     for name in ("site-a", "site-b"):
-        app = StorageApp(
-            ObjectStore(),
-            config=ServerConfig(tpc_chunk=chunk_size, tpc_streams=streams),
-        )
+        app = StorageApp(ObjectStore(), ServerConfig(tpc_chunk=chunk_size))
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps[name] = app
     client = DavixClient(
@@ -99,7 +96,7 @@ def test_multistream_tpc_byte_identical_to_single_stream(size, mode):
 
     committed = {}
     for streams in (1, 4):
-        client, apps = tpc_world(chunk_size=1024, streams=streams)
+        client, apps = tpc_world(chunk_size=1024)
         apps["site-a"].store.put("/src", payload)
         summary = client.third_party_copy(
             "http://site-a/src",

@@ -13,12 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import RequestParams, TransferConfig
+from repro.core import RequestParams, TransferConfig, vectored
 from repro.core.file import DavFile
 
 from tests.helpers import davix_world
 
 BLOB = bytes((i * 37 + 11) % 256 for i in range(800_000))
+
+
+@pytest.fixture(autouse=True)
+def eight_ranges_a_request(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 8)
 
 
 def segments_spread(count, length=1024, stride=8192, base=0):
@@ -27,7 +32,6 @@ def segments_spread(count, length=1024, stride=8192, base=0):
 
 def engine_world(transfer=None, latency=0.001, params=None, **world_kw):
     params = params or RequestParams(
-        max_vector_ranges=8,
         vector_gap=0,
         transfer=transfer
         or TransferConfig(max_inflight=4, read_ahead=True),
@@ -231,7 +235,6 @@ def test_a_served_part_is_released_and_no_pending_one_is(case):
     plan, gap, groups = case
     client, _ = engine_world(
         params=RequestParams(
-            max_vector_ranges=8,
             vector_gap=gap,
             transfer=TransferConfig(read_ahead=True, window_batches=4),
         )
@@ -372,7 +375,6 @@ def test_engine_on_thread_runtime_against_live_server():
         client = DavixClient(
             ThreadRuntime(),
             params=RequestParams(
-                max_vector_ranges=8,
                 vector_gap=0,
                 transfer=TransferConfig(
                     max_inflight=2, read_ahead=True

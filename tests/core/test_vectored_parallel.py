@@ -12,7 +12,7 @@ from the API surface.
 
 import pytest
 
-from repro.core import RequestParams, TransferConfig
+from repro.core import RequestParams, TransferConfig, vectored
 from repro.errors import RequestError
 
 from tests.helpers import davix_world, immediate
@@ -21,13 +21,17 @@ from tests.resilience.conftest import ScriptedFaults, errors
 BLOB = bytes((i * 131 + 7) % 256 for i in range(400_000))
 
 
+@pytest.fixture(autouse=True)
+def four_ranges_a_request(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 4)
+
+
 def reads_spread(count, length=512, stride=16_384):
     return [(i * stride, length) for i in range(count)]
 
 
 def world(max_inflight, latency=0.001, faults=None, attempts=2):
     params = RequestParams(
-        max_vector_ranges=4,
         vector_gap=0,
         transfer=TransferConfig(max_inflight=max_inflight),
         retry_policy=immediate(attempts),

@@ -109,11 +109,11 @@ def test_hit_rate_property():
 
 
 def test_request_params_replace():
-    params = RequestParams(max_redirects=2, keep_alive=True)
-    updated = params.replace(max_redirects=5)
-    assert updated.max_redirects == 5
+    params = RequestParams(vector_gap=2, keep_alive=True)
+    updated = params.replace(vector_gap=5)
+    assert updated.vector_gap == 5
     assert updated.keep_alive is True
-    assert params.max_redirects == 2  # original untouched
+    assert params.vector_gap == 2  # original untouched
 
 
 def test_request_params_replace_rejects_unknown_field():
@@ -122,16 +122,16 @@ def test_request_params_replace_rejects_unknown_field():
 
 
 def test_resolve_params_defaults_overrides_and_bundles():
-    client, _, _, _ = davix_world(params=RequestParams(max_redirects=3))
+    client, _, _, _ = davix_world(params=RequestParams(vector_gap=3))
     assert client._resolve_params() is client.context.params
 
-    override = client._resolve_params(max_redirects=9)
-    assert override.max_redirects == 9
-    assert client.context.params.max_redirects == 3
+    override = client._resolve_params(vector_gap=9)
+    assert override.vector_gap == 9
+    assert client.context.params.vector_gap == 3
 
-    bundle = RequestParams(max_redirects=1)
+    bundle = RequestParams(vector_gap=1)
     assert client._resolve_params(bundle) is bundle
-    assert client._resolve_params(bundle, max_redirects=4).max_redirects == 4
+    assert client._resolve_params(bundle, vector_gap=4).vector_gap == 4
 
 
 def test_per_call_params_do_not_leak():

@@ -140,14 +140,13 @@ def test_metrics_endpoint_serves_prometheus_exposition():
     assert event["path"] == "/obj"
 
 
-def test_propagation_can_be_disabled_per_request():
-    from repro.core import RequestParams
+def test_propagation_can_be_disabled(monkeypatch):
+    from repro.core import session
 
+    monkeypatch.setattr(session, "TRACE_PROPAGATION", False)
     client, app, store, _ = observable_world()
     store.put("/obj", b"n" * 64)
-    client.get(
-        "http://server/obj", params=RequestParams(trace_propagation=False)
-    )
+    client.get("http://server/obj")
     (event,) = rows(app.tracer)
     assert event["trace_id"] == ""
     assert "trace=" not in common_log_format(event)

@@ -2,9 +2,8 @@
 
 The format-equivalence acceptance criterion under fire: the same
 generated dataset materialised as a v1 basket tree and a v2
-page/cluster ntuple must decode to byte-identical columns on both
-server dialects (WebDAV StorageApp and the flat-object store), while
-the storage node injects seeded 5xx errors and mid-body resets.
+page/cluster ntuple must decode to byte-identical columns while the
+storage node injects seeded 5xx errors and mid-body resets.
 Retries absorb every fault; repeats are byte-identical; and a
 corrupted page always surfaces as a typed
 :class:`~repro.errors.PageChecksumError` — never as silently wrong
@@ -26,13 +25,7 @@ from repro.rootio import (
 )
 from repro.rootio.fetchers import DavixFetcher
 from repro.rootio.generator import BranchSpec, DatasetSpec
-from repro.server import (
-    FaultPolicy,
-    FlatObjectApp,
-    HttpServer,
-    ObjectStore,
-    StorageApp,
-)
+from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
 SPEC = DatasetSpec(
@@ -81,7 +74,7 @@ def ground_truth():
     return ThreadRuntime().run(op())
 
 
-def chaos_world(backend, faults, v1_blob, v2_blob):
+def chaos_world(faults, v1_blob, v2_blob):
     """(runtime, context) with both blobs served by a faulty app."""
     env = Environment()
     net = Network(env)
@@ -94,12 +87,7 @@ def chaos_world(backend, faults, v1_blob, v2_blob):
     store = ObjectStore(clock=server_rt.now)
     store.put(V1_PATH, v1_blob)
     store.put(V2_PATH, v2_blob)
-    app = (
-        FlatObjectApp(store, faults=faults)
-        if backend == "object"
-        else StorageApp(store, faults=faults)
-    )
-    HttpServer(server_rt, app, port=80).start()
+    HttpServer(server_rt, StorageApp(store, faults=faults), port=80).start()
     runtime = SimRuntime(net, "client")
     context = Context(params=PARAMS)
     context.clock = runtime.now
@@ -127,8 +115,7 @@ def read_both(runtime, context, lanes=3):
     return v1, v2, v2_fetcher
 
 
-@pytest.mark.parametrize("backend", ["webdav", "object"])
-def test_v2_matches_v1_under_chaos(chaos_seed, backend):
+def test_v2_matches_v1_under_chaos(chaos_seed):
     """Both formats, read through the same faulty server, decode to
     the same columns — and to the local ground truth."""
     v1_blob, v2_blob = blobs()
@@ -136,7 +123,7 @@ def test_v2_matches_v1_under_chaos(chaos_seed, backend):
     faults = FaultPolicy(
         error_rate=0.15, reset_rate=0.05, seed=chaos_seed
     )
-    runtime, context = chaos_world(backend, faults, v1_blob, v2_blob)
+    runtime, context = chaos_world(faults, v1_blob, v2_blob)
     v1, v2, _ = read_both(runtime, context)
     assert v1 == truth
     assert v2 == truth
@@ -145,18 +132,17 @@ def test_v2_matches_v1_under_chaos(chaos_seed, backend):
     assert injected["error"] + injected["reset"] > 0
 
 
-@pytest.mark.parametrize("backend", ["webdav", "object"])
-def test_chaos_repeats_are_byte_identical(chaos_seed, backend):
+def test_chaos_repeats_are_byte_identical(chaos_seed):
     """Same seed + FaultPolicy.reset() => identical columns and
     identical fetch accounting."""
     v1_blob, v2_blob = blobs()
     faults = FaultPolicy(
         error_rate=0.2, reset_rate=0.05, seed=chaos_seed
     )
-    runtime, context = chaos_world(backend, faults, v1_blob, v2_blob)
+    runtime, context = chaos_world(faults, v1_blob, v2_blob)
     first_v1, first_v2, first_fetcher = read_both(runtime, context)
     faults.reset()
-    runtime, context = chaos_world(backend, faults, v1_blob, v2_blob)
+    runtime, context = chaos_world(faults, v1_blob, v2_blob)
     second_v1, second_v2, second_fetcher = read_both(runtime, context)
     assert first_v1 == second_v1
     assert first_v2 == second_v2
@@ -164,8 +150,7 @@ def test_chaos_repeats_are_byte_identical(chaos_seed, backend):
     assert first_fetcher.reads == second_fetcher.reads
 
 
-@pytest.mark.parametrize("backend", ["webdav", "object"])
-def test_corrupt_page_is_typed_under_chaos(chaos_seed, backend):
+def test_corrupt_page_is_typed_under_chaos(chaos_seed):
     """A flipped bit in a stored page surfaces as PageChecksumError
     through retries and faults — never as silently wrong bytes."""
     v1_blob, v2_blob = blobs()
@@ -178,9 +163,7 @@ def test_corrupt_page_is_typed_under_chaos(chaos_seed, backend):
     corrupt = bytearray(v2_blob)
     corrupt[page.offset + page.nbytes // 2] ^= 0x20
     faults = FaultPolicy(error_rate=0.1, seed=chaos_seed)
-    runtime, context = chaos_world(
-        backend, faults, v1_blob, bytes(corrupt)
-    )
+    runtime, context = chaos_world(faults, v1_blob, bytes(corrupt))
     fetcher = DavixFetcher(context, f"http://server{V2_PATH}", PARAMS)
     reader = NTupleReader(fetcher)
 

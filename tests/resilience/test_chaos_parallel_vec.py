@@ -10,11 +10,14 @@ runtime.
 
 import random
 
+import pytest
+
 from repro.core import (
     BreakerConfig,
     RequestParams,
     RetryPolicy,
     TransferConfig,
+    vectored,
 )
 from repro.obs import metrics_to_json_lines
 from repro.server import FaultPolicy
@@ -27,6 +30,11 @@ POLICY = RetryPolicy(
 BREAKER = BreakerConfig(threshold=50, cooldown=0.5)
 N_VECTORED_READS = 8
 BLOB = bytes((i * 53 + 29) % 256 for i in range(120_000))
+
+
+@pytest.fixture(autouse=True)
+def four_ranges_a_request(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 4)
 
 
 def schedule(schedule_seed):
@@ -52,7 +60,6 @@ def run_schedule(schedule_seed, faults, max_inflight):
         faults=faults,
         params=RequestParams(
             retry_policy=POLICY,
-            max_vector_ranges=4,
             vector_gap=0,
             transfer=TransferConfig(max_inflight=max_inflight),
         ),

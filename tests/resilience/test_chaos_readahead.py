@@ -11,7 +11,9 @@ bytes nobody asked for.
 
 import random
 
-from repro.core import RequestParams, RetryPolicy, TransferConfig
+import pytest
+
+from repro.core import RequestParams, RetryPolicy, TransferConfig, vectored
 from repro.http.ranges import parse_range_header
 from repro.server import FaultPolicy
 
@@ -22,6 +24,11 @@ POLICY = RetryPolicy(
     max_attempts=6, base_delay=0.05, max_delay=2.0, seed=1
 )
 BLOB = bytes((i * 89 + 17) % 256 for i in range(300_000))
+
+
+@pytest.fixture(autouse=True)
+def six_ranges_a_request(monkeypatch):
+    monkeypatch.setattr(vectored, "MAX_VECTOR_RANGES", 6)
 
 
 def chaos_plan(seed, count=24):
@@ -41,7 +48,6 @@ def chaos_plan(seed, count=24):
 
 def engine_params(transfer, retry_policy=POLICY):
     return RequestParams(
-        max_vector_ranges=6,
         vector_gap=0,
         transfer=transfer,
         retry_policy=retry_policy,

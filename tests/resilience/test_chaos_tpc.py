@@ -30,7 +30,7 @@ from tests.resilience.conftest import ScriptedFaults, errors
 
 from tests.helpers import NO_RETRY
 
-CONFIG = ServerConfig(tpc_chunk=64 * 1024, tpc_streams=4)
+CONFIG = ServerConfig(tpc_chunk=64 * 1024)
 PAYLOAD = bytes((i * 53 + 29) % 256 for i in range(300 * 1024))
 
 

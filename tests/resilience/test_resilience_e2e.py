@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BreakerConfig, RequestParams, RetryPolicy
+from repro.core import request as request_module
 from repro.errors import (
     CircuitOpenError,
     ConnectError,
@@ -160,14 +161,13 @@ def test_mid_body_reset_retried_for_get_but_not_move():
     )
 
 
-def test_retry_non_idempotent_opt_in():
+def test_retry_non_idempotent_opt_in(monkeypatch):
     # COPY is not on the idempotent list, but re-copying is harmless
-    # here — exactly the judgement call the opt-in knob delegates.
+    # here — exactly the judgement call the opt-in constant delegates.
+    monkeypatch.setattr(request_module, "RETRY_NON_IDEMPOTENT", True)
     client, app, store, _ = davix_world(
         faults=ScriptedFaults(resets(1)),
-        params=RequestParams(
-            retry_policy=FAST_RETRY, retry_non_idempotent=True
-        ),
+        params=RequestParams(retry_policy=FAST_RETRY),
     )
     store.put("/a", b"payload")
     client.copy("http://server/a", "http://server/b")

@@ -3,7 +3,7 @@ out of its ``server-request`` spans."""
 
 import pytest
 
-from repro.core import RequestParams
+from repro.core import session
 from repro.errors import FileNotFound
 from repro.obs import (
     Tracer,
@@ -16,14 +16,14 @@ from repro.obs import (
 from tests.helpers import davix_world
 
 
-def served(*urls, params=None):
+def served(*urls):
     """Server request rows of GETs against a simulated server."""
     client, app, store, server_rt = davix_world()
     app.tracer = Tracer(clock=server_rt.now)
     store.put("/x", b"0123456789")
     for url in urls:
         try:
-            client.get(url, params=params)
+            client.get(url)
         except FileNotFound:
             pass
     return request_events(app.tracer.finished())
@@ -47,16 +47,15 @@ def event(**fields):
     return record
 
 
-def test_common_log_format():
+def test_common_log_format(monkeypatch):
     # One served GET renders the line the access log always wrote.
     (traced,) = served("http://server/x")
     assert common_log_format(traced) == (
         'client - - [0.003002] "GET /x HTTP/1.1" 200 10 0.000500'
         " trace=00000000000000000000000000000001"
     )
-    (plain,) = served(
-        "http://server/x", params=RequestParams(trace_propagation=False)
-    )
+    monkeypatch.setattr(session, "TRACE_PROPAGATION", False)
+    (plain,) = served("http://server/x")
     assert common_log_format(plain) == (
         'client - - [0.003001] "GET /x HTTP/1.1" 200 10 0.000500'
     )

@@ -16,6 +16,7 @@ from repro.server import (
     SyntheticContent,
     parse_multistatus,
 )
+from repro.server import app as server_app
 
 from tests.helpers import (
     get,
@@ -134,6 +135,16 @@ def test_single_range_get():
     assert response.status == 206
     assert response.body == b"2345"
     assert response.headers.get("Content-Range") == "bytes 2-5/10"
+    assert store.bytes_read == 4
+
+
+def test_if_range_mismatch_serves_the_full_object():
+    client_rt, app, store = make_world()
+    store.put("/x", b"0123456789")
+    stale = Headers([("Range", "bytes=2-5"), ("If-Range", '"stale-etag"')])
+    response = client_rt.run(one_request(("server", 80), get("/x", stale)))
+    assert response.status == 200
+    assert response.body == b"0123456789"
 
 
 def test_multirange_get_roundtrip():
@@ -177,9 +188,9 @@ def test_keepalive_serves_multiple_requests_on_one_connection():
     assert app.requests_handled == 3
 
 
-def test_keepalive_disabled_closes_after_first_response():
-    config = ServerConfig(keepalive=False)
-    client_rt, app, store = make_world(config=config)
+def test_keepalive_disabled_closes_after_first_response(monkeypatch):
+    monkeypatch.setattr(server_app, "KEEPALIVE", False)
+    client_rt, app, store = make_world()
     store.put("/x", b"abc")
 
     def op():
@@ -191,9 +202,9 @@ def test_keepalive_disabled_closes_after_first_response():
     assert client_rt.run(op()) == "closed"
 
 
-def test_max_requests_per_connection():
-    config = ServerConfig(max_requests_per_connection=2)
-    client_rt, app, store = make_world(config=config)
+def test_max_requests_per_connection(monkeypatch):
+    monkeypatch.setattr(server_app, "MAX_REQUESTS_PER_CONNECTION", 2)
+    client_rt, app, store = make_world()
     store.put("/x", b"abc")
 
     def op():

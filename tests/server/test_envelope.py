@@ -1,7 +1,7 @@
 """The request envelope every server app shares.
 
 One ``handle()`` — observer bypass, request/response counters, fault
-policy, ``StoreError`` -> 409, response stamping — and three apps that
+policy, ``StoreError`` -> 409, response stamping — and two apps that
 only route. These tests pin what the copies had let drift.
 """
 
@@ -16,7 +16,6 @@ from repro.obs.collector import TelemetryCollector
 from repro.server import (
     Envelope,
     FaultAction,
-    FlatObjectApp,
     HttpServer,
     ObjectStore,
     ProxyApp,
@@ -31,10 +30,8 @@ BODY = bytes((i * 7 + 3) % 256 for i in range(5_000))
 
 APPS = {
     "storage": lambda config: StorageApp(ObjectStore(), config),
-    "flat": lambda config: FlatObjectApp(ObjectStore(), config),
     "proxy": lambda config: ProxyApp(config),
 }
-STORE_BACKED = ("storage", "flat")
 
 
 def series(registry, name):
@@ -78,21 +75,21 @@ def test_observers_never_perturb_what_they_expose(kind):
 # -- one series, one stamp --------------------------------------------------
 
 
-@pytest.fixture(params=STORE_BACKED)
-def store_app(request):
+@pytest.fixture
+def store_app():
     config = ServerConfig(
         server_name="parity/1.0",
         cache_control="max-age=60",
         service_overhead=0.01,
         disk_bandwidth=1e6,
     )
-    app = APPS[request.param](config)
+    app = StorageApp(ObjectStore(), config)
     app.metrics = MetricsRegistry()
     app.store.put("/data/blob", BODY)
     return app
 
 
-def test_store_backed_apps_count_and_stamp_alike(store_app):
+def test_a_store_backed_app_counts_and_stamps(store_app):
     app = store_app
     app.faults = ScriptedFaults(
         [None, None, None, FaultAction("error", status=503)]
@@ -124,6 +121,11 @@ def test_store_backed_apps_count_and_stamp_alike(store_app):
     ]
     assert served[0].body_length == len(BODY)
     assert served[1].body_length == 0
+    # The script is spent: a write is served, and not stamped with
+    # Cache-Control, which only read verbs carry.
+    written = app.handle(Request("PUT", "/fresh", body=b"1")).response
+    assert written.status == 201
+    assert written.headers.get("Cache-Control") is None
 
 
 def test_data_less_tiers_answer_unstamped_in_zero_service_time():
@@ -186,12 +188,11 @@ def test_every_app_routes_and_only_the_envelope_handles():
     ]
     assert {cls.__name__ for cls in apps} == {
         "StorageApp",
-        "FlatObjectApp",
         "ProxyApp",
     }
     for cls in apps:
         assert issubclass(cls, Envelope)
         assert "route" in vars(cls)
         assert "handle" not in vars(cls)
-    for gone in ("S3App", "CollectorApp", "FederationApp"):
+    for gone in ("S3App", "CollectorApp", "FederationApp", "FlatObjectApp"):
         assert not hasattr(repro.server, gone)

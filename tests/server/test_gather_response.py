@@ -6,10 +6,8 @@ loop writes them in one gather ``Send``. What is on the wire is what
 the joined body was: these tests decode it back, app by app.
 """
 
-import pytest
-
 from repro.concurrency import Abort, Send
-from repro.core import DavixClient, RequestParams
+from repro.core import DavixClient
 from repro.http import (
     Headers,
     RangePart,
@@ -23,13 +21,7 @@ from repro.http import (
     serialize_response_head,
 )
 from repro.http.multipart import GATHER_MIN, content_type_boundary
-from repro.server import (
-    FlatObjectApp,
-    HttpServer,
-    ObjectStore,
-    ServedResponse,
-    StorageApp,
-)
+from repro.server import HttpServer, ObjectStore, ServedResponse, StorageApp
 from repro.server.app import _send_result
 
 from tests.helpers import sim_world
@@ -45,25 +37,12 @@ EXPECTED = [
 ]
 
 
-def handled(app_class, path):
+def test_multirange_206_is_a_gather_list_with_the_same_wire_bytes():
     store = ObjectStore()
-    store.put(path, CONTENT)
-    app = app_class(store)
-    request = Request("GET", path, Headers([("Range", RANGE)]))
-    return app.handle(request)
-
-
-@pytest.mark.parametrize(
-    "app_class, path",
-    [
-        (StorageApp, "/data/blob"),
-        (FlatObjectApp, "/data/blob"),
-    ],
-)
-def test_multirange_206_is_a_gather_list_with_the_same_wire_bytes(
-    app_class, path
-):
-    served = handled(app_class, path)
+    store.put("/data/blob", CONTENT)
+    served = StorageApp(store).handle(
+        Request("GET", "/data/blob", Headers([("Range", RANGE)]))
+    )
     response = served.response
     assert response.status == 206 and response.body == b""
     boundary = content_type_boundary(response.content_type)
@@ -90,19 +69,15 @@ def test_many_small_parts_are_one_buffer():
     assert len(gather_byteranges(parts, "B")) == 1
 
 
-def test_all_three_apps_serve_the_same_fragments_end_to_end():
+def test_both_apps_serve_the_same_fragments_end_to_end():
     want = [CONTENT[o : o + n] for o, n in READS]
 
-    def served_by(app_class, path, params=None):
-        client_rt, server_rt = sim_world()
-        store = ObjectStore()
-        store.put(path, CONTENT)
-        HttpServer(server_rt, app_class(store), port=80).start()
-        client = DavixClient(client_rt, params=params or RequestParams())
-        return client.pread_vec(f"http://server{path}", READS)
-
-    assert served_by(StorageApp, "/data/blob") == want
-    assert served_by(FlatObjectApp, "/data/blob") == want
+    client_rt, server_rt = sim_world()
+    store = ObjectStore()
+    store.put("/data/blob", CONTENT)
+    HttpServer(server_rt, StorageApp(store), port=80).start()
+    client = DavixClient(client_rt)
+    assert client.pread_vec("http://server/data/blob", READS) == want
 
     client, proxy, _origin, store, _net = proxy_world()
     store.put("/blob", CONTENT)

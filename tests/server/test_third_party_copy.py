@@ -22,6 +22,7 @@ from repro.http import Headers, Request
 from repro.net import LinkSpec, Network
 from repro.obs import MetricsRegistry, Tracer, request_events
 from repro.server import HttpServer, ObjectStore, ServerConfig, StorageApp
+from repro.server import handlers
 from repro.sim import Environment
 
 from tests.helpers import NO_RETRY, traced_peak
@@ -121,7 +122,7 @@ def test_third_party_copy_moves_data_site_to_site():
 
 
 def test_third_party_copy_multi_stream_chunks():
-    config = ServerConfig(tpc_chunk=256 * 1024, tpc_streams=4)
+    config = ServerConfig(tpc_chunk=256 * 1024)
     client, net, apps = tpc_world(server_config=config)
     payload = bytes(range(256)) * 4000  # ~1 MB -> 4 chunks
     apps["site-a"].store.put("/data/src.bin", payload)
@@ -342,11 +343,12 @@ def test_a_marker_stream_parses_from_any_bytes_like_body(wrap):
     assert summary.bytes_transferred == 4096
 
 
-def test_a_16_mib_pull_holds_the_object_once():
+def test_a_16_mib_pull_holds_the_object_once(monkeypatch):
     """The destination commits the buffer it assembled the chunks in:
     past that one object, only the chunks in flight are held."""
     mib = 1 << 20
-    config = ServerConfig(tpc_chunk=mib, tpc_streams=2)
+    monkeypatch.setattr(handlers, "TPC_STREAMS", 2)
+    config = ServerConfig(tpc_chunk=mib)
     client, net, apps = tpc_world(server_config=config)
     payload = random.Random(3).randbytes(16 * mib)
     apps["site-a"].store.put("/data/src.bin", payload)

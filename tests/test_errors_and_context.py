@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import Context, MetalinkMode, RequestParams, TransferConfig
+from repro.core import context as context_module
+from repro.core import vectored
 from repro.errors import (
     AllReplicasFailed,
     ChecksumMismatch,
@@ -80,24 +82,22 @@ def test_params_defaults_are_daivx_like():
     assert params.tcp_options == TcpOptions()
     assert params.transfer == TransferConfig()
     assert params.metalink_mode == MetalinkMode.FAILOVER
-    assert params.max_vector_ranges == 256
+    assert vectored.MAX_VECTOR_RANGES == 256
 
 
 def test_params_with_creates_modified_copy():
     params = RequestParams()
-    tuned = params.replace(max_redirects=7, keep_alive=False)
-    assert tuned.max_redirects == 7
+    tuned = params.replace(vector_gap=7, keep_alive=False)
+    assert tuned.vector_gap == 7
     assert tuned.keep_alive is False
-    assert params.max_redirects == 10  # original untouched
+    assert params.vector_gap == 512  # original untouched
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"metalink_mode": "bogus"},
-        {"max_redirects": -1},
         {"deadline": 0},
-        {"max_vector_ranges": 0},
         {"vector_gap": -1},
         {"multistream_chunk": 0},
         {"multistream_max_streams": 0},
@@ -127,6 +127,7 @@ def test_context_blacklist_roundtrip():
     assert origin not in context._blacklist
 
 
-def test_context_owns_a_pool():
-    context = Context(pool_max_per_origin=3)
+def test_context_owns_a_pool(monkeypatch):
+    monkeypatch.setattr(context_module, "POOL_MAX_PER_ORIGIN", 3)
+    context = Context()
     assert context.pool.max_idle_per_origin == 3

@@ -35,7 +35,6 @@ FORBIDDEN_IN_A_CLIENT = (
     "repro.rootio",
     "repro.server.handlers",
     "repro.server.proxy",
-    "repro.server.flatobject",
     "repro.obs.analyze",
     "repro.obs.collector",
     "repro.obs.export",

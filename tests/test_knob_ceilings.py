@@ -19,10 +19,10 @@ from repro.server import ServerConfig
 #: Dataclass fields per bundle, and ``Context.__init__``'s parameters
 #: (``self`` not counted).
 KNOB_CEILINGS = {
-    "RequestParams": 22,
+    "RequestParams": 15,
     "TransferConfig": 8,
-    "ServerConfig": 18,
-    "Context": 9,
+    "ServerConfig": 14,
+    "Context": 6,
 }
 
 
@@ -38,7 +38,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 20563
+SOURCE_LINE_CEILING = 20215
 
 
 def test_source_line_count_is_not_above_its_ceiling():
