@@ -88,6 +88,12 @@ class Send(Effect):
 class Recv(Effect):
     """Read up to ``max_bytes``; resolves to bytes (``b""`` = EOF).
 
+    With ``into`` (a writable buffer) the bytes are written into it
+    instead and the receive resolves to their count (0 = EOF): on
+    sockets whatever the kernel holds, up to ``len(into)``; on the
+    simulator what a plain receive of at most that and ``max_bytes``
+    would return, so no simulated event moves.
+
     Raises :class:`~repro.errors.ConnectionClosed` on reset and
     :class:`~repro.errors.TransferTimeout` when ``timeout`` expires.
     """
@@ -95,6 +101,7 @@ class Recv(Effect):
     channel: Any
     max_bytes: int = 65536
     timeout: Optional[float] = None
+    into: Any = None
 
 
 @dataclass(frozen=True)

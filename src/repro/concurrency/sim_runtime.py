@@ -95,11 +95,17 @@ class SimRuntime(Runtime):
             yield step.channel.send(step.data)
             return None
         if isinstance(step, fx.Recv):
-            channel = step.channel
-            data = yield from self._wait(
-                channel.recv(step.max_bytes), step.timeout, channel
+            channel, into = step.channel, step.into
+            size = step.max_bytes if into is None else min(
+                step.max_bytes, len(into)
             )
-            return data
+            data = yield from self._wait(
+                channel.recv(size), step.timeout, channel
+            )
+            if into is None:
+                return data
+            into[: len(data)] = data
+            return len(data)
         if isinstance(step, fx.Close):
             step.channel.close()
             return None

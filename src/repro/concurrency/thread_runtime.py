@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import socket
+import struct
 import threading
 import time
 from typing import Any, Generator, Optional, Tuple
@@ -30,6 +31,8 @@ class SocketChannel:
         self.local = local
         self.remote = remote
         self._closed = False
+        #: The ``SO_RCVTIMEO`` the socket has (None = wait forever).
+        self.recv_timeout: Optional[float] = None
 
     @property
     def closed(self) -> bool:
@@ -257,22 +260,27 @@ class ThreadRuntime(Runtime):
             sock, local=sock.getsockname()[0], remote=endpoint
         )
 
-    def _recv(self, step: fx.Recv) -> bytes:
-        sock = step.channel.sock
-        sock.settimeout(step.timeout)
+    def _recv(self, step: fx.Recv):
+        channel = step.channel
+        sock = channel.sock
         try:
-            return sock.recv(step.max_bytes)
-        except socket.timeout as exc:
+            timeout = step.timeout
+            if timeout != channel.recv_timeout:
+                # The kernel's receive timeout keeps the socket blocking,
+                # so no send is bounded by it. 0 us would mean forever.
+                micros = 0 if timeout is None else max(1, round(timeout * 1e6))
+                timeval = struct.pack("ll", *divmod(micros, 10**6))
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+                channel.recv_timeout = timeout
+            if step.into is None:
+                return sock.recv(step.max_bytes)
+            return sock.recv_into(step.into)
+        except (BlockingIOError, socket.timeout) as exc:
             raise TransferTimeout(
                 f"recv timed out after {step.timeout}s"
             ) from exc
         except OSError as exc:
             raise ConnectionClosed(f"recv failed: {exc}") from exc
-        finally:
-            try:
-                sock.settimeout(None)
-            except OSError:
-                pass
 
     def _accept(self, listener: SocketListener) -> SocketChannel:
         try:

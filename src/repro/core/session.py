@@ -99,21 +99,6 @@ class Session:
 
     # -- protocol ------------------------------------------------------------
 
-    def _recv_timeout(self, timeout, deadline):
-        """Per-read timeout bounded by the operation deadline (if any).
-
-        Raises :class:`~repro.errors.DeadlineExceeded` — after marking
-        the session dirty, since the exchange is being abandoned
-        mid-response — when the budget is already spent.
-        """
-        if deadline is None:
-            return timeout
-        try:
-            return deadline.clamp(timeout)
-        except DeadlineExceeded:
-            self.mark_dirty()
-            raise
-
     def request(
         self,
         request: Request,
@@ -187,11 +172,26 @@ class Session:
             while True:
                 event = parser.next_event()
                 if event == NEED_DATA:
+                    # The rest of a sized body lands in its buffer.
+                    owed = body is not None and parser.body_owed
+                    tail = body.tail() if owed else None
+                    wait = timeout
+                    if deadline is not None:
+                        try:
+                            wait = deadline.clamp(timeout)
+                        except DeadlineExceeded:
+                            # The exchange is abandoned mid-response.
+                            self.mark_dirty()
+                            raise
                     try:
-                        data = yield Recv(
-                            self.channel,
-                            timeout=self._recv_timeout(timeout, deadline),
-                        )
+                        if tail is None:
+                            data = yield Recv(self.channel, timeout=wait)
+                            count = len(data)
+                        else:
+                            with tail:
+                                count = yield Recv(
+                                    self.channel, timeout=wait, into=tail
+                                )
                     except ConnectionClosed as exc:
                         self.mark_dirty()
                         if reused and head is None:
@@ -204,15 +204,19 @@ class Session:
                                 deadline.budget
                             ) from exc
                         raise
-                    self.bytes_received += len(data)
-                    received += len(data)
-                    if data and not first_byte:
+                    self.bytes_received += count
+                    received += count
+                    if count and not first_byte:
                         first_byte = True
                         if recorder is not None:
                             recorder.mark("ttfb")
-                    if self.tls is not None and data:
-                        yield Sleep(self.tls.record_cost(len(data)))
-                    parser.receive_data(data)
+                    if self.tls is not None and count:
+                        yield Sleep(self.tls.record_cost(count))
+                    if tail is None:
+                        parser.receive_data(data)
+                    else:
+                        body.filled(count)
+                        parser.body_filled(count)
                     continue
                 if event == CONNECTION_CLOSED:
                     self.mark_dirty()

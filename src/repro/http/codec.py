@@ -132,6 +132,23 @@ class HttpParser:
         or read-until-EOF body."""
         return self._body_length
 
+    @property
+    def body_owed(self) -> int:
+        """The bytes of the current sized body still to come while none
+        are queued (else 0): the caller may receive them into a buffer
+        of its own and report them with :meth:`body_filled`."""
+        if self._state == _BODY_LENGTH and not self._queue:
+            return self._remaining
+        return 0
+
+    def body_filled(self, count: int) -> None:
+        """Account ``count`` (at most :attr:`body_owed`) body bytes
+        received outside the parser; 0 means EOF, as ``b""`` does to
+        :meth:`receive_data`."""
+        if not count:
+            self._eof = True
+        self._remaining -= count
+
     # -- output ------------------------------------------------------------
 
     def next_event(self) -> Event:
@@ -343,11 +360,12 @@ class BodyCollector:
     ``length`` is the parser's :attr:`HttpParser.body_length` for the
     message. A body whose first chunk is all of it is that chunk, so a
     small message is not copied. A sized body of at most
-    :data:`MAX_PREALLOCATED_BODY` bytes is copied into one
-    ``bytearray(length)`` as it arrives, and that ``bytearray`` is the
-    body: its peak is the body, not its chunks plus their join. Any
-    other body (chunked, read-until-EOF, or declared larger) is kept
-    as its chunks and joined once.
+    :data:`MAX_PREALLOCATED_BODY` bytes lands in one
+    ``bytearray(length)``, and that ``bytearray`` is the body: its peak
+    is the body, not its chunks plus their join. What arrived with the
+    head is copied in by :meth:`add`; the rest is received straight
+    into :meth:`tail`. Any other body (chunked, read-until-EOF, or
+    declared larger) is kept as its chunks and joined once.
     """
 
     __slots__ = ("_length", "_buffer", "_filled", "_chunks")
@@ -362,21 +380,34 @@ class BodyCollector:
         """Take one :class:`Data` event's bytes."""
         buffer = self._buffer
         if buffer is None:
-            length = self._length
-            if (
-                self._chunks
-                or length is None
-                or len(data) >= length
-                or length > MAX_PREALLOCATED_BODY
-            ):
+            # A first chunk that is all of the body is kept as it is.
+            if len(data) >= (self._length or 0) or not self._allocate():
                 self._chunks.append(data)
                 return
-            buffer = self._buffer = bytearray(length)
+            buffer = self._buffer
         end = self._filled + len(data)
         # Through a view: a bytearray's own slice assignment would
         # first copy ``data`` into a temporary bytearray.
         memoryview(buffer)[self._filled:end] = data
         self._filled = end
+
+    def tail(self) -> Optional[memoryview]:
+        """The unfilled end of the buffer a sized body is received into
+        (allocated now if need be), to receive straight into and then
+        account with :meth:`filled`; ``None`` for any other body."""
+        if self._buffer is None and not self._allocate():
+            return None
+        return memoryview(self._buffer)[self._filled:]
+
+    def filled(self, count: int) -> None:
+        """Account ``count`` bytes received into :meth:`tail`."""
+        self._filled += count
+
+    def _allocate(self) -> Optional[bytearray]:
+        length = self._length
+        if not self._chunks and length and length <= MAX_PREALLOCATED_BODY:
+            self._buffer = bytearray(length)
+        return self._buffer
 
     def body(self):
         """The whole body: ``bytes``, or the ``bytearray`` it was

@@ -136,8 +136,19 @@ def _read_request(channel, parser: HttpParser):
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
-            data = yield Recv(channel, timeout=KEEPALIVE_IDLE)
-            parser.receive_data(data)
+            # The rest of a sized body lands in its buffer.
+            owed = body is not None and parser.body_owed
+            tail = body.tail() if owed else None
+            if tail is None:
+                data = yield Recv(channel, timeout=KEEPALIVE_IDLE)
+                parser.receive_data(data)
+                continue
+            with tail:
+                count = yield Recv(
+                    channel, timeout=KEEPALIVE_IDLE, into=tail
+                )
+            body.filled(count)
+            parser.body_filled(count)
             continue
         if event == CONNECTION_CLOSED:
             return None

@@ -489,13 +489,14 @@ class StorageApp(Envelope):
         return None
 
     def _stream_object(self, obj, offset: int, length: int):
-        """Yield the object range in ``send_chunk`` pieces."""
+        """Yield the object range in ``send_chunk`` pieces: views of a
+        buffer the store holds, reads of any other content."""
         chunk = self.config.send_chunk
         end = offset + length
         position = offset
         while position < end:
             take = min(chunk, end - position)
-            data = obj.content.read(position, take)
+            data = obj.content.view(position, take)
             self.store.bytes_read += len(data)
             position += take
             yield data

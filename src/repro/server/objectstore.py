@@ -45,6 +45,11 @@ class Content:
     def read_all(self) -> bytes:
         return self.read(0, self.size)
 
+    def view(self, offset: int, length: int):
+        """:meth:`read`, or a view where the content is held as one
+        buffer: to send, not to keep or change."""
+        return self.read(offset, length)
+
     def adler32(self) -> str:
         """WLCG-style adler32 checksum, zero-padded hex."""
         digest = 1
@@ -71,7 +76,8 @@ class BytesContent(Content):
 
     A request body received into a ``bytearray`` thus becomes the
     stored object without a second copy; any other bytes-like is
-    copied into ``bytes``. Reads are ``bytes`` either way.
+    copied into ``bytes``. Reads are ``bytes`` either way; a
+    :meth:`view` is a slice of the held buffer, no copy.
     """
 
     def __init__(self, data: bytes):
@@ -85,6 +91,9 @@ class BytesContent(Content):
         if type(data) is bytes:
             return data[offset : offset + length]
         return bytes(memoryview(data)[offset : offset + length])
+
+    def view(self, offset: int, length: int) -> memoryview:
+        return memoryview(self._data)[offset : offset + length]
 
 
 class SyntheticContent(Content):

@@ -24,6 +24,7 @@ from repro.concurrency import (
 from repro.core import DavixClient, RequestParams
 from repro.errors import (
     ConnectError,
+    ConnectionClosed,
     NetworkError,
     RequestError,
     TransferTimeout,
@@ -294,6 +295,96 @@ def test_recv_timeout_threads():
     runtime.spawn(silent_server())
     assert runtime.run(op()) == "timed out"
     listener.close()
+
+
+def recv_into_client(endpoint, message):
+    """Send ``message``, then receive the echo into one buffer with
+    ``Recv(into=...)``; returns ``(buffer, counts)``, 0 ending them."""
+    channel = yield Connect(endpoint)
+    yield Send(channel, message + b"\n")
+    buffer = bytearray(len(message) + 8)
+    counts, filled = [], 0
+    while True:
+        count = yield Recv(
+            channel, into=memoryview(buffer)[filled:], timeout=5.0
+        )
+        counts.append(count)
+        if not count:
+            return buffer, counts
+        filled += count
+
+
+def test_recv_into_fills_the_buffer_on_both_runtimes():
+    client_rt, server_rt = sim_world()
+    listener = server_rt.listen(80)
+    server_rt.spawn(echo_server(listener))
+    sim = client_rt.run(recv_into_client(("server", 80), b"in place"))
+
+    runtime = ThreadRuntime()
+    listener = runtime.listen(0)
+    server = runtime.spawn(echo_server(listener))
+    real = runtime.run(
+        recv_into_client(("127.0.0.1", listener.port), b"in place")
+    )
+    runtime.join(server)
+    listener.close()
+    for buffer, counts in (sim, real):
+        assert buffer == b"IN PLACE\n" + bytes(7)
+        assert sum(counts) == 9 and counts[-1] == 0
+
+
+def test_a_recv_on_a_closed_socket_channel_is_connection_closed():
+    """A pool clear, ``HttpServer.stop`` or ``shutdown_read`` may close
+    the socket under a channel; its next receive must raise what the
+    session and the server catch, not a bare ``OSError``."""
+    from repro.concurrency.thread_runtime import SocketChannel
+
+    left, right = socket.socketpair()
+    channel = SocketChannel(left, "left", ("right", 0))
+    channel.close()
+
+    def op(timeout):
+        try:
+            yield Recv(channel, timeout=timeout)
+        except ConnectionClosed:
+            return "closed"
+
+    assert ThreadRuntime().run(op(None)) == "closed"
+    assert ThreadRuntime().run(op(2.0)) == "closed"
+    right.close()
+
+
+def test_equal_receive_timeouts_set_the_socket_timeout_once(monkeypatch):
+    """Ten receives with one timeout set the socket's receive timeout
+    once; a new value sets it again. The socket stays blocking, so a
+    send is never bounded by a receive's timeout."""
+    from repro.concurrency.thread_runtime import SocketChannel
+
+    left, right = socket.socketpair()
+    calls = []
+    for name in ("settimeout", "setsockopt"):
+        original = getattr(socket.socket, name)
+
+        def counted(sock, *args, _original=original, _name=name):
+            if sock is left:
+                calls.append(_name)
+            return _original(sock, *args)
+
+        monkeypatch.setattr(socket.socket, name, counted)
+    channel = SocketChannel(left, "left", ("right", 0))
+
+    def op(timeouts):
+        for timeout in timeouts:
+            right.sendall(b"x")
+            assert (yield Recv(channel, timeout=timeout)) == b"x"
+
+    ThreadRuntime().run(op([5.0] * 10))
+    assert calls == ["setsockopt"]
+    ThreadRuntime().run(op([5.0, 4.0, 4.0, None]))
+    assert calls == ["setsockopt"] * 3
+    assert left.gettimeout() is None
+    left.close()
+    right.close()
 
 
 def test_unknown_effect_rejected():

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.concurrency import ThreadRuntime
 from repro.core import pipeline_requests
 from repro.core.file import DavFile
 from repro.errors import ConnectionClosed
 from repro.http import Request
-from repro.server import HttpServer, ObjectStore, StorageApp
+from repro.server import HttpServer, ObjectStore, StorageApp, real_server
 from repro.server import app as server_app
 
 from tests.helpers import davix_world, get, sim_world
@@ -111,3 +112,30 @@ def test_pipeline_against_closing_server_raises(monkeypatch):
                 ("server", 80), [get("/x") for _ in range(5)]
             )
         )
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_pipelined_uploads_and_reads_on_both_runtimes(kind):
+    """PUTs and GETs of sized bodies pipelined on one connection: the
+    server receives each request body in place and no further, so the
+    request behind it is parsed intact, and every response comes back
+    in order as it was sent."""
+    sizes = [70_000, 5, 300_000]
+    bodies = [bytes([i]) * size for i, size in enumerate(sizes)]
+    requests = []
+    for i, body in enumerate(bodies):
+        requests += [Request("PUT", f"/p{i}", body=body), get(f"/p{i}")]
+    if kind == "sim":
+        client_rt, store, _ = pipelined_world(latency=0.001, bandwidth=1e9)
+        responses, _ = client_rt.run(
+            pipeline_requests(("server", 80), requests)
+        )
+    else:
+        store = ObjectStore()
+        with real_server(StorageApp(store)) as server:
+            responses, _ = ThreadRuntime().run(
+                pipeline_requests(("127.0.0.1", server.port), requests)
+            )
+    assert [r.status for r in responses] == [201, 200] * len(bodies)
+    assert [r.body for r in responses[1::2]] == bodies
+    assert [store.read(f"/p{i}") for i in range(len(bodies))] == bodies

@@ -131,3 +131,52 @@ def test_a_body_declared_at_the_bound_is_preallocated(monkeypatch):
 def test_a_message_without_a_body_has_length_zero(wire, method):
     body, length = collect(HttpParser("client"), [wire], method=method)
     assert (body, length) == (b"", 0)
+
+
+# -- the rest of a sized body, received in place ------------------------------
+
+
+def collect_in_place(first, rest, reads):
+    """Feed ``first`` (a head and what came with it), then receive the
+    rest of the body straight into the collector's tail, ``reads`` bytes
+    at a time out of ``rest``. Returns ``(body, bytes added, tail
+    receives)``."""
+    parser = HttpParser("client")
+    parser.expect_response_to("GET")
+    parser.receive_data(first)
+    collector = None
+    added = receives = 0
+    while True:
+        event = parser.next_event()
+        if event == NEED_DATA:
+            tail = collector.tail()
+            assert len(tail) == parser.body_owed
+            count = min(reads, len(rest))
+            tail[:count] = rest[:count]
+            rest = rest[count:]
+            receives += 1
+            collector.filled(count)
+            parser.body_filled(count)
+        elif isinstance(event, Data):
+            added += len(event.data)
+            collector.add(event.data)
+        elif isinstance(event, EndOfMessage):
+            return collector.body(), added, receives
+        else:
+            collector = BodyCollector(parser.body_length)
+
+
+SIZED = head(b"Content-Length: %d\r\n" % len(BODY))
+
+
+@pytest.mark.parametrize("with_head", [0, 1, 5000])
+def test_what_came_with_the_head_is_added_and_the_rest_received_in_place(
+    with_head,
+):
+    body, added, receives = collect_in_place(
+        SIZED + BODY[:with_head], BODY[with_head:], reads=1000
+    )
+    assert type(body) is bytearray
+    assert body == BODY
+    assert added == with_head
+    assert receives == -(-(len(BODY) - with_head) // 1000)

@@ -11,11 +11,23 @@ import random
 
 import pytest
 
-from repro.concurrency import Accept, Close, Connect, Recv, Send, ThreadRuntime
+from repro.concurrency import (
+    Accept,
+    Close,
+    Connect,
+    Recv,
+    Send,
+    Sleep,
+    ThreadRuntime,
+)
 from repro.core import DavixClient, open_session
 from repro.errors import ConnectionClosed, HttpParseError
-from repro.http import HttpParser, Request
-from repro.http.codec import MAX_PREALLOCATED_BODY
+from repro.http import BodyCollector, HttpParser, Request, codec
+from repro.http.codec import (
+    MAX_PREALLOCATED_BODY,
+    encode_chunk,
+    encode_last_chunk,
+)
 from repro.net import TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import ObjectStore, StorageApp, handlers, real_server
@@ -213,3 +225,190 @@ def test_abandoned_uploads_are_capped_oldest_first():
     assert len(app._uploads) == handlers.MAX_PENDING_UPLOADS
     assert "/u0" not in app._uploads
     assert metrics.value("server.uploads_evicted_total") == 1
+
+
+# -- the rest of a sized body, received in place ------------------------------
+
+SMALL = BODY[: 64 << 10]
+#: Between two sends: long enough that each is a receive of its own.
+PAUSE = 0.03
+#: ``SMALL`` as eight sends.
+EIGHTHS = [SMALL[i:i + 8192] for i in range(0, len(SMALL), 8192)]
+
+
+def watched(op, seen):
+    """Run ``op``, appending every effect it yields to ``seen``."""
+    result = failure = None
+    while True:
+        try:
+            step = op.send(result) if failure is None else op.throw(failure)
+        except StopIteration as stop:
+            return stop.value
+        seen.append(step)
+        result = failure = None
+        try:
+            result = yield step
+        except Exception as exc:  # delivered into ``op``
+            failure = exc
+
+
+def receives(seen):
+    """``(plain receives, receives into a body buffer)`` of ``seen``."""
+    recvs = [step for step in seen if isinstance(step, Recv)]
+    into = [step for step in recvs if step.into is not None]
+    return len(recvs) - len(into), len(into)
+
+
+@pytest.fixture()
+def added(monkeypatch):
+    """The size of every piece :meth:`BodyCollector.add` copies in."""
+    sizes = []
+    add = BodyCollector.add
+
+    def counted(collector, data):
+        sizes.append(len(data))
+        return add(collector, data)
+
+    monkeypatch.setattr(BodyCollector, "add", counted)
+    return sizes
+
+
+def response_head(framing):
+    return b"HTTP/1.1 200 OK\r\n" + framing + b"\r\n"
+
+
+def sized(body):
+    return response_head(b"Content-Length: %d\r\n" % len(body))
+
+
+def answer(*pieces):
+    """A server that answers the request with ``pieces``: one send
+    each, after a pause, so each is a receive of its own."""
+    def server(channel):
+        yield Recv(channel)  # the request
+        for piece in pieces:
+            yield Sleep(PAUSE)
+            yield Send(channel, piece)
+    return server
+
+
+def get_watched(seen):
+    def client(endpoint):
+        session = yield from open_session(
+            ("http", endpoint[0], endpoint[1]), endpoint, now=0.0
+        )
+        request = Request("GET", "/x", {"Host": endpoint[0]})
+        response = yield from watched(session.request(request), seen)
+        return response.body
+    return client
+
+
+def get_pieces(kind, *pieces):
+    """``(client ended with, plain receives, in-place receives)``."""
+    seen = []
+    (_, ended), _, _ = exchange(kind, answer(*pieces), get_watched(seen))
+    return (ended, *receives(seen))
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_a_body_split_over_many_receives_lands_in_place(kind, added):
+    body, plain, into = get_pieces(kind, sized(SMALL), *EIGHTHS)
+    assert type(body) is bytearray and body == SMALL
+    assert added == [] and plain == 1  # the head's own
+    assert into == 8 if kind == "sim" else into >= 2
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_body_bytes_that_came_with_the_head_are_added_once(kind, added):
+    body, plain, into = get_pieces(
+        kind, sized(SMALL) + SMALL[:1000], SMALL[1000:]
+    )
+    assert body == SMALL
+    assert added == [1000] and plain == 1 and into >= 1
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_a_head_read_that_holds_the_whole_body_is_that_read(kind, added):
+    small = SMALL[:4096]
+    body, plain, into = get_pieces(kind, sized(small) + small)
+    assert type(body) is bytes and body == small
+    assert added == [len(small)] and (plain, into) == (1, 0)
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_an_eof_mid_body_is_the_parsers_error(kind):
+    ended, _, into = get_pieces(kind, sized(SMALL), SMALL[:1000])
+    assert isinstance(ended, HttpParseError)
+    assert str(ended) == f"EOF with {len(SMALL) - 1000} body bytes missing"
+    assert into == 2  # the 1000 bytes, then the EOF
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+@pytest.mark.parametrize("framing", ["chunked", "until-eof", "oversized"])
+def test_other_bodies_keep_the_chunk_path(kind, framing, monkeypatch):
+    if framing == "chunked":
+        wire = response_head(b"Transfer-Encoding: chunked\r\n") + b"".join(
+            map(encode_chunk, EIGHTHS)
+        ) + encode_last_chunk()
+    elif framing == "until-eof":
+        wire = response_head(b"") + SMALL
+    else:
+        monkeypatch.setattr(codec, "MAX_PREALLOCATED_BODY", 1000)
+        wire = sized(SMALL) + SMALL
+    body, plain, into = get_pieces(kind, wire[:100], wire[100:])
+    assert type(body) is bytes and body == SMALL
+    assert plain >= 2 and into == 0
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_a_request_body_split_over_many_receives_lands_in_place(
+    kind, added
+):
+    def client(endpoint):
+        channel = yield Connect(endpoint)
+        yield Send(
+            channel,
+            b"PUT /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(SMALL),
+        )
+        for piece in EIGHTHS:
+            yield Sleep(PAUSE)
+            yield Send(channel, piece)
+        yield Close(channel)
+
+    seen = []
+
+    def server(channel):
+        request = yield from watched(
+            _read_request(channel, HttpParser("server")), seen
+        )
+        return request.body
+
+    (body, _), _, _ = exchange(kind, server, client)
+    plain, into = receives(seen)
+    assert type(body) is bytearray and body == SMALL
+    assert added == [] and plain == 1
+    assert into == 8 if kind == "sim" else into >= 2
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_add_copies_a_sized_body_only_as_far_as_it_came_with_its_head(
+    kind, added
+):
+    """A 1 MiB PUT and GET through the davix client and the storage
+    server: each side's first receive brings the head and at most 64
+    KiB of the body, and only that is copied in by ``add``."""
+    body = BODY[:MIB]
+    if kind == "sim":
+        client, _app, store, _ = davix_world(bandwidth=1e9)
+        client.put("http://server/bulk", body)
+        assert client.get("http://server/bulk") == body
+    else:
+        store = ObjectStore()
+        client = DavixClient(ThreadRuntime())
+        with real_server(StorageApp(store)) as server:
+            url = f"http://127.0.0.1:{server.port}/bulk"
+            client.put(url, body)
+            assert client.get(url) == body
+            client.context.pool.clear()
+    assert store.read("/bulk") == body
+    assert sum(added) <= 2 * 65536
