@@ -423,93 +423,102 @@ class DavFile:
             cache = None
         results: List[Optional[bytes]] = [None] * len(reads)
         pending = list(range(len(reads)))
-
-        if cache is not None:
-            started = self.context.clock()
-            pending = []
-            #: Bytes of each pending read resident at probe time: they
-            #: stay "page-cache" even though the read completes after
-            #: the gap fill.
-            resident: Dict[int, int] = {}
-            for index, (offset, length) in enumerate(reads):
-                data, missing = cache.lookup(key, offset, length)
-                if data is not None:
-                    results[index] = data
-                    self._charge_delivery(len(data), 0)
-                else:
-                    pending.append(index)
-                    resident[index] = length - sum(n for _, n in missing)
-            self.context.metrics.histogram(
-                "request.phase_seconds", phase="cache-lookup"
-            ).observe(self.context.clock() - started)
-            if not pending:
-                return results
-
-        if self._engine is not None:
-            wanted = [reads[index] for index in pending]
-            if vector:
-                served = yield from self._engine.read_vec(wanted)
-            else:
-                served = [(yield from self._engine.read_single(*wanted[0]))]
-            missed = []
-            for index, data in zip(pending, served):
-                if data is None:
-                    missed.append(index)
-                else:
-                    results[index] = data
-            self._charge_delivery(0, sum(len(d) for d in served if d))
-            pending = missed
-            if not pending:
-                return results
-
-        if cache is not None:
-            # Fill only the missing page-aligned spans, then re-read.
-            # The spans are taken now, not at the probe: speculative
-            # fetches insert too. The loop tolerates an ETag change
-            # mid-fill (the insert invalidates, widening the gaps) but
-            # gives up when filling stops making progress — a budget
-            # smaller than the read cannot converge.
-            spans = None
-            for _ in range(3):
-                again = merge_spans(
-                    [
-                        span
-                        for index in pending
-                        for span in cache.missing_spans(key, *reads[index])
-                    ]
-                )
-                if again == spans:
-                    break  # filling stopped converging: demand the rest
-                spans = again
-                # Coalesced GETs of at most MAX_VECTOR_RANGES spans.
-                step = vectored.MAX_VECTOR_RANGES
-                for start in range(0, len(spans), step):
-                    yield from self._get_ranges(spans[start : start + step])
-                unresolved: List[int] = []
-                for index in pending:
-                    data = cache.read(key, *reads[index])
-                    if data is None:
-                        unresolved.append(index)
-                        continue
-                    results[index] = data
-                    cached = min(len(data), max(0, resident[index]))
-                    self._charge_delivery(cached, len(data) - cached)
-                pending = unresolved
+        # Delivered bytes by source, charged once on any way out.
+        cached_bytes = network_bytes = 0
+        try:
+            if cache is not None:
+                started = self.context.clock()
+                pending = []
+                #: Bytes of each pending read resident at probe time:
+                #: they stay "page-cache" even though the read completes
+                #: after the gap fill.
+                resident: Dict[int, int] = {}
+                for index, (offset, length) in enumerate(reads):
+                    data, missing = cache.lookup(key, offset, length)
+                    if data is not None:
+                        results[index] = data
+                        cached_bytes += len(data)
+                    else:
+                        pending.append(index)
+                        resident[index] = length - sum([n for _, n in missing])
+                self.context.metrics.histogram(
+                    "request.phase_seconds", phase="cache-lookup"
+                ).observe(self.context.clock() - started)
                 if not pending:
                     return results
 
-        wanted = [reads[index] for index in pending]
-        if vector:
-            pieces = yield from self._pread_vec_demand(wanted)
-        else:
-            # A server that ignored the Range header sent the whole
-            # object: the table slices it.
-            parts = yield from self._get_ranges(wanted)
-            pieces = [parts.read(*wanted[0])]
-        for index, piece in zip(pending, pieces):
-            results[index] = piece
-        self._charge_delivery(0, sum(map(len, pieces)))
-        return results
+            if self._engine is not None:
+                wanted = [reads[index] for index in pending]
+                if vector:
+                    served = yield from self._engine.read_vec(wanted)
+                else:
+                    served = [
+                        (yield from self._engine.read_single(*wanted[0]))
+                    ]
+                missed = []
+                for index, data in zip(pending, served):
+                    if data is None:
+                        missed.append(index)
+                    else:
+                        results[index] = data
+                network_bytes += sum(len(d) for d in served if d)
+                pending = missed
+                if not pending:
+                    return results
+
+            if cache is not None:
+                # Fill only the missing page-aligned spans, then
+                # re-read. The spans are taken now, not at the probe:
+                # speculative fetches insert too. The loop tolerates an
+                # ETag change mid-fill (the insert invalidates, widening
+                # the gaps) but gives up when filling stops making
+                # progress — a budget smaller than the read cannot
+                # converge.
+                spans = None
+                for _ in range(3):
+                    again = merge_spans(
+                        [
+                            span
+                            for index in pending
+                            for span in cache.missing_spans(key, *reads[index])
+                        ]
+                    )
+                    if again == spans:
+                        break  # filling stopped converging: demand the rest
+                    spans = again
+                    # Coalesced GETs of at most MAX_VECTOR_RANGES spans.
+                    step = vectored.MAX_VECTOR_RANGES
+                    for start in range(0, len(spans), step):
+                        batch = spans[start : start + step]
+                        yield from self._get_ranges(batch)
+                    unresolved: List[int] = []
+                    for index in pending:
+                        data = cache.read(key, *reads[index])
+                        if data is None:
+                            unresolved.append(index)
+                            continue
+                        results[index] = data
+                        cached = min(len(data), max(0, resident[index]))
+                        cached_bytes += cached
+                        network_bytes += len(data) - cached
+                    pending = unresolved
+                    if not pending:
+                        return results
+
+            wanted = [reads[index] for index in pending]
+            if vector:
+                pieces = yield from self._pread_vec_demand(wanted)
+            else:
+                # A server that ignored the Range header sent the whole
+                # object: the table slices it.
+                parts = yield from self._get_ranges(wanted)
+                pieces = [parts.read(*wanted[0])]
+            for index, piece in zip(pending, pieces):
+                results[index] = piece
+            network_bytes += sum(map(len, pieces))
+            return results
+        finally:
+            self._charge_delivery(cached_bytes, network_bytes)
 
     # -- byte provenance ----------------------------------------------------
 

@@ -46,6 +46,9 @@ MAX_NO_STORE_KEYS = 4096
 #: One ``(offset, length)`` byte span.
 Span = Tuple[int, int]
 
+#: ``cache.origin_bytes_saved``'s key in ``MetricsRegistry.resolved``.
+_SAVED = ("counter", "cache.origin_bytes_saved")
+
 
 class _Entry:
     """Cached state of one remote object (one ETag version)."""
@@ -72,8 +75,9 @@ class PageCache:
 
     ``lookup`` is the accounting entry point — it classifies each
     logical read as a hit, partial hit, or miss and feeds the
-    ``cache.*`` metrics; ``read`` is the same probe without accounting
-    (used when re-assembling after a gap fill).
+    ``cache.*`` metrics; ``read`` and ``missing_spans`` are the two
+    halves of the same probe without accounting (used around a gap
+    fill).
     """
 
     def __init__(
@@ -123,8 +127,9 @@ class PageCache:
 
     def _mirror_gauges(self) -> None:
         if self.metrics is not None:
-            self.metrics.gauge("cache.used_bytes").set(self._used)
-            self.metrics.gauge("cache.pages").set(len(self._lru))
+            resolved = self.metrics.resolved
+            resolved[("gauge", "cache.used_bytes")].set(self._used)
+            resolved[("gauge", "cache.pages")].set(len(self._lru))
 
     # -- introspection --------------------------------------------------------
 
@@ -176,15 +181,13 @@ class PageCache:
         """The ETag the cached pages of ``key`` belong to."""
         with self._lock:
             self._expire_locked(key)
-            entry = self._entries.get(key)
-            return entry.etag if entry is not None else None
+            return getattr(self._entries.get(key), "etag", None)
 
     def known_size(self, key: str) -> Optional[int]:
         """The object's total size, if a response has revealed it."""
         with self._lock:
             self._expire_locked(key)
-            entry = self._entries.get(key)
-            return entry.size if entry is not None else None
+            return getattr(self._entries.get(key), "size", None)
 
     # -- version control ------------------------------------------------------
 
@@ -248,19 +251,58 @@ class PageCache:
 
     # -- read side ------------------------------------------------------------
 
-    def _clamp(self, entry: _Entry, offset: int, length: int) -> Span:
-        """The byte span actually backed by the object: ``(offset,
-        end)`` with ``end <= size`` when the size is known."""
-        end = offset + length
-        if entry.size is not None:
-            end = min(end, entry.size)
-        return offset, end
+    def _probe_locked(
+        self, key: str, offset: int, length: int, touch: bool = True
+    ) -> Tuple[Optional[bytes], List[Span]]:
+        """One TTL check and one walk of a read's pages: ``(data,
+        missing)``.
 
-    def _page_len(self, entry: _Entry, index: int) -> int:
-        """The full length a cached page at ``index`` must have."""
-        if entry.size is not None:
-            return min(self.page_size, entry.size - index * self.page_size)
-        return self.page_size
+        ``data`` is the read's bytes when every page is cached (clamped
+        at EOF once the size is known: a POSIX short read), else
+        ``None``; ``missing`` merges the uncached page-aligned spans.
+        With ``touch`` the pages before the first gap move to the
+        LRU's hot end.
+        """
+        entry = self._entries.get(key)
+        if entry is not None and entry.expires_at is not None:
+            self._expire_locked(key)
+            entry = self._entries.get(key)
+        if offset < 0 or length < 0:
+            raise ValueError("negative offset/length")
+        if length == 0:
+            return (None if entry is None else b""), []
+        size = pages = None
+        if entry is not None:
+            size, pages = entry.size, entry.pages
+        end = offset + length
+        if size is not None:
+            if offset >= size:
+                return b"", []
+            end = min(end, size)
+        page_size = self.page_size
+        first = offset // page_size
+        last = (end - 1) // page_size
+        spans: List[Span] = []
+        for index in range(first, last + 1):
+            page_start = index * page_size
+            want = page_size
+            if size is not None:
+                want = min(page_size, size - page_start)
+            page = pages.get(index) if pages else None
+            if page is not None and len(page) >= want:
+                if touch and not spans:
+                    self._lru.move_to_end((key, index))
+            elif spans and spans[-1][0] + spans[-1][1] == page_start:
+                spans[-1] = (spans[-1][0], spans[-1][1] + want)
+            else:
+                spans.append((page_start, want))
+        if spans:
+            return None, spans
+        base = first * page_size
+        if first == last:
+            return pages[first][offset - base : end - base], spans
+        blob = b"".join(map(pages.__getitem__, range(first, last + 1)))
+        return blob[offset - base : end - base], spans
 
     def read(self, key: str, offset: int, length: int) -> Optional[bytes]:
         """The bytes of ``[offset, offset+length)`` if fully cached.
@@ -270,36 +312,7 @@ class PageCache:
         tail answers over-long reads too. No hit/miss accounting.
         """
         with self._lock:
-            self._expire_locked(key)
-            return self._read_locked(key, offset, length)
-
-    def _read_locked(
-        self, key: str, offset: int, length: int
-    ) -> Optional[bytes]:
-        if offset < 0 or length < 0:
-            raise ValueError("negative offset/length")
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        if length == 0:
-            return b""
-        if entry.size is not None and offset >= entry.size:
-            return b""
-        start, end = self._clamp(entry, offset, length)
-        if start >= end:
-            return b""
-        first = start // self.page_size
-        last = (end - 1) // self.page_size
-        pieces: List[bytes] = []
-        for index in range(first, last + 1):
-            page = entry.pages.get(index)
-            if page is None or len(page) < self._page_len(entry, index):
-                return None
-            self._lru.move_to_end((key, index))
-            pieces.append(page)
-        blob = b"".join(pieces)
-        base = first * self.page_size
-        return blob[start - base : end - base]
+            return self._probe_locked(key, offset, length)[0]
 
     def missing_spans(
         self, key: str, offset: int, length: int
@@ -312,78 +325,41 @@ class PageCache:
         read is fully cached (or past EOF).
         """
         with self._lock:
-            if offset < 0 or length < 0:
-                raise ValueError("negative offset/length")
-            if length == 0:
-                return []
-            self._expire_locked(key)
-            entry = self._entries.get(key)
-            size = entry.size if entry is not None else None
-            end = offset + length
-            if size is not None:
-                if offset >= size:
-                    return []
-                end = min(end, size)
-            first = offset // self.page_size
-            last = (end - 1) // self.page_size
-            spans: List[Span] = []
-            for index in range(first, last + 1):
-                if entry is not None:
-                    page = entry.pages.get(index)
-                    if page is not None and len(page) >= self._page_len(
-                        entry, index
-                    ):
-                        continue
-                page_start = index * self.page_size
-                page_len = self.page_size
-                if size is not None:
-                    page_len = min(page_len, size - page_start)
-                if spans and spans[-1][0] + spans[-1][1] == page_start:
-                    spans[-1] = (spans[-1][0], spans[-1][1] + page_len)
-                else:
-                    spans.append((page_start, page_len))
-            return spans
+            return self._probe_locked(key, offset, length, touch=False)[1]
 
     def lookup(
         self, key: str, offset: int, length: int
     ) -> Tuple[Optional[bytes], List[Span]]:
         """Accounting probe: ``(data, missing_spans)`` for one read.
 
-        Classifies the read — full hit (data, no spans), partial hit
-        (no data, spans smaller than the read's aligned span), miss —
-        and feeds ``cache.{hit,miss,partial_hit,origin_bytes_saved}``.
+        One lock, one TTL check and one walk of the pages classify the
+        read — full hit (data, no spans), partial hit (no data, spans
+        smaller than the read's aligned span), miss — and feed
+        ``stats`` and ``cache.{hit,miss,partial_hit,origin_bytes_saved}``.
         """
-        data = self.read(key, offset, length)
-        if data is not None:
-            self.stats["hits"] += 1
-            self.stats["origin_bytes_saved"] += length
-            self._count("hit")
-            self._count("origin_bytes_saved", length)
-            return data, []
-        missing = self.missing_spans(key, offset, length)
-        requested = self._overlap(missing, offset, length)
-        if requested < length:
-            self.stats["partial_hits"] += 1
-            saved = length - requested
+        with self._lock:
+            data, missing = self._probe_locked(key, offset, length)
+            if data is not None:
+                stat, series, saved = "hits", "cache.hit", length
+            else:
+                # Every missing span overlaps the read by at least a byte.
+                end = offset + length
+                saved = length
+                for span_offset, span_length in missing:
+                    saved -= min(end, span_offset + span_length) - max(
+                        offset, span_offset
+                    )
+                stat, series = "partial_hits", "cache.partial_hit"
+                if not saved:
+                    stat, series = "misses", "cache.miss"
+            self.stats[stat] += 1
             self.stats["origin_bytes_saved"] += saved
-            self._count("partial_hit")
-            self._count("origin_bytes_saved", saved)
-        else:
-            self.stats["misses"] += 1
-            self._count("miss")
-        return None, missing
-
-    @staticmethod
-    def _overlap(spans: List[Span], offset: int, length: int) -> int:
-        """Bytes of ``[offset, offset+length)`` covered by ``spans``."""
-        end = offset + length
-        covered = 0
-        for span_offset, span_length in spans:
-            lo = max(offset, span_offset)
-            hi = min(end, span_offset + span_length)
-            if hi > lo:
-                covered += hi - lo
-        return covered
+            if self.metrics is not None:
+                resolved = self.metrics.resolved
+                resolved[("counter", series)].inc()
+                if saved:
+                    resolved[_SAVED].inc(saved)
+            return data, missing
 
     # -- write side -----------------------------------------------------------
 
@@ -435,7 +411,9 @@ class PageCache:
             page_size = self.page_size
             for index in range(first, (end // page_size) + 1):
                 page_start = index * page_size
-                want = self._page_len(entry, index)
+                want = page_size
+                if entry.size is not None:
+                    want = min(page_size, entry.size - page_start)
                 if want <= 0 or page_start + want > end:
                     break
                 if index in entry.pages:
@@ -454,6 +432,7 @@ class PageCache:
             self._mirror_gauges()
 
     def _evict_locked(self) -> None:
+        evicted = 0
         while self._used > self.budget_bytes and self._lru:
             (key, index), nbytes = self._lru.popitem(last=False)
             entry = self._entries.get(key)
@@ -464,7 +443,8 @@ class PageCache:
             self._used -= nbytes
             self.stats["evictions"] += 1
             self.stats["evicted_bytes"] += nbytes
-            self._count("evicted_bytes", nbytes)
+            evicted += nbytes
+        self._count("evicted_bytes", evicted)
 
     def __repr__(self) -> str:
         return (

@@ -31,17 +31,18 @@ import threading
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = ["PoolStats", "SessionPool"]
 
-#: stats-event -> (metric family, labels) mapping.
+#: stats-event -> its series' key in ``MetricsRegistry.resolved``.
 _EVENT_METRICS = {
-    "hits": ("pool.acquire_total", {"outcome": "hit"}),
-    "misses": ("pool.acquire_total", {"outcome": "miss"}),
-    "recycled": ("pool.release_total", {"outcome": "recycled"}),
-    "discarded": ("pool.release_total", {"outcome": "discarded"}),
-    "evicted": ("pool.evicted_total", {}),
+    "hits": ("counter", "pool.acquire_total", ("outcome", "hit")),
+    "misses": ("counter", "pool.acquire_total", ("outcome", "miss")),
+    "recycled": ("counter", "pool.release_total", ("outcome", "recycled")),
+    "discarded": ("counter", "pool.release_total", ("outcome", "discarded")),
+    "evicted": ("counter", "pool.evicted_total"),
 }
 
 _COUNTER_NAMES = ("hits", "misses", "recycled", "discarded", "evicted")
@@ -77,17 +78,16 @@ class PoolStats:
 
 
 class _Shard:
-    """One independent sub-pool: its own lock, free-lists and counters."""
+    """One independent sub-pool: its own lock, free-lists and counters,
+    and ``idle_count``, the running total of its free-lists' lengths."""
 
-    __slots__ = ("lock", "idle", "counters")
+    __slots__ = ("lock", "idle", "counters", "idle_count")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.idle: Dict[Tuple, Deque] = {}
         self.counters = {name: 0 for name in _COUNTER_NAMES}
-
-    def idle_total(self) -> int:
-        return sum(len(q) for q in self.idle.values())
+        self.idle_count = 0
 
 
 class SessionPool:
@@ -118,6 +118,8 @@ class SessionPool:
         #: Optional :class:`~repro.obs.MetricsRegistry` mirror.
         self.metrics = metrics
         self._shards: List[_Shard] = [_Shard() for _ in range(shards)]
+        #: origin -> shard index, memoised (origins are few).
+        self._shard_of: Dict[Tuple, int] = {}
 
     # -- sharding -------------------------------------------------------------
 
@@ -132,7 +134,9 @@ class SessionPool:
         return zlib.crc32(repr(origin).encode("utf-8")) % len(self._shards)
 
     def _shard_for(self, origin: Tuple) -> Tuple[int, _Shard]:
-        index = self._shard_index(origin)
+        index = self._shard_of.get(origin)
+        if index is None:
+            index = self._shard_of[origin] = self._shard_index(origin)
         return index, self._shards[index]
 
     def _enter(self, index: int, shard: _Shard) -> None:
@@ -150,34 +154,29 @@ class SessionPool:
     def _record(self, shard: _Shard, event: str) -> None:
         shard.counters[event] += 1
         if self.metrics is not None:
-            name, labels = _EVENT_METRICS[event]
-            self.metrics.counter(name, **labels).inc()
+            self.metrics.resolved[_EVENT_METRICS[event]].inc()
 
-    @property
-    def _counters(self) -> Dict[str, int]:
-        """Aggregated counters over every shard (lock-free read)."""
+    def stats(self) -> PoolStats:
+        """Frozen point-in-time :class:`PoolStats` snapshot (each
+        counter summed over every shard, lock-free)."""
         totals = {name: 0 for name in _COUNTER_NAMES}
         for shard in self._shards:
             for name in _COUNTER_NAMES:
                 totals[name] += shard.counters[name]
-        return totals
-
-    def stats(self) -> PoolStats:
-        """Frozen point-in-time :class:`PoolStats` snapshot."""
-        return self._snapshot()
-
-    def _snapshot(self) -> PoolStats:
-        return PoolStats(idle=self._idle_total(), **self._counters)
+        return PoolStats(idle=self._idle_total(), **totals)
 
     def _idle_total(self) -> int:
-        return sum(shard.idle_total() for shard in self._shards)
+        # Summed, not one running total: shards update under their own
+        # locks, so a shared ``+=`` could lose a concurrent update.
+        return sum(map(attrgetter("idle_count"), self._shards))
 
     def _update_idle_gauges(self, index: int, shard: _Shard) -> None:
         if self.metrics is None:
             return
-        self.metrics.gauge("pool.idle_sessions").set(self._idle_total())
-        self.metrics.gauge("pool.shard.idle", shard=str(index)).set(
-            shard.idle_total()
+        resolved = self.metrics.resolved
+        resolved[("gauge", "pool.idle_sessions")].set(self._idle_total())
+        resolved[("gauge", "pool.shard.idle", ("shard", str(index)))].set(
+            shard.idle_count
         )
 
     # -- pool operations ------------------------------------------------------
@@ -191,6 +190,7 @@ class SessionPool:
             dropped = False
             while queue:
                 session = queue.pop()  # LIFO: prefer the warmest
+                shard.idle_count -= 1
                 if self._expired(session):
                     self._record(shard, "evicted")
                     session.discard()
@@ -234,6 +234,7 @@ class SessionPool:
             self._record(shard, "recycled")
             session.last_released = self._clock()
             queue.append(session)
+            shard.idle_count += 1
             self._update_idle_gauges(index, shard)
         finally:
             shard.lock.release()
@@ -285,6 +286,7 @@ class SessionPool:
                     queue = shard.idle[origin]
                     while queue and self._expired(queue[0]):
                         queue.popleft().discard()
+                        shard.idle_count -= 1
                         self._record(shard, "evicted")
                         shard_dropped += 1
                     if not queue:
@@ -317,6 +319,7 @@ class SessionPool:
                 queue.pop().discard()
                 self._record(shard, "evicted")
                 dropped += 1
+            shard.idle_count -= dropped
             self._update_idle_gauges(index, shard)
             return dropped
         finally:
@@ -333,6 +336,7 @@ class SessionPool:
                         queue.pop().discard()
                         dropped += 1
                 shard.idle.clear()
+                shard.idle_count = 0
             finally:
                 shard.lock.release()
         return dropped

@@ -45,6 +45,10 @@ __all__ = ["Session", "StaleSession", "open_session"]
 #: server-side spans join the client trace.
 TRACE_PROPAGATION = True
 
+#: The wire-total series' keys in ``MetricsRegistry.resolved``.
+_SENT = ("counter", "session.bytes_sent_total")
+_RECEIVED = ("counter", "session.bytes_received_total")
+
 
 class StaleSession(NetworkError):
     """A recycled connection died before the response started.
@@ -144,7 +148,7 @@ class Session:
         self.requests_sent += 1
         self.bytes_sent += size
         if self.metrics is not None:
-            self.metrics.counter("session.bytes_sent_total").inc(size)
+            self.metrics.resolved[_SENT].inc(size)
         if deadline is not None:
             deadline.check()
         send_span = span.child("send", bytes=size) if span else None
@@ -242,9 +246,7 @@ class Session:
                     break
         finally:
             if self.metrics is not None and received:
-                self.metrics.counter(
-                    "session.bytes_received_total"
-                ).inc(received)
+                self.metrics.resolved[_RECEIVED].inc(received)
             if recv_span:
                 recv_span.end(bytes=received)
 

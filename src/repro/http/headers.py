@@ -56,26 +56,29 @@ def freshness_lifetime(headers: "Headers") -> Optional[float]:
 class Headers:
     """Ordered, case-insensitive header collection."""
 
-    __slots__ = ("_items",)
+    # Each pair's lowered name sits beside it: a lookup is a list search.
+    __slots__ = ("_items", "_lower")
 
     def __init__(self, items: HeaderSource = None):
         self._items: List[Tuple[str, str]] = []
+        self._lower: List[str] = []
         if items is None:
             return
         if isinstance(items, Headers):
             self._items.extend(items._items)
-        elif isinstance(items, dict):
-            for name, value in items.items():
-                self.add(name, value)
-        else:
-            for name, value in items:
-                self.add(name, value)
+            self._lower.extend(items._lower)
+            return
+        if isinstance(items, dict):
+            items = items.items()
+        for name, value in items:
+            self.add(name, value)
 
     # -- mutation ---------------------------------------------------------
 
     def add(self, name: str, value) -> None:
         """Append a header, keeping any existing values of ``name``."""
         self._items.append((str(name), str(value)))
+        self._lower.append(str(name).lower())
 
     def set(self, name: str, value) -> None:
         """Replace every value of ``name`` with a single one."""
@@ -84,15 +87,15 @@ class Headers:
 
     def setdefault(self, name: str, value) -> None:
         """Add the header only if ``name`` is not present."""
-        if name not in self:
+        if name.lower() not in self._lower:
             self.add(name, value)
 
     def remove(self, name: str) -> None:
         """Drop every value of ``name`` (no error if absent)."""
         lowered = name.lower()
-        self._items = [
-            (k, v) for k, v in self._items if k.lower() != lowered
-        ]
+        while lowered in self._lower:
+            index = self._lower.index(lowered)
+            del self._lower[index], self._items[index]
 
     def extend(self, items: HeaderSource) -> None:
         for name, value in Headers(items).items():
@@ -103,15 +106,14 @@ class Headers:
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         """First value of ``name``, or ``default``."""
         lowered = name.lower()
-        for key, value in self._items:
-            if key.lower() == lowered:
-                return value
+        if lowered in self._lower:
+            return self._items[self._lower.index(lowered)][1]
         return default
 
     def get_all(self, name: str) -> List[str]:
         """Every value of ``name``, in insertion order."""
-        lowered = name.lower()
-        return [v for k, v in self._items if k.lower() == lowered]
+        want = name.lower()
+        return [v for (_, v), k in zip(self._items, self._lower) if k == want]
 
     def get_int(self, name: str) -> Optional[int]:
         """First value of ``name`` parsed as an integer, else ``None``."""
@@ -139,7 +141,7 @@ class Headers:
         return iter(self._items)
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name.lower() in self._lower
 
     def __len__(self) -> int:
         return len(self._items)
@@ -147,9 +149,9 @@ class Headers:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        ours = [(k.lower(), v) for k, v in self._items]
-        theirs = [(k.lower(), v) for k, v in other._items]
-        return ours == theirs
+        return self._lower == other._lower and [
+            v for _, v in self._items
+        ] == [v for _, v in other._items]
 
     def copy(self) -> "Headers":
         return Headers(self)

@@ -100,7 +100,7 @@ class Response:
         """Body size in bytes, however the body is held."""
         if self.pieces is None:
             return len(self.body)
-        return sum(len(piece) for piece in self.pieces)
+        return sum(map(len, self.pieces))
 
     @property
     def ok(self) -> bool:

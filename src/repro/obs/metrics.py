@@ -20,6 +20,7 @@ always-on in benchmarks.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -54,8 +55,8 @@ _SAMPLE_CAP = 4096
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _label_key(labels: Dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+def _label_key(pairs) -> LabelKey:
+    return tuple(sorted((str(k), str(v)) for k, v in pairs))
 
 
 class Counter:
@@ -158,14 +159,12 @@ class Histogram:
         with self._lock:
             self.count += 1
             self.sum += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.bucket_counts[index] += 1
-                    break
-            else:
-                self.bucket_counts[-1] += 1
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+            # The first bound >= value; past the last is the +Inf bucket.
+            self.bucket_counts[bisect_left(self.buckets, value)] += 1
             if len(self._sample) < _SAMPLE_CAP:
                 self._sample.append(value)
 
@@ -193,6 +192,16 @@ class Histogram:
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+class _Resolved(dict):
+    """``(kind, name, *label pairs as passed) -> instrument``; a key it
+    lacks takes the registry's locked creation path."""
+
+    __slots__ = ("registry",)
+
+    def __missing__(self, key):
+        return self.registry._series(key)
+
+
 def format_series(name: str, labels: LabelKey) -> str:
     """Render ``name{k=v,...}`` for one labeled series."""
     if not labels:
@@ -207,32 +216,38 @@ class MetricsRegistry:
     ``registry.counter("pool.acquire_total", outcome="hit").inc()``
     creates the family and the labeled series on first use and returns
     the same instrument afterwards. Registering the same name with a
-    different instrument kind raises — a name means one thing.
+    different instrument kind raises — a name means one thing. A
+    lookup that hits is one get on :attr:`resolved`, keyed as passed
+    (no label sort, no lock); hot owners index it with constant keys.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         #: name -> (kind, {label_key -> instrument})
         self._families: Dict[str, Tuple[str, Dict[LabelKey, object]]] = {}
+        self.resolved = _Resolved()
+        self.resolved.registry = self
 
     # -- instrument accessors -------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
         """The counter series ``name{labels}`` (created on first use)."""
-        return self._series("counter", name, labels)
+        return self.resolved[("counter", name, *labels.items())]
 
     def gauge(self, name: str, **labels) -> Gauge:
         """The gauge series ``name{labels}`` (created on first use)."""
-        return self._series("gauge", name, labels)
+        return self.resolved[("gauge", name, *labels.items())]
 
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None, **labels
     ) -> Histogram:
         """The histogram series ``name{labels}`` (created on first use)."""
-        return self._series("histogram", name, labels, buckets=buckets)
+        key = ("histogram", name, *labels.items())
+        return self.resolved.get(key) or self._series(key, buckets)
 
-    def _series(self, kind, name, labels, buckets=None):
-        key = _label_key(labels)
+    def _series(self, resolved_key, buckets=None):
+        kind, name, *pairs = resolved_key
+        key = _label_key(pairs)
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -251,26 +266,24 @@ class MetricsRegistry:
                 else:
                     series = _KINDS[kind](name, key)
                 family[1][key] = series
+            # Only str labels are remembered as passed: as keys 1 and
+            # True are equal, yet they name series "1" and "True".
+            if all(type(value) is str for _, value in pairs):
+                self.resolved[resolved_key] = series
             return series
 
     # -- read side ------------------------------------------------------------
 
     def value(self, name: str, **labels) -> Optional[float]:
         """Current value of a counter/gauge series; None if absent."""
-        family = self._families.get(name)
-        if family is None:
-            return None
-        series = family[1].get(_label_key(labels))
-        if series is None or not hasattr(series, "value"):
-            return None
-        return series.value
+        return getattr(self.get(name, **labels), "value", None)
 
     def get(self, name: str, **labels):
         """The instrument for ``name{labels}``; None if absent."""
         family = self._families.get(name)
         if family is None:
             return None
-        return family[1].get(_label_key(labels))
+        return family[1].get(_label_key(labels.items()))
 
     def series(self) -> Iterator[object]:
         """Every instrument, sorted by name then label key."""
@@ -332,26 +345,22 @@ class MetricsRegistry:
                 mine.bucket_counts[index] += bucket_count
             mine.count += theirs.count
             mine.sum += theirs.sum
-            if theirs.min is not None:
-                mine.min = (
-                    theirs.min
-                    if mine.min is None
-                    else min(mine.min, theirs.min)
-                )
-            if theirs.max is not None:
-                mine.max = (
-                    theirs.max
-                    if mine.max is None
-                    else max(mine.max, theirs.max)
-                )
+            if mine.min is None:
+                mine.min, mine.max = theirs.min, theirs.max
+            elif theirs.min is not None:
+                mine.min = min(mine.min, theirs.min)
+                mine.max = max(mine.max, theirs.max)
             room = _SAMPLE_CAP - len(mine._sample)
             if room > 0:
                 mine._sample.extend(theirs._sample[:room])
 
     def reset(self) -> None:
-        """Drop every family (used between benchmark cases)."""
+        """Drop every family (used between benchmark cases). Owners
+        keep no series handle across it: they index :attr:`resolved`,
+        which empties too, so their next update re-creates the series."""
         with self._lock:
             self._families.clear()
+            self.resolved.clear()
 
     def __len__(self) -> int:
         return sum(len(f[1]) for f in self._families.values())

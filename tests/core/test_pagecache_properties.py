@@ -126,3 +126,51 @@ def test_an_object_evicted_whole_leaves_no_entry():
     assert cache.object_count == 1
     assert len(cache._entries) == 1
     assert "k999" in cache and "k0" not in cache
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions and, once, runs ``between``
+    just before its second one (a competing thread's insert)."""
+
+    def __init__(self, lock, between=None):
+        self.lock = lock
+        self.acquired = 0
+        self.between = between
+
+    def __enter__(self):
+        self.acquired += 1
+        if self.acquired == 2 and self.between is not None:
+            self.between()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_lookup_takes_the_lock_once():
+    """A hit, a partial hit, a miss and a read past EOF each take the
+    lock once, and an insert racing the probe cannot split it: the read
+    is classified from one view of the pages, so it is never a partial
+    hit with nothing missing."""
+    page = b"p" * 64
+    cache = PageCache(1 << 12, page_size=64)
+    cache.insert("k", None, 0, page, total=256)
+    cache.insert("k", None, 128, page)
+    for offset, length, want in [
+        (0, 64, (page, [])),
+        (32, 64, (None, [(64, 64)])),
+        (192, 64, (None, [(192, 64)])),
+        (300, 8, (b"", [])),
+    ]:
+        before = dict(cache.stats)
+        cache._lock = _CountingLock(
+            cache._lock,
+            between=lambda: cache.insert("k", None, 64, page),
+        )
+        got = cache.lookup("k", offset, length)
+        assert cache._lock.acquired == 1
+        cache._lock = cache._lock.lock
+        assert got == want
+        moved = {k for k, v in cache.stats.items() if v != before[k]}
+        assert len(moved & {"hits", "misses", "partial_hits"}) == 1
+    assert cache.stats["partial_hits"] == 1 and cache.stats["misses"] == 1

@@ -271,3 +271,51 @@ def test_shard_contention_counter():
         == 1
     )
     assert pool.stats().recycled == 1
+
+
+def test_running_idle_counts_survive_concurrent_threads():
+    """Eight threads (more than this box's cores) acquire and release
+    over four origins with a short switch interval: every shard's
+    running idle count still equals its free-lists and its gauge, the
+    pool total is their sum, and every acquire is counted once."""
+    import sys
+    import threading
+
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    pool = SessionPool(metrics=registry, shards=2, max_idle_per_origin=3)
+    origins = [("http", f"host-{i}", 80) for i in range(4)]
+    rounds = 300
+
+    def work(seed):
+        for step in range(rounds):
+            origin = origins[(seed + step) % len(origins)]
+            session = pool.acquire(origin) or FakeSession(origin=origin)
+            pool.release(session)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [
+            threading.Thread(target=work, args=(seed,)) for seed in range(8)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    parked = 0
+    for index, shard in enumerate(pool._shards):
+        held = sum(len(queue) for queue in shard.idle.values())
+        assert shard.idle_count == held
+        if held:
+            assert registry.value("pool.shard.idle", shard=str(index)) == held
+        parked += held
+    assert pool.idle_count() == parked == pool.stats().idle
+    assert pool.stats().acquires == 8 * rounds
+    assert registry.value("pool.acquire_total", outcome="hit") + (
+        registry.value("pool.acquire_total", outcome="miss")
+    ) == 8 * rounds

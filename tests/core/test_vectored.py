@@ -1,5 +1,6 @@
 """Tests (incl. property-based) for vectored-I/O planning."""
 
+import itertools
 import random
 import sys
 
@@ -13,6 +14,7 @@ from repro.core import (
     Context,
     DavixClient,
     PartTable,
+    TransferConfig,
     missing_ranges,
     plan_vector,
     scatter_parts,
@@ -337,7 +339,41 @@ def test_missing_ranges_is_the_ranges_covers_refuses(parts, reads, gap, total):
         ]
 
 
-# -- the per-fragment cost of a vectored read --------------------------------
+# -- the Python calls of a read ---------------------------------------------
+
+
+def _sim_world(size):
+    """A storage server holding ``/blob`` of ``size`` seeded bytes, and
+    a fresh client, on one simulated GEANT network."""
+    env = Environment()
+    net = build_network(GEANT, env, seed=3)
+    store = ObjectStore()
+    blob = random.Random(7).randbytes(size)
+    store.put("/blob", blob)
+    HttpServer(SimRuntime(net, "server"), StorageApp(store), port=80).start()
+    return DavixClient(SimRuntime(net, "client"), context=Context()), blob
+
+
+def _repro_calls(op, skip=None):
+    """``(op(), calls)``: the Python calls ``op`` makes in ``repro``
+    frames, leaving out those under the ``skip`` subpackage."""
+    package = repro.__file__.rsplit("__init__.py", 1)[0]
+    skipped = package + skip if skip else None
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        name = frame.f_code.co_filename
+        if event == "call" and name.startswith(package):
+            if skipped is None or not name.startswith(skipped):
+                calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = op()
+    finally:
+        sys.setprofile(None)
+    return out, calls
 
 
 def test_call_budget_of_a_vectored_read():
@@ -347,27 +383,69 @@ def test_call_budget_of_a_vectored_read():
     back on the plan, Range header, multipart or scatter path fails
     here without a stopwatch."""
     size = 4 << 20
-    env = Environment()
-    net = build_network(GEANT, env, seed=3)
-    store = ObjectStore()
-    blob = random.Random(7).randbytes(size)
-    store.put("/blob", blob)
-    HttpServer(SimRuntime(net, "server"), StorageApp(store), port=80).start()
-    client = DavixClient(SimRuntime(net, "client"), context=Context())
+    client, blob = _sim_world(size)
     rng = random.Random(3)
     reads = [(rng.randrange(size - 4096), 4096) for _ in range(256)]
-    package = repro.__file__.rsplit("__init__.py", 1)[0]
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        out = client.pread_vec("http://server/blob", reads)
-    finally:
-        sys.setprofile(None)
+    out, calls = _repro_calls(
+        lambda: client.pread_vec("http://server/blob", reads)
+    )
     assert out == [blob[o : o + n] for o, n in reads]
     assert calls <= 4121  # the parent of this test made 12 013
+
+
+def cached_read_calls() -> int:
+    """One ``pread_vec`` of 64 4 KiB fragments on zipf(1.1)-popular
+    64 KiB pages, over a page cache a quarter the object's size that
+    30 earlier draws warmed (hits, partial hits, one gap fill and its
+    evictions) -> its calls in ``repro`` frames, simulator included,
+    for one fixed draw."""
+    size, page = 4 << 20, 64 << 10
+    client, blob = _sim_world(size)
+    transfer = TransferConfig(page_cache_bytes=size // 4, page_size=page)
+    pages = list(range(size // page))
+    rng = random.Random(0)
+    rng.shuffle(pages)
+    weights = list(
+        itertools.accumulate(1 / rank**1.1 for rank in range(1, 65))
+    )
+
+    def draw():
+        chosen = rng.choices(pages, cum_weights=weights, k=64)
+        return [(p * page + rng.randrange(page - 4096), 4096) for p in chosen]
+
+    for _ in range(30):
+        client.pread_vec("http://server/blob", draw(), transfer=transfer)
+    reads = draw()
+    out, calls = _repro_calls(
+        lambda: client.pread_vec(
+            "http://server/blob", reads, transfer=transfer
+        )
+    )
+    assert out == [blob[o : o + n] for o, n in reads]
+    return calls
+
+
+def ranged_get_calls() -> int:
+    """One 64 KiB ``pread`` on a warm connection -> the calls the
+    client and the server make, together, for that one exchange. The
+    simulator kernel (``repro.sim``) is left out: it is neither side."""
+    client, blob = _sim_world(1 << 20)
+    client.pread("http://server/blob", 0, 10)  # connect outside the count
+    out, calls = _repro_calls(
+        lambda: client.pread("http://server/blob", 4096, 64 << 10),
+        skip="sim/",
+    )
+    assert out == blob[4096 : 4096 + (64 << 10)]
+    return calls
+
+
+def test_call_budget_of_a_cached_read():
+    """A per-probe hop (a second lock, a metric lookup, a helper per
+    page) that grows back on the page-cache path fails here."""
+    assert cached_read_calls() <= 3914  # the parent of this test made 5 785
+
+
+def test_call_budget_of_a_ranged_get():
+    """A per-exchange hop (a header scan, a pool sum, a metric lookup)
+    that grows back on either side fails here."""
+    assert ranged_get_calls() <= 720  # the parent of this test made 825

@@ -1,5 +1,8 @@
 """Tests for the case-insensitive header multimap."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.http import Headers
 
 
@@ -85,3 +88,92 @@ def test_equality_ignores_name_case_not_order():
     assert Headers([("a", "1"), ("b", "2")]) != Headers(
         [("b", "2"), ("a", "1")]
     )
+
+
+# -- equivalence with a naive multimap ---------------------------------------
+
+
+class _NaiveHeaders:
+    """The reference: a list of pairs, every lookup lowering each name."""
+
+    def __init__(self, pairs=()):
+        self.pairs = [(str(k), str(v)) for k, v in pairs]
+
+    def add(self, name, value):
+        self.pairs.append((name, value))
+
+    def remove(self, name):
+        self.pairs = [p for p in self.pairs if p[0].lower() != name.lower()]
+
+    def set(self, name, value):
+        self.remove(name)
+        self.add(name, value)
+
+    def setdefault(self, name, value):
+        if not self.get_all(name):
+            self.add(name, value)
+
+    def extend(self, pairs):
+        self.pairs.extend(pairs)
+
+    def get_all(self, name):
+        return [v for k, v in self.pairs if k.lower() == name.lower()]
+
+    def key(self):
+        return [(k.lower(), v) for k, v in self.pairs]
+
+
+_names = st.sampled_from(["Host", "Connection", "X-A", "ETag", "Ä-B"])
+_names = _names.flatmap(
+    lambda name: st.sampled_from(
+        [name, name.lower(), name.upper(), name.swapcase()]
+    )
+)
+_values = st.sampled_from(["1", "keep-alive", "Close, keep-alive", " a,b", ""])
+_edits = st.sampled_from(["add", "set", "setdefault"])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(_edits, _names, _values),
+        st.tuples(st.just("remove"), _names),
+        st.tuples(st.just("extend"), st.lists(st.tuples(_names, _values))),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=25,
+)
+
+
+@given(ops=_ops, probes=st.lists(_names, min_size=1, max_size=5))
+def test_headers_agree_with_a_naive_multimap(ops, probes):
+    """Random mixed-case edits leave ``get``, ``get_all``,
+    ``contains_token``, ``items`` and ``==`` where a multimap that
+    lowers every name on every lookup leaves them."""
+    headers, naive = Headers(), _NaiveHeaders()
+    for op, *args in ops:
+        if op == "copy":
+            headers = headers.copy()
+        elif op == "extend":
+            headers.extend(args[0])
+            naive.extend(args[0])
+        else:
+            getattr(headers, op)(*args)
+            getattr(naive, op)(*args)
+        assert list(headers.items()) == naive.pairs
+        assert len(headers) == len(naive.pairs)
+    for name in probes:
+        values = naive.get_all(name)
+        assert headers.get_all(name) == values
+        assert headers.get(name, "-") == (values[0] if values else "-")
+        assert (name in headers) == bool(values)
+        for token in ("keep-alive", "close", "b"):
+            assert headers.contains_token(name, token) == any(
+                part.strip().lower() == token
+                for value in values
+                for part in value.split(",")
+            )
+    twin = Headers(naive.pairs)
+    assert twin == headers and headers == twin
+    shuffled = Headers([(k.swapcase(), v) for k, v in naive.pairs])
+    assert shuffled == headers
+    if naive.pairs:
+        other = Headers(naive.pairs[:-1])
+        assert (other == headers) == (naive.key()[:-1] == naive.key())

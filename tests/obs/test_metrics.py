@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.pagecache import PageCache
+from repro.core.pool import SessionPool
 from repro.obs import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.metrics import format_series
 
@@ -33,6 +35,72 @@ def test_labels_are_order_insensitive():
     one = registry.counter("c", a="1", b="2")
     two = registry.counter("c", b="2", a="1")
     assert one is two
+
+
+def test_label_order_resolves_one_instance_on_every_path():
+    """Each label order is its own key on the lock-free path; every key
+    leads to the one series, whichever order created it."""
+    registry = MetricsRegistry()
+    orders = [{"a": "1", "b": "2", "c": "3"}, {"c": "3", "a": "1", "b": "2"}]
+    first = registry.counter("c", **orders[0])
+    for labels in orders * 2:
+        assert registry.counter("c", **labels) is first
+    assert registry.get("c", b="2", c="3", a="1") is first
+    assert len(registry) == 1
+
+
+def test_equal_but_differently_typed_labels_stay_distinct():
+    registry = MetricsRegistry()
+    registry.counter("c", flag="True").inc()
+    registry.counter("c", flag=True).inc()
+    one = registry.counter("c", flag=1)
+    one.inc(5)
+    assert registry.counter("c", flag=1) is one
+    assert registry.snapshot() == {"c{flag=1}": 5, "c{flag=True}": 2}
+
+
+def test_kind_clash_raises_after_a_resolved_hit():
+    registry = MetricsRegistry()
+    counter = registry.counter("x", a="1")
+    assert registry.counter("x", a="1") is counter  # the lock-free hit
+    with pytest.raises(ValueError, match="is a counter"):
+        registry.gauge("x", a="1")
+    with pytest.raises(ValueError, match="is a counter"):
+        registry.histogram("x", a="1")
+    assert registry.counter("x", a="1") is counter
+
+
+def test_histogram_with_list_buckets():
+    registry = MetricsRegistry()
+    histogram = registry.histogram("h", buckets=[1.0, 2.0], a="1")
+    histogram.observe(1.5)
+    assert histogram.buckets == (1.0, 2.0)
+    assert histogram.bucket_counts == [0, 1, 0]
+    assert registry.histogram("h", buckets=[1.0, 2.0], a="1") is histogram
+    assert registry.histogram("h", a="1") is histogram
+
+
+def test_owners_built_before_a_reset_show_their_next_update():
+    """Owners keep no series handle across ``reset()``: their next
+    update re-creates the series, visible in the registry."""
+    registry = MetricsRegistry()
+    cache = PageCache(budget_bytes=1 << 10, page_size=4, metrics=registry)
+    pool = SessionPool(metrics=registry)
+    cache.lookup("k", 0, 4)
+    assert pool.acquire(("http", "h", 80)) is None
+    assert registry.value("cache.miss") == 1
+    registry.reset()
+    assert registry.snapshot() == {}
+    cache.insert("k", None, 0, b"abcd")
+    assert cache.lookup("k", 0, 4) == (b"abcd", [])
+    assert pool.acquire(("http", "h", 80)) is None
+    assert registry.snapshot() == {
+        "cache.hit": 1,
+        "cache.origin_bytes_saved": 4,
+        "cache.pages": 1,
+        "cache.used_bytes": 4,
+        "pool.acquire_total{outcome=miss}": 1,
+    }
 
 
 def test_gauge_set_and_add():
