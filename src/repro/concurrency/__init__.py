@@ -22,7 +22,6 @@ _EXPORTS = {
     "Spawn": ".effects",
     "AcceptLoop": ".structures",
     "Outcome": ".structures",
-    "TaskWindow": ".structures",
     "bounded_gather": ".structures",
     "Runtime": ".runtime",
     "TaskHandle": ".runtime",

@@ -9,11 +9,9 @@ path, multi-stream downloads and third-party-copy streams — one
 scheduling policy, every runtime (deterministic on the simulator, OS
 threads on sockets).
 
-:class:`TaskWindow` is its open-ended sibling: bookkeeping for a
-*sliding* window of spawned tasks whose results are consumed out of
-order and refilled as they drain — the shape of the transfer engine's
-speculative read-ahead (:mod:`repro.core.engine`), where gather's
-submit-all/collect-all contract does not fit.
+The transfer engine's speculative read-ahead (:mod:`repro.core.engine`)
+is the one sliding window that gather's submit-all/collect-all
+contract does not fit; it spawns, counts and joins its own batches.
 
 :class:`AcceptLoop` is the servers' one accept loop: a task per
 connection, every one of them ended by :meth:`AcceptLoop.stop`.
@@ -28,7 +26,7 @@ from repro.concurrency.effects import Accept, Join, Spawn
 from repro.concurrency.runtime import Runtime, TaskHandle
 from repro.errors import NetworkError
 
-__all__ = ["AcceptLoop", "Outcome", "TaskWindow", "bounded_gather"]
+__all__ = ["AcceptLoop", "Outcome", "bounded_gather"]
 
 
 class AcceptLoop:
@@ -88,88 +86,6 @@ class AcceptLoop:
             channel.shutdown_read()
         for task in live.values():
             self.runtime.settle(task)
-
-
-class TaskWindow:
-    """Budget bookkeeping for a sliding window of spawned tasks.
-
-    Tracks how many tasks (and how many bytes of expected payload) are
-    spawned but not yet settled; :meth:`has_room` gates new spawns on
-    both budgets. The window is *elastic*: :meth:`resize` moves the
-    task-count bound between ``floor`` and ``ceiling``, which is how an
-    adaptive prefetcher grows on sequential hits and shrinks on errors
-    or random access. Spawning and joining stay with the caller — this
-    class only answers "may another task launch right now?".
-    """
-
-    __slots__ = ("limit", "floor", "ceiling", "max_bytes", "tasks", "bytes")
-
-    def __init__(
-        self,
-        limit: int,
-        floor: int = 1,
-        ceiling: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ):
-        if floor < 1:
-            raise ValueError("floor must be >= 1")
-        ceiling = limit if ceiling is None else ceiling
-        if not floor <= limit <= ceiling:
-            raise ValueError("window limit must satisfy floor <= limit <= ceiling")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1")
-        self.limit = limit
-        self.floor = floor
-        self.ceiling = ceiling
-        self.max_bytes = max_bytes
-        self.tasks = 0
-        self.bytes = 0
-
-    def has_room(self) -> bool:
-        """May another task launch under the current budgets?
-
-        The byte budget is soft-edged: a window that is empty always
-        has room, so one oversized task can still make progress.
-        """
-        if self.tasks >= self.limit:
-            return False
-        if self.max_bytes is None or self.tasks == 0:
-            return True
-        return self.bytes < self.max_bytes
-
-    def launched(self, nbytes: int = 0) -> None:
-        """Record one spawned task carrying ``nbytes`` of payload."""
-        self.tasks += 1
-        self.bytes += nbytes
-
-    def settled(self, nbytes: int = 0) -> None:
-        """Record one task joined (its payload leaves the window)."""
-        self.tasks -= 1
-        self.bytes -= nbytes
-
-    def grow(self, step: int = 1) -> bool:
-        """Widen the window by ``step`` toward the ceiling."""
-        widened = min(self.ceiling, self.limit + step)
-        changed = widened != self.limit
-        self.limit = widened
-        return changed
-
-    def shrink(self) -> bool:
-        """Halve the window toward the floor (multiplicative decrease)."""
-        narrowed = max(self.floor, self.limit // 2)
-        changed = narrowed != self.limit
-        self.limit = narrowed
-        return changed
-
-    def resize(self, limit: int) -> None:
-        """Set the window bound directly (clamped to floor..ceiling)."""
-        self.limit = max(self.floor, min(self.ceiling, limit))
-
-    def __repr__(self) -> str:
-        return (
-            f"<TaskWindow {self.tasks}/{self.limit} tasks "
-            f"{self.bytes} bytes>"
-        )
 
 
 class Outcome:

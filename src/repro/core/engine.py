@@ -11,15 +11,17 @@ cluster *N*, clusters *N+1..N+w* are already on the wire, and the
 multipart bodies decode incrementally as their chunks arrive
 (:class:`~repro.http.multipart.MultipartStream`).
 
-The window adapts to the access pattern, mirroring
-``repro.xrootd.readahead.ReadAheadWindow``:
+XRootD's ``repro.xrootd.readahead.ReadAheadWindow`` is a plain byte
+window; this one also counts batches, and that count adapts to the
+access pattern:
 
-* sequential plan hits **grow** it (additive, toward
-  ``max_window_batches``);
+* sequential plan hits **grow** it (additive, from
+  :data:`WINDOW_BATCHES` toward :data:`MAX_WINDOW_BATCHES`);
 * off-plan access and failed speculative fetches **shrink** it
-  (multiplicative, toward ``min_window_batches``);
+  (multiplicative, toward :data:`MIN_WINDOW_BATCHES`);
 * ``window_bytes`` caps speculative bytes outstanding regardless of
-  the batch count.
+  the batch count (soft-edged: an empty window always launches one
+  batch, however large).
 
 Speculative fetches trap their own failures and surface them at join
 time as misses, which the file resolves like any other read: a failed
@@ -40,7 +42,7 @@ from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.concurrency import Join, Spawn, TaskWindow
+from repro.concurrency import Join, Spawn
 from repro.core import vectored
 from repro.core.transfer import TransferConfig
 from repro.core.vectored import plan_vector
@@ -49,6 +51,13 @@ __all__ = ["TransferEngine"]
 
 #: One planned read: ``(offset, length)``.
 Segment = Tuple[int, int]
+
+#: Speculative batches in flight when the window opens.
+WINDOW_BATCHES = 4
+#: Floor the window halves to on errors and off-plan access.
+MIN_WINDOW_BATCHES = 1
+#: Ceiling the window grows to while speculation keeps hitting.
+MAX_WINDOW_BATCHES = 16
 
 
 class _SpecBatch:
@@ -64,7 +73,6 @@ class _SpecBatch:
         "parts",
         "error",
         "resolved",
-        "cancelled",
     )
 
     def __init__(self, index, ranges, segments, nbytes, span):
@@ -78,16 +86,15 @@ class _SpecBatch:
         self.parts = None
         self.error: Optional[Exception] = None
         self.resolved = False
-        self.cancelled = False
 
 
 class TransferEngine:
     """Sliding-window speculative prefetcher for one :class:`DavFile`.
 
     Feed it a consumption-ordered plan with :meth:`prefetch`; demanded
-    reads route through :meth:`read_vec` / :meth:`read_single`, which
-    serve plan hits from (or while awaiting) in-flight speculative
-    batches and report misses as ``None`` for the file to resolve.
+    reads route through :meth:`read_vec`, which serves plan hits from
+    (or while awaiting) in-flight speculative batches and reports
+    misses as ``None`` for the file to resolve.
     Call :meth:`drain` when done so stragglers are joined and the
     engine span closes.
     """
@@ -106,14 +113,12 @@ class TransferEngine:
         #: Cancelled batches whose spawned tasks still need a Join
         #: (there is no kill primitive; cancellation is bookkeeping).
         self._discarded: List[_SpecBatch] = []
-        self._window = TaskWindow(
-            limit=config.window_batches,
-            floor=config.min_window_batches,
-            ceiling=config.max_window_batches,
-            max_bytes=config.window_bytes,
-        )
+        #: Current batch limit, and the batches and bytes launched but
+        #: not yet joined.
+        self.window = WINDOW_BATCHES
+        self._tasks = 0
+        self._bytes = 0
         self._span = None
-        self._launched = 0
         self.stats: Dict[str, int] = {
             "launched": 0,
             "hits": 0,
@@ -140,11 +145,6 @@ class TransferEngine:
             self._plan.append(segment)
 
     @property
-    def window_batches(self) -> int:
-        """Current adaptive window size (speculative batches)."""
-        return self._window.limit
-
-    @property
     def plan_depth(self) -> int:
         """Planned segments not yet launched."""
         return len(self._plan)
@@ -161,7 +161,7 @@ class TransferEngine:
             self._span = self.context.tracer.start(
                 "transfer-engine",
                 url=str(self.file.url),
-                window=self._window.limit,
+                window=self.window,
             )
         return self._span
 
@@ -170,10 +170,13 @@ class TransferEngine:
         has room and the plan has segments."""
         params = self.file.params
         # Size batches so a full window fits the byte budget.
-        batch_bytes_cap = max(
-            1, self.config.window_bytes // max(1, self._window.limit)
-        )
-        while self._plan and self._window.has_room():
+        batch_bytes_cap = max(1, self.config.window_bytes // self.window)
+        # The byte cap is soft-edged: an empty window always has room.
+        while (
+            self._plan
+            and self._tasks < self.window
+            and (self._tasks == 0 or self._bytes < self.config.window_bytes)
+        ):
             segments: List[Segment] = []
             nbytes = 0
             while self._plan and len(segments) < vectored.MAX_VECTOR_RANGES:
@@ -201,8 +204,8 @@ class TransferEngine:
                 gap=params.vector_gap,
             )
             ranges = plan.batches[0]
-            index = self._launched
-            self._launched += 1
+            index = self.stats["launched"]
+            self.stats["launched"] += 1
             span = self._engine_span().child(
                 "speculative-fetch",
                 batch=index,
@@ -223,15 +226,15 @@ class TransferEngine:
             for segment in segments:
                 self._by_segment[segment] = batch
             self._inflight.append(batch)
-            self._window.launched(nbytes)
-            self.stats["launched"] += 1
+            self._tasks += 1
+            self._bytes += nbytes
             metrics = self.context.metrics
             metrics.counter("engine.speculative_batches_total").inc()
             metrics.counter("engine.speculative_ranges_total").inc(
                 len(ranges)
             )
             metrics.counter("engine.speculative_bytes_total").inc(nbytes)
-            metrics.gauge("engine.window").set(self._window.limit)
+            metrics.gauge("engine.window").set(self.window)
 
     def _speculative(self, batch: _SpecBatch):
         """The spawned fetch op. Never raises: a failure is returned as
@@ -260,7 +263,8 @@ class TransferEngine:
         outcome, value = yield Join(batch.task)
         waited = self.context.clock() - started
         batch.resolved = True
-        self._window.settled(batch.nbytes)
+        self._tasks -= 1
+        self._bytes -= batch.nbytes
         self.context.metrics.histogram(
             "request.phase_seconds", phase="readahead-wait"
         ).observe(waited)
@@ -270,25 +274,24 @@ class TransferEngine:
             self.context.metrics.counter(
                 "engine.speculative_errors_total"
             ).inc()
-            self._shrink()
+            self._resize(self.window // 2)
         else:
             batch.parts = value
 
-    def _grow(self) -> None:
-        if self._window.grow():
-            self.stats["grown"] += 1
-            self.context.metrics.counter("engine.window_grow_total").inc()
-            self.context.metrics.gauge("engine.window").set(
-                self._window.limit
-            )
-
-    def _shrink(self) -> None:
-        if self._window.shrink():
-            self.stats["shrunk"] += 1
-            self.context.metrics.counter("engine.window_shrink_total").inc()
-            self.context.metrics.gauge("engine.window").set(
-                self._window.limit
-            )
+    def _resize(self, limit: int) -> None:
+        """Move the batch limit, clamped to the floor and the ceiling:
+        ``window + 1`` grows it, ``window // 2`` shrinks it."""
+        limit = max(MIN_WINDOW_BATCHES, min(MAX_WINDOW_BATCHES, limit))
+        if limit == self.window:
+            return
+        grew = limit > self.window
+        self.window = limit
+        self.stats["grown" if grew else "shrunk"] += 1
+        metrics = self.context.metrics
+        metrics.counter(
+            "engine.window_grow_total" if grew else "engine.window_shrink_total"
+        ).inc()
+        metrics.gauge("engine.window").set(limit)
 
     def _consume(self, segment: Segment, batch: _SpecBatch) -> None:
         pending = batch.segments
@@ -337,7 +340,7 @@ class TransferEngine:
         self.stats["misses"] += count
         self.context.metrics.counter("engine.misses_total").inc(count)
         if offplan:
-            self._shrink()
+            self._resize(self.window // 2)
 
     def read_vec(self, reads: Sequence[Segment]):
         """Effect sub-op: vectored read through the engine.
@@ -345,13 +348,14 @@ class TransferEngine:
         One entry per read: its bytes on a plan hit (served from a
         speculative batch, awaiting it if still in flight), ``None`` on
         a miss. With no plan armed the call's own reads become the plan
-        — the pipelined-window dispatch mode.
+        — the pipelined-window dispatch mode; a ``pread`` is a one-read
+        call. The window is topped up before each segment and once more
+        after the grow or shrink, so the next batch already carries it.
         """
         if not reads:
             return []
         if not self._plan and not self._by_segment:
             self.prefetch(reads)
-        yield from self._top_up()
         results: List[Optional[bytes]] = [None] * len(reads)
         missed = 0
         offplan = False
@@ -363,38 +367,19 @@ class TransferEngine:
             if segment in first:
                 continue
             first[segment] = index
+            yield from self._top_up()
             data, batch, stray = yield from self._take(segment)
             results[index] = data
             missed += data is None
             offplan = offplan or stray
             if batch is not None:
                 self._consume(segment, batch)
-                yield from self._top_up()
         if missed:
             self._missed(missed, offplan)
         else:
-            self._grow()
+            self._resize(self.window + 1)
         yield from self._top_up()
         return [results[first[segment]] for segment in reads]
-
-    def read_single(self, offset: int, length: int):
-        """Effect sub-op: serve one positional read from the window.
-
-        Returns the bytes on a plan hit, ``None`` on a miss. Unlike
-        :meth:`read_vec` it grows the window before its post-read
-        top-up, which changes what the next batch carries.
-        """
-        segment = (int(offset), int(length))
-        yield from self._top_up()
-        data, batch, offplan = yield from self._take(segment)
-        if data is None:
-            self._missed(1, offplan)
-        else:
-            self._grow()
-        if batch is not None:
-            self._consume(segment, batch)
-            yield from self._top_up()
-        return data
 
     # -- shutdown -----------------------------------------------------------
 
@@ -420,8 +405,8 @@ class TransferEngine:
             if batch.resolved:
                 unused += len(batch.segments)
             else:
-                batch.cancelled = True
-                self._window.settled(batch.nbytes)
+                self._tasks -= 1
+                self._bytes -= batch.nbytes
                 cancelled += 1
                 self._discarded.append(batch)
             batch.segments.clear()
@@ -468,7 +453,7 @@ class TransferEngine:
                 misses=self.stats["misses"],
                 errors=self.stats["errors"],
                 cancelled=self.stats["cancelled"],
-                window=self._window.limit,
+                window=self.window,
                 unused_segments=unused,
             )
             self._span = None

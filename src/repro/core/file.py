@@ -413,9 +413,8 @@ class DavFile:
         (no page cache, or one the origin suppressed for this URL; no
         engine) is skipped, not a separate path. The engine only
         reports: every read it misses goes on down the ladder.
-        ``vector`` only selects the engine entry point and the
-        demanded request shape — a ``pread`` emits no ``pread-vec``
-        span or ``vector.*`` counter.
+        ``vector`` only selects the demanded request's shape — a
+        ``pread`` emits no ``pread-vec`` span or ``vector.*`` counter.
         """
         cache = self._pagecache
         key = self._cache_key
@@ -440,7 +439,12 @@ class DavFile:
                         cached_bytes += len(data)
                     else:
                         pending.append(index)
-                        resident[index] = length - sum([n for _, n in missing])
+                        # The spans are whole pages: credit only the
+                        # part of each that lies inside the read.
+                        held, end = length, offset + length
+                        for start, size in missing:
+                            held -= min(end, start + size) - max(offset, start)
+                        resident[index] = held
                 self.context.metrics.histogram(
                     "request.phase_seconds", phase="cache-lookup"
                 ).observe(self.context.clock() - started)
@@ -448,13 +452,9 @@ class DavFile:
                     return results
 
             if self._engine is not None:
-                wanted = [reads[index] for index in pending]
-                if vector:
-                    served = yield from self._engine.read_vec(wanted)
-                else:
-                    served = [
-                        (yield from self._engine.read_single(*wanted[0]))
-                    ]
+                served = yield from self._engine.read_vec(
+                    [reads[index] for index in pending]
+                )
                 missed = []
                 for index, data in zip(pending, served):
                     if data is None:

@@ -326,17 +326,22 @@ class SessionPool:
             shard.lock.release()
 
     def clear(self) -> int:
-        """Discard every idle session; returns how many were dropped."""
+        """Discard every idle session (counted evicted); returns how
+        many were dropped."""
         dropped = 0
         for index, shard in enumerate(self._shards):
             self._enter(index, shard)
             try:
+                if not shard.idle_count:
+                    continue
                 for queue in shard.idle.values():
                     while queue:
                         queue.pop().discard()
-                        dropped += 1
+                        self._record(shard, "evicted")
+                dropped += shard.idle_count
                 shard.idle.clear()
                 shard.idle_count = 0
+                self._update_idle_gauges(index, shard)
             finally:
                 shard.lock.release()
         return dropped

@@ -5,8 +5,9 @@ parallelism tuning (the scattered per-call knobs of earlier releases
 are gone): one frozen bundle carried on
 :class:`~repro.core.context.RequestParams` (``transfer=``): how many
 requests a file operation may keep in flight, whether the pipelined
-read-ahead engine (:mod:`repro.core.engine`) is armed, and the bounds
-of its speculative sliding window.
+read-ahead engine (:mod:`repro.core.engine`) is armed, the byte cap of
+its speculative sliding window, and the client page cache. The
+window's batch-count bounds are engine constants, not fields.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class TransferConfig:
 
     ``max_inflight`` bounds the concurrent batches of one demanded
     vectored read (multistream downloads take their stream count from
-    ``RequestParams.multistream_max_streams``); the window fields bound
-    the *speculative* side — how many planned batches the transfer
+    ``RequestParams.multistream_max_streams``); ``window_bytes`` bounds
+    the *speculative* side — how many planned bytes the transfer
     engine keeps in flight ahead of the application.
     """
 
@@ -33,12 +34,6 @@ class TransferConfig:
     #: Arm the pipelined read-ahead engine: vectored reads route
     #: through a sliding window of speculative batches.
     read_ahead: bool = False
-    #: Speculative batches in flight when the window opens.
-    window_batches: int = 4
-    #: Floor the window shrinks to on errors / off-plan access.
-    min_window_batches: int = 1
-    #: Ceiling the window grows to while speculation keeps hitting.
-    max_window_batches: int = 16
     #: Cap on speculative bytes outstanding at once.
     window_bytes: int = 32 * 1024 * 1024
     #: Byte budget of the client page cache
@@ -57,16 +52,6 @@ class TransferConfig:
             raise ValueError("page_cache_bytes must be >= 0")
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
-        if self.min_window_batches < 1:
-            raise ValueError("min_window_batches must be >= 1")
-        if not (
-            self.min_window_batches
-            <= self.window_batches
-            <= self.max_window_batches
-        ):
-            raise ValueError(
-                "window_batches must satisfy min <= initial <= max"
-            )
         if self.window_bytes < 1:
             raise ValueError("window_bytes must be >= 1")
 

@@ -91,7 +91,7 @@ def test_abandon_frees_window_slots_immediately():
         assert engine._inflight  # something is on the wire
         engine.abandon()
         # Slots settled synchronously: a new plan can launch at once.
-        assert engine._window.has_room()
+        assert engine._tasks == 0 and engine._bytes == 0
         file.prefetch(segments_spread(4, base=600_000))
         data = yield from file.pread(600_000, 1024)
         yield from file.drain()

@@ -244,6 +244,24 @@ def test_reap_metrics_and_shard_gauges():
     assert registry.value("pool.idle_sessions") == 0
 
 
+def test_clear_zeroes_the_gauges_and_counts_evictions():
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    pool = SessionPool(metrics=registry, shards=2)
+    origins = [("http", f"host-{i}", 80) for i in range(6)]
+    for origin in origins:
+        pool.release(FakeSession(origin=origin))
+    shards = {str(pool._shard_index(origin)) for origin in origins}
+    assert registry.value("pool.idle_sessions") == 6
+    assert pool.clear() == 6
+    assert pool.stats().evicted == 6
+    assert registry.value("pool.evicted_total") == 6
+    assert registry.value("pool.idle_sessions") == 0
+    for shard in shards:
+        assert registry.value("pool.shard.idle", shard=shard) == 0
+
+
 def test_shard_contention_counter():
     from repro.obs import MetricsRegistry
 

@@ -116,6 +116,26 @@ def test_pread_is_pread_vec_of_one(stage, content, offset, length):
     assert single[2] == vector[2] == len(want), "provenance drifted"
 
 
+def test_a_straddling_read_charges_each_source_its_bytes():
+    """Half the read lies in a cached page and half in a missing one:
+    each half is charged to its own source, though the gap fill
+    fetches the whole missing page."""
+    content = bytes(range(256))
+    client, _ = _world("cache-cold", content)
+    client.pread("http://server/x", 0, PAGE)  # page 0 resident
+
+    def charged():
+        metrics = client.metrics()
+        return [
+            metrics.value("provenance.bytes_total", source=source) or 0
+            for source in ("page-cache", "network")
+        ]
+
+    before = charged()
+    assert client.pread("http://server/x", 32, 64) == content[32:96]
+    assert [n - m for n, m in zip(charged(), before)] == [32, 32]
+
+
 def test_unsatisfiable_without_a_total_still_raises():
     """A 416 that does not say ``bytes */N`` teaches nothing: it is an
     error, not a short read."""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
 from repro.core import RequestParams, TransferConfig, vectored
 from repro.core.file import DavFile
 
@@ -93,6 +94,30 @@ def test_prefetch_serves_single_reads_with_fewer_round_trips():
     assert app.requests_handled <= 2
 
 
+def test_a_pread_with_no_plan_is_a_one_read_pread_vec():
+    """With the engine armed and no plan, a ``pread``'s read becomes
+    the plan: one speculative batch serves it as an engine hit, at the
+    requests a one-read ``pread_vec`` costs."""
+    read = (16_384, 4096)
+    handled = []
+    for vector in (False, True):
+        client, app = engine_world()
+
+        def op(file):
+            if vector:
+                return (yield from file.pread_vec([read]))[0]
+            return (yield from file.pread(*read))
+
+        data, file = run_file_op(client, op)
+        assert data == BLOB[16_384 : 16_384 + 4096]
+        assert file.engine.stats["launched"] == 1
+        assert file.engine.stats["hits"] == 1
+        assert file.engine.stats["misses"] == 0
+        assert file.engine.stats["shrunk"] == 0
+        handled.append(app.requests_handled)
+    assert handled[0] == handled[1]
+
+
 def test_zero_length_and_empty_reads():
     client, _ = engine_world()
     assert client.pread_vec("http://server/blob", []) == []
@@ -121,12 +146,10 @@ def test_speculation_overlaps_round_trips_on_high_latency_link():
 # -- the adaptive window -------------------------------------------------------
 
 
-def test_window_grows_on_sequential_hits():
-    client, _ = engine_world(
-        transfer=TransferConfig(
-            read_ahead=True, window_batches=2, max_window_batches=16
-        )
-    )
+def test_window_grows_on_sequential_hits(monkeypatch):
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 2)
+    monkeypatch.setattr(engine_module, "MAX_WINDOW_BATCHES", 16)
+    client, _ = engine_world(transfer=TransferConfig(read_ahead=True))
 
     def op(file):
         file.prefetch(segments_spread(64))
@@ -142,16 +165,14 @@ def test_window_grows_on_sequential_hits():
         BLOB[o : o + n] for o, n in segments_spread(64)
     ]
     assert file.engine.stats["grown"] > 0
-    assert file.engine.window_batches > 2
+    assert file.engine.window > 2
     assert client.metrics().value("engine.window_grow_total") > 0
 
 
-def test_off_plan_read_shrinks_window():
-    client, _ = engine_world(
-        transfer=TransferConfig(
-            read_ahead=True, window_batches=4, min_window_batches=1
-        )
-    )
+def test_off_plan_read_shrinks_window(monkeypatch):
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 4)
+    monkeypatch.setattr(engine_module, "MIN_WINDOW_BATCHES", 1)
+    client, _ = engine_world(transfer=TransferConfig(read_ahead=True))
     plan = segments_spread(16)
     off_plan = (700_000, 64)  # nowhere near the plan
 
@@ -165,7 +186,7 @@ def test_off_plan_read_shrinks_window():
     assert first == [BLOB[o : o + n] for o, n in plan[:4]]
     assert stray == BLOB[700_000 : 700_000 + 64]
     assert file.engine.stats["shrunk"] > 0
-    assert file.engine.window_batches < 4
+    assert file.engine.window < 4
     assert client.metrics().value("engine.window_shrink_total") > 0
     assert client.metrics().value("engine.misses_total") >= 1
 
@@ -235,8 +256,7 @@ def test_a_served_part_is_released_and_no_pending_one_is(case):
     plan, gap, groups = case
     client, _ = engine_world(
         params=RequestParams(
-            vector_gap=gap,
-            transfer=TransferConfig(read_ahead=True, window_batches=4),
+            vector_gap=gap, transfer=TransferConfig(read_ahead=True)
         )
     )
 
@@ -252,23 +272,22 @@ def test_a_served_part_is_released_and_no_pending_one_is(case):
             pending_parts_only(file.engine)
         return out
 
-    result, file = run_file_op(client, op)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "WINDOW_BATCHES", 4)
+        result, file = run_file_op(client, op)
     assert result == [[BLOB[o : o + n] for o, n in group] for group in groups]
     assert file.engine.stats["misses"] == 0
     assert file.engine.stats["hits"] == len(plan)
     assert not file.engine._inflight
 
 
-def test_plan_tail_demanded_before_launch_is_skipped():
+def test_plan_tail_demanded_before_launch_is_skipped(monkeypatch):
     """A planned segment read before its speculative launch is served
     by the demand path once and never fetched twice."""
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 1)
+    monkeypatch.setattr(engine_module, "MAX_WINDOW_BATCHES", 1)
     client, app = engine_world(
-        transfer=TransferConfig(
-            read_ahead=True,
-            window_batches=1,
-            max_window_batches=1,
-            window_bytes=8192,
-        )
+        transfer=TransferConfig(read_ahead=True, window_bytes=8192)
     )
     plan = segments_spread(32)
 
@@ -350,12 +369,10 @@ def test_drain_counts_unused_speculation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TransferConfig(window_batches=0)
-    with pytest.raises(ValueError):
-        TransferConfig(window_batches=8, max_window_batches=4)
-    with pytest.raises(ValueError):
-        TransferConfig(min_window_batches=0)
+    # The window's batch bounds are engine constants, not knobs.
+    for knob in ("window_batches", "min_window_batches", "max_window_batches"):
+        with pytest.raises(TypeError):
+            TransferConfig(**{knob: 4})
     with pytest.raises(ValueError):
         TransferConfig(window_bytes=0)
 

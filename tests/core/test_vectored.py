@@ -1,5 +1,6 @@
 """Tests (incl. property-based) for vectored-I/O planning."""
 
+import gc
 import itertools
 import random
 import sys
@@ -356,7 +357,13 @@ def _sim_world(size):
 
 def _repro_calls(op, skip=None):
     """``(op(), calls)``: the Python calls ``op`` makes in ``repro``
-    frames, leaving out those under the ``skip`` subpackage."""
+    frames, leaving out those under the ``skip`` subpackage.
+
+    The collector is run first and kept off while counting: earlier
+    worlds leave suspended generators (accept loops, connection
+    handlers, TCP senders) in reference cycles, and a collection during
+    ``op`` would finalise them inside the count, adding their frames'
+    calls at random points of a long test run."""
     package = repro.__file__.rsplit("__init__.py", 1)[0]
     skipped = package + skip if skip else None
     calls = 0
@@ -368,11 +375,16 @@ def _repro_calls(op, skip=None):
             if skipped is None or not name.startswith(skipped):
                 calls += 1
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         out = op()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return out, calls
 
 

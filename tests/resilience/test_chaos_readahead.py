@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core import RequestParams, RetryPolicy, TransferConfig, vectored
 from repro.http.ranges import parse_range_header
 from repro.server import FaultPolicy
@@ -91,12 +92,13 @@ def test_readahead_chaos_bytes_identical_to_demand(chaos_seed):
     assert client.metrics().value("engine.speculative_batches_total") >= 1
 
 
-def test_readahead_chaos_is_deterministic(chaos_seed):
+def test_readahead_chaos_is_deterministic(chaos_seed, monkeypatch):
     """Same seed + FaultPolicy.reset() => identical bytes and engine
     accounting."""
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 2)
     plan = chaos_plan(chaos_seed)
     faults = FaultPolicy(error_rate=0.2, reset_rate=0.05, seed=chaos_seed)
-    transfer = TransferConfig(read_ahead=True, window_batches=2)
+    transfer = TransferConfig(read_ahead=True)
     first, first_client, _ = run_reads(faults, transfer, plan)
     faults.reset()
     second, second_client, _ = run_reads(faults, transfer, plan)
@@ -112,9 +114,12 @@ def test_readahead_chaos_is_deterministic(chaos_seed):
         ) == second_client.metrics().value(series)
 
 
-def test_speculative_error_shrinks_window_and_falls_back(chaos_seed):
+def test_speculative_error_shrinks_window_and_falls_back(
+    chaos_seed, monkeypatch
+):
     """A failed speculative fetch is invisible to the caller — the
     demand path refetches — but the window shrinks."""
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 4)
     plan = chaos_plan(chaos_seed)
     expected = [BLOB[o : o + n] for o, n in plan]
     # No retry budget: the first scripted 503 kills exactly one
@@ -122,7 +127,7 @@ def test_speculative_error_shrinks_window_and_falls_back(chaos_seed):
     faults = ScriptedFaults(errors(1))
     results, client, _ = run_reads(
         faults,
-        TransferConfig(read_ahead=True, window_batches=4),
+        TransferConfig(read_ahead=True),
         plan,
         retry_policy=RetryPolicy(max_attempts=1),
     )
@@ -170,17 +175,16 @@ def recording_ranges(app):
     return received
 
 
-def test_speculation_never_leaves_the_plan(chaos_seed):
+def test_speculation_never_leaves_the_plan(chaos_seed, monkeypatch):
     """Containment property: every range the server is asked for lies
     inside the union of prefetched segments — chaos or not, the
     engine never requests bytes outside the plan."""
+    monkeypatch.setattr(engine_module, "WINDOW_BATCHES", 3)
     plan = chaos_plan(chaos_seed)
     faults = FaultPolicy(error_rate=0.1, seed=chaos_seed)
     client, app, store, _ = davix_world(
         faults=faults,
-        params=engine_params(
-            TransferConfig(read_ahead=True, window_batches=3)
-        ),
+        params=engine_params(TransferConfig(read_ahead=True)),
     )
     store.put("/data/blob", BLOB)
     received = recording_ranges(app)

@@ -20,7 +20,7 @@ from repro.server import ServerConfig
 #: (``self`` not counted).
 KNOB_CEILINGS = {
     "RequestParams": 15,
-    "TransferConfig": 8,
+    "TransferConfig": 5,
     "ServerConfig": 14,
     "Context": 6,
 }
@@ -38,7 +38,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 20298
+SOURCE_LINE_CEILING = 20188
 
 
 def test_source_line_count_is_not_above_its_ceiling():

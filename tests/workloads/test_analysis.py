@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import Context
 from repro.net.profiles import GEANT, LAN, WAN, NetProfile
 from repro.net.link import LinkSpec
 from repro.rootio.generator import BranchSpec, DatasetSpec, paper_dataset
@@ -186,7 +187,9 @@ def test_readahead_wan_job_peaks_near_its_window():
     more than 1.6 windows above its base. The window is what must be
     resident; a response the client already has, kept by an idle
     server connection, or a part already served, kept by the engine,
-    is not (with both, the peak was 2.38 windows)."""
+    is not (with both, the peak was 2.38 windows). It also keeps the
+    job's simulated time and request count, which a change to when the
+    window tops up or grows would move."""
     window = 32_000_000
     scenario = Scenario(
         profile=WAN,
@@ -195,9 +198,12 @@ def test_readahead_wan_job_peaks_near_its_window():
         config=AnalysisConfig(fraction=0.1, davix_readahead=window),
         seed=42,
     )
-    report, peak, _ = traced_peak(lambda: run_scenario(scenario))
+    context = Context()
+    report, peak, _ = traced_peak(lambda: run_scenario(scenario, context))
     assert report.bytes_fetched > 2 * window
     assert peak <= 1.6 * window
+    assert report.wall_seconds == pytest.approx(12.572737020902267, abs=1e-9)
+    assert context.metrics.value("client.requests_total") == 17
 
 
 def test_seed_determinism_and_jitter_variation():
