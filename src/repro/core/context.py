@@ -30,8 +30,6 @@ __all__ = ["MetalinkMode", "RequestParams", "TransferConfig", "Context"]
 
 #: Seconds a failed replica stays blacklisted.
 BLACKLIST_TTL = 30.0
-#: Idle sessions the pool keeps per origin.
-POOL_MAX_PER_ORIGIN = 16
 
 
 class MetalinkMode:
@@ -166,11 +164,7 @@ class Context:
         )
         if telemetry is not None:
             self.tracer.sink = telemetry.record_span
-        self.pool = SessionPool(
-            max_idle_per_origin=POOL_MAX_PER_ORIGIN,
-            clock=self._now,
-            metrics=self.metrics,
-        )
+        self.pool = SessionPool(metrics=self.metrics)
         #: Per-endpoint circuit breakers; opening one drops the
         #: endpoint's idle pooled sessions along with it.
         self.breakers = BreakerBoard(

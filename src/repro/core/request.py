@@ -71,9 +71,14 @@ TRANSIENT_ERRORS = (
 )
 
 
+def _via_proxy(url: Url, params: RequestParams) -> bool:
+    """Does an exchange for ``url`` go through ``params.proxy``?"""
+    return params.proxy is not None and url.scheme in ("http", "dav")
+
+
 def _target_origin(url: Url, params: RequestParams) -> Tuple:
     """The origin an exchange for ``url`` actually connects to."""
-    if params.proxy is not None and url.scheme in ("http", "dav"):
+    if _via_proxy(url, params):
         return ("proxy",) + Url.parse(params.proxy).origin
     return url.origin
 
@@ -99,7 +104,7 @@ def checkout_session(
     ``session.connect_total``; pool hits/misses are recorded by the
     pool itself.
     """
-    if params.proxy is not None and url.scheme in ("http", "dav"):
+    if _via_proxy(url, params):
         url = Url.parse(params.proxy)
         origin = ("proxy",) + url.origin
     else:
@@ -131,7 +136,6 @@ def checkout_session(
     session = yield from open_session(
         origin,
         (url.host, url.port),
-        now=started,
         tcp_options=tcp_options,
         tls=tls,
         tracer=context.tracer,
@@ -155,7 +159,7 @@ def _prepare(
     headers.set("Host", url.netloc)
     headers.setdefault("User-Agent", USER_AGENT)
     target = url.target
-    if params.proxy is not None and url.scheme in ("http", "dav"):
+    if _via_proxy(url, params):
         target = str(url)  # absolute request-URI towards the proxy
     if params.auth_token and url.origin == first.origin:
         headers.setdefault(

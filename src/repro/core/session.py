@@ -65,7 +65,6 @@ class Session:
         self,
         channel,
         origin: Tuple,
-        created_at: float,
         tls: Optional[TlsPolicy] = None,
         metrics=None,
     ):
@@ -75,8 +74,6 @@ class Session:
         self.tls = tls
         #: Optional :class:`~repro.obs.MetricsRegistry` for byte totals.
         self.metrics = metrics
-        self.created_at = created_at
-        self.last_released = created_at
         self.requests_sent = 0
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -261,7 +258,6 @@ class Session:
 def open_session(
     url_origin: Tuple,
     endpoint: Tuple[str, int],
-    now: float,
     tcp_options=None,
     tls: Optional[TlsPolicy] = None,
     tracer=None,
@@ -301,6 +297,4 @@ def open_session(
                 handshake_span.end()
         if recorder is not None:
             recorder.mark("tls")
-    return Session(
-        channel, url_origin, created_at=now, tls=tls, metrics=metrics
-    )
+    return Session(channel, url_origin, tls=tls, metrics=metrics)

@@ -63,7 +63,7 @@ class Counter:
     """A monotonically increasing total for one labeled series.
 
     Updates are guarded by a per-instrument lock: writers on different
-    pool shards (or dispatcher lanes) may increment the same series
+    threads (or dispatcher lanes) may increment the same series
     concurrently, and ``+=`` on a float is not atomic under threads.
     Reads stay lock-free — a float load is atomic enough for snapshots.
     """

@@ -50,11 +50,9 @@ class ServerConfig:
     cache_control: Optional[str] = None
     #: Mounted :class:`~repro.obs.collector.TelemetryCollector`: every
     #: app served by this config — storage or proxy — ingests
-    #: ``POST <telemetry_path>`` JSONL batches into it; None =
+    #: ``POST /v1/telemetry`` JSONL batches into it; None =
     #: telemetry ingest disabled.
     collector: Optional[object] = None
-    #: Mount path of the telemetry ingest endpoint.
-    telemetry_path: str = "/v1/telemetry"
     #: Hard cap on client-requested TPC stream counts.
     tpc_max_streams: int = 16
     #: Chunk size of third-party-copy ranged transfers.
@@ -147,11 +145,12 @@ class Envelope:
                 config.metrics_path is not None
                 and request.path == config.metrics_path
             )
-        return (
-            request.method == "POST"
-            and config.collector is not None
-            and request.path == config.telemetry_path
-        )
+        if request.method != "POST" or config.collector is None:
+            return False
+        # Loaded already: a collector is mounted.
+        from repro.obs.collector import TELEMETRY_PATH
+
+        return request.path == TELEMETRY_PATH
 
     def handle(self, request: Request) -> ServedResponse:
         """Compute the response for ``request`` (no I/O, no blocking)."""
@@ -242,7 +241,7 @@ class Envelope:
         return Response(200, headers, body)
 
     def _ingest_telemetry(self, request: Request) -> Response:
-        """Store one ``POST <telemetry_path>`` JSONL batch in the
+        """Store one ``POST /v1/telemetry`` JSONL batch in the
         mounted collector; malformed lines fail the whole batch (400)
         so a sink bug is loud instead of silently thinning the trace."""
         try:

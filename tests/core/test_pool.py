@@ -5,16 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PoolStats, SessionPool
+from repro.core import pool as pool_module
 
 
 class FakeSession:
     """Pool-facing stand-in for a Session."""
 
-    def __init__(self, origin=("http", "h", 80), created_at=0.0):
+    def __init__(self, origin=("http", "h", 80)):
         self.origin = origin
-        self.created_at = created_at
-        self.last_released = created_at
-        self.requests_sent = 0
         self.reusable = True
         self.discarded = False
 
@@ -75,32 +73,25 @@ def test_session_dirtied_while_idle_is_skipped():
     assert session.discarded
 
 
-def test_max_idle_per_origin_discards_overflow():
-    pool = SessionPool(max_idle_per_origin=2)
+def assert_idle_totals_match_free_lists(pool, registry=None):
+    """The running idle count, ``stats().idle`` and the
+    ``pool.idle_sessions`` gauge all equal the free-lists' lengths."""
+    held = sum(len(queue) for queue in pool._idle.values())
+    assert pool._idle_total == held
+    assert pool.idle_count() == pool.stats().idle == held
+    if registry is not None:
+        assert registry.value("pool.idle_sessions") == held
+    return held
+
+
+def test_max_idle_per_origin_discards_overflow(monkeypatch):
+    monkeypatch.setattr(pool_module, "MAX_IDLE_PER_ORIGIN", 2)
+    pool = SessionPool()
     sessions = [FakeSession() for _ in range(3)]
     for session in sessions:
         pool.release(session)
     assert pool.idle_count(ORIGIN) == 2
     assert sessions[2].discarded
-
-
-def test_max_uses_evicts():
-    pool = SessionPool(max_session_uses=5)
-    session = FakeSession()
-    session.requests_sent = 5
-    pool.release(session)
-    assert session.discarded
-
-
-def test_max_age_evicts_on_acquire():
-    now = {"t": 0.0}
-    pool = SessionPool(max_session_age=10.0, clock=lambda: now["t"])
-    session = FakeSession(created_at=0.0)
-    pool.release(session)
-    now["t"] = 11.0
-    assert pool.acquire(ORIGIN) is None
-    assert session.discarded
-    assert pool.stats().evicted == 1
 
 
 def test_clear_discards_everything():
@@ -111,11 +102,7 @@ def test_clear_discards_everything():
     assert pool.clear() == 4
     assert all(s.discarded for s in sessions)
     assert pool.idle_count() == 0
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        SessionPool(max_idle_per_origin=-1)
+    assert_idle_totals_match_free_lists(pool)
 
 
 @given(
@@ -126,45 +113,29 @@ def test_validation():
 def test_pool_invariant_acquired_sessions_are_clean(events):
     """Whatever the release/acquire interleaving, an acquired session is
     always reusable and never double-issued."""
-    pool = SessionPool(max_idle_per_origin=8)
+    pool = SessionPool()
     live = []
-    for do_release, dirty in events:
-        if do_release:
-            session = FakeSession()
-            session.reusable = not dirty
-            pool.release(session)
-        else:
-            session = pool.acquire(ORIGIN)
-            if session is not None:
-                assert session.reusable
-                assert not session.discarded
-                assert session not in live
-                live.append(session)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool_module, "MAX_IDLE_PER_ORIGIN", 8)
+        for do_release, dirty in events:
+            if do_release:
+                session = FakeSession()
+                session.reusable = not dirty
+                pool.release(session)
+            else:
+                session = pool.acquire(ORIGIN)
+                if session is not None:
+                    assert session.reusable
+                    assert not session.discarded
+                    assert session not in live
+                    live.append(session)
 
 
-# -- sharding, idle TTL and the reaper ----------------------------------------
-
-
-def test_shard_count_and_validation():
-    assert SessionPool().shard_count == 8
-    assert SessionPool(shards=3).shard_count == 3
-    with pytest.raises(ValueError):
-        SessionPool(shards=0)
-    with pytest.raises(ValueError):
-        SessionPool(idle_ttl=0)
-
-
-def test_shard_assignment_is_stable_and_spread():
-    pool = SessionPool(shards=4)
-    origins = [("http", f"host-{i}", 80) for i in range(64)]
-    first = [pool._shard_index(o) for o in origins]
-    assert first == [pool._shard_index(o) for o in origins]
-    # CRC32 spreads 64 distinct origins over more than one shard.
-    assert len(set(first)) > 1
+# -- many origins, metrics and threads ---------------------------------------
 
 
 def test_stats_aggregate_across_shards():
-    pool = SessionPool(shards=4)
+    pool = SessionPool()
     origins = [("http", f"host-{i}", 80) for i in range(8)]
     for origin in origins:
         pool.release(FakeSession(origin=origin))
@@ -178,7 +149,7 @@ def test_stats_aggregate_across_shards():
 
 
 def test_idle_count_totals_span_shards():
-    pool = SessionPool(shards=4)
+    pool = SessionPool()
     origins = [("http", f"host-{i}", 80) for i in range(6)]
     for origin in origins:
         pool.release(FakeSession(origin=origin))
@@ -188,121 +159,53 @@ def test_idle_count_totals_span_shards():
     assert pool.idle_count() == 0
 
 
-def test_idle_ttl_evicts_on_acquire():
-    clock = {"now": 0.0}
-    pool = SessionPool(idle_ttl=10.0, clock=lambda: clock["now"])
-    pool.release(FakeSession())
-    clock["now"] = 11.0
-    assert pool.acquire(ORIGIN) is None
-    assert pool.stats().evicted == 1
-
-
-def test_idle_ttl_does_not_apply_at_release():
-    """A session busy for longer than the TTL is still recyclable."""
-    clock = {"now": 100.0}
-    pool = SessionPool(idle_ttl=10.0, clock=lambda: clock["now"])
-    session = FakeSession(created_at=0.0)  # last_released = 0.0
-    pool.release(session)
-    assert pool.acquire(ORIGIN) is session
-
-
-def test_reap_drops_only_expired_lru_first():
-    clock = {"now": 0.0}
-    pool = SessionPool(idle_ttl=10.0, clock=lambda: clock["now"])
-    stale = FakeSession()
-    pool.release(stale)
-    clock["now"] = 8.0
-    fresh = FakeSession(created_at=8.0)
-    pool.release(fresh)
-    clock["now"] = 12.0  # stale parked 12s, fresh parked 4s
-    assert pool.reap() == 1
-    assert stale.discarded and not fresh.discarded
-    assert pool.idle_count() == 1
-    assert pool.reap() == 0
-
-
-def test_reap_metrics_and_shard_gauges():
+def test_purge_origin_drops_only_that_origin():
     from repro.obs import MetricsRegistry
 
-    clock = {"now": 0.0}
     registry = MetricsRegistry()
-    pool = SessionPool(
-        idle_ttl=5.0,
-        clock=lambda: clock["now"],
-        metrics=registry,
-        shards=2,
-    )
-    origin = ("http", "gauged", 80)
-    shard = str(pool._shard_index(origin))
-    pool.release(FakeSession(origin=origin))
-    assert registry.value("pool.shard.idle", shard=shard) == 1
-    clock["now"] = 6.0
-    assert pool.reap() == 1
-    assert registry.value("pool.reaped_total") == 1
-    assert registry.value("pool.evicted_total") == 1
-    assert registry.value("pool.shard.idle", shard=shard) == 0
-    assert registry.value("pool.idle_sessions") == 0
+    pool = SessionPool(metrics=registry)
+    failed, healthy = ("http", "failed", 80), ("http", "healthy", 80)
+    dropped = [FakeSession(origin=failed) for _ in range(2)]
+    for session in dropped + [FakeSession(origin=healthy)]:
+        pool.release(session)
+    assert pool.purge_origin(failed) == 2
+    assert all(session.discarded for session in dropped)
+    assert pool.purge_origin(failed) == 0
+    assert pool.idle_count(healthy) == 1
+    assert pool.stats().evicted == 2
+    assert registry.value("pool.evicted_total") == 2
+    assert_idle_totals_match_free_lists(pool, registry)
 
 
 def test_clear_zeroes_the_gauges_and_counts_evictions():
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    pool = SessionPool(metrics=registry, shards=2)
+    pool = SessionPool(metrics=registry)
     origins = [("http", f"host-{i}", 80) for i in range(6)]
     for origin in origins:
         pool.release(FakeSession(origin=origin))
-    shards = {str(pool._shard_index(origin)) for origin in origins}
     assert registry.value("pool.idle_sessions") == 6
     assert pool.clear() == 6
     assert pool.stats().evicted == 6
     assert registry.value("pool.evicted_total") == 6
     assert registry.value("pool.idle_sessions") == 0
-    for shard in shards:
-        assert registry.value("pool.shard.idle", shard=shard) == 0
+    assert assert_idle_totals_match_free_lists(pool, registry) == 0
 
 
-def test_shard_contention_counter():
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    pool = SessionPool(metrics=registry, shards=2)
-    origin = ("http", "busy", 80)
-    index, shard = pool._shard_for(origin)
-    shard.lock.acquire()
-    try:
-        import threading
-
-        worker = threading.Thread(
-            target=pool.release, args=(FakeSession(origin=origin),)
-        )
-        worker.start()
-        # Give the worker time to hit the held lock.
-        import time
-
-        time.sleep(0.05)
-    finally:
-        shard.lock.release()
-    worker.join()
-    assert (
-        registry.value("pool.shard.contended_total", shard=str(index))
-        == 1
-    )
-    assert pool.stats().recycled == 1
-
-
-def test_running_idle_counts_survive_concurrent_threads():
-    """Eight threads (more than this box's cores) acquire and release
-    over four origins with a short switch interval: every shard's
-    running idle count still equals its free-lists and its gauge, the
-    pool total is their sum, and every acquire is counted once."""
+def test_running_idle_counts_survive_concurrent_threads(monkeypatch):
+    """Eight threads (more threads than cores) acquire and release
+    over four origins with a short switch interval: the running idle
+    count still equals the free-lists and the ``pool.idle_sessions``
+    gauge, and every acquire is counted once."""
     import sys
     import threading
 
     from repro.obs import MetricsRegistry
 
+    monkeypatch.setattr(pool_module, "MAX_IDLE_PER_ORIGIN", 3)
     registry = MetricsRegistry()
-    pool = SessionPool(metrics=registry, shards=2, max_idle_per_origin=3)
+    pool = SessionPool(metrics=registry)
     origins = [("http", f"host-{i}", 80) for i in range(4)]
     rounds = 300
 
@@ -325,14 +228,7 @@ def test_running_idle_counts_survive_concurrent_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    parked = 0
-    for index, shard in enumerate(pool._shards):
-        held = sum(len(queue) for queue in shard.idle.values())
-        assert shard.idle_count == held
-        if held:
-            assert registry.value("pool.shard.idle", shard=str(index)) == held
-        parked += held
-    assert pool.idle_count() == parked == pool.stats().idle
+    assert assert_idle_totals_match_free_lists(pool, registry) > 0
     assert pool.stats().acquires == 8 * rounds
     assert registry.value("pool.acquire_total", outcome="hit") + (
         registry.value("pool.acquire_total", outcome="miss")

@@ -23,7 +23,7 @@ def session_world():
 def open_to_server(client_rt):
     def op():
         session = yield from open_session(
-            ("http", "server", 80), ("server", 80), now=client_rt.now()
+            ("http", "server", 80), ("server", 80)
         )
         return session
 

@@ -156,7 +156,7 @@ def test_a_hostile_response_length_costs_what_was_sent(kind):
 
     def client(endpoint):
         session = yield from open_session(
-            ("http", endpoint[0], endpoint[1]), endpoint, now=0.0
+            ("http", endpoint[0], endpoint[1]), endpoint
         )
         return (
             yield from session.request(
@@ -295,7 +295,7 @@ def answer(*pieces):
 def get_watched(seen):
     def client(endpoint):
         session = yield from open_session(
-            ("http", endpoint[0], endpoint[1]), endpoint, now=0.0
+            ("http", endpoint[0], endpoint[1]), endpoint
         )
         request = Request("GET", "/x", {"Host": endpoint[0]})
         response = yield from watched(session.request(request), seen)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Context, MetalinkMode, RequestParams, TransferConfig
-from repro.core import context as context_module
+from repro.core import pool as pool_module
 from repro.core import vectored
 from repro.errors import (
     AllReplicasFailed,
@@ -128,6 +128,18 @@ def test_context_blacklist_roundtrip():
 
 
 def test_context_owns_a_pool(monkeypatch):
-    monkeypatch.setattr(context_module, "POOL_MAX_PER_ORIGIN", 3)
+    monkeypatch.setattr(pool_module, "MAX_IDLE_PER_ORIGIN", 3)
     context = Context()
-    assert context.pool.max_idle_per_origin == 3
+    assert context.pool.metrics is context.metrics
+
+    class IdleSession:
+        origin = ("http", "h", 80)
+        reusable = True
+
+        def discard(self):
+            self.reusable = False
+
+    for _ in range(4):
+        context.pool.release(IdleSession())
+    assert context.pool.idle_count() == 3
+    assert context.pool.stats().discarded == 1

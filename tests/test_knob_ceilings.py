@@ -13,32 +13,43 @@ import pathlib
 
 import repro
 from repro.core.context import Context, RequestParams
+from repro.core.pool import SessionPool
 from repro.core.transfer import TransferConfig
+from repro.resilience import BreakerConfig
 from repro.server import ServerConfig
+from repro.xrootd import XrdServerConfig
 
-#: Dataclass fields per bundle, and ``Context.__init__``'s parameters
-#: (``self`` not counted).
+#: Dataclass fields per bundle, and the parameters of ``Context`` and
+#: ``SessionPool``'s ``__init__`` (``self`` not counted).
 KNOB_CEILINGS = {
     "RequestParams": 15,
     "TransferConfig": 5,
-    "ServerConfig": 14,
+    "ServerConfig": 13,
+    "XrdServerConfig": 4,
+    "BreakerConfig": 3,
     "Context": 6,
+    "SessionPool": 1,
 }
 
 
 def test_knob_counts_are_pinned():
+    bundles = (
+        RequestParams, TransferConfig, ServerConfig, XrdServerConfig,
+        BreakerConfig,
+    )
     counts = {
-        bundle.__name__: len(dataclasses.fields(bundle))
-        for bundle in (RequestParams, TransferConfig, ServerConfig)
+        bundle.__name__: len(dataclasses.fields(bundle)) for bundle in bundles
     }
-    counts["Context"] = len(inspect.signature(Context.__init__).parameters) - 1
+    for owner in (Context, SessionPool):
+        parameters = inspect.signature(owner.__init__).parameters
+        counts[owner.__name__] = len(parameters) - 1
     assert counts == KNOB_CEILINGS
 
 
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 20188
+SOURCE_LINE_CEILING = 20014
 
 
 def test_source_line_count_is_not_above_its_ceiling():
