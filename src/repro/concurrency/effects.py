@@ -88,20 +88,23 @@ class Send(Effect):
 class Recv(Effect):
     """Read up to ``max_bytes``; resolves to bytes (``b""`` = EOF).
 
-    With ``into`` (a writable buffer) the bytes are written into it
-    instead and the receive resolves to their count (0 = EOF): on
-    sockets whatever the kernel holds, up to ``len(into)``; on the
-    simulator what a plain receive of at most that and ``max_bytes``
-    would return, so no simulated event moves.
+    On sockets ``exactly=n`` waits for ``n`` bytes, short only at a
+    close or at a timeout after some arrived, and ``until=delimiter``
+    takes nothing past the first ``delimiter`` (all it holds while
+    there is none), so a head leaves its body on the socket. On the
+    simulator both are a plain receive of at most ``max_bytes`` (and
+    ``exactly``), so no simulated event moves.
 
     Raises :class:`~repro.errors.ConnectionClosed` on reset and
-    :class:`~repro.errors.TransferTimeout` when ``timeout`` expires.
+    :class:`~repro.errors.TransferTimeout` when ``timeout`` expires
+    before a byte arrives.
     """
 
     channel: Any
     max_bytes: int = 65536
     timeout: Optional[float] = None
-    into: Any = None
+    exactly: Optional[int] = None
+    until: Optional[bytes] = None
 
 
 @dataclass(frozen=True)

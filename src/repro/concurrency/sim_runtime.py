@@ -95,17 +95,13 @@ class SimRuntime(Runtime):
             yield step.channel.send(step.data)
             return None
         if isinstance(step, fx.Recv):
-            channel, into = step.channel, step.into
-            size = step.max_bytes if into is None else min(
-                step.max_bytes, len(into)
-            )
+            channel, size = step.channel, step.max_bytes
+            if step.exactly is not None and step.exactly < size:
+                size = step.exactly
             data = yield from self._wait(
                 channel.recv(size), step.timeout, channel
             )
-            if into is None:
-                return data
-            into[: len(data)] = data
-            return len(data)
+            return data
         if isinstance(step, fx.Close):
             step.channel.close()
             return None

@@ -33,6 +33,8 @@ class SocketChannel:
         self._closed = False
         #: The ``SO_RCVTIMEO`` the socket has (None = wait forever).
         self.recv_timeout: Optional[float] = None
+        #: What a ``Recv(until=...)`` peeks into.
+        self.peek = bytearray(65536)
 
     @property
     def closed(self) -> bool:
@@ -272,9 +274,18 @@ class ThreadRuntime(Runtime):
                 timeval = struct.pack("ll", *divmod(micros, 10**6))
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
                 channel.recv_timeout = timeout
-            if step.into is None:
-                return sock.recv(step.max_bytes)
-            return sock.recv_into(step.into)
+            if step.exactly is not None:
+                # Short only on a close or a timeout after some bytes.
+                return sock.recv(step.exactly, socket.MSG_WAITALL)
+            if step.until is not None:
+                # A kept buffer: a fresh one, shrunk to a head and then
+                # freed, would split the heap hole a large body just
+                # left, and the next body would no longer fit there.
+                limit = min(step.max_bytes, len(channel.peek))
+                held = sock.recv_into(channel.peek, limit, socket.MSG_PEEK)
+                end = channel.peek.find(step.until, 0, held)
+                return sock.recv(held if end < 0 else end + len(step.until))
+            return sock.recv(step.max_bytes)
         except (BlockingIOError, socket.timeout) as exc:
             raise TransferTimeout(
                 f"recv timed out after {step.timeout}s"

@@ -112,15 +112,13 @@ class SessionPool:
             while queue:
                 session = queue.pop()  # LIFO: prefer the warmest
                 self._idle_total -= 1
-                if not session.reusable:
-                    self._record("discarded")
-                    session.discard()
-                    dropped = True
-                    continue
-                if dropped:
+                if session.reusable:
                     self._update_idle_gauge()
-                self._record("hits")
-                return session
+                    self._record("hits")
+                    return session
+                self._record("discarded")
+                session.discard()
+                dropped = True
             if dropped:
                 self._update_idle_gauge()
             self._record("misses")

@@ -38,6 +38,7 @@ from repro.http import (
     Response,
     gather_request,
 )
+from repro.http.codec import HEAD_TERMINATOR
 
 __all__ = ["Session", "StaleSession", "open_session"]
 
@@ -173,9 +174,8 @@ class Session:
             while True:
                 event = parser.next_event()
                 if event == NEED_DATA:
-                    # The rest of a sized body lands in its buffer.
-                    owed = body is not None and parser.body_owed
-                    tail = body.tail() if owed else None
+                    # A sized body's rest is one receive; a head, no more.
+                    owed = parser.body_owed if body is not None else 0
                     wait = timeout
                     if deadline is not None:
                         try:
@@ -185,14 +185,12 @@ class Session:
                             self.mark_dirty()
                             raise
                     try:
-                        if tail is None:
-                            data = yield Recv(self.channel, timeout=wait)
-                            count = len(data)
-                        else:
-                            with tail:
-                                count = yield Recv(
-                                    self.channel, timeout=wait, into=tail
-                                )
+                        data = yield Recv(
+                            self.channel,
+                            timeout=wait,
+                            exactly=owed or None,
+                            until=HEAD_TERMINATOR if head is None else None,
+                        )
                     except ConnectionClosed as exc:
                         self.mark_dirty()
                         if reused and head is None:
@@ -205,6 +203,7 @@ class Session:
                                 deadline.budget
                             ) from exc
                         raise
+                    count = len(data)
                     self.bytes_received += count
                     received += count
                     if count and not first_byte:
@@ -213,11 +212,12 @@ class Session:
                             recorder.mark("ttfb")
                     if self.tls is not None and count:
                         yield Sleep(self.tls.record_cost(count))
-                    if tail is None:
+                    if not owed:
                         parser.receive_data(data)
-                    else:
-                        body.filled(count)
-                        parser.body_filled(count)
+                        continue
+                    parser.body_filled(count)
+                    if count:  # 0 is an EOF mid-body
+                        body.add(data)
                     continue
                 if event == CONNECTION_CLOSED:
                     self.mark_dirty()

@@ -55,9 +55,11 @@ NEED_DATA = "NEED_DATA"
 CONNECTION_CLOSED = "CONNECTION_CLOSED"
 
 MAX_HEAD_BYTES = 65536
-#: The largest declared ``Content-Length`` a :class:`BodyCollector`
-#: preallocates; a larger declaration is collected as chunks plus one
-#: join, so a peer's head alone never makes us allocate more than this.
+#: The largest declared ``Content-Length`` allocated on the head's word:
+#: the most one receive of an owed body (:attr:`HttpParser.body_owed`)
+#: or a :class:`BodyCollector`'s buffer asks for. A larger declaration
+#: is received in plain pieces and joined once, so a peer's head alone
+#: never makes us allocate more than this.
 MAX_PREALLOCATED_BODY = 64 << 20
 CRLF = b"\r\n"
 HEAD_TERMINATOR = b"\r\n\r\n"
@@ -134,10 +136,12 @@ class HttpParser:
 
     @property
     def body_owed(self) -> int:
-        """The bytes of the current sized body still to come while none
-        are queued (else 0): the caller may receive them into a buffer
-        of its own and report them with :meth:`body_filled`."""
-        if self._state == _BODY_LENGTH and not self._queue:
+        """The bytes still to come of a sized body declared at most
+        :data:`MAX_PREALLOCATED_BODY` long, while none are queued (else
+        0): the caller may receive them itself, in one piece, and
+        report them with :meth:`body_filled`."""
+        sized = self._state == _BODY_LENGTH and not self._queue
+        if sized and self._body_length <= MAX_PREALLOCATED_BODY:
             return self._remaining
         return 0
 
@@ -358,14 +362,14 @@ class BodyCollector:
     """The body of one message, received once.
 
     ``length`` is the parser's :attr:`HttpParser.body_length` for the
-    message. A body whose first chunk is all of it is that chunk, so a
-    small message is not copied. A sized body of at most
-    :data:`MAX_PREALLOCATED_BODY` bytes lands in one
-    ``bytearray(length)``, and that ``bytearray`` is the body: its peak
-    is the body, not its chunks plus their join. What arrived with the
-    head is copied in by :meth:`add`; the rest is received straight
-    into :meth:`tail`. Any other body (chunked, read-until-EOF, or
-    declared larger) is kept as its chunks and joined once.
+    message. A body whose first piece is all of it is that piece, so
+    neither a small message nor a sized body received whole (one
+    receive of what :attr:`HttpParser.body_owed` names) is copied. A
+    sized body of at most :data:`MAX_PREALLOCATED_BODY` bytes that
+    arrives in pieces is copied into one ``bytearray(length)``, and
+    that ``bytearray`` is the body: its peak is the body, not its
+    pieces plus their join. Any other body (chunked, read-until-EOF,
+    or declared larger) is kept as its pieces and joined once.
     """
 
     __slots__ = ("_length", "_buffer", "_filled", "_chunks")
@@ -377,41 +381,25 @@ class BodyCollector:
         self._chunks: List[bytes] = []
 
     def add(self, data: bytes) -> None:
-        """Take one :class:`Data` event's bytes."""
+        """Take one piece of the body: a :class:`Data` event's bytes or
+        one receive of an owed body."""
         buffer = self._buffer
         if buffer is None:
-            # A first chunk that is all of the body is kept as it is.
-            if len(data) >= (self._length or 0) or not self._allocate():
+            length = self._length or 0
+            # A first piece that is all of the body is kept as it is.
+            if len(data) >= length or length > MAX_PREALLOCATED_BODY:
                 self._chunks.append(data)
                 return
-            buffer = self._buffer
+            buffer = self._buffer = bytearray(length)
         end = self._filled + len(data)
         # Through a view: a bytearray's own slice assignment would
         # first copy ``data`` into a temporary bytearray.
         memoryview(buffer)[self._filled:end] = data
         self._filled = end
 
-    def tail(self) -> Optional[memoryview]:
-        """The unfilled end of the buffer a sized body is received into
-        (allocated now if need be), to receive straight into and then
-        account with :meth:`filled`; ``None`` for any other body."""
-        if self._buffer is None and not self._allocate():
-            return None
-        return memoryview(self._buffer)[self._filled:]
-
-    def filled(self, count: int) -> None:
-        """Account ``count`` bytes received into :meth:`tail`."""
-        self._filled += count
-
-    def _allocate(self) -> Optional[bytearray]:
-        length = self._length
-        if not self._chunks and length and length <= MAX_PREALLOCATED_BODY:
-            self._buffer = bytearray(length)
-        return self._buffer
-
     def body(self):
-        """The whole body: ``bytes``, or the ``bytearray`` it was
-        received into."""
+        """The whole body: ``bytes``, or the ``bytearray`` its pieces
+        were copied into."""
         if self._buffer is not None:
             return self._buffer
         chunks = self._chunks

@@ -26,6 +26,7 @@ from repro.http import (
     gather_response,
     serialize_response_head,
 )
+from repro.http.codec import HEAD_TERMINATOR
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.server.envelope import Envelope, ServedResponse
 
@@ -136,19 +137,20 @@ def _read_request(channel, parser: HttpParser):
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
-            # The rest of a sized body lands in its buffer.
-            owed = body is not None and parser.body_owed
-            tail = body.tail() if owed else None
-            if tail is None:
-                data = yield Recv(channel, timeout=KEEPALIVE_IDLE)
+            # A sized body's rest is one receive; a head, no more.
+            owed = parser.body_owed if body is not None else 0
+            data = yield Recv(
+                channel,
+                timeout=KEEPALIVE_IDLE,
+                exactly=owed or None,
+                until=HEAD_TERMINATOR if head is None else None,
+            )
+            if not owed:
                 parser.receive_data(data)
                 continue
-            with tail:
-                count = yield Recv(
-                    channel, timeout=KEEPALIVE_IDLE, into=tail
-                )
-            body.filled(count)
-            parser.body_filled(count)
+            parser.body_filled(len(data))
+            if data:  # else an EOF mid-body
+                body.add(data)
             continue
         if event == CONNECTION_CLOSED:
             return None

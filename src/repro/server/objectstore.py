@@ -72,12 +72,12 @@ class Content:
 
 
 class BytesContent(Content):
-    """Content held as bytes, or as a ``bytearray`` adopted as it is.
+    """Content held as the ``bytes`` or ``bytearray`` it is given.
 
-    A request body received into a ``bytearray`` thus becomes the
-    stored object without a second copy; any other bytes-like is
-    copied into ``bytes``. Reads are ``bytes`` either way; a
-    :meth:`view` is a slice of the held buffer, no copy.
+    A request body (one receive's ``bytes``, or the ``bytearray`` its
+    pieces were copied into) becomes the stored object without a copy;
+    any other bytes-like is copied into ``bytes``. Reads are ``bytes``
+    either way; a :meth:`view` is a slice of the held buffer, no copy.
     """
 
     def __init__(self, data: bytes):
@@ -211,11 +211,11 @@ def _normalise(path: str) -> str:
 
 
 class ObjectStore:
-    """Hierarchical object store; :meth:`put` adopts a ``bytearray``.
+    """Hierarchical object store; :meth:`put` adopts its buffer.
 
-    Parent collections are implicit. An adopted ``bytearray`` becomes
-    the object's content without a copy: the caller hands it over and
-    must not change it after.
+    Parent collections are implicit. An adopted ``bytes`` or
+    ``bytearray`` becomes the object's content without a copy: the
+    caller hands it over and must not change it after.
     """
 
     def __init__(self, clock=None):
@@ -238,8 +238,8 @@ class ObjectStore:
     ) -> StoredObject:
         """Create or replace the object at ``path``.
 
-        ``content`` may be raw bytes or any :class:`Content`; a
-        ``bytearray`` is adopted, not copied (see :class:`BytesContent`).
+        ``content`` may be raw bytes or any :class:`Content`; ``bytes``
+        or a ``bytearray`` is adopted, not copied (:class:`BytesContent`).
         """
         path = _normalise(path)
         if path in self._collections and path != "/":

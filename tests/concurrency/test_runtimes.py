@@ -297,40 +297,40 @@ def test_recv_timeout_threads():
     listener.close()
 
 
-def recv_into_client(endpoint, message):
-    """Send ``message``, then receive the echo into one buffer with
-    ``Recv(into=...)``; returns ``(buffer, counts)``, 0 ending them."""
+def exactly_until_client(endpoint, message):
+    """Send ``message``, then take its echo with ``Recv(exactly=4)``,
+    ``Recv(until=CRLFCRLF)`` and ``Recv(exactly=64)`` until EOF;
+    returns what each receive resolved to."""
     channel = yield Connect(endpoint)
     yield Send(channel, message + b"\n")
-    buffer = bytearray(len(message) + 8)
-    counts, filled = [], 0
-    while True:
-        count = yield Recv(
-            channel, into=memoryview(buffer)[filled:], timeout=5.0
-        )
-        counts.append(count)
-        if not count:
-            return buffer, counts
-        filled += count
+    reads = [(yield Recv(channel, exactly=4, timeout=5.0))]
+    reads.append((yield Recv(channel, until=b"\r\n\r\n", timeout=5.0)))
+    while reads[-1]:
+        reads.append((yield Recv(channel, exactly=64, timeout=5.0)))
+    return reads
 
 
-def test_recv_into_fills_the_buffer_on_both_runtimes():
+def test_recv_exactly_and_until_on_both_runtimes():
+    """On the simulator both are plain receives of at most ``exactly``
+    bytes. On sockets ``until`` leaves what follows its delimiter on
+    the socket and ``exactly`` waits for all it asks, short only at
+    the peer's close."""
+    message = b"head\r\n\r\nbody"
     client_rt, server_rt = sim_world()
     listener = server_rt.listen(80)
     server_rt.spawn(echo_server(listener))
-    sim = client_rt.run(recv_into_client(("server", 80), b"in place"))
+    sim = client_rt.run(exactly_until_client(("server", 80), message))
 
     runtime = ThreadRuntime()
     listener = runtime.listen(0)
     server = runtime.spawn(echo_server(listener))
     real = runtime.run(
-        recv_into_client(("127.0.0.1", listener.port), b"in place")
+        exactly_until_client(("127.0.0.1", listener.port), message)
     )
     runtime.join(server)
     listener.close()
-    for buffer, counts in (sim, real):
-        assert buffer == b"IN PLACE\n" + bytes(7)
-        assert sum(counts) == 9 and counts[-1] == 0
+    assert sim == [b"HEAD", b"\r\n\r\nBODY\n", b""]
+    assert real == [b"HEAD", b"\r\n\r\n", b"BODY\n", b""]
 
 
 def test_a_recv_on_a_closed_socket_channel_is_connection_closed():

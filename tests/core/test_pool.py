@@ -193,6 +193,19 @@ def test_clear_zeroes_the_gauges_and_counts_evictions():
     assert assert_idle_totals_match_free_lists(pool, registry) == 0
 
 
+def test_a_hit_lowers_the_idle_gauge():
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    pool = SessionPool(metrics=registry)
+    session = FakeSession()
+    pool.release(session)
+    assert registry.value("pool.idle_sessions") == 1
+    assert pool.acquire(ORIGIN) is session
+    assert registry.value("pool.idle_sessions") == pool.idle_count() == 0
+    assert assert_idle_totals_match_free_lists(pool, registry) == 0
+
+
 def test_running_idle_counts_survive_concurrent_threads(monkeypatch):
     """Eight threads (more threads than cores) acquire and release
     over four origins with a short switch interval: the running idle

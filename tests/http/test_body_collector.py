@@ -133,35 +133,32 @@ def test_a_message_without_a_body_has_length_zero(wire, method):
     assert (body, length) == (b"", 0)
 
 
-# -- the rest of a sized body, received in place ------------------------------
+# -- the rest of a sized body, owed to one receive ----------------------------
 
 
-def collect_in_place(first, rest, reads):
-    """Feed ``first`` (a head and what came with it), then receive the
-    rest of the body straight into the collector's tail, ``reads`` bytes
-    at a time out of ``rest``. Returns ``(body, bytes added, tail
-    receives)``."""
+def collect_owed(first, rest, reads):
+    """Feed ``first`` (a head and what came with it), then hand the
+    collector the rest of the body as a caller receives what
+    :attr:`HttpParser.body_owed` names, at most ``reads`` bytes a
+    receive. Returns ``(body, Data event sizes, receives)``."""
     parser = HttpParser("client")
     parser.expect_response_to("GET")
     parser.receive_data(first)
     collector = None
-    added = receives = 0
+    events, received = [], []
     while True:
         event = parser.next_event()
         if event == NEED_DATA:
-            tail = collector.tail()
-            assert len(tail) == parser.body_owed
-            count = min(reads, len(rest))
-            tail[:count] = rest[:count]
-            rest = rest[count:]
-            receives += 1
-            collector.filled(count)
-            parser.body_filled(count)
+            assert parser.body_owed == len(rest)
+            piece, rest = rest[:reads], rest[reads:]
+            received.append(piece)
+            collector.add(piece)
+            parser.body_filled(len(piece))
         elif isinstance(event, Data):
-            added += len(event.data)
+            events.append(len(event.data))
             collector.add(event.data)
         elif isinstance(event, EndOfMessage):
-            return collector.body(), added, receives
+            return collector.body(), events, received
         else:
             collector = BodyCollector(parser.body_length)
 
@@ -169,14 +166,31 @@ def collect_in_place(first, rest, reads):
 SIZED = head(b"Content-Length: %d\r\n" % len(BODY))
 
 
+@pytest.mark.parametrize("reads", [len(BODY), 1000])
 @pytest.mark.parametrize("with_head", [0, 1, 5000])
-def test_what_came_with_the_head_is_added_and_the_rest_received_in_place(
-    with_head,
-):
-    body, added, receives = collect_in_place(
-        SIZED + BODY[:with_head], BODY[with_head:], reads=1000
+def test_what_came_with_the_head_is_added_and_the_rest_owed(with_head, reads):
+    body, events, received = collect_owed(
+        SIZED + BODY[:with_head], BODY[with_head:], reads
     )
-    assert type(body) is bytearray
     assert body == BODY
-    assert added == with_head
-    assert receives == -(-(len(BODY) - with_head) // 1000)
+    assert events == ([with_head] if with_head else [])
+    assert len(received) == -(-(len(BODY) - with_head) // reads)
+    if with_head or reads < len(BODY):
+        assert type(body) is bytearray
+    else:  # one receive of all of it: the body is that receive
+        assert body is received[0]
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [b"Transfer-Encoding: chunked\r\n", b"", b"Content-Length: 99\r\n"],
+)
+def test_only_a_sized_body_within_the_bound_is_owed(framing, monkeypatch):
+    monkeypatch.setattr(codec, "MAX_PREALLOCATED_BODY", 98)
+    parser = HttpParser("client")
+    parser.expect_response_to("GET")
+    parser.receive_data(head(framing))
+    parser.next_event()  # the head
+    assert parser.body_owed == 0
+    monkeypatch.setattr(codec, "MAX_PREALLOCATED_BODY", 99)
+    assert parser.body_owed == (99 if b"99" in framing else 0)

@@ -8,6 +8,8 @@ ends in the parser's typed error.
 """
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -17,11 +19,17 @@ from repro.concurrency import (
     Connect,
     Recv,
     Send,
+    SimRuntime,
     Sleep,
     ThreadRuntime,
 )
-from repro.core import DavixClient, open_session
-from repro.errors import ConnectionClosed, HttpParseError
+from repro.core import DavixClient, RequestParams, open_session
+from repro.errors import (
+    ConnectionClosed,
+    DeadlineExceeded,
+    HttpParseError,
+    TransferTimeout,
+)
 from repro.http import BodyCollector, HttpParser, Request, codec
 from repro.http.codec import (
     MAX_PREALLOCATED_BODY,
@@ -31,9 +39,10 @@ from repro.http.codec import (
 from repro.net import TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import ObjectStore, StorageApp, handlers, real_server
+from repro.server import app as server_app
 from repro.server.app import _read_request
 
-from tests.helpers import davix_world, put, sim_world, traced_peak
+from tests.helpers import NO_RETRY, davix_world, put, sim_world, traced_peak
 
 MIB = 1 << 20
 BODY = random.Random(7).randbytes(16 * MIB)
@@ -102,7 +111,7 @@ def exchange(kind, server, client):
     def ended(op):
         try:
             return (yield from op)
-        except (ConnectionClosed, HttpParseError) as exc:
+        except (ConnectionClosed, HttpParseError, TransferTimeout) as exc:
             return exc
 
     def accept_one():
@@ -227,41 +236,66 @@ def test_abandoned_uploads_are_capped_oldest_first():
     assert metrics.value("server.uploads_evicted_total") == 1
 
 
-# -- the rest of a sized body, received in place ------------------------------
+# -- the rest of a sized body, received whole ---------------------------------
 
 SMALL = BODY[: 64 << 10]
 #: Between two sends: long enough that each is a receive of its own.
 PAUSE = 0.03
 #: ``SMALL`` as eight sends.
 EIGHTHS = [SMALL[i:i + 8192] for i in range(0, len(SMALL), 8192)]
+#: A receive timeout that several ``PAUSE``s outlast.
+SHORT_WAIT = 0.1
+#: How long a socket test may take before it counts as hung.
+HUNG = 10.0
 
 
 def watched(op, seen):
-    """Run ``op``, appending every effect it yields to ``seen``."""
+    """Run ``op``, appending ``(effect, what it resolved to or raised)``
+    to ``seen`` for every effect it yields."""
     result = failure = None
     while True:
         try:
             step = op.send(result) if failure is None else op.throw(failure)
         except StopIteration as stop:
             return stop.value
-        seen.append(step)
         result = failure = None
         try:
             result = yield step
         except Exception as exc:  # delivered into ``op``
             failure = exc
+        seen.append((step, result if failure is None else failure))
 
 
 def receives(seen):
-    """``(plain receives, receives into a body buffer)`` of ``seen``."""
-    recvs = [step for step in seen if isinstance(step, Recv)]
-    into = [step for step in recvs if step.into is not None]
-    return len(recvs) - len(into), len(into)
+    """``(head receives, owed-body receives, plain receives)`` of
+    ``seen``, each as the list of what those receives resolved to."""
+    heads, owed, plain = [], [], []
+    for step, outcome in seen:
+        if isinstance(step, Recv):
+            kind = (
+                heads if step.until is not None
+                else owed if step.exactly is not None
+                else plain
+            )
+            kind.append(outcome)
+    return heads, owed, plain
+
+
+def bounded(fn):
+    """``fn()`` in a thread of its own, failing instead of hanging
+    when it takes longer than ``HUNG``."""
+    outcome = []
+    worker = threading.Thread(target=lambda: outcome.append(fn()))
+    worker.daemon = True
+    worker.start()
+    worker.join(HUNG)
+    assert not worker.is_alive(), f"still running after {HUNG}s"
+    return outcome[0]
 
 
 @pytest.fixture()
 def added(monkeypatch):
-    """The size of every piece :meth:`BodyCollector.add` copies in."""
+    """The size of every piece :meth:`BodyCollector.add` is handed."""
     sizes = []
     add = BodyCollector.add
 
@@ -281,66 +315,237 @@ def sized(body):
     return response_head(b"Content-Length: %d\r\n" % len(body))
 
 
-def answer(*pieces):
+def answer(*pieces, linger=0.0):
     """A server that answers the request with ``pieces``: one send
-    each, after a pause, so each is a receive of its own."""
+    each, after a pause, so each is a receive of its own; then it
+    waits ``linger`` seconds before it closes."""
     def server(channel):
         yield Recv(channel)  # the request
         for piece in pieces:
             yield Sleep(PAUSE)
             yield Send(channel, piece)
+        if linger:
+            yield Sleep(linger)
     return server
 
 
-def get_watched(seen):
+def get_watched(seen, timeout=None, deadline=None):
     def client(endpoint):
         session = yield from open_session(
             ("http", endpoint[0], endpoint[1]), endpoint
         )
         request = Request("GET", "/x", {"Host": endpoint[0]})
-        response = yield from watched(session.request(request), seen)
+        response = yield from watched(
+            session.request(request, timeout=timeout, deadline=deadline),
+            seen,
+        )
         return response.body
     return client
 
 
-def get_pieces(kind, *pieces):
-    """``(client ended with, plain receives, in-place receives)``."""
+def get_pieces(kind, *pieces, timeout=None, linger=0.0):
+    """``(client ended with, its head, owed-body and plain receives)``."""
     seen = []
-    (_, ended), _, _ = exchange(kind, answer(*pieces), get_watched(seen))
+    (_, ended), _, _ = exchange(
+        kind, answer(*pieces, linger=linger), get_watched(seen, timeout)
+    )
     return (ended, *receives(seen))
+
+
+@pytest.fixture()
+def recorded(monkeypatch):
+    """Every completed ``Recv`` of either runtime, on either end, as
+    ``(effect, bytes)``."""
+    seen = []
+    perform, recv = SimRuntime._perform, ThreadRuntime._recv
+
+    def sim_perform(runtime, step):
+        result = yield from perform(runtime, step)
+        if isinstance(step, Recv):
+            seen.append((step, result))
+        return result
+
+    def socket_recv(runtime, step):
+        data = recv(runtime, step)
+        seen.append((step, data))
+        return data
+
+    monkeypatch.setattr(SimRuntime, "_perform", sim_perform)
+    monkeypatch.setattr(ThreadRuntime, "_recv", socket_recv)
+    return seen
+
+
+def test_16_mib_put_and_get_take_a_head_and_a_body_receive_on_sockets(
+    recorded,
+):
+    """Each exchange is a head receive on each end and one receive of
+    the whole body; the object stored and the body ``get`` returns are
+    those receives' own ``bytes``, not copies of them."""
+    store = ObjectStore()
+    client = DavixClient(ThreadRuntime())
+
+    def put_then_get(url):
+        client.put(url, BODY)
+        put = receives(recorded)
+        recorded.clear()
+        return put, client.get(url), receives(recorded)
+
+    with real_server(StorageApp(store)) as server:
+        put, fetched, get = bounded(
+            lambda: put_then_get(f"http://127.0.0.1:{server.port}/bulk")
+        )
+        client.context.pool.clear()
+    for heads, owed, plain in (put, get):
+        # The request's head on the server, the response's on the client.
+        assert len(heads) == 2 and plain == []
+        assert all(head.endswith(b"\r\n\r\n") for head in heads)
+        assert len(owed) == 1 and owed[0] == BODY
+    stored = store.get("/bulk").content.view(0, len(BODY))
+    assert stored.obj is put[1][0]
+    assert fetched is get[1][0]
+
+
+def test_a_16_mib_put_and_get_receive_as_often_as_before_on_the_sim(recorded):
+    """The simulator's bursts are what plain receives were: a head
+    receive per message and a receive per burst of each body, as many
+    as before owed bodies were asked for whole."""
+    client, _app, store, _ = davix_world(bandwidth=1e9)
+    client.put("http://server/bulk", BODY)
+    heads, owed, plain = receives(recorded)
+    assert (len(heads), len(owed), len(plain)) == (2, 263, 0)
+    recorded.clear()
+    assert client.get("http://server/bulk") == BODY
+    heads, owed, plain = receives(recorded)
+    assert (len(heads), len(owed), len(plain)) == (2, 268, 0)
+    assert max(map(len, owed)) == 65536
+
+
+def test_a_body_sent_in_pieces_is_one_receive_on_sockets(added):
+    body, heads, owed, plain = bounded(
+        lambda: get_pieces("sockets", sized(SMALL), *EIGHTHS)
+    )
+    assert heads == [sized(SMALL)] and plain == []
+    assert owed == [SMALL] and body is owed[0]
+    assert added == [len(SMALL)]
 
 
 @pytest.mark.parametrize("kind", ["sim", "sockets"])
 def test_a_body_split_over_many_receives_lands_in_place(kind, added):
-    body, plain, into = get_pieces(kind, sized(SMALL), *EIGHTHS)
+    """On the simulator each burst is a receive; on sockets a receive
+    timeout shorter than the sends' spacing cuts the body, each owed
+    receive resolving short with what arrived. Either way the pieces
+    land in one buffer."""
+    body, heads, owed, plain = bounded(
+        lambda: get_pieces(kind, sized(SMALL), *EIGHTHS, timeout=SHORT_WAIT)
+    )
     assert type(body) is bytearray and body == SMALL
-    assert added == [] and plain == 1  # the head's own
-    assert into == 8 if kind == "sim" else into >= 2
+    assert len(heads) == 1 and plain == []
+    assert added == list(map(len, owed))
+    assert len(owed) == 8 if kind == "sim" else len(owed) >= 2
 
 
 @pytest.mark.parametrize("kind", ["sim", "sockets"])
 def test_body_bytes_that_came_with_the_head_are_added_once(kind, added):
-    body, plain, into = get_pieces(
+    body, heads, owed, _ = get_pieces(
         kind, sized(SMALL) + SMALL[:1000], SMALL[1000:]
     )
     assert body == SMALL
-    assert added == [1000] and plain == 1 and into >= 1
+    assert sum(added) == len(SMALL)
+    if kind == "sim":
+        # The head's receive brought them; the rest is owed.
+        assert added[0] == 1000 and len(owed) >= 1
+    else:
+        # The head's receive stops at the head: the body is one receive.
+        assert heads == [sized(SMALL)] and owed == [SMALL]
 
 
-@pytest.mark.parametrize("kind", ["sim", "sockets"])
+@pytest.mark.parametrize("kind", ["sim"])  # on sockets a head is alone
 def test_a_head_read_that_holds_the_whole_body_is_that_read(kind, added):
     small = SMALL[:4096]
-    body, plain, into = get_pieces(kind, sized(small) + small)
+    body, heads, owed, plain = get_pieces(kind, sized(small) + small)
     assert type(body) is bytes and body == small
-    assert added == [len(small)] and (plain, into) == (1, 0)
+    assert added == [len(small)] and (len(heads), owed, plain) == (1, [], [])
 
 
 @pytest.mark.parametrize("kind", ["sim", "sockets"])
 def test_an_eof_mid_body_is_the_parsers_error(kind):
-    ended, _, into = get_pieces(kind, sized(SMALL), SMALL[:1000])
+    ended, _, owed, _ = bounded(
+        lambda: get_pieces(kind, sized(SMALL), SMALL[:1000])
+    )
     assert isinstance(ended, HttpParseError)
     assert str(ended) == f"EOF with {len(SMALL) - 1000} body bytes missing"
-    assert into == 2  # the 1000 bytes, then the EOF
+    assert owed == [SMALL[:1000], b""]  # the 1000 bytes, then the EOF
+
+
+def test_a_stalled_body_resolves_short_then_times_out():
+    """Half the body, then nothing for longer than the receive
+    timeout: the owed receive resolves with the half, the next one
+    raises."""
+    half = len(SMALL) // 2
+    ended, _, owed, _ = bounded(
+        lambda: get_pieces(
+            "sockets", sized(SMALL), SMALL[:half],
+            timeout=SHORT_WAIT, linger=5 * SHORT_WAIT,
+        )
+    )
+    assert owed[0] == SMALL[:half]
+    assert isinstance(owed[1], TransferTimeout) and len(owed) == 2
+    assert isinstance(ended, TransferTimeout)
+
+
+def test_a_trickled_body_ends_at_the_deadline():
+    """A byte every 0.1 s never trips a 1 s receive timeout, but the
+    request's 0.5 s deadline bounds the owed receive as a whole."""
+    deadline, epsilon = 0.5, 0.25
+    runtime = ThreadRuntime()
+    listener = runtime.listen(0)
+
+    def trickle():
+        channel = yield Accept(listener)
+        try:
+            yield Recv(channel)  # the request
+            yield Send(channel, sized(SMALL))
+            for _ in range(40):
+                yield Sleep(0.1)
+                yield Send(channel, b"x")
+        except ConnectionClosed:
+            pass  # the client gave up
+        finally:
+            yield Close(channel)
+
+    client = DavixClient(ThreadRuntime())
+    params = RequestParams(
+        deadline=deadline, operation_timeout=1.0, retry_policy=NO_RETRY
+    )
+
+    def fetch():
+        started = time.monotonic()
+        try:
+            client.get(f"http://127.0.0.1:{listener.port}/x", params=params)
+        except DeadlineExceeded:
+            return time.monotonic() - started
+
+    task = runtime.spawn(trickle())
+    try:
+        elapsed = bounded(fetch)
+    finally:
+        client.context.pool.clear()
+        runtime.join(task)
+        listener.close()
+    assert elapsed is not None and elapsed <= deadline + epsilon
+
+
+def test_a_head_cut_inside_its_terminator_still_yields_the_body(added):
+    """The first receive ends inside the head's blank line, so the
+    next one finds no terminator and takes body bytes with the head's
+    last two: the parser queues those, and the rest is owed."""
+    wire = sized(SMALL)
+    body, heads, owed, _ = bounded(
+        lambda: get_pieces("sockets", wire[:-2], wire[-2:] + SMALL)
+    )
+    assert body == SMALL and type(body) is bytearray
+    assert heads[0] == wire[:-2] and heads[1].startswith(b"\r\n")
+    assert sum(added) == len(SMALL) and len(owed) >= 1
 
 
 @pytest.mark.parametrize("kind", ["sim", "sockets"])
@@ -355,15 +560,19 @@ def test_other_bodies_keep_the_chunk_path(kind, framing, monkeypatch):
     else:
         monkeypatch.setattr(codec, "MAX_PREALLOCATED_BODY", 1000)
         wire = sized(SMALL) + SMALL
-    body, plain, into = get_pieces(kind, wire[:100], wire[100:])
+    body, heads, owed, plain = get_pieces(kind, wire[:100], wire[100:])
     assert type(body) is bytes and body == SMALL
-    assert plain >= 2 and into == 0
+    assert len(heads) + len(plain) >= 2 and owed == []
 
 
 @pytest.mark.parametrize("kind", ["sim", "sockets"])
 def test_a_request_body_split_over_many_receives_lands_in_place(
-    kind, added
+    kind, added, monkeypatch
 ):
+    """As for a response: on sockets the server's receive timeout,
+    shortened here, cuts the owed receives."""
+    monkeypatch.setattr(server_app, "KEEPALIVE_IDLE", SHORT_WAIT)
+
     def client(endpoint):
         channel = yield Connect(endpoint)
         yield Send(
@@ -383,32 +592,9 @@ def test_a_request_body_split_over_many_receives_lands_in_place(
         )
         return request.body
 
-    (body, _), _, _ = exchange(kind, server, client)
-    plain, into = receives(seen)
+    (body, _), _, _ = bounded(lambda: exchange(kind, server, client))
+    heads, owed, plain = receives(seen)
     assert type(body) is bytearray and body == SMALL
-    assert added == [] and plain == 1
-    assert into == 8 if kind == "sim" else into >= 2
-
-
-@pytest.mark.parametrize("kind", ["sim", "sockets"])
-def test_add_copies_a_sized_body_only_as_far_as_it_came_with_its_head(
-    kind, added
-):
-    """A 1 MiB PUT and GET through the davix client and the storage
-    server: each side's first receive brings the head and at most 64
-    KiB of the body, and only that is copied in by ``add``."""
-    body = BODY[:MIB]
-    if kind == "sim":
-        client, _app, store, _ = davix_world(bandwidth=1e9)
-        client.put("http://server/bulk", body)
-        assert client.get("http://server/bulk") == body
-    else:
-        store = ObjectStore()
-        client = DavixClient(ThreadRuntime())
-        with real_server(StorageApp(store)) as server:
-            url = f"http://127.0.0.1:{server.port}/bulk"
-            client.put(url, body)
-            assert client.get(url) == body
-            client.context.pool.clear()
-    assert store.read("/bulk") == body
-    assert sum(added) <= 2 * 65536
+    assert len(heads) == 1 and plain == []
+    assert added == list(map(len, owed))
+    assert len(owed) == 8 if kind == "sim" else len(owed) >= 2
