@@ -4,7 +4,7 @@ Two claims of the RNTuple-style v2 layout, measured end to end:
 
 * **cluster-parallel decode** — on the WAN profile the full-branch
   analysis scan refills several clusters concurrently
-  (:class:`~repro.rootio.clusterscan.ClusterScan` lanes over
+  (:class:`~repro.rootio.treecache.ClusterScan` lanes over
   ``bounded_gather``), overlapping fetch latency and decompression CPU
   across lanes: 4 lanes must beat the single-lane scan;
 * **read amplification** — a sparse selection (2 of 10 branches ×

@@ -38,7 +38,6 @@ from repro.http import (
     Response,
     gather_request,
 )
-from repro.http.codec import HEAD_TERMINATOR
 
 __all__ = ["Session", "StaleSession", "open_session"]
 
@@ -189,7 +188,7 @@ class Session:
                             self.channel,
                             timeout=wait,
                             exactly=owed or None,
-                            until=HEAD_TERMINATOR if head is None else None,
+                            until=parser.head_owed if head is None else None,
                         )
                     except ConnectionClosed as exc:
                         self.mark_dirty()

@@ -89,6 +89,16 @@ _BODY_EOF = "BODY_EOF"
 _CLOSED = "CLOSED"
 
 
+def _unmatched(buffer: bytes, start: int) -> bytes:
+    """The rest of :data:`HEAD_TERMINATOR` after the longest part of
+    it that ``buffer[start:]`` ends with (all of it for none)."""
+    tail = buffer[max(start, len(buffer) - 3) :]
+    for matched in (3, 2, 1):
+        if tail.endswith(HEAD_TERMINATOR[:matched]):
+            return HEAD_TERMINATOR[matched:]
+    return HEAD_TERMINATOR
+
+
 class HttpParser:
     """Incremental HTTP/1.x message parser.
 
@@ -109,6 +119,11 @@ class HttpParser:
         self._remaining = 0
         self._body_length: Optional[int] = None
         self._pending_methods: Deque[str] = deque()
+        #: What of :data:`HEAD_TERMINATOR` the queued head's tail has
+        #: not yet matched: a receive that stops at its first match
+        #: never takes bytes past the real terminator, even when that
+        #: straddles two receives.
+        self.head_owed = HEAD_TERMINATOR
 
     # -- input -------------------------------------------------------------
 
@@ -194,9 +209,12 @@ class HttpParser:
     def _parse_head(self) -> Event:
         end = self._queue.find(HEAD_TERMINATOR)
         if end < 0:
-            if len(self._queue) > MAX_HEAD_BYTES:
+            queued = len(self._queue)
+            if queued > MAX_HEAD_BYTES:
                 raise HttpParseError("header block too large")
             if not self._eof:
+                if queued:
+                    self.head_owed = _unmatched(*self._queue.front())
                 return NEED_DATA
             if self._queue:
                 raise HttpParseError("EOF inside message head")
@@ -205,6 +223,7 @@ class HttpParser:
 
         # The terminator's two empty lines are skipped with the rest.
         lines = self._queue.take(end + len(HEAD_TERMINATOR)).split(CRLF)
+        self.head_owed = HEAD_TERMINATOR
         start_line = lines[0].decode("ascii", "replace")
         headers = self._parse_header_lines(lines[1:])
 

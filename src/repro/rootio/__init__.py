@@ -1,14 +1,18 @@
 """ROOT-like columnar event I/O: tree files, TTreeCache, generators.
 
-Two on-disk formats share one fetcher protocol and one read surface:
+One metadata model (:mod:`repro.rootio.tree`: a tree of branches of
+baskets) and one container (:mod:`repro.rootio.treefile`) hold two
+on-disk formats:
 
-* **v1 baskets** (:mod:`repro.rootio.treefile`) — branch-major basket
-  blobs behind a JSON index, read through
-  :class:`TreeFileReader`/:class:`TTreeCache`;
-* **v2 pages/clusters** (:mod:`repro.rootio.ntuple`) — RNTuple-style
-  cluster-major pages with per-page adler32 checksums and a separable
-  footer, read through :class:`NTupleReader`/:class:`ClusterScan`
-  with parallel per-cluster decode lanes.
+* **v1 baskets** — branch-major basket blobs behind a JSON index;
+* **v2 pages/clusters** (:mod:`repro.rootio.ntuple`) — the same model
+  plus stored row clusters, per-page adler32 checksums and per-column
+  zlib levels, with the pages laid out cluster-major.
+
+:class:`TreeFileReader` opens either magic and
+:func:`~repro.rootio.treefile.read_rows` decodes the rows of both, for
+the reader, for :class:`TTreeCache` and for :class:`ClusterScan` (the
+cache refilled several clusters at a time, in parallel decode lanes).
 """
 
 from repro._lazy import exports
@@ -30,16 +34,14 @@ _EXPORTS = {
     "LocalFetcher": ".treefile",
     "TreeFileReader": ".treefile",
     "write_tree_file": ".treefile",
+    "write_ntuple_file": ".treefile",
     "compress_basket": ".zipfmt",
     "decompress_basket": ".zipfmt",
     "PageInfo": ".ntuple",
     "ColumnMeta": ".ntuple",
     "ClusterInfo": ".ntuple",
     "NTupleMeta": ".ntuple",
-    "NTupleReader": ".ntuple",
-    "ClusterScan": ".clusterscan",
-    "write_ntuple_file": ".ntuple",
-    "ntuple_meta_from_json": ".ntuple",
+    "ClusterScan": ".treecache",
     "decode_page": ".ntuple",
 }
 

@@ -18,21 +18,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import RootIOError
 from repro.rootio.ntuple import (
     DEFAULT_CLUSTER_ENTRIES,
     DEFAULT_PAGE_BYTES,
-    ClusterInfo,
     ColumnMeta,
     NTupleMeta,
     PageInfo,
-    write_ntuple_file,
 )
-from repro.rootio.ntuple import HEADER as NTUPLE_HEADER
 from repro.rootio.tree import BasketInfo, BranchMeta, TreeMeta
-from repro.rootio.treefile import HEADER, write_tree_file
+from repro.rootio.treefile import (
+    HEADER,
+    basket_rows,
+    page_rows,
+    row_clusters,
+    write_ntuple_file,
+    write_tree_file,
+)
 from repro.rootio.zipfmt import basket_overhead
 
 __all__ = [
@@ -177,12 +181,7 @@ def generate_tree_bytes(spec: DatasetSpec) -> bytes:
     )
 
 
-def generate_ntuple_bytes(
-    spec: DatasetSpec,
-    cluster_entries: int = DEFAULT_CLUSTER_ENTRIES,
-    page_bytes: int = DEFAULT_PAGE_BYTES,
-    compression=1,
-) -> bytes:
+def generate_ntuple_bytes(spec: DatasetSpec) -> bytes:
     """Materialise the dataset as a real v2 ntuple file (bytes).
 
     Uses the same seeded payloads as :func:`generate_tree_bytes`, so
@@ -190,76 +189,24 @@ def generate_ntuple_bytes(
     invariant the format-equivalence tests assert.
     """
     return write_ntuple_file(
-        spec.name,
-        _branch_payloads(spec),
-        n_entries=spec.n_entries,
-        cluster_entries=cluster_entries,
-        page_bytes=page_bytes,
-        compression=compression,
+        spec.name, _branch_payloads(spec), n_entries=spec.n_entries
     )
 
 
-def generate_ntuple_layout(
-    spec: DatasetSpec,
-    cluster_entries: int = DEFAULT_CLUSTER_ENTRIES,
-    page_bytes: int = DEFAULT_PAGE_BYTES,
-) -> NTupleMeta:
+def generate_ntuple_layout(spec: DatasetSpec) -> NTupleMeta:
     """Build only the v2 metadata a materialised file would have.
 
     Cluster-major page layout with the same +-10 % compressed-size
     jitter model as :func:`generate_tree_layout`; checksums are zero
     (layout-only runs never decode).
     """
-    rng = random.Random(spec.seed)
-    cursor = NTUPLE_HEADER.size
-    overhead = basket_overhead()
-    columns = {
-        branch_spec.name: ColumnMeta(
-            name=branch_spec.name, event_size=branch_spec.event_size
-        )
-        for branch_spec in spec.branches
-    }
-    clusters: List[ClusterInfo] = []
-    for first in range(0, spec.n_entries, cluster_entries):
-        count = min(cluster_entries, spec.n_entries - first)
-        clusters.append(ClusterInfo(first_entry=first, n_entries=count))
-        for branch_spec in spec.branches:
-            column = columns[branch_spec.name]
-            page_entries = max(1, page_bytes // branch_spec.event_size)
-            for page_first in range(first, first + count, page_entries):
-                page_count = min(
-                    page_entries, first + count - page_first
-                )
-                uncompressed = page_count * branch_spec.event_size
-                jitter = rng.uniform(0.9, 1.1)
-                nbytes = overhead + max(
-                    8,
-                    int(
-                        uncompressed
-                        * branch_spec.compress_ratio
-                        * jitter
-                    ),
-                )
-                column.pages.append(
-                    PageInfo(
-                        offset=cursor,
-                        nbytes=nbytes,
-                        first_entry=page_first,
-                        n_entries=page_count,
-                        uncompressed=uncompressed,
-                        checksum=0,
-                    )
-                )
-                cursor += nbytes
+    clusters = row_clusters(spec.n_entries, DEFAULT_CLUSTER_ENTRIES)
     meta = NTupleMeta(
-        name=spec.name,
-        n_entries=spec.n_entries,
+        name=spec.name, n_entries=spec.n_entries, branches=[],
         cluster_list=clusters,
-        columns=[columns[b.name] for b in spec.branches],
-        file_size=cursor,
     )
-    meta.validate()
-    return meta
+    rows = page_rows(clusters, DEFAULT_PAGE_BYTES)
+    return _lay_out(spec, meta, ColumnMeta, PageInfo, rows, floor=8)
 
 
 def generate_tree_layout(spec: DatasetSpec) -> TreeMeta:
@@ -270,37 +217,47 @@ def generate_tree_layout(spec: DatasetSpec) -> TreeMeta:
     contiguously after the header — statistically faithful without
     generating a single payload byte.
     """
+    meta = TreeMeta(name=spec.name, n_entries=spec.n_entries, branches=[])
+    rows = basket_rows(spec.n_entries, spec.basket_entries)
+    return _lay_out(spec, meta, BranchMeta, BasketInfo, rows, floor=16)
+
+
+def _lay_out(spec, meta, branch_type, basket_type, rows, floor):
+    """Fill ``meta`` with the baskets a file cut into ``rows`` would
+    hold, laid out cluster-major as the writers lay them out.
+
+    Sizes are drawn in file order: branch by branch for a tree, cluster
+    by cluster for an ntuple. ``floor`` bounds a drawn size from below.
+    """
     rng = random.Random(spec.seed)
-    cursor = HEADER.size
-    branches: List[BranchMeta] = []
     overhead = basket_overhead()
+    # (cluster, branch spec, branch, first entry, stop entry), branch-major.
+    pieces = []
     for branch_spec in spec.branches:
-        branch = BranchMeta(
+        branch = branch_type(
             name=branch_spec.name, event_size=branch_spec.event_size
         )
-        for first in range(0, spec.n_entries, spec.basket_entries):
-            count = min(spec.basket_entries, spec.n_entries - first)
-            uncompressed = count * branch_spec.event_size
-            jitter = rng.uniform(0.9, 1.1)
-            nbytes = overhead + max(
-                16, int(uncompressed * branch_spec.compress_ratio * jitter)
+        meta.branches.append(branch)
+        for cluster, first, stop in rows(branch_spec.event_size):
+            pieces.append((cluster, branch_spec, branch, first, stop))
+    pieces.sort(key=lambda piece: piece[0])
+    cursor = HEADER.size
+    for _, branch_spec, branch, first, stop in pieces:
+        uncompressed = (stop - first) * branch_spec.event_size
+        jitter = rng.uniform(0.9, 1.1)
+        nbytes = overhead + max(
+            floor, int(uncompressed * branch_spec.compress_ratio * jitter)
+        )
+        branch.baskets.append(
+            basket_type(
+                offset=cursor,
+                nbytes=nbytes,
+                first_entry=first,
+                n_entries=stop - first,
+                uncompressed=uncompressed,
             )
-            branch.baskets.append(
-                BasketInfo(
-                    offset=cursor,
-                    nbytes=nbytes,
-                    first_entry=first,
-                    n_entries=count,
-                    uncompressed=uncompressed,
-                )
-            )
-            cursor += nbytes
-        branches.append(branch)
-    meta = TreeMeta(
-        name=spec.name,
-        n_entries=spec.n_entries,
-        branches=branches,
-        file_size=cursor,
-    )
+        )
+        cursor += nbytes
+    meta.file_size = cursor
     meta.validate()
     return meta

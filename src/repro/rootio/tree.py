@@ -4,16 +4,18 @@ A *tree* holds ``n_entries`` events split across *branches* (columns).
 Each branch's values are stored in compressed *baskets* of
 ``basket_entries`` events. The metadata is what TTreeCache needs to turn
 "entries [a, b) of branches X, Y" into byte ranges — the input of the
-paper's vectored I/O.
+paper's vectored I/O. The v2 ntuple (:mod:`repro.rootio.ntuple`) is
+this model plus stored clusters, page checksums and column levels.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import ClassVar, Iterator, List, Sequence, Tuple
 
 from repro.errors import RootIOError
+from repro.rootio.zipfmt import decompress_basket
 
 __all__ = ["BasketInfo", "BranchMeta", "TreeMeta"]
 
@@ -36,6 +38,10 @@ class BasketInfo:
     def span(self) -> Tuple[int, int]:
         """(offset, nbytes) — the read needed to load this basket."""
         return (self.offset, self.nbytes)
+
+    def decode(self, blob: bytes) -> bytes:
+        """This basket's records, inflated from its on-disk ``blob``."""
+        return decompress_basket(blob)
 
 
 @dataclass
@@ -99,6 +105,8 @@ class TreeMeta:
     n_entries: int
     branches: List[BranchMeta]
     file_size: int = 0
+    #: Row clusters stored in the file; a v1 tree stores none.
+    cluster_list: ClassVar[Sequence] = ()
 
     def branch(self, name: str) -> BranchMeta:
         for branch in self.branches:
@@ -133,9 +141,14 @@ class TreeMeta:
         return sorted(spans)
 
     def clusters(self, entries_per_cluster: int) -> Iterator[Tuple[int, int]]:
-        """Yield (start, stop) entry windows of the given size."""
+        """Yield (start, stop) entry windows: the stored clusters, or
+        windows of ``entries_per_cluster`` when the file stores none."""
         if entries_per_cluster < 1:
             raise ValueError("entries_per_cluster must be >= 1")
+        if self.cluster_list:
+            for cluster in self.cluster_list:
+                yield (cluster.first_entry, cluster.end_entry)
+            return
         for start in range(0, self.n_entries, entries_per_cluster):
             yield (start, min(start + entries_per_cluster, self.n_entries))
 

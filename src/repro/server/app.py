@@ -26,7 +26,6 @@ from repro.http import (
     gather_response,
     serialize_response_head,
 )
-from repro.http.codec import HEAD_TERMINATOR
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
 from repro.server.envelope import Envelope, ServedResponse
 
@@ -143,7 +142,7 @@ def _read_request(channel, parser: HttpParser):
                 channel,
                 timeout=KEEPALIVE_IDLE,
                 exactly=owed or None,
-                until=HEAD_TERMINATOR if head is None else None,
+                until=parser.head_owed if head is None else None,
             )
             if not owed:
                 parser.receive_data(data)

@@ -14,7 +14,7 @@ produces identical timings.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import ProcessInterrupt, SimulationError, StopSimulation
 
@@ -23,9 +23,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
 ]
 
 #: Sentinel stored in :attr:`Event._value` while the event is untriggered.
@@ -114,14 +111,6 @@ class Event:
             self.succeed(event._value)
         else:
             self.fail(event._value)
-
-    # -- composition -------------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
@@ -269,88 +258,6 @@ class Process(Event):
         return f"<Process {name} alive={self.is_alive}>"
 
 
-class Condition(Event):
-    """Fires when ``evaluate(events, n_done)`` becomes true.
-
-    The value is an ordered dict-like mapping of the *triggered* events to
-    their values, preserving the order events were passed in.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list, int], bool],
-        events: Iterable[Event],
-    ):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events from different environments")
-
-        if not self._events:
-            self.succeed(self._collect())
-            return
-
-        for event in self._events:
-            if self._value is not _PENDING:
-                break  # decided by an already-processed event
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        # An event only counts once *processed* — Timeouts carry their value
-        # from construction, so `triggered` alone would include pending ones.
-        return {
-            event: event._value
-            for event in self._events
-            if event.processed and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-        else:
-            return
-        # Decided: let go of the events still pending, or each of them
-        # keeps this condition, and with it every collected value,
-        # alive until it fires.
-        for other in self._events:
-            if other.callbacks is not None and self._check in other.callbacks:
-                other.callbacks.remove(self._check)
-
-
-class AllOf(Condition):
-    """Fires once every event in the set has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count == len(events), events)
-
-
-class AnyOf(Condition):
-    """Fires as soon as any event in the set fires."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count >= 1, events)
-
-
 class Environment:
     """Execution environment: clock plus event heap."""
 
@@ -385,12 +292,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling --------------------------------------------------------
 

@@ -36,11 +36,9 @@ from typing import Optional, Tuple
 from repro.concurrency import Now, Sleep
 from repro.core.context import Context, RequestParams, TransferConfig
 from repro.net.options import TcpOptions
-from repro.rootio.clusterscan import ClusterScan
 from repro.rootio.fetchers import DavixFetcher, XrootdFetcher
-from repro.rootio.ntuple import NTupleReader
 from repro.rootio.tree import TreeMeta
-from repro.rootio.treecache import TTreeCache
+from repro.rootio.treecache import ClusterScan, TTreeCache
 from repro.rootio.treefile import TreeFileReader
 from repro.xrootd.client import XrdClient
 
@@ -132,7 +130,8 @@ class AnalysisReport:
 def _consumption_plan(
     meta: TreeMeta, events: int, cluster: int, branch_names=()
 ):
-    """The access sequence in *consumption* order: cluster by cluster,
+    """The access sequence in *consumption* order: cluster by cluster
+    (the file's stored clusters, or windows of ``cluster`` entries),
     not global file order (branches are laid out sequentially)."""
     plan = []
     for start, stop in meta.clusters(cluster):
@@ -147,20 +146,20 @@ def _consumption_plan(
 
 
 def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
-    """Effect sub-op: the format's reader + cache -> (cache, events, spans).
+    """Effect sub-op: reader + the format's cache -> (cache, events, spans).
 
     ``spans`` is the consumption-order read-ahead plan, ready for
     ``fetcher.plan`` when a client-level read-ahead window is armed.
     Both caches expose the same ``read_entry`` surface, so the caller's
     event loop never sees which format it is scanning.
     """
+    reader = TreeFileReader(fetcher)
+    if meta is None:
+        meta = yield from reader.open()
+    else:
+        reader.meta = meta
+    events = max(1, int(meta.n_entries * cfg.fraction))
     if cfg.format == "ntuple":
-        reader = NTupleReader(fetcher)
-        if meta is None:
-            meta = yield from reader.open()
-        else:
-            reader.meta = meta
-        events = max(1, int(meta.n_entries * cfg.fraction))
         cache = ClusterScan(
             reader,
             branch_names=cfg.columns,
@@ -169,15 +168,9 @@ def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
             decompress_bandwidth=cfg.decompress_bandwidth,
             metrics=metrics,
             clock=clock,
+            events=events,
         )
-        spans = cache.plan(events)
     else:
-        reader = TreeFileReader(fetcher)
-        if meta is None:
-            meta = yield from reader.open()
-        else:
-            reader.meta = meta
-        events = max(1, int(meta.n_entries * cfg.fraction))
         cache = TTreeCache(
             reader,
             branch_names=cfg.columns,
@@ -186,9 +179,9 @@ def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
             decode=cfg.decode,
             decompress_bandwidth=cfg.decompress_bandwidth,
         )
-        spans = _consumption_plan(
-            meta, events, cfg.entries_per_cluster, cfg.columns
-        )
+    spans = _consumption_plan(
+        meta, events, cfg.entries_per_cluster, cfg.columns
+    )
     return cache, events, spans
 
 

@@ -592,3 +592,23 @@ def test_a_buffer_that_is_nothing_but_body_is_handed_over_as_it_is():
     assert last == NEED_DATA
     assert [type(event) for event in events[1:]] == [Data, Data, EndOfMessage]
     assert events[1].data is burst and events[2].data is burst
+
+
+@pytest.mark.parametrize(
+    "cut,owed",
+    [(1, b"\n"), (2, b"\r\n"), (3, b"\n\r\n"), (4, b"\r\n\r\n")],
+)
+def test_head_owed_is_what_of_the_terminator_is_unmatched(cut, owed):
+    """A receive that stops at ``head_owed`` ends at the terminator,
+    never past it, wherever the previous receive cut the head."""
+    wire = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n"
+    parser = HttpParser("client")
+    parser.expect_response_to("GET")
+    assert parser.head_owed == b"\r\n\r\n"
+    parser.receive_data(wire[: len(wire) - cut])
+    assert drain(parser) == ([], NEED_DATA)
+    assert parser.head_owed == owed
+    parser.receive_data(wire[len(wire) - cut :] + b"abc")
+    events, _ = drain(parser)
+    assert isinstance(events[0], Response)
+    assert parser.head_owed == b"\r\n\r\n"

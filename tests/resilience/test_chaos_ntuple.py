@@ -18,10 +18,9 @@ from repro.errors import PageChecksumError
 from repro.net import LinkSpec, Network
 from repro.rootio import (
     LocalFetcher,
-    NTupleReader,
     TreeFileReader,
-    generate_ntuple_bytes,
     generate_tree_bytes,
+    write_ntuple_file,
 )
 from repro.rootio.fetchers import DavixFetcher
 from repro.rootio.generator import BranchSpec, DatasetSpec
@@ -50,19 +49,29 @@ PARAMS = RequestParams(
 
 
 def blobs():
-    """(v1 bytes, v2 bytes) of the same dataset."""
+    """(v1 bytes, v2 bytes) of the same dataset: three clusters of
+    2 KiB pages, so each cluster lane asks for many ranges."""
+    v1_blob = generate_tree_bytes(SPEC)
     return (
-        generate_tree_bytes(SPEC),
-        generate_ntuple_bytes(
-            SPEC, cluster_entries=200, page_bytes=2048
+        v1_blob,
+        write_ntuple_file(
+            SPEC.name,
+            decode_all(v1_blob),
+            n_entries=SPEC.n_entries,
+            cluster_entries=200,
+            page_bytes=2048,
         ),
     )
 
 
 def ground_truth():
     """The dataset's columns, decoded locally from the v1 blob."""
-    v1_blob, _ = blobs()
-    reader = TreeFileReader(LocalFetcher(v1_blob))
+    return decode_all(generate_tree_bytes(SPEC))
+
+
+def decode_all(blob):
+    """Every column of ``blob``, decoded without a transport."""
+    reader = TreeFileReader(LocalFetcher(blob))
 
     def op():
         yield from reader.open()
@@ -100,7 +109,7 @@ def read_both(runtime, context, lanes=3):
         DavixFetcher(context, f"http://server{V1_PATH}", PARAMS)
     )
     v2_fetcher = DavixFetcher(context, f"http://server{V2_PATH}", PARAMS)
-    v2_reader = NTupleReader(v2_fetcher)
+    v2_reader = TreeFileReader(v2_fetcher)
 
     def op():
         yield from v1_reader.open()
@@ -155,17 +164,17 @@ def test_corrupt_page_is_typed_under_chaos(chaos_seed):
     through retries and faults — never as silently wrong bytes."""
     v1_blob, v2_blob = blobs()
     # Find a v2 page and corrupt one byte in the middle of it.
-    probe = NTupleReader(LocalFetcher(v2_blob))
+    probe = TreeFileReader(LocalFetcher(v2_blob))
     from repro.concurrency import ThreadRuntime
 
     meta = ThreadRuntime().run(probe.open())
-    page = meta.column("b").pages[1]
+    page = meta.branch("b").baskets[1]
     corrupt = bytearray(v2_blob)
     corrupt[page.offset + page.nbytes // 2] ^= 0x20
     faults = FaultPolicy(error_rate=0.1, seed=chaos_seed)
     runtime, context = chaos_world(faults, v1_blob, bytes(corrupt))
     fetcher = DavixFetcher(context, f"http://server{V2_PATH}", PARAMS)
-    reader = NTupleReader(fetcher)
+    reader = TreeFileReader(fetcher)
 
     def op():
         yield from reader.open()

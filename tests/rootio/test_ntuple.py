@@ -1,8 +1,8 @@
 """Tests for the v2 ntuple container format.
 
-Round-trip, footer wire format, v1/v2 decoded equality, per-column
-compression (including level-0 store), structural validation and the
-checksum contract: a corrupted page surfaces as
+Round-trip through the one reader, footer wire format, v1/v2 decoded
+equality, per-column compression (including level-0 store), structural
+validation and the checksum contract: a corrupted page surfaces as
 :class:`~repro.errors.PageChecksumError` before decompression, never as
 silent corruption.
 """
@@ -19,15 +19,16 @@ from repro.rootio import (
     BranchSpec,
     DatasetSpec,
     LocalFetcher,
-    NTupleReader,
+    NTupleMeta,
     TreeFileReader,
+    TreeMeta,
     decode_page,
     generate_ntuple_bytes,
     generate_tree_bytes,
-    ntuple_meta_from_json,
     write_ntuple_file,
+    write_tree_file,
 )
-from repro.rootio.ntuple import HEADER, NTUPLE_MAGIC
+from repro.rootio.treefile import HEADER, MAGIC, NTUPLE_MAGIC, meta_from_json
 
 
 def run(op):
@@ -63,7 +64,7 @@ def small_ntuple(
 
 
 def open_reader(blob):
-    reader = NTupleReader(LocalFetcher(blob))
+    reader = TreeFileReader(LocalFetcher(blob))
     meta = run(reader.open())
     return reader, meta
 
@@ -76,7 +77,7 @@ def test_write_and_open():
     reader, meta = open_reader(blob)
     assert meta.name == "events"
     assert meta.n_entries == 250
-    assert meta.column_names == ["col0", "col1"]
+    assert meta.branch_names == ["col0", "col1"]
     assert [c.n_entries for c in meta.cluster_list] == [100, 100, 50]
     assert meta.file_size == len(blob)
 
@@ -109,7 +110,7 @@ def test_open_costs_exactly_two_fetches():
     promise (v1 needs the whole index tail scan)."""
     blob, _ = small_ntuple()
     fetcher = LocalFetcher(blob)
-    reader = NTupleReader(fetcher)
+    reader = TreeFileReader(fetcher)
     run(reader.open())
     assert fetcher.reads == 2
 
@@ -117,8 +118,8 @@ def test_open_costs_exactly_two_fetches():
 def test_pages_respect_byte_budget_and_cluster_bounds():
     blob, _ = small_ntuple(page_bytes=64)
     _, meta = open_reader(blob)
-    for column in meta.columns:
-        for page in column.pages:
+    for column in meta.branches:
+        for page in column.baskets:
             assert page.uncompressed <= max(64, column.event_size)
     # validate() enforces no page straddles a cluster; rerun explicitly.
     meta.validate()
@@ -142,18 +143,18 @@ def test_per_column_levels_including_store():
         compression={"noise": 0, "zeros": 9},
     )
     reader, meta = open_reader(blob)
-    assert meta.column("noise").level == 0
-    assert meta.column("zeros").level == 9
+    assert meta.branch("noise").level == 0
+    assert meta.branch("zeros").level == 9
     # Store pays only the frame overhead; zlib-9 crushes the zeros.
-    assert meta.column("noise").compressed_bytes > n * 8
-    assert meta.column("zeros").compressed_bytes < n * 8 // 4
+    assert meta.branch("noise").compressed_bytes > n * 8
+    assert meta.branch("zeros").compressed_bytes < n * 8 // 4
     assert run(reader.read_entries(0, n)) == arrays
 
 
 def test_scalar_compression_applies_to_every_column():
     blob, _ = small_ntuple(compression=5)
     _, meta = open_reader(blob)
-    assert all(column.level == 5 for column in meta.columns)
+    assert all(column.level == 5 for column in meta.branches)
 
 
 # -- v1 equivalence ---------------------------------------------------------
@@ -162,7 +163,7 @@ def test_scalar_compression_applies_to_every_column():
 def test_v1_and_v2_decode_identically_from_one_spec():
     spec = DatasetSpec(
         name="equiv",
-        n_entries=300,
+        n_entries=1200,
         branches=(
             BranchSpec(name="a", event_size=16, compress_ratio=0.5),
             BranchSpec(name="b", event_size=4, compress_ratio=1.0),
@@ -171,12 +172,8 @@ def test_v1_and_v2_decode_identically_from_one_spec():
     )
     v1 = TreeFileReader(LocalFetcher(generate_tree_bytes(spec)))
     run(v1.open())
-    v2 = NTupleReader(
-        LocalFetcher(
-            generate_ntuple_bytes(spec, cluster_entries=100, page_bytes=512)
-        )
-    )
-    run(v2.open())
+    v2 = TreeFileReader(LocalFetcher(generate_ntuple_bytes(spec)))
+    assert len(run(v2.open()).cluster_list) == 3
     for name in ("a", "b"):
         branch = v1.meta.branch(name)
         want = b"".join(
@@ -186,19 +183,38 @@ def test_v1_and_v2_decode_identically_from_one_spec():
         assert got[name] == want
 
 
+# -- one reader for both magics ---------------------------------------------
+
+
+def test_one_reader_opens_both_magics():
+    arrays = arrays_for(250)
+    tree = write_tree_file("events", arrays, n_entries=250)
+    ntuple, _ = small_ntuple()
+    assert (tree[:8], ntuple[:8]) == (MAGIC, NTUPLE_MAGIC)
+    v1, v1_meta = open_reader(tree)
+    v2, v2_meta = open_reader(ntuple)
+    assert type(v1_meta) is TreeMeta
+    assert type(v2_meta) is NTupleMeta
+    assert v1_meta.cluster_list == ()
+    for reader in (v1, v2):
+        assert run(reader.read_entries(0, 250)) == arrays
+        assert run(reader.read_entries(0, 250, lanes=4)) == arrays
+
+
 # -- footer / validation errors ---------------------------------------------
 
 
 def test_bad_magic_is_typed():
-    blob, _ = small_ntuple()
-    reader = NTupleReader(LocalFetcher(b"JUNK4567" + blob[8:]))
-    with pytest.raises(RootIOError, match="magic"):
-        run(reader.open())
+    for write in (write_ntuple_file, write_tree_file):
+        blob = write("events", arrays_for(250), n_entries=250)
+        reader = TreeFileReader(LocalFetcher(b"JUNK4567" + blob[8:]))
+        with pytest.raises(RootIOError, match="magic"):
+            run(reader.open())
 
 
 def test_truncated_footer_is_typed():
     blob, _ = small_ntuple()
-    reader = NTupleReader(LocalFetcher(blob[:-10]))
+    reader = TreeFileReader(LocalFetcher(blob[:-10]))
     with pytest.raises(RootIOError, match="truncated"):
         run(reader.open())
 
@@ -208,17 +224,17 @@ def test_garbage_footer_is_typed():
     magic, footer_offset, footer_len = HEADER.unpack(blob[: HEADER.size])
     bad = blob[:footer_offset] + b"\xff" * footer_len
     with pytest.raises(RootIOError, match="footer"):
-        run(NTupleReader(LocalFetcher(bad)).open())
+        run(TreeFileReader(LocalFetcher(bad)).open())
 
 
 def test_file_shorter_than_header_is_typed():
     with pytest.raises(RootIOError, match="too short"):
-        run(NTupleReader(LocalFetcher(b"RNTP")).open())
+        run(TreeFileReader(LocalFetcher(b"RNTP")).open())
 
 
 def test_footer_with_missing_fields_is_typed():
     with pytest.raises(RootIOError, match="malformed"):
-        ntuple_meta_from_json({"name": "x"})
+        meta_from_json({"name": "x"}, magic=NTUPLE_MAGIC)
 
 
 @pytest.mark.parametrize(
@@ -246,7 +262,7 @@ def test_validate_rejects_inconsistent_footers(mutate, message):
     doc = json.loads(blob[footer_offset : footer_offset + footer_len])
     mutate(doc)
     with pytest.raises(RootIOError, match=message):
-        ntuple_meta_from_json(doc)
+        meta_from_json(doc, magic=NTUPLE_MAGIC)
 
 
 def test_write_rejects_misaligned_column():
@@ -260,10 +276,10 @@ def test_write_rejects_misaligned_column():
 def test_corrupt_page_raises_checksum_error_not_garbage():
     blob, _ = small_ntuple()
     reader, meta = open_reader(blob)
-    page = meta.column("col0").pages[2]
+    page = meta.branch("col0").baskets[2]
     corrupt = bytearray(blob)
     corrupt[page.offset + page.nbytes - 1] ^= 0xFF
-    bad = NTupleReader(LocalFetcher(bytes(corrupt)))
+    bad = TreeFileReader(LocalFetcher(bytes(corrupt)))
     run(bad.open())
     with pytest.raises(PageChecksumError):
         run(bad.read_entries(0, meta.n_entries))
@@ -279,33 +295,33 @@ def test_corrupt_store_page_is_still_caught():
         page_bytes=128, compression=0,
     )
     reader, meta = open_reader(blob)
-    page = meta.column("a").pages[0]
+    page = meta.branch("a").baskets[0]
     corrupt = bytearray(blob)
     # Flip a payload byte (past the 11-byte frame header).
     corrupt[page.offset + 15] ^= 0x01
-    bad = NTupleReader(LocalFetcher(bytes(corrupt)))
+    bad = TreeFileReader(LocalFetcher(bytes(corrupt)))
     run(bad.open())
     with pytest.raises(PageChecksumError):
         run(bad.read_entries(0, n))
 
 
-def test_decode_page_verify_off_skips_the_checksum():
+def test_decode_page_checks_a_stored_page_before_returning_it():
+    """A stored (level-0) page inflates to any bytes at all: only the
+    checksum tells a flipped payload byte."""
     blob, arrays = small_ntuple(compression=0)
     _, meta = open_reader(blob)
-    page = meta.column("col0").pages[0]
+    page = meta.branch("col0").baskets[0]
     raw = bytearray(blob[page.offset : page.offset + page.nbytes])
+    assert decode_page(bytes(raw), page) == arrays["col0"][: page.uncompressed]
     raw[-1] ^= 0x01  # corrupt a stored payload byte
     with pytest.raises(PageChecksumError):
         decode_page(bytes(raw), page)
-    # verify=False lets the (wrong) bytes through — the knob layout
-    # runs use, since synthetic content has checksum=0.
-    assert len(decode_page(bytes(raw), page, verify=False)) == page.uncompressed
 
 
 def test_short_page_read_is_typed():
     blob, _ = small_ntuple()
     _, meta = open_reader(blob)
-    page = meta.column("col0").pages[0]
+    page = meta.branch("col0").baskets[0]
     with pytest.raises(RootIOError, match="short page"):
         decode_page(blob[page.offset : page.offset + page.nbytes - 1], page)
 
@@ -317,6 +333,6 @@ def test_header_layout_is_stable():
     assert blob[:8] == NTUPLE_MAGIC
     # adler32 in the footer matches the on-disk page bytes.
     _, meta = open_reader(blob)
-    page = meta.column("col1").pages[0]
+    page = meta.branch("col1").baskets[0]
     disk = blob[page.offset : page.offset + page.nbytes]
     assert zlib.adler32(disk) & 0xFFFFFFFF == page.checksum

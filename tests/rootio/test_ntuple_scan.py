@@ -1,7 +1,7 @@
 """Tests for ClusterScan: parallel per-cluster decode lanes.
 
 Correctness (bytes identical to direct page decode, any lane count),
-the stats/metrics surface, plan() clamping, decode=False layout runs,
+the stats/metrics surface, the events clamp, decode=False layout runs,
 and the timing claim itself: on a latency-dominated link more lanes
 mean overlapped refills and a shorter wall clock.
 """
@@ -15,9 +15,10 @@ from repro.obs import MetricsRegistry
 from repro.rootio import (
     ClusterScan,
     LocalFetcher,
-    NTupleReader,
+    TreeFileReader,
     write_ntuple_file,
 )
+from repro.workloads.analysis import _consumption_plan
 from repro.sim import Environment
 
 
@@ -39,7 +40,7 @@ def build(n_entries=500, cluster_entries=100, page_bytes=64, compression=1):
         compression=compression,
     )
     fetcher = LocalFetcher(blob)
-    reader = NTupleReader(fetcher)
+    reader = TreeFileReader(fetcher)
     run(reader.open())
     return reader, fetcher, arrays, blob
 
@@ -100,30 +101,38 @@ def test_column_selection_reads_fewer_bytes():
 
 
 def test_plan_clamps_and_orders_spans():
-    reader, _, _, _ = build()
-    scan = ClusterScan(reader, lanes=2)
-    full = scan.plan()
+    """The consumption plan of a clamped scan: the stored clusters in
+    order, no span past the clamp, and refills that load no row past
+    it either."""
+    reader, _, arrays, _ = build()
+    meta = reader.meta
+    full = _consumption_plan(meta, 500, 100)
     assert full == sorted(set(full))  # consumption order == disk order here
-    clamped = scan.plan(events=150)
+    clamped = _consumption_plan(meta, 150, 100)
     assert set(clamped) <= set(full)
     assert len(clamped) < len(full)
     # Every clamped span serves an entry below 150.
     kept = {
         page.span
-        for column in scan.columns
-        for page in column.pages_for_entries(0, 150)
+        for branch in meta.branches
+        for page in branch.baskets_for_entries(0, 150)
     }
     assert set(clamped) == kept
-    # The clamp also stops refills: reading past it still works (the
-    # window reloads), but the planned spans end at cluster 2.
-    assert scan._stop == 150
+    scan = ClusterScan(reader, lanes=2, events=150)
+    assert scan.stop == 150
+    assert read_all(scan, 150, arrays)
+    # One refill of two lanes, the second cut at the clamp.
+    assert scan.stats["refills"] == 1
+    assert scan._window == (0, 150)
+    # Reading past the clamp still serves the entry, with a refill.
+    assert run(scan.read_entry(151))["a"] == arrays["a"][604:608]
+    assert scan.stats["refills"] == 2
 
 
 def test_plan_events_below_one_clamps_to_one():
     reader, _, _, _ = build()
-    scan = ClusterScan(reader, lanes=1)
-    assert scan.plan(events=0)  # still plans the first cluster
-    assert scan._stop == 1
+    assert _consumption_plan(reader.meta, 1, 100)  # the first cluster
+    assert ClusterScan(reader, lanes=1, events=0).stop == 1
 
 
 def test_decode_off_returns_none_buffers():
@@ -150,8 +159,8 @@ def test_out_of_range_entry_is_typed():
 def test_requires_open_reader():
     blob = write_ntuple_file("t", {"a": bytes(8)}, n_entries=2)
     with pytest.raises(RootIOError):
-        ClusterScan(NTupleReader(LocalFetcher(blob)))
-    reader = NTupleReader(LocalFetcher(blob))
+        ClusterScan(TreeFileReader(LocalFetcher(blob)))
+    reader = TreeFileReader(LocalFetcher(blob))
     run(reader.open())
     with pytest.raises(ValueError):
         ClusterScan(reader, lanes=0)
@@ -159,10 +168,10 @@ def test_requires_open_reader():
 
 def test_checksum_failure_is_typed_and_counted():
     reader, _, _, blob = build()
-    page = reader.meta.column("a").pages[3]
+    page = reader.meta.branch("a").baskets[3]
     corrupt = bytearray(blob)
     corrupt[page.offset + page.nbytes // 2] ^= 0x40
-    bad = NTupleReader(LocalFetcher(bytes(corrupt)))
+    bad = TreeFileReader(LocalFetcher(bytes(corrupt)))
     run(bad.open())
     metrics = MetricsRegistry()
     scan = ClusterScan(bad, lanes=2, metrics=metrics)
@@ -222,7 +231,7 @@ def test_more_lanes_cut_wall_clock_on_a_slow_link():
 
         def op():
             fetcher = DavixFetcher(context, "http://server/t.ntpl")
-            reader = NTupleReader(fetcher)
+            reader = TreeFileReader(fetcher)
             yield from reader.open()
             scan = ClusterScan(reader, lanes=lanes)
             start = runtime.now()
@@ -260,7 +269,7 @@ def test_decompress_bandwidth_charges_cpu_time():
 
     def op(bandwidth):
         fetcher = DavixFetcher(context, "http://server/t.ntpl")
-        reader = NTupleReader(fetcher)
+        reader = TreeFileReader(fetcher)
         yield from reader.open()
         scan = ClusterScan(
             reader, lanes=1, decompress_bandwidth=bandwidth

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Event
+from repro.sim import Environment
 
 
 def test_timeout_advances_clock():
@@ -150,89 +150,6 @@ def test_run_until_past_time_rejected():
     env.run(until=5)
     with pytest.raises(ValueError):
         env.run(until=3)
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1, value="one")
-        t2 = env.timeout(5, value="five")
-        results = yield AllOf(env, [t1, t2])
-        return (env.now, list(results.values()))
-
-    when, values = env.run(env.process(proc()))
-    assert when == 5
-    assert values == ["one", "five"]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1, value="fast")
-        t2 = env.timeout(5, value="slow")
-        results = yield AnyOf(env, [t1, t2])
-        return (env.now, list(results.values()))
-
-    when, values = env.run(env.process(proc()))
-    assert when == 1
-    assert values == ["fast"]
-
-
-def test_condition_operators():
-    env = Environment()
-
-    def proc():
-        a = env.timeout(1)
-        b = env.timeout(2)
-        yield a | b
-        first = env.now
-        c = env.timeout(1)
-        d = env.timeout(3)
-        yield c & d
-        return (first, env.now)
-
-    assert env.run(env.process(proc())) == (1, 4)
-
-
-def test_fired_condition_lets_go_of_the_losers():
-    """A decided ``a | b`` must not stay hooked on the loser: through
-    that hook a pending 120 s timer would keep the condition, and with
-    it the winner's value, alive until its deadline."""
-    env = Environment()
-    seen = []
-
-    def proc():
-        data_event = env.event()
-        timer = env.timeout(120)
-        env.timeout(1).callbacks.append(
-            lambda _evt: data_event.succeed(b"burst")
-        )
-        condition = data_event | timer
-        results = yield condition
-        seen.append((env.now, dict(results), condition, timer))
-
-    env.process(proc())
-    env.run(until=2)
-    (when, results, condition, timer), = seen
-    assert when == 1
-    assert list(results.values()) == [b"burst"]
-    assert timer.callbacks == []
-    # The late timer changes nothing about the decided condition.
-    env.run()
-    assert env.now == 120
-    assert list(condition.value.values()) == [b"burst"]
-
-
-def test_condition_decided_at_construction_hooks_nothing():
-    env = Environment()
-    done = env.event().succeed("early")
-    env.run()
-    timer = env.timeout(120)
-    condition = AnyOf(env, [done, timer])
-    assert condition.triggered
-    assert timer.callbacks == []
 
 
 def test_interrupt_delivers_cause():
@@ -513,6 +430,5 @@ def test_events_carry_no_instance_dict():
 
     for event in (
         env.event(), env.timeout(0), env.process(proc()),
-        env.all_of([]), env.any_of([]),
     ):
         assert not hasattr(event, "__dict__")

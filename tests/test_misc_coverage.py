@@ -106,44 +106,6 @@ def test_runner_xrootd_materialized_decodes():
     assert report.protocol == "xrootd"
 
 
-# -- sim kernel edges -----------------------------------------------------------------
-
-
-def test_allof_fails_fast_on_member_failure():
-    from repro.sim import AllOf, Environment
-
-    env = Environment()
-
-    def bad():
-        yield env.timeout(1)
-        raise RuntimeError("member died")
-
-    def good():
-        yield env.timeout(100)
-
-    def waiter():
-        try:
-            yield AllOf(env, [env.process(bad()), env.process(good())])
-        except RuntimeError:
-            return env.now
-
-    task = env.process(waiter())
-    assert env.run(task) == 1  # did not wait for the slow member
-
-
-def test_empty_condition_fires_immediately():
-    from repro.sim import AllOf, AnyOf, Environment
-
-    env = Environment()
-
-    def waiter():
-        yield AllOf(env, [])
-        yield AnyOf(env, [])
-        return env.now
-
-    assert env.run(env.process(waiter())) == 0
-
-
 # -- synthetic content checksum helpers ----------------------------------------------
 
 
