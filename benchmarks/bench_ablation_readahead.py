@@ -1,13 +1,15 @@
 """ABL-RA — extension: client-level sliding-window read-ahead.
 
-Beyond the paper: both implemented clients carry an
-*application-level* plan-driven read-ahead — XRootD's sliding window
-(:mod:`repro.xrootd.readahead`) and davix's pipelined transfer engine
-(:mod:`repro.core.engine`). With enough window either side overlaps
-the refill transfers with per-event compute entirely, pushing the WAN
-job toward the compute-bound floor — the upper bound of what
-"minimizing the number of network round trips" can buy. The sweep
-ablates the window size for both protocols on the WAN profile.
+Beyond the paper: both implemented clients run one *application-level*
+plan-driven read-ahead, the pipelined transfer engine
+(:mod:`repro.core.engine`), over their own wire — an HTTP multi-range
+GET or an XRootD ``kXR_readv`` per speculative batch. With enough
+window either side overlaps the refill transfers with per-event
+compute entirely, pushing the WAN job toward the compute-bound floor —
+the upper bound of what "minimizing the number of network round trips"
+can buy. The sweep ablates the window size for both protocols on the
+WAN profile; with one policy on both sides, a gap between the rows is
+the wire's, not the read-ahead's.
 """
 
 from repro.net.profiles import LAN, WAN
@@ -81,8 +83,9 @@ def test_ablation_readahead(benchmark):
         rows,
         note=(
             "a large enough window hides the WAN refills behind "
-            "compute, approaching the LAN floor — davix via the "
-            "pipelined transfer engine, XRootD via its sliding window"
+            "compute, approaching the LAN floor — one transfer engine "
+            "over both wires, with an HTTP multi-range GET or a "
+            "kXR_readv per speculative batch"
         ),
         params={
             "windows": [w for w in WINDOWS if w is not None],

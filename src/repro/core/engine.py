@@ -1,19 +1,21 @@
-"""The pipelined read-ahead transfer engine.
+"""The pipelined read-ahead transfer engine, one for both wires.
 
 The paper attributes XRootD's WAN edge (Section 3) to read-ahead that
 hides round trips which davix's *synchronous* vectored refills pay on
-every batch: issue a multi-range request, wait a full RTT, decode,
-compute, repeat. This engine closes that gap on the HTTP side. It
-keeps a sliding window of **speculative** vector batches in flight —
-spawned onto the runtime (sim or threads) via the same effect
-vocabulary as everything else — so while the application consumes
-cluster *N*, clusters *N+1..N+w* are already on the wire, and the
-multipart bodies decode incrementally as their chunks arrive
-(:class:`~repro.http.multipart.MultipartStream`).
+every batch: issue a vectored request, wait a full RTT, decode,
+compute, repeat. This engine is that read-ahead for both protocols, as
+ROOT runs one TTreeCache above ``TFile::ReadBuffers`` whichever file
+plugin sits underneath. It keeps a sliding window of **speculative**
+vector batches in flight — spawned onto the runtime (sim or threads)
+via the same effect vocabulary as everything else — so while the
+application consumes cluster *N*, clusters *N+1..N+w* are already on
+the wire: one HTTP multi-range GET per batch under
+:class:`~repro.core.file.DavFile`, one ``kXR_readv`` under
+:class:`~repro.rootio.fetchers.XrootdFetcher`. The engine itself
+names no protocol.
 
-XRootD's ``repro.xrootd.readahead.ReadAheadWindow`` is a plain byte
-window; this one also counts batches, and that count adapts to the
-access pattern:
+The window counts bytes and batches, and the batch count adapts to
+the access pattern:
 
 * sequential plan hits **grow** it (additive, from
   :data:`WINDOW_BATCHES` toward :data:`MAX_WINDOW_BATCHES`);
@@ -24,7 +26,7 @@ access pattern:
   batch, however large).
 
 Speculative fetches trap their own failures and surface them at join
-time as misses, which the file resolves like any other read: a failed
+time as misses, which the owner resolves like any other read: a failed
 prefetch never crashes the caller (or the simulation). Every launch
 carries a ``speculative-fetch`` span parented under one
 ``transfer-engine`` span, so traces distinguish speculation from
@@ -33,18 +35,20 @@ metrics and the demanded-read stall time lands in the
 ``readahead-wait`` request phase.
 
 Arm it through :class:`~repro.core.transfer.TransferConfig`
-(``read_ahead=True``) or explicitly via ``DavFile.prefetch(segments)``.
+(``read_ahead=True``) or a first ``prefetch(segments)`` over HTTP, and
+through ``XrootdFetcher(window_bytes=...)`` over XRootD.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.concurrency import Join, Spawn
 from repro.core import vectored
-from repro.core.transfer import TransferConfig
 from repro.core.vectored import plan_vector
 
 __all__ = ["TransferEngine"]
@@ -89,20 +93,37 @@ class _SpecBatch:
 
 
 class TransferEngine:
-    """Sliding-window speculative prefetcher for one :class:`DavFile`.
+    """Sliding-window speculative prefetcher for one remote file.
+
+    Its owner lends it a ``context`` (metrics, tracer, clock) and the
+    effect sub-op ``fetch_batch(ranges, span)`` -> ``PartTable`` for
+    one batch of ranges coalesced across ``gap``; ``cached(segment)``
+    says a planned segment needs no wire; ``url`` names the file on
+    the ``transfer-engine`` span.
 
     Feed it a consumption-ordered plan with :meth:`prefetch`; demanded
     reads route through :meth:`read_vec`, which serves plan hits from
     (or while awaiting) in-flight speculative batches and reports
-    misses as ``None`` for the file to resolve.
+    misses as ``None`` for the owner to resolve.
     Call :meth:`drain` when done so stragglers are joined and the
     engine span closes.
     """
 
-    def __init__(self, file, config: TransferConfig):
-        self.file = file
-        self.config = config
-        self.context = file.context
+    def __init__(
+        self,
+        context,
+        fetch_batch: Callable,
+        window_bytes: int,
+        gap: int,
+        url: str,
+        cached: Optional[Callable[[Segment], bool]] = None,
+    ):
+        self.context = context
+        self.fetch_batch = fetch_batch
+        self.window_bytes = window_bytes
+        self.gap = gap
+        self.cached = cached
+        self.url = url
         self._plan: Deque[Segment] = deque()
         self._planned: Set[Segment] = set()
         #: Planned segments served by the demand path before their
@@ -151,16 +172,11 @@ class TransferEngine:
 
     # -- window management --------------------------------------------------
 
-    def _segment_cached(self, segment: Segment) -> bool:
-        """Is this planned segment already served by the page cache?"""
-        cache, key = self.file._pagecache, self.file._cache_key
-        return cache is not None and cache.read(key, *segment) is not None
-
     def _engine_span(self):
         if self._span is None:
             self._span = self.context.tracer.start(
                 "transfer-engine",
-                url=str(self.file.url),
+                url=self.url,
                 window=self.window,
             )
         return self._span
@@ -168,14 +184,13 @@ class TransferEngine:
     def _top_up(self):
         """Effect sub-op: launch speculative batches while the window
         has room and the plan has segments."""
-        params = self.file.params
         # Size batches so a full window fits the byte budget.
-        batch_bytes_cap = max(1, self.config.window_bytes // self.window)
+        batch_bytes_cap = max(1, self.window_bytes // self.window)
         # The byte cap is soft-edged: an empty window always has room.
         while (
             self._plan
             and self._tasks < self.window
-            and (self._tasks == 0 or self._bytes < self.config.window_bytes)
+            and (self._tasks == 0 or self._bytes < self.window_bytes)
         ):
             segments: List[Segment] = []
             nbytes = 0
@@ -184,8 +199,8 @@ class TransferEngine:
                 if segment in self._dropped:
                     self._dropped.discard(segment)
                     continue
-                if self._segment_cached(segment):
-                    # Already in the page cache: never spend wire on it.
+                if self.cached is not None and self.cached(segment):
+                    # Already cached: never spend wire on it.
                     self._planned.discard(segment)
                     self.context.metrics.counter(
                         "engine.cache_skipped_segments_total"
@@ -201,7 +216,7 @@ class TransferEngine:
             plan = plan_vector(
                 segments,
                 max_ranges=vectored.MAX_VECTOR_RANGES,
-                gap=params.vector_gap,
+                gap=self.gap,
             )
             ranges = plan.batches[0]
             index = self.stats["launched"]
@@ -241,9 +256,7 @@ class TransferEngine:
         a value and re-surfaced at join time — an unjoined failing task
         would otherwise crash the whole simulation."""
         try:
-            parts = yield from self.file._fetch_batch_covered(
-                batch.ranges, batch.span
-            )
+            parts = yield from self.fetch_batch(batch.ranges, batch.span)
         except Exception as exc:  # trapped: surfaces via _resolve
             batch.span.end(error=repr(exc))
             return ("error", exc)
@@ -387,7 +400,8 @@ class TransferEngine:
         """Drop the plan and cancel every in-flight speculative batch.
 
         Called when the consumption plan it was speculating for is
-        abandoned (``DavFile.close()``, or a replacing ``prefetch()``)
+        abandoned (the owner closing the file, or a replacing
+        ``prefetch()``)
         — instead of letting the in-flight batches drain uselessly
         into demanded reads, their window slots free immediately and
         they count in ``engine.cancelled_batches_total``. Pure

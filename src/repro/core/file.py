@@ -190,17 +190,27 @@ class DavFile:
         self.url = Url.parse(url)
         self.params = params or context.params
         self.transfer = self.params.transfer
-        self._engine: Optional[TransferEngine] = (
-            TransferEngine(self, self.transfer)
-            if self.transfer.read_ahead
-            else None
-        )
         # The page cache is context-owned (one per Context, shared by
         # every file), so repeated opens of the same URL reuse pages.
         self._cache_key = str(self.url)
         self._pagecache = context.page_cache_for(self.transfer)
+        self._engine: Optional[TransferEngine] = (
+            self._new_engine() if self.transfer.read_ahead else None
+        )
 
     # -- read-ahead engine --------------------------------------------------
+
+    def _new_engine(self) -> TransferEngine:
+        """The engine over this file: a batch is one multi-range GET,
+        and a planned segment the page cache holds is never fetched."""
+        cache, key = self._pagecache, self._cache_key
+        return TransferEngine(
+            self.context, self._fetch_batch_covered,
+            self.transfer.window_bytes, self.params.vector_gap, key,
+            cached=None if cache is None else (
+                lambda segment: cache.read(key, *segment) is not None
+            ),
+        )
 
     @property
     def read_ahead_enabled(self) -> bool:
@@ -229,7 +239,7 @@ class DavFile:
         there).
         """
         if self._engine is None:
-            self._engine = TransferEngine(self, self.transfer)
+            self._engine = self._new_engine()
         elif replace:
             self._engine.abandon()
         self._engine.prefetch(segments)

@@ -4,17 +4,22 @@ A *fetcher* exposes three effect sub-ops (``size``, ``fetch``,
 ``fetch_vec``); :class:`~repro.rootio.treefile.TreeFileReader` and
 :class:`~repro.rootio.treecache.TTreeCache` consume whichever transport
 is plugged in — exactly how ROOT's TFile plugs TDavixFile or TXNetFile
-underneath the same analysis code.
+underneath the same analysis code. Both fetchers' read-ahead is the one
+:class:`~repro.core.engine.TransferEngine` (``plan`` feeds it,
+``drain`` joins it); only the batch it sends differs — an HTTP
+multi-range GET or a ``kXR_readv``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.concurrency import Sleep
 from repro.core.context import Context, RequestParams
+from repro.core.engine import TransferEngine
 from repro.core.file import DavFile
+from repro.core.vectored import PartTable
 from repro.xrootd.client import XrdClient, XrdFile
-from repro.xrootd.readahead import ReadAheadWindow
 
 __all__ = ["DavixFetcher", "XrootdFetcher"]
 
@@ -25,8 +30,7 @@ class DavixFetcher:
     With the transfer engine armed (``params.transfer.read_ahead``),
     feed the upcoming access sequence through :meth:`plan` and the
     file pipelines speculative multi-range fetches ahead of
-    consumption — the HTTP counterpart of :class:`XrootdFetcher`'s
-    sliding window.
+    consumption — the engine :class:`XrootdFetcher` drives too.
     """
 
     def __init__(
@@ -75,9 +79,11 @@ class DavixFetcher:
 class XrootdFetcher:
     """Tree fetcher over the XRootD client (TXNetFile).
 
-    With ``window_bytes`` set, single fetches go through the
-    sliding-window read-ahead; feed it the access plan with
-    :meth:`plan`.
+    With ``window_bytes`` set, fetches go through the same
+    :class:`~repro.core.engine.TransferEngine` as davix's, with one
+    ``kXR_readv`` per speculative batch; feed it the access plan with
+    :meth:`plan`. The engine reports to the client's context (a fresh
+    one when the client has none).
     """
 
     def __init__(
@@ -89,8 +95,15 @@ class XrootdFetcher:
     ):
         self.client = client
         self.file = file
-        self.window = (
-            ReadAheadWindow(client, file, window_bytes)
+        host, port = client.endpoint
+        self.engine = (
+            TransferEngine(
+                client.context or Context(),
+                self._fetch_batch,
+                window_bytes,
+                gap=0,  # a kXR_readv chunk never reads a hole
+                url=f"root://{host}:{port}{file.path}",
+            )
             if window_bytes
             else None
         )
@@ -100,49 +113,78 @@ class XrootdFetcher:
         self.bytes_fetched = 0
 
     def plan(self, segments) -> None:
-        """Announce the upcoming access sequence to the read-ahead."""
-        if self.window is not None:
-            self.window.extend_plan(segments)
+        """Announce the upcoming access sequence to the read-ahead.
+
+        A no-op without a window, so callers can feed the plan
+        unconditionally.
+        """
+        if self.engine is not None:
+            self.engine.prefetch(segments)
+
+    def drain(self):
+        """Effect sub-op: join outstanding speculative fetches."""
+        if self.engine is not None:
+            yield from self.engine.drain()
 
     def size(self):
         """Effect sub-op: remote file size (from open)."""
         return self.file.size
         yield  # pragma: no cover - makes this a generator
 
-    def fetch(self, offset: int, length: int):
-        """Effect sub-op: one read (through the window when enabled)."""
+    def _fetch_batch(self, ranges, span):
+        """Effect sub-op: one speculative batch as one kXR_readv."""
+        pieces = yield from self.client.readv(
+            self.file, [(rng.offset, rng.length) for rng in ranges]
+        )
+        return PartTable.from_parts(
+            (
+                (rng.offset, piece)
+                for rng, piece in zip(ranges, pieces)
+                if piece
+            ),
+            total=self.file.size,
+        )
+
+    def _read(self, reads, vector: bool):
+        """Effect sub-op: the engine's plan hits, then one kXR_readv for
+        its misses; without a window, one kXR_readv (``vector``) or one
+        kXR_read."""
         self.reads += 1
         if self.request_overhead > 0:
-            from repro.concurrency import Sleep
-
             yield Sleep(self.request_overhead)
-        if self.window is not None:
-            data = yield from self.window.read(offset, length)
+        if self.engine is None:
+            if vector:
+                chunks = yield from self.client.readv(self.file, reads)
+            else:
+                chunk = yield from self.client.read(self.file, *reads[0])
+                chunks = [chunk]
         else:
-            data = yield from self.client.read(self.file, offset, length)
-        self.bytes_fetched += len(data)
-        return data
+            chunks = yield from self.engine.read_vec(reads)
+            missed = [
+                read for read, chunk in zip(reads, chunks) if chunk is None
+            ]
+            if missed:
+                fetched = yield from self.client.readv(self.file, missed)
+                fetched = iter(fetched)
+                chunks = [
+                    next(fetched) if chunk is None else chunk
+                    for chunk in chunks
+                ]
+        self.bytes_fetched += sum(len(chunk) for chunk in chunks)
+        return chunks
+
+    def fetch(self, offset: int, length: int):
+        """Effect sub-op: one read."""
+        chunks = yield from self._read([(offset, length)], vector=False)
+        return chunks[0]
 
     def fetch_vec(self, reads: Sequence):
         """Effect sub-op: a vectored read.
 
         Without a read-ahead window this is one kXR_readv request. With
-        the window enabled, each segment goes through the sliding
-        window instead: planned segments are already in flight (issued
-        asynchronously during earlier compute), so the vector resolves
-        with few or no fresh round trips.
+        it, planned segments are already in flight (issued during
+        earlier compute), so the vector resolves with few or no fresh
+        round trips.
         """
-        self.reads += 1
-        if self.request_overhead > 0:
-            from repro.concurrency import Sleep
-
-            yield Sleep(self.request_overhead)
-        if self.window is not None:
-            chunks = []
-            for offset, length in reads:
-                chunk = yield from self.window.read(offset, length)
-                chunks.append(chunk)
-        else:
-            chunks = yield from self.client.readv(self.file, list(reads))
-        self.bytes_fetched += sum(len(chunk) for chunk in chunks)
+        chunks = yield from self._read(list(reads), vector=True)
         return chunks

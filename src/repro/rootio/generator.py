@@ -80,6 +80,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_entries < 1:
             raise ValueError("n_entries must be >= 1")
+        if self.basket_entries < 1:
+            raise ValueError("basket_entries must be >= 1")
         if not self.branches:
             raise ValueError("at least one branch required")
 

@@ -12,8 +12,9 @@ Calibration (documented in DESIGN.md/EXPERIMENTS.md):
   paper's ~97 s;
 * both protocols refill the TTreeCache synchronously (one vectored
   request per 100-event cluster) by default; ``davix_readahead`` /
-  ``xrootd_readahead`` arm each side's client-level read-ahead
-  (davix: the pipelined transfer engine; XRootD: the sliding window);
+  ``xrootd_readahead`` arm the one client-level read-ahead, the
+  pipelined transfer engine, over each side's wire (an HTTP
+  multi-range GET or a ``kXR_readv`` per speculative batch);
 * XRootD's *sliding-window buffering* is modeled at the transport
   level: its connections run with a WAN-tuned TCP window
   (``XROOTD_TCP``), while the HTTP stack uses 2014-era OS defaults
@@ -78,10 +79,11 @@ class AnalysisConfig:
     xrootd_tcp: TcpOptions = XROOTD_TCP
     #: XRootD client per-request scheduling cost, seconds.
     xrootd_request_overhead: float = 0.005
-    #: Optional client-level read-ahead window for XRootD (bytes);
-    #: None = rely on the transport window alone (the Fig. 4 setup).
+    #: Optional speculative window of the transfer engine over XRootD
+    #: (bytes): one ``kXR_readv`` per speculative batch. None = rely
+    #: on the transport window alone (the Fig. 4 setup).
     xrootd_readahead: Optional[int] = None
-    #: Optional speculative window for davix's transfer engine
+    #: Optional speculative window of the same engine over davix
     #: (bytes); None = the synchronous vectored refills of the paper's
     #: 2014 client. Set, it arms ``TransferConfig(read_ahead=True)``
     #: and pipelines HTTP multi-range fetches ahead of consumption.
@@ -149,7 +151,7 @@ def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
     """Effect sub-op: reader + the format's cache -> (cache, events, spans).
 
     ``spans`` is the consumption-order read-ahead plan, ready for
-    ``fetcher.plan`` when a client-level read-ahead window is armed.
+    ``fetcher.plan`` (a no-op unless the fetcher's engine is armed).
     Both caches expose the same ``read_entry`` surface, so the caller's
     event loop never sees which format it is scanning.
     """
@@ -221,8 +223,7 @@ def davix_analysis(
     cache, events, spans = yield from _open_cache(
         fetcher, cfg, meta, metrics=context.metrics, clock=context._now
     )
-    if cfg.davix_readahead:
-        fetcher.plan(spans)
+    fetcher.plan(spans)
     wall = yield from _run_job(cache, events, cfg)
     yield from fetcher.drain()
     return AnalysisReport(
@@ -242,9 +243,14 @@ def xrootd_analysis(
     path: str,
     cfg: AnalysisConfig,
     meta: Optional[TreeMeta] = None,
+    context: Optional[Context] = None,
 ):
-    """Effect op: run the analysis over XRootD -> AnalysisReport."""
-    client = yield from XrdClient.connect(endpoint, cfg.xrootd_tcp)
+    """Effect op: run the analysis over XRootD -> AnalysisReport.
+
+    ``context`` receives the read-ahead engine's metrics and spans and
+    lends it its clock.
+    """
+    client = yield from XrdClient.connect(endpoint, cfg.xrootd_tcp, context)
     file = yield from client.open(path)
     fetcher = XrootdFetcher(
         client,
@@ -253,9 +259,9 @@ def xrootd_analysis(
         request_overhead=cfg.xrootd_request_overhead,
     )
     cache, events, spans = yield from _open_cache(fetcher, cfg, meta)
-    if cfg.xrootd_readahead:
-        fetcher.plan(spans)
+    fetcher.plan(spans)
     wall = yield from _run_job(cache, events, cfg)
+    yield from fetcher.drain()
     yield from client.close_file(file)
     yield from client.disconnect()
     return AnalysisReport(

@@ -68,12 +68,13 @@ def run_scenario(
 
     ``context`` lets the caller supply a pre-composed
     :class:`~repro.core.context.Context` (a metric registry to inspect
-    afterwards, a breaker config); the runner still rebinds its clock to
-    the fresh simulation. ``collector`` (a
+    afterwards, a breaker config) for either protocol; the runner still
+    rebinds its clock to the fresh simulation. ``collector`` (a
     :class:`~repro.obs.TelemetryCollector`) arms the storage server
     with a node-namespaced tracer and event log whose records are
     flushed into it after the run, so server-side spans join the
-    client's traces in the assembled artifact. Both davix-only.
+    client's traces in the assembled artifact; davix-only, like the
+    scenario's faults.
     """
     env = Environment()
     net = build_network(scenario.profile, env, seed=scenario.seed)
@@ -127,10 +128,10 @@ def run_scenario(
         if server_sink is not None:
             server_sink.flush(target=collector)
     else:
-        if context is not None or scenario.faults is not None:
-            raise ValueError(
-                "context/fault injection is davix-only"
-            )
+        if scenario.faults is not None:
+            raise ValueError("fault injection is davix-only")
+        if context is not None:
+            context.clock = client_rt.now
         serve_xrootd(server_rt, XrdServer(store), port=1094)
         report = client_rt.run(
             xrootd_analysis(
@@ -138,6 +139,7 @@ def run_scenario(
                 TREE_PATH,
                 scenario.config,
                 meta=meta,
+                context=context,
             )
         )
     return report

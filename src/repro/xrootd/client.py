@@ -2,13 +2,18 @@
 
 One reader task per connection demultiplexes response frames to the
 promise of the request that carries the same stream id — so any number
-of reads can be outstanding at once. This is the capability the paper
-credits for XRootD's WAN advantage (its sliding-window read-ahead sits
-on top, in :mod:`repro.xrootd.readahead`).
+of reads can be outstanding at once, from any number of tasks. This is
+the capability the paper credits for XRootD's WAN advantage: the
+read-ahead above it is the same
+:class:`~repro.core.engine.TransferEngine` davix runs, spawning one
+``kXR_readv`` per speculative batch
+(:class:`~repro.rootio.fetchers.XrootdFetcher`).
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import count
 from typing import Dict, List, Tuple
 
 from repro.concurrency import (
@@ -50,22 +55,30 @@ class XrdClient:
         data = yield from client.read(f, 0, 4096)
     """
 
-    def __init__(self, channel, endpoint: Tuple[str, int]):
+    def __init__(self, channel, endpoint: Tuple[str, int], context=None):
         self.channel = channel
         self.endpoint = endpoint
-        self._next_streamid = 1
+        #: Metrics, tracer and clock for what runs over this connection
+        #: (the read-ahead engine); None = a fresh one per fetcher.
+        self.context = context
+        #: ``next()`` is one atomic step, so tasks on several threads
+        #: never share a stream id.
+        self._streamids = count()
         self._pending: Dict[int, object] = {}
         #: oksofar payloads of pending streams, as the buffers received.
         self._partials: Dict[int, list] = {}
         self._closed = False
-        self.requests_sent = 0
+        #: Payload bytes read; tasks on several threads add to it.
         self.bytes_read = 0
+        self._bytes_lock = threading.Lock()
 
     @classmethod
-    def connect(cls, endpoint: Tuple[str, int], tcp_options=None):
+    def connect(
+        cls, endpoint: Tuple[str, int], tcp_options=None, context=None
+    ):
         """Effect sub-op: connect and start the demultiplexer."""
         channel = yield Connect(endpoint, tcp_options)
-        client = cls(channel, endpoint)
+        client = cls(channel, endpoint, context)
         name = f"xrootd-demux-{endpoint[0]}"
         client._demux = yield Spawn(client._reader(), name=name)
         return client
@@ -117,14 +130,13 @@ class XrdClient:
 
     def request_nowait(self, reqid: int, payload: bytes):
         """Effect sub-op: send a request; returns a promise of the
-        response frame. This is the async primitive read-ahead uses."""
+        response frame. Every request rides it, from any number of
+        tasks at once (the read-ahead's speculative batches)."""
         if self._closed:
             raise ConnectionClosed(f"{self.endpoint[0]}: client closed")
-        streamid = self._next_streamid
-        self._next_streamid = (self._next_streamid % 65535) + 1
+        streamid = next(self._streamids) % 65535 + 1
         promise = yield MakePromise()
         self._pending[streamid] = promise
-        self.requests_sent += 1
         yield Send(self.channel, proto.encode_request(streamid, reqid, payload))
         return promise
 
@@ -180,7 +192,8 @@ class XrdClient:
             code, message = proto.decode_error(frame.payload)
             raise XrootdError(message, code=code)
         data = frame.payload
-        self.bytes_read += len(data)
+        with self._bytes_lock:
+            self.bytes_read += len(data)
         return data
 
     def readv(self, file: XrdFile, chunks: List[Tuple[int, int]]):
@@ -192,7 +205,8 @@ class XrdClient:
             proto.KXR_READV, proto.encode_readv(entries)
         )
         pieces = proto.decode_readv_reply(frame.pieces)
-        self.bytes_read += sum(len(piece) for piece in pieces)
+        with self._bytes_lock:
+            self.bytes_read += sum(len(piece) for piece in pieces)
         return pieces
 
     def disconnect(self):

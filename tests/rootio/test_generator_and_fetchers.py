@@ -1,5 +1,7 @@
 """Tests for dataset generation and the remote fetchers."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.concurrency import SimRuntime, ThreadRuntime
@@ -43,6 +45,11 @@ def test_spec_validation():
         DatasetSpec(name="t", n_entries=0, branches=(BranchSpec("x", 1),))
     with pytest.raises(ValueError):
         DatasetSpec(name="t", n_entries=1, branches=())
+
+
+def test_spec_rejects_empty_baskets_at_construction():
+    with pytest.raises(ValueError, match="basket_entries must be >= 1"):
+        replace(paper_dataset(0.01), basket_entries=0)
 
 
 def test_paper_dataset_matches_quoted_numbers():
@@ -177,8 +184,18 @@ def test_xrootd_fetcher_with_readahead_window():
         for offset, length in segments:
             piece = yield from fetcher.fetch(offset, length)
             pieces.append(piece)
-        return fetcher.window.stats, len(pieces)
+        yield from fetcher.drain()
+        return fetcher.engine.stats, pieces
 
-    stats, n = client_rt.run(op())
-    assert n == 6  # 3 baskets x 2 branches
-    assert stats["hits"] == 6
+    stats, pieces = client_rt.run(op())
+    assert len(pieces) == 6  # 3 baskets x 2 branches
+    local = TreeFileReader(LocalFetcher(blob))
+    meta = ThreadRuntime().run(local.open())
+    assert pieces == [
+        blob[offset : offset + length]
+        for offset, length in meta.segments_for_entries(0, meta.n_entries)
+    ]
+    # With no plan fed, the engine serves each of the reader's two
+    # open reads as a one-read plan; then the six planned baskets.
+    assert stats["hits"] == 8
+    assert stats["misses"] == 0

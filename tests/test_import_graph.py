@@ -67,7 +67,7 @@ from repro.xrootd import XrdServer, serve_xrootd
 MODULE_CEILINGS = {
     "import repro.core.client": 49,
     "import repro.cli": 51,
-    BENCHMARK_IMPORTS: 83,
+    BENCHMARK_IMPORTS: 81,
 }
 
 LOADED = (

@@ -8,12 +8,14 @@ from repro.core import Context
 from repro.net.profiles import GEANT, LAN, WAN, NetProfile
 from repro.net.link import LinkSpec
 from repro.rootio.generator import BranchSpec, DatasetSpec, paper_dataset
+from repro.server.faults import FaultPolicy
 from repro.workloads import (
     AnalysisConfig,
     Campaign,
     Scenario,
     run_scenario,
 )
+from repro.workloads.runner import TREE_PATH
 
 from tests.helpers import traced_peak
 
@@ -179,6 +181,48 @@ def test_xrootd_readahead_option_reduces_time_at_high_latency():
         )
     )
     assert with_ra.wall_seconds < without.wall_seconds
+
+
+def test_xrootd_readahead_exports_the_engine_telemetry():
+    """Both wires run the one transfer engine, so an XRootD read-ahead
+    job reports to the context it is given as a davix job does:
+    ``engine.*`` series, the ``readahead-wait`` phase on the rebound
+    simulated clock, and ``speculative-fetch`` spans under one
+    ``transfer-engine`` span."""
+    context = Context()
+    report = run_scenario(
+        Scenario(
+            profile=WAN, protocol="xrootd", spec=tiny_spec(),
+            config=fast_cfg(
+                per_event_cpu=0.01, xrootd_readahead=4 * 1024 * 1024
+            ),
+        ),
+        context,
+    )
+    registry = context.metrics
+    assert registry.value("engine.speculative_batches_total") >= 1
+    assert registry.value("engine.hits_total") >= report.refills
+    assert registry.value("engine.misses_total") is None
+    waits = registry.histogram(
+        "request.phase_seconds", phase="readahead-wait"
+    )
+    assert waits.count >= 1 and waits.sum > 0.0
+    tracer = context.tracer
+    (engine_span,) = tracer.by_name("transfer-engine")
+    assert engine_span.attrs["url"] == "root://server:1094" + TREE_PATH
+    fetches = tracer.by_name("speculative-fetch")
+    assert len(fetches) == engine_span.attrs["launched"] >= 1
+    assert all(s.parent_id == engine_span.span_id for s in fetches)
+    assert all(s.attrs.get("ok") for s in fetches)
+
+
+def test_xrootd_scenario_still_refuses_faults():
+    scenario = Scenario(
+        profile=LAN, protocol="xrootd", spec=tiny_spec(),
+        config=fast_cfg(), faults=FaultPolicy(error_rate=0.1),
+    )
+    with pytest.raises(ValueError, match="davix-only"):
+        run_scenario(scenario)
 
 
 def test_readahead_wan_job_peaks_near_its_window():

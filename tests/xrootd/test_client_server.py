@@ -1,6 +1,7 @@
-"""End-to-end XRootD client/server tests over the simulator (and one
-over sockets)."""
+"""End-to-end XRootD client/server tests over the simulator (and a
+few over sockets)."""
 
+import sys
 import threading
 
 import pytest
@@ -14,9 +15,17 @@ from repro.concurrency import (
     ThreadRuntime,
 )
 from repro.errors import ConnectionClosed, XrootdError
+from repro.rootio import (
+    BranchSpec,
+    DatasetSpec,
+    LocalFetcher,
+    TTreeCache,
+    TreeFileReader,
+    XrootdFetcher,
+    generate_tree_bytes,
+)
 from repro.server import ObjectStore
 from repro.xrootd import (
-    ReadAheadWindow,
     XrdClient,
     XrdFile,
     XrdServer,
@@ -141,13 +150,14 @@ def test_readahead_window_hits_planned_reads():
     def op():
         client = yield from XrdClient.connect(("server", 1094))
         f = yield from client.open("/x")
-        window = ReadAheadWindow(client, f, window_bytes=100_000)
-        window.set_plan(segments)
+        fetcher = XrootdFetcher(client, f, window_bytes=100_000)
+        fetcher.plan(segments)
         out = bytearray()
         for offset, length in segments:
-            data = yield from window.read(offset, length)
+            data = yield from fetcher.fetch(offset, length)
             out.extend(data)
-        return bytes(out), window.stats
+        yield from fetcher.drain()
+        return bytes(out), fetcher.engine.stats
 
     data, stats = client_rt.run(op())
     assert data == content
@@ -156,28 +166,29 @@ def test_readahead_window_hits_planned_reads():
 
 
 def test_readahead_hides_latency_vs_sync_reads():
-    """With 100 ms RTT, 50 planned reads: sync pays 50 RTTs, the window
-    overlaps them."""
+    """At 20 ms one-way latency, 50 planned reads: without a window
+    each pays a round trip, the engine overlaps them."""
     segments = [(i * 1000, 1000) for i in range(50)]
 
     def run(window_bytes):
-        client_rt, store, server = xrd_world(latency=0.05, bandwidth=1e8)
+        client_rt, store, server = xrd_world(latency=0.02, bandwidth=1e8)
         store.put("/x", bytes(100_000))
 
         def op():
             client = yield from XrdClient.connect(("server", 1094))
             f = yield from client.open("/x")
-            window = ReadAheadWindow(client, f, window_bytes=window_bytes)
-            window.set_plan(segments)
+            fetcher = XrootdFetcher(client, f, window_bytes=window_bytes)
+            fetcher.plan(segments)
             for offset, length in segments:
-                yield from window.read(offset, length)
+                yield from fetcher.fetch(offset, length)
+            yield from fetcher.drain()
             return client_rt.now()
 
         return client_rt.run(op())
 
-    sync_ish = run(window_bytes=1)  # window of 1 byte: no overlap
+    sync = run(window_bytes=None)
     windowed = run(window_bytes=64_000)
-    assert windowed < sync_ish / 5
+    assert windowed < sync / 5
 
 
 def test_off_plan_read_falls_back_to_sync():
@@ -187,12 +198,12 @@ def test_off_plan_read_falls_back_to_sync():
     def op():
         client = yield from XrdClient.connect(("server", 1094))
         f = yield from client.open("/x")
-        window = ReadAheadWindow(client, f, window_bytes=1000)
-        window.set_plan([(0, 10)])
-        surprise = yield from window.read(100, 10)  # not in the plan
-        planned = yield from window.read(0, 10)
-        yield from window.drain()
-        return surprise, planned, dict(window.stats)
+        fetcher = XrootdFetcher(client, f, window_bytes=1000)
+        fetcher.plan([(0, 10)])
+        surprise = yield from fetcher.fetch(100, 10)  # not in the plan
+        planned = yield from fetcher.fetch(0, 10)
+        yield from fetcher.drain()
+        return surprise, planned, dict(fetcher.engine.stats)
 
     surprise, planned, stats = client_rt.run(op())
     assert surprise == bytes(range(100, 110))
@@ -394,3 +405,91 @@ def test_disconnect_returns_after_the_demultiplexer_ends_on_sockets():
         loop.stop()
     assert data == bytes(100)
     assert demuxers == []
+
+
+def test_readahead_over_sockets_matches_the_local_reference():
+    """Speculative batches are spawned tasks, so on threads several of
+    them request at once: each must get its own stream id, or a reply
+    lands on the wrong promise, and each must count its bytes. A
+    microsecond switch interval makes the threads interleave between
+    any two bytecodes."""
+    spec = DatasetSpec(
+        name="loopback",
+        n_entries=600,
+        branches=(
+            BranchSpec("energy", event_size=96, compress_ratio=0.5),
+            BranchSpec("tracks", event_size=40, compress_ratio=0.8),
+        ),
+        basket_entries=25,
+        seed=77,
+    )
+    blob = generate_tree_bytes(spec)
+    local = TreeFileReader(LocalFetcher(blob))
+    meta = ThreadRuntime().run(local.open())
+
+    def scan(fetcher, plan=False):
+        reader = TreeFileReader(fetcher)
+        reader.meta = meta
+        if plan:
+            for start, stop in meta.clusters(50):
+                fetcher.plan(meta.segments_for_entries(start, stop))
+        cache = TTreeCache(reader, entries_per_cluster=50, learn_entries=0)
+        records = []
+        for entry in range(meta.n_entries):
+            record = yield from cache.read_entry(entry)
+            records.append(record)
+        return records
+
+    reference = ThreadRuntime().run(scan(LocalFetcher(blob)))
+    store = ObjectStore()
+    store.put("/t.root", blob)
+    runtime = ThreadRuntime()
+    server = XrdServer(store)
+    loop = serve_xrootd(runtime, server, port=0)
+
+    def op():
+        client = yield from XrdClient.connect(("127.0.0.1", loop.port))
+        f = yield from client.open("/t.root")
+        fetcher = XrootdFetcher(client, f, window_bytes=8192)
+        records = yield from scan(fetcher, plan=True)
+        yield from fetcher.drain()
+        yield from client.disconnect()
+        return records, fetcher.engine.stats, client.bytes_read
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records, stats, bytes_read = runtime.run(op())
+    finally:
+        sys.setswitchinterval(interval)
+        loop.stop()
+    assert records == reference
+    assert bytes_read == server.bytes_served
+    assert stats["launched"] > 4
+    assert stats["misses"] == 0
+
+
+def test_stream_ids_stay_unique_when_threads_request_at_once():
+    """Eight threads, a thousand requests each: every request gets a
+    stream id of its own (a read-then-write allocation loses some
+    to another thread between the two steps)."""
+    client = XrdClient(channel=None, endpoint=("server", 1094))
+
+    def issue():
+        for _ in range(1000):
+            request = client.request_nowait(proto.KXR_PING, b"")
+            next(request)  # MakePromise
+            request.send(object())  # the promise; its Send follows
+
+    threads = [threading.Thread(target=issue) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(client._pending) == 8000
