@@ -9,20 +9,17 @@ response queued behind it, however small.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from repro.concurrency import Close, Connect, Now, Recv, Send
 from repro.errors import ConnectionClosed
 from repro.http import (
-    CONNECTION_CLOSED,
-    NEED_DATA,
-    BodyCollector,
-    Data,
-    EndOfMessage,
     HttpParser,
     Request,
     Response,
-    serialize_request,
+    gather_request,
+    read_message,
 )
 
 __all__ = ["pipeline_requests"]
@@ -42,38 +39,26 @@ def pipeline_requests(
     """
     channel = yield Connect(endpoint, tcp_options)
     parser = HttpParser("client")
-
-    wire = bytearray()
+    wire = []
     for request in requests:
         request.headers.setdefault("Host", endpoint[0])
         parser.expect_response_to(request.method)
-        wire += serialize_request(request)
-    # The pipeline: every request leaves before any response returns.
-    yield Send(channel, bytes(wire))
+        wire += gather_request(request)
+    # The pipeline: every request leaves, in one gather write, before
+    # any response returns.
+    yield Send(channel, wire)
 
+    receive = partial(Recv, channel)
     responses: List[Response] = []
     completions: List[float] = []
-    head: Optional[Response] = None
-    body: Optional[BodyCollector] = None
-    while len(responses) < len(requests):
-        event = parser.next_event()
-        if event == NEED_DATA:
-            data = yield Recv(channel)
-            parser.receive_data(data)
-            continue
-        if event == CONNECTION_CLOSED:
+    for _ in requests:
+        response = yield from read_message(parser, receive)
+        if response is None:
             raise ConnectionClosed(
                 f"server closed after {len(responses)} of "
                 f"{len(requests)} pipelined responses"
             )
-        if isinstance(event, Response):
-            head = event
-            body = BodyCollector(parser.body_length)
-        elif isinstance(event, Data):
-            body.add(event.data)
-        elif isinstance(event, EndOfMessage):
-            head.body = body.body()
-            responses.append(head)
-            completions.append((yield Now()))
+        responses.append(response)
+        completions.append((yield Now()))
     yield Close(channel)
     return responses, completions

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.concurrency import Sleep
 from repro.core.context import Context, RequestParams
-from repro.core.session import Session, StaleSession, open_session
+from repro.core.session import StaleSession, open_session
 from repro.errors import (
     CircuitOpenError,
     ConnectError,
@@ -312,13 +312,12 @@ def execute_request(
             outgoing = _prepare(request, current, params, url)
             exchange_span = span.child("exchange", host=current.host)
             try:
-                response = yield from _session_exchange(
-                    session,
+                response = yield from session.request(
                     outgoing,
-                    params,
-                    sink_factory,
-                    exchange_span,
-                    deadline,
+                    sink_factory=sink_factory,
+                    timeout=params.operation_timeout,
+                    span=exchange_span,
+                    deadline=deadline,
                     recorder=recorder,
                 )
             except StaleSession:
@@ -398,23 +397,3 @@ def execute_request(
     finally:
         span.end()
 
-
-def _session_exchange(
-    session: Session,
-    request: Request,
-    params: RequestParams,
-    sink_factory,
-    span=None,
-    deadline: Optional[Deadline] = None,
-    recorder=None,
-):
-    """One exchange on one session, with late sink selection."""
-    response = yield from session.request(
-        request,
-        sink_factory=sink_factory,
-        timeout=params.operation_timeout,
-        span=span,
-        deadline=deadline,
-        recorder=recorder,
-    )
-    return response

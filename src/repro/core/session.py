@@ -17,7 +17,8 @@ span it is given.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Optional, Tuple
 
 from repro.concurrency import Connect, Recv, Send, Sleep
 from repro.concurrency.tlsmodel import TlsPolicy, client_handshake
@@ -27,17 +28,7 @@ from repro.errors import (
     NetworkError,
     TransferTimeout,
 )
-from repro.http import (
-    CONNECTION_CLOSED,
-    NEED_DATA,
-    BodyCollector,
-    Data,
-    EndOfMessage,
-    HttpParser,
-    Request,
-    Response,
-    gather_request,
-)
+from repro.http import HttpParser, Request, gather_request, read_message
 
 __all__ = ["Session", "StaleSession", "open_session"]
 
@@ -75,8 +66,6 @@ class Session:
         #: Optional :class:`~repro.obs.MetricsRegistry` for byte totals.
         self.metrics = metrics
         self.requests_sent = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.reusable = True
         self._closed = False
 
@@ -103,7 +92,6 @@ class Session:
     def request(
         self,
         request: Request,
-        sink: Optional[Callable[[bytes], None]] = None,
         sink_factory=None,
         timeout: Optional[float] = None,
         span=None,
@@ -112,11 +100,10 @@ class Session:
     ):
         """Effect sub-op: send ``request``, read the full response.
 
-        With ``sink`` the body is streamed into the callable and the
-        returned :class:`Response` has an empty body (used for large
-        GETs). ``sink_factory`` decides *after the head arrives* whether
-        to stream (it receives the head and returns a sink or ``None``)
-        — needed so redirect/error bodies are buffered, not streamed.
+        ``sink_factory`` decides *after the head arrives* whether to
+        stream the body (it receives the head and returns a sink or
+        ``None``; a streamed body leaves the returned response's body
+        empty) — so redirect/error bodies are buffered, not streamed.
         ``span`` (when given) becomes the parent of ``send``/``recv``
         child spans covering the two wire phases, and — with
         :data:`TRACE_PROPAGATION` — its trace/span IDs ride to the
@@ -143,7 +130,6 @@ class Session:
         size = sum(map(len, wire))
         reused = self.requests_sent > 0
         self.requests_sent += 1
-        self.bytes_sent += size
         if self.metrics is not None:
             self.metrics.resolved[_SENT].inc(size)
         if deadline is not None:
@@ -164,91 +150,58 @@ class Session:
         if recorder is not None:
             recorder.mark("request-write")
 
+        receive = partial(Recv, self.channel, timeout=timeout)
+        if deadline is not None:
+
+            def receive(exactly=None, until=None):
+                return Recv(
+                    self.channel,
+                    timeout=deadline.clamp(timeout),
+                    exactly=exactly,
+                    until=until,
+                )
+
+        charge = first_byte = None
+        if self.tls is not None:
+
+            def charge(count):
+                return Sleep(self.tls.record_cost(count))
+
+        if recorder is not None:
+            first_byte = partial(recorder.mark, "ttfb")
         recv_span = span.child("recv") if span else None
-        received = 0
-        first_byte = False
-        head: Optional[Response] = None
-        body = None
         try:
-            while True:
-                event = parser.next_event()
-                if event == NEED_DATA:
-                    # A sized body's rest is one receive; a head, no more.
-                    owed = parser.body_owed if body is not None else 0
-                    wait = timeout
-                    if deadline is not None:
-                        try:
-                            wait = deadline.clamp(timeout)
-                        except DeadlineExceeded:
-                            # The exchange is abandoned mid-response.
-                            self.mark_dirty()
-                            raise
-                    try:
-                        data = yield Recv(
-                            self.channel,
-                            timeout=wait,
-                            exactly=owed or None,
-                            until=parser.head_owed if head is None else None,
-                        )
-                    except ConnectionClosed as exc:
-                        self.mark_dirty()
-                        if reused and head is None:
-                            raise StaleSession(str(exc)) from exc
-                        raise
-                    except TransferTimeout as exc:
-                        self.mark_dirty()
-                        if deadline is not None and deadline.expired:
-                            raise DeadlineExceeded(
-                                deadline.budget
-                            ) from exc
-                        raise
-                    count = len(data)
-                    self.bytes_received += count
-                    received += count
-                    if count and not first_byte:
-                        first_byte = True
-                        if recorder is not None:
-                            recorder.mark("ttfb")
-                    if self.tls is not None and count:
-                        yield Sleep(self.tls.record_cost(count))
-                    if not owed:
-                        parser.receive_data(data)
-                        continue
-                    parser.body_filled(count)
-                    if count:  # 0 is an EOF mid-body
-                        body.add(data)
-                    continue
-                if event == CONNECTION_CLOSED:
-                    self.mark_dirty()
-                    if reused and head is None:
-                        raise StaleSession("connection closed by peer")
-                    raise ConnectionClosed(
-                        f"{self.host}: closed before a response"
-                    )
-                if isinstance(event, Response):
-                    head = event
-                    if sink_factory is not None:
-                        sink = sink_factory(head)
-                    if sink is None:
-                        body = BodyCollector(parser.body_length)
-                elif isinstance(event, Data):
-                    if sink is not None:
-                        sink(event.data)
-                    else:
-                        body.add(event.data)
-                elif isinstance(event, EndOfMessage):
-                    if recorder is not None:
-                        recorder.mark("body-transfer")
-                    break
+            head = yield from read_message(
+                parser, receive, sink_factory, charge, first_byte
+            )
+        except ConnectionClosed as exc:
+            self.mark_dirty()
+            if reused and parser.idle:
+                raise StaleSession(str(exc)) from exc
+            raise
+        except TransferTimeout as exc:
+            self.mark_dirty()
+            if deadline is not None and deadline.expired:
+                raise DeadlineExceeded(deadline.budget) from exc
+            raise
+        except DeadlineExceeded:
+            # The exchange is abandoned mid-response.
+            self.mark_dirty()
+            raise
         finally:
+            received = parser.received
             if self.metrics is not None and received:
                 self.metrics.resolved[_RECEIVED].inc(received)
             if recv_span:
                 recv_span.end(bytes=received)
 
-        assert head is not None
-        if body is not None:
-            head.body = body.body()
+        if head is None:
+            self.mark_dirty()
+            if reused:
+                raise StaleSession("connection closed by peer")
+            raise ConnectionClosed(f"{self.host}: closed before a response")
+        if recorder is not None:
+            recorder.mark("body-transfer")
         if not head.keep_alive():
             self.mark_dirty()
         return head

@@ -9,6 +9,7 @@ from repro.http.codec import (
     HttpParser,
     gather_request,
     gather_response,
+    read_message,
     serialize_request,
     serialize_response,
     serialize_response_head,
@@ -43,6 +44,7 @@ __all__ = [
     "HttpParser",
     "gather_request",
     "gather_response",
+    "read_message",
     "serialize_request",
     "serialize_response",
     "serialize_response_head",

@@ -15,6 +15,10 @@ Events emitted:
 * :data:`NEED_DATA` — feed more bytes;
 * :data:`CONNECTION_CLOSED` — clean EOF between messages.
 
+:func:`read_message` is the one loop over these events: the client
+session, the server's connection loop and the pipelining client each
+receive a message through it.
+
 Supported framing: ``Content-Length``, ``Transfer-Encoding: chunked``,
 bodyless statuses/methods, and read-until-EOF responses.
 """
@@ -39,6 +43,7 @@ __all__ = [
     "EndOfMessage",
     "HttpParser",
     "BodyCollector",
+    "read_message",
     "MAX_PREALLOCATED_BODY",
     "gather_request",
     "serialize_request",
@@ -124,6 +129,8 @@ class HttpParser:
         #: never takes bytes past the real terminator, even when that
         #: straddles two receives.
         self.head_owed = HEAD_TERMINATOR
+        #: Bytes received so far, through either input.
+        self.received = 0
 
     # -- input -------------------------------------------------------------
 
@@ -135,6 +142,7 @@ class HttpParser:
         if self._eof:
             raise HttpParseError("data received after EOF")
         self._queue.append(data)
+        self.received += len(data)
 
     def expect_response_to(self, method: str) -> None:
         """Register an outgoing request's method (client role only)."""
@@ -167,6 +175,12 @@ class HttpParser:
         if not count:
             self._eof = True
         self._remaining -= count
+        self.received += count
+
+    @property
+    def idle(self) -> bool:
+        """No head parsed since the last message ended (or ever)."""
+        return self._state == _IDLE
 
     # -- output ------------------------------------------------------------
 
@@ -425,6 +439,68 @@ class BodyCollector:
         if len(chunks) == 1:
             return chunks[0]
         return b"".join(chunks)
+
+
+def read_message(
+    parser: HttpParser,
+    receive,
+    sink_factory=None,
+    charge=None,
+    first_byte=None,
+):
+    """Effect sub-op: receive one message -> its head with its body.
+
+    Returns ``None`` on a clean close before a message.
+    ``receive(exactly=, until=)`` makes the effect that resolves to one
+    receive's bytes (``b""`` at EOF). While the head is owed it gets
+    ``until``, the rest of the head's terminator, so a receive that
+    honours it takes nothing of the body or of the next message; a
+    sized body's rest is one receive of ``exactly`` its bytes. Either
+    hint may be ignored. ``sink_factory`` is given the head and
+    returns a callable the body streams into, or ``None`` to collect
+    the body (a streamed body leaves the head's ``body`` empty).
+    ``charge(count)`` makes an effect yielded after each non-empty
+    receive; ``first_byte()`` is called once, at the first byte.
+    """
+    head = body = sink = None
+    while True:
+        event = parser.next_event()
+        if event is NEED_DATA:
+            # A sized body's rest is one receive; a head, no more.
+            owed = parser.body_owed if body is not None else 0
+            data = yield receive(
+                exactly=owed or None,
+                until=parser.head_owed if head is None else None,
+            )
+            if data:
+                if first_byte is not None:
+                    first_byte()
+                    first_byte = None
+                if charge is not None:
+                    yield charge(len(data))
+            if owed:
+                parser.body_filled(len(data))
+                if data:  # else an EOF mid-body
+                    body.add(data)
+            else:
+                parser.receive_data(data)
+        elif isinstance(event, Data):
+            if sink is None:
+                body.add(event.data)
+            else:
+                sink(event.data)
+        elif isinstance(event, EndOfMessage):
+            if body is not None:
+                head.body = body.body()
+            return head
+        elif event is CONNECTION_CLOSED:
+            return None
+        else:
+            head = event
+            if sink_factory is not None:
+                sink = sink_factory(head)
+            if sink is None:
+                body = BodyCollector(parser.body_length)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,9 @@ from repro.concurrency import Abort, AcceptLoop, Close, Recv, Send, Sleep
 from repro.concurrency.runtime import Runtime
 from repro.errors import ConnectionClosed, HttpParseError, TransferTimeout
 from repro.http import (
-    CONNECTION_CLOSED,
-    NEED_DATA,
-    BodyCollector,
-    Data,
-    EndOfMessage,
     HttpParser,
-    Request,
     gather_response,
+    read_message,
     serialize_response_head,
 )
 from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
@@ -42,6 +37,7 @@ KEEPALIVE_IDLE = 30.0
 def handle_connection(channel, app: Envelope):
     """Serve HTTP/1.x requests on one connection until close."""
     parser = HttpParser("server")
+    receive = partial(Recv, channel, timeout=KEEPALIVE_IDLE)
     config = app.config
     served = 0
     aborted = False
@@ -60,7 +56,7 @@ def handle_connection(channel, app: Envelope):
             return
     try:
         while True:
-            request = yield from _read_request(channel, parser)
+            request = yield from read_message(parser, receive)
             if request is None:
                 break
             served += 1
@@ -127,41 +123,6 @@ def handle_connection(channel, app: Envelope):
         pass  # peer went away or spoke garbage: drop the connection
     if not aborted:
         yield Close(channel)
-
-
-def _read_request(channel, parser: HttpParser):
-    """Read one full request (head + body); None on clean close."""
-    head: Optional[Request] = None
-    body = None
-    while True:
-        event = parser.next_event()
-        if event == NEED_DATA:
-            # A sized body's rest is one receive; a head, no more.
-            owed = parser.body_owed if body is not None else 0
-            data = yield Recv(
-                channel,
-                timeout=KEEPALIVE_IDLE,
-                exactly=owed or None,
-                until=parser.head_owed if head is None else None,
-            )
-            if not owed:
-                parser.receive_data(data)
-                continue
-            parser.body_filled(len(data))
-            if data:  # else an EOF mid-body
-                body.add(data)
-            continue
-        if event == CONNECTION_CLOSED:
-            return None
-        if isinstance(event, Request):
-            head = event
-            body = BodyCollector(parser.body_length)
-        elif isinstance(event, Data):
-            body.add(event.data)
-        elif isinstance(event, EndOfMessage):
-            assert head is not None
-            head.body = body.body()
-            return head
 
 
 def _cut(pieces, limit: int):

@@ -1,11 +1,29 @@
-"""Direct unit tests of Session behaviour over the simulator."""
+"""Direct unit tests of Session behaviour, on the simulator and, where
+the runtime matters, on sockets."""
+
+from functools import partial
 
 import pytest
 
-from repro.concurrency import SimRuntime
+from repro.concurrency import (
+    Abort,
+    Accept,
+    Recv,
+    Send,
+    SimRuntime,
+    Sleep,
+    ThreadRuntime,
+)
 from repro.core import Session, StaleSession, open_session
 from repro.errors import ConnectionClosed
-from repro.http import Request
+from repro.http import (
+    HttpParser,
+    Request,
+    Response,
+    read_message,
+    serialize_response,
+)
+from repro.obs import MetricsRegistry
 from repro.server import HttpServer, ObjectStore, StorageApp
 from repro.server import app as server_app
 
@@ -20,10 +38,10 @@ def session_world():
     return client_rt, store
 
 
-def open_to_server(client_rt):
+def open_to_server(client_rt, metrics=None):
     def op():
         session = yield from open_session(
-            ("http", "server", 80), ("server", 80)
+            ("http", "server", 80), ("server", 80), metrics=metrics
         )
         return session
 
@@ -41,7 +59,8 @@ def test_fresh_session_state():
 
 def test_request_updates_counters_and_stays_reusable():
     client_rt, _ = session_world()
-    session = open_to_server(client_rt)
+    registry = MetricsRegistry()
+    session = open_to_server(client_rt, metrics=registry)
 
     def op():
         response = yield from session.request(
@@ -53,8 +72,10 @@ def test_request_updates_counters_and_stays_reusable():
     assert response.status == 200
     assert response.body == b"session-test"
     assert session.requests_sent == 1
-    assert session.bytes_sent > 0
-    assert session.bytes_received > 0
+    assert registry.value("session.bytes_sent_total") > 0
+    assert registry.value("session.bytes_received_total") > len(
+        b"session-test"
+    )
     assert session.reusable
 
 
@@ -133,7 +154,7 @@ def test_sink_receives_streamed_body():
     def op():
         response = yield from session.request(
             Request("GET", "/big", {"Host": "server"}),
-            sink=pieces.append,
+            sink_factory=lambda head: pieces.append,
         )
         return response
 
@@ -160,3 +181,54 @@ def test_sink_factory_skips_error_bodies():
     assert response.status == 404
     assert pieces == []  # the 404 body was buffered, not streamed
     assert response.body != b""
+
+
+@pytest.mark.parametrize("kind", ["sim", "sockets"])
+def test_reused_session_reset_inside_the_head_raises_stale(kind):
+    """Bytes of a head arrived, but no head was parsed, before the peer
+    reset a reused connection: the request was provably not answered,
+    so the session is stale and the request safe to retry."""
+    if kind == "sim":
+        client_rt, server_rt = sim_world()
+        listener, endpoint = server_rt.listen(80), ("server", 80)
+    else:
+        client_rt = server_rt = ThreadRuntime()
+        listener = server_rt.listen(0)
+        endpoint = ("127.0.0.1", listener.port)
+    partial_head = b"HTTP/1.1 200 OK\r\nContent-Len"
+
+    def server():
+        channel = yield Accept(listener)
+        parser = HttpParser("server")
+        receive = partial(Recv, channel, timeout=5.0)
+        yield from read_message(parser, receive)
+        yield Send(channel, serialize_response(Response(200, body=b"ok")))
+        yield from read_message(parser, receive)
+        yield Send(channel, partial_head)
+        yield Sleep(0.2)  # the client holds the bytes before the reset
+        yield Abort(channel)
+
+    registry = MetricsRegistry()
+
+    def client():
+        session = yield from open_session(
+            ("http", "h", 80), endpoint, metrics=registry
+        )
+        request = Request("GET", "/x", {"Host": "h"})
+        first = yield from session.request(request, timeout=5.0)
+        before = registry.value("session.bytes_received_total")
+        try:
+            yield from session.request(request, timeout=5.0)
+        except StaleSession:
+            received = registry.value("session.bytes_received_total")
+            return first.body, received - before, session.reusable
+        return first.body, None, session.reusable
+
+    try:
+        task = server_rt.spawn(server())
+        outcome = client_rt.run(client())
+        server_rt.join(task)
+    finally:
+        if kind == "sockets":
+            listener.close()
+    assert outcome == (b"ok", len(partial_head), False)

@@ -1,7 +1,7 @@
 """Tests for the sans-io HTTP codec (incremental parsing, framing)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import HttpParseError
@@ -15,6 +15,7 @@ from repro.http import (
     Request,
     Response,
     gather_request,
+    read_message,
     serialize_request,
     serialize_response,
 )
@@ -612,3 +613,156 @@ def test_head_owed_is_what_of_the_terminator_is_unmatched(cut, owed):
     events, _ = drain(parser)
     assert isinstance(events[0], Response)
     assert parser.head_owed == b"\r\n\r\n"
+
+
+# -- read_message: the one receive loop, driven by a scripted peer ------------
+
+
+class ScriptedPeer:
+    """A peer's bytes arriving in pieces cut at ``cuts``; a receive
+    takes from the piece that has arrived. ``honour`` receives as
+    sockets do: ``exactly=n`` waits for ``n`` bytes (short only at the
+    close) and ``until`` takes nothing past its first match. Without
+    it they receive as the simulator does: ``until`` is ignored and
+    ``exactly`` only caps the piece."""
+
+    def __init__(self, wire, cuts, honour):
+        bounds = sorted({0, len(wire), *cuts})
+        self.pieces = [wire[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.honour = honour
+
+    def receive(self, exactly=None, until=None):
+        return ("recv", exactly, until)
+
+    def _take(self, count):
+        piece = self.pieces.pop(0)
+        if count < len(piece):
+            self.pieces.insert(0, piece[count:])
+        return piece[:count]
+
+    def resolve(self, exactly, until):
+        if not self.pieces:
+            return b""
+        if exactly is not None and self.honour:
+            out = b""
+            while len(out) < exactly and self.pieces:
+                out += self._take(exactly - len(out))
+            return out
+        count = len(self.pieces[0])
+        if exactly is not None:
+            count = min(count, exactly)
+        elif until is not None and self.honour:
+            end = self.pieces[0].find(until)
+            if end >= 0:
+                count = end + len(until)
+        return self._take(count)
+
+
+def run_effects(op, peer, charged):
+    """Drive ``op``: receives from ``peer``, charges into ``charged``."""
+    result = None
+    while True:
+        try:
+            effect = op.send(result)
+        except StopIteration as stop:
+            return stop.value
+        if effect[0] == "charge":
+            charged.append(effect[1])
+            result = None
+        else:
+            result = peer.resolve(*effect[1:])
+
+
+def encoded_response(framing, body):
+    """``(method, wire, status, headers, body)`` of one response."""
+    method, status, version, payload = "GET", 200, "HTTP/1.1", body
+    if framing == "length":
+        headers = [("Content-Length", str(len(body)))]
+    elif framing == "chunked":
+        headers = [("Transfer-Encoding", "chunked")]
+        payload = b"".join(
+            encode_chunk(body[i : i + 300]) for i in range(0, len(body), 300)
+        ) + encode_last_chunk()
+    elif framing == "eof":
+        headers, version = [("Server", "eof")], "HTTP/1.0"
+    else:  # bodyless, whatever the head declares
+        headers = [("Content-Length", str(len(body)))]
+        if framing == "HEAD":
+            method = "HEAD"
+        else:
+            status, headers = int(framing), [("ETag", '"v1"')]
+        payload = body = b""
+    head = f"{version} {status} X\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in headers
+    )
+    return method, head.encode() + b"\r\n" + payload, status, headers, body
+
+
+_read_framings = st.lists(
+    st.sampled_from(["length", "chunked", "eof", "HEAD", "204", "304"]),
+    max_size=2,
+).filter(lambda framings: "eof" not in framings[:-1])
+
+
+@given(
+    _read_framings,
+    st.lists(st.binary(max_size=700), min_size=2, max_size=2),
+    _cuts,
+    st.lists(st.integers(0, 4), min_size=2, max_size=2),
+    st.booleans(),
+    st.booleans(),
+)
+@example(["length", "204"], [b"body", b""], [], [2, 0], True, False)
+def test_read_message_any_split_either_receive(
+    framings, bodies, cuts, terminator_cuts, honour, stream
+):
+    """Messages read back equal what was encoded, however the wire is
+    cut (the head terminator at any of its bytes) and whether or not
+    the receives honour their hints; a close before a message reads
+    ``None``; with hints honoured, a collected message with no
+    chunked body takes no byte of the next one."""
+    messages = [encoded_response(f, b) for f, b in zip(framings, bodies)]
+    wire, ends = b"", []
+    for _, message, *_ in messages:
+        terminator = len(wire) + message.index(b"\r\n\r\n")
+        cuts = cuts + [terminator + terminator_cuts[len(ends)]]
+        wire += message
+        ends.append(len(wire))
+    peer = ScriptedPeer(wire, [c % (len(wire) + 1) for c in cuts], honour)
+    parser = HttpParser("client")
+    for method, *_ in messages:
+        parser.expect_response_to(method)
+    charged, first_bytes, streamed = [], [], []
+
+    def read():
+        return run_effects(
+            read_message(
+                parser,
+                peer.receive,
+                (lambda head: streamed.append) if stream else None,
+                charge=lambda count: ("charge", count),
+                first_byte=lambda: first_bytes.append(parser.received),
+            ),
+            peer,
+            charged,
+        )
+
+    for framing, (_, _, status, headers, body), end in zip(
+        framings, messages, ends
+    ):
+        streamed.clear()
+        first_bytes.clear()
+        before = parser.received
+        head = read()
+        assert first_bytes == ([before] if parser.received > before else [])
+        assert (head.status, list(head.headers.items())) == (status, headers)
+        if stream:
+            assert head.body == b"" and b"".join(streamed) == body
+        else:
+            assert head.body == body and not streamed
+        if honour and not stream and framing != "chunked":
+            assert parser.received == end
+    first_bytes.clear()
+    assert read() is None
+    assert sum(charged) == parser.received == len(wire)
+    assert all(charged) and first_bytes == []

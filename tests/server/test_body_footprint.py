@@ -10,6 +10,7 @@ ends in the parser's typed error.
 import random
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.errors import (
     HttpParseError,
     TransferTimeout,
 )
-from repro.http import BodyCollector, HttpParser, Request, codec
+from repro.http import BodyCollector, HttpParser, Request, codec, read_message
 from repro.http.codec import (
     MAX_PREALLOCATED_BODY,
     encode_chunk,
@@ -40,7 +41,6 @@ from repro.net import TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import ObjectStore, StorageApp, handlers, real_server
 from repro.server import app as server_app
-from repro.server.app import _read_request
 
 from tests.helpers import NO_RETRY, davix_world, put, sim_world, traced_peak
 
@@ -49,6 +49,12 @@ BODY = random.Random(7).randbytes(16 * MIB)
 #: A terabyte declared, one KiB sent.
 HOSTILE_LENGTH = 1 << 40
 TAIL = bytes(1024)
+
+
+def read_request(channel):
+    """Effect sub-op: one request, received as the server's loop does."""
+    receive = partial(Recv, channel, timeout=server_app.KEEPALIVE_IDLE)
+    return (yield from read_message(HttpParser("server"), receive))
 
 
 # -- a 16 MiB PUT and GET -----------------------------------------------------
@@ -145,7 +151,7 @@ def test_a_hostile_request_length_costs_what_was_sent(kind):
         yield Close(channel)
 
     def server(channel):
-        return (yield from _read_request(channel, HttpParser("server")))
+        return (yield from read_request(channel))
 
     (server_ended, _), peak, _ = exchange(kind, server, client)
     # What handle_connection catches to drop the connection.
@@ -589,7 +595,7 @@ def test_a_request_body_split_over_many_receives_lands_in_place(
 
     def server(channel):
         request = yield from watched(
-            _read_request(channel, HttpParser("server")), seen
+            read_request(channel), seen
         )
         return request.body
 

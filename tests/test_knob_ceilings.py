@@ -49,7 +49,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 19536
+SOURCE_LINE_CEILING = 19492
 
 
 def test_source_line_count_is_not_above_its_ceiling():
