@@ -11,8 +11,9 @@ on-disk formats:
 
 :class:`TreeFileReader` opens either magic and
 :func:`~repro.rootio.treefile.read_rows` decodes the rows of both, for
-the reader, for :class:`TTreeCache` and for :class:`ClusterScan` (the
-cache refilled several clusters at a time, in parallel decode lanes).
+the reader and for :class:`TTreeCache`, the one cache over both: its
+windows are the stored clusters or fixed entry windows
+(:meth:`TreeMeta.clusters`), refilled ``lanes`` at a time.
 """
 
 from repro._lazy import exports
@@ -41,7 +42,6 @@ _EXPORTS = {
     "ColumnMeta": ".ntuple",
     "ClusterInfo": ".ntuple",
     "NTupleMeta": ".ntuple",
-    "ClusterScan": ".treecache",
     "decode_page": ".ntuple",
 }
 

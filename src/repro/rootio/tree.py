@@ -140,17 +140,22 @@ class TreeMeta:
                 spans.add(basket.span)
         return sorted(spans)
 
-    def clusters(self, entries_per_cluster: int) -> Iterator[Tuple[int, int]]:
-        """Yield (start, stop) entry windows: the stored clusters, or
-        windows of ``entries_per_cluster`` when the file stores none."""
+    def clusters(
+        self, entries_per_cluster: int, start: int = 0
+    ) -> Iterator[Tuple[int, int]]:
+        """Yield (start, stop) entry windows, the one window rule: the
+        stored clusters from the one holding ``start`` on, or windows
+        of ``entries_per_cluster`` from ``start`` when the file stores
+        none."""
         if entries_per_cluster < 1:
             raise ValueError("entries_per_cluster must be >= 1")
         if self.cluster_list:
             for cluster in self.cluster_list:
-                yield (cluster.first_entry, cluster.end_entry)
+                if cluster.end_entry > start:
+                    yield (cluster.first_entry, cluster.end_entry)
             return
-        for start in range(0, self.n_entries, entries_per_cluster):
-            yield (start, min(start + entries_per_cluster, self.n_entries))
+        for first in range(start, self.n_entries, entries_per_cluster):
+            yield (first, min(first + entries_per_cluster, self.n_entries))
 
     def validate(self) -> None:
         """Structural sanity checks (contiguous entries, sane sizes)."""

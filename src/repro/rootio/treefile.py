@@ -25,13 +25,11 @@ import json
 import struct
 import zlib
 from dataclasses import astuple
-from functools import partial
 from typing import (
     Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
     Union,
 )
 
-from repro.concurrency import bounded_gather
 from repro.errors import RootIOError
 from repro.rootio.ntuple import (
     DEFAULT_CLUSTER_ENTRIES,
@@ -437,42 +435,14 @@ class TreeFileReader:
         start: int,
         stop: int,
         branch_names: Sequence[str] = (),
-        lanes: int = 1,
     ):
-        """Effect sub-op: {branch: concatenated records of [start, stop)}.
-
-        One job per stored cluster the range meets — a vectored fetch
-        of its spans, then decode — with up to ``lanes`` jobs in flight;
-        a file that stores no clusters is one job, one vectored read.
-        """
+        """Effect sub-op: {branch: concatenated records of [start, stop)}
+        — one vectored read of the spans the range needs, then decode."""
         if self.meta is None:
             raise RootIOError("open() the reader first")
         meta = self.meta
         branches = [
             meta.branch(name) for name in branch_names or meta.branch_names
         ]
-        # A window as wide as the tree: a file storing no clusters is
-        # one window.
-        jobs = [
-            partial(
-                read_rows, self.fetcher, branches,
-                max(start, lo), min(stop, hi),
-            )
-            for lo, hi in meta.clusters(meta.n_entries or 1)
-            if lo < stop and start < hi
-        ]
-        if len(jobs) == 1:
-            parts = [(yield from jobs[0]())]
-        else:
-            outcomes = yield from bounded_gather(
-                jobs, limit=max(1, lanes), name="ntuple-cluster"
-            )
-            parts = []
-            for outcome in outcomes:
-                if not outcome.ok:
-                    raise outcome.error
-                parts.append(outcome.value)
-        return {
-            branch.name: b"".join(rows[branch.name] for rows, _, _ in parts)
-            for branch in branches
-        }
+        rows, _, _ = yield from read_rows(self.fetcher, branches, start, stop)
+        return rows

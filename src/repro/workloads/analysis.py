@@ -10,8 +10,9 @@ Calibration (documented in DESIGN.md/EXPERIMENTS.md):
 
 * per-event CPU + decompression are set so the LAN run lands near the
   paper's ~97 s;
-* both protocols refill the TTreeCache synchronously (one vectored
-  request per 100-event cluster) by default; ``davix_readahead`` /
+* both protocols refill the one TTreeCache, whatever the format,
+  synchronously (one vectored request per 100-event cluster, or per
+  stored cluster) by default; ``davix_readahead`` /
   ``xrootd_readahead`` arm the one client-level read-ahead, the
   pipelined transfer engine, over each side's wire (an HTTP
   multi-range GET or a ``kXR_readv`` per speculative batch);
@@ -39,7 +40,7 @@ from repro.core.context import Context, RequestParams, TransferConfig
 from repro.net.options import TcpOptions
 from repro.rootio.fetchers import DavixFetcher, XrootdFetcher
 from repro.rootio.tree import TreeMeta
-from repro.rootio.treecache import ClusterScan, TTreeCache
+from repro.rootio.treecache import TTreeCache
 from repro.rootio.treefile import TreeFileReader
 from repro.xrootd.client import XrdClient
 
@@ -56,6 +57,8 @@ __all__ = [
 DAVIX_TCP = TcpOptions(max_window=2_500_000)
 #: XRootD ships WAN-tuned window/buffer settings.
 XROOTD_TCP = TcpOptions(max_window=4_200_000)
+#: Concurrent in-flight requests of davix's read-ahead engine.
+DAVIX_MAX_INFLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,11 @@ class AnalysisConfig:
     #: 2014 client. Set, it arms ``TransferConfig(read_ahead=True)``
     #: and pipelines HTTP multi-range fetches ahead of consumption.
     davix_readahead: Optional[int] = None
-    #: Concurrent in-flight requests for davix's engine paths.
-    davix_max_inflight: int = 4
-    #: On-disk format: "basket" (v1 TTreeCache) or "ntuple"
-    #: (v2 ClusterScan with parallel decode lanes).
+    #: On-disk format: "basket" (v1) or "ntuple" (v2, stored
+    #: clusters); the same TTreeCache reads both.
     format: str = "basket"
-    #: Branch/column selection; empty = read every branch.
-    columns: Tuple[str, ...] = ()
-    #: Parallel per-cluster decode lanes (v2 only; 1 = serial).
-    decode_lanes: int = 2
+    #: Windows each cache refill loads in parallel lanes (1 = serial).
+    decode_lanes: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
@@ -129,9 +128,7 @@ class AnalysisReport:
     single_reads: int
 
 
-def _consumption_plan(
-    meta: TreeMeta, events: int, cluster: int, branch_names=()
-):
+def _consumption_plan(meta: TreeMeta, events: int, cluster: int):
     """The access sequence in *consumption* order: cluster by cluster
     (the file's stored clusters, or windows of ``cluster`` entries),
     not global file order (branches are laid out sequentially)."""
@@ -139,21 +136,17 @@ def _consumption_plan(
     for start, stop in meta.clusters(cluster):
         if start >= events:
             break
-        plan.extend(
-            meta.segments_for_entries(
-                start, min(stop, events), branch_names
-            )
-        )
+        plan.extend(meta.segments_for_entries(start, min(stop, events)))
     return plan
 
 
 def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
-    """Effect sub-op: reader + the format's cache -> (cache, events, spans).
+    """Effect sub-op: reader + cache -> (cache, events, spans).
 
     ``spans`` is the consumption-order read-ahead plan, ready for
     ``fetcher.plan`` (a no-op unless the fetcher's engine is armed).
-    Both caches expose the same ``read_entry`` surface, so the caller's
-    event loop never sees which format it is scanning.
+    One cache reads both formats; a v2 scan also counts the
+    ``ntuple.*`` metrics.
     """
     reader = TreeFileReader(fetcher)
     if meta is None:
@@ -161,29 +154,18 @@ def _open_cache(fetcher, cfg: AnalysisConfig, meta, metrics=None, clock=None):
     else:
         reader.meta = meta
     events = max(1, int(meta.n_entries * cfg.fraction))
-    if cfg.format == "ntuple":
-        cache = ClusterScan(
-            reader,
-            branch_names=cfg.columns,
-            lanes=cfg.decode_lanes,
-            decode=cfg.decode,
-            decompress_bandwidth=cfg.decompress_bandwidth,
-            metrics=metrics,
-            clock=clock,
-            events=events,
-        )
-    else:
-        cache = TTreeCache(
-            reader,
-            branch_names=cfg.columns,
-            entries_per_cluster=cfg.entries_per_cluster,
-            learn_entries=cfg.learn_entries,
-            decode=cfg.decode,
-            decompress_bandwidth=cfg.decompress_bandwidth,
-        )
-    spans = _consumption_plan(
-        meta, events, cfg.entries_per_cluster, cfg.columns
+    cache = TTreeCache(
+        reader,
+        entries_per_cluster=cfg.entries_per_cluster,
+        learn_entries=cfg.learn_entries,
+        lanes=cfg.decode_lanes,
+        decode=cfg.decode,
+        decompress_bandwidth=cfg.decompress_bandwidth,
+        metrics=metrics if cfg.format == "ntuple" else None,
+        clock=clock,
+        events=events,
     )
+    spans = _consumption_plan(meta, events, cfg.entries_per_cluster)
     return cache, events, spans
 
 
@@ -214,7 +196,7 @@ def davix_analysis(
     if cfg.davix_readahead:
         params = params.replace(
             transfer=TransferConfig(
-                max_inflight=cfg.davix_max_inflight,
+                max_inflight=DAVIX_MAX_INFLIGHT,
                 read_ahead=True,
                 window_bytes=cfg.davix_readahead,
             )

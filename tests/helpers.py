@@ -177,3 +177,18 @@ def davix_world(
     context = Context(params=params, breaker=breaker)
     client = DavixClient(client_rt, context=context)
     return client, app, store, server_rt
+
+
+def scan_columns(reader, lanes=1):
+    """Effect sub-op: {branch: records} of every entry of an opened
+    ``reader``, read one entry at a time through a ``TTreeCache`` that
+    refills ``lanes`` windows at once."""
+    from repro.rootio import TTreeCache
+
+    cache = TTreeCache(reader, lanes=lanes)
+    columns = {name: [] for name in cache.branch_names}
+    for entry in range(reader.meta.n_entries):
+        record = yield from cache.read_entry(entry)
+        for name, value in record.items():
+            columns[name].append(value)
+    return {name: b"".join(parts) for name, parts in columns.items()}

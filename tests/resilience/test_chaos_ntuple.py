@@ -26,6 +26,7 @@ from repro.rootio.fetchers import DavixFetcher
 from repro.rootio.generator import BranchSpec, DatasetSpec
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
+from tests.helpers import scan_columns
 
 SPEC = DatasetSpec(
     name="hep_events",
@@ -115,9 +116,7 @@ def read_both(runtime, context, lanes=3):
         yield from v1_reader.open()
         v1 = yield from v1_reader.read_entries(0, SPEC.n_entries)
         yield from v2_reader.open()
-        v2 = yield from v2_reader.read_entries(
-            0, SPEC.n_entries, lanes=lanes
-        )
+        v2 = yield from scan_columns(v2_reader, lanes=lanes)
         return v1, v2
 
     v1, v2 = runtime.run(op())
@@ -178,7 +177,7 @@ def test_corrupt_page_is_typed_under_chaos(chaos_seed):
 
     def op():
         yield from reader.open()
-        data = yield from reader.read_entries(0, SPEC.n_entries, lanes=2)
+        data = yield from scan_columns(reader, lanes=2)
         return data
 
     with pytest.raises(PageChecksumError):

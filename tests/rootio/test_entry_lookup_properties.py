@@ -1,7 +1,8 @@
 """Entry lookup by index agrees with a brute-force basket scan.
 
 ``BranchMeta`` bisects a first-entry array and ``TTreeCache`` keeps a
-per-window index; the references here walk every basket instead.
+per-window index; the references here walk every basket instead, and
+write the cache's window rule out for both formats.
 """
 
 import pytest
@@ -10,9 +11,15 @@ from hypothesis import strategies as st
 
 from repro.concurrency import ThreadRuntime
 from repro.errors import RootIOError
-from repro.rootio import LocalFetcher, TTreeCache, TreeFileReader
+from repro.rootio import (
+    LocalFetcher,
+    TTreeCache,
+    TreeFileReader,
+    write_ntuple_file,
+)
 from repro.rootio.tree import BasketInfo, BranchMeta, TreeMeta
 from repro.rootio.zipfmt import compress_basket
+from tests.helpers import sim_world
 
 
 def scan_one(branch, entry):
@@ -67,6 +74,49 @@ def trees(draw):
     meta = TreeMeta("t", n_entries, branches, file_size=len(blob))
     meta.validate()
     return meta, bytes(blob), arrays
+
+
+@st.composite
+def ntuples(draw):
+    """(meta, file bytes, {column: records}) of a written v2 file: its
+    clusters and pages cut to drawn sizes."""
+    n_entries = draw(st.integers(1, 120))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    arrays = {
+        f"b{b}": bytes(
+            (b * 31 + i * 7) % 251 for i in range(n_entries * size)
+        )
+        for b, size in enumerate(sizes)
+    }
+    blob = write_ntuple_file(
+        "t",
+        arrays,
+        n_entries=n_entries,
+        cluster_entries=draw(st.integers(1, 60)),
+        page_bytes=draw(st.integers(1, 100)),
+    )
+    meta = run(TreeFileReader(LocalFetcher(blob)).open())
+    return meta, blob, arrays
+
+
+def reference_windows(meta, entry, per_cluster, lanes, limit):
+    """The cache's window rule, written out: the ``lanes`` windows from
+    the one holding ``entry`` — the stored clusters, or
+    ``per_cluster`` entries at a time from ``entry`` — cut at
+    ``limit``."""
+    n = meta.n_entries
+    if meta.cluster_list:
+        bounds = [
+            (cluster.first_entry, cluster.end_entry)
+            for cluster in meta.cluster_list
+            if cluster.end_entry > entry
+        ]
+    else:
+        bounds = [
+            (lo, min(lo + per_cluster, n))
+            for lo in range(entry, n, per_cluster)
+        ]
+    return [(lo, min(hi, limit)) for lo, hi in bounds[:lanes] if lo < limit]
 
 
 def make_cache(meta, blob, **options):
@@ -138,15 +188,17 @@ def test_gap_raises_and_windows_skip_it(tree, data):
 
 
 @given(
-    trees(),
+    st.one_of(trees(), ntuples()),
     st.integers(1, 50),
     st.integers(0, 60),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 130)),
     st.booleans(),
     st.booleans(),
     st.data(),
 )
 def test_read_entry_equals_linear_scan_reference(
-    tree, per_cluster, learn, decode, sequential, data
+    tree, per_cluster, learn, lanes, events, decode, sequential, data
 ):
     meta, blob, arrays = tree
     names = data.draw(
@@ -158,7 +210,9 @@ def test_read_entry_equals_linear_scan_reference(
         branch_names=names,
         entries_per_cluster=per_cluster,
         learn_entries=learn,
+        lanes=lanes,
         decode=decode,
+        events=events,
     )
     if sequential:
         entries = list(range(meta.n_entries))
@@ -168,24 +222,36 @@ def test_read_entry_equals_linear_scan_reference(
         )
     expect_names = names or meta.branch_names
     learn = min(learn, meta.n_entries)
+    stop = (
+        meta.n_entries if events is None
+        else max(1, min(events, meta.n_entries))
+    )
     window = (0, 0)
-    fetched = refills = 0
+    fetched = decompressed = refills = 0
 
     def op():
-        nonlocal window, fetched, refills
+        nonlocal window, fetched, decompressed, refills
         for entry in entries:
             if not window[0] <= entry < window[1]:
                 # The cache's window rule, and what a scan of every
-                # basket says that window needs.
-                stop = min(entry + per_cluster, meta.n_entries)
+                # basket says each of the refill's windows needs.
+                limit = max(stop, entry + 1)
                 if entry < learn:
-                    stop = min(stop, learn)
-                window = (entry, stop)
+                    limit = min(limit, learn)
+                windows = reference_windows(
+                    meta, entry, per_cluster, lanes, limit
+                )
+                window = (windows[0][0], windows[-1][1])
                 refills += 1
-                fetched += sum(
-                    basket.nbytes
+                needed = [
+                    basket
+                    for lo, hi in windows
                     for name in expect_names
-                    for basket in scan_window(meta.branch(name), *window)
+                    for basket in scan_window(meta.branch(name), lo, hi)
+                ]
+                fetched += sum(basket.nbytes for basket in needed)
+                decompressed += sum(
+                    basket.uncompressed for basket in needed
                 )
             record = yield from cache.read_entry(entry)
             assert list(record) == expect_names
@@ -196,8 +262,11 @@ def test_read_entry_equals_linear_scan_reference(
                 assert record[name] == (want if decode else None)
             assert cache.stats["refills"] == refills
             assert cache.stats["bytes_fetched"] == fetched
+            assert cache.stats["bytes_decompressed"] == decompressed
 
-    run(op())
+    # The simulator runs the lanes in turn on one thread, so the
+    # stats they count have no racing writers.
+    sim_world()[0].run(op())
     for bad in (-1, meta.n_entries):
         with pytest.raises(RootIOError):
             run(cache.read_entry(bad))

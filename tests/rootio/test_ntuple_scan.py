@@ -1,4 +1,4 @@
-"""Tests for ClusterScan: parallel per-cluster decode lanes.
+"""Tests for TTreeCache over stored clusters: parallel decode lanes.
 
 Correctness (bytes identical to direct page decode, any lane count),
 the stats/metrics surface, the events clamp, decode=False layout runs,
@@ -13,8 +13,8 @@ from repro.errors import PageChecksumError, RootIOError
 from repro.net import LinkSpec, Network
 from repro.obs import MetricsRegistry
 from repro.rootio import (
-    ClusterScan,
     LocalFetcher,
+    TTreeCache,
     TreeFileReader,
     write_ntuple_file,
 )
@@ -59,10 +59,11 @@ def read_all(scan, n_entries, arrays):
 def test_sequential_scan_correct_and_vectored():
     reader, fetcher, arrays, _ = build()
     fetcher.reads = 0
-    scan = ClusterScan(reader, lanes=1)
+    metrics = MetricsRegistry()
+    scan = TTreeCache(reader, lanes=1, metrics=metrics)
     assert read_all(scan, 500, arrays)
     # 5 clusters, one vectored read each, batched one per refill.
-    assert scan.stats["clusters_decoded"] == 5
+    assert metrics.counter("ntuple.clusters_decoded_total").value == 5
     assert scan.stats["vector_reads"] == 5
     assert scan.stats["refills"] == 5
     assert fetcher.reads == 5
@@ -71,23 +72,23 @@ def test_sequential_scan_correct_and_vectored():
 def test_lane_count_never_changes_bytes():
     reader, _, arrays, _ = build()
     for lanes in (1, 2, 4, 7):
-        assert read_all(ClusterScan(reader, lanes=lanes), 500, arrays)
+        assert read_all(TTreeCache(reader, lanes=lanes), 500, arrays)
 
 
 def test_lanes_batch_refills():
     reader, _, arrays, _ = build()
-    scan = ClusterScan(reader, lanes=4)
+    scan = TTreeCache(reader, lanes=4)
     assert read_all(scan, 500, arrays)
     # 5 clusters / 4 lanes -> 2 refill barriers, all clusters decoded.
     assert scan.stats["refills"] == 2
-    assert scan.stats["clusters_decoded"] == 5
+    assert scan.stats["vector_reads"] == 5
 
 
 def test_column_selection_reads_fewer_bytes():
     reader, _, arrays, _ = build()
-    wide = ClusterScan(reader, lanes=2)
+    wide = TTreeCache(reader, lanes=2)
     read_all(wide, 500, arrays)
-    narrow = ClusterScan(reader, branch_names=["a"], lanes=2)
+    narrow = TTreeCache(reader, branch_names=["a"], lanes=2)
 
     def op():
         for entry in range(500):
@@ -118,7 +119,7 @@ def test_plan_clamps_and_orders_spans():
         for page in branch.baskets_for_entries(0, 150)
     }
     assert set(clamped) == kept
-    scan = ClusterScan(reader, lanes=2, events=150)
+    scan = TTreeCache(reader, lanes=2, events=150)
     assert scan.stop == 150
     assert read_all(scan, 150, arrays)
     # One refill of two lanes, the second cut at the clamp.
@@ -132,12 +133,12 @@ def test_plan_clamps_and_orders_spans():
 def test_plan_events_below_one_clamps_to_one():
     reader, _, _, _ = build()
     assert _consumption_plan(reader.meta, 1, 100)  # the first cluster
-    assert ClusterScan(reader, lanes=1, events=0).stop == 1
+    assert TTreeCache(reader, lanes=1, events=0).stop == 1
 
 
 def test_decode_off_returns_none_buffers():
     reader, fetcher, arrays, _ = build()
-    scan = ClusterScan(reader, lanes=2, decode=False)
+    scan = TTreeCache(reader, lanes=2, decode=False)
 
     def op():
         record = yield from scan.read_entry(0)
@@ -151,7 +152,7 @@ def test_decode_off_returns_none_buffers():
 
 def test_out_of_range_entry_is_typed():
     reader, _, _, _ = build()
-    scan = ClusterScan(reader, lanes=1)
+    scan = TTreeCache(reader, lanes=1)
     with pytest.raises(RootIOError, match="out of range"):
         run(scan.read_entry(500))
 
@@ -159,11 +160,11 @@ def test_out_of_range_entry_is_typed():
 def test_requires_open_reader():
     blob = write_ntuple_file("t", {"a": bytes(8)}, n_entries=2)
     with pytest.raises(RootIOError):
-        ClusterScan(TreeFileReader(LocalFetcher(blob)))
+        TTreeCache(TreeFileReader(LocalFetcher(blob)))
     reader = TreeFileReader(LocalFetcher(blob))
     run(reader.open())
     with pytest.raises(ValueError):
-        ClusterScan(reader, lanes=0)
+        TTreeCache(reader, lanes=0)
 
 
 def test_checksum_failure_is_typed_and_counted():
@@ -174,10 +175,9 @@ def test_checksum_failure_is_typed_and_counted():
     bad = TreeFileReader(LocalFetcher(bytes(corrupt)))
     run(bad.open())
     metrics = MetricsRegistry()
-    scan = ClusterScan(bad, lanes=2, metrics=metrics)
+    scan = TTreeCache(bad, lanes=2, metrics=metrics)
     with pytest.raises(PageChecksumError):
         read_all(scan, 500, {})
-    assert scan.stats["checksum_failures"] == 1
     assert metrics.counter("ntuple.checksum_failures_total").value == 1
 
 
@@ -190,7 +190,7 @@ def test_metrics_and_phase_histogram():
         clock[0] += 1.0
         return clock[0]
 
-    scan = ClusterScan(reader, lanes=2, metrics=metrics, clock=tick)
+    scan = TTreeCache(reader, lanes=2, metrics=metrics, clock=tick)
     read_all(scan, 500, arrays)
     assert metrics.counter("ntuple.clusters_decoded_total").value == 5
     assert metrics.counter("ntuple.bytes_fetched_total").value == scan.stats[
@@ -233,7 +233,7 @@ def test_more_lanes_cut_wall_clock_on_a_slow_link():
             fetcher = DavixFetcher(context, "http://server/t.ntpl")
             reader = TreeFileReader(fetcher)
             yield from reader.open()
-            scan = ClusterScan(reader, lanes=lanes)
+            scan = TTreeCache(reader, lanes=lanes)
             start = runtime.now()
             for entry in range(1000):
                 yield from scan.read_entry(entry)
@@ -271,7 +271,7 @@ def test_decompress_bandwidth_charges_cpu_time():
         fetcher = DavixFetcher(context, "http://server/t.ntpl")
         reader = TreeFileReader(fetcher)
         yield from reader.open()
-        scan = ClusterScan(
+        scan = TTreeCache(
             reader, lanes=1, decompress_bandwidth=bandwidth
         )
         start = runtime.now()
