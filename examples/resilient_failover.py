@@ -11,11 +11,13 @@ Builds a grid of four storage sites replicating one 32 MB file, then:
 Run: ``python examples/resilient_failover.py``
 """
 
+import random
+
 from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams, RetryPolicy
 from repro.errors import AllReplicasFailed
 from repro.net import LinkSpec, Network, TcpOptions
-from repro.server import HttpServer, ObjectStore, StorageApp, SyntheticContent
+from repro.server import HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
 NO_RETRY = RetryPolicy(max_attempts=1)
@@ -25,7 +27,8 @@ PATH = "/grid/dataset.root"
 SIZE = 32_000_000
 
 
-def build_grid():
+def build_grid(blob):
+    """Four sites whose stores each adopt ``blob`` as the file, uncopied."""
     env = Environment()
     net = Network(env, seed=1)
     net.add_host("client", access_bandwidth=125_000_000)
@@ -38,7 +41,7 @@ def build_grid():
             "client", name, LinkSpec(latency=0.015, bandwidth=25_000_000)
         )
         store = ObjectStore()
-        store.put(PATH, SyntheticContent(SIZE, seed=99))
+        store.put(PATH, blob)
         app = StorageApp(store, replicas={PATH: urls})
         HttpServer(SimRuntime(net, name), app, port=80).start()
         apps.append(app)
@@ -50,8 +53,9 @@ def build_grid():
 
 
 def main() -> None:
+    blob = random.Random(99).randbytes(SIZE)
     # -- 1. fail-over under progressive site loss -------------------------
-    client, net, urls, apps = build_grid()
+    client, net, urls, apps = build_grid(blob)
     print(f"grid: {N_SITES} sites replicating {PATH} ({SIZE / 1e6:.0f} MB)")
     for dead in range(N_SITES):
         if dead:
@@ -80,7 +84,7 @@ def main() -> None:
         print(f"  all sites down -> {type(exc).__name__} (as expected)")
 
     # -- 2. multi-stream download on a healthy grid ------------------------
-    client, net, urls, apps = build_grid()
+    client, net, urls, apps = build_grid(blob)
     params = RequestParams(multistream_chunk=2_000_000)
 
     start = client.runtime.now()

@@ -25,7 +25,6 @@ _EXPORTS = {
     "DavFile": ".core",
     "DavixClient": ".core",
     "DavPosix": ".core",
-    "MetalinkMode": ".core",
     "RequestParams": ".core",
     "TransferConfig": ".core",
 }

@@ -23,7 +23,6 @@ from repro._lazy import exports
 _EXPORTS = {
     "DavixClient": ".client",
     "Context": ".context",
-    "MetalinkMode": ".context",
     "RequestParams": ".context",
     "TransferConfig": ".transfer",
     "TransferEngine": ".engine",

@@ -26,22 +26,10 @@ from repro.net.options import TcpOptions
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import BreakerBoard, BreakerConfig, RetryPolicy
 
-__all__ = ["MetalinkMode", "RequestParams", "TransferConfig", "Context"]
+__all__ = ["RequestParams", "TransferConfig", "Context"]
 
 #: Seconds a failed replica stays blacklisted.
 BLACKLIST_TTL = 30.0
-
-
-class MetalinkMode:
-    """Replica-recovery strategies (paper Section 2.4)."""
-
-    DISABLED = "disabled"
-    #: Try replicas one by one after a failure (davix default).
-    FAILOVER = "failover"
-    #: Parallel multi-source download of chunks from every replica.
-    MULTISTREAM = "multistream"
-
-    ALL = (DISABLED, FAILOVER, MULTISTREAM)
 
 
 @dataclass(frozen=True)
@@ -82,7 +70,6 @@ class RequestParams:
     transfer: TransferConfig = TransferConfig()
 
     # -- Metalink (Section 2.4) --------------------------------------------------
-    metalink_mode: str = MetalinkMode.FAILOVER
     #: Verify the Metalink adler32 checksum after multi-stream GETs.
     verify_checksum: bool = True
     #: Chunk size for multi-stream downloads.
@@ -102,10 +89,6 @@ class RequestParams:
     proxy: Optional[str] = None
 
     def __post_init__(self):
-        if self.metalink_mode not in MetalinkMode.ALL:
-            raise ValueError(
-                f"bad metalink_mode {self.metalink_mode!r}"
-            )
         if self.vector_gap < 0:
             raise ValueError("vector_gap must be >= 0")
         if self.multistream_chunk < 1 or self.multistream_max_streams < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.context import Context, MetalinkMode, RequestParams
+from repro.core.context import Context, RequestParams
 from repro.core.file import DavFile
 from repro.errors import (
     AllReplicasFailed,
@@ -63,9 +63,7 @@ def with_failover(
 
     ``operation`` maps a :class:`Url` to an effect sub-op. The Metalink
     is fetched from ``metalink_url`` (any Metalink endpoint) when given,
-    otherwise from the primary URL itself. With
-    ``params.metalink_mode == "disabled"`` the primary failure is
-    re-raised untouched.
+    otherwise from the primary URL itself.
     """
     params = params or context.params
     primary = Url.parse(url)
@@ -81,8 +79,6 @@ def with_failover(
     except FAILOVER_ERRORS as exc:
         primary_error = exc
 
-    if params.metalink_mode == MetalinkMode.DISABLED:
-        raise primary_error
     context.blacklist(primary.origin)
     metrics.counter("failover.triggered_total").inc()
     span = context.tracer.start(

@@ -6,11 +6,7 @@ __all__ = [
     "REASONS",
     "reason_phrase",
     "is_informational",
-    "is_success",
     "is_redirect",
-    "is_client_error",
-    "is_server_error",
-    "is_error",
     "is_retriable",
     "allows_body",
 ]
@@ -58,29 +54,9 @@ def is_informational(status: int) -> bool:
     return 100 <= status < 200
 
 
-def is_success(status: int) -> bool:
-    """2xx?"""
-    return 200 <= status < 300
-
-
 def is_redirect(status: int) -> bool:
     """Redirects a client should follow (304 is *not* one of them)."""
     return status in (301, 302, 303, 307, 308)
-
-
-def is_client_error(status: int) -> bool:
-    """4xx?"""
-    return 400 <= status < 500
-
-
-def is_server_error(status: int) -> bool:
-    """5xx?"""
-    return 500 <= status < 600
-
-
-def is_error(status: int) -> bool:
-    """4xx or 5xx?"""
-    return status >= 400
 
 
 def is_retriable(status: int) -> bool:

@@ -8,9 +8,9 @@ cycle: after ``threshold`` consecutive failures the endpoint's breaker
 treats like any other connection failure, so traffic moves to healthy
 replicas without burning the backoff window on a known-dead host.
 
-After ``cooldown`` seconds the breaker becomes *half-open*: a bounded
-number of probe requests are let through; one success closes the
-breaker, one failure re-opens it for another cooldown.
+After ``cooldown`` seconds the breaker becomes *half-open*: one probe
+request is let through; its success closes the breaker, its failure
+re-opens it for another cooldown.
 
 The :class:`BreakerBoard` owns one :class:`CircuitBreaker` per origin
 ``(scheme, host, port)``, mirrors every transition into the metrics
@@ -43,16 +43,12 @@ class BreakerConfig:
     threshold: int = 5
     #: Seconds an open breaker rejects requests before probing.
     cooldown: float = 30.0
-    #: Concurrent probe requests allowed while half-open.
-    half_open_max: int = 1
 
     def __post_init__(self):
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1")
         if self.cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-        if self.half_open_max < 1:
-            raise ValueError("half_open_max must be >= 1")
 
 
 class CircuitBreaker:
@@ -73,7 +69,8 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
-        self._half_open_inflight = 0
+        #: A half-open breaker's one probe is out.
+        self._probing = False
         self._on_transition = on_transition
 
     def _transition(self, to: str) -> None:
@@ -86,7 +83,7 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """May a request be sent to this endpoint right now?
 
-        While half-open this *claims* a probe slot; the caller must
+        While half-open this *claims* the one probe; the caller must
         report the probe's outcome via :meth:`on_success` /
         :meth:`on_failure`.
         """
@@ -98,22 +95,22 @@ class CircuitBreaker:
                 and self.clock() - self.opened_at >= self.config.cooldown
             ):
                 self._transition(BreakerState.HALF_OPEN)
-                self._half_open_inflight = 0
+                self._probing = False
             else:
                 return False
-        # half-open: admit a bounded number of probes.
-        if self._half_open_inflight >= self.config.half_open_max:
+        # half-open: admit one probe.
+        if self._probing:
             return False
-        self._half_open_inflight += 1
+        self._probing = True
         return True
 
     @property
     def blocked(self) -> bool:
         """Non-mutating check: would a request be rejected right now?
 
-        Unlike :meth:`allow` this never claims a probe slot, so replica
-        selection can skip open breakers without consuming the probe
-        budget of a half-open one.
+        Unlike :meth:`allow` this never claims the probe, so replica
+        selection can skip open breakers without consuming the probe of
+        a half-open one.
         """
         if self.state == BreakerState.CLOSED:
             return False
@@ -122,13 +119,13 @@ class CircuitBreaker:
                 self.opened_at is None
                 or self.clock() - self.opened_at < self.config.cooldown
             )
-        return self._half_open_inflight >= self.config.half_open_max
+        return self._probing
 
     def on_success(self) -> None:
         """Record a completed request against this endpoint."""
         self.consecutive_failures = 0
         if self.state == BreakerState.HALF_OPEN:
-            self._half_open_inflight = max(0, self._half_open_inflight - 1)
+            self._probing = False
             self._transition(BreakerState.CLOSED)
             self.opened_at = None
 
@@ -136,7 +133,7 @@ class CircuitBreaker:
         """Record a failed request against this endpoint."""
         self.consecutive_failures += 1
         if self.state == BreakerState.HALF_OPEN:
-            self._half_open_inflight = max(0, self._half_open_inflight - 1)
+            self._probing = False
             self.opened_at = self.clock()
             self._transition(BreakerState.OPEN)
         elif (
@@ -204,7 +201,7 @@ class BreakerBoard:
     # -- request-path API -----------------------------------------------------
 
     def allow(self, origin: Tuple) -> bool:
-        """Admission check (claims a half-open probe slot when any)."""
+        """Admission check (claims a half-open breaker's probe)."""
         with self._lock:
             allowed = self._breaker(origin).allow()
         if not allowed and self.metrics is not None:

@@ -16,7 +16,6 @@ _EXPORTS = {
     "ObjectStore": ".objectstore",
     "StoreError": ".objectstore",
     "StoredObject": ".objectstore",
-    "SyntheticContent": ".objectstore",
     "ZeroContent": ".objectstore",
     "real_server": ".realserver",
     "ProxyApp": ".proxy",

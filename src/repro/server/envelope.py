@@ -18,7 +18,12 @@ from typing import Callable, Iterator, Optional
 from repro.http import Headers, Request, Response, text_response
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_exposition
 from repro.server.faults import FaultPolicy
-from repro.server.objectstore import StoreError
+from repro.server.objectstore import (
+    DISK_BANDWIDTH,
+    SERVICE_OVERHEAD,
+    StoreError,
+    service_time,
+)
 
 __all__ = ["ServerConfig", "ServedResponse", "Envelope"]
 
@@ -28,13 +33,13 @@ class ServerConfig:
     """Behavioural knobs of the storage server."""
 
     server_name: str = "repro-dpm/1.0"
-    #: Per-request fixed service overhead in seconds (CPU + queueing).
-    service_overhead: float = 0.0005
-    #: Storage backend streaming rate in bytes/second (disk array).
-    disk_bandwidth: float = 400e6
-    #: Advertise and honour multi-range requests.
-    multirange: bool = True
-    #: Ranges beyond this count are answered with the full object.
+    #: The store's service-time model
+    #: (:func:`~repro.server.objectstore.service_time`), whose defaults
+    #: the XRootD server charges too.
+    service_overhead: float = SERVICE_OVERHEAD
+    disk_bandwidth: float = DISK_BANDWIDTH
+    #: A request resolving to more ranges than this is answered with
+    #: the full object; 1 is a server without multi-range support.
     max_ranges: int = 256
     #: DPM head-node mode: redirect data requests to this base URL.
     redirect_base: Optional[str] = None
@@ -219,9 +224,11 @@ class Envelope:
             and served.response.status in (200, 206, 304)
         ):
             headers.setdefault("Cache-Control", self.config.cache_control)
-        served.service_time += self.config.service_overhead
-        served.service_time += (
-            served.body_length / self.config.disk_bandwidth
+        served.service_time = service_time(
+            served.body_length,
+            self.config.service_overhead,
+            self.config.disk_bandwidth,
+            after=served.service_time,
         )
 
     def _scrape(self) -> Response:

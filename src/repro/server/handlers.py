@@ -151,10 +151,7 @@ class StorageApp(Envelope):
             if if_range is not None and if_range.strip() != obj.etag:
                 range_header = None
         plan = plan_range_response(
-            obj,
-            range_header,
-            multirange_supported=self.config.multirange,
-            max_ranges=self.config.max_ranges,
+            obj, range_header, max_ranges=self.config.max_ranges
         )
         if plan.status == 416:
             return ServedResponse(Response(416, plan.headers))

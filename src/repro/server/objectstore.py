@@ -1,19 +1,17 @@
-"""In-memory object store backing the storage server.
+"""In-memory object store backing the storage servers.
 
 Two content representations share one interface:
+:class:`BytesContent` holds real bytes, and :class:`ZeroContent` stands
+in for a large object whose byte values do not matter.
 
-* :class:`BytesContent` — real bytes (tests, examples, small files);
-* :class:`SyntheticContent` — deterministic pseudo-random content of
-  arbitrary size generated on demand. This is how the benchmarks host a
-  700 MB ROOT file without 700 MB of RAM: any range read returns the
-  same bytes every time, so end-to-end checks stay meaningful while the
-  store holds only a 64 KiB seed block.
+:func:`service_time` is the one cost model of a store read: the HTTP
+and the XRootD server both charge it, so a protocol comparison over one
+store differs only in its wire.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -22,12 +20,31 @@ from repro.errors import ReproError
 __all__ = [
     "Content",
     "BytesContent",
-    "SyntheticContent",
     "ZeroContent",
     "StoredObject",
     "ObjectStore",
     "StoreError",
+    "SERVICE_OVERHEAD",
+    "DISK_BANDWIDTH",
+    "service_time",
 ]
+
+
+#: Per-request fixed service overhead in seconds (CPU + queueing).
+SERVICE_OVERHEAD = 0.0005
+#: Storage backend streaming rate in bytes/second (disk array).
+DISK_BANDWIDTH = 400e6
+
+
+def service_time(
+    nbytes: int,
+    overhead: float = SERVICE_OVERHEAD,
+    bandwidth: float = DISK_BANDWIDTH,
+    after: float = 0.0,
+) -> float:
+    """Seconds a server spends on a request that serves ``nbytes``,
+    counted on from ``after`` seconds it has spent already."""
+    return after + overhead + nbytes / bandwidth
 
 
 class StoreError(ReproError):
@@ -94,47 +111,6 @@ class BytesContent(Content):
 
     def view(self, offset: int, length: int) -> memoryview:
         return memoryview(self._data)[offset : offset + length]
-
-
-class SyntheticContent(Content):
-    """Deterministic pseudo-random content of arbitrary size.
-
-    The content is a seeded 64 KiB random block repeated (with the
-    repetition index mixed into each block's first 8 bytes so distinct
-    positions differ). Reads are O(length).
-    """
-
-    BLOCK = 65536
-
-    def __init__(self, size: int, seed: int = 0):
-        if size < 0:
-            raise ValueError("size must be >= 0")
-        self.size = size
-        self.seed = seed
-        self._block = random.Random(seed).randbytes(self.BLOCK)
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0:
-            raise ValueError("negative offset/length")
-        end = min(offset + length, self.size)
-        if offset >= end:
-            return b""
-        out = bytearray()
-        position = offset
-        while position < end:
-            block_index, block_offset = divmod(position, self.BLOCK)
-            take = min(self.BLOCK - block_offset, end - position)
-            piece = bytearray(
-                self._block[block_offset : block_offset + take]
-            )
-            # Mix the block index into the first 8 bytes of every block
-            # so repeated blocks are still distinguishable.
-            stamp = block_index.to_bytes(8, "little")
-            for i in range(min(8 - block_offset, take) if block_offset < 8 else 0):
-                piece[i] ^= stamp[block_offset + i]
-            out.extend(piece)
-            position += take
-        return bytes(out)
 
 
 class ZeroContent(Content):

@@ -3,8 +3,8 @@
 Implements the server half of the paper's Section 2.3: single ranges
 answered with ``206`` + ``Content-Range``, multi-ranges with ``206`` +
 ``multipart/byteranges`` — the wire feature davix's vectored I/O rides
-on. Servers can be configured *without* multi-range support to exercise
-the client's fallback path.
+on. A server whose ``max_ranges`` is 1 has no multi-range support,
+which exercises the client's fallback path.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ class RangePlan:
 def plan_range_response(
     obj: StoredObject,
     range_header: Optional[str],
-    multirange_supported: bool = True,
     max_ranges: int = 256,
 ) -> RangePlan:
     """Decide how to answer a GET for ``obj`` given its Range header.
@@ -69,13 +68,13 @@ def plan_range_response(
     Mirrors RFC 7233 server behaviour:
 
     * no/malformed Range -> 200 with the full representation;
-    * one satisfiable range -> 206 + ``Content-Range``;
-    * several ranges -> 206 + ``multipart/byteranges`` (or a full 200
-      when the server does not support multi-range — the degraded mode
-      davix must detect and handle);
     * nothing satisfiable -> 416 with ``Content-Range: bytes */size``;
-    * more than ``max_ranges`` ranges -> treated as a full 200 (DoS
-      guard, mirrors common server configurations).
+    * one satisfiable range -> 206 + ``Content-Range``;
+    * several, up to ``max_ranges`` -> 206 + ``multipart/byteranges``;
+    * more than ``max_ranges`` satisfiable ranges -> a full 200. This is
+      the DoS guard of common server configurations, and with
+      ``max_ranges=1`` it is a server without multi-range support — the
+      degraded mode davix must detect and handle.
     """
     base = Headers(
         [
@@ -90,9 +89,6 @@ def plan_range_response(
         specs = parse_range_header(range_header)
     except HttpProtocolError:
         # RFC 7233 3.1: a server MAY ignore an invalid Range header.
-        return _full_plan(obj, base)
-
-    if len(specs) > max_ranges:
         return _full_plan(obj, base)
 
     resolved = resolve_ranges(specs, obj.size)
@@ -110,7 +106,7 @@ def plan_range_response(
         )
         return RangePlan(206, [resolved[0]], headers)
 
-    if not multirange_supported:
+    if len(resolved) > max_ranges:
         return _full_plan(obj, base)
 
     boundary = make_boundary()

@@ -2,8 +2,8 @@
 
 Implements a simplified-but-structurally-faithful XRootD: binary
 framing with stream-id multiplexing (:mod:`repro.xrootd.protocol`), a
-data server sharing the HTTP server's object store and service model
-(:mod:`repro.xrootd.server`) and an async client
+data server sharing the HTTP server's object store and its one
+service-time model (:mod:`repro.xrootd.server`) and an async client
 (:mod:`repro.xrootd.client`). The sliding-window read-ahead the paper
 credits for XRootD's WAN edge is not here: it is the one
 :class:`~repro.core.engine.TransferEngine` both wires share, which
@@ -17,7 +17,6 @@ _EXPORTS = {
     "XrdClient": ".client",
     "XrdFile": ".client",
     "XrdServer": ".server",
-    "XrdServerConfig": ".server",
     "serve_xrootd": ".server",
 }
 

@@ -76,6 +76,8 @@ STATUS_OKSOFAR = 2
 
 #: Maximum payload accepted in one frame (matches xrootd defaults).
 MAX_DLEN = 16 * 1024 * 1024
+#: Maximum chunks a server accepts in one readv request.
+MAX_READV_CHUNKS = 1024
 
 
 @dataclass(frozen=True)

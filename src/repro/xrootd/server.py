@@ -1,15 +1,16 @@
 """XRootD-style data server over the effect runtimes.
 
 Serves the same :class:`~repro.server.objectstore.ObjectStore` as the
-HTTP storage server, with the same service-time model, so protocol
-comparisons are apples-to-apples. Requests on one connection are
-processed **concurrently** (one spawned processor each) and responses
-return out of order — the server half of XRootD's multiplexing.
+HTTP storage server and charges the one cost model both servers share,
+:func:`~repro.server.objectstore.service_time` at its defaults, so a
+protocol comparison differs only in its wire. Requests on one
+connection are processed **concurrently** (one spawned processor each)
+and responses return out of order — the server half of XRootD's
+multiplexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.concurrency import (
@@ -24,29 +25,20 @@ from repro.concurrency import (
 )
 from repro.concurrency.runtime import Runtime, TaskHandle
 from repro.errors import ConnectionClosed, TransferTimeout, XrootdError
-from repro.server.objectstore import ObjectStore, StoreError
+from repro.server.objectstore import (
+    SERVICE_OVERHEAD,
+    ObjectStore,
+    StoreError,
+    service_time,
+)
 from repro.xrootd import protocol as proto
 
-__all__ = ["XrdServerConfig", "XrdServer", "serve_xrootd"]
+__all__ = ["RESPONSE_CHUNK", "XrdServer", "serve_xrootd"]
 
-
-@dataclass
-class XrdServerConfig:
-    """Service-time model matching the HTTP ServerConfig defaults."""
-
-    service_overhead: float = 0.0005
-    disk_bandwidth: float = 400e6
-    #: Maximum chunks accepted in one readv request.
-    max_readv_chunks: int = 1024
-    #: Responses above this size are streamed as kXR_oksofar partials,
-    #: releasing the connection between frames so other streams
-    #: interleave (the multiplexing that big monolithic responses
-    #: would otherwise defeat).
-    response_chunk: int = 262_144
-
-    def __post_init__(self):
-        if not 1 <= self.response_chunk <= proto.MAX_DLEN:
-            raise ValueError("response_chunk must be 1..MAX_DLEN bytes")
+#: Replies above this size are streamed as kXR_oksofar partials,
+#: releasing the connection between frames so other streams interleave
+#: (the multiplexing that big monolithic replies would otherwise defeat).
+RESPONSE_CHUNK = 262_144
 
 
 class _ConnState:
@@ -63,13 +55,8 @@ class _ConnState:
 class XrdServer:
     """The XRootD data server bound to an object store."""
 
-    def __init__(
-        self,
-        store: ObjectStore,
-        config: Optional[XrdServerConfig] = None,
-    ):
+    def __init__(self, store: ObjectStore):
         self.store = store
-        self.config = config or XrdServerConfig()
         self.requests_handled = 0
         self.bytes_served = 0
 
@@ -115,7 +102,7 @@ class XrdServer:
         except (XrootdError, StoreError) as exc:
             status = proto.STATUS_ERROR
             frames = [[proto.encode_error(1, str(exc))]]
-            service = self.config.service_overhead
+            service = SERVICE_OVERHEAD
         if service > 0:
             yield Sleep(service)
         # Every frame but the last is an oksofar partial; the send lock
@@ -141,9 +128,8 @@ class XrdServer:
         ``(path, offset, length)`` spans of stored objects that
         :meth:`_materialise` reads.
         """
-        overhead = self.config.service_overhead
         if reqid == proto.KXR_PING:
-            return [], overhead
+            return [], SERVICE_OVERHEAD
 
         if reqid == proto.KXR_OPEN:
             path = proto.decode_open(payload)
@@ -151,32 +137,33 @@ class XrdServer:
             handle = state.next_handle
             state.next_handle += 1
             state.files[handle] = path
-            return [proto.encode_open_reply(handle, obj.size)], overhead
+            reply = proto.encode_open_reply(handle, obj.size)
+            return [reply], SERVICE_OVERHEAD
 
         if reqid == proto.KXR_CLOSE:
             handle = proto.decode_close(payload)
             state.files.pop(handle, None)
-            return [], overhead
+            return [], SERVICE_OVERHEAD
 
         if reqid == proto.KXR_STAT:
             path = proto.decode_open(payload)
             size, _mtime, is_dir = self.store.stat(path)
-            return [proto.encode_stat_reply(size, is_dir)], overhead
+            return [proto.encode_stat_reply(size, is_dir)], SERVICE_OVERHEAD
 
         if reqid == proto.KXR_READ:
             span = self._span(state, *proto.decode_read(payload))
-            return [span], overhead + span[2] / self.config.disk_bandwidth
+            return [span], service_time(span[2])
 
         if reqid == proto.KXR_READV:
             chunks = proto.decode_readv(payload)
-            if len(chunks) > self.config.max_readv_chunks:
+            if len(chunks) > proto.MAX_READV_CHUNKS:
                 raise XrootdError(
                     f"readv with {len(chunks)} chunks exceeds limit"
                 )
             spans = [self._span(state, *chunk) for chunk in chunks]
             lengths = [length for _path, _offset, length in spans]
-            service = overhead + sum(lengths) / self.config.disk_bandwidth
-            return proto.gather_readv_reply(lengths, spans), service
+            reply = proto.gather_readv_reply(lengths, spans)
+            return reply, service_time(sum(lengths))
 
         raise XrootdError(f"unknown request id {reqid}")
 
@@ -189,7 +176,7 @@ class XrdServer:
         return path, offset, max(0, min(length, size - offset))
 
     def _materialise(self, plan):
-        """Read a reply plan into frames of at most ``response_chunk``
+        """Read a reply plan into frames of at most :data:`RESPONSE_CHUNK`
         bytes, each a list of buffers for one gather ``Send``.
 
         A span is read in pieces that end where a frame ends, so no
@@ -197,7 +184,7 @@ class XrdServer:
         is what goes on the wire. A reply that is an exact multiple of
         the frame size gets no empty trailing frame.
         """
-        chunk = self.config.response_chunk
+        chunk = RESPONSE_CHUNK
         frames = [[]]
         room = chunk
         for item in plan:

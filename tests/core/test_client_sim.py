@@ -111,7 +111,7 @@ def test_pread_vec_batches_when_over_max_ranges(monkeypatch):
 
 
 def test_pread_vec_against_server_without_multirange():
-    config = ServerConfig(multirange=False)
+    config = ServerConfig(max_ranges=1)
     client, app, store, _ = davix_world(config=config)
     content = bytes(i % 251 for i in range(50_000))
     store.put("/x", content)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.concurrency import SimRuntime
-from repro.core import Context, DavixClient, MetalinkMode, RequestParams
+from repro.core import Context, DavixClient, RequestParams
 from repro.core import context as context_module
-from repro.errors import AllReplicasFailed, FileNotFound
+from repro.errors import AllReplicasFailed
 from repro.net import LinkSpec, Network, TcpOptions
 from repro.obs import MetricsRegistry
 from repro.server import HttpServer, ObjectStore, StorageApp
@@ -121,16 +121,6 @@ def test_404_on_primary_triggers_failover():
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
     assert client.context.metrics.value("client.failovers_total") == 1
-
-
-def test_metalink_mode_disabled_raises_primary_error():
-    client, net, apps, urls = replica_world(n_replicas=2)
-    apps[0].store.delete("/data/f.root")
-    params = client.context.params.replace(
-        metalink_mode=MetalinkMode.DISABLED
-    )
-    with pytest.raises(FileNotFound):
-        client.get_with_failover(urls[0], params=params)
 
 
 def test_blacklisted_replica_is_skipped():

@@ -19,25 +19,25 @@ from tests.helpers import davix_world
 
 PAGE = 64
 
-#: name -> (TransferConfig fields, server multirange, warm the cache?)
+#: name -> (TransferConfig fields, server max_ranges, warm the cache?)
 STAGES = {
-    "no-cache": ({}, True, False),
-    "cache-cold": ({"page_cache_bytes": 1 << 16}, True, False),
-    "cache-warm": ({"page_cache_bytes": 1 << 16}, True, True),
-    "engine": ({"read_ahead": True}, True, False),
+    "no-cache": ({}, 256, False),
+    "cache-cold": ({"page_cache_bytes": 1 << 16}, 256, False),
+    "cache-warm": ({"page_cache_bytes": 1 << 16}, 256, True),
+    "engine": ({"read_ahead": True}, 256, False),
     "cache+engine": (
-        {"page_cache_bytes": 1 << 16, "read_ahead": True}, True, True,
+        {"page_cache_bytes": 1 << 16, "read_ahead": True}, 256, True,
     ),
     # Two non-adjacent gaps around the warm page make the gap fill a
     # multi-range GET, which this server answers with a full 200.
-    "no-multirange": ({"page_cache_bytes": 1 << 16}, False, True),
+    "no-multirange": ({"page_cache_bytes": 1 << 16}, 1, True),
     # One page of budget: a gap fill of a longer read cannot converge
     # and falls through to the demanded request.
-    "tiny-budget": ({"page_cache_bytes": PAGE}, True, False),
+    "tiny-budget": ({"page_cache_bytes": PAGE}, 256, False),
     # The engine speculates elsewhere (PLANS), so every read it sees
     # is a miss and goes on down the ladder: gap fill, then demand.
     "off-plan": (
-        {"page_cache_bytes": 1 << 16, "read_ahead": True}, True, True,
+        {"page_cache_bytes": 1 << 16, "read_ahead": True}, 256, True,
     ),
 }
 
@@ -47,12 +47,12 @@ PLANS = {"off-plan": [(8 * PAGE, PAGE)]}
 
 
 def _world(stage, content):
-    fields, multirange, warm = STAGES[stage]
+    fields, max_ranges, warm = STAGES[stage]
     if "page_cache_bytes" in fields:
         fields = dict(fields, page_size=PAGE)
     client, app, store, _ = davix_world(
         params=RequestParams(transfer=TransferConfig(**fields)),
-        config=ServerConfig(multirange=multirange),
+        config=ServerConfig(max_ranges=max_ranges),
     )
     store.put("/x", content)
     if warm:

@@ -3,10 +3,8 @@
 from repro.http.dates import format_http_date, parse_http_date
 from repro.http.status import (
     allows_body,
-    is_error,
     is_redirect,
     is_retriable,
-    is_success,
     reason_phrase,
 )
 
@@ -19,12 +17,8 @@ def test_reason_phrases():
 
 
 def test_classification():
-    assert is_success(204)
-    assert not is_success(301)
     assert is_redirect(307)
     assert not is_redirect(304)  # not a "follow me" redirect
-    assert is_error(404)
-    assert is_error(503)
 
 
 def test_retriable_statuses_are_server_side_transient():

@@ -27,8 +27,6 @@ def test_config_validation():
         BreakerConfig(threshold=0)
     with pytest.raises(ValueError):
         BreakerConfig(cooldown=-1)
-    with pytest.raises(ValueError):
-        BreakerConfig(half_open_max=0)
 
 
 def test_closed_until_threshold_consecutive_failures():
@@ -84,14 +82,11 @@ def test_half_open_failure_reopens_for_another_cooldown():
 
 def test_half_open_probe_budget_is_bounded():
     clock = FakeClock()
-    breaker = CircuitBreaker(
-        BreakerConfig(threshold=1, cooldown=1.0, half_open_max=2), clock
-    )
+    breaker = CircuitBreaker(BreakerConfig(threshold=1, cooldown=1.0), clock)
     breaker.on_failure()
     clock.t = 1.0
     assert breaker.allow()
-    assert breaker.allow()
-    assert not breaker.allow()  # both probe slots claimed
+    assert not breaker.allow()  # the one probe is out
     assert breaker.blocked
 
 
@@ -137,7 +132,7 @@ def test_board_metrics_and_short_circuits():
 def test_board_is_blocked_never_claims_probe_slots():
     clock = FakeClock()
     board = BreakerBoard(
-        config=BreakerConfig(threshold=1, cooldown=1.0, half_open_max=1),
+        config=BreakerConfig(threshold=1, cooldown=1.0),
         clock=clock,
     )
     board.record(ORIGIN, ok=False)
@@ -145,9 +140,9 @@ def test_board_is_blocked_never_claims_probe_slots():
     # Any number of non-mutating checks...
     for _ in range(5):
         assert not board.is_blocked(ORIGIN)
-    # ...leaves the single probe slot available.
+    # ...leaves the one probe available.
     assert board.allow(ORIGIN)
-    assert board.is_blocked(ORIGIN)  # slot now claimed
+    assert board.is_blocked(ORIGIN)  # probe now claimed
     board.record(ORIGIN, ok=True)
     assert not board.is_blocked(ORIGIN)
 

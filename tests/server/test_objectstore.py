@@ -8,7 +8,6 @@ from repro.server import (
     BytesContent,
     ObjectStore,
     StoreError,
-    SyntheticContent,
 )
 
 
@@ -132,60 +131,6 @@ def test_io_counters():
     store.read("/x", 0, 4)
     assert store.bytes_written == 10
     assert store.bytes_read == 4
-
-
-# -- synthetic content ---------------------------------------------------------
-
-
-def test_synthetic_deterministic_and_range_consistent():
-    content = SyntheticContent(1_000_000, seed=42)
-    again = SyntheticContent(1_000_000, seed=42)
-    assert content.read(123_456, 1000) == again.read(123_456, 1000)
-    whole = content.read(0, 200_000)
-    assert content.read(50_000, 1000) == whole[50_000:51_000]
-
-
-def test_synthetic_different_seeds_differ():
-    a = SyntheticContent(4096, seed=1).read(0, 4096)
-    b = SyntheticContent(4096, seed=2).read(0, 4096)
-    assert a != b
-
-
-def test_synthetic_blocks_are_position_dependent():
-    content = SyntheticContent(4 * SyntheticContent.BLOCK, seed=3)
-    block0 = content.read(0, 64)
-    block1 = content.read(SyntheticContent.BLOCK, 64)
-    assert block0 != block1  # index stamp makes repeats distinguishable
-
-
-def test_synthetic_clamps_at_size():
-    content = SyntheticContent(100, seed=0)
-    assert len(content.read(90, 1000)) == 10
-    assert content.read(200, 10) == b""
-
-
-def test_synthetic_checksum_stable():
-    assert (
-        SyntheticContent(10_000, seed=9).adler32()
-        == SyntheticContent(10_000, seed=9).adler32()
-    )
-
-
-@given(
-    st.integers(min_value=0, max_value=300_000),
-    st.integers(min_value=0, max_value=70_000),
-    st.integers(min_value=1, max_value=10),
-)
-def test_synthetic_read_concat_property(offset, length, splits):
-    content = SyntheticContent(300_000, seed=7)
-    whole = content.read(offset, length)
-    step = max(1, length // splits)
-    pieces = []
-    position = offset
-    while position < min(offset + length, content.size):
-        pieces.append(content.read(position, step))
-        position += step
-    assert b"".join(pieces)[: len(whole)] == whole
 
 
 @given(st.binary(min_size=0, max_size=10_000))

@@ -58,9 +58,7 @@ def test_malformed_range_ignored():
 
 def test_multirange_disabled_falls_back_to_full():
     obj = make_obj()
-    plan = plan_range_response(
-        obj, "bytes=0-4,50-54", multirange_supported=False
-    )
+    plan = plan_range_response(obj, "bytes=0-4,50-54", max_ranges=1)
     assert plan.status == 200
     assert plan.segments == [(0, 100)]
 
@@ -70,6 +68,15 @@ def test_max_ranges_guard():
     header = "bytes=" + ",".join(f"{i}-{i}" for i in range(0, 20, 2))
     plan = plan_range_response(obj, header, max_ranges=5)
     assert plan.status == 200
+    # The guard counts satisfiable ranges: one of ten resolves.
+    header = "bytes=0-9," + ",".join(f"{i}-{i}" for i in range(200, 209))
+    plan = plan_range_response(obj, header, max_ranges=5)
+    assert (plan.status, plan.segments) == (206, [(0, 10)])
+    # max_ranges=1 is a server without multi-range support.
+    plan = plan_range_response(obj, "bytes=10-19", max_ranges=1)
+    assert (plan.status, plan.segments) == (206, [(10, 10)])
+    plan = plan_range_response(obj, "bytes=0-4,50-54", max_ranges=1)
+    assert (plan.status, plan.segments) == (200, [(0, 100)])
 
 
 def test_partially_satisfiable_serves_valid_members():

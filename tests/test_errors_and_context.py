@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Context, MetalinkMode, RequestParams, TransferConfig
+from repro.core import Context, RequestParams, TransferConfig
 from repro.core import pool as pool_module
 from repro.core import vectored
 from repro.errors import (
@@ -81,7 +81,6 @@ def test_params_defaults_are_daivx_like():
     assert params.keep_alive is True
     assert params.tcp_options == TcpOptions()
     assert params.transfer == TransferConfig()
-    assert params.metalink_mode == MetalinkMode.FAILOVER
     assert vectored.MAX_VECTOR_RANGES == 256
 
 
@@ -96,8 +95,8 @@ def test_params_with_creates_modified_copy():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"metalink_mode": "bogus"},
         {"deadline": 0},
+        {"deadline": -1.0},
         {"vector_gap": -1},
         {"multistream_chunk": 0},
         {"multistream_max_streams": 0},

@@ -15,32 +15,32 @@ import repro
 from repro.core.context import Context, RequestParams
 from repro.core.pool import SessionPool
 from repro.core.transfer import TransferConfig
+from repro.net import TcpOptions
 from repro.resilience import BreakerConfig
 from repro.rootio import TTreeCache
 from repro.server import ServerConfig
 from repro.workloads import AnalysisConfig
-from repro.xrootd import XrdServerConfig
 
 #: Dataclass fields per bundle, and the parameters of ``Context`` and
 #: ``SessionPool``'s ``__init__`` (``self`` not counted) and of
 #: ``TTreeCache``'s (``self`` and the reader it caches not counted).
 KNOB_CEILINGS = {
-    "RequestParams": 15,
+    "RequestParams": 14,
     "TransferConfig": 5,
-    "ServerConfig": 13,
-    "XrdServerConfig": 4,
-    "BreakerConfig": 3,
+    "ServerConfig": 12,
+    "BreakerConfig": 2,
     "Context": 6,
     "SessionPool": 1,
     "AnalysisConfig": 13,
     "TTreeCache": 9,
+    "TcpOptions": 10,
 }
 
 
 def test_knob_counts_are_pinned():
     bundles = (
-        RequestParams, TransferConfig, ServerConfig, XrdServerConfig,
-        BreakerConfig, AnalysisConfig,
+        RequestParams, TransferConfig, ServerConfig, BreakerConfig,
+        AnalysisConfig, TcpOptions,
     )
     counts = {
         bundle.__name__: len(dataclasses.fields(bundle)) for bundle in bundles
@@ -54,7 +54,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 19416
+SOURCE_LINE_CEILING = 19329
 
 
 def test_source_line_count_is_not_above_its_ceiling():

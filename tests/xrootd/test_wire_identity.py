@@ -3,7 +3,7 @@
 The server sends a reply as the buffers ``store.read`` returned, cut
 where a frame ends; the reference joins the whole reply with the public
 encoders and slices it per frame. The two must not differ by one byte:
-frame boundaries every ``response_chunk``, ``oksofar`` on every frame
+frame boundaries every ``RESPONSE_CHUNK``, ``oksofar`` on every frame
 but the last, no empty trailing frame after an exact multiple.
 """
 
@@ -11,50 +11,53 @@ import pytest
 
 from repro.concurrency import Close, Connect, Recv, Send, ThreadRuntime
 from repro.server import ObjectStore
-from repro.xrootd import XrdServer, XrdServerConfig, serve_xrootd
+from repro.xrootd import XrdServer, serve_xrootd
 from repro.xrootd import protocol as proto
+from repro.xrootd.server import RESPONSE_CHUNK as CHUNK
 
 from tests.helpers import sim_world
 
 PATH = "/data/f.root"
 OPEN = proto.encode_request(1, proto.KXR_OPEN, proto.encode_open(PATH))
-CONTENT = bytes(i % 251 for i in range(5000))
-CHUNK = 1000
+SIZE = 5 * CHUNK
+CONTENT = (bytes(range(251)) * (SIZE // 251 + 1))[:SIZE]
 
 #: name -> (offset, length) chunks of one readv; the reply is
 #: 2 + sum(4 + clamped length) bytes.
 READV_CASES = {
-    "below": [(0, 10), (4000, 100), (2500, 50)],
-    "exactly-one-frame": [(7, 994)],
-    "above": [(0, 700), (1000, 900), (10, 5)],
-    "exact-multiple": [(100, 990), (2000, 1000)],
-    "length-prefix-straddles-a-frame": [(0, 993), (3000, 20)],
-    "clamped-at-eof": [(4900, 500), (0, 1200)],
-    "zero-length-and-past-eof": [(10, 0), (6000, 10), (5000, 1), (1, 2500)],
+    "below": [(0, 10), (4 * CHUNK, 100), (5 * CHUNK // 2, 50)],
+    "exactly-one-frame": [(7, CHUNK - 6)],
+    "above": [(0, 700), (CHUNK, CHUNK - 100), (10, 5)],
+    "exact-multiple": [(100, CHUNK - 10), (2 * CHUNK, CHUNK)],
+    "length-prefix-straddles-a-frame": [(0, CHUNK - 7), (3 * CHUNK, 20)],
+    "clamped-at-eof": [(SIZE - 100, 500), (0, CHUNK + 200)],
+    "zero-length-and-past-eof": [
+        (10, 0), (SIZE + 1000, 10), (SIZE, 1), (1, 5 * CHUNK // 2),
+    ],
 }
 
 #: name -> (offset, length) of one read.
 READ_CASES = {
-    "below": (1000, 500),
-    "exact-multiple": (0, 3000),
-    "above": (123, 2345),
-    "clamped-at-eof": (4500, 4000),
-    "empty": (5000, 10),
+    "below": (CHUNK, 500),
+    "exact-multiple": (0, 3 * CHUNK),
+    "above": (123, 2 * CHUNK + 345),
+    "clamped-at-eof": (SIZE - 500, 4 * CHUNK),
+    "empty": (SIZE, 10),
 }
 
 
-def reference(streamid, reply, chunk=CHUNK):
+def reference(streamid, reply):
     """The parent's wire form: join the reply, slice it per frame."""
-    if len(reply) <= chunk:
+    if len(reply) <= CHUNK:
         return proto.encode_response(streamid, proto.STATUS_OK, reply)
     frames = []
-    for position in range(0, len(reply), chunk):
-        last = position + chunk >= len(reply)
+    for position in range(0, len(reply), CHUNK):
+        last = position + CHUNK >= len(reply)
         frames.append(
             proto.encode_response(
                 streamid,
                 proto.STATUS_OK if last else proto.STATUS_OKSOFAR,
-                reply[position : position + chunk],
+                reply[position : position + CHUNK],
             )
         )
     return b"".join(frames)
@@ -78,16 +81,16 @@ def exchange(endpoint, requests):
     return replies
 
 
-def run_sim(store, config, requests):
+def run_sim(store, requests):
     client_rt, server_rt = sim_world(latency=0.005)
-    server = XrdServer(store, config)
+    server = XrdServer(store)
     serve_xrootd(server_rt, server, port=1094)
     return server, client_rt.run(exchange(("server", 1094), requests))
 
 
-def run_sockets(store, config, requests):
+def run_sockets(store, requests):
     runtime = ThreadRuntime()
-    server = XrdServer(store, config)
+    server = XrdServer(store)
     loop = serve_xrootd(runtime, server, port=0)
     try:
         endpoint = ("127.0.0.1", loop.port)
@@ -108,15 +111,13 @@ def opened(size):
     )
 
 
-def check(run, request, reply, served, chunk=CHUNK, content=CONTENT):
+def check(run, request, reply, served, content=CONTENT):
     store = ObjectStore()
     store.put(PATH, content)
     expected_open = opened(len(content))
-    expected = reference(2, reply, chunk)
+    expected = reference(2, reply)
     server, replies = run(
-        store,
-        XrdServerConfig(response_chunk=chunk),
-        [(OPEN, len(expected_open)), (request, len(expected))],
+        store, [(OPEN, len(expected_open)), (request, len(expected))]
     )
     assert replies == [expected_open, expected]
     # The same totals the joined path counted: every byte read once.
@@ -162,9 +163,8 @@ def test_default_frame_size_on_a_basket_sized_readv(run):
         proto.encode_readv([(1, o, n) for o, n in chunks]),
     )
     reply = proto.encode_readv_reply(pieces)
-    chunk = XrdServerConfig().response_chunk
-    assert len(reply) == 5 * chunk
-    check(run, request, reply, sum(map(len, pieces)), chunk, content)
+    assert len(reply) == 5 * CHUNK
+    check(run, request, reply, sum(map(len, pieces)), content)
 
 
 def test_no_frame_follows_an_exact_multiple():
@@ -180,7 +180,6 @@ def test_no_frame_follows_an_exact_multiple():
     pong = proto.encode_response(3, proto.STATUS_OK)
     _server, replies = run_sim(
         store,
-        XrdServerConfig(response_chunk=CHUNK),
         [
             (OPEN, len(opened(len(CONTENT)))),
             (read, len(expected)),
@@ -188,9 +187,3 @@ def test_no_frame_follows_an_exact_multiple():
         ],
     )
     assert replies == [opened(len(CONTENT)), expected, pong]
-
-
-def test_frame_size_is_validated():
-    for bad in (0, -1, proto.MAX_DLEN + 1):
-        with pytest.raises(ValueError):
-            XrdServerConfig(response_chunk=bad)
