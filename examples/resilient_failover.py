@@ -67,7 +67,7 @@ def main() -> None:
             data = client.get_with_failover(
                 urls[0], metalink_url=urls[-1]
             )
-            failovers = client.metrics().value("client.failovers_total")
+            failovers = client.metrics().value("failover.recovered_total")
             print(
                 f"  {dead} site(s) down -> fail-over GET ok "
                 f"({len(data) / 1e6:.0f} MB, "

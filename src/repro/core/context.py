@@ -108,7 +108,7 @@ class Context:
     One Context per client host; cheap to create, intended to be
     long-lived so the pool's recycled sessions accumulate (the paper's
     "session recycling" benefit). It is the single composition root:
-    the session pool mirrors into ``metrics``, and every request
+    the session pool counts into ``metrics``, and every request
     carries spans produced by ``tracer``.
     """
 
@@ -151,9 +151,9 @@ class Context:
         #: Per-endpoint circuit breakers; opening one drops the
         #: endpoint's idle pooled sessions along with it.
         self.breakers = BreakerBoard(
+            self.metrics,
             config=breaker,
             clock=self._now,
-            metrics=self.metrics,
             on_open=self.pool.purge_origin,
         )
         #: The shared client page cache, created lazily by the first

@@ -145,8 +145,6 @@ class TransferEngine:
             "hits": 0,
             "misses": 0,
             "errors": 0,
-            "grown": 0,
-            "shrunk": 0,
             "cancelled": 0,
         }
 
@@ -299,7 +297,6 @@ class TransferEngine:
             return
         grew = limit > self.window
         self.window = limit
-        self.stats["grown" if grew else "shrunk"] += 1
         metrics = self.context.metrics
         metrics.counter(
             "engine.window_grow_total" if grew else "engine.window_shrink_total"

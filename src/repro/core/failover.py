@@ -117,7 +117,6 @@ def with_failover(
             ).inc()
             try:
                 result = yield from operation(replica)
-                metrics.counter("client.failovers_total").inc()
                 metrics.counter("failover.recovered_total").inc()
                 span.set(recovered_via=replica.host)
                 return result

@@ -26,6 +26,10 @@ the response's ``Cache-Control`` verdict (``no-store``/``max-age=0``
 -> never stored; ``max-age=N`` -> the object's pages expire N seconds
 later on the cache's ``clock``). A response without a freshness
 directive neither arms nor extends an expiry.
+
+Every count is kept once, as a ``cache.*`` series of the cache's
+:class:`~repro.obs.MetricsRegistry` (the context's, or a private one);
+``stats`` reads them back.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["PageCache", "DEFAULT_PAGE_SIZE", "MAX_NO_STORE_KEYS"]
 
@@ -48,6 +54,17 @@ Span = Tuple[int, int]
 
 #: ``cache.origin_bytes_saved``'s key in ``MetricsRegistry.resolved``.
 _SAVED = ("counter", "cache.origin_bytes_saved")
+
+#: ``PageCache.stats`` key -> the ``cache.*`` counter it reads.
+_STAT_SERIES = {
+    "hits": "cache.hit",
+    "misses": "cache.miss",
+    "partial_hits": "cache.partial_hit",
+    "evicted_bytes": "cache.evicted_bytes",
+    "invalidations": "cache.invalidations",
+    "origin_bytes_saved": "cache.origin_bytes_saved",
+    "ttl_expirations": "cache.ttl_expirations",
+}
 
 
 class _Entry:
@@ -74,17 +91,17 @@ class PageCache:
     runtime parallel vectored batches insert concurrently.
 
     ``lookup`` is the accounting entry point — it classifies each
-    logical read as a hit, partial hit, or miss and feeds the
-    ``cache.*`` metrics; ``read`` and ``missing_spans`` are the two
-    halves of the same probe without accounting (used around a gap
-    fill).
+    logical read as a hit, partial hit, or miss and counts it in the
+    ``cache.*`` series of ``metrics`` (the context's registry, or a
+    private one); ``read`` and ``missing_spans`` are the two halves
+    of the same probe without accounting (used around a gap fill).
     """
 
     def __init__(
         self,
         budget_bytes: int,
         page_size: int = DEFAULT_PAGE_SIZE,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
         clock=None,
     ):
         if budget_bytes < 0:
@@ -93,7 +110,8 @@ class PageCache:
             raise ValueError("page_size must be >= 1")
         self.budget_bytes = budget_bytes
         self.page_size = page_size
-        self.metrics = metrics
+        #: The registry every ``cache.*`` count lives in.
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Freshness clock (seconds); TTLs are measured against it. The
         #: default never advances, so without a clock nothing expires.
         self.clock = clock or (lambda: 0.0)
@@ -107,29 +125,27 @@ class PageCache:
         #: (key, page index) -> page byte count, in LRU order.
         self._lru: "OrderedDict[Tuple[str, int], int]" = OrderedDict()
         self._used = 0
-        self.stats: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "partial_hits": 0,
-            "insertions": 0,
-            "evictions": 0,
-            "evicted_bytes": 0,
-            "invalidations": 0,
-            "origin_bytes_saved": 0,
-            "ttl_expirations": 0,
-        }
 
     # -- metric plumbing ------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
+        if amount:
             self.metrics.counter(f"cache.{name}").inc(amount)
 
-    def _mirror_gauges(self) -> None:
-        if self.metrics is not None:
-            resolved = self.metrics.resolved
-            resolved[("gauge", "cache.used_bytes")].set(self._used)
-            resolved[("gauge", "cache.pages")].set(len(self._lru))
+    def _update_gauges(self) -> None:
+        resolved = self.metrics.resolved
+        resolved[("gauge", "cache.used_bytes")].set(self._used)
+        resolved[("gauge", "cache.pages")].set(len(self._lru))
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The ``cache.*`` counters as ints, read without creating a
+        series (one not yet counted reads 0)."""
+        value = self.metrics.value
+        return {
+            key: int(value(series) or 0)
+            for key, series in _STAT_SERIES.items()
+        }
 
     # -- introspection --------------------------------------------------------
 
@@ -148,6 +164,10 @@ class PageCache:
         """Does the cache hold an entry (pages, size or ETag) of ``key``?"""
         with self._lock:
             return key in self._entries
+
+    def __len__(self) -> int:
+        """Objects the cache holds an entry (pages, size or ETag) of."""
+        return len(self._entries)
 
     def suppressed(self, key: str) -> bool:
         """Did the origin forbid caching ``key`` (no-store/max-age=0)?"""
@@ -170,7 +190,7 @@ class PageCache:
         entry = self._entries.pop(key, None)
         if entry is not None:
             self._drop_locked(key, entry)
-            self._mirror_gauges()
+            self._update_gauges()
         self._no_store.pop(key, None)
         self._no_store[key] = None
         while len(self._no_store) > MAX_NO_STORE_KEYS:
@@ -215,9 +235,8 @@ class PageCache:
             return True
         self._drop_locked(key, entry)
         self._entries[key] = _Entry(etag)
-        self.stats["invalidations"] += 1
         self._count("invalidations")
-        self._mirror_gauges()
+        self._update_gauges()
         return False
 
     def invalidate(self, key: str) -> None:
@@ -226,9 +245,8 @@ class PageCache:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self._drop_locked(key, entry)
-                self.stats["invalidations"] += 1
                 self._count("invalidations")
-                self._mirror_gauges()
+                self._update_gauges()
 
     def _drop_locked(self, key: str, entry: _Entry) -> None:
         for index, page in entry.pages.items():
@@ -245,9 +263,8 @@ class PageCache:
             return
         self._drop_locked(key, entry)
         del self._entries[key]
-        self.stats["ttl_expirations"] += 1
         self._count("ttl_expirations")
-        self._mirror_gauges()
+        self._update_gauges()
 
     # -- read side ------------------------------------------------------------
 
@@ -334,13 +351,13 @@ class PageCache:
 
         One lock, one TTL check and one walk of the pages classify the
         read — full hit (data, no spans), partial hit (no data, spans
-        smaller than the read's aligned span), miss — and feed
-        ``stats`` and ``cache.{hit,miss,partial_hit,origin_bytes_saved}``.
+        smaller than the read's aligned span), miss — and count it in
+        ``cache.{hit,miss,partial_hit,origin_bytes_saved}``.
         """
         with self._lock:
             data, missing = self._probe_locked(key, offset, length)
             if data is not None:
-                stat, series, saved = "hits", "cache.hit", length
+                series, saved = "cache.hit", length
             else:
                 # Every missing span overlaps the read by at least a byte.
                 end = offset + length
@@ -349,16 +366,11 @@ class PageCache:
                     saved -= min(end, span_offset + span_length) - max(
                         offset, span_offset
                     )
-                stat, series = "partial_hits", "cache.partial_hit"
-                if not saved:
-                    stat, series = "misses", "cache.miss"
-            self.stats[stat] += 1
-            self.stats["origin_bytes_saved"] += saved
-            if self.metrics is not None:
-                resolved = self.metrics.resolved
-                resolved[("counter", series)].inc()
-                if saved:
-                    resolved[_SAVED].inc(saved)
+                series = "cache.partial_hit" if saved else "cache.miss"
+            resolved = self.metrics.resolved
+            resolved[("counter", series)].inc()
+            if saved:
+                resolved[_SAVED].inc(saved)
             return data, missing
 
     # -- write side -----------------------------------------------------------
@@ -425,11 +437,10 @@ class PageCache:
                 entry.pages[index] = piece
                 self._lru[(key, index)] = want
                 self._used += want
-                self.stats["insertions"] += 1
             if ttl is not None:
                 entry.expires_at = self.clock() + ttl
             self._evict_locked()
-            self._mirror_gauges()
+            self._update_gauges()
 
     def _evict_locked(self) -> None:
         evicted = 0
@@ -441,8 +452,6 @@ class PageCache:
                 if not entry.pages:
                     del self._entries[key]  # its last page: forget it
             self._used -= nbytes
-            self.stats["evictions"] += 1
-            self.stats["evicted_bytes"] += nbytes
             evicted += nbytes
         self._count("evicted_bytes", evicted)
 

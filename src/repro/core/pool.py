@@ -14,11 +14,11 @@ simply uncontended. Counter *reads* (``pool.stats()``) take no lock:
 each write happens under the lock, and a snapshot is a
 consistent-enough point-in-time view.
 
-Usage accounting is a frozen :class:`PoolStats` snapshot returned by
-``pool.stats()``; when a :class:`~repro.obs.MetricsRegistry` is
-attached, every event also lands there as
+Every event is counted once, in the pool's
+:class:`~repro.obs.MetricsRegistry` (the context's, or a private one):
 ``pool.acquire_total{outcome=...}`` / ``pool.release_total{outcome=...}``
 / ``pool.evicted_total`` series, plus the ``pool.idle_sessions`` gauge.
+``pool.stats()`` reads those series back as a frozen :class:`PoolStats`.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
+
 __all__ = ["MAX_IDLE_PER_ORIGIN", "PoolStats", "SessionPool"]
 
 #: Idle sessions the pool keeps per origin; a release beyond it is
 #: discarded.
 MAX_IDLE_PER_ORIGIN = 16
 
-#: stats-event -> its series' key in ``MetricsRegistry.resolved``.
+#: :class:`PoolStats` field -> its series' key in
+#: ``MetricsRegistry.resolved``.
 _EVENT_METRICS = {
     "hits": ("counter", "pool.acquire_total", ("outcome", "hit")),
     "misses": ("counter", "pool.acquire_total", ("outcome", "miss")),
@@ -78,29 +81,33 @@ class PoolStats:
 class SessionPool:
     """Keyed LIFO free-list of reusable sessions with statistics."""
 
-    def __init__(self, metrics=None):
-        #: Optional :class:`~repro.obs.MetricsRegistry` mirror.
-        self.metrics = metrics
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+        #: The registry the pool counts into (a private one by default).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._idle: Dict[Tuple, Deque] = {}
         #: Running total of the free-lists' lengths.
         self._idle_total = 0
-        self._counters = dict.fromkeys(_EVENT_METRICS, 0)
 
     # -- accounting -----------------------------------------------------------
 
     def _record(self, event: str) -> None:
-        self._counters[event] += 1
-        if self.metrics is not None:
-            self.metrics.resolved[_EVENT_METRICS[event]].inc()
+        self.metrics.resolved[_EVENT_METRICS[event]].inc()
 
     def _update_idle_gauge(self) -> None:
-        if self.metrics is not None:
-            self.metrics.resolved[_IDLE_GAUGE].set(self._idle_total)
+        self.metrics.resolved[_IDLE_GAUGE].set(self._idle_total)
 
     def stats(self) -> PoolStats:
-        """Frozen point-in-time :class:`PoolStats` snapshot (lock-free)."""
-        return PoolStats(idle=self._idle_total, **self._counters)
+        """Frozen point-in-time :class:`PoolStats` snapshot (lock-free),
+        read from the registry without creating a series."""
+        value = self.metrics.value
+        return PoolStats(
+            idle=self._idle_total,
+            **{
+                field: int(value(name, **dict(labels)) or 0)
+                for field, (_, name, *labels) in _EVENT_METRICS.items()
+            },
+        )
 
     # -- pool operations ------------------------------------------------------
 

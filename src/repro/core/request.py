@@ -190,7 +190,6 @@ def _retry_pause(context, schedule, deadline, span, cause):
     if deadline is not None and deadline.remaining() <= delay:
         context.metrics.counter("deadline.exceeded_total").inc()
         raise DeadlineExceeded(deadline.budget) from cause
-    context.metrics.counter("client.retries_total").inc()
     context.metrics.counter("retry.attempts_total").inc()
     context.metrics.counter("retry.backoff_seconds_total").inc(delay)
     if delay > 0:
@@ -325,7 +324,6 @@ def execute_request(
                 # retry, without consuming the attempt budget (the
                 # classic keep-alive race is the pool's fault, not the
                 # endpoint's).
-                context.metrics.counter("client.retries_total").inc()
                 context.metrics.counter("session.stale_total").inc()
                 session.discard()
                 continue

@@ -7,8 +7,8 @@ know whether it is safe to reuse: a half-read body, a parse error or a
 ``Connection: close`` makes it *dirty* and it will be discarded instead
 of recycled.
 
-Observability: with a :class:`~repro.obs.MetricsRegistry` attached the
-wire totals land in ``session.bytes_sent_total`` /
+Observability: the wire totals land in the context's
+:class:`~repro.obs.MetricsRegistry` as ``session.bytes_sent_total`` /
 ``session.bytes_received_total``; :func:`open_session` wraps the
 connect and TLS handshake in ``tcp-connect`` / ``tls-handshake`` spans,
 and :meth:`Session.request` hangs ``send`` / ``recv`` spans off the
@@ -56,15 +56,15 @@ class Session:
         self,
         channel,
         origin: Tuple,
+        metrics,
         tls: Optional[TlsPolicy] = None,
-        metrics=None,
     ):
         self.channel = channel
         self.origin = origin
+        #: The :class:`~repro.obs.MetricsRegistry` for byte totals.
+        self.metrics = metrics
         #: TLS record-layer cost model (None for plain http).
         self.tls = tls
-        #: Optional :class:`~repro.obs.MetricsRegistry` for byte totals.
-        self.metrics = metrics
         self.requests_sent = 0
         self.reusable = True
         self._closed = False
@@ -130,8 +130,7 @@ class Session:
         size = sum(map(len, wire))
         reused = self.requests_sent > 0
         self.requests_sent += 1
-        if self.metrics is not None:
-            self.metrics.resolved[_SENT].inc(size)
+        self.metrics.resolved[_SENT].inc(size)
         if deadline is not None:
             deadline.check()
         send_span = span.child("send", bytes=size) if span else None
@@ -190,7 +189,7 @@ class Session:
             raise
         finally:
             received = parser.received
-            if self.metrics is not None and received:
+            if received:
                 self.metrics.resolved[_RECEIVED].inc(received)
             if recv_span:
                 recv_span.end(bytes=received)
@@ -210,11 +209,11 @@ class Session:
 def open_session(
     url_origin: Tuple,
     endpoint: Tuple[str, int],
+    metrics,
     tcp_options=None,
     tls: Optional[TlsPolicy] = None,
     tracer=None,
     parent=None,
-    metrics=None,
     recorder=None,
 ):
     """Effect sub-op: connect (and TLS-handshake) into a Session.
@@ -249,4 +248,4 @@ def open_session(
                 handshake_span.end()
         if recorder is not None:
             recorder.mark("tls")
-    return Session(channel, url_origin, tls=tls, metrics=metrics)
+    return Session(channel, url_origin, metrics, tls=tls)

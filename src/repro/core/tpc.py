@@ -236,27 +236,24 @@ class _Progress:
 
     def fail(self, reason) -> Response:
         """End in ``failure:`` — bytes may have moved, nothing committed."""
-        if self.metrics is not None:
-            self.metrics.counter("tpc.failures_total", stage="transfer").inc()
+        self.metrics.counter("tpc.failures_total", stage="transfer").inc()
         self._end(False, error=str(reason))
         return self._respond(f"failure: {reason}")
 
     def succeed(self, created, headers) -> Response:
         """End in ``success:`` — the object is verified and committed."""
-        if self.metrics is not None:
-            metrics, mode = self.metrics, self.mode
-            metrics.counter("tpc.transfers_total", mode=mode).inc()
-            metrics.counter("tpc.bytes_total", mode=mode).inc(self.size)
-            metrics.counter("tpc.chunks_total").inc(len(self.markers))
-            metrics.counter("tpc.streams_total").inc(self.streams)
+        metrics, mode = self.metrics, self.mode
+        metrics.counter("tpc.transfers_total", mode=mode).inc()
+        metrics.counter("tpc.bytes_total", mode=mode).inc(self.size)
+        metrics.counter("tpc.chunks_total").inc(len(self.markers))
+        metrics.counter("tpc.streams_total").inc(self.streams)
         self._end(True)
         return self._respond(f"success: Created {created}", headers)
 
 
 def _setup_failure(metrics, span, reason) -> Response:
     """A 502 before any bytes moved (source unreachable/missing)."""
-    if metrics is not None:
-        metrics.counter("tpc.failures_total", stage="setup").inc()
+    metrics.counter("tpc.failures_total", stage="setup").inc()
     span.end(error=str(reason))
     return text_response(502, f"third-party copy failed: {reason}")
 
@@ -306,8 +303,7 @@ def _move_chunk(progress, index, offset, length, build, accept):
             lane.end(**ended)
         attempts += 1
         progress.retries += 1
-        if progress.metrics is not None:
-            progress.metrics.counter("tpc.stream_retries_total").inc()
+        progress.metrics.counter("tpc.stream_retries_total").inc()
         if attempts > CHUNK_RETRIES:
             raise failure
 
@@ -337,7 +333,7 @@ def run_pull(
     source,
     streams: int,
     chunk_size: int,
-    metrics=None,
+    metrics,
     trace_ctx=None,
 ):
     """Effect op: pull ``source`` into ``store`` at ``destination_path``.
@@ -414,8 +410,7 @@ def run_pull(
         return progress.fail(error)
     actual = f"{zlib.adler32(assembly):08x}"
     if expected is not None and actual != expected:
-        if metrics is not None:
-            metrics.counter("tpc.digest_mismatch_total").inc()
+        metrics.counter("tpc.digest_mismatch_total").inc()
         return progress.fail(
             f"digest mismatch: source {DIGEST}={expected}, "
             f"received {DIGEST}={actual}",
@@ -435,7 +430,7 @@ def run_push(
     destination,
     streams: int,
     chunk_size: int,
-    metrics=None,
+    metrics,
     trace_ctx=None,
 ):
     """Effect op: push ``source_path`` from ``store`` to ``destination``.
@@ -498,8 +493,7 @@ def run_push(
         return progress.fail("destination never committed the upload")
     remote_digest = commit["digest"]
     if remote_digest is not None and remote_digest != local_digest:
-        if metrics is not None:
-            metrics.counter("tpc.digest_mismatch_total").inc()
+        metrics.counter("tpc.digest_mismatch_total").inc()
         # Leave no corrupt replica behind; best effort.
         try:
             yield from execute_request(

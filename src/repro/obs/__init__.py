@@ -43,8 +43,6 @@ _EXPORTS = {
     "slo_verdicts": ".slo",
     "render_metrics": ".export",
     "metrics_to_json_lines": ".export",
-    "prometheus_exposition": ".export",
-    "PROMETHEUS_CONTENT_TYPE": ".export",
     "TELEMETRY_PATH": ".collector",
     "TELEMETRY_CONTENT_TYPE": ".collector",
     "TelemetrySink": ".collector",

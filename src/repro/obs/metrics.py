@@ -354,13 +354,5 @@ class MetricsRegistry:
             if room > 0:
                 mine._sample.extend(theirs._sample[:room])
 
-    def reset(self) -> None:
-        """Drop every family (used between benchmark cases). Owners
-        keep no series handle across it: they index :attr:`resolved`,
-        which empties too, so their next update re-creates the series."""
-        with self._lock:
-            self._families.clear()
-            self.resolved.clear()
-
     def __len__(self) -> int:
         return sum(len(f[1]) for f in self._families.values())

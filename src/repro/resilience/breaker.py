@@ -157,14 +157,15 @@ class BreakerBoard:
 
     def __init__(
         self,
+        metrics,
         config: Optional[BreakerConfig] = None,
         clock: Callable[[], float] = None,
-        metrics=None,
         on_open: Optional[Callable[[Tuple], None]] = None,
     ):
+        #: The :class:`~repro.obs.MetricsRegistry` ``breaker.*`` lands in.
+        self.metrics = metrics
         self.config = config or BreakerConfig()
         self.clock = clock or (lambda: 0.0)
-        self.metrics = metrics
         self.on_open = on_open
         self._lock = threading.Lock()
         self._breakers: Dict[Tuple, CircuitBreaker] = {}
@@ -186,15 +187,14 @@ class BreakerBoard:
 
     def _record_transition(self, origin: Tuple, prev: str, to: str) -> None:
         self.transitions.append((self.clock(), origin, prev, to))
-        if self.metrics is not None:
-            self.metrics.counter("breaker.transitions_total", to=to).inc()
-            self.metrics.gauge("breaker.open_circuits").set(
-                sum(
-                    1
-                    for b in self._breakers.values()
-                    if b.state == BreakerState.OPEN
-                )
+        self.metrics.counter("breaker.transitions_total", to=to).inc()
+        self.metrics.gauge("breaker.open_circuits").set(
+            sum(
+                1
+                for b in self._breakers.values()
+                if b.state == BreakerState.OPEN
             )
+        )
         if to == BreakerState.OPEN and self.on_open is not None:
             self.on_open(origin)
 
@@ -204,7 +204,7 @@ class BreakerBoard:
         """Admission check (claims a half-open breaker's probe)."""
         with self._lock:
             allowed = self._breaker(origin).allow()
-        if not allowed and self.metrics is not None:
+        if not allowed:
             self.metrics.counter("breaker.short_circuits_total").inc()
         return allowed
 

@@ -36,6 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.concurrency import Sleep, bounded_gather
 from repro.errors import PageChecksumError, RootIOError
+from repro.obs.metrics import MetricsRegistry
 from repro.rootio.treefile import TreeFileReader, read_rows
 
 __all__ = ["TTreeCache"]
@@ -44,10 +45,10 @@ __all__ = ["TTreeCache"]
 class TTreeCache:
     """Cluster-granular read cache over a :class:`TreeFileReader`.
 
-    ``events`` clamps the scan: refills load no rows past it. With
-    ``metrics``, every window counts the ``ntuple.*`` counters and,
-    with ``clock`` too, every refill observes the ``ntuple-decode``
-    phase.
+    ``events`` clamps the scan: refills load no rows past it. Every
+    window counts the ``ntuple.*`` counters into ``metrics`` (a
+    private registry unless one is given) and, with ``clock``, every
+    refill observes the ``ntuple-decode`` phase there.
     """
 
     def __init__(
@@ -59,7 +60,7 @@ class TTreeCache:
         lanes: int = 1,
         decode: bool = True,
         decompress_bandwidth: Optional[float] = None,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
         clock=None,
         events: Optional[int] = None,
     ):
@@ -84,7 +85,7 @@ class TTreeCache:
         #: When set, every window sleeps uncompressed_bytes/bandwidth —
         #: the decompression CPU model (bytes/second).
         self.decompress_bandwidth = decompress_bandwidth
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = clock
         n_entries = self.meta.n_entries
         self.stop = (
@@ -142,7 +143,7 @@ class TTreeCache:
             )
             if lo < limit
         ]
-        timed = self.clock is not None and self.metrics is not None
+        timed = self.clock is not None
         started = self.clock() if timed else None
         if len(windows) == 1:
             loads = [(yield from self._load(*windows[0], not learning))]
@@ -207,5 +208,5 @@ class TTreeCache:
         return rows, len(blobs), fetched, uncompressed
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
+        if amount:
             self.metrics.counter(f"ntuple.{name}").inc(amount)

@@ -68,7 +68,7 @@ def handle_connection(channel, app: Envelope):
                     or served < MAX_REQUESTS_PER_CONNECTION
                 )
             )
-            # Observers (metrics scrapes, telemetry pushes) get no span.
+            # Observers (telemetry pushes) get no span.
             observer = app.is_observer(request)
             trace_ctx = parse_traceparent(
                 request.headers.get(TRACEPARENT_HEADER)

@@ -4,8 +4,8 @@
 :class:`ServedResponse` without any I/O — the serve loops in
 :mod:`repro.server.app` drive it over simulated or real transports.
 Storage node and site proxy are subclasses that implement
-:meth:`Envelope.route` only; everything around the route — observer
-requests, request/response counters, the fault policy, ``StoreError``
+:meth:`Envelope.route` only; everything around the route — telemetry
+pushes, request/response counters, the fault policy, ``StoreError``
 mapping and response stamping — happens here, once, so every tier
 counts and fails the same way.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.http import Headers, Request, Response, text_response
-from repro.obs.export import PROMETHEUS_CONTENT_TYPE, prometheus_exposition
+from repro.obs.metrics import MetricsRegistry
 from repro.server.faults import FaultPolicy
 from repro.server.objectstore import (
     DISK_BANDWIDTH,
@@ -47,9 +47,6 @@ class ServerConfig:
     send_chunk: int = 262144
     #: TLS cost model; None = plain http (see concurrency.tlsmodel).
     tls: Optional[object] = None
-    #: Serve the Prometheus text exposition of the app's registry on
-    #: GET of this path (e.g. ``"/metrics"``); None = disabled.
-    metrics_path: Optional[str] = None
     #: ``Cache-Control`` header attached to 200/206/304 GET and HEAD
     #: responses (e.g. ``"max-age=120"``); None = no header.
     cache_control: Optional[str] = None
@@ -109,15 +106,15 @@ class Envelope:
         self,
         config: ServerConfig,
         faults: Optional[FaultPolicy] = None,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
     ):
         self.config = config
         self.faults = faults
-        #: Optional :class:`~repro.obs.MetricsRegistry`:
+        #: The app's registry (a private one by default):
         #: ``server.requests_total{method}`` and
         #: ``server.responses_total{status}`` land here.
-        self.metrics = metrics
-        #: Requests routed so far (observer requests excluded).
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Requests routed so far (telemetry pushes excluded).
         self.requests_handled = 0
         #: Optional :class:`~repro.obs.Tracer`: the serve loop starts a
         #: ``server-request`` span per request, joined to the client's
@@ -138,18 +135,13 @@ class Envelope:
         raise NotImplementedError
 
     def is_observer(self, request: Request) -> bool:
-        """Is ``request`` a metrics scrape or a telemetry push?
+        """Is ``request`` a telemetry push?
 
         Observers are answered before any counter, fault or stamp and
         get no span, so the series and traces they carry are never
-        perturbed by the act of reading or shipping them.
+        perturbed by the act of shipping them.
         """
         config = self.config
-        if request.method == "GET":
-            return (
-                config.metrics_path is not None
-                and request.path == config.metrics_path
-            )
         if request.method != "POST" or config.collector is None:
             return False
         # Loaded already: a collector is mounted.
@@ -160,8 +152,6 @@ class Envelope:
     def handle(self, request: Request) -> ServedResponse:
         """Compute the response for ``request`` (no I/O, no blocking)."""
         if self.is_observer(request):
-            if request.method == "GET":
-                return ServedResponse(self._scrape())
             return ServedResponse(self._ingest_telemetry(request))
         self.requests_handled += 1
         self._count("server.requests_total", method=request.method)
@@ -200,8 +190,7 @@ class Envelope:
         return text_response(status, message)
 
     def _count(self, name: str, **labels) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc()
+        self.metrics.counter(name, **labels).inc()
 
     def _counted(self, deferred: Callable) -> Callable:
         """``deferred``, counting the status it resolves to."""
@@ -230,22 +219,6 @@ class Envelope:
             self.config.disk_bandwidth,
             after=served.service_time,
         )
-
-    def _scrape(self) -> Response:
-        """The Prometheus text exposition of this app's registry."""
-        text = (
-            prometheus_exposition(self.metrics)
-            if self.metrics is not None
-            else ""
-        )
-        body = text.encode("utf-8")
-        headers = Headers(
-            [
-                ("Content-Type", PROMETHEUS_CONTENT_TYPE),
-                ("Content-Length", len(body)),
-            ]
-        )
-        return Response(200, headers, body)
 
     def _ingest_telemetry(self, request: Request) -> Response:
         """Store one ``POST /v1/telemetry`` JSONL batch in the

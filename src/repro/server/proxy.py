@@ -75,17 +75,6 @@ FORWARDED_HEADERS = (
 #: server ``max_ranges`` limits).
 MAX_GAP_RANGES = 64
 
-#: The ``stats`` key one served request of each cache outcome bumps
-#: (a ``BYPASS`` was already counted when it was routed).
-_STAT_OF_OUTCOME = {
-    "HIT": "hits",
-    "STALE": "hits",
-    "REVALIDATED": "revalidated",
-    "MISS": "misses",
-    "PARTIAL": "partial_hits",
-}
-
-
 class _ObjectMeta:
     """Cached non-page state of one origin object (the page bytes,
     ETag and size live in the :class:`PageCache` entry)."""
@@ -154,9 +143,10 @@ class ProxyApp(Envelope):
         #: Seconds an entry is served without revalidation.
         self.default_ttl = default_ttl
         self.page_size = page_size
-        #: The page store (cached bytes, ETag and size per url).
+        #: The page store (cached bytes, ETag and size per url),
+        #: counting into the proxy's registry.
         self.pages = PageCache(
-            max(0, cache_bytes), page_size, metrics=metrics
+            max(0, cache_bytes), page_size, metrics=self.metrics
         )
         #: Per-URL meta, held exactly while the page store holds the URL.
         self._meta: Dict[str, _ObjectMeta] = {}
@@ -167,21 +157,10 @@ class ProxyApp(Envelope):
         self._context = context
         if context is not None:
             self.tracer = context.tracer
-        self.stats = {
-            "requests": 0,
-            "hits": 0,
-            "misses": 0,
-            "partial_hits": 0,
-            "revalidated": 0,
-            "bypassed": 0,
-            "evictions": 0,
-            "origin_bytes_saved": 0,
-        }
 
     # -- entry point ----------------------------------------------------------
 
     def route(self, request: Request):
-        self.stats["requests"] += 1
         try:
             target = Url.parse(request.target)
         except (HttpProtocolError, ValueError):
@@ -199,7 +178,6 @@ class ProxyApp(Envelope):
             or self.cache_bytes <= 0
             or self.pages.suppressed(str(target))
         ):
-            self.stats["bypassed"] += 1
             serve = self._relay
         else:
             serve = self._cached_get
@@ -283,16 +261,12 @@ class ProxyApp(Envelope):
         return tracer.start(name, root=True, **attrs)
 
     def _record(self, serving, url, outcome, served, from_cache) -> None:
-        """The one accounting call per served request: the stats bump
-        for ``outcome``, and the cache split on the ``serving`` span,
-        which :func:`~repro.obs.events.request_events` folds into the
+        """The one accounting call per served request: ``outcome`` and
+        the cache split on the ``serving`` span, which
+        :func:`~repro.obs.events.request_events` folds into the
         request's ``kind="proxy"`` row — the byte-provenance analyzer
         splits delivered bytes into cache-served vs origin-fetched
         from exactly these fields."""
-        key = _STAT_OF_OUTCOME.get(outcome)
-        if key is not None:
-            self.stats[key] += 1
-        self.stats["origin_bytes_saved"] += max(0, from_cache)
         if serving is not None:
             serving.set(
                 url=url,
@@ -543,11 +517,10 @@ class ProxyApp(Envelope):
         if last_modified:
             meta.last_modified = last_modified
         meta.fresh_until = self._fresh_until(response, now)
-        if self.stats["evictions"] != self.pages.stats["evictions"]:
+        if len(self._meta) > len(self.pages):
             # Meta follows the page store: a URL evicted whole has none.
-            for gone in [u for u in list(self._meta) if u not in self.pages]:
-                self._meta.pop(gone, None)
-            self.stats["evictions"] = self.pages.stats["evictions"]
+            for gone in [u for u in self._meta if u not in self.pages]:
+                del self._meta[gone]
         return True
 
     # -- request interpretation ---------------------------------------------------
@@ -653,21 +626,6 @@ class ProxyApp(Envelope):
     @property
     def cached_bytes(self) -> int:
         return self.pages.used_bytes
-
-    def hit_ratio(self) -> float:
-        looked_up = (
-            self.stats["hits"]
-            + self.stats["misses"]
-            + self.stats["partial_hits"]
-            + self.stats["revalidated"]
-        )
-        if looked_up == 0:
-            return 0.0
-        return (
-            self.stats["hits"]
-            + self.stats["partial_hits"]
-            + self.stats["revalidated"]
-        ) / looked_up
 
 
 # -- helpers ----------------------------------------------------------------------

@@ -134,7 +134,7 @@ def _cache_section(events: List[dict]) -> List[str]:
     lines += _table(
         ["protocol", "profile", "cache.hit", "cache.miss",
          "cache.partial_hit", "cache.origin_bytes_saved",
-         "cache.evicted_bytes", "cache.invalidations", "hit_ratio"],
+         "cache.evicted_bytes", "cache.invalidations", "hit_rate"],
         rows,
     )
     return lines

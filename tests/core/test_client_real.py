@@ -85,4 +85,4 @@ def test_real_metalink_and_failover():
             )
             data = client.get_with_failover(front_url)
             assert data == b"replica-content"
-            assert client.context.metrics.value("client.failovers_total") == 1
+            assert client.context.metrics.value("failover.recovered_total") == 1

@@ -47,7 +47,7 @@ def test_primary_success_needs_no_failover():
     client, net, apps, urls = replica_world()
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
-    assert client.context.metrics.value("client.failovers_total") is None
+    assert client.context.metrics.value("failover.recovered_total") is None
     assert apps[1].requests_handled == 0
 
 
@@ -57,7 +57,7 @@ def test_failover_to_second_replica_when_primary_down():
     # The metalink must come from a live site (the federation case).
     data = client.get_with_failover(urls[0], metalink_url=urls[1])
     assert data == b"replicated-content"
-    assert client.context.metrics.value("client.failovers_total") == 1
+    assert client.context.metrics.value("failover.recovered_total") == 1
 
 
 def test_failover_skips_dead_replicas_until_one_works():
@@ -120,7 +120,7 @@ def test_404_on_primary_triggers_failover():
     apps[0].store.delete("/data/f.root")
     data = client.get_with_failover(urls[0])
     assert data == b"replicated-content"
-    assert client.context.metrics.value("client.failovers_total") == 1
+    assert client.context.metrics.value("failover.recovered_total") == 1
 
 
 def test_blacklisted_replica_is_skipped():

@@ -21,7 +21,7 @@ from repro.obs import MetricsRegistry
 from repro.server import FaultPolicy, HttpServer, ObjectStore, StorageApp
 from repro.sim import Environment
 
-from tests.helpers import NO_RETRY
+from tests.helpers import NO_RETRY, retries
 
 PATH = "/data/f.root"
 CONTENT = bytes(i % 249 for i in range(80_000))
@@ -83,7 +83,7 @@ def test_all_replicas_down_lists_every_attempt():
     assert (
         client.metrics().counter("failover.exhausted_total").value == 1
     )
-    assert client.context.metrics.value("client.failovers_total") is None
+    assert client.context.metrics.value("failover.recovered_total") is None
 
 
 def test_metalink_with_only_the_primary_replica():
@@ -127,8 +127,8 @@ def test_reset_storm_mid_vectored_read_fails_over():
         )
     )
     assert chunks == [CONTENT[o : o + n] for o, n in reads]
-    assert client.context.metrics.value("client.failovers_total") == 1
-    assert client.context.metrics.value("client.retries_total") >= 1
+    assert client.context.metrics.value("failover.recovered_total") == 1
+    assert retries(client.context.metrics) >= 1
     assert gets(apps[1]) >= 1
 
 

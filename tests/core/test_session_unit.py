@@ -39,6 +39,9 @@ def session_world():
 
 
 def open_to_server(client_rt, metrics=None):
+    if metrics is None:
+        metrics = MetricsRegistry()
+
     def op():
         session = yield from open_session(
             ("http", "server", 80), ("server", 80), metrics=metrics

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from collections import Counter
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.concurrency import Close, Connect, Recv, Send, SimRuntime
@@ -192,3 +193,28 @@ def scan_columns(reader, lanes=1):
         for name, value in record.items():
             columns[name].append(value)
     return {name: b"".join(parts) for name, parts in columns.items()}
+
+
+def proxy_outcomes(proxy):
+    """{X-Cache outcome: served requests} of a traced proxy, folded
+    from the ``proxy`` rows of its serving spans."""
+    from repro.obs import request_events
+
+    return Counter(
+        row["outcome"]
+        for row in request_events(proxy.tracer.finished())
+        if row["kind"] == "proxy"
+    )
+
+
+def retries(metrics):
+    """A client's retries: backed-off retries (``retry.attempts_total``)
+    plus keep-alive races retried on a fresh connection
+    (``session.stale_total``); ``None`` while neither was counted."""
+    counts = [
+        metrics.value("retry.attempts_total"),
+        metrics.value("session.stale_total"),
+    ]
+    if counts == [None, None]:
+        return None
+    return sum(count or 0 for count in counts)

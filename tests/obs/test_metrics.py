@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.pagecache import PageCache
-from repro.core.pool import SessionPool
 from repro.obs import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.metrics import format_series
 
@@ -80,29 +78,6 @@ def test_histogram_with_list_buckets():
     assert registry.histogram("h", a="1") is histogram
 
 
-def test_owners_built_before_a_reset_show_their_next_update():
-    """Owners keep no series handle across ``reset()``: their next
-    update re-creates the series, visible in the registry."""
-    registry = MetricsRegistry()
-    cache = PageCache(budget_bytes=1 << 10, page_size=4, metrics=registry)
-    pool = SessionPool(metrics=registry)
-    cache.lookup("k", 0, 4)
-    assert pool.acquire(("http", "h", 80)) is None
-    assert registry.value("cache.miss") == 1
-    registry.reset()
-    assert registry.snapshot() == {}
-    cache.insert("k", None, 0, b"abcd")
-    assert cache.lookup("k", 0, 4) == (b"abcd", [])
-    assert pool.acquire(("http", "h", 80)) is None
-    assert registry.snapshot() == {
-        "cache.hit": 1,
-        "cache.origin_bytes_saved": 4,
-        "cache.pages": 1,
-        "cache.used_bytes": 4,
-        "pool.acquire_total{outcome=miss}": 1,
-    }
-
-
 def test_gauge_set_and_add():
     registry = MetricsRegistry()
     gauge = registry.gauge("idle")
@@ -177,15 +152,14 @@ def test_series_iterates_sorted():
     assert names == ["a{x=1}", "a{x=2}", "b"]
 
 
-def test_snapshot_and_reset_and_len():
+def test_snapshot_and_len():
     registry = MetricsRegistry()
+    assert len(registry) == 0
+    assert registry.snapshot() == {}
     registry.counter("c").inc(7)
     registry.histogram("h").observe(0.25)
     assert registry.snapshot() == {"c": 7, "h": (1, 0.25)}
     assert len(registry) == 2
-    registry.reset()
-    assert len(registry) == 0
-    assert registry.snapshot() == {}
 
 
 def test_format_series():

@@ -1,13 +1,11 @@
 """End-to-end acceptance: one vectored read through the sim server
 produces client spans, server spans and the request rows folded from
 them that all share a single trace ID, with the phase profile summing
-to the request span's duration, and a scrapable Prometheus endpoint on
-the server."""
+to the request span's duration."""
 
 import pytest
 
 from repro.obs import (
-    PROMETHEUS_CONTENT_TYPE,
     MetricsRegistry,
     Tracer,
     common_log_format,
@@ -16,16 +14,12 @@ from repro.obs import (
     request_events,
     slo_verdicts,
 )
-from repro.server import ServerConfig
-from tests.helpers import davix_world, get, one_request
+from tests.helpers import davix_world
 
 
 def observable_world(**kwargs):
     """davix_world with the server side fully instrumented."""
-    config = kwargs.pop("config", None) or ServerConfig(
-        metrics_path="/metrics"
-    )
-    client, app, store, server_rt = davix_world(config=config, **kwargs)
+    client, app, store, server_rt = davix_world(**kwargs)
     app.metrics = MetricsRegistry()
     app.tracer = Tracer(clock=server_rt.now)
     return client, app, store, server_rt
@@ -118,26 +112,6 @@ def test_server_wide_event_joins_the_client_trace():
     assert event["trace_id"] == format_trace_id(request.trace_id)
     assert event["bytes_sent"] >= 128
     assert event["duration"] >= 0
-
-
-def test_metrics_endpoint_serves_prometheus_exposition():
-    client, app, store, _ = observable_world()
-    store.put("/obj", b"m" * 256)
-    client.get("http://server/obj")
-
-    response = client.runtime.run(
-        one_request(("server", 80), get("/metrics"))
-    )
-    assert response.status == 200
-    assert response.headers.get("Content-Type") == PROMETHEUS_CONTENT_TYPE
-    body = response.body.decode("utf-8")
-    assert "# TYPE server_requests_total counter" in body
-    assert 'server_requests_total{method="GET"} 1' in body
-    assert 'server_responses_total{status="200"} 1' in body
-    # The scrape itself is not counted in the series it exposes, and
-    # leaves no record: one server request row, the GET's.
-    (event,) = rows(app.tracer)
-    assert event["path"] == "/obj"
 
 
 def test_propagation_can_be_disabled(monkeypatch):

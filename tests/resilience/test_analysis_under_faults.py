@@ -17,6 +17,8 @@ from repro.rootio.generator import BranchSpec, DatasetSpec
 from repro.server import FaultPolicy
 from repro.workloads import AnalysisConfig, Scenario, run_scenario
 
+from tests.helpers import retries
+
 #: Chosen once: with this schedule the workload sees several faults of
 #: both kinds yet recovers inside the 4-attempt budget.
 FAULT_SEED = 7
@@ -69,13 +71,11 @@ def test_analysis_completes_under_faults_and_repeats_exactly():
     injected = faults.snapshot()
     assert injected["error"] > 0
     assert injected["reset"] > 0
-    assert ctx_a.metrics.value("client.retries_total") > 0
+    assert retries(ctx_a.metrics) > 0
 
     # Byte-identical repeats.
     assert asdict(report_a) == asdict(report_b)
-    assert ctx_a.metrics.value("client.retries_total") == ctx_b.metrics.value(
-        "client.retries_total"
-    )
+    assert retries(ctx_a.metrics) == retries(ctx_b.metrics)
     assert ctx_a.breakers.transitions == ctx_b.breakers.transitions
     assert metrics_to_json_lines(ctx_a.metrics) == metrics_to_json_lines(
         ctx_b.metrics

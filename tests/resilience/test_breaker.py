@@ -95,7 +95,9 @@ def test_board_golden_transition_sequence():
     closed -> open -> half_open -> closed."""
     clock = FakeClock()
     board = BreakerBoard(
-        config=BreakerConfig(threshold=2, cooldown=5.0), clock=clock
+        MetricsRegistry(),
+        config=BreakerConfig(threshold=2, cooldown=5.0),
+        clock=clock,
     )
     assert board.state(ORIGIN) == BreakerState.CLOSED
     board.record(ORIGIN, ok=False)
@@ -117,9 +119,9 @@ def test_board_metrics_and_short_circuits():
     clock = FakeClock()
     registry = MetricsRegistry()
     board = BreakerBoard(
+        registry,
         config=BreakerConfig(threshold=1, cooldown=60.0),
         clock=clock,
-        metrics=registry,
     )
     board.record(ORIGIN, ok=False)
     assert not board.allow(ORIGIN)
@@ -132,6 +134,7 @@ def test_board_metrics_and_short_circuits():
 def test_board_is_blocked_never_claims_probe_slots():
     clock = FakeClock()
     board = BreakerBoard(
+        MetricsRegistry(),
         config=BreakerConfig(threshold=1, cooldown=1.0),
         clock=clock,
     )
@@ -150,7 +153,9 @@ def test_board_is_blocked_never_claims_probe_slots():
 def test_board_on_open_callback_and_reset():
     opened = []
     board = BreakerBoard(
-        config=BreakerConfig(threshold=1), on_open=opened.append
+        MetricsRegistry(),
+        config=BreakerConfig(threshold=1),
+        on_open=opened.append,
     )
     board.record(ORIGIN, ok=False)
     assert opened == [ORIGIN]
@@ -161,7 +166,7 @@ def test_board_on_open_callback_and_reset():
 
 
 def test_unknown_origin_is_closed_and_unblocked():
-    board = BreakerBoard()
+    board = BreakerBoard(MetricsRegistry())
     assert board.state(ORIGIN) == BreakerState.CLOSED
     assert not board.is_blocked(ORIGIN)
     assert board.states() == {}

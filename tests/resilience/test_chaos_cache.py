@@ -18,6 +18,7 @@ from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams, RetryPolicy, TransferConfig
 from repro.errors import RequestError
 from repro.net import LinkSpec, Network
+from repro.obs import Tracer, request_events
 from repro.server import (
     FaultPolicy,
     HttpServer,
@@ -27,7 +28,7 @@ from repro.server import (
 )
 from repro.sim import Environment
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, proxy_outcomes
 from tests.resilience.conftest import ScriptedFaults, errors
 
 SIZE = 60_000
@@ -185,7 +186,9 @@ def run_proxy_chaos(chaos_seed, faults):
     proxy = ProxyApp(
         cache_bytes=32 << 20, default_ttl=0.0, page_size=PAGE
     )
-    HttpServer(SimRuntime(net, "proxy"), proxy, port=3128).start()
+    proxy_rt = SimRuntime(net, "proxy")
+    proxy.tracer = Tracer(clock=proxy_rt.now)
+    HttpServer(proxy_rt, proxy, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
         params=RequestParams(
@@ -213,12 +216,12 @@ def test_proxy_chaos_serves_pure_versions(chaos_seed):
     )
     outcomes, proxy = run_proxy_chaos(chaos_seed, faults)
     check_version_purity(read_plan(chaos_seed), outcomes)
-    assert proxy.stats["requests"] >= len(read_plan(chaos_seed))
+    assert proxy.requests_handled >= len(read_plan(chaos_seed))
     # Revalidation (ttl=0) really happened under fire.
+    served = proxy_outcomes(proxy)
     assert (
-        proxy.stats["hits"]
-        + proxy.stats["revalidated"]
-        + proxy.stats["partial_hits"]
+        served["HIT"] + served["STALE"] + served["REVALIDATED"]
+        + served["PARTIAL"]
         >= 1
     )
 
@@ -231,4 +234,17 @@ def test_proxy_chaos_is_deterministic(chaos_seed):
     faults.reset()
     second, second_proxy = run_proxy_chaos(chaos_seed, faults)
     assert first == second
-    assert first_proxy.stats == second_proxy.stats
+    assert proxy_tally(first_proxy) == proxy_tally(second_proxy)
+
+
+def proxy_tally(proxy):
+    """What the proxy counted: requests routed, served requests per
+    outcome and the bytes they took from the page store, and the page
+    store's own counters."""
+    rows = request_events(proxy.tracer.finished())
+    return (
+        proxy.requests_handled,
+        proxy_outcomes(proxy),
+        sum(row.get("from_cache_bytes", 0) for row in rows),
+        proxy.pages.stats,
+    )

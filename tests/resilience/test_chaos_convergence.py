@@ -15,7 +15,7 @@ from repro.core import BreakerConfig, RequestParams, RetryPolicy
 from repro.obs import metrics_to_json_lines
 from repro.server import FaultPolicy
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, retries
 
 #: Generous budget: convergence, not tail-latency, is under test.
 POLICY = RetryPolicy(
@@ -72,7 +72,7 @@ def run_schedule(schedule_seed, faults):
     return {
         "metrics": metrics_to_json_lines(client.metrics()),
         "transitions": tuple(client.breakers().transitions),
-        "retries": client.context.metrics.value("client.retries_total"),
+        "retries": retries(client.context.metrics),
         "injected": faults.snapshot(),
     }
 

@@ -22,7 +22,7 @@ from repro.core import (
 from repro.obs import metrics_to_json_lines
 from repro.server import FaultPolicy
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, retries
 
 POLICY = RetryPolicy(
     max_attempts=6, base_delay=0.05, max_delay=2.0, seed=1
@@ -72,7 +72,7 @@ def run_schedule(schedule_seed, faults, max_inflight):
     ]
     observables = {
         "metrics": metrics_to_json_lines(client.metrics()),
-        "retries": client.context.metrics.value("client.retries_total"),
+        "retries": retries(client.context.metrics),
         "injected": faults.snapshot(),
         "inflight_gauge": client.metrics().value("vector.inflight"),
     }

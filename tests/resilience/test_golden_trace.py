@@ -12,7 +12,7 @@ import pytest
 from repro.core import RequestParams, RetryPolicy
 from repro.obs import metrics_to_json_lines
 
-from tests.helpers import davix_world
+from tests.helpers import davix_world, retries
 from tests.resilience.conftest import ScriptedFaults, errors
 
 POLICY = RetryPolicy(
@@ -94,7 +94,7 @@ def test_golden_resilience_metrics():
         else:
             assert record is not None, f"missing series {name}"
             assert record["value"] == want, name
-    assert client.context.metrics.value("client.retries_total") == 2
+    assert retries(client.context.metrics) == 2
 
 
 def test_deterministic_across_fresh_worlds():

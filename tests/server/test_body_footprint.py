@@ -171,7 +171,7 @@ def test_a_hostile_response_length_costs_what_was_sent(kind):
 
     def client(endpoint):
         session = yield from open_session(
-            ("http", endpoint[0], endpoint[1]), endpoint
+            ("http", endpoint[0], endpoint[1]), endpoint, MetricsRegistry()
         )
         return (
             yield from session.request(
@@ -338,7 +338,7 @@ def answer(*pieces, linger=0.0):
 def get_watched(seen, timeout=None, deadline=None):
     def client(endpoint):
         session = yield from open_session(
-            ("http", endpoint[0], endpoint[1]), endpoint
+            ("http", endpoint[0], endpoint[1]), endpoint, MetricsRegistry()
         )
         request = Request("GET", "/x", {"Host": endpoint[0]})
         response = yield from watched(

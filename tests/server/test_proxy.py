@@ -19,13 +19,14 @@ from repro.server import (
 )
 from repro.sim import Environment
 
-from tests.helpers import NO_RETRY
+from tests.helpers import NO_RETRY, proxy_outcomes
 
 
-def proxy_world(cache_bytes=256 << 20, default_ttl=60.0, traced=False):
+def proxy_world(cache_bytes=256 << 20, default_ttl=60.0):
     """client -- proxy -- origin, with a slow client<->origin path so
-    the cache benefit is visible. ``traced`` gives the proxy a context,
-    and so a tracer on the proxy's clock."""
+    the cache benefit is visible. The proxy gets a context, and so a
+    tracer on the proxy's clock: its served requests' outcomes are
+    folded from its spans (:func:`~tests.helpers.proxy_outcomes`)."""
     env = Environment()
     net = Network(env, seed=12)
     net.add_host("client")
@@ -44,10 +45,8 @@ def proxy_world(cache_bytes=256 << 20, default_ttl=60.0, traced=False):
     origin_app = StorageApp(origin_store)
     HttpServer(SimRuntime(net, "origin"), origin_app, port=80).start()
     proxy_rt = SimRuntime(net, "proxy")
-    context = None
-    if traced:
-        context = Context()
-        context.clock = proxy_rt.now
+    context = Context()
+    context.clock = proxy_rt.now
     proxy_app = ProxyApp(
         cache_bytes=cache_bytes, default_ttl=default_ttl, context=context
     )
@@ -64,7 +63,7 @@ def test_proxied_get_relays_content():
     store.put("/data/x.bin", b"through-the-proxy")
     data = client.get("http://origin/data/x.bin")
     assert data == b"through-the-proxy"
-    assert proxy.stats["misses"] == 1
+    assert proxy_outcomes(proxy)["MISS"] == 1
     assert origin.requests_handled == 1
     # The client connected to the proxy, never to the origin.
     assert net.host("origin").counters["connections_accepted"] == 1  # proxy's
@@ -75,10 +74,14 @@ def test_cache_hit_skips_origin():
     store.put("/x", b"cache me")
     for _ in range(5):
         assert client.get("http://origin/x") == b"cache me"
-    assert proxy.stats["misses"] == 1
-    assert proxy.stats["hits"] == 4
+    outcomes = proxy_outcomes(proxy)
+    assert outcomes["MISS"] == 1
+    assert outcomes["HIT"] + outcomes["STALE"] == 4
     assert origin.requests_handled == 1
-    assert proxy.hit_ratio() == pytest.approx(0.8)
+    served = sum(
+        outcomes[o] for o in ("HIT", "STALE", "PARTIAL", "REVALIDATED")
+    )
+    assert served / (served + outcomes["MISS"]) == pytest.approx(0.8)
 
 
 def test_cache_hit_is_much_faster():
@@ -99,7 +102,7 @@ def test_revalidation_after_ttl_expiry():
     client.get("http://origin/x")
     client.runtime.env.run(until=client.runtime.env.now + 5.0)
     assert client.get("http://origin/x") == b"fresh"
-    assert proxy.stats["revalidated"] == 1
+    assert proxy_outcomes(proxy)["REVALIDATED"] == 1
     # The revalidation was a conditional GET answered 304: the origin
     # served no second body.
     assert origin.requests_handled == 2
@@ -112,7 +115,7 @@ def test_changed_content_refetched_after_ttl():
     store.put("/x", b"version-2")  # new etag
     client.runtime.env.run(until=client.runtime.env.now + 5.0)
     assert client.get("http://origin/x") == b"version-2"
-    assert proxy.stats["misses"] == 2
+    assert proxy_outcomes(proxy)["MISS"] == 2
 
 
 def test_stale_served_when_origin_down():
@@ -123,7 +126,8 @@ def test_stale_served_when_origin_down():
     # TTL 0: every request revalidates; with the origin dead the proxy
     # serves the stale copy instead of failing.
     assert client.get("http://origin/x") == b"survivor"
-    assert proxy.stats["hits"] == 1
+    outcomes = proxy_outcomes(proxy)
+    assert outcomes["HIT"] + outcomes["STALE"] == 1
 
 
 def test_ranged_requests_are_cached():
@@ -133,13 +137,14 @@ def test_ranged_requests_are_cached():
     client, proxy, origin, store, net = proxy_world()
     store.put("/x", b"0123456789")
     assert client.pread("http://origin/x", 2, 3) == b"234"
-    assert proxy.stats["bypassed"] == 0
-    assert proxy.stats["misses"] == 1
+    assert proxy_outcomes(proxy)["BYPASS"] == 0
+    assert proxy_outcomes(proxy)["MISS"] == 1
     assert proxy.cached_objects == 1
     before = origin.requests_handled
     assert client.pread("http://origin/x", 2, 3) == b"234"
     assert client.pread("http://origin/x", 3, 2) == b"34"
-    assert proxy.stats["hits"] == 2
+    outcomes = proxy_outcomes(proxy)
+    assert outcomes["HIT"] + outcomes["STALE"] == 2
     assert origin.requests_handled == before
 
 
@@ -157,8 +162,9 @@ def test_whole_object_entry_answers_ranged_requests():
         content[o : o + n] for o, n in reads
     ]
     assert origin.requests_handled == before
-    assert proxy.stats["hits"] == 2
-    assert proxy.stats["bypassed"] == 0
+    outcomes = proxy_outcomes(proxy)
+    assert outcomes["HIT"] + outcomes["STALE"] == 2
+    assert outcomes["BYPASS"] == 0
 
 
 def test_partial_hit_fetches_only_the_gaps():
@@ -172,10 +178,11 @@ def test_partial_hit_fetches_only_the_gaps():
     bytes_before = store.bytes_read
     # Overlaps the cached pages and extends beyond them.
     assert client.pread("http://origin/x", 0, 200_000) == content[:200_000]
-    assert proxy.stats["partial_hits"] == 1
+    assert proxy_outcomes(proxy)["PARTIAL"] == 1
     # The origin only served the gap, not the full 200 000 bytes.
     assert store.bytes_read - bytes_before < 200_000
-    assert proxy.stats["origin_bytes_saved"] > 0
+    rows = request_events(proxy.tracer.finished())
+    assert sum(row.get("from_cache_bytes", 0) for row in rows) > 0
 
 
 def test_ranged_request_after_update_serves_new_version():
@@ -195,7 +202,7 @@ def test_put_passes_through():
     client, proxy, origin, store, net = proxy_world()
     assert client.put("http://origin/new", b"written") == 201
     assert store.read("/new") == b"written"
-    assert proxy.stats["bypassed"] == 1
+    assert proxy_outcomes(proxy)["BYPASS"] == 1
 
 
 def test_a_fallback_relay_records_onto_its_own_request():
@@ -203,7 +210,7 @@ def test_a_fallback_relay_records_onto_its_own_request():
     several gap fetches; by then a second connection is being served.
     The relay span and the BYPASS split still land on the first
     request's own ``server-request`` span."""
-    client, proxy, _, store, _ = proxy_world(cache_bytes=64 << 10, traced=True)
+    client, proxy, _, store, _ = proxy_world(cache_bytes=64 << 10)
     store.put("/pages", bytes(256 << 10))
     store.put("/big", bytes(4 << 20))
 
@@ -282,7 +289,7 @@ BYPASS_ARRIVAL = 0.8290936576000001
 
 
 def test_proxy_rows_are_folded_from_the_serving_spans():
-    client, proxy, _, store, _ = proxy_world(traced=True)
+    client, proxy, _, store, _ = proxy_world()
     store.put("/obj", bytes(range(256)) * 512)  # two 64 KiB pages
     client.pread("http://origin/obj", 0, 65536)  # cold: MISS
     client.pread("http://origin/obj", 0, 131072)  # one page cached
@@ -309,10 +316,11 @@ def test_lru_eviction_bounded_by_bytes():
         client.get(f"http://origin/obj{i}")
     assert proxy.cached_bytes <= 25_000
     assert proxy.cached_objects == 2
-    assert proxy.stats["evictions"] == 2
+    # Two whole 10 000-byte objects (one page each) were evicted.
+    assert proxy.pages.stats["evicted_bytes"] == 2 * 10_000
     # The oldest entries were evicted: obj0 misses again.
     client.get("http://origin/obj0")
-    assert proxy.stats["misses"] == 5
+    assert proxy_outcomes(proxy)["MISS"] == 5
 
 
 def test_meta_follows_the_page_store():

@@ -9,7 +9,7 @@ from repro.concurrency import SimRuntime
 from repro.core import DavixClient, RequestParams
 from repro.http import parse_cache_control
 from repro.net import LinkSpec, Network
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.server import (
     HttpServer,
     ObjectStore,
@@ -19,7 +19,7 @@ from repro.server import (
 )
 from repro.sim import Environment
 
-from tests.helpers import NO_RETRY
+from tests.helpers import NO_RETRY, proxy_outcomes
 
 
 def world(cache_control=None, default_ttl=60.0):
@@ -41,7 +41,9 @@ def world(cache_control=None, default_ttl=60.0):
     )
     HttpServer(SimRuntime(net, "origin"), origin, port=80).start()
     proxy = ProxyApp(default_ttl=default_ttl)
-    HttpServer(SimRuntime(net, "proxy"), proxy, port=3128).start()
+    proxy_rt = SimRuntime(net, "proxy")
+    proxy.tracer = Tracer(clock=proxy_rt.now)
+    HttpServer(proxy_rt, proxy, port=3128).start()
     client = DavixClient(
         SimRuntime(net, "client"),
         params=RequestParams(proxy="http://proxy:3128", retry_policy=NO_RETRY),
@@ -91,7 +93,7 @@ def test_short_max_age_expires_before_default_ttl():
     # Expired despite the huge default_ttl: the origin saw a
     # revalidation (304 — the cached body was still served).
     assert origin.requests_handled == baseline + 1
-    assert proxy.stats["revalidated"] == 1
+    assert proxy_outcomes(proxy)["REVALIDATED"] == 1
 
 
 def test_no_store_bypasses_the_cache():
@@ -103,7 +105,7 @@ def test_no_store_bypasses_the_cache():
     gets = origin.metrics.counter("server.requests_total", method="GET")
     assert gets.value == 3
     assert proxy.cached_objects == 0
-    assert proxy.stats["bypassed"] >= 2
+    assert proxy_outcomes(proxy)["BYPASS"] >= 2
 
 
 def test_a_304_marked_no_store_grants_no_freshness():
@@ -121,7 +123,7 @@ def test_a_304_marked_no_store_grants_no_freshness():
     baseline = origin.requests_handled
     assert client.get("http://origin/x") == b"revalidate me"
     assert origin.requests_handled == baseline + 1
-    assert proxy.stats["revalidated"] == 2
+    assert proxy_outcomes(proxy)["REVALIDATED"] == 2
 
 
 def test_no_cache_revalidates_every_time():
@@ -131,7 +133,7 @@ def test_no_cache_revalidates_every_time():
         assert client.get("http://origin/x") == b"always check"
     # Cached (bodies served from pages) but never served blind: each
     # repeat costs exactly one conditional round trip.
-    assert proxy.stats["revalidated"] == 2
+    assert proxy_outcomes(proxy)["REVALIDATED"] == 2
     assert origin.requests_handled == 3
 
 
@@ -141,7 +143,8 @@ def test_default_ttl_still_applies_without_directives():
     for _ in range(4):
         assert client.get("http://origin/x") == b"default rules"
     assert origin.requests_handled == 1
-    assert proxy.stats["hits"] == 3
+    outcomes = proxy_outcomes(proxy)
+    assert outcomes["HIT"] + outcomes["STALE"] == 3
 
 
 def _sleep(seconds):

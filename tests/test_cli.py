@@ -261,12 +261,15 @@ def test_cli_get_through_proxy():
         real_server,
     )
     from repro.concurrency import ThreadRuntime
+    from repro.obs import Tracer
+    from tests.helpers import proxy_outcomes
 
     origin_store = ObjectStore()
     origin_store.put("/x", b"via-proxy")
     with real_server(StorageApp(origin_store)) as origin:
         proxy_app = ProxyApp()
         runtime = ThreadRuntime()
+        proxy_app.tracer = Tracer(clock=runtime.now)
         proxy = HttpServer(runtime, proxy_app, port=0, host="127.0.0.1")
         proxy.start()
         try:
@@ -280,9 +283,10 @@ def test_cli_get_through_proxy():
                 ]
             )
             assert code == 0
-            assert proxy_app.stats["misses"] == 1
         finally:
             proxy.stop()
+        # Stopped: every connection task, and so its span, has ended.
+        assert proxy_outcomes(proxy_app)["MISS"] == 1
 
 
 def trace_artifact(tmp_path, name="trace.jsonl", scale=1.0):

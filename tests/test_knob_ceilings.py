@@ -27,7 +27,7 @@ from repro.workloads import AnalysisConfig
 KNOB_CEILINGS = {
     "RequestParams": 14,
     "TransferConfig": 5,
-    "ServerConfig": 12,
+    "ServerConfig": 11,
     "BreakerConfig": 2,
     "Context": 6,
     "SessionPool": 1,
@@ -54,7 +54,7 @@ def test_knob_counts_are_pinned():
 #: Lines in ``src/repro``'s ``*.py`` files, counted as CI's size step
 #: counts them (``wc -l``). A ceiling like the knob counts: a diff that
 #: grows the tree raises it here, and a diff that shrinks it lowers it.
-SOURCE_LINE_CEILING = 19329
+SOURCE_LINE_CEILING = 19168
 
 
 def test_source_line_count_is_not_above_its_ceiling():
